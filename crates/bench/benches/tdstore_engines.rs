@@ -87,11 +87,13 @@ fn bench_update(c: &mut Criterion) {
                 || kind.create(2),
                 |engine| {
                     for k in &keys {
-                        engine.update(k, &mut |old| {
-                            let cur = old
+                        engine.modify(k, &mut |slot| {
+                            let cur = slot
+                                .as_deref()
                                 .and_then(|v| v.try_into().ok().map(f64::from_le_bytes))
                                 .unwrap_or(0.0);
-                            Some((cur + 1.0).to_le_bytes().to_vec())
+                            *slot = Some((cur + 1.0).to_le_bytes().to_vec());
+                            true
                         });
                     }
                     engine

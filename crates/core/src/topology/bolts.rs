@@ -15,16 +15,17 @@ use crate::fields::FieldIndex;
 use crate::interner::Interner;
 use crate::topology::state::{
     apply_counter_delta, apply_counter_deltas, decode_history, decode_history_v2, encode_history,
-    encode_history_v2, session_key, sim_list_threshold, update_sim_list, windowed_sum,
-    HistoryRecord, ReplayLogEntry,
+    encode_history_v2, session_key, update_sim_list, windowed_sum, windowed_sum_with,
+    HistoryRecord, ReplayLogEntry, SimRecord,
 };
-use crate::types::{keys, ItemPair};
+use crate::types::keys::KeyBuf;
+use crate::types::{keys, FxHashMap, ItemId, ItemPair};
 use crossbeam::channel::Receiver;
 use tdstore::TdStore;
 use tstorm::prelude::*;
 
 /// Same-key `(src, delta)` runs of one itemCount batch, in arrival order.
-type CountGroups = Vec<(Vec<u8>, Vec<(u64, f64)>)>;
+type CountGroups = Vec<(KeyBuf, Vec<(u64, f64)>)>;
 
 /// Per pair: `(session, (src, delta) runs)` of one pairCount batch, in
 /// arrival order.
@@ -657,7 +658,7 @@ impl Bolt for ItemCountBolt {
         }
         match &mut self.combiner {
             Some(combiner) => {
-                if let Some(batch) = combiner.add(key, delta) {
+                if let Some(batch) = combiner.add(key.to_vec(), delta) {
                     for (key, delta) in batch {
                         match &mut self.cache {
                             Some(cache) => cache.incr_f64(&key, delta).map(|_| ()),
@@ -711,7 +712,7 @@ impl Bolt for ItemCountBolt {
             let total: f64 = deltas.iter().map(|&(_, d)| d).sum();
             match &mut self.combiner {
                 Some(combiner) => {
-                    if let Some(batch) = combiner.add(key, total) {
+                    if let Some(batch) = combiner.add(key.to_vec(), total) {
                         for (key, delta) in batch {
                             match &mut self.cache {
                                 Some(cache) => cache.incr_f64(&key, delta).map(|_| ()),
@@ -828,48 +829,49 @@ impl CfPairBolt {
 impl CfPairBolt {
     /// Folds a run of `(src, delta)` updates into one session bucket of a
     /// pair's `pairCount` (one atomic ring-checked update under dedup, one
-    /// `incr` otherwise).
+    /// `incr` otherwise) and returns the bucket's new count.
     fn apply_pair_deltas(
         &self,
         pair: ItemPair,
         session: u64,
         deltas: &[(u64, f64)],
-    ) -> Result<(), String> {
+    ) -> Result<f64, String> {
         let key = session_key(&keys::pair_count(pair), session);
         if self.config.dedup_window > 0 {
             apply_counter_deltas(&self.store, &key, deltas, self.config.dedup_window)
-                .map_err(|e| e.to_string())?;
+                .map(|update| update.count)
         } else {
             let total: f64 = deltas.iter().map(|&(_, d)| d).sum();
-            self.store
-                .incr_f64(&key, total)
-                .map_err(|e| e.to_string())?;
+            self.store.incr_f64(&key, total)
         }
-        Ok(())
+        .map_err(|e| e.to_string())
     }
 
-    /// Recomputes the pair's similarity from the decomposed counts and
-    /// refreshes both similar-items lists (and the pruning observation).
-    fn refresh_similarity(&mut self, pair: ItemPair, session: u64) -> Result<(), String> {
+    /// The pair's similarity (Eq. 5/10) from the decomposed counts: `pc`
+    /// as the pair's writes just returned it, the two `itemCount`s read —
+    /// the 8-byte count only — at most once per item per batch (`memo`).
+    fn similarity(
+        &self,
+        pair: ItemPair,
+        pc: f64,
+        current_session: u64,
+        memo: &mut FxHashMap<(ItemId, u64), f64>,
+    ) -> Result<f64, String> {
         let windows = self.config.window_sessions();
-        let map_err = |e: tdstore::StoreError| e.to_string();
-        let pc_key = keys::pair_count(pair);
-        let current_session = if windows == 0 { 0 } else { session };
-        let pc = windowed_sum(&self.store, &pc_key, current_session, windows).map_err(map_err)?;
-        let ic_a = windowed_sum(
-            &self.store,
-            &keys::item_count(pair.a),
-            current_session,
-            windows,
-        )
-        .map_err(map_err)?;
-        let ic_b = windowed_sum(
-            &self.store,
-            &keys::item_count(pair.b),
-            current_session,
-            windows,
-        )
-        .map_err(map_err)?;
+        let mut item_count = |item: ItemId| -> Result<f64, String> {
+            if let Some(&count) = memo.get(&(item, current_session)) {
+                return Ok(count);
+            }
+            let count = windowed_sum(
+                &self.store,
+                &keys::item_count(item),
+                current_session,
+                windows,
+            )
+            .map_err(|e| e.to_string())?;
+            memo.insert((item, current_session), count);
+            Ok(count)
+        };
         // The item-count stream runs in a parallel bolt with no ordering
         // against this one, so a read here may lag the increments for the
         // very actions that formed this pair. Once caught up,
@@ -879,82 +881,40 @@ impl CfPairBolt {
         // of sim = 0 — which would drop the pair from both similar-items
         // lists and, on the final update of a pair, leave it dropped
         // forever.
-        let ic_a = ic_a.max(pc);
-        let ic_b = ic_b.max(pc);
-        let sim = if ic_a > 0.0 && ic_b > 0.0 {
+        let ic_a = item_count(pair.a)?.max(pc);
+        let ic_b = item_count(pair.b)?.max(pc);
+        Ok(if ic_a > 0.0 && ic_b > 0.0 {
             (pc / (ic_a.sqrt() * ic_b.sqrt())).max(0.0)
         } else {
             0.0
-        };
-
-        // Update both items' similar-items lists.
-        let k = self.config.top_k;
-        self.store
-            .update(&keys::similar_items(pair.a), |raw| {
-                Some(update_sim_list(raw, pair.b, sim, k))
-            })
-            .map_err(map_err)?;
-        self.store
-            .update(&keys::similar_items(pair.b), |raw| {
-                Some(update_sim_list(raw, pair.a, sim, k))
-            })
-            .map_err(map_err)?;
-
-        // Hoeffding pruning (bidirectional threshold).
-        if let Some(pruning) = &mut self.pruning {
-            let ta = sim_list_threshold(
-                self.store
-                    .get(&keys::similar_items(pair.a))
-                    .map_err(map_err)?
-                    .as_deref(),
-                k,
-            );
-            let tb = sim_list_threshold(
-                self.store
-                    .get(&keys::similar_items(pair.b))
-                    .map_err(map_err)?
-                    .as_deref(),
-                k,
-            );
-            pruning.observe(pair, sim, ta.min(tb));
-        }
-        Ok(())
+        })
     }
 }
 
 impl Bolt for CfPairBolt {
-    fn execute(&mut self, tuple: &Tuple, _collector: &mut BoltCollector) -> Result<(), String> {
-        let [a_i, b_i, delta_i, ts_i, src_i] = *self.fields.resolve(tuple);
-        let pair = ItemPair::new(tuple.u64_at(a_i), tuple.u64_at(b_i));
-        if self.pruning.as_ref().is_some_and(|p| p.is_pruned(pair)) {
-            return Ok(());
-        }
-        let session = self.config.session_of(tuple.u64_at(ts_i));
-        self.apply_pair_deltas(
-            pair,
-            session,
-            &[(tuple.u64_at(src_i), tuple.f64_at(delta_i))],
-        )?;
-        self.refresh_similarity(pair, session)?;
-        self.sync_prune_obs();
-        Ok(())
+    fn execute(&mut self, tuple: &Tuple, collector: &mut BoltCollector) -> Result<(), String> {
+        self.execute_batch(std::slice::from_ref(tuple), collector)
     }
 
     fn supports_batch(&self) -> bool {
         true
     }
 
-    /// Groups the run by pair: every pair's deltas land in its session
-    /// buckets first, then the similarity is recomputed and the lists
-    /// rewritten *once* per pair instead of once per tuple — the dominant
-    /// cost of this bolt (two list updates plus up to two threshold reads
-    /// per recompute) is paid per distinct pair in the batch.
+    /// Algorithm 1 over a run of pair deltas, paying per change: every
+    /// pair's deltas land in its session buckets (one in-place update per
+    /// bucket, which hands back the new count), each pair's similarity is
+    /// recomputed once, and each *item* touched gets one conditional
+    /// in-place update of its similar-items list carrying all of the
+    /// batch's entries for it — which, for the usual entry that scores
+    /// below a full list's k-th, writes and replicates nothing.
     fn execute_batch(
         &mut self,
         tuples: &[Tuple],
         _collector: &mut BoltCollector,
     ) -> Result<(), String> {
         // Per pair, per session bucket (in arrival order): src/delta runs.
+        // Batches are small (≤ batch_size); linear find keeps arrival
+        // order without hashing.
         let mut groups: PairGroups = Vec::new();
         for tuple in tuples {
             let [a_i, b_i, delta_i, ts_i, src_i] = *self.fields.resolve(tuple);
@@ -976,15 +936,60 @@ impl Bolt for CfPairBolt {
                 None => sessions.push((session, vec![entry])),
             }
         }
-        for (pair, sessions) in groups {
-            let last_session = sessions.last().map(|&(s, _)| s).expect("non-empty group");
-            for (session, deltas) in &sessions {
-                self.apply_pair_deltas(pair, *session, deltas)?;
+
+        let windows = self.config.window_sessions();
+        let mut item_counts = FxHashMap::default();
+        let mut sims: Vec<(ItemPair, f64)> = Vec::with_capacity(groups.len());
+        // Per item, the `(other, sim)` entries of this batch in the order
+        // per-tuple execution would have applied them.
+        let mut lists: Vec<(ItemId, Vec<SimRecord>)> = Vec::new();
+        let mut written: Vec<(u64, f64)> = Vec::new();
+        for (pair, sessions) in &groups {
+            written.clear();
+            for (session, deltas) in sessions {
+                written.push((*session, self.apply_pair_deltas(*pair, *session, deltas)?));
             }
             // One recompute at the batch's final session for this pair:
             // the counts already include every delta above, so the result
             // matches what per-tuple execution would leave behind.
-            self.refresh_similarity(pair, last_session)?;
+            let last_session = written.last().expect("non-empty group").0;
+            let current_session = if windows == 0 { 0 } else { last_session };
+            let pc = windowed_sum_with(
+                &self.store,
+                &keys::pair_count(*pair),
+                current_session,
+                windows,
+                &written,
+            )
+            .map_err(|e| e.to_string())?;
+            let sim = self.similarity(*pair, pc, current_session, &mut item_counts)?;
+            sims.push((*pair, sim));
+            for (item, other) in [(pair.a, pair.b), (pair.b, pair.a)] {
+                match lists.iter_mut().find(|(i, _)| *i == item) {
+                    Some((_, entries)) => entries.push((other, sim)),
+                    None => lists.push((item, vec![(other, sim)])),
+                }
+            }
+        }
+
+        // One conditional update per item; each returns its list's k-th
+        // score afterwards, the Hoeffding pruning threshold
+        // (bidirectional: the smaller of the pair's two lists).
+        let mut thresholds: Vec<f64> = Vec::with_capacity(lists.len());
+        for (item, entries) in &lists {
+            thresholds.push(
+                update_sim_list(&self.store, *item, entries, self.config.top_k)
+                    .map_err(|e| e.to_string())?,
+            );
+        }
+        if let Some(pruning) = &mut self.pruning {
+            let threshold = |item: ItemId| {
+                let at = lists.iter().position(|(i, _)| *i == item);
+                thresholds[at.expect("every pair's items have a list entry")]
+            };
+            for (pair, sim) in sims {
+                pruning.observe(pair, sim, threshold(pair.a).min(threshold(pair.b)));
+            }
         }
         self.sync_prune_obs();
         Ok(())

@@ -235,23 +235,32 @@ impl TopologyRecommender {
         (pc / (ic_p.sqrt() * ic_q.sqrt())).max(0.0)
     }
 
-    /// The stored similar-items list of `item`.
+    /// The stored similar-items list of `item`, decoded straight from the
+    /// store's copy.
     pub fn similar_items(&self, item: ItemId) -> Vec<(ItemId, f64)> {
         self.store
-            .get(&keys::similar_items(item))
-            .ok()
-            .flatten()
-            .map(|raw| decode_sim_list(&raw))
+            .read(&keys::similar_items(item), |raw| {
+                raw.map(decode_sim_list).unwrap_or_default()
+            })
             .unwrap_or_default()
     }
 
     /// Top-`n` recommendations (Eq. 2 over the user's `recent_k` items,
     /// as in [`crate::cf::ItemCF::recommend`]).
     pub fn recommend(&self, user: UserId, n: usize) -> Vec<(ItemId, f64)> {
-        let Some(raw) = self.store.get(&keys::user_history(user)).ok().flatten() else {
+        // Only the records are decoded, and from the store's copy: a busy
+        // user's value is mostly replay log this side never looks at.
+        let dedup_window = self.config.dedup_window;
+        let Some(mut history) = self
+            .store
+            .read(&keys::user_history(user), |raw| {
+                raw.map(|raw| read_history(raw, dedup_window))
+            })
+            .ok()
+            .flatten()
+        else {
             return Vec::new();
         };
-        let mut history = read_history(&raw, self.config.dedup_window);
         let rated: FxHashSet<ItemId> = history.iter().map(|&(i, _, _)| i).collect();
         // Most recent first.
         history.sort_by_key(|&(_, _, ts)| std::cmp::Reverse(ts));

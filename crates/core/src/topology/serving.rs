@@ -12,7 +12,7 @@ use crate::db::GroupScheme;
 use crate::interner::Interner;
 use crate::topology::bolts::CfPipelineConfig;
 use crate::topology::demographic::{hot_items, DemographicPipelineConfig, ProfileRegistry};
-use crate::topology::state::decode_history;
+use crate::topology::state::read_history;
 use crate::topology::TopologyRecommender;
 use crate::types::{keys, FxHashSet, ItemId, UserId};
 use tdstore::TdStore;
@@ -72,16 +72,14 @@ impl RecommenderFrontEnd {
 
     /// Items the user has already engaged with, per the stored history.
     fn seen(&self, user: UserId) -> FxHashSet<ItemId> {
+        let dedup_window = self.config.cf.dedup_window;
         self.store
-            .get(&keys::user_history(user))
+            .read(&keys::user_history(user), |raw| {
+                raw.map(|raw| read_history(raw, dedup_window))
+            })
             .ok()
             .flatten()
-            .map(|raw| {
-                decode_history(&raw)
-                    .into_iter()
-                    .map(|(i, _, _)| i)
-                    .collect()
-            })
+            .map(|history| history.into_iter().map(|(i, _, _)| i).collect())
             .unwrap_or_default()
     }
 

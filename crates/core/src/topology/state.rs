@@ -5,7 +5,8 @@
 //! failure recovery". These helpers define the value formats for user
 //! histories, similar-items lists, and session-suffixed windowed counts.
 
-use crate::types::{ItemId, Timestamp};
+use crate::types::keys::KeyBuf;
+use crate::types::{keys, ItemId, Timestamp};
 use tdstore::{StoreError, TdStore};
 
 /// One user-history record: `(item, rating, last action ts)`.
@@ -130,15 +131,22 @@ pub fn decode_history_v2(raw: &[u8]) -> (Vec<HistoryRecord>, Vec<ReplayLogEntry>
     (entries, log)
 }
 
-/// Decodes a stored user history in whichever format the pipeline is
-/// configured to write: the plain v1 records (`dedup_window == 0`) or the
-/// v2 format with the embedded replay log.
+/// The records of a stored user history in whichever format the pipeline
+/// is configured to write: the plain v1 records (`dedup_window == 0`) or
+/// the v2 format — of which only the `n × 24` record bytes are read. The
+/// replay log behind them is most of a busy user's value and is the
+/// history bolt's business alone, so a torn or garbage log changes nothing
+/// here; a torn record block yields its whole records, as
+/// [`decode_history_v2`] does.
 pub fn read_history(raw: &[u8], dedup_window: usize) -> Vec<HistoryRecord> {
     if dedup_window == 0 {
-        decode_history(raw)
-    } else {
-        decode_history_v2(raw).0
+        return decode_history(raw);
     }
+    let Some((n, records)) = raw.split_first_chunk::<4>() else {
+        return Vec::new();
+    };
+    let wanted = (u32::from_le_bytes(*n) as usize).saturating_mul(24);
+    decode_history(&records[..records.len().min(wanted)])
 }
 
 /// One similar-items entry: `(item, similarity)`.
@@ -166,44 +174,117 @@ pub fn decode_sim_list(raw: &[u8]) -> Vec<SimRecord> {
         .collect()
 }
 
-/// Inserts/updates `(other, sim)` in an encoded top-`k` list, preserving
-/// descending order. Returns the new encoding.
-pub fn update_sim_list(raw: Option<&[u8]>, other: ItemId, sim: f64, k: usize) -> Vec<u8> {
-    let mut entries = raw.map(decode_sim_list).unwrap_or_default();
-    if let Some(pos) = entries.iter().position(|&(i, _)| i == other) {
-        entries.remove(pos);
+const SIM_RECORD: usize = 16;
+
+fn sim_item_at(list: &[u8], i: usize) -> ItemId {
+    let at = i * SIM_RECORD;
+    u64::from_le_bytes(list[at..at + 8].try_into().expect("8 bytes"))
+}
+
+fn sim_score_at(list: &[u8], i: usize) -> f64 {
+    let at = i * SIM_RECORD + 8;
+    f64::from_le_bytes(list[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// Inserts/updates `(other, sim)` in an encoded top-`k` list (sorted
+/// best-first, as every writer leaves it), editing the 16-byte records in
+/// place: `other`'s old record is dropped, and when `sim > 0` the new one
+/// goes in after every score `>= sim` and the list is cut back to `k`.
+/// Returns whether any byte changed — it does not in the common case of a
+/// pair that is not listed and scores below a full list's k-th entry.
+pub fn apply_sim_entry(list: &mut Vec<u8>, other: ItemId, sim: f64, k: usize) -> bool {
+    // Only whole records count; a torn tail is dropped.
+    let n = list.len() / SIM_RECORD;
+    let mut changed = list.len() != n * SIM_RECORD;
+    list.truncate(n * SIM_RECORD);
+    let found = (0..n).find(|&i| sim_item_at(list, i) == other);
+    if sim <= 0.0 || sim.is_nan() {
+        if let Some(i) = found {
+            list.drain(i * SIM_RECORD..(i + 1) * SIM_RECORD);
+            changed = true;
+        }
+        return changed;
     }
-    if sim > 0.0 {
-        let pos = entries.partition_point(|&(_, s)| s >= sim);
-        entries.insert(pos, (other, sim));
-        entries.truncate(k);
+    // Index of the new record among the *other* entries.
+    let pos = (0..n)
+        .filter(|&i| Some(i) != found)
+        .take_while(|&i| sim_score_at(list, i) >= sim)
+        .count();
+    let span = |from: usize, to: usize| from * SIM_RECORD..to * SIM_RECORD;
+    match found {
+        // Stays where it is: at most the score changes.
+        Some(i) if pos == i => changed |= sim_score_at(list, i).to_bits() != sim.to_bits(),
+        Some(i) if pos < i => {
+            list.copy_within(span(pos, i), (pos + 1) * SIM_RECORD);
+            changed = true;
+        }
+        Some(i) => {
+            list.copy_within(span(i + 1, pos + 1), i * SIM_RECORD);
+            changed = true;
+        }
+        // Below the k-th score of a full list: falls off the end.
+        None if pos >= k => return finish_sim_list(list, k, changed),
+        None => {
+            if n < k {
+                list.reserve_exact(SIM_RECORD);
+                list.extend_from_slice(&[0; SIM_RECORD]);
+            }
+            let last = list.len() / SIM_RECORD - 1;
+            list.copy_within(span(pos, last), (pos + 1) * SIM_RECORD);
+            changed = true;
+        }
     }
-    encode_sim_list(&entries)
+    let at = pos * SIM_RECORD;
+    list[at..at + 8].copy_from_slice(&other.to_le_bytes());
+    list[at + 8..at + 16].copy_from_slice(&sim.to_le_bytes());
+    finish_sim_list(list, k, changed)
+}
+
+fn finish_sim_list(list: &mut Vec<u8>, k: usize, changed: bool) -> bool {
+    let oversized = list.len() > k * SIM_RECORD;
+    list.truncate(k * SIM_RECORD);
+    changed || oversized
 }
 
 /// The pruning threshold of an encoded list: k-th score when full, else 0.
-pub fn sim_list_threshold(raw: Option<&[u8]>, k: usize) -> f64 {
-    match raw {
-        None => 0.0,
-        Some(raw) => {
-            let entries = decode_sim_list(raw);
-            if entries.len() < k {
-                0.0
-            } else {
-                entries.last().map_or(0.0, |&(_, s)| s)
-            }
-        }
+pub fn sim_list_threshold(raw: &[u8], k: usize) -> f64 {
+    let n = raw.len() / SIM_RECORD;
+    if n == 0 || n < k {
+        0.0
+    } else {
+        sim_score_at(raw, n - 1)
     }
+}
+
+/// Applies `entries` — `(other, sim)` in arrival order — to `item`'s
+/// stored similar-items list in one conditional in-place store update, and
+/// returns the list's pruning threshold afterwards. A batch that changes
+/// no byte (the usual case: unlisted pairs scoring below the k-th entry)
+/// is reported unchanged, so the store neither writes nor replicates it.
+pub fn update_sim_list(
+    store: &TdStore,
+    item: ItemId,
+    entries: &[SimRecord],
+    k: usize,
+) -> Result<f64, StoreError> {
+    let mut threshold = 0.0;
+    store.modify(&keys::similar_items(item), |slot| {
+        // A first update stores the list even if it ends up empty.
+        let mut changed = slot.is_none();
+        let list = slot.get_or_insert_with(Vec::new);
+        for &(other, sim) in entries {
+            changed |= apply_sim_entry(list, other, sim, k);
+        }
+        threshold = sim_list_threshold(list, k);
+        changed
+    })?;
+    Ok(threshold)
 }
 
 /// Key for a windowed count bucket: `prefix` + raw key + session index.
 /// Un-windowed counts use session `u64::MAX` as the single bucket.
-pub fn session_key(base: &[u8], session: u64) -> Vec<u8> {
-    let mut k = Vec::with_capacity(base.len() + 9);
-    k.extend_from_slice(base);
-    k.push(b'@');
-    k.extend_from_slice(&session.to_le_bytes());
-    k
+pub fn session_key(base: &[u8], session: u64) -> KeyBuf {
+    KeyBuf::new(base).with(b"@").with(&session.to_le_bytes())
 }
 
 /// Adds `delta` to the windowed count bucket of `base` at `session`.
@@ -220,14 +301,15 @@ pub fn windowed_incr(
 /// the value is a plain `incr_f64` float or a dedup-tracked counter whose
 /// source ring follows the count.
 pub fn counter_prefix(raw: &[u8]) -> f64 {
-    match raw.get(0..8) {
-        Some(bytes) => f64::from_le_bytes(bytes.try_into().expect("8 bytes")),
+    match raw.first_chunk::<8>() {
+        Some(bytes) => f64::from_le_bytes(*bytes),
         None => 0.0,
     }
 }
 
+/// Reads a counter's count without copying the source ring behind it.
 fn stored_count(store: &TdStore, key: &[u8]) -> Result<f64, StoreError> {
-    Ok(store.get(key)?.map_or(0.0, |raw| counter_prefix(&raw)))
+    store.read(key, |raw| raw.map_or(0.0, counter_prefix))
 }
 
 /// Adds `delta` to the counter at `key` unless an update from the same
@@ -247,69 +329,109 @@ pub fn apply_counter_delta(
     src: u64,
     window: usize,
 ) -> Result<bool, StoreError> {
-    Ok(apply_counter_deltas(store, key, &[(src, delta)], window)? == 1)
+    Ok(apply_counter_deltas(store, key, &[(src, delta)], window)?.applied == 1)
 }
 
-fn decode_counter(raw: Option<&[u8]>) -> (f64, Vec<u64>) {
-    match raw {
-        None => (0.0, Vec::new()),
-        Some(raw) => {
-            let count = counter_prefix(raw);
-            let n = raw
-                .get(8..12)
-                .map_or(0, |b| u32::from_le_bytes(b.try_into().expect("4 bytes")));
-            let srcs: Vec<u64> = (0..n as usize)
-                .map_while(|i| {
-                    raw.get(12 + i * 8..20 + i * 8)
-                        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-                })
-                .collect();
-            (count, srcs)
+/// What a batch of deltas did to one counter.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct CounterUpdate {
+    /// Deltas applied (the rest were duplicate sources, skipped).
+    pub applied: usize,
+    /// The count after the batch.
+    pub count: f64,
+    /// Whether any byte of the value changed.
+    pub changed: bool,
+}
+
+const RING_AT: usize = 12;
+
+/// Applies `(src, delta)` updates to a counter value
+/// (`count:f64 | n:u32 | n × src:u64`) where it lies: the ring bytes are
+/// scanned for each source, and an unseen one bumps the count, is appended,
+/// and — past `window` sources — pushes the oldest out. No decoded ring, no
+/// second buffer, and growth is exact, so stored values carry no slack.
+/// Deltas apply strictly in order with the ring trimmed after every
+/// insert, so the bytes equal one update per delta. A short or torn value
+/// is first cut back to its readable prefix, as a decode would read it.
+pub fn apply_deltas_in_place(
+    slot: &mut Option<Vec<u8>>,
+    deltas: &[(u64, f64)],
+    window: usize,
+) -> CounterUpdate {
+    let mut changed = slot.is_none();
+    let buf = slot.get_or_insert_with(Vec::new);
+    let mut count = counter_prefix(buf);
+    let declared = buf.get(8..RING_AT).map_or(0, |b| {
+        u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize
+    });
+    let mut n = declared.min(buf.len().saturating_sub(RING_AT) / 8);
+    if buf.len() != RING_AT + 8 * declared {
+        // An unreadable count or length reads as 0; sources stop at the
+        // first torn one.
+        if buf.len() < RING_AT {
+            buf.truncate(if buf.len() < 8 { 0 } else { 8 });
+            buf.resize(RING_AT, 0);
         }
+        buf.truncate(RING_AT + 8 * n);
+        changed = true;
     }
-}
-
-fn encode_counter(count: f64, srcs: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + srcs.len() * 8);
-    out.extend_from_slice(&count.to_le_bytes());
-    out.extend_from_slice(&(srcs.len() as u32).to_le_bytes());
-    for s in srcs {
-        out.extend_from_slice(&s.to_le_bytes());
+    let mut applied = 0;
+    for &(src, delta) in deltas {
+        let src = src.to_le_bytes();
+        if buf[RING_AT..].chunks_exact(8).any(|s| s == src) {
+            continue;
+        }
+        count += delta;
+        applied += 1;
+        let excess = (n + 1).saturating_sub(window);
+        if excess > n {
+            // Only with `window == 0`: nothing is remembered.
+            buf.truncate(RING_AT);
+            n = 0;
+            continue;
+        }
+        if excess == 0 {
+            buf.reserve_exact(8);
+            buf.extend_from_slice(&src);
+        } else {
+            // The oldest `excess` sources leave; the new one takes the
+            // slot that frees at the end.
+            buf.copy_within(RING_AT + 8 * excess.., RING_AT);
+            buf.truncate(RING_AT + 8 * (n + 1 - excess));
+            let last = buf.len() - 8;
+            buf[last..].copy_from_slice(&src);
+        }
+        n = n + 1 - excess;
     }
-    out
+    if applied > 0 || changed {
+        buf[..8].copy_from_slice(&count.to_le_bytes());
+        buf[8..RING_AT].copy_from_slice(&(n as u32).to_le_bytes());
+        changed = true;
+    }
+    CounterUpdate {
+        applied,
+        count,
+        changed,
+    }
 }
 
 /// Applies a batch of `(src, delta)` updates to the counter at `key` in
-/// one atomic store update — one decode, one encode, one write for the
-/// whole batch instead of one each per delta. The deltas are applied
-/// strictly in order with the ring trimmed after every insert, so the
-/// resulting value is byte-identical to calling [`apply_counter_delta`]
-/// once per element. Returns how many deltas were applied (the rest were
-/// duplicate sources, skipped).
+/// one atomic, in-place store update ([`apply_deltas_in_place`]) and
+/// reports what it did — including the new count, so the caller need not
+/// read back what it just wrote. A batch of nothing but duplicate sources
+/// leaves the value untouched and unreplicated.
 pub fn apply_counter_deltas(
     store: &TdStore,
     key: &[u8],
     deltas: &[(u64, f64)],
     window: usize,
-) -> Result<usize, StoreError> {
-    let mut applied = 0usize;
-    store.update(key, |raw| {
-        applied = 0;
-        let (mut count, mut srcs) = decode_counter(raw);
-        for &(src, delta) in deltas {
-            if !srcs.contains(&src) {
-                count += delta;
-                srcs.push(src);
-                if srcs.len() > window {
-                    let excess = srcs.len() - window;
-                    srcs.drain(..excess);
-                }
-                applied += 1;
-            }
-        }
-        Some(encode_counter(count, &srcs))
+) -> Result<CounterUpdate, StoreError> {
+    let mut update = CounterUpdate::default();
+    store.modify(key, |slot| {
+        update = apply_deltas_in_place(slot, deltas, window);
+        update.changed
     })?;
-    Ok(applied)
+    Ok(update)
 }
 
 /// Sums the last `window` session buckets of `base` ending at
@@ -320,13 +442,30 @@ pub fn windowed_sum(
     current_session: u64,
     window: usize,
 ) -> Result<f64, StoreError> {
-    if window == 0 {
-        return stored_count(store, &session_key(base, u64::MAX));
-    }
+    windowed_sum_with(store, base, current_session, window, &[])
+}
+
+/// [`windowed_sum`] for a caller that already holds some buckets' counts
+/// — `known` is `(session, count)`, e.g. straight from the
+/// [`apply_counter_deltas`] that wrote them — and so reads only the rest.
+pub fn windowed_sum_with(
+    store: &TdStore,
+    base: &[u8],
+    current_session: u64,
+    window: usize,
+    known: &[(u64, f64)],
+) -> Result<f64, StoreError> {
+    let sessions = if window == 0 {
+        u64::MAX..=u64::MAX
+    } else {
+        current_session.saturating_sub(window as u64 - 1)..=current_session
+    };
     let mut total = 0.0;
-    let oldest = current_session.saturating_sub(window as u64 - 1);
-    for session in oldest..=current_session {
-        total += stored_count(store, &session_key(base, session))?;
+    for session in sessions {
+        total += match known.iter().find(|&&(s, _)| s == session) {
+            Some(&(_, count)) => count,
+            None => stored_count(store, &session_key(base, session))?,
+        };
     }
     Ok(total)
 }
@@ -381,27 +520,72 @@ mod tests {
         assert_eq!(decode_sim_list(&encode_sim_list(&entries)), entries);
     }
 
+    /// One entry applied to a copy of `list`.
+    fn with_entry(list: &[u8], other: ItemId, sim: f64, k: usize) -> Vec<u8> {
+        let mut list = list.to_vec();
+        apply_sim_entry(&mut list, other, sim, k);
+        list
+    }
+
     #[test]
-    fn update_sim_list_keeps_order_and_k() {
-        let raw = update_sim_list(None, 1, 0.5, 2);
-        let raw = update_sim_list(Some(&raw), 2, 0.9, 2);
-        let raw = update_sim_list(Some(&raw), 3, 0.7, 2);
+    fn sim_entries_keep_order_and_k() {
+        let raw = with_entry(&[], 1, 0.5, 2);
+        let raw = with_entry(&raw, 2, 0.9, 2);
+        let raw = with_entry(&raw, 3, 0.7, 2);
         assert_eq!(decode_sim_list(&raw), vec![(2, 0.9), (3, 0.7)]);
         // Updating an existing entry reorders.
-        let raw = update_sim_list(Some(&raw), 3, 0.95, 2);
+        let raw = with_entry(&raw, 3, 0.95, 2);
         assert_eq!(decode_sim_list(&raw), vec![(3, 0.95), (2, 0.9)]);
         // Dropping to zero removes.
-        let raw = update_sim_list(Some(&raw), 3, 0.0, 2);
+        let raw = with_entry(&raw, 3, 0.0, 2);
         assert_eq!(decode_sim_list(&raw), vec![(2, 0.9)]);
     }
 
     #[test]
+    fn sim_entry_reports_change_only_when_bytes_change() {
+        let mut list = encode_sim_list(&[(1, 0.9), (2, 0.5)]);
+        let before = list.clone();
+        // Unlisted and below the k-th score of a full list: nothing moves.
+        assert!(!apply_sim_entry(&mut list, 3, 0.4, 2));
+        // A tie with the k-th score goes after it, so off the end too.
+        assert!(!apply_sim_entry(&mut list, 3, 0.5, 2));
+        // The same score for a listed item, removing an unlisted one.
+        assert!(!apply_sim_entry(&mut list, 2, 0.5, 2));
+        assert!(!apply_sim_entry(&mut list, 7, 0.0, 2));
+        assert_eq!(list, before);
+        assert_eq!(list.capacity(), list.len(), "no growth slack");
+        assert!(apply_sim_entry(&mut list, 2, 0.6, 2));
+        assert!(apply_sim_entry(&mut list, 3, 0.95, 2));
+        assert_eq!(decode_sim_list(&list), vec![(3, 0.95), (1, 0.9)]);
+    }
+
+    #[test]
     fn threshold_semantics() {
-        assert_eq!(sim_list_threshold(None, 2), 0.0);
-        let raw = update_sim_list(None, 1, 0.5, 2);
-        assert_eq!(sim_list_threshold(Some(&raw), 2), 0.0, "not full");
-        let raw = update_sim_list(Some(&raw), 2, 0.8, 2);
-        assert_eq!(sim_list_threshold(Some(&raw), 2), 0.5);
+        assert_eq!(sim_list_threshold(&[], 2), 0.0);
+        let raw = with_entry(&[], 1, 0.5, 2);
+        assert_eq!(sim_list_threshold(&raw, 2), 0.0, "not full");
+        let raw = with_entry(&raw, 2, 0.8, 2);
+        assert_eq!(sim_list_threshold(&raw, 2), 0.5);
+    }
+
+    #[test]
+    fn store_list_update_is_conditional() {
+        let store = TdStore::new(StoreConfig {
+            sync_every: 0,
+            ..Default::default()
+        });
+        let t = update_sim_list(&store, 9, &[(1, 0.9), (2, 0.5), (3, 0.7)], 2).unwrap();
+        assert_eq!(t, 0.7);
+        let key = keys::similar_items(9);
+        let stored = store.get(&key).unwrap().unwrap();
+        assert_eq!(decode_sim_list(&stored), vec![(1, 0.9), (3, 0.7)]);
+        store.sync();
+        // Entries that fall off the end leave the value and the
+        // replication queue alone, and still report the threshold.
+        let t = update_sim_list(&store, 9, &[(4, 0.1), (5, 0.7)], 2).unwrap();
+        assert_eq!(t, 0.7);
+        assert_eq!(store.unreplicated_ops(), 0);
+        assert_eq!(store.get(&key).unwrap().unwrap(), stored);
     }
 
     #[test]
@@ -463,6 +647,23 @@ mod tests {
         let raw = encode_history_v2(&entries, &log);
         assert_eq!(decode_history_v2(&raw), (entries.clone(), log));
         assert_eq!(read_history(&raw, 8), entries);
+        // The query side reads the records only: a torn or garbage log
+        // behind them changes nothing.
+        let records_end = 4 + entries.len() * 24;
+        for cut in records_end..raw.len() {
+            assert_eq!(read_history(&raw[..cut], 8), entries);
+        }
+        let mut garbage = raw[..records_end].to_vec();
+        garbage.extend_from_slice(&[0xFF; 37]);
+        assert_eq!(read_history(&garbage, 8), entries);
+        // A torn record block yields its whole records, like the full
+        // decoder.
+        assert_eq!(read_history(&raw[..records_end - 5], 8), entries[..1]);
+        assert_eq!(
+            decode_history_v2(&raw[..records_end - 5]).0,
+            read_history(&raw[..records_end - 5], 8)
+        );
+        assert!(read_history(&raw[..3], 8).is_empty());
         // v1 path still decodes plain records.
         let v1 = encode_history(&entries);
         assert_eq!(read_history(&v1, 0), entries);
@@ -504,13 +705,63 @@ mod tests {
         // Includes an in-batch duplicate (src 2) and enough entries to
         // roll the ring mid-batch.
         let deltas: Vec<(u64, f64)> = vec![(1, 1.0), (2, 2.0), (2, 9.0), (3, 0.5), (4, 1.5)];
-        let applied = apply_counter_deltas(&a, b"c", &deltas, 3).unwrap();
-        assert_eq!(applied, 4);
+        let update = apply_counter_deltas(&a, b"c", &deltas, 3).unwrap();
+        assert_eq!((update.applied, update.count), (4, 5.0));
         for &(src, delta) in &deltas {
             apply_counter_delta(&b, b"c", delta, src, 3).unwrap();
         }
         assert_eq!(a.get(b"c").unwrap(), b.get(b"c").unwrap());
         assert_eq!(counter_prefix(&a.get(b"c").unwrap().unwrap()), 5.0);
+    }
+
+    #[test]
+    fn duplicate_only_batch_leaves_value_and_replication_alone() {
+        let store = TdStore::new(StoreConfig {
+            sync_every: 0,
+            ..Default::default()
+        });
+        apply_counter_deltas(&store, b"c", &[(1, 1.0), (2, 2.0)], 4).unwrap();
+        let stored = store.get(b"c").unwrap().unwrap();
+        assert_eq!(stored.len(), 12 + 2 * 8);
+        store.sync();
+        let update = apply_counter_deltas(&store, b"c", &[(2, 2.0), (1, 1.0)], 4).unwrap();
+        assert_eq!(
+            update,
+            CounterUpdate {
+                applied: 0,
+                count: 3.0,
+                changed: false
+            }
+        );
+        assert_eq!(store.unreplicated_ops(), 0);
+        assert_eq!(store.get(b"c").unwrap().unwrap(), stored);
+    }
+
+    #[test]
+    fn full_ring_rolls_in_place_without_slack() {
+        let mut slot = None;
+        for src in 0..40u64 {
+            apply_deltas_in_place(&mut slot, &[(src, 1.0)], 8);
+        }
+        let buf = slot.unwrap();
+        assert_eq!(buf.len(), 12 + 8 * 8);
+        assert!(buf.capacity() <= buf.len() + 8, "ring grew past its window");
+        assert_eq!(counter_prefix(&buf), 40.0);
+        let newest = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
+        let oldest = u64::from_le_bytes(buf[12..20].try_into().unwrap());
+        assert_eq!((oldest, newest), (32, 39));
+    }
+
+    #[test]
+    fn windowed_sum_uses_known_buckets() {
+        let store = TdStore::new(StoreConfig::default());
+        windowed_incr(&store, b"pc:x", 10, 2.0).unwrap();
+        windowed_incr(&store, b"pc:x", 11, 3.0).unwrap();
+        // Session 11 is taken from the caller, not the store.
+        let sum = windowed_sum_with(&store, b"pc:x", 11, 3, &[(11, 30.0)]).unwrap();
+        assert_eq!(sum, 32.0);
+        let sum = windowed_sum_with(&store, b"pc:y", 0, 0, &[(u64::MAX, 7.0)]).unwrap();
+        assert_eq!(sum, 7.0);
     }
 
     #[test]

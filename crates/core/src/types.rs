@@ -92,45 +92,84 @@ pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 pub mod keys {
     use super::{ItemId, ItemPair, UserId};
 
+    /// A store key built on the stack. Every key format is a short tag
+    /// followed by fixed-width ids (plus, for windowed counts, a session
+    /// suffix), so the hot paths never allocate to name a value.
+    #[derive(Clone, Copy)]
+    pub struct KeyBuf {
+        len: u8,
+        bytes: [u8; KeyBuf::CAPACITY],
+    }
+
+    impl KeyBuf {
+        /// Longest key a `KeyBuf` holds.
+        pub const CAPACITY: usize = 40;
+
+        /// A key starting with `tag`.
+        pub fn new(tag: &[u8]) -> Self {
+            KeyBuf {
+                len: 0,
+                bytes: [0; Self::CAPACITY],
+            }
+            .with(tag)
+        }
+
+        /// The key with `part` appended. Panics past [`Self::CAPACITY`]:
+        /// key formats are fixed in this crate, so that is a bug here.
+        pub fn with(mut self, part: &[u8]) -> Self {
+            let end = self.len as usize + part.len();
+            self.bytes[self.len as usize..end].copy_from_slice(part);
+            self.len = end as u8;
+            self
+        }
+    }
+
+    impl std::ops::Deref for KeyBuf {
+        type Target = [u8];
+        fn deref(&self) -> &[u8] {
+            &self.bytes[..self.len as usize]
+        }
+    }
+
+    impl PartialEq for KeyBuf {
+        fn eq(&self, other: &Self) -> bool {
+            **self == **other
+        }
+    }
+
+    impl Eq for KeyBuf {}
+
+    impl std::fmt::Debug for KeyBuf {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            std::fmt::Debug::fmt(&**self, f)
+        }
+    }
+
     /// `itemCount(item)` accumulator.
-    pub fn item_count(item: ItemId) -> Vec<u8> {
-        let mut k = Vec::with_capacity(11);
-        k.extend_from_slice(b"ic:");
-        k.extend_from_slice(&item.to_le_bytes());
-        k
+    pub fn item_count(item: ItemId) -> KeyBuf {
+        KeyBuf::new(b"ic:").with(&item.to_le_bytes())
     }
 
     /// `pairCount(pair)` accumulator.
-    pub fn pair_count(pair: ItemPair) -> Vec<u8> {
-        let mut k = Vec::with_capacity(19);
-        k.extend_from_slice(b"pc:");
-        k.extend_from_slice(&pair.a.to_le_bytes());
-        k.extend_from_slice(&pair.b.to_le_bytes());
-        k
+    pub fn pair_count(pair: ItemPair) -> KeyBuf {
+        KeyBuf::new(b"pc:")
+            .with(&pair.a.to_le_bytes())
+            .with(&pair.b.to_le_bytes())
     }
 
     /// Serialized user behaviour history.
-    pub fn user_history(user: UserId) -> Vec<u8> {
-        let mut k = Vec::with_capacity(13);
-        k.extend_from_slice(b"hist:");
-        k.extend_from_slice(&user.to_le_bytes());
-        k
+    pub fn user_history(user: UserId) -> KeyBuf {
+        KeyBuf::new(b"hist:").with(&user.to_le_bytes())
     }
 
     /// Serialized similar-items list of an item.
-    pub fn similar_items(item: ItemId) -> Vec<u8> {
-        let mut k = Vec::with_capacity(12);
-        k.extend_from_slice(b"sim:");
-        k.extend_from_slice(&item.to_le_bytes());
-        k
+    pub fn similar_items(item: ItemId) -> KeyBuf {
+        KeyBuf::new(b"sim:").with(&item.to_le_bytes())
     }
 
     /// Recommendation result list for a user.
-    pub fn result(user: UserId) -> Vec<u8> {
-        let mut k = Vec::with_capacity(12);
-        k.extend_from_slice(b"res:");
-        k.extend_from_slice(&user.to_le_bytes());
-        k
+    pub fn result(user: UserId) -> KeyBuf {
+        KeyBuf::new(b"res:").with(&user.to_le_bytes())
     }
 }
 

@@ -1,0 +1,163 @@
+//! Property tests for the two values `cf_pair` and `item_count` edit where
+//! they lie in TDStore: the dedup-tracked counter
+//! (`count:f64 | n:u32 | n × src:u64`) and the similar-items list
+//! (16-byte `(item, sim)` records, best first).
+//!
+//! The references are the decode → `Vec` → encode forms the in-place
+//! editors replaced. Every stored byte must come out the same — the chaos
+//! matrix compares count tables bit for bit, and a ring that drifted by
+//! one source would re-apply or drop a replayed delta — and "unchanged"
+//! must mean exactly that, because an unchanged value is neither written
+//! nor replicated.
+
+use proptest::prelude::*;
+use tencentrec::topology::state::{
+    apply_deltas_in_place, apply_sim_entry, counter_prefix, decode_sim_list, encode_sim_list,
+};
+use tencentrec::types::ItemId;
+
+/// The counter update as it was: decode the whole value, edit a
+/// `Vec<u64>` ring, encode a new value. Returns the bytes and how many
+/// deltas applied.
+fn reference_counter(raw: Option<&[u8]>, deltas: &[(u64, f64)], window: usize) -> (Vec<u8>, usize) {
+    let (mut count, mut srcs) = match raw {
+        None => (0.0, Vec::new()),
+        Some(raw) => {
+            let n = raw
+                .get(8..12)
+                .map_or(0, |b| u32::from_le_bytes(b.try_into().unwrap()));
+            let srcs: Vec<u64> = (0..n as usize)
+                .map_while(|i| {
+                    raw.get(12 + i * 8..20 + i * 8)
+                        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+                })
+                .collect();
+            (counter_prefix(raw), srcs)
+        }
+    };
+    let mut applied = 0;
+    for &(src, delta) in deltas {
+        if !srcs.contains(&src) {
+            count += delta;
+            srcs.push(src);
+            if srcs.len() > window {
+                let excess = srcs.len() - window;
+                srcs.drain(..excess);
+            }
+            applied += 1;
+        }
+    }
+    let mut out = Vec::with_capacity(12 + srcs.len() * 8);
+    out.extend_from_slice(&count.to_le_bytes());
+    out.extend_from_slice(&(srcs.len() as u32).to_le_bytes());
+    for s in &srcs {
+        out.extend_from_slice(&s.to_le_bytes());
+    }
+    (out, applied)
+}
+
+/// The list update as it was: decode, edit a `Vec`, encode.
+fn reference_sim_list(raw: &[u8], other: ItemId, sim: f64, k: usize) -> Vec<u8> {
+    let mut entries = decode_sim_list(raw);
+    if let Some(pos) = entries.iter().position(|&(i, _)| i == other) {
+        entries.remove(pos);
+    }
+    if sim > 0.0 {
+        let pos = entries.partition_point(|&(_, s)| s >= sim);
+        entries.insert(pos, (other, sim));
+        entries.truncate(k);
+    }
+    encode_sim_list(&entries)
+}
+
+/// Sources from a small pool, so batches repeat sources within
+/// themselves and against the stored ring.
+fn arb_deltas() -> impl Strategy<Value = Vec<(u64, f64)>> {
+    prop::collection::vec((0u64..24, -4.0f64..4.0), 0..12)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn ring_update_in_place_matches_decode_encode(
+        batches in prop::collection::vec(arb_deltas(), 1..8),
+        window in 0usize..10,
+        // The window a value was written under may differ from the one it
+        // is updated under (a config change between runs).
+        later_window in 0usize..10,
+    ) {
+        let mut slot: Option<Vec<u8>> = None;
+        for (i, deltas) in batches.iter().enumerate() {
+            let window = if i < batches.len() / 2 { window } else { later_window };
+            let (want, want_applied) = reference_counter(slot.as_deref(), deltas, window);
+            let before = slot.clone();
+            let update = apply_deltas_in_place(&mut slot, deltas, window);
+            let got = slot.as_deref().expect("an update always leaves a value");
+            prop_assert_eq!(got, &want[..]);
+            prop_assert_eq!(update.applied, want_applied);
+            prop_assert_eq!(update.count.to_bits(), counter_prefix(&want).to_bits());
+            prop_assert_eq!(update.changed, before.as_deref() != Some(&want[..]));
+        }
+    }
+
+    #[test]
+    fn ring_update_in_place_matches_on_short_and_torn_values(
+        deltas in arb_deltas(),
+        window in 0usize..10,
+        srcs in prop::collection::vec(0u64..24, 0..10),
+        declared_off in -3i64..4,
+        cut in 0usize..100,
+        tail in prop::collection::vec(any::<u8>(), 0..12),
+    ) {
+        // A well-formed value, then damaged: a length field that
+        // disagrees with the bytes present, a cut anywhere (inside the
+        // count, the length or a source), or garbage after the ring.
+        let declared = (srcs.len() as i64 + declared_off).max(0) as u32;
+        let mut raw = 2.5f64.to_le_bytes().to_vec();
+        raw.extend_from_slice(&declared.to_le_bytes());
+        for s in &srcs {
+            raw.extend_from_slice(&s.to_le_bytes());
+        }
+        raw.extend_from_slice(&tail);
+        raw.truncate(cut.min(raw.len()));
+
+        let (want, want_applied) = reference_counter(Some(&raw), &deltas, window);
+        let mut slot = Some(raw.clone());
+        let update = apply_deltas_in_place(&mut slot, &deltas, window);
+        prop_assert_eq!(slot.as_deref(), Some(&want[..]));
+        prop_assert_eq!(update.applied, want_applied);
+        prop_assert_eq!(update.changed, raw != want);
+    }
+
+    #[test]
+    fn list_update_in_place_matches_decode_encode(
+        // Items from a small pool so entries hit listed items; sims from a
+        // few levels (ties, zero and negative included) plus a continuum.
+        entries in prop::collection::vec(
+            (0u64..12, prop_oneof![
+                (0u8..6).prop_map(|level| f64::from(level) * 0.2 - 0.2),
+                -0.5f64..1.0,
+            ]),
+            1..60,
+        ),
+        k in 1usize..6,
+        later_k in 1usize..6,
+        torn in 0usize..16,
+    ) {
+        let mut list: Vec<u8> = Vec::new();
+        for (i, &(other, sim)) in entries.iter().enumerate() {
+            // `k` may shrink or grow mid-sequence, and one step starts
+            // from a value with a torn tail.
+            let k = if i < entries.len() / 2 { k } else { later_k };
+            if i == entries.len() / 3 {
+                list.extend(std::iter::repeat_n(0xAB, torn));
+            }
+            let want = reference_sim_list(&list, other, sim, k);
+            let before = list.clone();
+            let changed = apply_sim_entry(&mut list, other, sim, k);
+            prop_assert_eq!(&list, &want);
+            prop_assert_eq!(changed, before != want);
+        }
+    }
+}

@@ -188,6 +188,11 @@ impl FdbEngine {
         self.inner.lock().file.sync_data()
     }
 
+    fn read_key(inner: &mut FdbInner, key: &[u8]) -> Option<Vec<u8>> {
+        let (off, len) = *inner.index.get(key)?;
+        Self::read_at(inner, off, len).ok()
+    }
+
     fn read_at(inner: &mut FdbInner, offset: u64, len: u32) -> std::io::Result<Vec<u8>> {
         let mut buf = vec![0u8; len as usize];
         inner.file.seek(SeekFrom::Start(offset))?;
@@ -198,39 +203,24 @@ impl FdbEngine {
 }
 
 impl StorageEngine for FdbEngine {
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+    fn read(&self, key: &[u8], f: &mut super::ReadFn<'_>) {
         let mut inner = self.inner.lock();
-        let (off, len) = *inner.index.get(key)?;
-        Self::read_at(&mut inner, off, len).ok()
+        let value = Self::read_key(&mut inner, key);
+        f(value.as_deref());
     }
 
-    fn put(&self, key: &[u8], value: Vec<u8>) {
+    fn modify(&self, key: &[u8], f: &mut super::ModifyFn<'_>) -> bool {
         let mut inner = self.inner.lock();
-        Self::append(&mut inner, key, Some(&value)).expect("fdb append");
-        self.maybe_compact(&mut inner);
-    }
-
-    fn delete(&self, key: &[u8]) -> bool {
-        let mut inner = self.inner.lock();
-        let existed = inner.index.contains_key(key);
-        if existed {
-            Self::append(&mut inner, key, None).expect("fdb append");
+        let mut slot = Self::read_key(&mut inner, key);
+        let existed = slot.is_some();
+        let changed = f(&mut slot);
+        // A delete of an absent key appends nothing: the marker would be
+        // pure dead weight.
+        if changed && (existed || slot.is_some()) {
+            Self::append(&mut inner, key, slot.as_deref()).expect("fdb append");
             self.maybe_compact(&mut inner);
         }
-        existed
-    }
-
-    fn update(&self, key: &[u8], f: &mut super::UpdateFn<'_>) -> Option<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        let old = inner
-            .index
-            .get(key)
-            .copied()
-            .and_then(|(off, len)| Self::read_at(&mut inner, off, len).ok());
-        let new = f(old.as_deref());
-        Self::append(&mut inner, key, new.as_deref()).expect("fdb append");
-        self.maybe_compact(&mut inner);
-        new
+        changed
     }
 
     fn len(&self) -> usize {
@@ -282,7 +272,7 @@ mod tests {
     #[test]
     fn conformance_suite() {
         conformance::basic_crud(&open("crud"));
-        conformance::update_semantics(&open("update"));
+        conformance::modify_semantics(&open("update"));
         conformance::prefix_scan(&open("scan"));
         conformance::many_keys(&open("many"));
     }

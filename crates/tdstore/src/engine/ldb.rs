@@ -62,13 +62,14 @@ impl LdbEngine {
         self.inner.lock().runs.len()
     }
 
-    fn lookup(inner: &LdbInner, key: &[u8]) -> Option<Option<Vec<u8>>> {
+    /// Live value of `key`: its newest entry, unless that is a tombstone.
+    fn lookup<'a>(inner: &'a LdbInner, key: &[u8]) -> Option<&'a [u8]> {
         if let Some(v) = inner.memtable.get(key) {
-            return Some(v.clone());
+            return v.as_deref();
         }
         for run in inner.runs.iter().rev() {
             if let Ok(i) = run.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                return Some(run[i].1.clone());
+                return run[i].1.as_deref();
             }
         }
         None
@@ -120,32 +121,20 @@ impl LdbEngine {
 }
 
 impl StorageEngine for LdbEngine {
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+    fn read(&self, key: &[u8], f: &mut super::ReadFn<'_>) {
         let inner = self.inner.lock();
-        Self::lookup(&inner, key).flatten()
+        f(Self::lookup(&inner, key));
     }
 
-    fn put(&self, key: &[u8], value: Vec<u8>) {
+    fn modify(&self, key: &[u8], f: &mut super::ModifyFn<'_>) -> bool {
         let mut inner = self.inner.lock();
-        inner.memtable.insert(key.to_vec(), Some(value));
-        self.maybe_freeze(&mut inner);
-    }
-
-    fn delete(&self, key: &[u8]) -> bool {
-        let mut inner = self.inner.lock();
-        let existed = Self::lookup(&inner, key).flatten().is_some();
-        inner.memtable.insert(key.to_vec(), None);
-        self.maybe_freeze(&mut inner);
-        existed
-    }
-
-    fn update(&self, key: &[u8], f: &mut super::UpdateFn<'_>) -> Option<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        let old = Self::lookup(&inner, key).flatten();
-        let new = f(old.as_deref());
-        inner.memtable.insert(key.to_vec(), new.clone());
-        self.maybe_freeze(&mut inner);
-        new
+        let mut slot = Self::lookup(&inner, key).map(<[u8]>::to_vec);
+        let changed = f(&mut slot);
+        if changed {
+            inner.memtable.insert(key.to_vec(), slot);
+            self.maybe_freeze(&mut inner);
+        }
+        changed
     }
 
     fn len(&self) -> usize {
@@ -186,7 +175,7 @@ mod tests {
     #[test]
     fn conformance_suite() {
         conformance::basic_crud(&tiny());
-        conformance::update_semantics(&tiny());
+        conformance::modify_semantics(&tiny());
         conformance::prefix_scan(&tiny());
         conformance::many_keys(&tiny());
     }

@@ -2,16 +2,22 @@
 //!
 //! The default engine for recommendation status data: the paper stores the
 //! hot `itemCount`/`pairCount`/similar-items state in a "distributed
-//! memory-based key-value storage". Sharding by key hash keeps lock
-//! contention low under the many-writer access pattern of the topology.
+//! memory-based key-value storage". Each engine splits its keys over
+//! independent locks, picked from the *high* bits of the key hash: the
+//! router already spent the low bits choosing this instance
+//! (`hash % instances`), so reusing them would put every key of an
+//! instance behind one lock.
 
 use super::StorageEngine;
+use crate::route::key_hash;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
+type Shard = Mutex<HashMap<Vec<u8>, Vec<u8>>>;
+
 /// Sharded hash-map engine.
 pub struct MdbEngine {
-    shards: Vec<Mutex<HashMap<Vec<u8>, Vec<u8>>>>,
+    shards: Vec<Shard>,
 }
 
 impl MdbEngine {
@@ -24,40 +30,44 @@ impl MdbEngine {
         }
     }
 
-    fn shard(&self, key: &[u8]) -> &Mutex<HashMap<Vec<u8>, Vec<u8>>> {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(h as usize) & (self.shards.len() - 1)]
+    fn shard_index(&self, key: &[u8]) -> usize {
+        (key_hash(key) >> 32) as usize & (self.shards.len() - 1)
+    }
+
+    fn shard(&self, key: &[u8]) -> &Shard {
+        &self.shards[self.shard_index(key)]
     }
 }
 
 impl StorageEngine for MdbEngine {
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.shard(key).lock().get(key).cloned()
+    fn read(&self, key: &[u8], f: &mut super::ReadFn<'_>) {
+        f(self.shard(key).lock().get(key).map(Vec::as_slice));
     }
 
-    fn put(&self, key: &[u8], value: Vec<u8>) {
-        self.shard(key).lock().insert(key.to_vec(), value);
-    }
-
-    fn delete(&self, key: &[u8]) -> bool {
-        self.shard(key).lock().remove(key).is_some()
-    }
-
-    fn update(&self, key: &[u8], f: &mut super::UpdateFn<'_>) -> Option<Vec<u8>> {
+    fn modify(&self, key: &[u8], f: &mut super::ModifyFn<'_>) -> bool {
         let mut shard = self.shard(key).lock();
-        let new = f(shard.get(key).map(Vec::as_slice));
-        match new {
-            Some(v) => {
-                shard.insert(key.to_vec(), v.clone());
-                Some(v)
+        match shard.get_mut(key) {
+            // The value is edited where it lives: moved into the slot and
+            // back (a pointer move), never copied, and the key is not
+            // cloned.
+            Some(value) => {
+                let mut slot = Some(std::mem::take(value));
+                let changed = f(&mut slot);
+                match slot {
+                    Some(new) => *value = new,
+                    None => {
+                        shard.remove(key);
+                    }
+                }
+                changed
             }
             None => {
-                shard.remove(key);
-                None
+                let mut slot = None;
+                let changed = f(&mut slot);
+                if let Some(new) = slot {
+                    shard.insert(key.to_vec(), new);
+                }
+                changed
             }
         }
     }
@@ -89,7 +99,7 @@ mod tests {
     #[test]
     fn conformance_suite() {
         conformance::basic_crud(&MdbEngine::new(4));
-        conformance::update_semantics(&MdbEngine::new(4));
+        conformance::modify_semantics(&MdbEngine::new(4));
         conformance::prefix_scan(&MdbEngine::new(4));
         conformance::many_keys(&MdbEngine::new(4));
     }
@@ -107,11 +117,12 @@ mod tests {
                 let e = Arc::clone(&engine);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        e.update(b"counter", &mut |old| {
-                            let n = old
-                                .map(|v| u64::from_le_bytes(v.try_into().unwrap()))
-                                .unwrap_or(0);
-                            Some((n + 1).to_le_bytes().to_vec())
+                        e.modify(b"counter", &mut |slot| {
+                            let n = slot
+                                .as_deref()
+                                .map_or(0, |v| u64::from_le_bytes(v.try_into().unwrap()));
+                            *slot = Some((n + 1).to_le_bytes().to_vec());
+                            true
                         });
                     }
                 })
@@ -122,5 +133,33 @@ mod tests {
         }
         let v = engine.get(b"counter").unwrap();
         assert_eq!(u64::from_le_bytes(v.try_into().unwrap()), 8000);
+    }
+
+    #[test]
+    fn keys_of_one_instance_spread_over_shards() {
+        // Regression: the shard used to come from the same low hash bits
+        // the router takes (`hash % 16`), so with 16 instances every key
+        // of an instance shared one of its 16 locks.
+        let table = crate::RouteTable::new(16, 4, true);
+        let engine = MdbEngine::new(16);
+        let mut used = std::collections::HashSet::new();
+        let mut routed = 0;
+        for i in 0u64.. {
+            let mut key = b"pc:".to_vec();
+            key.extend_from_slice(&i.to_le_bytes());
+            if table.instance_for(&key) != 5 {
+                continue;
+            }
+            used.insert(engine.shard_index(&key));
+            routed += 1;
+            if routed == 10_000 {
+                break;
+            }
+        }
+        assert!(
+            used.len() >= 12,
+            "10,000 keys of one instance occupy only {} of 16 shards",
+            used.len()
+        );
     }
 }

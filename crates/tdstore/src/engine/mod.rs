@@ -15,25 +15,50 @@ pub use rdb::RdbEngine;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// The closure form used by [`StorageEngine::update`].
-pub type UpdateFn<'a> = dyn FnMut(Option<&[u8]>) -> Option<Vec<u8>> + 'a;
+/// The closure form taken by [`StorageEngine::read`].
+pub type ReadFn<'a> = dyn FnMut(Option<&[u8]>) + 'a;
 
-/// Uniform engine interface. All methods are linearisable per key: an
-/// engine must make `update` atomic with respect to concurrent access to
-/// the same key.
+/// The closure form taken by [`StorageEngine::modify`]: edits the slot in
+/// place (`None` = key absent / delete it) and returns whether the value
+/// changed. After returning `false` the slot must hold what it held on
+/// entry.
+pub type ModifyFn<'a> = dyn FnMut(&mut Option<Vec<u8>>) -> bool + 'a;
+
+/// Uniform engine interface, built on two primitives: a borrowing
+/// [`read`](StorageEngine::read) and one conditional, in-place
+/// read-modify-write, [`modify`](StorageEngine::modify). Both are
+/// linearisable per key: the closure runs under the engine's lock for that
+/// key, so it must be short and must not call back into the engine.
 pub trait StorageEngine: Send + Sync {
-    /// Current value for `key`.
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>>;
+    /// Calls `f` with the current value of `key`, borrowed from the engine
+    /// where the engine holds values in memory (no copy).
+    fn read(&self, key: &[u8], f: &mut ReadFn<'_>);
+
+    /// Atomic read-modify-write: `f` edits the value in place and reports
+    /// whether it changed; an unchanged value is not written back. Leaving
+    /// the slot `None` deletes the key. Returns what `f` returned.
+    fn modify(&self, key: &[u8], f: &mut ModifyFn<'_>) -> bool;
+
+    /// Current value for `key` (a copy).
+    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+        let mut out = None;
+        self.read(key, &mut |raw| out = raw.map(<[u8]>::to_vec));
+        out
+    }
 
     /// Stores `value` under `key`.
-    fn put(&self, key: &[u8], value: Vec<u8>);
+    fn put(&self, key: &[u8], value: Vec<u8>) {
+        let mut value = Some(value);
+        self.modify(key, &mut |slot| {
+            *slot = value.take();
+            true
+        });
+    }
 
     /// Removes `key`; returns whether it was present.
-    fn delete(&self, key: &[u8]) -> bool;
-
-    /// Atomic read-modify-write: `f` maps the current value to the new one
-    /// (`None` result deletes the key). Returns the new value.
-    fn update(&self, key: &[u8], f: &mut UpdateFn<'_>) -> Option<Vec<u8>>;
+    fn delete(&self, key: &[u8]) -> bool {
+        self.modify(key, &mut |slot| slot.take().is_some())
+    }
 
     /// Number of live keys.
     fn len(&self) -> usize;
@@ -99,24 +124,38 @@ pub(crate) mod conformance {
         assert!(engine.is_empty());
     }
 
-    pub(crate) fn update_semantics(engine: &dyn StorageEngine) {
-        // Insert through update.
-        let v = engine.update(b"ctr", &mut |old| {
-            assert!(old.is_none());
-            Some(vec![1])
+    pub(crate) fn modify_semantics(engine: &dyn StorageEngine) {
+        // Insert through modify.
+        let changed = engine.modify(b"ctr", &mut |slot| {
+            assert!(slot.is_none());
+            *slot = Some(vec![1]);
+            true
         });
-        assert_eq!(v, Some(vec![1]));
-        // Increment through update.
-        let v = engine.update(b"ctr", &mut |old| {
-            let mut v = old.unwrap().to_vec();
-            v[0] += 1;
-            Some(v)
-        });
-        assert_eq!(v, Some(vec![2]));
+        assert!(changed);
+        // Edit in place.
+        assert!(engine.modify(b"ctr", &mut |slot| {
+            slot.as_mut().unwrap()[0] += 1;
+            true
+        }));
         assert_eq!(engine.get(b"ctr"), Some(vec![2]));
-        // Delete through update.
-        let v = engine.update(b"ctr", &mut |_| None);
-        assert_eq!(v, None);
+        // An unchanged modify sees the value and leaves it alone.
+        assert!(!engine.modify(b"ctr", &mut |slot| {
+            assert_eq!(slot.as_deref(), Some(&[2u8][..]));
+            false
+        }));
+        assert!(!engine.modify(b"absent", &mut |slot| {
+            assert!(slot.is_none());
+            false
+        }));
+        assert_eq!(engine.get(b"ctr"), Some(vec![2]));
+        assert_eq!(engine.len(), 1);
+        // read borrows the same bytes.
+        let mut seen = None;
+        engine.read(b"ctr", &mut |raw| seen = raw.map(<[u8]>::to_vec));
+        assert_eq!(seen, Some(vec![2]));
+        engine.read(b"absent", &mut |raw| assert!(raw.is_none()));
+        // Delete through modify.
+        assert!(engine.modify(b"ctr", &mut |slot| slot.take().is_some()));
         assert!(engine.get(b"ctr").is_none());
         assert_eq!(engine.len(), 0);
     }

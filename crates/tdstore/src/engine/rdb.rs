@@ -57,31 +57,25 @@ fn prefix_end(p: &[u8]) -> Option<Vec<u8>> {
 }
 
 impl StorageEngine for RdbEngine {
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.map.read().get(key).cloned()
+    fn read(&self, key: &[u8], f: &mut super::ReadFn<'_>) {
+        f(self.map.read().get(key).map(Vec::as_slice));
     }
 
-    fn put(&self, key: &[u8], value: Vec<u8>) {
-        self.map.write().insert(key.to_vec(), value);
-    }
-
-    fn delete(&self, key: &[u8]) -> bool {
-        self.map.write().remove(key).is_some()
-    }
-
-    fn update(&self, key: &[u8], f: &mut super::UpdateFn<'_>) -> Option<Vec<u8>> {
+    fn modify(&self, key: &[u8], f: &mut super::ModifyFn<'_>) -> bool {
         let mut map = self.map.write();
-        let new = f(map.get(key).map(Vec::as_slice));
-        match new {
-            Some(v) => {
-                map.insert(key.to_vec(), v.clone());
-                Some(v)
-            }
-            None => {
-                map.remove(key);
-                None
+        let mut slot = map.get(key).cloned();
+        let changed = f(&mut slot);
+        if changed {
+            match slot {
+                Some(new) => {
+                    map.insert(key.to_vec(), new);
+                }
+                None => {
+                    map.remove(key);
+                }
             }
         }
+        changed
     }
 
     fn len(&self) -> usize {
@@ -111,7 +105,7 @@ mod tests {
     #[test]
     fn conformance_suite() {
         conformance::basic_crud(&RdbEngine::new());
-        conformance::update_semantics(&RdbEngine::new());
+        conformance::modify_semantics(&RdbEngine::new());
         conformance::prefix_scan(&RdbEngine::new());
         conformance::many_keys(&RdbEngine::new());
     }

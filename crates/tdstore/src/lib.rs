@@ -17,6 +17,12 @@
 //! * Storage engines are pluggable: [`engine::MdbEngine`] (sharded memory),
 //!   [`engine::LdbEngine`] (log-structured), [`engine::FdbEngine`]
 //!   (file-backed).
+//! * The client API is two primitives, on the engines and on
+//!   [`TdStore`] alike: [`TdStore::read`] lends the stored bytes to a
+//!   closure, and [`TdStore::modify`] is the one read-modify-write — in
+//!   place and *conditional*: a closure that reports "unchanged" costs no
+//!   write, no copy and no replication. `get`/`put`/`delete`/`update` are
+//!   wrappers over them.
 //!
 //! ```
 //! use tdstore::{StoreConfig, TdStore};
@@ -38,14 +44,10 @@ pub use route::{ConfigServers, InstanceId, InstanceRoute, RouteTable, ServerId};
 pub use server::DataServer;
 pub use snapshot::{Snapshot, SnapshotKind, SnapshotMeta, SnapshotRecord, SnapshotStore};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-
-/// A write applied to one storage engine, returning the value that must
-/// reach the replica (`None` = deletion).
-type Mutation<'a> = dyn FnMut(&Arc<dyn StorageEngine>) -> Option<Vec<u8>> + 'a;
 
 /// Store construction parameters.
 #[derive(Debug, Clone)]
@@ -142,6 +144,9 @@ struct StoreMetrics {
     gets: obs::Counter,
     writes: obs::Counter,
     deletes: obs::Counter,
+    /// `modify` calls whose closure reported no change: nothing written,
+    /// nothing replicated.
+    unchanged: obs::Counter,
     failovers: obs::Counter,
     replication_queue: obs::Gauge,
 }
@@ -152,15 +157,36 @@ impl StoreMetrics {
             gets: obs::Counter::new(),
             writes: obs::Counter::new(),
             deletes: obs::Counter::new(),
+            unchanged: obs::Counter::new(),
             failovers: obs::Counter::new(),
             replication_queue: obs::Gauge::new(),
         }
     }
 }
 
+/// Where one instance is served right now: what an operation needs from
+/// the route table and the data servers, resolved once per placement
+/// change instead of once per operation.
+struct InstanceHosts {
+    /// Route generation this entry was resolved under (see [`SyncOp`]).
+    generation: u64,
+    host: Arc<dyn StorageEngine>,
+    slave: Option<Arc<dyn StorageEngine>>,
+}
+
+/// One entry per instance; an instance with no live host keeps the error
+/// every operation on it returns.
+type HostTable = Vec<Result<InstanceHosts, StoreError>>;
+
 struct StoreInner {
     config_servers: ConfigServers,
     servers: Vec<Arc<DataServer>>,
+    /// The client's cached routing, rebuilt by [`TdStore::kill_server`].
+    /// Every operation holds it for reading while it touches a replica and
+    /// a failover holds it for writing from the kill to the last re-seeded
+    /// key, so no operation ever sees — or writes into — a placement that
+    /// is being replaced.
+    hosts: RwLock<HostTable>,
     engine: EngineKind,
     pending: Mutex<Vec<SyncOp>>,
     writes_since_sync: AtomicUsize,
@@ -176,21 +202,42 @@ struct StoreInner {
     sync_every: usize,
     write_through: bool,
     /// One lock per instance, used only in write-through mode: a write
-    /// holds its instance's lock across route lookup + host apply + slave
-    /// apply, and failover takes every lock before rerouting, so no write
-    /// can land on a replica that is being replaced mid-flight.
+    /// holds its instance's lock across host apply + slave apply, so two
+    /// writers of one key reach both replicas in the same order.
     write_locks: Vec<Mutex<()>>,
     fault_plan: tchaos::FaultPlan,
     metrics: StoreMetrics,
 }
 
 impl StoreInner {
+    /// Resolves every instance's replicas from the route table and the
+    /// data servers.
+    fn resolve_hosts(&self) -> HostTable {
+        (0..self.config_servers.instances())
+            .map(|instance| {
+                let route = self.config_servers.route(instance)?;
+                Ok(InstanceHosts {
+                    generation: route.generation,
+                    host: self.servers[route.host as usize].replica(instance)?,
+                    slave: route
+                        .slave
+                        .and_then(|s| self.servers[s as usize].replica(instance).ok()),
+                })
+            })
+            .collect()
+    }
+
+    fn instance_for(&self, key: &[u8]) -> InstanceId {
+        (route::key_hash(key) % self.write_locks.len() as u64) as InstanceId
+    }
+
     /// Applies recorded host writes to their slave replicas. Callers hold
     /// `drain_lock` so concurrent appliers cannot reorder same-key ops.
     fn apply_ops(&self, ops: Vec<SyncOp>) {
         let applied = ops.len();
+        let hosts = self.hosts.read();
         for op in ops {
-            let Ok(route) = self.config_servers.route(op.instance) else {
+            let Some(Ok(route)) = hosts.get(op.instance as usize) else {
                 continue;
             };
             // Recorded under an older placement: the instance failed over
@@ -201,17 +248,15 @@ impl StoreInner {
             if route.generation != op.generation {
                 continue;
             }
-            let Some(slave) = route.slave else { continue };
-            let Ok(engine) = self.servers[slave as usize].replica(op.instance) else {
-                continue;
-            };
+            let Some(slave) = &route.slave else { continue };
             match op.value {
-                Some(v) => engine.put(&op.key, v),
+                Some(v) => slave.put(&op.key, v),
                 None => {
-                    engine.delete(&op.key);
+                    slave.delete(&op.key);
                 }
             }
         }
+        drop(hosts);
         if applied > 0 {
             let depth = self
                 .unreplicated
@@ -228,9 +273,6 @@ impl Drop for StoreInner {
         self.drain.cv.notify_all();
     }
 }
-
-/// An instance id paired with its host engine (internal routing result).
-type RoutedEngine = (InstanceId, Arc<dyn StorageEngine>);
 
 /// A set of raw `(key, value)` pairs returned by scans.
 pub type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
@@ -260,6 +302,7 @@ impl TdStore {
             inner: Arc::new(StoreInner {
                 config_servers: ConfigServers::new(table),
                 servers,
+                hosts: RwLock::new(Vec::new()),
                 engine: config.engine,
                 pending: Mutex::new(Vec::new()),
                 writes_since_sync: AtomicUsize::new(0),
@@ -273,6 +316,7 @@ impl TdStore {
                 metrics: StoreMetrics::new(),
             }),
         };
+        *store.inner.hosts.write() = store.inner.resolve_hosts();
         if config.sync_every > 0 {
             store.spawn_drainer();
         }
@@ -311,13 +355,6 @@ impl TdStore {
             .expect("spawn tdstore-sync drainer");
     }
 
-    fn host_engine(&self, key: &[u8]) -> Result<RoutedEngine, StoreError> {
-        let instance = self.inner.config_servers.instance_for(key);
-        let route = self.inner.config_servers.route(instance)?;
-        let engine = self.inner.servers[route.host as usize].replica(instance)?;
-        Ok((instance, engine))
-    }
-
     fn record_write(
         &self,
         instance: InstanceId,
@@ -354,66 +391,6 @@ impl TdStore {
         }
     }
 
-    /// The shared write path. `mutate` applies the change to the host
-    /// engine and returns the resulting value (`None` = deleted), which is
-    /// then either replicated synchronously (write-through) or queued.
-    fn write_op(&self, key: &[u8], mutate: &mut Mutation<'_>) -> Result<(), StoreError> {
-        // Injected write failure: checked before any replica is touched,
-        // so a failed write has had *no* effect and a retry/replay is safe.
-        if self
-            .inner
-            .fault_plan
-            .should_fault(tchaos::FaultSite::WriteFail)
-        {
-            return Err(StoreError::Injected);
-        }
-        let instance = self.inner.config_servers.instance_for(key);
-        if self.inner.write_through {
-            // Failover holds every instance lock while rerouting; seeing
-            // a dead host here just means a failover is in progress — spin
-            // until the promoted route is visible.
-            let mut tries = 0u32;
-            loop {
-                {
-                    let _guard = self.inner.write_locks[instance as usize].lock();
-                    let route = self.inner.config_servers.route(instance)?;
-                    match self.inner.servers[route.host as usize].replica(instance) {
-                        Ok(engine) => {
-                            let new = mutate(&engine);
-                            if let Some(slave) = route.slave {
-                                if let Ok(slave_engine) =
-                                    self.inner.servers[slave as usize].replica(instance)
-                                {
-                                    match new {
-                                        Some(v) => slave_engine.put(key, v),
-                                        None => {
-                                            slave_engine.delete(key);
-                                        }
-                                    }
-                                }
-                            }
-                            break;
-                        }
-                        Err(StoreError::ServerDown(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                tries += 1;
-                if tries > 100_000 {
-                    return Err(StoreError::Io("write-through retry exhausted".into()));
-                }
-                std::thread::yield_now();
-            }
-        } else {
-            let route = self.inner.config_servers.route(instance)?;
-            let engine = self.inner.servers[route.host as usize].replica(instance)?;
-            let new = mutate(&engine);
-            self.record_write(instance, route.generation, key, new);
-        }
-        self.maybe_inject_failover();
-        Ok(())
-    }
-
     /// Injected failover: kills the highest-numbered live data server
     /// (deterministic given the fault schedule), provided enough servers
     /// remain for every instance to keep a replicated home.
@@ -438,76 +415,149 @@ impl TdStore {
         }
     }
 
-    /// Reads a value.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let (_, engine) = self.host_engine(key)?;
+    /// Calls `f` with the value of `key` borrowed from the host replica —
+    /// no copy for the in-memory engines. `f` runs under the engine's lock
+    /// for the key: keep it short and do not call the store from it.
+    pub fn read<R>(&self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> Result<R, StoreError> {
+        let hosts = self.inner.hosts.read();
+        let route = hosts[self.inner.instance_for(key) as usize]
+            .as_ref()
+            .map_err(Clone::clone)?;
         self.inner.metrics.gets.inc();
-        Ok(engine.get(key))
+        let mut f = Some(f);
+        let mut out = None;
+        route.host.read(key, &mut |raw| {
+            out = f.take().map(|f| f(raw));
+        });
+        Ok(out.expect("engine read calls its closure"))
+    }
+
+    /// Atomic, conditional read-modify-write on one key, in place: `f`
+    /// edits the stored value (`None` = absent; leave `None` to delete)
+    /// and returns whether it changed anything. An unchanged value costs
+    /// the lookup and `f`: no replica is touched, nothing is queued for
+    /// replication, nothing is copied. A changed value is copied once, for
+    /// the slave. `f` is called exactly once, under the engine's lock for
+    /// the key: keep it short and do not call the store from it. Returns
+    /// what `f` returned.
+    pub fn modify(
+        &self,
+        key: &[u8],
+        mut f: impl FnMut(&mut Option<Vec<u8>>) -> bool,
+    ) -> Result<bool, StoreError> {
+        // Injected write failure: checked before any replica is touched,
+        // so a failed write has had *no* effect and a retry/replay is safe.
+        if self
+            .inner
+            .fault_plan
+            .should_fault(tchaos::FaultSite::WriteFail)
+        {
+            return Err(StoreError::Injected);
+        }
+        let instance = self.inner.instance_for(key);
+        let deleted = {
+            let _ordered = self
+                .inner
+                .write_through
+                .then(|| self.inner.write_locks[instance as usize].lock());
+            let hosts = self.inner.hosts.read();
+            let route = hosts[instance as usize].as_ref().map_err(Clone::clone)?;
+            let mut for_slave = None;
+            let changed = route.host.modify(key, &mut |slot| {
+                let changed = f(slot);
+                if changed {
+                    for_slave = slot.clone();
+                }
+                changed
+            });
+            if !changed {
+                self.inner.metrics.unchanged.inc();
+                return Ok(false);
+            }
+            let deleted = for_slave.is_none();
+            if !self.inner.write_through {
+                self.record_write(instance, route.generation, key, for_slave);
+            } else if let Some(slave) = &route.slave {
+                match for_slave {
+                    Some(v) => slave.put(key, v),
+                    None => {
+                        slave.delete(key);
+                    }
+                }
+            }
+            deleted
+        };
+        if deleted {
+            self.inner.metrics.deletes.inc();
+        } else {
+            self.inner.metrics.writes.inc();
+        }
+        self.maybe_inject_failover();
+        Ok(true)
+    }
+
+    /// Reads a value (a copy; see [`TdStore::read`] to borrow it).
+    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        self.read(key, |raw| raw.map(<[u8]>::to_vec))
     }
 
     /// Writes a value.
     pub fn put(&self, key: &[u8], value: Vec<u8>) -> Result<(), StoreError> {
-        self.write_op(key, &mut |engine| {
-            engine.put(key, value.clone());
-            Some(value.clone())
+        let mut value = Some(value);
+        self.modify(key, |slot| {
+            *slot = value.take();
+            true
         })?;
-        self.inner.metrics.writes.inc();
         Ok(())
     }
 
     /// Deletes a key; returns whether it existed.
     pub fn delete(&self, key: &[u8]) -> Result<bool, StoreError> {
-        let mut existed = false;
-        self.write_op(key, &mut |engine| {
-            existed = engine.delete(key);
-            None
-        })?;
-        self.inner.metrics.deletes.inc();
-        Ok(existed)
+        self.modify(key, |slot| slot.take().is_some())
     }
 
-    /// Atomic read-modify-write on one key; returns the new value.
+    /// Atomic read-modify-write by value: `f` maps the current value to
+    /// the new one (`None` deletes); returns the new value. Writing back
+    /// the bytes already stored counts as unchanged. Prefer
+    /// [`TdStore::modify`], which edits in place and returns no copy.
     pub fn update(
         &self,
         key: &[u8],
         mut f: impl FnMut(Option<&[u8]>) -> Option<Vec<u8>>,
     ) -> Result<Option<Vec<u8>>, StoreError> {
         let mut new = None;
-        self.write_op(key, &mut |engine| {
-            new = engine.update(key, &mut f);
-            new.clone()
+        self.modify(key, |slot| {
+            new = f(slot.as_deref());
+            let changed = new != *slot;
+            if changed {
+                slot.clone_from(&new);
+            }
+            changed
         })?;
-        self.inner.metrics.writes.inc();
         Ok(new)
     }
 
     /// Typed helper: reads a little-endian `f64`.
     pub fn get_f64(&self, key: &[u8]) -> Result<Option<f64>, StoreError> {
-        Ok(self
-            .get(key)?
-            .and_then(|v| v.as_slice().try_into().ok().map(f64::from_le_bytes)))
+        self.read(key, |raw| {
+            raw.and_then(|v| v.try_into().ok().map(f64::from_le_bytes))
+        })
     }
 
     /// Typed helper: atomically adds `delta` to an `f64` (missing = 0);
     /// returns the new value.
     pub fn incr_f64(&self, key: &[u8], delta: f64) -> Result<f64, StoreError> {
-        let new = self.update(key, |old| {
-            let cur = old
+        let mut new = 0.0;
+        self.modify(key, |slot| {
+            let cur = slot
+                .as_deref()
                 .and_then(|v| v.try_into().ok().map(f64::from_le_bytes))
                 .unwrap_or(0.0);
-            Some((cur + delta).to_le_bytes().to_vec())
+            new = cur + delta;
+            *slot = Some(new.to_le_bytes().to_vec());
+            true
         })?;
-        Ok(new
-            .and_then(|v| v.as_slice().try_into().ok().map(f64::from_le_bytes))
-            .expect("update always writes"))
-    }
-
-    /// Reads many keys in one call (the paper's data servers are sized
-    /// for "the large amount of reads and writes"; batching amortises the
-    /// routing work). Results align with `keys`; missing keys yield
-    /// `None`.
-    pub fn batch_get(&self, batch: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>, StoreError> {
-        batch.iter().map(|key| self.get(key)).collect()
+        Ok(new)
     }
 
     /// Writes many `(key, value)` pairs in one call.
@@ -522,10 +572,9 @@ impl TdStore {
     /// instances (unordered).
     pub fn scan_prefix(&self, prefix: &[u8]) -> Result<KvPairs, StoreError> {
         let mut out = Vec::new();
-        for instance in 0..self.inner.config_servers.instances() {
-            let route = self.inner.config_servers.route(instance)?;
-            let engine = self.inner.servers[route.host as usize].replica(instance)?;
-            out.extend(engine.scan_prefix(prefix));
+        for route in self.inner.hosts.read().iter() {
+            let route = route.as_ref().map_err(Clone::clone)?;
+            out.extend(route.host.scan_prefix(prefix));
         }
         Ok(out)
     }
@@ -533,11 +582,8 @@ impl TdStore {
     /// Total number of live keys (host replicas).
     pub fn len(&self) -> Result<usize, StoreError> {
         let mut total = 0;
-        for instance in 0..self.inner.config_servers.instances() {
-            let route = self.inner.config_servers.route(instance)?;
-            total += self.inner.servers[route.host as usize]
-                .replica(instance)?
-                .len();
+        for route in self.inner.hosts.read().iter() {
+            total += route.as_ref().map_err(Clone::clone)?.host.len();
         }
         Ok(total)
     }
@@ -579,15 +625,19 @@ impl TdStore {
     /// hosts. Writes that were never synced are lost — exactly the
     /// real-world lazy-replication window.
     pub fn kill_server(&self, id: ServerId) -> Result<(), StoreError> {
-        // Write-through: exclude every in-flight write while the routes
-        // change and new slaves are seeded, so no write straddles the
-        // failover half-applied. Locks are taken in index order; writers
-        // hold at most one, so this cannot deadlock.
-        let _guards: Vec<_> = if self.inner.write_through {
-            self.inner.write_locks.iter().map(|l| l.lock()).collect()
-        } else {
-            Vec::new()
-        };
+        // Held from the kill to the last re-seeded key: operations hold
+        // `hosts` for reading while they touch a replica, so none is in
+        // flight while the routes change and none straddles the failover
+        // half-applied.
+        let mut hosts = self.inner.hosts.write();
+        let outcome = self.fail_over(id);
+        *hosts = self.inner.resolve_hosts();
+        outcome?;
+        self.inner.metrics.failovers.inc();
+        Ok(())
+    }
+
+    fn fail_over(&self, id: ServerId) -> Result<(), StoreError> {
         self.inner.servers[id as usize].kill();
         let alive: Vec<ServerId> = self
             .inner
@@ -612,7 +662,6 @@ impl TdStore {
                 }
             }
         }
-        self.inner.metrics.failovers.inc();
         Ok(())
     }
 
@@ -640,6 +689,12 @@ impl TdStore {
             "Store operations by kind",
             &m.deletes,
         );
+        registry.register_counter(
+            "tdstore_ops_total",
+            &[("op", "unchanged")],
+            "Store operations by kind",
+            &m.unchanged,
+        );
         registry.register_gauge(
             "tdstore_replication_queue_depth",
             &[],
@@ -656,14 +711,10 @@ impl TdStore {
 
     /// Flushes every live replica engine.
     pub fn flush(&self) {
-        for server in &self.inner.servers {
-            if !server.is_alive() {
-                continue;
-            }
-            for instance in 0..self.inner.config_servers.instances() {
-                if let Ok(engine) = server.replica(instance) {
-                    engine.flush();
-                }
+        for route in self.inner.hosts.read().iter().flatten() {
+            route.host.flush();
+            if let Some(slave) = &route.slave {
+                slave.flush();
             }
         }
     }
@@ -846,12 +897,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_ops_round_trip() {
+    fn batch_put_round_trip() {
         let s = store();
         s.batch_put(vec![(b"a".to_vec(), vec![1]), (b"b".to_vec(), vec![2])])
             .unwrap();
-        let got = s.batch_get(&[b"a", b"missing", b"b"]).unwrap();
-        assert_eq!(got, vec![Some(vec![1]), None, Some(vec![2])]);
+        assert_eq!(s.get(b"a").unwrap(), Some(vec![1]));
+        assert_eq!(s.get(b"b").unwrap(), Some(vec![2]));
     }
 
     #[test]
@@ -991,6 +1042,13 @@ mod tests {
         }
         s.get(b"k0").unwrap();
         s.delete(b"k4").unwrap();
+        // Looked at, left alone: counted, but neither a write nor queued.
+        assert!(!s.modify(b"k0", |slot| slot.is_none()).unwrap());
+        assert!(!s.delete(b"k4").unwrap());
+        assert_eq!(
+            registry.counter_value("tdstore_ops_total", &[("op", "unchanged")]),
+            Some(2)
+        );
         assert_eq!(
             registry.counter_value("tdstore_ops_total", &[("op", "write")]),
             Some(5)

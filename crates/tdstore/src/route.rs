@@ -15,6 +15,30 @@ pub type ServerId = u32;
 /// Identifier of a data instance (a shard of the key space).
 pub type InstanceId = u32;
 
+/// The key hash routing and [`crate::MdbEngine`] sharding both start
+/// from: the key folded eight bytes at a time, then avalanched so the
+/// router (`hash % instances`) and the engine (high bits) draw on bits
+/// that do not determine each other.
+pub(crate) fn key_hash(key: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = key.len() as u64;
+    let mut words = key.chunks_exact(8);
+    for w in &mut words {
+        let w = u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+        h = (h.rotate_left(5) ^ w).wrapping_mul(K);
+    }
+    let mut tail = [0u8; 8];
+    let rest = words.remainder();
+    tail[..rest.len()].copy_from_slice(rest);
+    h = (h.rotate_left(5) ^ u64::from_le_bytes(tail)).wrapping_mul(K);
+    // murmur3's 64-bit finalizer.
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
 /// Placement of one data instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceRoute {
@@ -63,14 +87,9 @@ impl RouteTable {
         self.routes.len() as u32
     }
 
-    /// Instance for a key: FNV-1a hash mod instance count.
+    /// Instance for a key: key hash mod instance count.
     pub fn instance_for(&self, key: &[u8]) -> InstanceId {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in key {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (h % self.routes.len() as u64) as InstanceId
+        (key_hash(key) % self.routes.len() as u64) as InstanceId
     }
 
     fn set(&mut self, instance: InstanceId, route: InstanceRoute) {

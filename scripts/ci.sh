@@ -44,7 +44,28 @@ if [[ -z "$count" || "$count" == "0" ]]; then
     echo "OBSERVABILITY FAILURE: pipeline latency histogram is empty" >&2
     exit 1
 fi
-echo "    exposition OK (pipeline latency samples: $count)"
+# The store's conditional writes must be doing their job: list and ring
+# updates that change no byte are counted, not written.
+unchanged="$(grep '^tdstore_ops_total{op="unchanged"}' <<<"$expo" | awk '{print $2}')"
+if [[ -z "$unchanged" || "$unchanged" == "0" ]]; then
+    echo "OBSERVABILITY FAILURE: tdstore_ops_total{op=\"unchanged\"} missing or zero" >&2
+    exit 1
+fi
+echo "    exposition OK (pipeline latency samples: $count, unchanged store ops: $unchanged)"
+
+# Benchmark stage: the manifest must agree with the compiled-in metric
+# tables, and a short traced ingest_broad run — the whole CF pipeline
+# against the in-memory reference — must come out correct.
+echo "==> tbench (--validate, traced ingest_broad smoke)"
+cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- --validate
+tbench_out="$(cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- \
+    --workload ingest_broad --seed 1 --seconds 2 --trace 1 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$tbench_out"; then
+    echo "TBENCH FAILURE: ingest_broad did not verify:" >&2
+    echo "$tbench_out" >&2
+    exit 1
+fi
+echo "    tbench OK"
 
 # Multi-process stage: supervisor + 2 worker OS processes run the CF
 # pipeline with tuples crossing process boundaries over batched TCP;

@@ -1,6 +1,10 @@
 //! Property test: TDStore behaves like a `HashMap` under arbitrary
 //! operation sequences, across every storage engine, and failover after a
-//! sync never loses acknowledged data.
+//! sync never loses acknowledged data. The two primitives everything else
+//! is built on — the borrowing `read` and the conditional in-place
+//! `modify` — are driven directly: an unchanged `modify` must leave the
+//! value *and the replication queue* where they were, and a `modify` that
+//! empties the slot is a delete.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -11,6 +15,14 @@ enum Op {
     Put(u8, u8),
     Delete(u8),
     Incr(u8, i8),
+    /// `read` the key and compare with the model.
+    Read(u8),
+    /// `modify`: append a byte in place (inserting if absent).
+    Append(u8, u8),
+    /// `modify` that looks and reports "unchanged".
+    Inspect(u8),
+    /// `modify` that empties the slot.
+    Clear(u8),
     SyncAndFailover(u8),
 }
 
@@ -19,12 +31,24 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (any::<u8>(), any::<u8>()).prop_map(|(k, v)| Op::Put(k, v)),
         any::<u8>().prop_map(Op::Delete),
         (any::<u8>(), any::<i8>()).prop_map(|(k, d)| Op::Incr(k, d)),
+        any::<u8>().prop_map(Op::Read),
+        (any::<u8>(), any::<u8>()).prop_map(|(k, v)| Op::Append(k, v)),
+        any::<u8>().prop_map(Op::Inspect),
+        any::<u8>().prop_map(Op::Clear),
         (0u8..3).prop_map(Op::SyncAndFailover),
     ]
 }
 
-fn engines() -> Vec<EngineKind> {
-    vec![EngineKind::Mdb, EngineKind::Ldb, EngineKind::Rdb]
+/// All four engines; FDB logs live under a per-case scratch directory.
+/// FDB runs unreplicated and without failovers: its replicas are files
+/// named by instance alone, so a host and its slave cannot coexist.
+fn engines(fdb_dir: &std::path::Path) -> Vec<EngineKind> {
+    vec![
+        EngineKind::Mdb,
+        EngineKind::Ldb,
+        EngineKind::Rdb,
+        EngineKind::Fdb(fdb_dir.to_path_buf()),
+    ]
 }
 
 proptest! {
@@ -32,11 +56,17 @@ proptest! {
 
     #[test]
     fn store_matches_hashmap_model(ops in prop::collection::vec(arb_op(), 1..80)) {
-        for engine in engines() {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let fdb_dir = std::env::temp_dir().join(format!(
+            "store-model-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        ));
+        for engine in engines(&fdb_dir) {
             let store = TdStore::new(StoreConfig {
                 servers: 4,
                 instances: 8,
-                replicated: true,
+                replicated: !matches!(engine, EngineKind::Fdb(_)),
                 engine: engine.clone(),
                 sync_every: 0,
                 ..Default::default()
@@ -63,9 +93,45 @@ proptest! {
                         *entry += *d as f64;
                         prop_assert!((new - *entry).abs() < 1e-9);
                     }
+                    Op::Read(k) => {
+                        let key = vec![b'p', *k];
+                        let got = store.read(&key, |raw| raw.map(<[u8]>::to_vec)).unwrap();
+                        prop_assert_eq!(got.as_ref(), model.get(&key));
+                    }
+                    Op::Append(k, v) => {
+                        let key = vec![b'p', *k];
+                        let changed = store
+                            .modify(&key, |slot| {
+                                slot.get_or_insert_with(Vec::new).push(*v);
+                                true
+                            })
+                            .unwrap();
+                        prop_assert!(changed);
+                        model.entry(key).or_default().push(*v);
+                    }
+                    Op::Inspect(k) => {
+                        let key = vec![b'p', *k];
+                        let queued = store.unreplicated_ops();
+                        let mut seen = None;
+                        let changed = store
+                            .modify(&key, |slot| {
+                                seen = slot.clone();
+                                false
+                            })
+                            .unwrap();
+                        prop_assert!(!changed);
+                        prop_assert_eq!(seen.as_ref(), model.get(&key));
+                        prop_assert_eq!(store.unreplicated_ops(), queued);
+                    }
+                    Op::Clear(k) => {
+                        let key = vec![b'p', *k];
+                        let changed = store.modify(&key, |slot| slot.take().is_some()).unwrap();
+                        prop_assert_eq!(changed, model.remove(&key).is_some());
+                        prop_assert!(store.get(&key).unwrap().is_none());
+                    }
                     Op::SyncAndFailover(server) => {
                         // Only fail each server once, and keep ≥2 alive.
-                        if failed < 2 {
+                        if failed < 2 && !matches!(engine, EngineKind::Fdb(_)) {
                             store.sync();
                             store.kill_server((*server % 4) as u32).ok();
                             failed += 1;
@@ -84,5 +150,6 @@ proptest! {
             }
             prop_assert_eq!(store.len().unwrap(), model.len() + float_model.len());
         }
+        let _ = std::fs::remove_dir_all(&fdb_dir);
     }
 }
