@@ -23,9 +23,15 @@ use tencentrec::topology::{
 };
 use tstorm::topology::TopologyConfig;
 
-/// Dedup ring depth: must cover the spout's replay horizon
-/// (`max_pending` 64 + a poll batch of buffering + cross-partition
-/// interleave). 256 leaves a 2x margin.
+/// Dedup depth. The spout emits nothing `max_pending` (64) or more
+/// offsets past a partition's committed watermark — its span cap;
+/// `max_pending` alone only counts trees in flight — so per partition
+/// every redeliverable source lies within 64 offsets of the newest one,
+/// and the history replay log, trimmed to 256 offsets per partition,
+/// holds them with a 4x margin. The counter rings keep the last 256
+/// sources per key by count; a key takes sources from every partition, so
+/// there 256 is a margin (that many updates of one key within one tree's
+/// lifetime), not a bound.
 const DEDUP_WINDOW: usize = 256;
 
 fn workload() -> Vec<UserAction> {

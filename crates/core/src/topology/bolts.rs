@@ -14,9 +14,8 @@ use crate::cf::pruning::PruneState;
 use crate::fields::FieldIndex;
 use crate::interner::Interner;
 use crate::topology::state::{
-    apply_counter_delta, apply_counter_deltas, decode_history, decode_history_v2, encode_history,
-    encode_history_v2, session_key, update_sim_list, windowed_sum, windowed_sum_with,
-    HistoryRecord, ReplayLogEntry, SimRecord,
+    apply_action_in_place, apply_counter_delta, apply_counter_deltas, session_key, update_sim_list,
+    windowed_sum, windowed_sum_with, HistoryAction, HistoryEdit, HistoryLimits, SimRecord,
 };
 use crate::types::keys::KeyBuf;
 use crate::types::{keys, FxHashMap, ItemId, ItemPair};
@@ -63,9 +62,15 @@ pub struct CfPipelineConfig {
     /// Replay-dedup ring depth: how many applied source ids each counter
     /// and history remembers so redelivered tuples (at-least-once
     /// upstream) have exactly-once effects. 0 disables dedup (the
-    /// default — plain value formats, no overhead). Size it past the
-    /// spout's replay horizon (its `max_pending` plus a poll batch of
-    /// in-flight buffering). Dedup bypasses the cache and combiner: a
+    /// default — plain value formats, no overhead). Set it to at least
+    /// the spout's `max_pending`: the spout emits nothing that far past a
+    /// partition's committed watermark, so a history replay log trimmed
+    /// to this many offsets per partition holds every source that can
+    /// still be redelivered — exactly. Counter rings keep this many
+    /// sources per key by count (a key takes sources from every
+    /// partition), which is a margin, not a bound: it must exceed the
+    /// updates one key receives within one tuple tree's lifetime. Dedup
+    /// bypasses the cache and combiner: a
     /// combiner merges deltas from many sources into one write, which
     /// cannot be checked per-source.
     pub dedup_window: usize,
@@ -295,100 +300,36 @@ impl Spout for RawActionSpout {
     }
 }
 
-/// Decoded per-user state cached between tuples by [`UserHistoryBolt`]:
-/// the history records and (under dedup) the embedded replay log.
-struct CachedHistory {
-    entries: Vec<HistoryRecord>,
-    log: Vec<ReplayLogEntry>,
-    /// LRU stamp: the cache's logical clock at last touch.
-    stamp: u64,
-}
-
-/// Bounded LRU of decoded user histories. The bolt is the only writer of
-/// its users' keys (fields grouping), so a cached copy mirrors the store
-/// exactly as long as every write-through succeeds; a failed write
-/// invalidates the entry and a store failover (which can lose unsynced
-/// writes) invalidates everything.
-struct HistoryCache {
-    map: std::collections::HashMap<u64, CachedHistory>,
-    capacity: usize,
-    clock: u64,
-}
-
-/// Decoded histories [`UserHistoryBolt`] keeps in memory between tuples.
-const HISTORY_CACHE_CAP: usize = 1024;
-
-impl HistoryCache {
-    fn new(capacity: usize) -> Self {
-        HistoryCache {
-            map: std::collections::HashMap::with_capacity(capacity.min(4096)),
-            capacity,
-            clock: 0,
-        }
-    }
-
-    /// Fetches the decoded state for `user`, loading and decoding from the
-    /// store value on a miss. Evicts the least-recently-used entry when
-    /// full (evicted state is not lost — the store holds the encoding).
-    fn get_or_load(
-        &mut self,
-        user: u64,
-        raw: impl FnOnce() -> Result<Option<Vec<u8>>, String>,
-        dedup: usize,
-    ) -> Result<&mut CachedHistory, String> {
-        self.clock += 1;
-        let stamp = self.clock;
-        if !self.map.contains_key(&user) {
-            let (entries, log) = match (raw()?, dedup) {
-                (None, _) => (Vec::new(), Vec::new()),
-                (Some(raw), 0) => (decode_history(&raw), Vec::new()),
-                (Some(raw), _) => decode_history_v2(&raw),
-            };
-            if self.map.len() >= self.capacity {
-                if let Some((&lru, _)) = self.map.iter().min_by_key(|(_, c)| c.stamp) {
-                    self.map.remove(&lru);
-                }
-            }
-            self.map.insert(
-                user,
-                CachedHistory {
-                    entries,
-                    log,
-                    stamp,
-                },
-            );
-        }
-        let cached = self.map.get_mut(&user).expect("just inserted");
-        cached.stamp = stamp;
-        Ok(cached)
-    }
-}
-
 /// The user-behaviour-history layer (Fig. 4, layer 1). Grouped by `user`;
-/// history state lives in TDStore under `hist:<user>`, with the decoded
-/// form of recently seen users cached in memory so the hot path mutates
-/// the history tail in place and encodes once, instead of decoding and
-/// rebuilding the whole value for every action.
+/// history state lives in TDStore under `hist:<user>` and each action is
+/// one conditional in-place [`TdStore::modify`] of it
+/// ([`apply_action_in_place`]): no decoded copy outlives the tuple, so a
+/// store failover or a failed write leaves nothing here to invalidate.
 pub struct UserHistoryBolt {
     store: TdStore,
     config: CfPipelineConfig,
-    cache: HistoryCache,
-    /// Store failover count at the last execute; a change means unsynced
-    /// writes may have been lost, so every cached copy is suspect.
-    failovers_seen: u64,
     fields: FieldIndex<5>,
+    /// The current tuple's pair deltas, reused across tuples.
+    pair_deltas: Vec<(ItemId, ItemId, f64)>,
+    /// Replay-log entries retained across all users' histories; shared by
+    /// every task, so each publishes only its changes.
+    log_entries: obs::Gauge,
 }
 
 impl UserHistoryBolt {
     /// New bolt over the shared store.
     pub fn new(store: TdStore, config: CfPipelineConfig) -> Self {
-        let failovers_seen = store.failover_count();
+        let log_entries = config.registry.gauge(
+            "tencentrec_history_log_entries",
+            &[("component", "user_history")],
+            "Replay-log entries retained in stored user histories, all tasks.",
+        );
         UserHistoryBolt {
             store,
             config,
-            cache: HistoryCache::new(HISTORY_CACHE_CAP),
-            failovers_seen,
             fields: FieldIndex::new(["user", "item", "action", "ts", "src"]),
+            pair_deltas: Vec::new(),
+            log_entries,
         }
     }
 }
@@ -397,113 +338,54 @@ impl Bolt for UserHistoryBolt {
     fn execute(&mut self, tuple: &Tuple, collector: &mut BoltCollector) -> Result<(), String> {
         let [user_i, item_i, action_i, ts_i, src_i] = *self.fields.resolve(tuple);
         let user = tuple.u64_at(user_i);
-        let item = tuple.u64_at(item_i);
         let code = tuple.u64_at(action_i) as u8;
-        let ts = tuple.u64_at(ts_i);
-        let src = tuple.u64_at(src_i);
-        let action = ActionType::from_code(code).ok_or("bad action code")?;
-        let weight = self.config.weights.weight(action);
-        let linked = self.config.linked_time_ms;
-        let max_history = self.config.max_history;
-        let dedup = self.config.dedup_window;
+        let kind = ActionType::from_code(code).ok_or("bad action code")?;
+        let action = HistoryAction {
+            item: tuple.u64_at(item_i),
+            weight: self.config.weights.weight(kind),
+            ts: tuple.u64_at(ts_i),
+            src: tuple.u64_at(src_i),
+        };
+        let limits = HistoryLimits {
+            linked_time_ms: self.config.linked_time_ms,
+            max_history: self.config.max_history,
+            dedup_window: self.config.dedup_window,
+        };
 
-        let failovers = self.store.failover_count();
-        if failovers != self.failovers_seen {
-            // The store may have regressed past our copies (lazy
-            // replication loses unsynced writes on failover); re-read.
-            self.cache.map.clear();
-            self.failovers_seen = failovers;
-        }
+        // A redelivered tuple finds its source in the history's replay
+        // log: the value stays as it is (no write, no replication) and the
+        // original deltas come back, so a loss further along the tree is
+        // repaired without double-counting here.
+        let mut edit = HistoryEdit::default();
+        let pair_deltas = &mut self.pair_deltas;
+        self.store
+            .modify(&keys::user_history(user), |slot| {
+                edit = apply_action_in_place(slot, &action, &limits, pair_deltas);
+                edit.changed
+            })
+            .map_err(|e| e.to_string())?;
+        self.log_entries.add(edit.log_growth as f64);
 
-        let key = keys::user_history(user);
-        let store = &self.store;
-        let state =
-            self.cache
-                .get_or_load(user, || store.get(&key).map_err(|e| e.to_string()), dedup)?;
-
-        let delta_rating;
-        let mut pair_deltas: Vec<(ItemPair, f64)> = Vec::new();
-        if let Some(seen) = state.log.iter().find(|e| e.src == src) {
-            // Redelivered tuple: the history mutation already happened;
-            // re-emit the original deltas so a downstream loss further
-            // along the tree is repaired without double-counting here.
-            // The stored value is already correct — no write needed.
-            delta_rating = seen.delta_rating;
-            pair_deltas.extend(
-                seen.pair_deltas
-                    .iter()
-                    .map(|&(a, b, d)| (ItemPair::new(a, b), d)),
-            );
-        } else {
-            let entries = &mut state.entries;
-            let old = entries
-                .iter()
-                .find(|&&(i, _, _)| i == item)
-                .map_or(0.0, |&(_, r, _)| r);
-            let new = old.max(weight);
-            delta_rating = new - old;
-            for &(other, rating, last_ts) in entries.iter() {
-                if other == item || ts.saturating_sub(last_ts) > linked {
-                    continue;
-                }
-                let delta = new.min(rating) - old.min(rating);
-                if delta != 0.0 {
-                    pair_deltas.push((ItemPair::new(item, other), delta));
-                }
-            }
-            entries.retain(|&(i, _, _)| i != item);
-            entries.push((item, new, ts));
-            if entries.len() > max_history {
-                // Drop the stalest record to bound history size.
-                let (idx, _) = entries
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, &(_, _, t))| t)
-                    .expect("non-empty");
-                entries.swap_remove(idx);
-            }
-            let raw = if dedup == 0 {
-                encode_history(entries)
-            } else {
-                state.log.push(ReplayLogEntry {
-                    src,
-                    delta_rating,
-                    pair_deltas: pair_deltas.iter().map(|&(p, d)| (p.a, p.b, d)).collect(),
-                });
-                if state.log.len() > dedup {
-                    let excess = state.log.len() - dedup;
-                    state.log.drain(..excess);
-                }
-                encode_history_v2(&state.entries, &state.log)
-            };
-            if let Err(e) = self.store.put(&key, raw) {
-                // The cached copy now disagrees with the store (the write
-                // had no effect); drop it so the retry re-reads.
-                self.cache.map.remove(&user);
-                return Err(e.to_string());
-            }
-        }
-
-        if delta_rating != 0.0 {
+        if edit.delta_rating != 0.0 {
             collector.emit_values_on(
                 ITEM_DELTA,
                 &[
-                    Value::U64(item),
-                    Value::F64(delta_rating),
-                    Value::U64(ts),
-                    Value::U64(src),
+                    Value::U64(action.item),
+                    Value::F64(edit.delta_rating),
+                    Value::U64(action.ts),
+                    Value::U64(action.src),
                 ],
             );
         }
-        for (pair, delta) in pair_deltas.drain(..) {
+        for &(a, b, delta) in &self.pair_deltas {
             collector.emit_values_on(
                 PAIR_DELTA,
                 &[
-                    Value::U64(pair.a),
-                    Value::U64(pair.b),
+                    Value::U64(a),
+                    Value::U64(b),
                     Value::F64(delta),
-                    Value::U64(ts),
-                    Value::U64(src),
+                    Value::U64(action.ts),
+                    Value::U64(action.src),
                 ],
             );
         }

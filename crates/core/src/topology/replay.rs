@@ -40,6 +40,7 @@ pub struct ReplayProgress {
     acked: AtomicU64,
     failed: AtomicU64,
     committed: AtomicU64,
+    span_stalls: AtomicU64,
 }
 
 impl ReplayProgress {
@@ -63,6 +64,15 @@ impl ReplayProgress {
     /// tuple tree.
     pub fn committed(&self) -> u64 {
         self.committed.load(Ordering::SeqCst)
+    }
+
+    /// Polls refused by the span cap: the next record lay `max_pending`
+    /// or more offsets past its partition's committed watermark. A count
+    /// that moves says out-of-order completion (one slow or failed tree
+    /// holding its partition back), not the number of trees in flight, is
+    /// what throttles the spout.
+    pub fn span_stalls(&self) -> u64 {
+        self.span_stalls.load(Ordering::Relaxed)
     }
 }
 
@@ -99,6 +109,18 @@ impl ReplayTracker {
         match self.parts.get(&pid) {
             None => true,
             Some(p) => offset >= p.committed && !p.pending.contains_key(&offset),
+        }
+    }
+
+    /// Whether `(pid, offset)` lies within `span` offsets of its
+    /// partition's committed watermark. The spout emits nothing outside
+    /// it, so every offset it can still redeliver (`>= committed`) is
+    /// within `span` of every offset the partition has emitted — the
+    /// bound the history replay log is trimmed by.
+    pub fn in_span(&self, pid: PartitionId, offset: u64, span: u64) -> bool {
+        match self.parts.get(&pid) {
+            None => true,
+            Some(p) => offset < p.committed.saturating_add(span),
         }
     }
 
@@ -305,9 +327,13 @@ impl ReplayableSpout {
         }
     }
 
-    /// Caps in-flight (emitted, not yet acked) tuples. This also bounds
-    /// the replay horizon: downstream dedup rings must remember at least
-    /// `max_pending + poll_batch` sources to catch every redelivery.
+    /// Caps in-flight (emitted, not yet acked) tuples, and the *span* of
+    /// each partition: no offset is emitted `max_pending` or more past
+    /// its partition's committed watermark. The second is what bounds the
+    /// replay horizon — a count alone lets one stuck tree be outrun by
+    /// any number of offsets — so a history replay log that remembers
+    /// `dedup_window >= max_pending` offsets per partition holds every
+    /// source that can still be redelivered.
     pub fn with_max_pending(mut self, max_pending: usize) -> Self {
         self.max_pending = max_pending.max(1);
         self
@@ -371,8 +397,10 @@ impl ReplayableSpout {
     }
 
     /// Pulls the next emittable action, recording it as in flight.
-    /// Returns `(src, action)` or `None` when at the pending cap or the
-    /// topic is (momentarily) exhausted.
+    /// Returns `(src, action)` or `None` when at the pending cap, when the
+    /// next record lies outside its partition's span (it stays at the
+    /// buffer front until the watermark moves or a failure re-seeks), or
+    /// the topic is (momentarily) exhausted.
     pub fn poll_next(&mut self) -> Option<(u64, UserAction)> {
         if self.tracker.outstanding() >= self.max_pending {
             return None;
@@ -387,6 +415,14 @@ impl ReplayableSpout {
         while let Some((pid, msg)) = self.buffer.pop_front() {
             if !self.tracker.should_emit(pid, msg.offset) {
                 continue;
+            }
+            if !self
+                .tracker
+                .in_span(pid, msg.offset, self.max_pending as u64)
+            {
+                self.buffer.push_front((pid, msg));
+                self.progress.span_stalls.fetch_add(1, Ordering::Relaxed);
+                return None;
             }
             let Some(action) = UserAction::from_bytes(&msg.payload) else {
                 // Malformed record: nothing to emit, but the offset must
@@ -571,6 +607,72 @@ mod tests {
         assert_eq!(inflight.len(), 4, "pending cap");
         spout.on_ack(inflight.remove(0));
         assert!(spout.poll_next().is_some(), "slot freed");
+    }
+
+    #[test]
+    fn span_cap_holds_a_partition_behind_its_stuck_offset() {
+        let cluster = cluster_with("t", 1, 50);
+        let progress = Arc::new(ReplayProgress::default());
+        let mut spout =
+            ReplayableSpout::new(cluster, "t", "g", Arc::clone(&progress)).with_max_pending(4);
+        spout.connect();
+        let inflight: Vec<u64> = std::iter::from_fn(|| spout.poll_next())
+            .map(|(src, _)| src)
+            .collect();
+        assert_eq!(inflight.len(), 4);
+        // Offsets 1..=3 complete, 0 stays stuck: three slots are free by
+        // count, but offset 4 would lie 4 past the watermark.
+        for &src in &inflight[1..] {
+            spout.on_ack(src);
+        }
+        assert_eq!(spout.tracker().outstanding(), 1);
+        assert_eq!(progress.span_stalls(), 0);
+        assert!(spout.poll_next().is_none(), "emitted past the span");
+        assert!(spout.poll_next().is_none());
+        assert_eq!(progress.span_stalls(), 2);
+        // The watermark moves; the refused record is the next one out.
+        spout.on_ack(inflight[0]);
+        assert_eq!(spout.tracker().committed(0), 4);
+        let (src, _) = spout.poll_next().expect("resumes with the watermark");
+        assert_eq!(decode_src(src), (0, 4));
+        assert_eq!(progress.span_stalls(), 2);
+    }
+
+    #[test]
+    fn failing_the_stuck_offset_redelivers_it_through_the_cap() {
+        let cluster = cluster_with("t", 1, 50);
+        let mut spout = ReplayableSpout::new(cluster, "t", "g", Arc::default()).with_max_pending(4);
+        spout.connect();
+        let inflight: Vec<u64> = std::iter::from_fn(|| spout.poll_next())
+            .map(|(src, _)| src)
+            .collect();
+        for &src in &inflight[1..] {
+            spout.on_ack(src);
+        }
+        assert!(spout.poll_next().is_none());
+        spout.on_fail(inflight[0]);
+        let (src, _) = spout.poll_next().expect("the failed offset comes back");
+        assert_eq!(decode_src(src), (0, 0));
+        assert!(spout.poll_next().is_none(), "still capped behind it");
+        spout.on_ack(src);
+        let (src, _) = spout.poll_next().expect("cap lifted");
+        assert_eq!(decode_src(src), (0, 4));
+    }
+
+    #[test]
+    fn span_is_measured_from_the_resume_point() {
+        // A partition first seen mid-log (a respawned worker): the span
+        // counts from where it resumed, not from offset 0 — or the cap
+        // would refuse every record of it forever.
+        let mut tracker = ReplayTracker::default();
+        assert!(tracker.in_span(3, 1_000, 4), "unseen partition");
+        tracker.resume(3, 1_000);
+        tracker.emitted(3, 1_000);
+        assert!(tracker.in_span(3, 1_003, 4));
+        assert!(!tracker.in_span(3, 1_004, 4));
+        assert_eq!(tracker.ack(3, 1_000), 1);
+        assert_eq!(tracker.committed(3), 1_001);
+        assert!(tracker.in_span(3, 1_004, 4));
     }
 
     #[test]

@@ -56,25 +56,35 @@ pub struct ReplayLogEntry {
 /// `n:u32 | n × 24B records | m:u32 | m × log entries`,
 /// log entry = `src:u64 | delta:f64 | k:u32 | k × (a:u64, b:u64, d:f64)`.
 ///
-/// History and log share one store value on purpose: the store's `update`
+/// History and log share one store value on purpose: the store's `modify`
 /// mutates them atomically, so "this action was applied" and its effects
 /// can never disagree after a crash or an injected write failure.
+///
+/// The pipeline edits this format where it lies
+/// ([`apply_action_in_place`]); this function and [`decode_history_v2`]
+/// define it, repair torn values, and are the reference the in-place
+/// editor is property-tested against.
 pub fn encode_history_v2(entries: &[HistoryRecord], log: &[ReplayLogEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + entries.len() * 24 + log.len() * 24);
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     out.extend_from_slice(&encode_history(entries));
     out.extend_from_slice(&(log.len() as u32).to_le_bytes());
     for e in log {
-        out.extend_from_slice(&e.src.to_le_bytes());
-        out.extend_from_slice(&e.delta_rating.to_le_bytes());
-        out.extend_from_slice(&(e.pair_deltas.len() as u32).to_le_bytes());
-        for &(a, b, d) in &e.pair_deltas {
-            out.extend_from_slice(&a.to_le_bytes());
-            out.extend_from_slice(&b.to_le_bytes());
-            out.extend_from_slice(&d.to_le_bytes());
-        }
+        push_log_entry(&mut out, e.src, e.delta_rating, &e.pair_deltas);
     }
     out
+}
+
+/// Appends one replay-log entry in the v2 wire form.
+fn push_log_entry(out: &mut Vec<u8>, src: u64, delta: f64, pairs: &[(ItemId, ItemId, f64)]) {
+    out.extend_from_slice(&src.to_le_bytes());
+    out.extend_from_slice(&delta.to_le_bytes());
+    out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+    for &(a, b, d) in pairs {
+        out.extend_from_slice(&a.to_le_bytes());
+        out.extend_from_slice(&b.to_le_bytes());
+        out.extend_from_slice(&d.to_le_bytes());
+    }
 }
 
 /// Decodes [`encode_history_v2`]; tolerant of truncation (a torn value
@@ -110,7 +120,10 @@ pub fn decode_history_v2(raw: &[u8]) -> (Vec<HistoryRecord>, Vec<ReplayLogEntry>
             ) else {
                 break;
             };
-            let mut pair_deltas = Vec::with_capacity(k as usize);
+            // `k` is read from a possibly torn value: never reserve for
+            // more deltas than there are bytes left to hold them.
+            let room = raw.len().saturating_sub(pos) / HIST_RECORD;
+            let mut pair_deltas = Vec::with_capacity(room.min(k as usize));
             for _ in 0..k {
                 let (Some(a), Some(b), Some(d_bits)) = (
                     read_u64(raw, &mut pos),
@@ -131,13 +144,264 @@ pub fn decode_history_v2(raw: &[u8]) -> (Vec<HistoryRecord>, Vec<ReplayLogEntry>
     (entries, log)
 }
 
+const HIST_RECORD: usize = 24;
+/// Fixed part of a log entry: `src:u64 | delta:f64 | k:u32`.
+const LOG_ENTRY_HEAD: usize = 20;
+
+/// One action as the history layer applies it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HistoryAction {
+    /// The item acted on.
+    pub item: ItemId,
+    /// Implicit-feedback weight of the action.
+    pub weight: f64,
+    /// Event time.
+    pub ts: Timestamp,
+    /// Source id (`(partition, offset)` packed by the replayable spout).
+    pub src: u64,
+}
+
+/// The bounds a stored history is kept under.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HistoryLimits {
+    /// Linked time for pair formation.
+    pub linked_time_ms: u64,
+    /// Records kept per user; past it the stalest record goes.
+    pub max_history: usize,
+    /// 0 = plain v1 records, no replay log. Otherwise the v2 format,
+    /// whose log keeps, per partition, the sources within this many
+    /// offsets of the newest one — and at most this many entries in all.
+    pub dedup_window: usize,
+}
+
+/// What one action did to a stored history.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct HistoryEdit {
+    /// Item-count delta the action produced (the original one on a
+    /// redelivery).
+    pub delta_rating: f64,
+    /// Whether any byte of the value changed: `false` exactly when the
+    /// action was a redelivery found in a well-formed value's log.
+    pub changed: bool,
+    /// Replay-log entries retained after the edit minus before it.
+    pub log_growth: i64,
+}
+
+fn u32_at(buf: &[u8], at: usize) -> Option<usize> {
+    let bytes = buf.get(at..at.checked_add(4)?)?;
+    Some(u32::from_le_bytes(bytes.try_into().expect("4 bytes")) as usize)
+}
+
+fn u64_at(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
+}
+
+fn f64_at(buf: &[u8], at: usize) -> f64 {
+    f64::from_bits(u64_at(buf, at))
+}
+
+/// Byte length of the log entry starting at `at`, if it is whole.
+fn log_entry_len(buf: &[u8], at: usize) -> Option<usize> {
+    let k = u32_at(buf, at.checked_add(16)?)?;
+    let len = LOG_ENTRY_HEAD.checked_add(k.checked_mul(HIST_RECORD)?)?;
+    (at.checked_add(len)? <= buf.len()).then_some(len)
+}
+
+/// Shape of a well-formed v2 value: record count, log entry count, and
+/// where the first log entry carrying a given source starts.
+struct HistoryShape {
+    n: usize,
+    m: usize,
+    seen_at: Option<usize>,
+}
+
+/// Walks a v2 value looking for `src` in its log. `None` unless the bytes
+/// are exactly what [`encode_history_v2`] writes — `n` whole records, `m`
+/// whole entries, nothing after them.
+fn history_shape(buf: &[u8], src: u64) -> Option<HistoryShape> {
+    let n = u32_at(buf, 0)?;
+    let m_at = 4usize.checked_add(n.checked_mul(HIST_RECORD)?)?;
+    let m = u32_at(buf, m_at)?;
+    let (mut at, mut seen_at) = (m_at + 4, None);
+    for _ in 0..m {
+        let len = log_entry_len(buf, at)?;
+        if seen_at.is_none() && u64_at(buf, at) == src {
+            seen_at = Some(at);
+        }
+        at += len;
+    }
+    (at == buf.len()).then_some(HistoryShape { n, m, seen_at })
+}
+
+/// Applies one action to a stored user history where it lies — the whole
+/// of the history layer's state change, as one [`TdStore::modify`] body.
+///
+/// Against the raw 24-byte records it finds the item's rating, raises it
+/// to the action's weight, computes the item and pair deltas
+/// (`pair_deltas` is cleared and filled: `(a, b, delta)` with `a < b`),
+/// moves the item's record to the end with the new timestamp, and past
+/// `max_history` drops the stalest record. With `dedup_window > 0` the
+/// value is the v2 format and carries the replay log: a source already in
+/// the log is a redelivery — its *original* deltas are handed back and no
+/// byte changes — and a new source is appended with its deltas, after
+/// which entries of the same partition lying `dedup_window` or more
+/// offsets behind it are dropped (the spout's span cap makes them
+/// unreachable: see [`super::replay::ReplayTracker::in_span`]) and the
+/// oldest entries past `dedup_window` in all.
+///
+/// Bytes are exactly what decoding, editing `Vec`s and re-encoding would
+/// store; a torn or malformed value is first rewritten as that decode
+/// reads it.
+pub fn apply_action_in_place(
+    slot: &mut Option<Vec<u8>>,
+    action: &HistoryAction,
+    limits: &HistoryLimits,
+    pair_deltas: &mut Vec<(ItemId, ItemId, f64)>,
+) -> HistoryEdit {
+    pair_deltas.clear();
+    let mut changed = slot.is_none();
+    let buf = slot.get_or_insert_with(Vec::new);
+    let window = limits.dedup_window;
+    // Where the records start, how many there are, and (v2) the log.
+    let (base, n, log) = if window == 0 {
+        let n = buf.len() / HIST_RECORD;
+        buf.truncate(n * HIST_RECORD);
+        (0, n, None)
+    } else {
+        let shape = match history_shape(buf, action.src) {
+            Some(shape) => shape,
+            None => {
+                let (entries, log) = decode_history_v2(buf);
+                *buf = encode_history_v2(&entries, &log);
+                changed = true;
+                history_shape(buf, action.src).expect("a fresh encoding is well-formed")
+            }
+        };
+        if let Some(at) = shape.seen_at {
+            let k = u32_at(buf, at + 16).expect("whole entry");
+            pair_deltas.extend((0..k).map(|i| {
+                let d = at + LOG_ENTRY_HEAD + i * HIST_RECORD;
+                (u64_at(buf, d), u64_at(buf, d + 8), f64_at(buf, d + 16))
+            }));
+            return HistoryEdit {
+                delta_rating: f64_at(buf, at + 8),
+                changed,
+                log_growth: 0,
+            };
+        }
+        (4, shape.n, Some(shape.m))
+    };
+
+    let HistoryAction {
+        item,
+        weight,
+        ts,
+        src,
+    } = *action;
+    let record = |buf: &[u8], i: usize| {
+        let at = base + i * HIST_RECORD;
+        (u64_at(buf, at), f64_at(buf, at + 8), u64_at(buf, at + 16))
+    };
+    let old = (0..n)
+        .map(|i| record(buf, i))
+        .find(|&(other, _, _)| other == item)
+        .map_or(0.0, |(_, rating, _)| rating);
+    let new = old.max(weight);
+    // The item's record moves to the end: the others close up over it.
+    let mut kept = 0;
+    for i in 0..n {
+        let (other, rating, last_ts) = record(buf, i);
+        if other == item {
+            continue;
+        }
+        if ts.saturating_sub(last_ts) <= limits.linked_time_ms {
+            let delta = new.min(rating) - old.min(rating);
+            if delta != 0.0 {
+                pair_deltas.push((item.min(other), item.max(other), delta));
+            }
+        }
+        if kept != i {
+            let from = base + i * HIST_RECORD;
+            buf.copy_within(from..from + HIST_RECORD, base + kept * HIST_RECORD);
+        }
+        kept += 1;
+    }
+    let records_end = base + n * HIST_RECORD;
+    let at = base + kept * HIST_RECORD;
+    if kept == n {
+        // A new item: one record's room opens between records and log.
+        let len = buf.len();
+        buf.reserve_exact(HIST_RECORD);
+        buf.resize(len + HIST_RECORD, 0);
+        buf.copy_within(records_end..len, records_end + HIST_RECORD);
+    } else {
+        buf.drain(at + HIST_RECORD..records_end);
+    }
+    buf[at..at + 8].copy_from_slice(&item.to_le_bytes());
+    buf[at + 8..at + 16].copy_from_slice(&new.to_le_bytes());
+    buf[at + 16..at + 24].copy_from_slice(&ts.to_le_bytes());
+    let mut n = kept + 1;
+    if n > limits.max_history {
+        // The stalest record (the first of equals) goes; the last takes
+        // its place.
+        let stalest = (0..n).min_by_key(|&i| record(buf, i).2).expect("non-empty");
+        let last = base + (n - 1) * HIST_RECORD;
+        buf.copy_within(last..last + HIST_RECORD, base + stalest * HIST_RECORD);
+        buf.drain(last..last + HIST_RECORD);
+        n -= 1;
+    }
+    let edit = HistoryEdit {
+        delta_rating: new - old,
+        changed: true,
+        log_growth: 0,
+    };
+    let Some(m) = log else {
+        return edit;
+    };
+
+    buf[..4].copy_from_slice(&(n as u32).to_le_bytes());
+    let log_at = base + n * HIST_RECORD + 4;
+    // Horizon trim: same-partition entries the span cap has put out of
+    // the spout's reach close up; then the count cap takes the oldest.
+    let (pid, off) = super::replay::decode_src(src);
+    let (mut read, mut write, mut live) = (log_at, log_at, 0usize);
+    for _ in 0..m {
+        let len = log_entry_len(buf, read).expect("well-formed log");
+        let (p, o) = super::replay::decode_src(u64_at(buf, read));
+        if p != pid || o.saturating_add(window as u64) > off {
+            if write != read {
+                buf.copy_within(read..read + len, write);
+            }
+            write += len;
+            live += 1;
+        }
+        read += len;
+    }
+    buf.truncate(write);
+    let excess = (live + 1).saturating_sub(window);
+    if excess > 0 {
+        let mut end = log_at;
+        for _ in 0..excess {
+            end += log_entry_len(buf, end).expect("well-formed log");
+        }
+        buf.drain(log_at..end);
+        live -= excess;
+    }
+    buf.reserve_exact(LOG_ENTRY_HEAD + pair_deltas.len() * HIST_RECORD);
+    push_log_entry(buf, src, edit.delta_rating, pair_deltas);
+    buf[log_at - 4..log_at].copy_from_slice(&((live + 1) as u32).to_le_bytes());
+    HistoryEdit {
+        log_growth: (live + 1) as i64 - m as i64,
+        ..edit
+    }
+}
+
 /// The records of a stored user history in whichever format the pipeline
 /// is configured to write: the plain v1 records (`dedup_window == 0`) or
 /// the v2 format — of which only the `n × 24` record bytes are read. The
-/// replay log behind them is most of a busy user's value and is the
-/// history bolt's business alone, so a torn or garbage log changes nothing
-/// here; a torn record block yields its whole records, as
-/// [`decode_history_v2`] does.
+/// replay log behind them is the history bolt's business alone, so a torn
+/// or garbage log changes nothing here; a torn record block yields its
+/// whole records, as [`decode_history_v2`] does.
 pub fn read_history(raw: &[u8], dedup_window: usize) -> Vec<HistoryRecord> {
     if dedup_window == 0 {
         return decode_history(raw);
@@ -177,13 +441,11 @@ pub fn decode_sim_list(raw: &[u8]) -> Vec<SimRecord> {
 const SIM_RECORD: usize = 16;
 
 fn sim_item_at(list: &[u8], i: usize) -> ItemId {
-    let at = i * SIM_RECORD;
-    u64::from_le_bytes(list[at..at + 8].try_into().expect("8 bytes"))
+    u64_at(list, i * SIM_RECORD)
 }
 
 fn sim_score_at(list: &[u8], i: usize) -> f64 {
-    let at = i * SIM_RECORD + 8;
-    f64::from_le_bytes(list[at..at + 8].try_into().expect("8 bytes"))
+    f64_at(list, i * SIM_RECORD + 8)
 }
 
 /// Inserts/updates `(other, sim)` in an encoded top-`k` list (sorted

@@ -2,10 +2,10 @@
 //! place: the v2 user-history codec (records + embedded replay log) and
 //! the string-id interner.
 //!
-//! The codec properties matter because [`UserHistoryBolt`] now keeps
-//! decoded histories cached and re-encodes from the cache — a codec that
-//! drifts from what a fresh decode would produce silently corrupts state
-//! on the first cache miss. The truncation property covers torn reads
+//! The codec properties matter because the codec defines the format the
+//! history bolt edits in place, repairs the torn values it meets, and is
+//! the reference that editor is tested against
+//! (`inplace_state_props.rs`). The truncation property covers torn reads
 //! after a mid-write failover: `decode_history_v2` must degrade to the
 //! longest valid prefix, never panic or invent records.
 

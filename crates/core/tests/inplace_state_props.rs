@@ -1,7 +1,8 @@
-//! Property tests for the two values `cf_pair` and `item_count` edit where
-//! they lie in TDStore: the dedup-tracked counter
-//! (`count:f64 | n:u32 | n × src:u64`) and the similar-items list
-//! (16-byte `(item, sim)` records, best first).
+//! Property tests for the three values the CF bolts edit where they lie
+//! in TDStore: the dedup-tracked counter
+//! (`count:f64 | n:u32 | n × src:u64`), the similar-items list (16-byte
+//! `(item, sim)` records, best first), and the user history (24-byte
+//! records, with the replay log behind them under dedup).
 //!
 //! The references are the decode → `Vec` → encode forms the in-place
 //! editors replaced. Every stored byte must come out the same — the chaos
@@ -11,8 +12,11 @@
 //! nor replicated.
 
 use proptest::prelude::*;
+use tencentrec::topology::replay::{decode_src, encode_src};
 use tencentrec::topology::state::{
-    apply_deltas_in_place, apply_sim_entry, counter_prefix, decode_sim_list, encode_sim_list,
+    apply_action_in_place, apply_deltas_in_place, apply_sim_entry, counter_prefix, decode_history,
+    decode_history_v2, decode_sim_list, encode_history, encode_history_v2, encode_sim_list,
+    HistoryAction, HistoryLimits, ReplayLogEntry,
 };
 use tencentrec::types::ItemId;
 
@@ -68,6 +72,116 @@ fn reference_sim_list(raw: &[u8], other: ItemId, sim: f64, k: usize) -> Vec<u8> 
         entries.truncate(k);
     }
     encode_sim_list(&entries)
+}
+
+/// The history update as it was: decode the records (and the log), edit
+/// `Vec`s, encode — plus the horizon trim on the decoded log. Returns the
+/// bytes to store, the item delta and the pair deltas to emit.
+fn reference_history(
+    raw: Option<&[u8]>,
+    action: &HistoryAction,
+    limits: &HistoryLimits,
+) -> (Vec<u8>, f64, Vec<(ItemId, ItemId, f64)>) {
+    let window = limits.dedup_window;
+    let (mut entries, mut log) = match (raw, window) {
+        (None, _) => (Vec::new(), Vec::new()),
+        (Some(raw), 0) => (decode_history(raw), Vec::new()),
+        (Some(raw), _) => decode_history_v2(raw),
+    };
+    if let Some(seen) = log.iter().find(|e| e.src == action.src) {
+        let (delta, pairs) = (seen.delta_rating, seen.pair_deltas.clone());
+        return (encode_history_v2(&entries, &log), delta, pairs);
+    }
+    let HistoryAction {
+        item,
+        weight,
+        ts,
+        src,
+    } = *action;
+    let old = entries
+        .iter()
+        .find(|&&(i, _, _)| i == item)
+        .map_or(0.0, |&(_, r, _)| r);
+    let new = old.max(weight);
+    let mut pair_deltas = Vec::new();
+    for &(other, rating, last_ts) in &entries {
+        if other == item || ts.saturating_sub(last_ts) > limits.linked_time_ms {
+            continue;
+        }
+        let delta = new.min(rating) - old.min(rating);
+        if delta != 0.0 {
+            pair_deltas.push((item.min(other), item.max(other), delta));
+        }
+    }
+    entries.retain(|&(i, _, _)| i != item);
+    entries.push((item, new, ts));
+    if entries.len() > limits.max_history {
+        let (idx, _) = entries
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &(_, _, t))| t)
+            .expect("non-empty");
+        entries.swap_remove(idx);
+    }
+    if window == 0 {
+        return (encode_history(&entries), new - old, pair_deltas);
+    }
+    log.push(ReplayLogEntry {
+        src,
+        delta_rating: new - old,
+        pair_deltas: pair_deltas.clone(),
+    });
+    let (pid, off) = decode_src(src);
+    log.retain(|e| {
+        let (p, o) = decode_src(e.src);
+        p != pid || o + window as u64 > off
+    });
+    if log.len() > window {
+        let excess = log.len() - window;
+        log.drain(..excess);
+    }
+    (encode_history_v2(&entries, &log), new - old, pair_deltas)
+}
+
+/// One step of a history's life: an action, and optionally damage done
+/// to the stored value before it (`cut` bytes kept, then `tail` appended).
+#[derive(Debug, Clone)]
+struct HistoryStep {
+    item: ItemId,
+    weight: f64,
+    ts: u64,
+    pid: u32,
+    advance: u64,
+    /// Redeliver an earlier step's source instead of a new one.
+    replay: Option<usize>,
+    damage: Option<(usize, Vec<u8>)>,
+}
+
+fn arb_history_step() -> impl Strategy<Value = HistoryStep> {
+    (
+        (0u64..8, 1u8..5, 0u64..60),
+        (0u32..2, 0u64..4),
+        // One step in five redelivers; one in twelve finds a damaged value.
+        (0u8..5, any::<usize>()),
+        (
+            0u8..12,
+            0usize..200,
+            prop::collection::vec(any::<u8>(), 0..30),
+        ),
+    )
+        .prop_map(
+            |((item, level, ts), (pid, advance), (replay, pick), (damage, cut, tail))| {
+                HistoryStep {
+                    item,
+                    weight: f64::from(level) * 0.5,
+                    ts,
+                    pid,
+                    advance,
+                    replay: (replay == 0).then_some(pick),
+                    damage: (damage == 0).then_some((cut, tail)),
+                }
+            },
+        )
 }
 
 /// Sources from a small pool, so batches repeat sources within
@@ -158,6 +272,62 @@ proptest! {
             let changed = apply_sim_entry(&mut list, other, sim, k);
             prop_assert_eq!(&list, &want);
             prop_assert_eq!(changed, before != want);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn history_update_in_place_matches_decode_encode(
+        steps in prop::collection::vec(arb_history_step(), 1..40),
+        max_history in 1usize..6,
+        window in prop_oneof![Just(0usize), 1usize..6],
+        linked_time_ms in prop_oneof![Just(u64::MAX), 0u64..30],
+    ) {
+        let limits = HistoryLimits { linked_time_ms, max_history, dedup_window: window };
+        let mut slot: Option<Vec<u8>> = None;
+        let mut offsets = [0u64; 2];
+        let mut sources: Vec<u64> = Vec::new();
+        let mut pair_deltas = vec![(9, 9, 9.0)]; // stale scratch must not leak
+        for step in &steps {
+            if let (Some((cut, tail)), Some(raw)) = (&step.damage, slot.as_mut()) {
+                raw.truncate(*cut);
+                raw.extend_from_slice(tail);
+            }
+            let src = match step.replay {
+                Some(pick) if !sources.is_empty() => sources[pick % sources.len()],
+                _ => {
+                    let off = &mut offsets[step.pid as usize];
+                    *off += step.advance;
+                    encode_src(step.pid, *off)
+                }
+            };
+            sources.push(src);
+            let action = HistoryAction { item: step.item, weight: step.weight, ts: step.ts, src };
+            let before = slot.clone();
+            let (want, want_delta, want_pairs) =
+                reference_history(before.as_deref(), &action, &limits);
+            let edit = apply_action_in_place(&mut slot, &action, &limits, &mut pair_deltas);
+            let got = slot.as_deref().expect("an update always leaves a value");
+            prop_assert_eq!(got, &want[..]);
+            prop_assert_eq!(edit.delta_rating.to_bits(), want_delta.to_bits());
+            prop_assert_eq!(pair_deltas.len(), want_pairs.len());
+            for (got, want) in pair_deltas.iter().zip(&want_pairs) {
+                prop_assert_eq!((got.0, got.1, got.2.to_bits()), (want.0, want.1, want.2.to_bits()));
+            }
+            let log_len = |raw: Option<&[u8]>| match (raw, window) {
+                (Some(raw), 1..) => decode_history_v2(raw).1.len() as i64,
+                _ => 0,
+            };
+            prop_assert_eq!(edit.log_growth, log_len(Some(got)) - log_len(before.as_deref()));
+            if window > 0 {
+                prop_assert_eq!(edit.changed, before.as_deref() != Some(&want[..]));
+            } else {
+                // No log, no redelivery: every action rewrites its record.
+                prop_assert!(edit.changed);
+            }
         }
     }
 }

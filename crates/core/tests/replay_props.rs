@@ -1,16 +1,23 @@
-//! Property test for the replayable spout's offset bookkeeping: under
-//! arbitrary interleavings of deliver/ack/fail (fail = explicit failure
-//! or acker timeout — the spout cannot tell them apart), the spout
-//! never double-delivers a source to the dedup layer while a delivery is
-//! in flight or after it acked, never skips a source, and drives every
-//! partition's committed watermark to the end of the log.
+//! Property tests for the replayable spout's offset bookkeeping and the
+//! history replay log that is sized by it. Under arbitrary interleavings
+//! of deliver/ack/fail (fail = explicit failure or acker timeout — the
+//! spout cannot tell them apart), the spout never double-delivers a
+//! source to the dedup layer while a delivery is in flight or after it
+//! acked, never skips a source, never emits `max_pending` or more offsets
+//! past a partition's committed watermark, and drives every watermark to
+//! the end of the log — from wherever the partition was resumed. And a
+//! history log trimmed to `dedup_window = max_pending` offsets per
+//! partition still holds every source such a spout can redeliver.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use tdaccess::{AccessCluster, ClusterConfig};
-use tencentrec::action::{ActionType, UserAction};
+use tencentrec::action::{ActionType, ActionWeights, UserAction};
 use tencentrec::topology::replay::{decode_src, ReplayableSpout};
+use tencentrec::topology::state::{
+    apply_action_in_place, decode_history_v2, HistoryAction, HistoryLimits,
+};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -33,15 +40,19 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 const RECORDS: u64 = 40;
 
-fn topic(partitions: usize) -> (AccessCluster, HashMap<u32, u64>) {
+/// A topic of [`RECORDS`] actions; `keyed_by_user` sends each user's
+/// actions to one partition (as production does), otherwise records
+/// spread by index. Returns each partition's end offset.
+fn topic(partitions: usize, keyed_by_user: bool) -> (AccessCluster, HashMap<u32, u64>) {
     let cluster = AccessCluster::new(ClusterConfig::default());
     cluster.create_topic("t", partitions).unwrap();
     let producer = cluster.producer("t").unwrap();
     let mut ends: HashMap<u32, u64> = HashMap::new();
     for i in 0..RECORDS {
         let a = UserAction::new(i % 9, i % 5, ActionType::Click, i);
+        let key = if keyed_by_user { a.user } else { i };
         let (pid, offset) = producer
-            .send(Some(&i.to_le_bytes()[..]), &a.to_bytes())
+            .send(Some(&key.to_le_bytes()[..]), &a.to_bytes())
             .unwrap();
         ends.insert(pid, offset + 1);
     }
@@ -55,10 +66,18 @@ proptest! {
     fn replay_never_skips_or_double_delivers(
         ops in prop::collection::vec(arb_op(), 1..300),
         partitions in 1usize..5,
+        max_pending in 2usize..9,
+        // Quarters of each partition already committed by a predecessor:
+        // the spout resumes there, first seeing the partition mid-log.
+        resumed in prop::collection::vec(0u64..4, 4),
     ) {
-        let (cluster, ends) = topic(partitions);
-        let mut spout =
-            ReplayableSpout::new(cluster, "t", "g", Arc::default()).with_max_pending(8);
+        let (cluster, ends) = topic(partitions, false);
+        let starts: HashMap<u32, u64> =
+            ends.iter().map(|(&pid, &end)| (pid, end * resumed[pid as usize] / 4)).collect();
+        let mut spout = ReplayableSpout::new(cluster, "t", "g", Arc::default())
+            .with_max_pending(max_pending)
+            .with_pinned_partitions(0, 1)
+            .with_start_offsets(starts.iter().map(|(&pid, &start)| (pid, start)).collect());
         spout.connect();
 
         let mut in_flight: Vec<u64> = Vec::new();
@@ -70,6 +89,15 @@ proptest! {
             match spout.poll_next() {
                 None => false,
                 Some((src, _action)) => {
+                    let (pid, offset) = decode_src(src);
+                    prop_assert!(offset >= starts[&pid], "replayed below the resume point");
+                    prop_assert!(
+                        offset < spout.tracker().committed(pid) + max_pending as u64,
+                        "offset {offset} of partition {pid} emitted {max_pending} or more \
+                         past its watermark {}",
+                        spout.tracker().committed(pid)
+                    );
+                    prop_assert!(in_flight.len() < max_pending, "count cap");
                     prop_assert!(
                         !in_flight.contains(&src),
                         "double delivery while {src:#x} is in flight"
@@ -122,9 +150,11 @@ proptest! {
             prop_assert!(rounds < 1_000, "drain did not terminate");
         }
 
-        // Every source delivered (and acked) exactly once; every
-        // partition's committed watermark reached the end of its log.
-        prop_assert_eq!(acked.len() as u64, RECORDS, "a source was skipped");
+        // Every source past the resume points delivered (and acked)
+        // exactly once; every partition's committed watermark reached the
+        // end of its log.
+        let expected: u64 = ends.iter().map(|(pid, end)| end - starts[pid]).sum();
+        prop_assert_eq!(acked.len() as u64, expected, "a source was skipped");
         for (&pid, &end) in &ends {
             prop_assert_eq!(
                 spout.tracker().committed(pid),
@@ -133,6 +163,92 @@ proptest! {
                 pid
             );
         }
-        let _ = decode_src; // exercised via the src values above
+    }
+
+    /// The horizon trim is exact: whatever the capped spout does, every
+    /// source it can still redeliver is in its user's log when a tuple of
+    /// that partition reaches the history layer, so a redelivery always
+    /// finds its original deltas and changes nothing.
+    #[test]
+    fn trimmed_history_log_keeps_every_redeliverable_source(
+        ops in prop::collection::vec(arb_op(), 1..400),
+        partitions in 1usize..4,
+        max_pending in 2usize..7,
+    ) {
+        let (cluster, _ends) = topic(partitions, true);
+        let mut spout =
+            ReplayableSpout::new(cluster, "t", "g", Arc::default()).with_max_pending(max_pending);
+        spout.connect();
+        // The tightest window the contract allows.
+        let limits = HistoryLimits {
+            linked_time_ms: u64::MAX,
+            max_history: 1024,
+            dedup_window: max_pending,
+        };
+        let weights = ActionWeights::default();
+
+        type Deltas = (u64, Vec<(u64, u64, u64)>);
+        let mut histories: HashMap<u64, Option<Vec<u8>>> = HashMap::new();
+        let mut applied: HashMap<u64, (u64, Deltas)> = HashMap::new();
+        let mut in_flight: Vec<u64> = Vec::new();
+        let mut pair_deltas = Vec::new();
+        let all_acks = (0..RECORDS as usize * 2).map(|_| Op::Ack(0));
+        for op in ops.iter().cloned().chain(all_acks.flat_map(|ack| [Op::Next, ack])) {
+            match op {
+                Op::Next => {
+                    let Some((src, action)) = spout.poll_next() else { continue };
+                    in_flight.push(src);
+                    let slot = histories.entry(action.user).or_default();
+                    let edit = apply_action_in_place(
+                        slot,
+                        &HistoryAction {
+                            item: action.item,
+                            weight: weights.weight(action.action),
+                            ts: action.timestamp,
+                            src,
+                        },
+                        &limits,
+                        &mut pair_deltas,
+                    );
+                    let deltas: Deltas = (
+                        edit.delta_rating.to_bits(),
+                        pair_deltas.iter().map(|&(a, b, d)| (a, b, d.to_bits())).collect(),
+                    );
+                    match applied.get(&src) {
+                        Some((_, original)) => {
+                            prop_assert!(!edit.changed, "a redelivery rewrote the history");
+                            prop_assert_eq!(&deltas, original, "a redelivery recomputed");
+                        }
+                        None => {
+                            applied.insert(src, (action.user, deltas));
+                        }
+                    }
+                    let (pid, _) = decode_src(src);
+                    let committed = spout.tracker().committed(pid);
+                    for (&earlier, (user, _)) in &applied {
+                        let (p, offset) = decode_src(earlier);
+                        if p != pid || offset < committed {
+                            continue;
+                        }
+                        let raw = histories[user].as_deref().expect("applied");
+                        let (_, log) = decode_history_v2(raw);
+                        prop_assert!(
+                            log.iter().any(|e| e.src == earlier),
+                            "offset {offset} of partition {pid} is uncommitted \
+                             (watermark {committed}) but trimmed from user {user}'s log"
+                        );
+                        prop_assert!(log.len() <= max_pending);
+                    }
+                }
+                Op::Ack(i) if !in_flight.is_empty() => {
+                    spout.on_ack(in_flight.remove(i as usize % in_flight.len()));
+                }
+                Op::Fail(i) if !in_flight.is_empty() => {
+                    spout.on_fail(in_flight.remove(i as usize % in_flight.len()));
+                }
+                Op::Ack(_) | Op::Fail(_) => {}
+            }
+        }
+        prop_assert_eq!(applied.len() as u64, RECORDS, "the drain reached every record");
     }
 }

@@ -129,10 +129,13 @@ impl Segment {
             SegmentData::Spilled { path, .. } => {
                 let raw = fs::read(path)?;
                 let mut bytes = Bytes::from(raw);
+                // `max` is this segment's share; `out` may already hold
+                // the previous segments' messages.
+                let full = out.len() + max;
                 while let Some(m) = Message::decode(&mut bytes) {
                     if m.offset >= from {
                         out.push(m);
-                        if out.len() >= max {
+                        if out.len() >= full {
                             break;
                         }
                     }
@@ -468,6 +471,12 @@ mod tests {
             assert_eq!(m.offset, i as u64);
             assert_eq!(m.payload, Bytes::from(format!("payload-{i}")));
         }
+        // A bounded read that crosses from one spilled segment into the
+        // next two: regression — the budget left for a later segment was
+        // compared with the whole batch's length, so each gave one
+        // message and the reader skipped the rest of it.
+        let offsets: Vec<u64> = p.read(2, 7).unwrap().iter().map(|m| m.offset).collect();
+        assert_eq!(offsets, (2..9).collect::<Vec<_>>());
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -6,14 +6,15 @@
 //! independent locks, picked from the *high* bits of the key hash: the
 //! router already spent the low bits choosing this instance
 //! (`hash % instances`), so reusing them would put every key of an
-//! instance behind one lock.
+//! instance behind one lock. The shard maps hash with the same function
+//! ([`KeyHashBuilder`]) instead of SipHash: one key hash in the crate.
 
 use super::StorageEngine;
-use crate::route::key_hash;
+use crate::route::{key_hash, KeyHashBuilder};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-type Shard = Mutex<HashMap<Vec<u8>, Vec<u8>>>;
+type Shard = Mutex<HashMap<Vec<u8>, Vec<u8>, KeyHashBuilder>>;
 
 /// Sharded hash-map engine.
 pub struct MdbEngine {
@@ -26,7 +27,7 @@ impl MdbEngine {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         MdbEngine {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(HashMap::default())).collect(),
         }
     }
 
@@ -161,5 +162,47 @@ mod tests {
             "10,000 keys of one instance occupy only {} of 16 shards",
             used.len()
         );
+    }
+
+    #[test]
+    fn keys_of_one_shard_spread_over_its_map() {
+        // Every key of one shard of one instance agrees on `hash % 16`
+        // and on the shard bits; the map's hasher must not hand the table
+        // those bits as its bucket index or its tag.
+        use std::hash::BuildHasher;
+        let table = crate::RouteTable::new(16, 4, true);
+        let engine = MdbEngine::new(16);
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        for prefix in [&b"pc:"[..], b"hist:"] {
+            let wanted = keys.len() + 5_000;
+            for i in 0u64.. {
+                let mut key = prefix.to_vec();
+                key.extend_from_slice(&i.to_le_bytes());
+                if table.instance_for(&key) == 5 && engine.shard_index(&key) == 3 {
+                    keys.push(key);
+                    if keys.len() == wanted {
+                        break;
+                    }
+                }
+            }
+        }
+        let hashes: Vec<u64> = keys.iter().map(|k| KeyHashBuilder.hash_one(k)).collect();
+        // 10,000 balls in 4,096 bins leave ~3,740 occupied when uniform.
+        let buckets: std::collections::HashSet<u64> = hashes.iter().map(|h| h & 0xfff).collect();
+        assert!(
+            buckets.len() >= 3_400,
+            "one shard's keys reach only {} of 4096 low-bit buckets",
+            buckets.len()
+        );
+        let tags: std::collections::HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert_eq!(tags.len(), 128, "top-7-bit tags unused");
+        // A borrowed `&[u8]` finds what an owned key stored.
+        for (i, key) in keys.iter().enumerate() {
+            engine.put(key, vec![i as u8]);
+        }
+        assert_eq!(engine.shards[3].lock().len(), keys.len());
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(engine.get(key.as_slice()), Some(vec![i as u8]));
+        }
     }
 }

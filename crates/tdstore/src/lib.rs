@@ -382,7 +382,12 @@ impl TdStore {
             // `sync_every`-th write pay the whole queue's replication cost
             // (a multi-millisecond p99 spike under load).
             self.inner.writes_since_sync.store(0, Ordering::Relaxed);
-            let batch = std::mem::take(&mut *self.inner.pending.lock());
+            // The next batch fills to the same threshold: sized once, not
+            // regrown from empty.
+            let batch = std::mem::replace(
+                &mut *self.inner.pending.lock(),
+                Vec::with_capacity(self.inner.sync_every),
+            );
             if !batch.is_empty() {
                 let mut q = self.inner.drain.lock_queue();
                 q.batches.push_back(batch);
@@ -462,11 +467,16 @@ impl TdStore {
                 .then(|| self.inner.write_locks[instance as usize].lock());
             let hosts = self.inner.hosts.read();
             let route = hosts[instance as usize].as_ref().map_err(Clone::clone)?;
-            let mut for_slave = None;
+            // An instance without a slave (unreplicated, or its slave's
+            // server gone) has nobody to copy for or queue to.
+            let (mut deleted, mut for_slave) = (false, None);
             let changed = route.host.modify(key, &mut |slot| {
                 let changed = f(slot);
                 if changed {
-                    for_slave = slot.clone();
+                    deleted = slot.is_none();
+                    if route.slave.is_some() {
+                        for_slave = slot.clone();
+                    }
                 }
                 changed
             });
@@ -474,14 +484,15 @@ impl TdStore {
                 self.inner.metrics.unchanged.inc();
                 return Ok(false);
             }
-            let deleted = for_slave.is_none();
-            if !self.inner.write_through {
-                self.record_write(instance, route.generation, key, for_slave);
-            } else if let Some(slave) = &route.slave {
-                match for_slave {
-                    Some(v) => slave.put(key, v),
-                    None => {
-                        slave.delete(key);
+            if let Some(slave) = &route.slave {
+                if !self.inner.write_through {
+                    self.record_write(instance, route.generation, key, for_slave);
+                } else {
+                    match for_slave {
+                        Some(v) => slave.put(key, v),
+                        None => {
+                            slave.delete(key);
+                        }
                     }
                 }
             }
@@ -1079,6 +1090,45 @@ mod tests {
         let text = registry.render();
         assert!(text.contains("tdstore_ops_total{op=\"write\"}"));
         assert!(text.contains("tdstore_replication_queue_depth"));
+    }
+
+    #[test]
+    fn writes_without_a_slave_queue_nothing() {
+        // Regression: every write used to clone key + value into the
+        // replication queue and bump the depth gauge even when no slave
+        // existed to apply it to; the drainer then threw each op away.
+        let s = TdStore::new(StoreConfig {
+            replicated: false,
+            sync_every: 0,
+            ..Default::default()
+        });
+        let registry = obs::Registry::new();
+        s.register_metrics(&registry);
+        for i in 0..50u32 {
+            s.put(format!("k{i}").as_bytes(), vec![i as u8]).unwrap();
+        }
+        s.incr_f64(b"c", 1.0).unwrap();
+        assert!(s.delete(b"k0").unwrap());
+        assert_eq!(s.unreplicated_ops(), 0);
+        assert_eq!(s.pending_sync_ops(), 0);
+        assert_eq!(
+            registry.gauge_value("tdstore_replication_queue_depth", &[]),
+            Some(0.0)
+        );
+        assert_eq!(s.get(b"k7").unwrap(), Some(vec![7]));
+        assert_eq!(s.len().unwrap(), 50);
+
+        // The same holds for a replicated store's instances once their
+        // slaves are gone: one server left means no slave anywhere.
+        let s = TdStore::new(StoreConfig {
+            servers: 2,
+            sync_every: 0,
+            ..Default::default()
+        });
+        s.kill_server(1).unwrap();
+        s.put(b"k", vec![1]).unwrap();
+        assert_eq!(s.unreplicated_ops(), 0);
+        assert_eq!(s.pending_sync_ops(), 0);
     }
 
     #[test]

@@ -39,6 +39,43 @@ pub(crate) fn key_hash(key: &[u8]) -> u64 {
     h ^ (h >> 33)
 }
 
+/// Hashes byte-string map keys with [`key_hash`], so the crate has one key
+/// hash: the router takes it `% instances`, MDB takes its high bits for
+/// the shard, and the shard's map takes it — remixed, because every key of
+/// one shard agrees on exactly the bits the other two consumed, and a
+/// table indexed by those would fill a sliver of its buckets.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct KeyHashBuilder;
+
+/// Hasher of [`KeyHashBuilder`]; for `[u8]`-like keys only (one `write`).
+#[derive(Debug, Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl std::hash::BuildHasher for KeyHashBuilder {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        KeyHasher::default()
+    }
+}
+
+impl std::hash::Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = key_hash(bytes);
+    }
+
+    /// The slice length prefix: `key_hash` already folds the length in.
+    fn write_usize(&mut self, _: usize) {}
+
+    fn finish(&self) -> u64 {
+        // High product bits depend on every bit below them; folding them
+        // down gives the table's low index bits and its top tag bits a
+        // full-width source whatever the router and the engine fixed.
+        let m = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        m ^ (m >> 32)
+    }
+}
+
 /// Placement of one data instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceRoute {

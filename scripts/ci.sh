@@ -32,6 +32,7 @@ for family in \
     tstorm_backpressure_stalls_total tstorm_pipeline_latency_seconds \
     tstorm_batch_size tencentrec_cache_hit_ratio \
     tencentrec_combiner_reduction_ratio tencentrec_pruning_tracked_pairs \
+    tencentrec_history_log_entries \
     tdaccess_produced_total tdaccess_consumed_total tdaccess_consumer_lag \
     tdstore_ops_total tdstore_replication_queue_depth tdstore_failovers_total; do
     if ! grep -q "^$family" <<<"$expo"; then
@@ -65,7 +66,20 @@ if ! grep -q '"correct": true' <<<"$tbench_out"; then
     echo "$tbench_out" >&2
     exit 1
 fi
-echo "    tbench OK"
+# Replay state must stay sized by what can still replay: at this size the
+# store holds 70.3 bytes per key (65,720 keys, 4.62 MB) with the history
+# replay log horizon-trimmed, 95.8 with every user carrying a 256-entry
+# log. The ceiling sits ~20% above the former, so a regrown log trips it.
+tbench_metric() {
+    grep -o "\"$1\": {\"value\": [0-9.e+-]*" <<<"$tbench_out" | awk '{print $NF}'
+}
+store_bytes="$(tbench_metric tdstore.bytes_end)"
+store_keys="$(tbench_metric tdstore.keys_end)"
+if ! awk -v b="$store_bytes" -v k="$store_keys" 'BEGIN { exit !(k > 0 && b / k <= 85) }'; then
+    echo "TBENCH FAILURE: tdstore holds $store_bytes bytes in $store_keys keys (> 85 bytes/key)" >&2
+    exit 1
+fi
+echo "    tbench OK ($store_bytes bytes in $store_keys keys)"
 
 # Multi-process stage: supervisor + 2 worker OS processes run the CF
 # pipeline with tuples crossing process boundaries over batched TCP;
