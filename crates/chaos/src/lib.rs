@@ -48,8 +48,8 @@ pub enum FaultSite {
     /// `tdaccess` consumer receives a truncated batch (offsets stay
     /// consistent; the tail is re-read next poll).
     TornBatch,
-    /// `tdstore` write returns [`StoreError::Injected`]
-    /// (`tdstore::StoreError`) before any mutation.
+    /// `tdstore` write returns `tdstore::StoreError::Injected` before any
+    /// mutation.
     WriteFail,
     /// `tdstore` kills a live data server after a write completes, forcing
     /// an instance failover.

@@ -12,7 +12,7 @@ use obs::{LatencySnapshot, Sample, SampleKind};
 use tstorm::ack::{AckerMsg, InitEntry};
 use tstorm::remote::WireTuple;
 use tstorm::tuple::Value;
-use wire::{with_frame, ProtocolError, Reader, MAX_FRAME_LEN};
+use wire::{with_frame, ProtocolError, Reader};
 
 /// Worker → supervisor: first frame on a fresh connection.
 pub const TAG_REGISTER: u8 = 0x01;
@@ -385,17 +385,7 @@ pub fn encode(buf: &mut BytesMut, id: u64, msg: &Msg) {
 }
 
 fn r_str(r: &mut Reader<'_>) -> Result<String, ProtocolError> {
-    let len = r.u32()? as usize;
-    let bytes = r.take(len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadPayload("invalid utf-8"))
-}
-
-fn r_count(r: &mut Reader<'_>, min_item: usize) -> Result<usize, ProtocolError> {
-    let n = r.u32()? as usize;
-    if n > MAX_FRAME_LEN / min_item.max(1) {
-        return Err(ProtocolError::BadPayload("count exceeds frame bound"));
-    }
-    Ok(n)
+    String::from_utf8(r.bytes()?.to_vec()).map_err(|_| ProtocolError::BadPayload("invalid utf-8"))
 }
 
 fn r_value(r: &mut Reader<'_>) -> Result<Value, ProtocolError> {
@@ -414,12 +404,12 @@ fn r_wire_tuple(r: &mut Reader<'_>) -> Result<WireTuple, ProtocolError> {
     let stream = r_str(r)?;
     let src_component = r_str(r)?;
     let src_task = r.u64()? as usize;
-    let n_values = r_count(r, 1)?;
+    let n_values = r.count(1)?;
     let mut values = Vec::with_capacity(n_values);
     for _ in 0..n_values {
         values.push(r_value(r)?);
     }
-    let n_anchors = r_count(r, 16)?;
+    let n_anchors = r.count(16)?;
     let mut anchors = Vec::with_capacity(n_anchors);
     for _ in 0..n_anchors {
         anchors.push((r.u64()?, r.u64()?));
@@ -443,7 +433,7 @@ fn r_acker_msg(r: &mut Reader<'_>) -> Result<AckerMsg, ProtocolError> {
             emit_ms: r.u64()?,
         },
         1 => {
-            let n = r_count(r, 40)?;
+            let n = r.count(40)?;
             let mut inits = Vec::with_capacity(n);
             for _ in 0..n {
                 inits.push(InitEntry {
@@ -461,7 +451,7 @@ fn r_acker_msg(r: &mut Reader<'_>) -> Result<AckerMsg, ProtocolError> {
             xor: r.u64()?,
         },
         3 => {
-            let n = r_count(r, 16)?;
+            let n = r.count(16)?;
             let mut pairs = Vec::with_capacity(n);
             for _ in 0..n {
                 pairs.push((r.u64()?, r.u64()?));
@@ -477,7 +467,7 @@ fn r_acker_msg(r: &mut Reader<'_>) -> Result<AckerMsg, ProtocolError> {
 fn r_sample(r: &mut Reader<'_>) -> Result<Sample, ProtocolError> {
     let family = r_str(r)?;
     let help = r_str(r)?;
-    let n_labels = r_count(r, 8)?;
+    let n_labels = r.count(8)?;
     let mut labels = Vec::with_capacity(n_labels);
     for _ in 0..n_labels {
         labels.push((r_str(r)?, r_str(r)?));
@@ -489,7 +479,7 @@ fn r_sample(r: &mut Reader<'_>) -> Result<Sample, ProtocolError> {
             let is_nanos = r.u8()? != 0;
             let sum = r.u64()?;
             let max = r.u64()?;
-            let n = r_count(r, 12)?;
+            let n = r.count(12)?;
             let mut sparse = Vec::with_capacity(n);
             for _ in 0..n {
                 sparse.push((r.u32()?, r.u64()?));
@@ -519,22 +509,19 @@ pub fn decode(tag: u8, body: &[u8]) -> Result<Msg, ProtocolError> {
             generation: r.u64()?,
         },
         TAG_ASSIGNMENT => {
-            let n = r_count(&mut r, 4)?;
+            let n = r.count(4)?;
             let mut components = Vec::with_capacity(n);
             for _ in 0..n {
                 components.push(r_str(&mut r)?);
             }
-            let n = r_count(&mut r, 8)?;
+            let n = r.count(8)?;
             let mut slot_map = Vec::with_capacity(n);
             for _ in 0..n {
                 slot_map.push(r.u64()? as usize);
             }
             let recovered = match r.u8()? {
                 0 => None,
-                1 => {
-                    let len = r_count(&mut r, 1)?;
-                    Some(r.take(len)?.to_vec())
-                }
+                1 => Some(r.bytes()?.to_vec()),
                 _ => return Err(ProtocolError::BadPayload("bad recovered flag")),
             };
             Msg::Assignment {
@@ -547,7 +534,7 @@ pub fn decode(tag: u8, body: &[u8]) -> Result<Msg, ProtocolError> {
         TAG_TUPLE_BATCH => {
             let dest_component = r_str(&mut r)?;
             let dest_task = r.u64()? as usize;
-            let n = r_count(&mut r, 16)?;
+            let n = r.count(16)?;
             let mut tuples = Vec::with_capacity(n);
             for _ in 0..n {
                 tuples.push(r_wire_tuple(&mut r)?);
@@ -559,7 +546,7 @@ pub fn decode(tag: u8, body: &[u8]) -> Result<Msg, ProtocolError> {
             }
         }
         TAG_ACKER_BATCH => {
-            let n = r_count(&mut r, 9)?;
+            let n = r.count(9)?;
             let mut msgs = Vec::with_capacity(n);
             for _ in 0..n {
                 msgs.push(r_acker_msg(&mut r)?);
@@ -573,7 +560,7 @@ pub fn decode(tag: u8, body: &[u8]) -> Result<Msg, ProtocolError> {
                 1 => NotifyKind::Fail,
                 _ => return Err(ProtocolError::BadPayload("unknown notify kind")),
             };
-            let n = r_count(&mut r, 8)?;
+            let n = r.count(8)?;
             let mut ids = Vec::with_capacity(n);
             for _ in 0..n {
                 ids.push(r.u64()?);
@@ -590,23 +577,17 @@ pub fn decode(tag: u8, body: &[u8]) -> Result<Msg, ProtocolError> {
             spouts_idle: r.u8()? != 0,
         },
         TAG_DRAIN_REQUEST => Msg::DrainRequest,
-        TAG_DRAIN_REPORT => {
-            let n = r_count(&mut r, 1)?;
-            Msg::DrainReport(r.take(n)?.to_vec())
-        }
+        TAG_DRAIN_REPORT => Msg::DrainReport(r.bytes()?.to_vec()),
         TAG_SHUTDOWN => Msg::Shutdown,
         TAG_METRICS => {
-            let n = r_count(&mut r, 10)?;
+            let n = r.count(10)?;
             let mut samples = Vec::with_capacity(n);
             for _ in 0..n {
                 samples.push(r_sample(&mut r)?);
             }
             Msg::MetricsReport(samples)
         }
-        TAG_COMMIT => {
-            let n = r_count(&mut r, 1)?;
-            Msg::OffsetCommit(r.take(n)?.to_vec())
-        }
+        TAG_COMMIT => Msg::OffsetCommit(r.bytes()?.to_vec()),
         other => return Err(ProtocolError::UnknownTag(other)),
     };
     r.finish()?;
@@ -631,7 +612,7 @@ pub fn peek_tuple_batch_roots(body: &[u8]) -> Result<Vec<u64>, ProtocolError> {
     let mut r = Reader::new(body);
     let _dest = r_str(&mut r)?;
     let _task = r.u64()?;
-    let n = r_count(&mut r, 16)?;
+    let n = r.count(16)?;
     let mut roots: Vec<u64> = Vec::new();
     for _ in 0..n {
         let t = r_wire_tuple(&mut r)?;

@@ -38,6 +38,29 @@ fn spawn_args(test_fn: &str) -> Vec<String> {
     vec!["--exact".into(), test_fn.into(), "--nocapture".into()]
 }
 
+/// The file whose existence lets the respawned bolt worker of the
+/// stalled-downstream test run by process `supervisor` register.
+fn respawn_gate(supervisor: u32) -> PathBuf {
+    std::env::temp_dir().join(format!("tguard-gate-{supervisor}"))
+}
+
+/// In the stalled-downstream test's respawned bolt worker (slot 1,
+/// generation above 1), waits for the gate file before registering. A
+/// replacement registers within milliseconds of the lease expiry, and the
+/// expiry-to-registration window is the only time a relay is failed fast;
+/// held shut until the supervisor side has seen one, the window's traffic
+/// no longer depends on scheduling. Bounded, so a failed run strands no
+/// worker process for long.
+fn hold_respawned_bolt_worker() {
+    let var = |name| std::env::var(name).unwrap_or_default();
+    if var(tcluster::ENV_WORKER_ID) == "1"
+        && !matches!(var(tcluster::ENV_GENERATION).as_str(), "" | "1")
+    {
+        let gate = respawn_gate(std::os::unix::process::parent_id());
+        poll_until(Duration::from_secs(60), || gate.exists());
+    }
+}
+
 /// Polls `probe` until it returns true or `timeout` elapses.
 fn poll_until(timeout: Duration, mut probe: impl FnMut() -> bool) -> bool {
     let deadline = Instant::now() + timeout;
@@ -162,11 +185,16 @@ fn paced_app(limit: u64) -> impl Fn(&WorkerContext) -> ClusterApp {
 /// frozen socket; and after the respawn the run drains to idle. The
 /// bolt's in-memory set is intentionally lost — this test proves
 /// liveness and degradation accounting, not state recovery (that is
-/// `stalled_state_owning_worker_recovers_via_lease_and_snapshot`).
+/// `stalled_state_owning_worker_recovers_via_lease_and_snapshot`). The
+/// replacement is held at a gate until a batch has been failed fast (see
+/// [`hold_respawned_bolt_worker`]).
 #[test]
 fn stalled_downstream_worker_fails_fast_and_unwedges() {
     let app = paced_app(FLOW_LIMIT);
+    hold_respawned_bolt_worker();
     assert!(!maybe_run_worker(&app));
+    let gate = respawn_gate(std::process::id());
+    let _ = std::fs::remove_file(&gate);
     let mut config = SupervisorConfig::new(vec![
         WorkerSpec::protected(["numbers"]),
         WorkerSpec::new(["sum"]),
@@ -193,8 +221,14 @@ fn stalled_downstream_worker_fails_fast_and_unwedges() {
     assert!(
         poll_until(Duration::from_secs(30), || cluster.failed_fast_batches()
             >= 1),
-        "no batch was failed fast while the lease was down"
+        "no batch was failed fast while the lease was down (progress {}, relayed {}, \
+         restarts {}, lease expiries {})",
+        cluster.progress(0),
+        cluster.relayed_batches(),
+        cluster.restarts(),
+        cluster.lease_expiries()
     );
+    std::fs::write(&gate, b"").expect("open the respawn gate");
     assert!(
         poll_until(Duration::from_secs(30), || cluster.restarts() >= 1),
         "stalled worker was never respawned"
@@ -223,6 +257,7 @@ fn stalled_downstream_worker_fails_fast_and_unwedges() {
         "missing fail-fast metric:\n{metrics}"
     );
     cluster.shutdown(Duration::from_secs(10));
+    let _ = std::fs::remove_file(&gate);
 }
 
 /// Generation fencing, both surfaces. A zombie (stale-generation)

@@ -10,7 +10,6 @@
 
 use crate::action::{ActionWeights, UserAction};
 use crate::catalog::{ItemCatalog, TagId};
-use crate::snapshot::{Reader, SnapshotError, SnapshotState};
 use crate::types::{FxHashMap, FxHashSet, ItemId, Timestamp, UserId};
 
 /// One user's interest profile.
@@ -196,81 +195,6 @@ impl ContentBased {
     /// Number of users with a profile.
     pub fn user_count(&self) -> usize {
         self.profiles.len()
-    }
-}
-
-impl SnapshotState for ContentBased {
-    /// Layout: registered item vectors then user profiles. The inverted
-    /// tag index is derived state and is rebuilt on load; the catalog is
-    /// shared infrastructure and not part of the blob.
-    fn save(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.item_vectors.len() as u32).to_le_bytes());
-        for (item, vector) in &self.item_vectors {
-            out.extend_from_slice(&item.to_le_bytes());
-            out.extend_from_slice(&(vector.len() as u32).to_le_bytes());
-            for &(tag, w) in vector {
-                out.extend_from_slice(&tag.to_le_bytes());
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-        }
-        out.extend_from_slice(&(self.profiles.len() as u32).to_le_bytes());
-        for (user, p) in &self.profiles {
-            out.extend_from_slice(&user.to_le_bytes());
-            // last_update: u64::MAX encodes "never updated".
-            out.extend_from_slice(&p.last_update.unwrap_or(u64::MAX).to_le_bytes());
-            out.extend_from_slice(&(p.tags.len() as u32).to_le_bytes());
-            for (&tag, &w) in &p.tags {
-                out.extend_from_slice(&tag.to_le_bytes());
-                out.extend_from_slice(&w.to_le_bytes());
-            }
-            out.extend_from_slice(&(p.seen.len() as u32).to_le_bytes());
-            for item in &p.seen {
-                out.extend_from_slice(&item.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = Reader::new(bytes);
-        let items = r.count(12, "cb items")?;
-        self.item_vectors.clear();
-        self.tag_index.clear();
-        for _ in 0..items {
-            let item = r.u64("cb item id")?;
-            let n = r.count(12, "cb item tags")?;
-            let mut vector = Vec::with_capacity(n);
-            for _ in 0..n {
-                let tag = r.u32("cb tag id")?;
-                vector.push((tag, r.f64("cb tag weight")?));
-            }
-            for &(tag, _) in &vector {
-                self.tag_index.entry(tag).or_default().push(item);
-            }
-            self.item_vectors.insert(item, vector);
-        }
-        let users = r.count(16, "cb profiles")?;
-        self.profiles.clear();
-        for _ in 0..users {
-            let user = r.u64("cb user id")?;
-            let last = r.u64("cb last update")?;
-            let mut profile = UserProfile {
-                last_update: (last != u64::MAX).then_some(last),
-                ..UserProfile::default()
-            };
-            let tags = r.count(12, "cb profile tags")?;
-            for _ in 0..tags {
-                let tag = r.u32("cb profile tag")?;
-                profile.tags.insert(tag, r.f64("cb profile weight")?);
-            }
-            let seen = r.count(8, "cb seen set")?;
-            for _ in 0..seen {
-                profile.seen.insert(r.u64("cb seen item")?);
-            }
-            self.profiles.insert(user, profile);
-        }
-        r.finish("cb tail")
     }
 }
 

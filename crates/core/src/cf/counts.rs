@@ -6,7 +6,6 @@
 //! whole expired sessions from the totals, which makes "forgetting" O(keys
 //! in the expired session) instead of O(all keys).
 
-use crate::snapshot::{Reader, SnapshotError, SnapshotKey, SnapshotState};
 use crate::types::{FxHashMap, Timestamp};
 use std::collections::VecDeque;
 use std::hash::Hash;
@@ -131,56 +130,6 @@ impl<K: Eq + Hash + Copy> WindowedCounts<K> {
     /// Number of sessions currently retained.
     pub fn session_count(&self) -> usize {
         self.per_session.len()
-    }
-}
-
-impl<K: Eq + Hash + Copy + SnapshotKey> SnapshotState for WindowedCounts<K> {
-    /// Layout: `max_session:u64 | totals | sessions` where `totals` is
-    /// `count:u32 (key f64:count)*` and `sessions` is
-    /// `count:u32 (session:u64 totals)*`. The window shape is
-    /// construction-time configuration, not payload.
-    fn save(&self) -> Vec<u8> {
-        fn put_map<K: SnapshotKey>(out: &mut Vec<u8>, map: &FxHashMap<K, f64>) {
-            out.extend_from_slice(&(map.len() as u32).to_le_bytes());
-            for (k, v) in map {
-                k.put(out);
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.max_session.to_le_bytes());
-        put_map(&mut out, &self.totals);
-        out.extend_from_slice(&(self.per_session.len() as u32).to_le_bytes());
-        for (session, counts) in &self.per_session {
-            out.extend_from_slice(&session.to_le_bytes());
-            put_map(&mut out, counts);
-        }
-        out
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        fn read_map<K: Eq + Hash + Copy + SnapshotKey>(
-            r: &mut Reader<'_>,
-        ) -> Result<FxHashMap<K, f64>, SnapshotError> {
-            let n = r.count(K::WIRE_BYTES + 8, "counts map")?;
-            let mut map = FxHashMap::default();
-            map.reserve(n);
-            for _ in 0..n {
-                let k = K::read(r, "counts key")?;
-                map.insert(k, r.f64("counts value")?);
-            }
-            Ok(map)
-        }
-        let mut r = Reader::new(bytes);
-        self.max_session = r.u64("max_session")?;
-        self.totals = read_map(&mut r)?;
-        let sessions = r.count(12, "session list")?;
-        self.per_session.clear();
-        for _ in 0..sessions {
-            let session = r.u64("session id")?;
-            self.per_session.push_back((session, read_map(&mut r)?));
-        }
-        r.finish("counts tail")
     }
 }
 

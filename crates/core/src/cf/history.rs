@@ -8,7 +8,6 @@
 //! co-ratings with the old ones."
 
 use crate::action::{co_rating, ActionWeights, UserAction};
-use crate::snapshot::{Reader, SnapshotError, SnapshotState};
 use crate::types::{FxHashMap, ItemId, ItemPair, Timestamp, UserId};
 use std::collections::VecDeque;
 
@@ -163,57 +162,6 @@ impl HistoryStore {
             pair_deltas,
             timestamp: action.timestamp,
         }
-    }
-}
-
-impl SnapshotState for HistoryStore {
-    /// Layout: `users:u32` then per user `id:u64 | entries:u32
-    /// (item:u64 rating:f64 last_ts:u64)* | recent:u32 item*`. The
-    /// `recent_cap` stays construction-time configuration.
-    fn save(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.users.len() as u32).to_le_bytes());
-        for (user, history) in &self.users {
-            out.extend_from_slice(&user.to_le_bytes());
-            out.extend_from_slice(&(history.entries.len() as u32).to_le_bytes());
-            for (item, e) in &history.entries {
-                out.extend_from_slice(&item.to_le_bytes());
-                out.extend_from_slice(&e.rating.to_le_bytes());
-                out.extend_from_slice(&e.last_ts.to_le_bytes());
-            }
-            out.extend_from_slice(&(history.recent.len() as u32).to_le_bytes());
-            for item in &history.recent {
-                out.extend_from_slice(&item.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = Reader::new(bytes);
-        let users = r.count(16, "user list")?;
-        self.users.clear();
-        self.users.reserve(users);
-        for _ in 0..users {
-            let user = r.u64("user id")?;
-            let n = r.count(24, "history entries")?;
-            let mut history = UserHistory::default();
-            history.entries.reserve(n);
-            for _ in 0..n {
-                let item = r.u64("history item")?;
-                let rating = r.f64("history rating")?;
-                let last_ts = r.u64("history ts")?;
-                history
-                    .entries
-                    .insert(item, HistoryEntry { rating, last_ts });
-            }
-            let recent = r.count(8, "recent list")?;
-            for _ in 0..recent {
-                history.recent.push_back(r.u64("recent item")?);
-            }
-            self.users.insert(user, history);
-        }
-        r.finish("history tail")
     }
 }
 

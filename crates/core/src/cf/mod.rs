@@ -33,7 +33,6 @@ pub use pruning::{hoeffding_epsilon, PruneState};
 pub use similar::SimilarTable;
 
 use crate::action::{ActionWeights, UserAction};
-use crate::snapshot::SnapshotState;
 use crate::types::{FxHashMap, ItemId, ItemPair, UserId};
 
 /// Configuration of the practical item-based CF.
@@ -241,59 +240,6 @@ impl ItemCF {
     /// Read access to a user's history (for filtering and the engine).
     pub fn user_history(&self, user: UserId) -> Option<&UserHistory> {
         self.history.user(user)
-    }
-}
-
-impl SnapshotState for ItemCF {
-    /// Length-prefixed sub-blobs in fixed order: history, item counts,
-    /// pair counts, similar table, pruning (`present:u8` flag first),
-    /// stats. Loading requires an engine built with the configuration
-    /// that saved the blob (window shape, `top_k`, pruning δ).
-    fn save(&self) -> Vec<u8> {
-        use crate::snapshot::put_bytes;
-        let mut out = Vec::new();
-        put_bytes(&mut out, &self.history.save());
-        put_bytes(&mut out, &self.item_counts.save());
-        put_bytes(&mut out, &self.pair_counts.save());
-        put_bytes(&mut out, &self.similar.save());
-        match &self.pruning {
-            None => out.push(0),
-            Some(p) => {
-                out.push(1);
-                put_bytes(&mut out, &p.save());
-            }
-        }
-        out.extend_from_slice(&self.stats.actions.to_le_bytes());
-        out.extend_from_slice(&self.stats.pair_updates.to_le_bytes());
-        out.extend_from_slice(&self.stats.pruned_skips.to_le_bytes());
-        out
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), crate::snapshot::SnapshotError> {
-        use crate::snapshot::{Reader, SnapshotError};
-        let mut r = Reader::new(bytes);
-        self.history.load(r.bytes("cf history")?)?;
-        self.item_counts.load(r.bytes("cf item counts")?)?;
-        self.pair_counts.load(r.bytes("cf pair counts")?)?;
-        self.similar.load(r.bytes("cf similar")?)?;
-        let had_pruning = r.u8("cf pruning flag")? == 1;
-        if had_pruning {
-            let blob = r.bytes("cf pruning")?;
-            // A saved pruning section only loads into an engine configured
-            // with pruning; without it the bound would silently stop being
-            // enforced and counts would diverge from the saved run.
-            let p = self
-                .pruning
-                .as_mut()
-                .ok_or(SnapshotError("cf pruning config mismatch"))?;
-            p.load(blob)?;
-        } else if self.pruning.is_some() {
-            return Err(SnapshotError("cf pruning config mismatch"));
-        }
-        self.stats.actions = r.u64("cf stats actions")?;
-        self.stats.pair_updates = r.u64("cf stats pair updates")?;
-        self.stats.pruned_skips = r.u64("cf stats pruned skips")?;
-        r.finish("cf tail")
     }
 }
 

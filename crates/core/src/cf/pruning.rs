@@ -7,7 +7,6 @@
 //! minimum of the two items' list thresholds — the pair can never enter
 //! either top-k list and is pruned from all future computation.
 
-use crate::snapshot::{Reader, SnapshotError, SnapshotKey, SnapshotState};
 use crate::types::{FxHashMap, FxHashSet, ItemId, ItemPair};
 
 /// Hoeffding bound ε for `n` observations at confidence `1 − δ` over a
@@ -132,57 +131,6 @@ impl PruneState {
     /// The pair's current observation count `n_ij`.
     pub fn observed(&self, pair: ItemPair) -> u64 {
         self.observations.get(&pair).copied().unwrap_or(0)
-    }
-}
-
-impl SnapshotState for PruneState {
-    /// Layout: `pruned_pairs:u64 | evicted_pairs:u64 | observations:u32
-    /// (pair n:u64)* | pruned_items:u32 (item:u64 others:u32 item*)*`.
-    /// `delta` and the tracking cap stay construction-time configuration.
-    fn save(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&self.pruned_pairs.to_le_bytes());
-        out.extend_from_slice(&self.evicted_pairs.to_le_bytes());
-        out.extend_from_slice(&(self.observations.len() as u32).to_le_bytes());
-        for (pair, n) in &self.observations {
-            pair.put(&mut out);
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.pruned.len() as u32).to_le_bytes());
-        for (item, others) in &self.pruned {
-            out.extend_from_slice(&item.to_le_bytes());
-            out.extend_from_slice(&(others.len() as u32).to_le_bytes());
-            for other in others {
-                out.extend_from_slice(&other.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = Reader::new(bytes);
-        self.pruned_pairs = r.u64("pruned count")?;
-        self.evicted_pairs = r.u64("evicted count")?;
-        let obs = r.count(24, "observations")?;
-        self.observations.clear();
-        self.observations.reserve(obs);
-        for _ in 0..obs {
-            let pair = ItemPair::read(&mut r, "observed pair")?;
-            self.observations.insert(pair, r.u64("observation n")?);
-        }
-        let items = r.count(12, "pruned lists")?;
-        self.pruned.clear();
-        for _ in 0..items {
-            let item = r.u64("pruned item")?;
-            let n = r.count(8, "pruned others")?;
-            let mut others = FxHashSet::default();
-            others.reserve(n);
-            for _ in 0..n {
-                others.insert(r.u64("pruned other")?);
-            }
-            self.pruned.insert(item, others);
-        }
-        r.finish("pruning tail")
     }
 }
 

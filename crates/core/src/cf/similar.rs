@@ -3,7 +3,6 @@
 //! `Nk(ip)` in Eq. 2 — the k items most similar to `ip`. The list's
 //! minimum score is the threshold `t` used by real-time pruning (§4.1.4).
 
-use crate::snapshot::{Reader, SnapshotError, SnapshotState};
 use crate::types::{FxHashMap, ItemId};
 
 /// Top-k similarity list of one item, sorted descending by score.
@@ -89,42 +88,6 @@ impl SimilarTable {
     /// Configured list size `k`.
     pub fn k(&self) -> usize {
         self.k
-    }
-}
-
-impl SnapshotState for SimilarTable {
-    /// Layout: `items:u32` then per item `id:u64 | entries:u32
-    /// (item:u64 score:f64)*`, entries in list order (best first).
-    fn save(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.lists.len() as u32).to_le_bytes());
-        for (item, list) in &self.lists {
-            out.extend_from_slice(&item.to_le_bytes());
-            out.extend_from_slice(&(list.entries.len() as u32).to_le_bytes());
-            for &(other, score) in &list.entries {
-                out.extend_from_slice(&other.to_le_bytes());
-                out.extend_from_slice(&score.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = Reader::new(bytes);
-        let items = r.count(12, "similar items")?;
-        self.lists.clear();
-        self.lists.reserve(items);
-        for _ in 0..items {
-            let item = r.u64("similar item id")?;
-            let n = r.count(16, "similar entries")?;
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                let other = r.u64("similar other")?;
-                entries.push((other, r.f64("similar score")?));
-            }
-            self.lists.insert(item, SimilarList { entries });
-        }
-        r.finish("similar tail")
     }
 }
 

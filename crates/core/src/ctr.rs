@@ -10,7 +10,6 @@
 
 use crate::cf::counts::{WindowConfig, WindowedCounts};
 use crate::db::DemographicProfile;
-use crate::snapshot::{Reader, SnapshotError, SnapshotKey, SnapshotState};
 use crate::types::ItemId;
 
 /// The situation of an impression: who saw the ad and where it was placed.
@@ -157,74 +156,6 @@ impl SituationalCtr {
         let p = &s.profile;
         let (clicks, imps) = self.raw(Cell::Full(item, p.gender, p.age_band(), p.region));
         (imps > 0.0).then(|| clicks / imps)
-    }
-}
-
-impl SnapshotKey for Cell {
-    // Variable-width encoding (tag + per-variant payload); the count
-    // bound only needs the minimum, which is `Item`'s 9 bytes.
-    const WIRE_BYTES: usize = 9;
-
-    fn put(&self, out: &mut Vec<u8>) {
-        match *self {
-            Cell::Item(item) => {
-                out.push(0);
-                out.extend_from_slice(&item.to_le_bytes());
-            }
-            Cell::ItemGender(item, g) => {
-                out.push(1);
-                out.extend_from_slice(&item.to_le_bytes());
-                out.push(g);
-            }
-            Cell::ItemGenderAge(item, g, a) => {
-                out.push(2);
-                out.extend_from_slice(&item.to_le_bytes());
-                out.push(g);
-                out.push(a);
-            }
-            Cell::Full(item, g, a, region) => {
-                out.push(3);
-                out.extend_from_slice(&item.to_le_bytes());
-                out.push(g);
-                out.push(a);
-                out.extend_from_slice(&region.to_le_bytes());
-            }
-            Cell::ItemPosition(item, p) => {
-                out.push(4);
-                out.extend_from_slice(&item.to_le_bytes());
-                out.push(p);
-            }
-        }
-    }
-
-    fn read(r: &mut Reader<'_>, what: &'static str) -> Result<Self, SnapshotError> {
-        let tag = r.u8(what)?;
-        let item = r.u64(what)?;
-        Ok(match tag {
-            0 => Cell::Item(item),
-            1 => Cell::ItemGender(item, r.u8(what)?),
-            2 => Cell::ItemGenderAge(item, r.u8(what)?, r.u8(what)?),
-            3 => Cell::Full(item, r.u8(what)?, r.u8(what)?, r.u16(what)?),
-            4 => Cell::ItemPosition(item, r.u8(what)?),
-            _ => return Err(SnapshotError("ctr cell tag")),
-        })
-    }
-}
-
-impl SnapshotState for SituationalCtr {
-    /// Two length-prefixed [`WindowedCounts`] blobs: impressions, clicks.
-    fn save(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        crate::snapshot::put_bytes(&mut out, &self.impressions.save());
-        crate::snapshot::put_bytes(&mut out, &self.clicks.save());
-        out
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = Reader::new(bytes);
-        self.impressions.load(r.bytes("ctr impressions")?)?;
-        self.clicks.load(r.bytes("ctr clicks")?)?;
-        r.finish("ctr tail")
     }
 }
 

@@ -54,12 +54,10 @@ pub mod fields;
 pub mod filtering;
 pub mod interner;
 pub mod multihash;
-pub mod snapshot;
 pub mod topology;
 pub mod types;
 
 pub use action::{ActionType, ActionWeights, UserAction};
 pub use cf::{CfConfig, ItemCF, Recommendation};
 pub use engine::RecommendEngine;
-pub use snapshot::{SnapshotError, SnapshotState};
 pub use types::{ItemId, Timestamp, UserId};

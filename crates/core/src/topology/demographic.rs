@@ -2,7 +2,7 @@
 //! technique of §5.4 in a real dataflow.
 //!
 //! Group statistics cannot be updated by user-keyed workers: "actions of
-//! users in one group may not be distributed to the same bolt [so] each
+//! users in one group may not be distributed to the same bolt \[so\] each
 //! bolt will send an itemCount or pairCount update request to the
 //! TDStore, resulting in multiple write requests from different workers,
 //! i.e., the write confliction." The fix is hashing **twice**: stage 1

@@ -247,34 +247,12 @@ impl OffsetTable {
     /// blob (a torn commit must read as "no recovery data", not garbage
     /// offsets).
     pub fn decode(bytes: &[u8]) -> Option<Vec<(PartitionId, u64)>> {
-        let count = u32::from_le_bytes(bytes.get(0..4)?.try_into().ok()?) as usize;
-        if bytes.len() != 4 + count * 12 {
-            return None;
-        }
-        let mut out = Vec::with_capacity(count);
-        for i in 0..count {
-            let base = 4 + i * 12;
-            let pid = u32::from_le_bytes(bytes.get(base..base + 4)?.try_into().ok()?);
-            let off = u64::from_le_bytes(bytes.get(base + 4..base + 12)?.try_into().ok()?);
-            out.push((pid, off));
-        }
+        let mut r = wire::Reader::new(bytes);
+        let out = (0..r.count(12).ok()?)
+            .map(|_| Some((r.u32().ok()?, r.u64().ok()?)))
+            .collect::<Option<_>>()?;
+        r.finish().ok()?;
         Some(out)
-    }
-}
-
-impl crate::snapshot::SnapshotState for OffsetTable {
-    /// Reuses the offset-commit wire format ([`OffsetTable::encode`]).
-    fn save(&self) -> Vec<u8> {
-        self.encode()
-    }
-
-    fn load(&mut self, bytes: &[u8]) -> Result<(), crate::snapshot::SnapshotError> {
-        let offsets =
-            Self::decode(bytes).ok_or(crate::snapshot::SnapshotError("offset table blob"))?;
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        map.clear();
-        map.extend(offsets);
-        Ok(())
     }
 }
 

@@ -236,12 +236,7 @@ pub fn decode_response(buf: &mut BytesMut) -> Result<Option<Frame<Response>>, Pr
     let mut r = Reader::new(&body);
     let msg = match tag {
         TAG_RECOMMENDATIONS => {
-            let count = r.u32()? as usize;
-            // 16 bytes per entry; an impossible count is corruption, and
-            // checking first keeps allocation bounded by the frame size.
-            if count > MAX_FRAME_LEN / 16 {
-                return Err(ProtocolError::BadPayload("recommendation count too large"));
-            }
+            let count = r.count(16)?;
             let mut items = Vec::with_capacity(count);
             for _ in 0..count {
                 let item = r.u64()?;
@@ -264,10 +259,7 @@ pub fn decode_response(buf: &mut BytesMut) -> Result<Option<Frame<Response>>, Pr
             let total = r.u64()?;
             let sum_nanos = r.u64()?;
             let max_nanos = r.u64()?;
-            let buckets = r.u32()? as usize;
-            if buckets > MAX_FRAME_LEN / 12 {
-                return Err(ProtocolError::BadPayload("bucket count too large"));
-            }
+            let buckets = r.count(12)?;
             let mut sparse = Vec::with_capacity(buckets);
             for _ in 0..buckets {
                 let bucket = r.u32()?;
@@ -282,13 +274,9 @@ pub fn decode_response(buf: &mut BytesMut) -> Result<Option<Frame<Response>>, Pr
                 latency: LatencySnapshot::from_parts(&sparse, total, sum_nanos, max_nanos),
             })
         }
-        TAG_ERROR => {
-            let len = r.u32()? as usize;
-            let raw = r.take(len)?;
-            Response::Error {
-                message: String::from_utf8_lossy(raw).into_owned(),
-            }
-        }
+        TAG_ERROR => Response::Error {
+            message: String::from_utf8_lossy(r.bytes()?).into_owned(),
+        },
         other => return Err(ProtocolError::UnknownTag(other)),
     };
     r.finish()?;

@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
+use wire::Reader;
 
 /// Auto-compaction floor: logs smaller than this never compact on their
 /// own (the rewrite would cost more than the bytes it reclaims).
@@ -61,29 +62,23 @@ impl FdbEngine {
         let mut raw = Vec::new();
         file.read_to_end(&mut raw)?;
         let mut index = HashMap::new();
-        let mut pos = 0usize;
-        while pos + 8 <= raw.len() {
-            let key_len = u32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap()) as usize;
-            pos += 4;
-            if pos + key_len + 4 > raw.len() {
-                break; // truncated tail record: ignore
-            }
-            let key = raw[pos..pos + key_len].to_vec();
-            pos += key_len;
-            let val_len = i32::from_le_bytes(raw[pos..pos + 4].try_into().unwrap());
-            pos += 4;
-            if val_len < 0 {
-                index.remove(&key);
+        // Replay ends after the last complete record: whatever follows is
+        // a tail torn by a crash mid-append.
+        let mut r = Reader::new(&raw);
+        let mut end = 0;
+        while let (Ok(key), Ok(val_len)) = (r.bytes(), r.u32()) {
+            // `val_len` is an `i32` on disk; negative marks a delete.
+            if (val_len as i32) < 0 {
+                index.remove(key);
             } else {
-                let val_len = val_len as usize;
-                if pos + val_len > raw.len() {
+                let at = raw.len() - r.remaining();
+                if r.take(val_len as usize).is_err() {
                     break;
                 }
-                index.insert(key, (pos as u64, val_len as u32));
-                pos += val_len;
+                index.insert(key.to_vec(), (at as u64, val_len));
             }
+            end = (raw.len() - r.remaining()) as u64;
         }
-        let end = pos as u64;
         // Drop any torn tail record so a shorter future append cannot
         // leave stale bytes that replay might misparse.
         file.set_len(end)?;
@@ -188,6 +183,12 @@ impl FdbEngine {
         self.inner.lock().file.sync_data()
     }
 
+    /// Compacts now: rewrites the log with only live records.
+    pub fn flush(&self) {
+        let mut inner = self.inner.lock();
+        self.compact(&mut inner);
+    }
+
     fn read_key(inner: &mut FdbInner, key: &[u8]) -> Option<Vec<u8>> {
         let (off, len) = *inner.index.get(key)?;
         Self::read_at(inner, off, len).ok()
@@ -238,12 +239,6 @@ impl StorageEngine for FdbEngine {
         hits.into_iter()
             .filter_map(|(k, (off, len))| Self::read_at(&mut inner, off, len).ok().map(|v| (k, v)))
             .collect()
-    }
-
-    /// Compaction: rewrites the log with only live records.
-    fn flush(&self) {
-        let mut inner = self.inner.lock();
-        self.compact(&mut inner);
     }
 }
 

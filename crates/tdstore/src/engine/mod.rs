@@ -1,19 +1,20 @@
-//! Pluggable storage engines. The paper's data servers support MDB
-//! (memory), LDB (LevelDB-style log-structured), RDB and FDB (file) — here
-//! MDB, LDB and FDB are implemented from scratch behind one trait.
+//! Storage engines. Of the paper's four data-server engines (MDB memory,
+//! LDB, RDB, FDB file) two have a job here, each one:
+//!
+//! - [`MdbEngine`] holds the status data. Every host and slave replica of
+//!   every data instance is an MDB engine.
+//! - [`FdbEngine`] holds the checkpoint log: the
+//!   [`SnapshotStore`](crate::SnapshotStore) writes its blobs and manifest
+//!   to one append-only FDB file, which is what survives a process death.
+//!
+//! [`StorageEngine`] is the surface both share, and the seam the
+//! conformance suite runs against.
 
 mod fdb;
-mod ldb;
 mod mdb;
-mod rdb;
 
 pub use fdb::FdbEngine;
-pub use ldb::LdbEngine;
 pub use mdb::MdbEngine;
-pub use rdb::RdbEngine;
-
-use std::path::PathBuf;
-use std::sync::Arc;
 
 /// The closure form taken by [`StorageEngine::read`].
 pub type ReadFn<'a> = dyn FnMut(Option<&[u8]>) + 'a;
@@ -70,43 +71,11 @@ pub trait StorageEngine: Send + Sync {
 
     /// All `(key, value)` pairs whose key starts with `prefix`, unordered.
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)>;
-
-    /// Flushes buffered state (no-op for pure-memory engines).
-    fn flush(&self) {}
-}
-
-/// Which engine a store should use for its data instances.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Sharded in-memory hash map (the paper's Memory DataBase).
-    Mdb,
-    /// Memtable + sorted immutable runs with tombstones (Level DataBase).
-    Ldb,
-    /// Ordered in-memory map with range scans (Redis DataBase).
-    Rdb,
-    /// Append-only log file with in-memory index (File DataBase); files
-    /// live under the given directory.
-    Fdb(PathBuf),
-}
-
-impl EngineKind {
-    /// Instantiates an engine for data instance `instance_id`.
-    pub fn create(&self, instance_id: u32) -> Arc<dyn StorageEngine> {
-        match self {
-            EngineKind::Mdb => Arc::new(MdbEngine::new(16)),
-            EngineKind::Ldb => Arc::new(LdbEngine::new(Default::default())),
-            EngineKind::Rdb => Arc::new(RdbEngine::new()),
-            EngineKind::Fdb(dir) => Arc::new(
-                FdbEngine::open(dir.join(format!("instance-{instance_id}.fdb")))
-                    .expect("open fdb log"),
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
 pub(crate) mod conformance {
-    //! Shared behavioural test-suite run against every engine.
+    //! Shared behavioural test-suite run against both engines.
 
     use super::StorageEngine;
 

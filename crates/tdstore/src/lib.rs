@@ -14,9 +14,10 @@
 //! * Hosts notify slaves after updates and the slave applies them "when
 //!   idle" — reproduced as an explicit sync queue with configurable
 //!   auto-sync, so the lazy-replication window is testable.
-//! * Storage engines are pluggable: [`engine::MdbEngine`] (sharded memory),
-//!   [`engine::LdbEngine`] (log-structured), [`engine::FdbEngine`]
-//!   (file-backed).
+//! * Every replica is an [`engine::MdbEngine`] (sharded memory): status
+//!   data lives in memory and survives a process death through the
+//!   checkpoint log, which [`SnapshotStore`] keeps on an
+//!   [`engine::FdbEngine`] (an append-only file).
 //! * The client API is two primitives, on the engines and on
 //!   [`TdStore`] alike: [`TdStore::read`] lends the stored bytes to a
 //!   closure, and [`TdStore::modify`] is the one read-modify-write — in
@@ -38,7 +39,7 @@ mod route;
 mod server;
 pub mod snapshot;
 
-pub use engine::{EngineKind, FdbEngine, LdbEngine, MdbEngine, RdbEngine, StorageEngine};
+pub use engine::{FdbEngine, MdbEngine, StorageEngine};
 pub use error::StoreError;
 pub use route::{ConfigServers, InstanceId, InstanceRoute, RouteTable, ServerId};
 pub use server::DataServer;
@@ -58,8 +59,6 @@ pub struct StoreConfig {
     pub instances: u32,
     /// Keep a slave replica per instance.
     pub replicated: bool,
-    /// Engine used by every replica.
-    pub engine: EngineKind,
     /// Hand the replication queue to the background drainer thread after
     /// this many writes (0 = replicate only on explicit
     /// [`TdStore::sync`]). The drain happens off the write path; call
@@ -82,7 +81,6 @@ impl Default for StoreConfig {
             servers: 4,
             instances: 16,
             replicated: true,
-            engine: EngineKind::Mdb,
             sync_every: 256,
             write_through: false,
             fault_plan: tchaos::FaultPlan::none(),
@@ -170,8 +168,8 @@ impl StoreMetrics {
 struct InstanceHosts {
     /// Route generation this entry was resolved under (see [`SyncOp`]).
     generation: u64,
-    host: Arc<dyn StorageEngine>,
-    slave: Option<Arc<dyn StorageEngine>>,
+    host: Arc<MdbEngine>,
+    slave: Option<Arc<MdbEngine>>,
 }
 
 /// One entry per instance; an instance with no live host keeps the error
@@ -187,7 +185,6 @@ struct StoreInner {
     /// key, so no operation ever sees — or writes into — a placement that
     /// is being replaced.
     hosts: RwLock<HostTable>,
-    engine: EngineKind,
     pending: Mutex<Vec<SyncOp>>,
     writes_since_sync: AtomicUsize,
     /// Host writes recorded but not yet applied to a slave (pending +
@@ -293,9 +290,9 @@ impl TdStore {
             .collect();
         for instance in 0..config.instances {
             let route = table.get(instance).expect("instance in table").clone();
-            servers[route.host as usize].ensure_replica(instance, &config.engine);
+            servers[route.host as usize].ensure_replica(instance);
             if let Some(slave) = route.slave {
-                servers[slave as usize].ensure_replica(instance, &config.engine);
+                servers[slave as usize].ensure_replica(instance);
             }
         }
         let store = TdStore {
@@ -303,7 +300,6 @@ impl TdStore {
                 config_servers: ConfigServers::new(table),
                 servers,
                 hosts: RwLock::new(Vec::new()),
-                engine: config.engine,
                 pending: Mutex::new(Vec::new()),
                 writes_since_sync: AtomicUsize::new(0),
                 unreplicated: AtomicUsize::new(0),
@@ -666,7 +662,7 @@ impl TdStore {
             let host_engine = self.inner.servers[host as usize].replica(instance)?;
             if let Some(slave) = slave {
                 let server = &self.inner.servers[slave as usize];
-                server.ensure_replica(instance, &self.inner.engine);
+                server.ensure_replica(instance);
                 let slave_engine = server.replica(instance)?;
                 for (k, v) in host_engine.scan_prefix(b"") {
                     slave_engine.put(&k, v);
@@ -718,16 +714,6 @@ impl TdStore {
             "Data-server failovers (instances rerouted to slaves)",
             &m.failovers,
         );
-    }
-
-    /// Flushes every live replica engine.
-    pub fn flush(&self) {
-        for route in self.inner.hosts.read().iter().flatten() {
-            route.host.flush();
-            if let Some(slave) = &route.slave {
-                slave.flush();
-            }
-        }
     }
 
     /// Number of data servers (alive or dead).
@@ -826,7 +812,6 @@ mod tests {
             servers: 4,
             instances: 8,
             replicated: true,
-            engine: EngineKind::Mdb,
             sync_every: 1,
             ..Default::default()
         });
@@ -891,20 +876,6 @@ mod tests {
                 "key k{i} lost after drained failover"
             );
         }
-    }
-
-    #[test]
-    fn works_with_ldb_engine() {
-        let s = TdStore::new(StoreConfig {
-            engine: EngineKind::Ldb,
-            ..Default::default()
-        });
-        for i in 0..200u32 {
-            s.incr_f64(format!("c{}", i % 10).as_bytes(), 1.0).unwrap();
-        }
-        assert_eq!(s.get_f64(b"c3").unwrap(), Some(20.0));
-        s.flush();
-        assert_eq!(s.get_f64(b"c3").unwrap(), Some(20.0));
     }
 
     #[test]

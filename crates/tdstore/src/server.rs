@@ -1,6 +1,6 @@
 //! Data servers: hosts of data-instance replicas.
 
-use crate::engine::{EngineKind, StorageEngine};
+use crate::engine::MdbEngine;
 use crate::error::StoreError;
 use crate::route::{InstanceId, ServerId};
 use parking_lot::RwLock;
@@ -13,7 +13,7 @@ use std::sync::Arc;
 pub struct DataServer {
     id: ServerId,
     alive: AtomicBool,
-    replicas: RwLock<HashMap<InstanceId, Arc<dyn StorageEngine>>>,
+    replicas: RwLock<HashMap<InstanceId, Arc<MdbEngine>>>,
 }
 
 impl DataServer {
@@ -50,15 +50,15 @@ impl DataServer {
     }
 
     /// Creates (or keeps) the replica engine for `instance`.
-    pub fn ensure_replica(&self, instance: InstanceId, kind: &EngineKind) {
-        let mut replicas = self.replicas.write();
-        replicas
+    pub fn ensure_replica(&self, instance: InstanceId) {
+        self.replicas
+            .write()
             .entry(instance)
-            .or_insert_with(|| kind.create(instance));
+            .or_insert_with(|| Arc::new(MdbEngine::new(16)));
     }
 
     /// The replica engine for `instance`.
-    pub fn replica(&self, instance: InstanceId) -> Result<Arc<dyn StorageEngine>, StoreError> {
+    pub fn replica(&self, instance: InstanceId) -> Result<Arc<MdbEngine>, StoreError> {
         if !self.is_alive() {
             return Err(StoreError::ServerDown(self.id));
         }
@@ -78,24 +78,25 @@ impl DataServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::StorageEngine;
 
     #[test]
     fn replicas_created_on_demand() {
         let s = DataServer::new(1);
-        s.ensure_replica(3, &EngineKind::Mdb);
-        s.ensure_replica(3, &EngineKind::Mdb);
+        s.ensure_replica(3);
+        s.ensure_replica(3);
         assert_eq!(s.replica_count(), 1);
         let e = s.replica(3).unwrap();
         e.put(b"k", vec![9]);
         // ensure_replica must not clobber existing data
-        s.ensure_replica(3, &EngineKind::Mdb);
+        s.ensure_replica(3);
         assert_eq!(s.replica(3).unwrap().get(b"k"), Some(vec![9]));
     }
 
     #[test]
     fn dead_server_refuses_requests_and_loses_data() {
         let s = DataServer::new(0);
-        s.ensure_replica(0, &EngineKind::Mdb);
+        s.ensure_replica(0);
         s.replica(0).unwrap().put(b"k", vec![1]);
         s.kill();
         assert!(matches!(s.replica(0), Err(StoreError::ServerDown(0))));

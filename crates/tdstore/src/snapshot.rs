@@ -36,6 +36,7 @@ use crate::engine::{FdbEngine, StorageEngine};
 use crate::error::StoreError;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use wire::{ProtocolError, Reader};
 
 /// Key of the manifest record.
 const MANIFEST_KEY: &[u8] = b"manifest";
@@ -205,44 +206,6 @@ fn encode_delta(
     Ok(out)
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(slice)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn pairs(&mut self) -> Option<StateEntries> {
-        let count = self.u32()? as usize;
-        let mut out = Vec::with_capacity(count.min(self.bytes.len() / 8 + 1));
-        for _ in 0..count {
-            let klen = self.u32()? as usize;
-            let k = self.take(klen)?.to_vec();
-            let vlen = self.u32()? as usize;
-            let v = self.take(vlen)?.to_vec();
-            out.push((k, v));
-        }
-        Some(out)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
 /// Decoded payload fields shared by both kinds.
 struct Decoded {
     kind: SnapshotKind,
@@ -253,35 +216,38 @@ struct Decoded {
 }
 
 fn decode_record(bytes: &[u8]) -> Option<Decoded> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    if cur.u32()? != PAYLOAD_VERSION {
-        return None;
+    let mut r = Reader::new(bytes);
+    let decoded = read_record(&mut r).ok()?;
+    r.finish().ok()?;
+    Some(decoded)
+}
+
+fn read_record(r: &mut Reader<'_>) -> Result<Decoded, ProtocolError> {
+    if r.u32()? != PAYLOAD_VERSION {
+        return Err(ProtocolError::BadPayload(
+            "unknown snapshot payload version",
+        ));
     }
-    let kind_byte = cur.take(1)?[0];
-    let created_ms = cur.u64()?;
+    let kind_byte = r.u8()?;
+    let created_ms = r.u64()?;
     let kind = match kind_byte {
         KIND_FULL => SnapshotKind::Full,
         KIND_DELTA => SnapshotKind::Delta {
-            base_epoch: cur.u64()?,
+            base_epoch: r.u64()?,
         },
-        _ => return None,
+        _ => return Err(ProtocolError::BadPayload("unknown snapshot payload kind")),
     };
-    let off_len = cur.u32()? as usize;
-    let offsets = cur.take(off_len)?.to_vec();
-    let puts = cur.pairs()?;
+    let offsets = r.bytes()?.to_vec();
+    let puts = (0..r.count(8)?)
+        .map(|_| Ok((r.bytes()?.to_vec(), r.bytes()?.to_vec())))
+        .collect::<Result<_, ProtocolError>>()?;
     let deletes = match kind {
         SnapshotKind::Full => Vec::new(),
-        SnapshotKind::Delta { .. } => {
-            let count = cur.u32()? as usize;
-            let mut out = Vec::with_capacity(count.min(bytes.len() / 4 + 1));
-            for _ in 0..count {
-                let klen = cur.u32()? as usize;
-                out.push(cur.take(klen)?.to_vec());
-            }
-            out
-        }
+        SnapshotKind::Delta { .. } => (0..r.count(4)?)
+            .map(|_| Ok(r.bytes()?.to_vec()))
+            .collect::<Result<_, ProtocolError>>()?,
     };
-    cur.done().then_some(Decoded {
+    Ok(Decoded {
         kind,
         created_ms,
         offsets,
@@ -323,16 +289,15 @@ fn encode_manifest(meta: &SnapshotMeta) -> Vec<u8> {
 }
 
 fn decode_manifest(bytes: &[u8]) -> Option<SnapshotMeta> {
-    if bytes.len() != 32 {
-        return None;
-    }
-    let word = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().unwrap());
-    Some(SnapshotMeta {
-        epoch: word(0),
-        created_ms: word(1),
-        entries: word(2),
-        bytes: word(3),
-    })
+    let mut r = Reader::new(bytes);
+    let meta = SnapshotMeta {
+        epoch: r.u64().ok()?,
+        created_ms: r.u64().ok()?,
+        entries: r.u64().ok()?,
+        bytes: r.u64().ok()?,
+    };
+    r.finish().ok()?;
+    Some(meta)
 }
 
 impl SnapshotStore {

@@ -5,7 +5,7 @@
 //! *value arena* per (stream, consumer edge, task): `dispatch` routes every
 //! tuple individually (keyed placement never depends on batching) but only
 //! copies its values into the target's arena and records a `(len, anchors)`
-//! meta entry. Arenas flush — one shared [`BatchShared`] allocation, one
+//! meta entry. Arenas flush — one shared `BatchShared` allocation, one
 //! `send`, one wake for the whole batch — when they reach `batch_size`, and
 //! are force-flushed at the end of every bolt execute run, on ticks, and
 //! whenever a spout goes idle or its flush interval elapses. In-flight

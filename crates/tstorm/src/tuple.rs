@@ -6,7 +6,7 @@
 //!
 //! Tuples are carried in *batch arenas*: the emit path accumulates the
 //! values of consecutive tuples bound for the same consumer task in one
-//! [`BatchShared`] buffer, and every tuple of the batch is a `(start, len)`
+//! `BatchShared` buffer, and every tuple of the batch is a `(start, len)`
 //! window into it plus its own anchor set. One `Arc` bump materializes a
 //! tuple out of a batch; the per-tuple schema/stream/source handles of the
 //! old layout (four `Arc` clones and a fresh `Arc<[Value]>` per tuple) are

@@ -23,6 +23,11 @@
 //! `tserve::protocol` for the serving API, `tcluster::protocol` for the
 //! cluster control and tuple transport. Both share this one proptested
 //! implementation instead of carrying copies.
+//!
+//! [`Reader`] is also the reader for bytes that come back from disk:
+//! tdstore's checkpoint payloads, manifest and FDB log replay, and the
+//! spout's offset table decode through it, so one piece of code checks
+//! their lengths and counts against the bytes actually left.
 
 mod backoff;
 
@@ -101,8 +106,15 @@ pub fn with_frame(buf: &mut BytesMut, id: u64, tag: u8, body: impl FnOnce(&mut V
     buf.put_slice(&payload);
 }
 
-/// Bounds-checked reader over one frame body: every accessor verifies
-/// remaining length so corrupt frames surface as errors, not panics.
+/// What [`Reader::count`] returns for a count the remaining bytes cannot
+/// hold.
+pub const COUNT_TOO_LARGE: ProtocolError =
+    ProtocolError::BadPayload("count exceeds remaining bytes");
+
+/// Bounds-checked little-endian reader over a byte slice (a frame body, a
+/// checkpoint payload, a log): every accessor verifies the remaining
+/// length, so corrupt input surfaces as an error, never a panic or an
+/// allocation sized by a corrupt number.
 pub struct Reader<'a> {
     body: &'a [u8],
     pos: usize,
@@ -116,7 +128,7 @@ impl<'a> Reader<'a> {
 
     /// Takes the next `n` bytes, or errors if fewer remain.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        if self.body.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(ProtocolError::BadPayload("body shorter than declared"));
         }
         let slice = &self.body[self.pos..self.pos + n];
@@ -141,6 +153,29 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
+    }
+
+    /// Reads a `u32`-length-prefixed byte slice.
+    pub fn bytes(&mut self) -> Result<&'a [u8], ProtocolError> {
+        let len = self.u32()? as usize;
+        self.take(len)
+    }
+
+    /// Reads a `u32` entry count and rejects it unless that many entries
+    /// of at least `min_entry` bytes each fit in the bytes left. Checked
+    /// before the caller sizes anything by it, so a corrupt count can
+    /// cost at most the input's own size.
+    pub fn count(&mut self, min_entry: usize) -> Result<usize, ProtocolError> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_entry.max(1)) > self.remaining() {
+            return Err(COUNT_TOO_LARGE);
+        }
+        Ok(n)
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.body.len() - self.pos
     }
 
     /// Asserts the body was consumed exactly; trailing bytes are corrupt.
@@ -227,6 +262,28 @@ mod tests {
             split_frame(&mut buf),
             Err(ProtocolError::FrameTooShort(3))
         ));
+    }
+
+    #[test]
+    fn count_bounds_against_remaining_bytes() {
+        // u32::MAX entries of 8 bytes each must fail before anything is
+        // sized by it; a count that fits passes, one entry more does not.
+        let mut r = Reader::new(&[0xff; 4]);
+        assert_eq!(r.count(8), Err(COUNT_TOO_LARGE));
+        let mut body = 2u32.to_le_bytes().to_vec();
+        body.extend_from_slice(&[0; 16]);
+        assert_eq!(Reader::new(&body).count(8), Ok(2));
+        body[0] = 3;
+        assert_eq!(Reader::new(&body).count(8), Err(COUNT_TOO_LARGE));
+        // A zero-size entry is still bounded by one byte each.
+        assert_eq!(Reader::new(&body).count(0), Ok(3));
+    }
+
+    #[test]
+    fn bytes_reads_length_prefixed_slices() {
+        let mut r = Reader::new(&[3, 0, 0, 0, b'a', b'b', b'c', 9, 0, 0, 0]);
+        assert_eq!(r.bytes().unwrap(), b"abc");
+        assert!(r.bytes().is_err(), "declared 9, 0 left");
     }
 
     #[test]

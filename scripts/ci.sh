@@ -202,6 +202,10 @@ fi
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
+# Docs stage: broken intra-doc links (e.g. to a deleted type) fail here.
+echo "==> cargo doc --workspace --no-deps (rustdoc -D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
