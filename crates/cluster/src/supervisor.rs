@@ -707,9 +707,10 @@ impl Cluster {
                             // Lifecycle messages are meaningful only to
                             // in-process spouts; worker lifecycle is the
                             // Shutdown frame's job.
-                            SpoutMsg::Deactivate | SpoutMsg::Activate | SpoutMsg::Shutdown => {
-                                continue
-                            }
+                            SpoutMsg::Deactivate
+                            | SpoutMsg::Activate
+                            | SpoutMsg::Wake
+                            | SpoutMsg::Shutdown => continue,
                         };
                         send_to(
                             &sh,

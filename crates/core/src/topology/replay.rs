@@ -353,7 +353,9 @@ impl ReplayableSpout {
     }
 
     /// Joins the consumer group. Called by [`Spout::open`]; tests driving
-    /// the spout manually call it directly.
+    /// the spout manually call it directly. On a spout task, every append
+    /// to the topic wakes the task ([`SpoutWaker`]), so a record is polled
+    /// when it lands instead of when the idle backoff expires.
     pub fn connect(&mut self) {
         if self.consumer.is_none() {
             let mut consumer = match self.pinned {
@@ -363,6 +365,9 @@ impl ReplayableSpout {
                 None => self.cluster.consumer(&self.topic, &self.group),
             }
             .expect("replayable spout: join consumer group");
+            if let Some(waker) = SpoutWaker::current() {
+                consumer.on_append(Arc::new(move || waker.wake()));
+            }
             for &(pid, off) in &self.start_offsets {
                 consumer.seek(pid, off);
                 self.tracker.resume(pid, off);

@@ -18,7 +18,8 @@ pub type BrokerId = u32;
 pub struct Broker {
     id: BrokerId,
     alive: AtomicBool,
-    partitions: Mutex<HashMap<(String, PartitionId), Partition>>,
+    /// topic → partition → log.
+    partitions: Mutex<HashMap<String, HashMap<PartitionId, Partition>>>,
 }
 
 impl Broker {
@@ -55,8 +56,26 @@ impl Broker {
     pub fn create_partition(&self, topic: &str, pid: PartitionId, config: SegmentConfig) {
         let mut parts = self.partitions.lock();
         parts
-            .entry((topic.to_string(), pid))
+            .entry(topic.to_string())
+            .or_default()
+            .entry(pid)
             .or_insert_with(|| Partition::new(&format!("{topic}-{pid}"), config));
+    }
+
+    /// Runs `f` on a hosted partition under the broker lock. The lookup
+    /// borrows `topic`: a hit allocates nothing.
+    fn with_partition<R>(
+        &self,
+        topic: &str,
+        pid: PartitionId,
+        f: impl FnOnce(&mut Partition) -> Result<R, AccessError>,
+    ) -> Result<R, AccessError> {
+        let mut parts = self.partitions.lock();
+        let part = parts
+            .get_mut(topic)
+            .and_then(|t| t.get_mut(&pid))
+            .ok_or_else(|| AccessError::UnknownPartition(topic.to_string(), pid))?;
+        f(part)
     }
 
     /// Appends a record to a hosted partition.
@@ -68,11 +87,7 @@ impl Broker {
         payload: Bytes,
         timestamp_ms: u64,
     ) -> Result<u64, AccessError> {
-        let mut parts = self.partitions.lock();
-        let part = parts
-            .get_mut(&(topic.to_string(), pid))
-            .ok_or_else(|| AccessError::UnknownPartition(topic.to_string(), pid))?;
-        part.append(key, payload, timestamp_ms)
+        self.with_partition(topic, pid, |p| p.append(key, payload, timestamp_ms))
     }
 
     /// Reads up to `max` messages from offset `from` of a hosted partition.
@@ -83,20 +98,12 @@ impl Broker {
         from: u64,
         max: usize,
     ) -> Result<Vec<Message>, AccessError> {
-        let parts = self.partitions.lock();
-        let part = parts
-            .get(&(topic.to_string(), pid))
-            .ok_or_else(|| AccessError::UnknownPartition(topic.to_string(), pid))?;
-        part.read(from, max)
+        self.with_partition(topic, pid, |p| p.read(from, max))
     }
 
     /// End offset (= retained message count) of a hosted partition.
     pub fn partition_end_offset(&self, topic: &str, pid: PartitionId) -> Result<u64, AccessError> {
-        let parts = self.partitions.lock();
-        let part = parts
-            .get(&(topic.to_string(), pid))
-            .ok_or_else(|| AccessError::UnknownPartition(topic.to_string(), pid))?;
-        Ok(part.end_offset())
+        self.with_partition(topic, pid, |p| Ok(p.end_offset()))
     }
 
     /// Start offset (oldest retained offset) of a hosted partition.
@@ -105,11 +112,7 @@ impl Broker {
         topic: &str,
         pid: PartitionId,
     ) -> Result<u64, AccessError> {
-        let parts = self.partitions.lock();
-        let part = parts
-            .get(&(topic.to_string(), pid))
-            .ok_or_else(|| AccessError::UnknownPartition(topic.to_string(), pid))?;
-        Ok(part.start_offset())
+        self.with_partition(topic, pid, |p| Ok(p.start_offset()))
     }
 
     /// Records that `group` has durably consumed everything below
@@ -121,12 +124,10 @@ impl Broker {
         group: &str,
         offset: u64,
     ) -> Result<(), AccessError> {
-        let mut parts = self.partitions.lock();
-        let part = parts
-            .get_mut(&(topic.to_string(), pid))
-            .ok_or_else(|| AccessError::UnknownPartition(topic.to_string(), pid))?;
-        part.commit_group_offset(group, offset);
-        Ok(())
+        self.with_partition(topic, pid, |p| {
+            p.commit_group_offset(group, offset);
+            Ok(())
+        })
     }
 
     /// Truncates head segments of a hosted partition wholly below `upto`,
@@ -137,16 +138,12 @@ impl Broker {
         pid: PartitionId,
         upto: u64,
     ) -> Result<usize, AccessError> {
-        let mut parts = self.partitions.lock();
-        let part = parts
-            .get_mut(&(topic.to_string(), pid))
-            .ok_or_else(|| AccessError::UnknownPartition(topic.to_string(), pid))?;
-        part.truncate_before(upto)
+        self.with_partition(topic, pid, |p| p.truncate_before(upto))
     }
 
     /// Number of partitions this broker hosts.
     pub fn partition_count(&self) -> usize {
-        self.partitions.lock().len()
+        self.partitions.lock().values().map(HashMap::len).sum()
     }
 }
 

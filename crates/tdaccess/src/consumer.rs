@@ -3,8 +3,9 @@
 use crate::error::AccessError;
 use crate::master::{PartitionId, TopicMeta};
 use crate::message::Message;
-use crate::AccessCluster;
+use crate::{AccessCluster, AppendListener, AppendSignal};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One member of a consumer group. `poll` reads from the partitions the
 /// master assigned to this member, advancing per-partition offsets so each
@@ -18,6 +19,9 @@ use std::collections::HashMap;
 pub struct Consumer {
     cluster: AccessCluster,
     meta: TopicMeta,
+    signal: Arc<AppendSignal>,
+    /// Id of the listener registered by [`Consumer::on_append`].
+    listener: Option<u64>,
     group: String,
     member: u64,
     /// When set, overrides the master's group assignment: `poll` reads
@@ -37,6 +41,7 @@ impl Consumer {
     pub(crate) fn new(
         cluster: AccessCluster,
         meta: TopicMeta,
+        signal: Arc<AppendSignal>,
         group: String,
         member: u64,
         pinned: Option<Vec<PartitionId>>,
@@ -64,6 +69,8 @@ impl Consumer {
         Consumer {
             cluster,
             meta,
+            signal,
+            listener: None,
             group,
             member,
             pinned,
@@ -77,6 +84,19 @@ impl Consumer {
     /// This member's id within its group.
     pub fn member_id(&self) -> u64 {
         self.member
+    }
+
+    /// Calls `listener` after every record appended to this consumer's
+    /// topic by a producer of this cluster — any partition — on the
+    /// producing thread, once the record is visible to `poll`. Keep it
+    /// cheap and non-blocking (it runs inside every send). Replaces the
+    /// listener registered before, if any; dropping the consumer
+    /// unregisters it.
+    pub fn on_append(&mut self, listener: AppendListener) {
+        if let Some(id) = self.listener.take() {
+            self.signal.unsubscribe(id);
+        }
+        self.listener = Some(self.signal.subscribe(listener));
     }
 
     /// The partitions this consumer reads: the pinned slice when set,
@@ -184,6 +204,9 @@ impl Consumer {
 
 impl Drop for Consumer {
     fn drop(&mut self) {
+        if let Some(id) = self.listener {
+            self.signal.unsubscribe(id);
+        }
         if self.pinned.is_none() {
             self.cluster
                 .leave_group(&self.meta.name, &self.group, self.member);
@@ -194,6 +217,72 @@ impl Drop for Consumer {
 #[cfg(test)]
 mod tests {
     use crate::{AccessCluster, ClusterConfig};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    fn listeners(cluster: &AccessCluster, topic: &str) -> usize {
+        cluster.signal(topic).listeners.read().len()
+    }
+
+    #[test]
+    fn append_listener_sees_every_send_until_its_consumer_drops() {
+        let cluster = AccessCluster::new(ClusterConfig::default());
+        cluster.create_topic("t", 3).unwrap();
+        let p = cluster.producer("t").unwrap();
+        p.send(None, b"before").unwrap();
+        let mut c = cluster.consumer("t", "g").unwrap();
+        // Each call records the topic length it observes: the listener
+        // runs after the append is readable and outside the broker lock
+        // (reading the length takes it).
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        {
+            let (seen, cluster) = (Arc::clone(&seen), cluster.clone());
+            c.on_append(Arc::new(move || {
+                seen.lock().unwrap().push(cluster.topic_len("t").unwrap());
+            }));
+        }
+        for i in 0..6u32 {
+            p.send(Some(&i.to_le_bytes()), b"x").unwrap();
+        }
+        assert_eq!(*seen.lock().unwrap(), vec![2, 3, 4, 5, 6, 7]);
+        assert_eq!(listeners(&cluster, "t"), 1);
+        drop(c);
+        assert_eq!(listeners(&cluster, "t"), 0);
+        p.send(None, b"after").unwrap();
+        assert_eq!(
+            seen.lock().unwrap().len(),
+            6,
+            "dropped consumer still notified"
+        );
+    }
+
+    #[test]
+    fn respawned_pinned_consumer_leaves_one_listener() {
+        let cluster = AccessCluster::new(ClusterConfig::default());
+        cluster.create_topic("t", 2).unwrap();
+        let p = cluster.producer("t").unwrap();
+        let counter = |n: &Arc<AtomicU64>| {
+            let n = Arc::clone(n);
+            Arc::new(move || {
+                n.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        let (first, second, third) = (Arc::default(), Arc::default(), Arc::default());
+        let mut worker = cluster.consumer_pinned("t", "g", 0, 1).unwrap();
+        worker.on_append(counter(&first));
+        p.send(None, b"a").unwrap();
+        drop(worker);
+        // The respawn registers afresh; registering twice replaces.
+        let mut worker = cluster.consumer_pinned("t", "g", 0, 1).unwrap();
+        worker.on_append(counter(&second));
+        worker.on_append(counter(&third));
+        assert_eq!(listeners(&cluster, "t"), 1);
+        for _ in 0..3 {
+            p.send(None, b"b").unwrap();
+        }
+        let count = |n: &Arc<AtomicU64>| n.load(Ordering::Relaxed);
+        assert_eq!((count(&first), count(&second), count(&third)), (1, 0, 3));
+    }
 
     #[test]
     fn two_members_split_the_topic() {

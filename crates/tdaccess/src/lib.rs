@@ -45,7 +45,42 @@ pub use producer::Producer;
 pub use segment::{Partition, Segment, SegmentConfig};
 
 use parking_lot::RwLock;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A callback fired after every append to a topic, on the producing
+/// thread (see [`Consumer::on_append`]).
+pub type AppendListener = Arc<dyn Fn() + Send + Sync>;
+
+/// One topic's append signal: the listeners its consumers registered,
+/// shared by every producer and consumer handle of the topic.
+#[derive(Default)]
+pub(crate) struct AppendSignal {
+    listeners: RwLock<Vec<(u64, AppendListener)>>,
+    next_id: AtomicU64,
+}
+
+impl AppendSignal {
+    /// Registers `listener`; the id unregisters it.
+    pub(crate) fn subscribe(&self, listener: AppendListener) -> u64 {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.listeners.write().push((id, listener));
+        id
+    }
+
+    pub(crate) fn unsubscribe(&self, id: u64) {
+        self.listeners.write().retain(|(i, _)| *i != id);
+    }
+
+    /// Calls every listener. With none registered this is one read of an
+    /// empty list.
+    pub(crate) fn fire(&self) {
+        for (_, listener) in self.listeners.read().iter() {
+            listener();
+        }
+    }
+}
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
@@ -85,6 +120,8 @@ struct ClusterInner {
     brokers: Vec<Broker>,
     /// Index 0 = active, 1 = standby; swapped on failover.
     masters: RwLock<[MasterServer; 2]>,
+    /// topic → its append signal, created with the topic's first handle.
+    signals: RwLock<HashMap<String, Arc<AppendSignal>>>,
     segment: SegmentConfig,
     fault_plan: tchaos::FaultPlan,
     metrics: obs::Registry,
@@ -107,6 +144,7 @@ impl AccessCluster {
             inner: Arc::new(ClusterInner {
                 brokers,
                 masters: RwLock::new(masters),
+                signals: RwLock::new(HashMap::new()),
                 segment: config.segment,
                 fault_plan: config.fault_plan,
                 metrics: config.metrics,
@@ -128,10 +166,16 @@ impl AccessCluster {
         Ok(())
     }
 
+    /// The append signal of `topic`, which the caller has checked exists.
+    fn signal(&self, topic: &str) -> Arc<AppendSignal> {
+        let mut signals = self.inner.signals.write();
+        Arc::clone(signals.entry(topic.to_string()).or_default())
+    }
+
     /// A producer handle for `topic`.
     pub fn producer(&self, topic: &str) -> Result<Producer, AccessError> {
         let meta = self.topic_meta(topic)?;
-        Ok(Producer::new(self.clone(), meta))
+        Ok(Producer::new(self.clone(), meta, self.signal(topic)))
     }
 
     /// A consumer handle for `topic` in consumer `group`. Each handle is a
@@ -146,6 +190,7 @@ impl AccessCluster {
         Ok(Consumer::new(
             self.clone(),
             meta,
+            self.signal(topic),
             group.to_string(),
             member,
             None,
@@ -181,6 +226,7 @@ impl AccessCluster {
         Ok(Consumer::new(
             self.clone(),
             meta,
+            self.signal(topic),
             group.to_string(),
             worker_index as u64,
             Some(pinned),

@@ -35,8 +35,8 @@ struct StateInner {
     brokers: Vec<BrokerId>,
     /// topic → broker per partition.
     routes: HashMap<String, Vec<BrokerId>>,
-    /// (topic, group) → members.
-    groups: HashMap<(String, String), GroupState>,
+    /// topic → group → members. Nested so a lookup borrows its keys.
+    groups: HashMap<String, HashMap<String, GroupState>>,
     /// Round-robin cursor for placing new partitions.
     placement_cursor: usize,
 }
@@ -166,7 +166,9 @@ impl MasterServer {
         let mut st = self.state.inner.write();
         let g = st
             .groups
-            .entry((topic.to_string(), group.to_string()))
+            .entry(topic.to_string())
+            .or_default()
+            .entry(group.to_string())
             .or_default();
         let id = g.next_member;
         g.next_member += 1;
@@ -178,29 +180,32 @@ impl MasterServer {
     /// next `group_assignment` call.
     pub fn leave_group(&mut self, topic: &str, group: &str, member: u64) {
         let mut st = self.state.inner.write();
-        if let Some(g) = st.groups.get_mut(&(topic.to_string(), group.to_string())) {
+        if let Some(g) = st.groups.get_mut(topic).and_then(|t| t.get_mut(group)) {
             g.members.retain(|&m| m != member);
         }
     }
 
     /// Partitions assigned to `member`: partition `p` belongs to the
     /// member at position `p % members.len()` (balanced within ±1).
+    /// Consumers ask on every poll, so the lookups borrow their keys.
     pub fn group_assignment(
         &self,
         topic: &str,
         group: &str,
         member: u64,
     ) -> Result<Vec<PartitionId>, AccessError> {
-        let meta = self.topic_meta(topic)?;
         let st = self.state.inner.read();
+        let unknown = || AccessError::UnknownTopic(topic.to_string());
+        let partitions = st.routes.get(topic).ok_or_else(unknown)?.len();
         let g = st
             .groups
-            .get(&(topic.to_string(), group.to_string()))
-            .ok_or_else(|| AccessError::UnknownTopic(topic.to_string()))?;
+            .get(topic)
+            .and_then(|t| t.get(group))
+            .ok_or_else(unknown)?;
         let Some(pos) = g.members.iter().position(|&m| m == member) else {
             return Ok(Vec::new());
         };
-        Ok((0..meta.partitions)
+        Ok((0..partitions as PartitionId)
             .filter(|p| (*p as usize) % g.members.len() == pos)
             .collect())
     }

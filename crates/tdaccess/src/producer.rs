@@ -2,14 +2,16 @@
 
 use crate::error::AccessError;
 use crate::master::{PartitionId, TopicMeta};
-use crate::AccessCluster;
+use crate::{AccessCluster, AppendSignal};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A producer handle for one topic. Clones share the round-robin cursor.
 pub struct Producer {
     cluster: AccessCluster,
     meta: TopicMeta,
+    signal: Arc<AppendSignal>,
     rr: AtomicU64,
     clock_ms: AtomicU64,
     /// Per-partition `tdaccess_produced_total` counters, indexed by pid.
@@ -17,7 +19,7 @@ pub struct Producer {
 }
 
 impl Producer {
-    pub(crate) fn new(cluster: AccessCluster, meta: TopicMeta) -> Self {
+    pub(crate) fn new(cluster: AccessCluster, meta: TopicMeta, signal: Arc<AppendSignal>) -> Self {
         let produced = (0..meta.partitions)
             .map(|pid| {
                 let partition = pid.to_string();
@@ -31,6 +33,7 @@ impl Producer {
         Producer {
             cluster,
             meta,
+            signal,
             rr: AtomicU64::new(0),
             clock_ms: AtomicU64::new(0),
             produced,
@@ -67,7 +70,9 @@ impl Producer {
         self.send_at(key, payload, ts)
     }
 
-    /// Sends a record with an explicit timestamp.
+    /// Sends a record with an explicit timestamp. Once the record is
+    /// readable (the broker lock released), calls the topic's append
+    /// listeners on this thread.
     pub fn send_at(
         &self,
         key: Option<&[u8]>,
@@ -87,6 +92,7 @@ impl Producer {
         if let Some(c) = self.produced.get(pid as usize) {
             c.inc();
         }
+        self.signal.fire();
         Ok((pid, offset))
     }
 

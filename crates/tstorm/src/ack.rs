@@ -34,6 +34,10 @@ pub enum SpoutMsg {
     /// Resume emitting after a [`SpoutMsg::Deactivate`] (e.g. once a
     /// checkpoint has sealed its snapshot).
     Activate,
+    /// New data may be waiting: end the idle wait and poll (sent by
+    /// [`crate::component::SpoutWaker`]; a deactivated spout stays
+    /// deactivated).
+    Wake,
     /// Close the spout and exit the task thread.
     Shutdown,
 }

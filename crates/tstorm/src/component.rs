@@ -1,7 +1,12 @@
 //! Spout and bolt traits — the user-facing programming model.
 
+use crate::ack::SpoutMsg;
 use crate::collector::{BoltCollector, SpoutCollector};
 use crate::tuple::{Schema, Tuple};
+use crossbeam::channel::Sender;
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Declaration of one output stream of a component.
 #[derive(Debug, Clone)]
@@ -44,8 +49,10 @@ pub trait Spout: Send {
     fn open(&mut self, _ctx: &TaskContext) {}
 
     /// Emits zero or more tuples. Returns `false` when there was nothing to
-    /// emit, in which case the runtime backs off briefly before polling
-    /// again.
+    /// emit, in which case the task sleeps until a control message (ack,
+    /// fail, lifecycle) or a [`SpoutWaker::wake`] arrives. A source that
+    /// never wakes its task is polled on a capped exponential backoff
+    /// instead (1 ms doubling to 20 ms), so its data can wait that long.
     fn next_tuple(&mut self, collector: &mut SpoutCollector) -> bool;
 
     /// A tuple tree rooted at the message emitted with `msg_id` completed.
@@ -60,6 +67,66 @@ pub trait Spout: Send {
     /// Output stream declarations; consumers can only subscribe to declared
     /// streams.
     fn declare_outputs(&self) -> Vec<StreamDef>;
+}
+
+thread_local! {
+    static CURRENT_WAKER: RefCell<Option<SpoutWaker>> = const { RefCell::new(None) };
+}
+
+/// Ends the idle wait of one spout task from any thread: a source hands
+/// it to whatever learns of new data (a log append, a socket read), so
+/// the record is polled now instead of when the idle backoff expires.
+///
+/// Wakes coalesce: at most one is queued on the task's control channel
+/// at a time. The runtime re-arms the waker before every poll that may
+/// end in an idle wait, so a wake after that point always reaches the
+/// task; while the task is busy the waker stays disarmed and a wake costs
+/// one atomic load. A wake only ends a wait — it never re-activates a
+/// spout the runtime deactivated (a checkpoint barrier holds).
+#[derive(Clone)]
+pub struct SpoutWaker {
+    ctl: Sender<SpoutMsg>,
+    /// Set by the first wake after a re-arm, cleared by the next re-arm.
+    /// The flag carries no data: a woken poll sees an appended record
+    /// because the append and the poll are ordered by the source's own
+    /// lock, and a wake that finds the flag set was preceded by one that
+    /// queued a `Wake` after the task's latest re-arm.
+    woken: Arc<AtomicBool>,
+}
+
+impl SpoutWaker {
+    pub(crate) fn new(ctl: Sender<SpoutMsg>) -> Self {
+        SpoutWaker {
+            ctl,
+            woken: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
+    /// The waker of the spout task running on this thread — the runtime
+    /// installs it before [`Spout::open`] — or `None` off a spout task
+    /// (a test driving a spout by hand).
+    pub fn current() -> Option<SpoutWaker> {
+        CURRENT_WAKER.with(|w| w.borrow().clone())
+    }
+
+    /// Queues a `Wake` for the task unless a wake since its latest re-arm
+    /// already did. Never blocks. Safe after the topology is gone.
+    pub fn wake(&self) {
+        if !self.woken.load(Ordering::SeqCst) && !self.woken.swap(true, Ordering::SeqCst) {
+            // The task is gone once its channel is: nothing to wake.
+            let _ = self.ctl.send(SpoutMsg::Wake);
+        }
+    }
+
+    pub(crate) fn install(&self) {
+        CURRENT_WAKER.with(|w| *w.borrow_mut() = Some(self.clone()));
+    }
+
+    /// Called by the task before a poll that may end in an idle wait:
+    /// every wake from here on queues a fresh `Wake`.
+    pub(crate) fn rearm(&self) {
+        self.woken.store(false, Ordering::SeqCst);
+    }
 }
 
 /// A processing node. `execute` is invoked for every incoming tuple; tuples

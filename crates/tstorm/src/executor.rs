@@ -18,7 +18,7 @@ use crate::collector::{
     BoltCollector, BoltMsg, ConsumerEdge, EmitterCore, OutputMap, SpoutCollector, StreamOutputs,
     TupleBatch, TupleMeta,
 };
-use crate::component::{Bolt, Spout, TaskContext};
+use crate::component::{Bolt, Spout, SpoutWaker, TaskContext};
 use crate::grouping::RoutingRule;
 use crate::metrics::{
     ComponentMetrics, LatencyHistogram, LatencySnapshot, MetricsRegistry, MetricsSnapshot,
@@ -36,8 +36,10 @@ use std::time::{Duration, Instant};
 /// Floor of the spout idle backoff: the first wait after going idle.
 const IDLE_BACKOFF_MIN: Duration = Duration::from_millis(1);
 /// Ceiling of the spout idle backoff. Control messages (acks, fails,
-/// shutdown) wake the spout immediately regardless; this only bounds how
-/// stale a *data* arrival can find the poll loop.
+/// shutdown) and [`SpoutWaker`] wakes end the wait immediately; the
+/// backoff is the fallback for data no waker announces (a source that
+/// never calls `wake`, a poll that came back empty under an injected
+/// stall), and this bounds how stale such data can find the poll loop.
 const IDLE_BACKOFF_MAX: Duration = Duration::from_millis(20);
 
 impl Topology {
@@ -467,14 +469,17 @@ impl Topology {
                 let name = s.name.clone();
                 let idle_flags = Arc::clone(&spout_idle);
                 let my_slot = slot;
+                let waker = SpoutWaker::new(spout_ctl_txs[slot].clone());
                 spout_threads.push(
                     std::thread::Builder::new()
                         .name(format!("tstorm-{name}-{task_index}"))
                         .spawn(move || {
+                            waker.install();
                             spout.open(&ctx);
                             let mut active = true;
                             let mut idle_wait = IDLE_BACKOFF_MIN;
                             let mut last_flush = Instant::now();
+                            let mut emitted = false;
                             loop {
                                 // Drain control messages without blocking.
                                 while let Ok(msg) = rx.try_recv() {
@@ -483,6 +488,16 @@ impl Topology {
                                     {
                                         return;
                                     }
+                                }
+                                // Re-arm the waker only before a burst that
+                                // may end in an idle wait (the last one found
+                                // nothing): a record appended after this point
+                                // always queues a fresh `Wake`. A busy or
+                                // deactivated task leaves it disarmed, so a
+                                // producer feeding it pays one flag load.
+                                let armed = active && !emitted;
+                                if armed {
+                                    waker.rearm();
                                 }
                                 // Poll the source in bursts of up to
                                 // `batch_size` between control drains,
@@ -514,7 +529,7 @@ impl Topology {
                                         );
                                     }
                                 }
-                                let emitted = polled > 0;
+                                emitted = polled > 0;
                                 // Emit buffers flush on the interval while
                                 // producing, and always before going idle —
                                 // batching may not strand tuples locally.
@@ -525,13 +540,19 @@ impl Topology {
                                 idle_flags[my_slot].store(!emitted, Ordering::Release);
                                 if emitted {
                                     idle_wait = IDLE_BACKOFF_MIN;
+                                } else if active && !armed {
+                                    // This burst ran disarmed: a record
+                                    // appended during it may have found the
+                                    // waker already woken and queued nothing.
+                                    // Poll once more, armed, before sleeping.
+                                    continue;
                                 } else {
                                     // Idle or deactivated: block on control
                                     // traffic with exponential backoff. Acks,
-                                    // fails and shutdown land on this channel,
-                                    // so they interrupt the wait immediately;
-                                    // only a silent source pays the full
-                                    // backoff before its next poll.
+                                    // fails, wakes and shutdown land on this
+                                    // channel, so they interrupt the wait
+                                    // immediately; only data no waker
+                                    // announces pays the backoff.
                                     match rx.recv_timeout(idle_wait) {
                                         Ok(msg) => {
                                             idle_wait = IDLE_BACKOFF_MIN;
@@ -608,6 +629,9 @@ fn handle_ctl(
         }
         SpoutMsg::Deactivate => *active = false,
         SpoutMsg::Activate => *active = true,
+        // Receiving it ended the wait; the next poll does the rest. Never
+        // `Activate`: a barrier's deactivation must hold through appends.
+        SpoutMsg::Wake => {}
         SpoutMsg::Shutdown => {
             spout.close();
             return Ctl::Shutdown;

@@ -79,7 +79,7 @@ pub mod xml;
 /// Common imports for building topologies.
 pub mod prelude {
     pub use crate::collector::{BoltCollector, SpoutCollector};
-    pub use crate::component::{Bolt, Spout, StreamDef, TaskContext};
+    pub use crate::component::{Bolt, Spout, SpoutWaker, StreamDef, TaskContext};
     pub use crate::executor::TopologyHandle;
     pub use crate::grouping::Grouping;
     pub use crate::metrics::MetricsSnapshot;

@@ -55,9 +55,10 @@ fi
 echo "    exposition OK (pipeline latency samples: $count, unchanged store ops: $unchanged)"
 
 # Benchmark stage: the manifest must agree with the compiled-in metric
-# tables, and a short traced ingest_broad run — the whole CF pipeline
-# against the in-memory reference — must come out correct.
-echo "==> tbench (--validate, traced ingest_broad smoke)"
+# tables, a short traced ingest_broad run — the whole CF pipeline
+# against the in-memory reference — must come out correct, and a short
+# untraced fresh_hot run must stay fresh.
+echo "==> tbench (--validate, traced ingest_broad smoke, fresh_hot freshness)"
 cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- --validate
 tbench_out="$(cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- \
     --workload ingest_broad --seed 1 --seconds 2 --trace 1 | tail -n 1)"
@@ -71,15 +72,32 @@ fi
 # replay log horizon-trimmed, 95.8 with every user carrying a 256-entry
 # log. The ceiling sits ~20% above the former, so a regrown log trips it.
 tbench_metric() {
-    grep -o "\"$1\": {\"value\": [0-9.e+-]*" <<<"$tbench_out" | awk '{print $NF}'
+    grep -o "\"$2\": {\"value\": [0-9.e+-]*" <<<"$1" | awk '{print $NF}'
 }
-store_bytes="$(tbench_metric tdstore.bytes_end)"
-store_keys="$(tbench_metric tdstore.keys_end)"
+store_bytes="$(tbench_metric "$tbench_out" tdstore.bytes_end)"
+store_keys="$(tbench_metric "$tbench_out" tdstore.keys_end)"
 if ! awk -v b="$store_bytes" -v k="$store_keys" 'BEGIN { exit !(k > 0 && b / k <= 85) }'; then
     echo "TBENCH FAILURE: tdstore holds $store_bytes bytes in $store_keys keys (> 85 bytes/key)" >&2
     exit 1
 fi
-echo "    tbench OK ($store_bytes bytes in $store_keys keys)"
+# Freshness: an append wakes the idle spout that reads it. With the wake,
+# five 2-s untraced runs read a p50 of 171-187 us; left to the idle
+# backoff, 672-724 us. The ceiling sits 2x above the worst of the former
+# and far below the latter, so a spout that waits for its backoff again
+# trips it.
+fresh_out="$(cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- \
+    --workload fresh_hot --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$fresh_out"; then
+    echo "TBENCH FAILURE: fresh_hot did not verify:" >&2
+    echo "$fresh_out" >&2
+    exit 1
+fi
+fresh_p50="$(tbench_metric "$fresh_out" latency_p50_us)"
+if ! awk -v p="$fresh_p50" 'BEGIN { exit !(p > 0 && p <= 375) }'; then
+    echo "TBENCH FAILURE: fresh_hot freshness p50 $fresh_p50 us (> 375 us)" >&2
+    exit 1
+fi
+echo "    tbench OK ($store_bytes bytes in $store_keys keys, fresh_hot p50 $fresh_p50 us)"
 
 # Multi-process stage: supervisor + 2 worker OS processes run the CF
 # pipeline with tuples crossing process boundaries over batched TCP;
