@@ -273,6 +273,12 @@ mod tests {
     }
 
     #[test]
+    fn conformance_over_key_lengths() {
+        conformance::prefix_scan_key_lengths(&open("scan-lengths"));
+        conformance::many_keys_key_lengths(&open("many-lengths"));
+    }
+
+    #[test]
     fn reopen_replays_log() {
         let p = temp_path("reopen");
         let _ = std::fs::remove_file(&p);

@@ -8,13 +8,81 @@
 //! (`hash % instances`), so reusing them would put every key of an
 //! instance behind one lock. The shard maps hash with the same function
 //! ([`KeyHashBuilder`]) instead of SipHash: one key hash in the crate.
+//!
+//! An entry is one heap allocation: its [`Key`] lives in the map slot
+//! (every status-data key fits the inline bytes) and its value is a
+//! `Box<[u8]>` of exactly the stored length. [`StorageEngine::modify`]
+//! lends the value as a `Vec` and takes it back: both moves are free
+//! unless the closure left spare capacity, which is trimmed.
 
 use super::StorageEngine;
 use crate::route::{key_hash, KeyHashBuilder};
 use parking_lot::Mutex;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 
-type Shard = Mutex<HashMap<Vec<u8>, Vec<u8>, KeyHashBuilder>>;
+/// Longest key held inline: `pc:` keys are 28 bytes, `ic:` 20, `hist:` 13
+/// and `sim:` 12.
+const INLINE: usize = 30;
+
+/// A stored key: up to [`INLINE`] bytes in place, longer ones boxed. Hashes
+/// and compares as the `[u8]` it holds, so maps keyed by it are looked up
+/// with a borrowed `&[u8]`.
+#[derive(Clone)]
+pub(crate) enum Key {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Boxed(Box<[u8]>),
+}
+
+impl From<&[u8]> for Key {
+    fn from(key: &[u8]) -> Self {
+        if key.len() <= INLINE {
+            let mut bytes = [0; INLINE];
+            bytes[..key.len()].copy_from_slice(key);
+            Key::Inline {
+                len: key.len() as u8,
+                bytes,
+            }
+        } else {
+            Key::Boxed(key.into())
+        }
+    }
+}
+
+impl Deref for Key {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Key::Inline { len, bytes } => &bytes[..*len as usize],
+            Key::Boxed(bytes) => bytes,
+        }
+    }
+}
+
+impl Borrow<[u8]> for Key {
+    fn borrow(&self) -> &[u8] {
+        self
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Key {}
+
+type Shard = Mutex<HashMap<Key, Box<[u8]>, KeyHashBuilder>>;
 
 /// Sharded hash-map engine.
 pub struct MdbEngine {
@@ -38,11 +106,25 @@ impl MdbEngine {
     fn shard(&self, key: &[u8]) -> &Shard {
         &self.shards[self.shard_index(key)]
     }
+
+    /// Replaces this engine's contents with a copy of `source`'s, map by
+    /// map (both engines must have the same shard count): how a failover
+    /// re-seeds a new slave from its host.
+    pub(crate) fn copy_from(&self, source: &MdbEngine) {
+        assert_eq!(
+            self.shards.len(),
+            source.shards.len(),
+            "shard counts differ"
+        );
+        for (to, from) in self.shards.iter().zip(&source.shards) {
+            to.lock().clone_from(&from.lock());
+        }
+    }
 }
 
 impl StorageEngine for MdbEngine {
     fn read(&self, key: &[u8], f: &mut super::ReadFn<'_>) {
-        f(self.shard(key).lock().get(key).map(Vec::as_slice));
+        f(self.shard(key).lock().get(key).map(|v| &v[..]));
     }
 
     fn modify(&self, key: &[u8], f: &mut super::ModifyFn<'_>) -> bool {
@@ -50,12 +132,13 @@ impl StorageEngine for MdbEngine {
         match shard.get_mut(key) {
             // The value is edited where it lives: moved into the slot and
             // back (a pointer move), never copied, and the key is not
-            // cloned.
+            // cloned. Only a value the closure left with spare capacity
+            // is reallocated, to its length.
             Some(value) => {
-                let mut slot = Some(std::mem::take(value));
+                let mut slot = Some(std::mem::take(value).into_vec());
                 let changed = f(&mut slot);
                 match slot {
-                    Some(new) => *value = new,
+                    Some(new) => *value = new.into_boxed_slice(),
                     None => {
                         shard.remove(key);
                     }
@@ -66,7 +149,7 @@ impl StorageEngine for MdbEngine {
                 let mut slot = None;
                 let changed = f(&mut slot);
                 if let Some(new) = slot {
-                    shard.insert(key.to_vec(), new);
+                    shard.insert(Key::from(key), new.into_boxed_slice());
                 }
                 changed
             }
@@ -83,7 +166,7 @@ impl StorageEngine for MdbEngine {
             let shard = shard.lock();
             for (k, v) in shard.iter() {
                 if k.starts_with(prefix) {
-                    out.push((k.clone(), v.clone()));
+                    out.push((k.to_vec(), v.to_vec()));
                 }
             }
         }
@@ -103,6 +186,66 @@ mod tests {
         conformance::modify_semantics(&MdbEngine::new(4));
         conformance::prefix_scan(&MdbEngine::new(4));
         conformance::many_keys(&MdbEngine::new(4));
+    }
+
+    #[test]
+    fn conformance_over_key_lengths() {
+        conformance::prefix_scan_key_lengths(&MdbEngine::new(4));
+        conformance::many_keys_key_lengths(&MdbEngine::new(4));
+    }
+
+    #[test]
+    fn an_entry_fills_one_48_byte_slot() {
+        // The key inline beside the value's pointer: the same slot size
+        // as the two `Vec`s it replaced, with one allocation less.
+        assert_eq!(std::mem::size_of::<Key>(), 32);
+        assert_eq!(std::mem::size_of::<(Key, Box<[u8]>)>(), 48);
+    }
+
+    #[test]
+    fn key_hashes_and_compares_as_its_bytes() {
+        use std::hash::BuildHasher;
+        let sip = std::collections::hash_map::RandomState::new();
+        for len in 0..=64 {
+            let bytes: Vec<u8> = (0..len as u8).collect();
+            let key = Key::from(&bytes[..]);
+            assert_eq!(matches!(key, Key::Inline { .. }), len <= INLINE);
+            assert_eq!(&*key, &bytes[..]);
+            assert_eq!(
+                KeyHashBuilder.hash_one(&key),
+                KeyHashBuilder.hash_one(&bytes[..])
+            );
+            assert_eq!(sip.hash_one(&key), sip.hash_one(&bytes[..]), "{len} bytes");
+            assert!(key == Key::from(&bytes[..]));
+            if len > 0 {
+                assert!(key != Key::from(&bytes[..len - 1]));
+            }
+        }
+    }
+
+    #[test]
+    fn copy_from_replaces_every_entry() {
+        let host = MdbEngine::new(16);
+        let slave = MdbEngine::new(16);
+        for len in [2, 29, 30, 31, 64] {
+            for i in 0..50u8 {
+                let mut key = vec![b'k'; len];
+                key[len - 1] = i;
+                host.put(&key, vec![i; len]);
+            }
+        }
+        slave.put(b"stale", vec![1]);
+        slave.put(&[b'k'; 64], vec![2]);
+        slave.copy_from(&host);
+        let mut want = host.scan_prefix(b"");
+        let mut got = slave.scan_prefix(b"");
+        want.sort();
+        got.sort();
+        assert_eq!(got.len(), 250);
+        assert_eq!(got, want);
+        // The copy is the slave's own: later writes do not leak across.
+        slave.put(b"late", vec![3]);
+        assert!(host.get(b"late").is_none());
     }
 
     #[test]

@@ -14,6 +14,7 @@ mod fdb;
 mod mdb;
 
 pub use fdb::FdbEngine;
+pub(crate) use mdb::Key;
 pub use mdb::MdbEngine;
 
 /// The closure form taken by [`StorageEngine::read`].
@@ -157,5 +158,71 @@ pub(crate) mod conformance {
         assert_eq!(engine.len(), 500);
         assert!(engine.get(&4u32.to_le_bytes()).is_none());
         assert!(engine.get(&5u32.to_le_bytes()).is_some());
+    }
+
+    /// Key lengths the two cases below cover: every one from empty to
+    /// well past the longest key MDB holds inline (30 bytes).
+    const KEY_LENGTHS: std::ops::RangeInclusive<usize> = 0..=64;
+
+    /// [`prefix_scan`] over keys of every length in [`KEY_LENGTHS`]: a run
+    /// of `k`s (each one a prefix of every longer one) and, beside each,
+    /// a sibling that differs only in its last byte. Every prefix of the
+    /// longest key must return exactly the keys that start with it.
+    pub(crate) fn prefix_scan_key_lengths(engine: &dyn StorageEngine) {
+        let mut model = std::collections::BTreeMap::new();
+        for len in KEY_LENGTHS {
+            let run = vec![b'k'; len];
+            let mut sibling = run.clone();
+            if let Some(last) = sibling.last_mut() {
+                *last = b'x';
+            }
+            for (tag, key) in [(0, run), (1, sibling)] {
+                let value = vec![len as u8, tag];
+                engine.put(&key, value.clone());
+                model.insert(key, value);
+            }
+        }
+        assert_eq!(engine.len(), model.len());
+        let keys: Vec<Vec<u8>> = model.keys().cloned().collect();
+        for prefix in &keys {
+            let mut got = engine.scan_prefix(prefix);
+            got.sort();
+            let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                .iter()
+                .filter(|(k, _)| k.starts_with(prefix))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            assert_eq!(got, want, "prefix of {} bytes", prefix.len());
+        }
+    }
+
+    /// [`many_keys`] over keys of every length in [`KEY_LENGTHS`], with
+    /// values as long as their keys.
+    pub(crate) fn many_keys_key_lengths(engine: &dyn StorageEngine) {
+        let mut keys = Vec::new();
+        for len in KEY_LENGTHS {
+            for i in 0..if len == 0 { 1 } else { 20u8 } {
+                let mut key = vec![b'k'; len];
+                if let Some(last) = key.last_mut() {
+                    *last = i;
+                }
+                keys.push(key);
+            }
+        }
+        for (i, key) in keys.iter().enumerate() {
+            engine.put(key, vec![i as u8; key.len()]);
+        }
+        assert_eq!(engine.len(), keys.len());
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(engine.get(key), Some(vec![i as u8; key.len()]));
+        }
+        for key in keys.iter().step_by(2) {
+            assert!(engine.delete(key));
+        }
+        assert_eq!(engine.len(), keys.len() / 2);
+        for (i, key) in keys.iter().enumerate() {
+            let want = (i % 2 == 1).then(|| vec![i as u8; key.len()]);
+            assert_eq!(engine.get(key), want, "key of {} bytes", key.len());
+        }
     }
 }

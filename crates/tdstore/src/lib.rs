@@ -14,10 +14,12 @@
 //! * Hosts notify slaves after updates and the slave applies them "when
 //!   idle" — reproduced as an explicit sync queue with configurable
 //!   auto-sync, so the lazy-replication window is testable.
-//! * Every replica is an [`engine::MdbEngine`] (sharded memory): status
-//!   data lives in memory and survives a process death through the
-//!   checkpoint log, which [`SnapshotStore`] keeps on an
-//!   [`engine::FdbEngine`] (an append-only file).
+//! * Every replica is an [`engine::MdbEngine`] (sharded memory, one heap
+//!   allocation per entry: the key inline in the map slot, the value at
+//!   its exact length): status data lives in memory and survives a
+//!   process death through the checkpoint log, which [`SnapshotStore`]
+//!   keeps on an [`engine::FdbEngine`] (an append-only file). A failover
+//!   re-seeds a new slave by cloning its host's maps.
 //! * The client API is two primitives, on the engines and on
 //!   [`TdStore`] alike: [`TdStore::read`] lends the stored bytes to a
 //!   closure, and [`TdStore::modify`] is the one read-modify-write — in
@@ -95,7 +97,9 @@ struct SyncOp {
     /// re-seed already copied the host's state, so applying the stale op
     /// to the new slave could resurrect a lost write).
     generation: u64,
-    key: Vec<u8>,
+    /// Held like the MDB holds it: inline, so queueing a write allocates
+    /// no copy of its key.
+    key: engine::Key,
     /// `None` = delete.
     value: Option<Vec<u8>>,
 }
@@ -363,7 +367,7 @@ impl TdStore {
             pending.push(SyncOp {
                 instance,
                 generation,
-                key: key.to_vec(),
+                key: engine::Key::from(key),
                 value,
             });
         }
@@ -556,12 +560,16 @@ impl TdStore {
     pub fn incr_f64(&self, key: &[u8], delta: f64) -> Result<f64, StoreError> {
         let mut new = 0.0;
         self.modify(key, |slot| {
-            let cur = slot
-                .as_deref()
-                .and_then(|v| v.try_into().ok().map(f64::from_le_bytes))
-                .unwrap_or(0.0);
-            new = cur + delta;
-            *slot = Some(new.to_le_bytes().to_vec());
+            // A stored count is rewritten in its own 8 bytes; anything
+            // else (absent, or not an `f64`) counts as 0 and is replaced.
+            let count = slot
+                .as_deref_mut()
+                .and_then(|v| <&mut [u8; 8]>::try_from(v).ok());
+            new = count.as_deref().map_or(0.0, |c| f64::from_le_bytes(*c)) + delta;
+            match count {
+                Some(count) => *count = new.to_le_bytes(),
+                None => *slot = Some(new.to_le_bytes().to_vec()),
+            }
             true
         })?;
         Ok(new)
@@ -657,16 +665,15 @@ impl TdStore {
             return Err(StoreError::NoServers);
         }
         let changed = self.inner.config_servers.fail_server(id, &alive)?;
-        // Re-seed new slaves from their (possibly just-promoted) hosts.
+        // Re-seed new slaves from their (possibly just-promoted) hosts: the
+        // host's shard maps are cloned into the slave's, with no
+        // intermediate copy of the instance.
         for (instance, host, slave) in changed {
             let host_engine = self.inner.servers[host as usize].replica(instance)?;
             if let Some(slave) = slave {
                 let server = &self.inner.servers[slave as usize];
                 server.ensure_replica(instance);
-                let slave_engine = server.replica(instance)?;
-                for (k, v) in host_engine.scan_prefix(b"") {
-                    slave_engine.put(&k, v);
-                }
+                server.replica(instance)?.copy_from(&host_engine);
             }
         }
         Ok(())
@@ -1100,6 +1107,80 @@ mod tests {
         s.put(b"k", vec![1]).unwrap();
         assert_eq!(s.unreplicated_ops(), 0);
         assert_eq!(s.pending_sync_ops(), 0);
+    }
+
+    /// Every live slave replica holds exactly what its host holds.
+    fn assert_slaves_match_hosts(s: &TdStore) {
+        for route in s.inner.hosts.read().iter() {
+            let route = route.as_ref().unwrap();
+            let Some(slave) = &route.slave else { continue };
+            let mut host = route.host.scan_prefix(b"");
+            let mut copy = slave.scan_prefix(b"");
+            host.sort();
+            copy.sort();
+            assert_eq!(copy, host);
+        }
+    }
+
+    #[test]
+    fn failover_reseeds_short_and_long_keys() {
+        // Keys on both sides of MDB's inline limit (30 bytes) survive
+        // three failovers, each re-seeding slaves from promoted hosts.
+        let s = TdStore::new(StoreConfig {
+            servers: 5,
+            instances: 8,
+            sync_every: 0,
+            ..Default::default()
+        });
+        let key = |len: usize, i: u8| {
+            let mut key = vec![b'k'; len];
+            key[len - 1] = i;
+            key
+        };
+        let lens = [2, 12, 29, 30, 31, 64, 200];
+        for len in lens {
+            for i in 0..40u8 {
+                s.put(&key(len, i), vec![i; len]).unwrap();
+            }
+        }
+        s.sync();
+        for (round, victim) in [0, 1, 2].into_iter().enumerate() {
+            s.kill_server(victim).unwrap();
+            assert_slaves_match_hosts(&s);
+            for len in lens {
+                s.incr_f64(&key(len, 255), 1.0).unwrap();
+            }
+            s.sync();
+            for len in lens {
+                for i in 0..40u8 {
+                    assert_eq!(s.get(&key(len, i)).unwrap(), Some(vec![i; len]));
+                }
+                let count = s.get_f64(&key(len, 255)).unwrap();
+                assert_eq!(count, Some(round as f64 + 1.0), "{len}-byte counter");
+            }
+        }
+        assert_eq!(s.len().unwrap(), lens.len() * 41);
+    }
+
+    #[test]
+    fn incr_f64_rewrites_a_count_and_replaces_anything_else() {
+        let s = TdStore::new(StoreConfig {
+            sync_every: 0,
+            ..Default::default()
+        });
+        s.put(b"torn", vec![1, 2, 3]).unwrap();
+        assert_eq!(s.incr_f64(b"torn", 2.0).unwrap(), 2.0);
+        assert_eq!(s.get(b"torn").unwrap(), Some(2.0f64.to_le_bytes().to_vec()));
+        // Missing reads as +0.0, so a -0.0 delta stores +0.0.
+        assert_eq!(s.incr_f64(b"zero", -0.0).unwrap().to_bits(), 0);
+        assert_eq!(s.incr_f64(b"torn", 0.5).unwrap(), 2.5);
+        assert_eq!(s.incr_f64(b"torn", -3.0).unwrap(), -0.5);
+        // The in-place rewrite is replicated like any other write.
+        s.sync();
+        s.kill_server(0).unwrap();
+        s.kill_server(1).unwrap();
+        assert_eq!(s.get_f64(b"torn").unwrap(), Some(-0.5));
+        assert_eq!(s.get_f64(b"zero").unwrap().map(f64::to_bits), Some(0));
     }
 
     #[test]

@@ -56,9 +56,10 @@ echo "    exposition OK (pipeline latency samples: $count, unchanged store ops: 
 
 # Benchmark stage: the manifest must agree with the compiled-in metric
 # tables, a short traced ingest_broad run — the whole CF pipeline
-# against the in-memory reference — must come out correct, and a short
-# untraced fresh_hot run must stay fresh.
-echo "==> tbench (--validate, traced ingest_broad smoke, fresh_hot freshness)"
+# against the in-memory reference — must come out correct, an untraced
+# one must stay under a peak-RSS ceiling, and a short untraced fresh_hot
+# run must stay fresh.
+echo "==> tbench (--validate, traced ingest_broad smoke, ingest_broad peak RSS, fresh_hot freshness)"
 cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- --validate
 tbench_out="$(cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- \
     --workload ingest_broad --seed 1 --seconds 2 --trace 1 | tail -n 1)"
@@ -80,6 +81,22 @@ if ! awk -v b="$store_bytes" -v k="$store_keys" 'BEGIN { exit !(k > 0 && b / k <
     echo "TBENCH FAILURE: tdstore holds $store_bytes bytes in $store_keys keys (> 85 bytes/key)" >&2
     exit 1
 fi
+# Memory: an MDB entry is one allocation (the key inline in the map
+# slot). Three 2-s untraced runs read a peak of 37.6-37.9 MiB that way,
+# 42.8-43.4 MiB with each key in its own allocation. The ceiling sits
+# between the two, so a key moved back to the heap trips it.
+rss_out="$(cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- \
+    --workload ingest_broad --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$rss_out"; then
+    echo "TBENCH FAILURE: untraced ingest_broad did not verify:" >&2
+    echo "$rss_out" >&2
+    exit 1
+fi
+peak_rss="$(tbench_metric "$rss_out" peak_rss_mib)"
+if ! awk -v r="$peak_rss" 'BEGIN { exit !(r > 0 && r <= 41) }'; then
+    echo "TBENCH FAILURE: ingest_broad peak RSS $peak_rss MiB (> 41 MiB)" >&2
+    exit 1
+fi
 # Freshness: an append wakes the idle spout that reads it. With the wake,
 # five 2-s untraced runs read a p50 of 171-187 us; left to the idle
 # backoff, 672-724 us. The ceiling sits 2x above the worst of the former
@@ -97,7 +114,7 @@ if ! awk -v p="$fresh_p50" 'BEGIN { exit !(p > 0 && p <= 375) }'; then
     echo "TBENCH FAILURE: fresh_hot freshness p50 $fresh_p50 us (> 375 us)" >&2
     exit 1
 fi
-echo "    tbench OK ($store_bytes bytes in $store_keys keys, fresh_hot p50 $fresh_p50 us)"
+echo "    tbench OK ($store_bytes bytes in $store_keys keys, peak RSS $peak_rss MiB, fresh_hot p50 $fresh_p50 us)"
 
 # Multi-process stage: supervisor + 2 worker OS processes run the CF
 # pipeline with tuples crossing process boundaries over batched TCP;

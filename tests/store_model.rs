@@ -4,7 +4,9 @@
 //! is built on — the borrowing `read` and the conditional in-place
 //! `modify` — are driven directly: an unchanged `modify` must leave the
 //! value *and the replication queue* where they were, and a `modify` that
-//! empties the slot is a delete.
+//! empties the slot is a delete. Keys are 2, 29, 30, 31 or 64 bytes long —
+//! both sides of the 30 bytes MDB keeps inline — and share their prefixes,
+//! so a prefix scan has to tell them apart.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -24,6 +26,22 @@ enum Op {
     /// `modify` that empties the slot.
     Clear(u8),
     SyncAndFailover(u8),
+    /// `scan_prefix` with the first `PREFIX_LENGTHS[.0]` bytes of a key.
+    Scan(u8, u8),
+}
+
+const KEY_LENGTHS: [usize; 5] = [2, 29, 30, 31, 64];
+const PREFIX_LENGTHS: [usize; 8] = [1, 2, 28, 29, 30, 31, 63, 64];
+
+/// Key `k` of family `tag`: `tag`, then dots, then `k`, at one of
+/// [`KEY_LENGTHS`] picked by `k`. Keys of one length differ only in their
+/// last byte; every key's dots prefix every longer key.
+fn key(tag: u8, k: u8) -> Vec<u8> {
+    let len = KEY_LENGTHS[k as usize % KEY_LENGTHS.len()];
+    let mut key = vec![b'.'; len];
+    key[0] = tag;
+    key[len - 1] = k;
+    key
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -36,6 +54,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(Op::Inspect),
         any::<u8>().prop_map(Op::Clear),
         (0u8..3).prop_map(Op::SyncAndFailover),
+        (0..PREFIX_LENGTHS.len() as u8, any::<u8>()).prop_map(|(p, k)| Op::Scan(p, k)),
     ]
 }
 
@@ -56,29 +75,29 @@ proptest! {
         for op in &ops {
             match op {
                 Op::Put(k, v) => {
-                    let key = vec![b'p', *k];
+                    let key = key(b'p', *k);
                     store.put(&key, vec![*v]).unwrap();
                     model.insert(key, vec![*v]);
                 }
                 Op::Delete(k) => {
-                    let key = vec![b'p', *k];
+                    let key = key(b'p', *k);
                     let existed = store.delete(&key).unwrap();
                     prop_assert_eq!(existed, model.remove(&key).is_some());
                 }
                 Op::Incr(k, d) => {
-                    let key = vec![b'f', *k];
+                    let key = key(b'f', *k);
                     let new = store.incr_f64(&key, *d as f64).unwrap();
                     let entry = float_model.entry(key).or_insert(0.0);
                     *entry += *d as f64;
                     prop_assert!((new - *entry).abs() < 1e-9);
                 }
                 Op::Read(k) => {
-                    let key = vec![b'p', *k];
+                    let key = key(b'p', *k);
                     let got = store.read(&key, |raw| raw.map(<[u8]>::to_vec)).unwrap();
                     prop_assert_eq!(got.as_ref(), model.get(&key));
                 }
                 Op::Append(k, v) => {
-                    let key = vec![b'p', *k];
+                    let key = key(b'p', *k);
                     let changed = store
                         .modify(&key, |slot| {
                             slot.get_or_insert_with(Vec::new).push(*v);
@@ -89,7 +108,7 @@ proptest! {
                     model.entry(key).or_default().push(*v);
                 }
                 Op::Inspect(k) => {
-                    let key = vec![b'p', *k];
+                    let key = key(b'p', *k);
                     let queued = store.unreplicated_ops();
                     let mut seen = None;
                     let changed = store
@@ -103,7 +122,7 @@ proptest! {
                     prop_assert_eq!(store.unreplicated_ops(), queued);
                 }
                 Op::Clear(k) => {
-                    let key = vec![b'p', *k];
+                    let key = key(b'p', *k);
                     let changed = store.modify(&key, |slot| slot.take().is_some()).unwrap();
                     prop_assert_eq!(changed, model.remove(&key).is_some());
                     prop_assert!(store.get(&key).unwrap().is_none());
@@ -115,6 +134,19 @@ proptest! {
                         store.kill_server((*server % 4) as u32).ok();
                         failed += 1;
                     }
+                }
+                Op::Scan(p, k) => {
+                    let full = key(b'p', *k);
+                    let prefix = &full[..PREFIX_LENGTHS[*p as usize].min(full.len())];
+                    let mut got = store.scan_prefix(prefix).unwrap();
+                    got.sort();
+                    let mut want: Vec<(Vec<u8>, Vec<u8>)> = model
+                        .iter()
+                        .filter(|(k, _)| k.starts_with(prefix))
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    want.sort();
+                    prop_assert_eq!(got, want);
                 }
             }
         }
