@@ -33,8 +33,8 @@ pub use bolts::{
 pub use replay::{OffsetTable, ReplayProgress, ReplayableSpout};
 pub use tdaccess::PartitionId;
 
-use crate::topology::state::{decode_sim_list, read_history, windowed_sum};
-use crate::types::{keys, FxHashMap, FxHashSet, ItemId, UserId};
+use crate::topology::state::{decode_sim_list, history_records, sim_records, windowed_sum};
+use crate::types::{keys, FxHashMap, FxHashSet, ItemId, Timestamp, UserId};
 use crossbeam::channel::Receiver;
 use tdstore::TdStore;
 use tstorm::prelude::*;
@@ -248,42 +248,112 @@ impl TopologyRecommender {
     /// Top-`n` recommendations (Eq. 2 over the user's `recent_k` items,
     /// as in [`crate::cf::ItemCF::recommend`]).
     pub fn recommend(&self, user: UserId, n: usize) -> Vec<(ItemId, f64)> {
-        // Only the records are decoded, and from the store's copy: a busy
-        // user's value is mostly replay log this side never looks at.
-        let dedup_window = self.config.dedup_window;
-        let Some(mut history) = self
-            .store
-            .read(&keys::user_history(user), |raw| {
-                raw.map(|raw| read_history(raw, dedup_window))
-            })
-            .ok()
-            .flatten()
-        else {
-            return Vec::new();
-        };
-        let rated: FxHashSet<ItemId> = history.iter().map(|&(i, _, _)| i).collect();
-        // Most recent first.
-        history.sort_by_key(|&(_, _, ts)| std::cmp::Reverse(ts));
-        history.truncate(self.config.recent_k);
-        let mut num: FxHashMap<ItemId, f64> = FxHashMap::default();
-        let mut den: FxHashMap<ItemId, f64> = FxHashMap::default();
-        for &(recent_item, rating, _) in &history {
-            for (candidate, sim) in self.similar_items(recent_item) {
-                if rated.contains(&candidate) {
-                    continue;
+        self.recommend_with_rated(user, n).0
+    }
+
+    /// [`Self::recommend`], and the items the user has rated (every item
+    /// of the stored history), read in the same pass.
+    ///
+    /// Each key is read once, in place: the history records and every
+    /// similar-items list are walked inside [`TdStore::read`], and nothing
+    /// allocates while the store's lock is held — the buffers are reserved
+    /// before each read, for the pipeline's `max_history` and `top_k`
+    /// bounds, and a value past them is read again once they have grown.
+    /// The `recent_k` newest records and the final `n` are picked by
+    /// selection; ties break by record position and item id, and each
+    /// candidate's sums add up in list order, so the result is the one a
+    /// full stable sort of the decoded history would give, bit for bit.
+    pub(crate) fn recommend_with_rated(
+        &self,
+        user: UserId,
+        n: usize,
+    ) -> (Vec<(ItemId, f64)>, FxHashSet<ItemId>) {
+        let config = &self.config;
+        let mut rated = FxHashSet::default();
+        let mut recent: Vec<Recent> = Vec::new();
+        let mut room = config.max_history;
+        loop {
+            rated.reserve(room);
+            recent.reserve(room);
+            let read = self.store.read(&keys::user_history(user), |raw| {
+                let records = history_records(raw?, config.dedup_window);
+                if records.len() > recent.capacity() || records.len() > rated.capacity() {
+                    return Some(Err(records.len()));
                 }
-                *num.entry(candidate).or_insert(0.0) += sim * rating;
-                *den.entry(candidate).or_insert(0.0) += sim;
+                for (pos, (item, rating, ts)) in records.enumerate() {
+                    rated.insert(item);
+                    recent.push(Recent {
+                        ts,
+                        pos,
+                        item,
+                        rating,
+                    });
+                }
+                Some(Ok(()))
+            });
+            match read {
+                Ok(Some(Ok(()))) => break,
+                Ok(Some(Err(len))) => room = len,
+                Ok(None) | Err(_) => return (Vec::new(), rated),
             }
         }
-        let mut recs: Vec<(ItemId, f64)> = num
+        keep_least(&mut recent, config.recent_k, |a, b| {
+            b.ts.cmp(&a.ts).then(a.pos.cmp(&b.pos))
+        });
+
+        // Eq. 2: Σ sim·rating and Σ sim per candidate.
+        let mut sums: FxHashMap<ItemId, (f64, f64)> = FxHashMap::default();
+        sums.reserve(recent.len().saturating_mul(config.top_k));
+        for r in &recent {
+            loop {
+                let room = sums.capacity() - sums.len();
+                let read = self.store.read(&keys::similar_items(r.item), |raw| {
+                    let list = sim_records(raw.unwrap_or_default());
+                    if list.len() > room {
+                        return Err(list.len());
+                    }
+                    for (candidate, sim) in list {
+                        if rated.contains(&candidate) {
+                            continue;
+                        }
+                        let (num, den) = sums.entry(candidate).or_insert((0.0, 0.0));
+                        *num += sim * r.rating;
+                        *den += sim;
+                    }
+                    Ok(())
+                });
+                match read {
+                    Ok(Err(len)) => sums.reserve(len),
+                    Ok(Ok(())) | Err(_) => break,
+                }
+            }
+        }
+        let mut recs: Vec<(ItemId, f64)> = sums
             .into_iter()
-            .map(|(item, numerator)| (item, numerator / den[&item]))
+            .map(|(item, (num, den))| (item, num / den))
             .collect();
-        recs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        recs.truncate(n);
-        recs
+        keep_least(&mut recs, n, |a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        (recs, rated)
     }
+}
+
+/// A history record a query may expand, with its position in the stored
+/// value (the tie-break among equal timestamps).
+struct Recent {
+    ts: Timestamp,
+    pos: usize,
+    item: ItemId,
+    rating: f64,
+}
+
+/// Keeps the `k` least elements of `v` under the total order `cmp`, in
+/// order: a selection, then a sort of only what is kept.
+fn keep_least<T>(v: &mut Vec<T>, k: usize, cmp: impl Fn(&T, &T) -> std::cmp::Ordering) {
+    if v.len() > k {
+        v.select_nth_unstable_by(k, &cmp);
+        v.truncate(k);
+    }
+    v.sort_unstable_by(cmp);
 }
 
 #[cfg(test)]

@@ -12,9 +12,8 @@ use crate::db::GroupScheme;
 use crate::interner::Interner;
 use crate::topology::bolts::CfPipelineConfig;
 use crate::topology::demographic::{hot_items, DemographicPipelineConfig, ProfileRegistry};
-use crate::topology::state::read_history;
 use crate::topology::TopologyRecommender;
-use crate::types::{keys, FxHashSet, ItemId, UserId};
+use crate::types::{ItemId, UserId};
 use tdstore::TdStore;
 
 /// Query-side configuration.
@@ -70,28 +69,15 @@ impl RecommenderFrontEnd {
         }
     }
 
-    /// Items the user has already engaged with, per the stored history.
-    fn seen(&self, user: UserId) -> FxHashSet<ItemId> {
-        let dedup_window = self.config.cf.dedup_window;
-        self.store
-            .read(&keys::user_history(user), |raw| {
-                raw.map(|raw| read_history(raw, dedup_window))
-            })
-            .ok()
-            .flatten()
-            .map(|history| history.into_iter().map(|(i, _, _)| i).collect())
-            .unwrap_or_default()
-    }
-
     /// Top-`n` recommendations for `user` at stream time `now`: CF first,
     /// demographic hot items to fill the page.
     pub fn recommend(&self, user: UserId, n: usize, now: u64) -> Vec<(ItemId, f64)> {
-        let mut recs: Vec<(ItemId, f64)> = self.cf.recommend(user, n);
-        recs.truncate(n);
+        // The history is read once: the CF query hands back the items the
+        // user has rated, which the backfill must skip too.
+        let (mut recs, mut exclude) = self.cf.recommend_with_rated(user, n);
         if recs.len() < n {
             let scheme: &GroupScheme = &self.config.db.scheme;
             let group = scheme.group_of(&self.profiles.get(user));
-            let mut exclude = self.seen(user);
             for &(item, _) in &recs {
                 exclude.insert(item);
             }
@@ -108,7 +94,6 @@ impl RecommenderFrontEnd {
                 recs.push((item, 0.9 * floor * count / max_hot));
             }
         }
-        recs.truncate(n);
         recs
     }
 

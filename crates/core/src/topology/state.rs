@@ -25,15 +25,7 @@ pub fn encode_history(entries: &[HistoryRecord]) -> Vec<u8> {
 
 /// Decodes a user history (ignores a trailing partial record).
 pub fn decode_history(raw: &[u8]) -> Vec<HistoryRecord> {
-    raw.chunks_exact(24)
-        .map(|c| {
-            (
-                u64::from_le_bytes(c[0..8].try_into().unwrap()),
-                f64::from_le_bytes(c[8..16].try_into().unwrap()),
-                u64::from_le_bytes(c[16..24].try_into().unwrap()),
-            )
-        })
-        .collect()
+    history_records(raw, 0).collect()
 }
 
 /// One entry in a user history's embedded replay log: the source id of a
@@ -403,14 +395,26 @@ pub fn apply_action_in_place(
 /// or garbage log changes nothing here; a torn record block yields its
 /// whole records, as [`decode_history_v2`] does.
 pub fn read_history(raw: &[u8], dedup_window: usize) -> Vec<HistoryRecord> {
-    if dedup_window == 0 {
-        return decode_history(raw);
-    }
-    let Some((n, records)) = raw.split_first_chunk::<4>() else {
-        return Vec::new();
+    history_records(raw, dedup_window).collect()
+}
+
+/// [`read_history`] without the copy: the records are decoded where they
+/// lie, so a caller inside [`TdStore::read`] keeps only what it needs.
+pub(crate) fn history_records(
+    raw: &[u8],
+    dedup_window: usize,
+) -> impl ExactSizeIterator<Item = HistoryRecord> + '_ {
+    let block = if dedup_window == 0 {
+        raw
+    } else if let Some((n, records)) = raw.split_first_chunk::<4>() {
+        let wanted = (u32::from_le_bytes(*n) as usize).saturating_mul(HIST_RECORD);
+        &records[..records.len().min(wanted)]
+    } else {
+        &[]
     };
-    let wanted = (u32::from_le_bytes(*n) as usize).saturating_mul(24);
-    decode_history(&records[..records.len().min(wanted)])
+    block
+        .chunks_exact(HIST_RECORD)
+        .map(|c| (u64_at(c, 0), f64_at(c, 8), u64_at(c, 16)))
 }
 
 /// One similar-items entry: `(item, similarity)`.
@@ -428,14 +432,14 @@ pub fn encode_sim_list(entries: &[SimRecord]) -> Vec<u8> {
 
 /// Decodes a similar-items list.
 pub fn decode_sim_list(raw: &[u8]) -> Vec<SimRecord> {
-    raw.chunks_exact(16)
-        .map(|c| {
-            (
-                u64::from_le_bytes(c[0..8].try_into().unwrap()),
-                f64::from_le_bytes(c[8..16].try_into().unwrap()),
-            )
-        })
-        .collect()
+    sim_records(raw).collect()
+}
+
+/// [`decode_sim_list`] without the copy: the entries are decoded where
+/// they lie; a torn tail (length not a multiple of 16) is ignored.
+pub(crate) fn sim_records(raw: &[u8]) -> impl ExactSizeIterator<Item = SimRecord> + '_ {
+    raw.chunks_exact(SIM_RECORD)
+        .map(|c| (u64_at(c, 0), f64_at(c, 8)))
 }
 
 const SIM_RECORD: usize = 16;

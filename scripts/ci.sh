@@ -114,7 +114,11 @@ if ! awk -v p="$fresh_p50" 'BEGIN { exit !(p > 0 && p <= 375) }'; then
     echo "TBENCH FAILURE: fresh_hot freshness p50 $fresh_p50 us (> 375 us)" >&2
     exit 1
 fi
-echo "    tbench OK ($store_bytes bytes in $store_keys keys, peak RSS $peak_rss MiB, fresh_hot p50 $fresh_p50 us)"
+# The reader's query latency under ingest is reported, not gated: a 2-s
+# run is too noisy for a ceiling (the allocation guard in
+# crates/core/tests/recommend_allocs.rs is the deterministic check).
+ingest_p50="$(tbench_metric "$rss_out" latency_p50_us)"
+echo "    tbench OK ($store_bytes bytes in $store_keys keys, peak RSS $peak_rss MiB, ingest_broad query p50 $ingest_p50 us, fresh_hot p50 $fresh_p50 us)"
 
 # Multi-process stage: supervisor + 2 worker OS processes run the CF
 # pipeline with tuples crossing process boundaries over batched TCP;
