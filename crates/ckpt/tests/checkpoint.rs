@@ -141,7 +141,7 @@ fn histories(store: &TdStore) -> BTreeMap<Vec<u8>, Vec<(u64, u64)>> {
         .unwrap()
         .into_iter()
         .map(|(k, v)| {
-            let (entries, _log) = tencentrec::topology::state::decode_history_v2(&v);
+            let (entries, _log) = tencentrec::topology::state::decode_history(&v);
             let mut records: Vec<(u64, u64)> = entries
                 .into_iter()
                 .map(|(item, rating, _ts)| (item, rating.to_bits()))

@@ -63,7 +63,6 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use tchaos::{Clock, FaultPlan, FaultSite};
 use tstorm::ack::{run_acker, AckerMsg, SpoutMsg};
-use tstorm::cluster::Nimbus;
 use wire::{split_frame, with_frame};
 
 /// One worker process: which components it runs and whether chaos may
@@ -580,25 +579,6 @@ impl Cluster {
                 return Err(invalid(format!("component {:?} not placed", info.name)));
             }
         }
-
-        // Nimbus validates that the declared worker slots can hold every
-        // task of the submitted topology (the paper's Fig. 1 scheduler).
-        // Placement itself stays sticky/component-granular above; Nimbus
-        // task-level reassignment is exercised in its own unit tests.
-        let mut nimbus = Nimbus::new();
-        for (w, spec) in config.workers.iter().enumerate() {
-            let slots: usize = spec
-                .components
-                .iter()
-                .filter_map(|c| infos.iter().find(|i| &i.name == c))
-                .map(|i| i.parallelism)
-                .sum();
-            nimbus.add_supervisor(w as u32, slots);
-        }
-        nimbus
-            .submit_topology(infos.iter().map(|i| (i.name.clone(), i.parallelism)))
-            .map_err(|e| invalid(format!("placement infeasible: {e:?}")))?;
-        nimbus.check_invariants().map_err(invalid)?;
 
         // Global spout slots: spouts in topology definition order, one
         // slot per task, owner = the worker running the component.

@@ -296,33 +296,6 @@ fn placement_validation_rejects_bad_specs() {
     assert!(Cluster::launch(SupervisorConfig::new(vec![]), smoke_app).is_err());
 }
 
-/// Zero spare slots: on an exact-fit cluster, losing any supervisor
-/// leaves orphan tasks with nowhere to go — Nimbus must report
-/// insufficient capacity, and reviving the node must heal the plan.
-#[test]
-fn rebalance_with_zero_spare_slots_reports_insufficient_capacity() {
-    use tstorm::cluster::{ClusterError, Nimbus};
-    let mut nimbus = Nimbus::new();
-    nimbus.add_supervisor(0, 2);
-    nimbus.add_supervisor(1, 3);
-    nimbus
-        .submit_topology([("spout".to_string(), 2usize), ("bolt".to_string(), 3)])
-        .expect("exact fit schedules");
-    nimbus.check_invariants().expect("valid plan");
-    let err = nimbus.fail_supervisor(1).err().or_else(|| {
-        // fail_supervisor may return the orphans and defer the error to
-        // rebalance — accept either surface.
-        nimbus.rebalance().err()
-    });
-    assert!(
-        matches!(err, Some(ClusterError::InsufficientCapacity { .. })),
-        "expected InsufficientCapacity, got {err:?}"
-    );
-    nimbus.revive_supervisor(1).expect("revive");
-    nimbus.rebalance().expect("revived cluster reschedules");
-    nimbus.check_invariants().expect("healed plan");
-}
-
 // ---------------------------------------------------------------------
 // CF convergence under chaos: spout + pretreatment on worker 0
 // (kill-eligible), the stateful bolts + store on worker 1 (protected —

@@ -27,8 +27,8 @@ pub struct CachedStore {
     recency: BTreeMap<u64, Vec<u8>>,
     /// Monotonic use-counter for LRU.
     tick: u64,
-    hits: obs::Counter,
-    misses: obs::Counter,
+    hits: u64,
+    misses: u64,
 }
 
 struct CacheEntry {
@@ -40,26 +40,14 @@ struct CacheEntry {
 impl CachedStore {
     /// Cache of at most `capacity` keys in front of `store`.
     pub fn new(store: TdStore, capacity: usize) -> Self {
-        Self::with_counters(store, capacity, obs::Counter::new(), obs::Counter::new())
-    }
-
-    /// Like [`new`](Self::new), but counting hits and misses into the
-    /// given shared handles — so every task of a key-partitioned bolt can
-    /// accumulate into one registry-owned pair of counters.
-    pub fn with_counters(
-        store: TdStore,
-        capacity: usize,
-        hits: obs::Counter,
-        misses: obs::Counter,
-    ) -> Self {
         CachedStore {
             store,
             capacity: capacity.max(1),
             entries: FxHashMap::default(),
             recency: BTreeMap::new(),
             tick: 0,
-            hits,
-            misses,
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -91,10 +79,10 @@ impl CachedStore {
             let value = entry.value.clone();
             let new_tick = self.touch(key, Some(old));
             self.entries.get_mut(key).expect("entry present").last_used = new_tick;
-            self.hits.inc();
+            self.hits += 1;
             return Ok(value);
         }
-        self.misses.inc();
+        self.misses += 1;
         let value = self.store.get(key)?;
         self.evict_if_full();
         let tick = self.touch(key, None);
@@ -141,23 +129,12 @@ impl CachedStore {
 
     /// Cache hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.get()
+        self.hits
     }
 
     /// Cache misses (store reads) so far.
     pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Shared handle to the hit counter (for exposition registries; clones
-    /// observe the same underlying count).
-    pub fn hit_counter(&self) -> obs::Counter {
-        self.hits.clone()
-    }
-
-    /// Shared handle to the miss counter.
-    pub fn miss_counter(&self) -> obs::Counter {
-        self.misses.clone()
+        self.misses
     }
 
     /// Hit ratio in [0, 1].

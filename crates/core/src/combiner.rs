@@ -29,38 +29,26 @@ pub struct Combiner<K: Eq + Hash + Clone> {
     /// Flush when the buffer holds this many distinct keys (a size bound
     /// alongside the tick-driven interval flush).
     max_keys: usize,
-    inputs: obs::Counter,
-    flushed_entries: obs::Counter,
+    inputs: u64,
+    flushed_entries: u64,
 }
 
 impl<K: Eq + Hash + Clone> Combiner<K> {
     /// Combiner flushing at `max_keys` distinct keys.
     pub fn new(op: CombineOp, max_keys: usize) -> Self {
-        Self::with_counters(op, max_keys, obs::Counter::new(), obs::Counter::new())
-    }
-
-    /// Like [`new`](Self::new), but counting inputs and flushed entries
-    /// into the given shared handles — so every task of a bolt can
-    /// accumulate into one registry-owned pair of counters.
-    pub fn with_counters(
-        op: CombineOp,
-        max_keys: usize,
-        inputs: obs::Counter,
-        flushed_entries: obs::Counter,
-    ) -> Self {
         Combiner {
             op,
             buffer: FxHashMap::default(),
             max_keys: max_keys.max(1),
-            inputs,
-            flushed_entries,
+            inputs: 0,
+            flushed_entries: 0,
         }
     }
 
     /// Buffers one tuple. Returns the full buffer when the size bound is
     /// hit (the caller writes those entries downstream).
     pub fn add(&mut self, key: K, value: f64) -> Option<Vec<(K, f64)>> {
-        self.inputs.inc();
+        self.inputs += 1;
         let entry = self.buffer.entry(key);
         match self.op {
             CombineOp::Add => *entry.or_insert(0.0) += value,
@@ -79,39 +67,29 @@ impl<K: Eq + Hash + Clone> Combiner<K> {
 
     /// Drains the buffer (call on tick).
     pub fn flush(&mut self) -> Vec<(K, f64)> {
-        self.flushed_entries.add(self.buffer.len() as u64);
+        self.flushed_entries += self.buffer.len() as u64;
         self.buffer.drain().collect()
     }
 
     /// Tuples buffered since construction.
     pub fn inputs(&self) -> u64 {
-        self.inputs.get()
+        self.inputs
     }
 
     /// Entries emitted downstream since construction.
     pub fn outputs(&self) -> u64 {
-        self.flushed_entries.get()
-    }
-
-    /// Shared handle to the input counter (for exposition registries).
-    pub fn input_counter(&self) -> obs::Counter {
-        self.inputs.clone()
-    }
-
-    /// Shared handle to the flushed-entries counter.
-    pub fn output_counter(&self) -> obs::Counter {
-        self.flushed_entries.clone()
+        self.flushed_entries
     }
 
     /// Write-reduction ratio achieved so far (inputs per output); the
     /// paper's hot-item win. 1.0 when nothing combined.
     pub fn reduction_ratio(&self) -> f64 {
         let pending = self.buffer.len() as u64;
-        let outputs = self.flushed_entries.get() + pending;
+        let outputs = self.flushed_entries + pending;
         if outputs == 0 {
             1.0
         } else {
-            self.inputs.get() as f64 / outputs as f64
+            self.inputs as f64 / outputs as f64
         }
     }
 

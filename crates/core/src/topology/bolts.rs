@@ -13,9 +13,10 @@ use crate::cf::counts::WindowConfig;
 use crate::cf::pruning::PruneState;
 use crate::fields::FieldIndex;
 use crate::interner::Interner;
+use crate::topology::replay::encode_src;
 use crate::topology::state::{
-    apply_action_in_place, apply_counter_delta, apply_counter_deltas, session_key, update_sim_list,
-    windowed_sum, windowed_sum_with, HistoryAction, HistoryEdit, HistoryLimits, SimRecord,
+    apply_action_in_place, apply_counter_deltas, session_key, update_sim_list, windowed_sum,
+    windowed_sum_with, HistoryAction, HistoryEdit, HistoryLimits, SimRecord,
 };
 use crate::types::keys::KeyBuf;
 use crate::types::{keys, FxHashMap, ItemId, ItemPair};
@@ -52,35 +53,26 @@ pub struct CfPipelineConfig {
     pub pruning_delta: Option<f64>,
     /// Per-user history size bound in the store.
     pub max_history: usize,
-    /// Fine-grained cache capacity in the `ItemCount` bolt (§5.2);
-    /// 0 disables caching.
-    pub cache_capacity: usize,
-    /// Combiner flush bound in the `ItemCount` bolt (§5.3): buffer up to
-    /// this many distinct keys before writing through (ticks also flush);
-    /// 0 disables combining.
-    pub combiner_keys: usize,
-    /// Replay-dedup ring depth: how many applied source ids each counter
-    /// and history remembers so redelivered tuples (at-least-once
-    /// upstream) have exactly-once effects. 0 disables dedup (the
-    /// default — plain value formats, no overhead). Set it to at least
-    /// the spout's `max_pending`: the spout emits nothing that far past a
+    /// Replay memory: how many applied source ids each counter and
+    /// history remembers so redelivered tuples (at-least-once upstream)
+    /// have exactly-once effects. Every history and counter is stored in
+    /// the same format whatever this is; 0 (the default) remembers
+    /// nothing, so a redelivery applies again. Set it to at least the
+    /// spout's `max_pending`: the spout emits nothing that far past a
     /// partition's committed watermark, so a history replay log trimmed
     /// to this many offsets per partition holds every source that can
     /// still be redelivered — exactly. Counter rings keep this many
     /// sources per key by count (a key takes sources from every
     /// partition), which is a margin, not a bound: it must exceed the
-    /// updates one key receives within one tuple tree's lifetime. Dedup
-    /// bypasses the cache and combiner: a
-    /// combiner merges deltas from many sources into one write, which
-    /// cannot be checked per-source.
+    /// updates one key receives within one tuple tree's lifetime.
     pub dedup_window: usize,
     /// Cap on live Hoeffding-pruning observation counts per pair-bolt
     /// task (see [`PruneState::with_cap`]).
     pub pruning_max_tracked: usize,
-    /// Metric registry the pipeline's bolts register into (cache hit
-    /// ratio, combiner reduction, pruning state). [`build_cf_topology`]
-    /// shares this registry with the tstorm runtime, so one exposition
-    /// covers framework and application metrics.
+    /// Metric registry the pipeline's bolts register into (history log
+    /// size, pruning state). [`build_cf_topology`] shares this registry
+    /// with the tstorm runtime, so one exposition covers framework and
+    /// application metrics.
     ///
     /// [`build_cf_topology`]: crate::topology::build_cf_topology
     pub registry: obs::Registry,
@@ -96,8 +88,6 @@ impl Default for CfPipelineConfig {
             recent_k: 10,
             pruning_delta: None,
             max_history: 1024,
-            cache_capacity: 0,
-            combiner_keys: 0,
             dedup_window: 0,
             pruning_max_tracked: crate::cf::pruning::DEFAULT_MAX_TRACKED,
             registry: obs::Registry::new(),
@@ -122,32 +112,57 @@ impl CfPipelineConfig {
 /// side of TDAccess; in tests, a test fixture).
 pub struct ActionSpout {
     source: Receiver<UserAction>,
-    emitted: u64,
+    sources: ChannelSources,
 }
 
 impl ActionSpout {
     /// Spout reading from `source` until it disconnects.
     pub fn new(source: Receiver<UserAction>) -> Self {
-        ActionSpout { source, emitted: 0 }
+        ActionSpout {
+            source,
+            sources: ChannelSources::default(),
+        }
+    }
+}
+
+/// Source ids for a channel spout, which has no durable source: the task
+/// index stands in for the partition and the emit counter for the offset,
+/// so two tasks of one spout never share a source id.
+#[derive(Default)]
+struct ChannelSources {
+    task: u32,
+    emitted: u64,
+}
+
+impl ChannelSources {
+    fn open(&mut self, ctx: &TaskContext) {
+        self.task = ctx.task_index as u32;
+    }
+
+    fn next(&mut self) -> u64 {
+        self.emitted += 1;
+        encode_src(self.task, self.emitted)
     }
 }
 
 impl Spout for ActionSpout {
+    fn open(&mut self, ctx: &TaskContext) {
+        self.sources.open(ctx);
+    }
+
     fn next_tuple(&mut self, collector: &mut SpoutCollector) -> bool {
         match self.source.try_recv() {
             Ok(action) => {
-                self.emitted += 1;
+                let src = self.sources.next();
                 collector.emit(
                     vec![
                         Value::U64(action.user),
                         Value::U64(action.item),
                         Value::U64(action.action.code() as u64),
                         Value::U64(action.timestamp),
-                        // Source id for replay dedup; a channel spout has
-                        // no durable source, so the emit counter stands in.
-                        Value::U64(self.emitted),
+                        Value::U64(src),
                     ],
-                    Some(self.emitted),
+                    Some(src),
                 );
                 true
             }
@@ -261,30 +276,37 @@ pub struct RawAction {
 /// before the first fields-grouped edge.
 pub struct RawActionSpout {
     source: Receiver<RawAction>,
-    emitted: u64,
+    sources: ChannelSources,
 }
 
 impl RawActionSpout {
     /// Spout reading from `source` until it disconnects.
     pub fn new(source: Receiver<RawAction>) -> Self {
-        RawActionSpout { source, emitted: 0 }
+        RawActionSpout {
+            source,
+            sources: ChannelSources::default(),
+        }
     }
 }
 
 impl Spout for RawActionSpout {
+    fn open(&mut self, ctx: &TaskContext) {
+        self.sources.open(ctx);
+    }
+
     fn next_tuple(&mut self, collector: &mut SpoutCollector) -> bool {
         match self.source.try_recv() {
             Ok(action) => {
-                self.emitted += 1;
+                let src = self.sources.next();
                 collector.emit(
                     vec![
                         Value::from(action.user),
                         Value::from(action.item),
                         Value::U64(action.action.code() as u64),
                         Value::U64(action.timestamp),
-                        Value::U64(self.emitted),
+                        Value::U64(src),
                     ],
-                    Some(self.emitted),
+                    Some(src),
                 );
                 true
             }
@@ -401,158 +423,30 @@ impl Bolt for UserHistoryBolt {
 }
 
 /// `ItemCount` statistics unit (Fig. 6): grouped by `item`, accumulates
-/// `itemCount` buckets in TDStore, optionally through the fine-grained
-/// cache (§5.2 — safe because fields grouping makes this task the only
-/// writer of its keys) and the combiner (§5.3 — hot-item updates merge in
-/// memory and flush on the size bound or the tick).
+/// `itemCount` buckets in TDStore. Fields grouping makes this task the only
+/// writer of its keys, so a run's same-key deltas merge into one store
+/// update (§5.3's write reduction) without deferring any write past the
+/// ack.
 pub struct ItemCountBolt {
     store: TdStore,
     config: CfPipelineConfig,
-    cache: Option<crate::cache::CachedStore>,
-    combiner: Option<crate::combiner::Combiner<Vec<u8>>>,
     fields: FieldIndex<4>,
 }
 
 impl ItemCountBolt {
     /// New bolt over the shared store.
     pub fn new(store: TdStore, config: CfPipelineConfig) -> Self {
-        // Replay dedup needs every delta checked against the per-key
-        // source ring in the store; batching layers that merge or defer
-        // writes would blind that check, so they are disabled.
-        let dedup = config.dedup_window > 0;
-        // Counters come from the shared registry keyed by component, so
-        // every task of this bolt accumulates into the same series and the
-        // ratio gauges see the whole component, not one task.
-        let labels: &[(&str, &str)] = &[("component", "item_count")];
-        let cache = (config.cache_capacity > 0 && !dedup).then(|| {
-            let hits = config.registry.counter(
-                "tencentrec_cache_hits_total",
-                labels,
-                "CachedStore lookups answered from cache.",
-            );
-            let misses = config.registry.counter(
-                "tencentrec_cache_misses_total",
-                labels,
-                "CachedStore lookups that read through to TDStore.",
-            );
-            let (h, m) = (hits.clone(), misses.clone());
-            config.registry.register_gauge_fn(
-                "tencentrec_cache_hit_ratio",
-                labels,
-                "Cache hits over total lookups, in [0, 1].",
-                move || {
-                    let (h, m) = (h.get() as f64, m.get() as f64);
-                    if h + m == 0.0 {
-                        0.0
-                    } else {
-                        h / (h + m)
-                    }
-                },
-            );
-            crate::cache::CachedStore::with_counters(
-                store.clone(),
-                config.cache_capacity,
-                hits,
-                misses,
-            )
-        });
-        let combiner = (config.combiner_keys > 0 && !dedup).then(|| {
-            let inputs = config.registry.counter(
-                "tencentrec_combiner_inputs_total",
-                labels,
-                "Tuples buffered by the combiner.",
-            );
-            let outputs = config.registry.counter(
-                "tencentrec_combiner_flushed_total",
-                labels,
-                "Merged entries the combiner wrote downstream.",
-            );
-            let (i, o) = (inputs.clone(), outputs.clone());
-            config.registry.register_gauge_fn(
-                "tencentrec_combiner_reduction_ratio",
-                labels,
-                "Inputs per flushed entry (the hot-item write reduction).",
-                move || {
-                    let (i, o) = (i.get() as f64, o.get() as f64);
-                    if o == 0.0 {
-                        1.0
-                    } else {
-                        i / o
-                    }
-                },
-            );
-            crate::combiner::Combiner::with_counters(
-                crate::combiner::CombineOp::Add,
-                config.combiner_keys,
-                inputs,
-                outputs,
-            )
-        });
         ItemCountBolt {
             store,
             config,
-            cache,
-            combiner,
             fields: FieldIndex::new(["item", "delta", "ts", "src"]),
         }
-    }
-
-    fn write(&mut self, key: &[u8], delta: f64) -> Result<(), String> {
-        match &mut self.cache {
-            Some(cache) => cache.incr_f64(key, delta).map(|_| ()),
-            None => self.store.incr_f64(key, delta).map(|_| ()),
-        }
-        .map_err(|e| e.to_string())
-    }
-
-    fn flush_combiner(&mut self) -> Result<(), String> {
-        if let Some(combiner) = &mut self.combiner {
-            for (key, delta) in combiner.flush() {
-                match &mut self.cache {
-                    Some(cache) => cache.incr_f64(&key, delta).map(|_| ()),
-                    None => self.store.incr_f64(&key, delta).map(|_| ()),
-                }
-                .map_err(|e| e.to_string())?;
-            }
-        }
-        Ok(())
     }
 }
 
 impl Bolt for ItemCountBolt {
-    fn execute(&mut self, tuple: &Tuple, _collector: &mut BoltCollector) -> Result<(), String> {
-        let [item_i, delta_i, ts_i, src_i] = *self.fields.resolve(tuple);
-        let item = tuple.u64_at(item_i);
-        let delta = tuple.f64_at(delta_i);
-        let ts = tuple.u64_at(ts_i);
-        let session = self.config.session_of(ts);
-        let key = session_key(&keys::item_count(item), session);
-        if self.config.dedup_window > 0 {
-            apply_counter_delta(
-                &self.store,
-                &key,
-                delta,
-                tuple.u64_at(src_i),
-                self.config.dedup_window,
-            )
-            .map_err(|e| e.to_string())?;
-            return Ok(());
-        }
-        match &mut self.combiner {
-            Some(combiner) => {
-                if let Some(batch) = combiner.add(key.to_vec(), delta) {
-                    for (key, delta) in batch {
-                        match &mut self.cache {
-                            Some(cache) => cache.incr_f64(&key, delta).map(|_| ()),
-                            None => self.store.incr_f64(&key, delta).map(|_| ()),
-                        }
-                        .map_err(|e| e.to_string())?;
-                    }
-                }
-                Ok(())
-            }
-            None => self.write(&key, delta),
-        }
+    fn execute(&mut self, tuple: &Tuple, collector: &mut BoltCollector) -> Result<(), String> {
+        self.execute_batch(std::slice::from_ref(tuple), collector)
     }
 
     fn supports_batch(&self) -> bool {
@@ -561,10 +455,8 @@ impl Bolt for ItemCountBolt {
 
     /// Merges same-key deltas before touching state: a batch that hits one
     /// hot item's session bucket N times costs one store update, not N.
-    /// Dedup mode groups `(src, delta)` pairs per key and applies them in
-    /// arrival order through one atomic ring-checked update; plain mode
-    /// sums per key (addition commutes) and pushes one merged delta
-    /// through the usual combiner/cache path.
+    /// `(src, delta)` pairs are grouped per key and applied in arrival
+    /// order through one atomic ring-checked update.
     fn execute_batch(
         &mut self,
         tuples: &[Tuple],
@@ -586,38 +478,10 @@ impl Bolt for ItemCountBolt {
             }
         }
         for (key, deltas) in groups {
-            if self.config.dedup_window > 0 {
-                apply_counter_deltas(&self.store, &key, &deltas, self.config.dedup_window)
-                    .map_err(|e| e.to_string())?;
-                continue;
-            }
-            let total: f64 = deltas.iter().map(|&(_, d)| d).sum();
-            match &mut self.combiner {
-                Some(combiner) => {
-                    if let Some(batch) = combiner.add(key.to_vec(), total) {
-                        for (key, delta) in batch {
-                            match &mut self.cache {
-                                Some(cache) => cache.incr_f64(&key, delta).map(|_| ()),
-                                None => self.store.incr_f64(&key, delta).map(|_| ()),
-                            }
-                            .map_err(|e| e.to_string())?;
-                        }
-                    }
-                }
-                None => self.write(&key, total)?,
-            }
+            apply_counter_deltas(&self.store, &key, &deltas, self.config.dedup_window)
+                .map_err(|e| e.to_string())?;
         }
         Ok(())
-    }
-
-    fn tick(&mut self, _collector: &mut BoltCollector) {
-        // "We will fetch the tuples from the combiner and do the costly
-        // calculation like TDStore writes at the predefined intervals."
-        let _ = self.flush_combiner();
-    }
-
-    fn cleanup(&mut self) {
-        let _ = self.flush_combiner();
     }
 }
 
@@ -710,8 +574,8 @@ impl CfPairBolt {
 
 impl CfPairBolt {
     /// Folds a run of `(src, delta)` updates into one session bucket of a
-    /// pair's `pairCount` (one atomic ring-checked update under dedup, one
-    /// `incr` otherwise) and returns the bucket's new count.
+    /// pair's `pairCount` (one atomic ring-checked update) and returns the
+    /// bucket's new count.
     fn apply_pair_deltas(
         &self,
         pair: ItemPair,
@@ -719,14 +583,9 @@ impl CfPairBolt {
         deltas: &[(u64, f64)],
     ) -> Result<f64, String> {
         let key = session_key(&keys::pair_count(pair), session);
-        if self.config.dedup_window > 0 {
-            apply_counter_deltas(&self.store, &key, deltas, self.config.dedup_window)
-                .map(|update| update.count)
-        } else {
-            let total: f64 = deltas.iter().map(|&(_, d)| d).sum();
-            self.store.incr_f64(&key, total)
-        }
-        .map_err(|e| e.to_string())
+        apply_counter_deltas(&self.store, &key, deltas, self.config.dedup_window)
+            .map(|update| update.count)
+            .map_err(|e| e.to_string())
     }
 
     /// The pair's similarity (Eq. 5/10) from the decomposed counts: `pc`

@@ -100,7 +100,7 @@ where
     F: Fn() -> S + Send + Sync + 'static,
 {
     // One registry for the whole pipeline: the runtime's queue/latency
-    // metrics and the bolts' cache/combiner/pruning metrics land in the
+    // metrics and the bolts' history-log/pruning metrics land in the
     // same exposition, scrapeable from the topology handle.
     topology_config.registry = config.registry.clone();
     let mut builder = TopologyBuilder::new().with_config(topology_config);
@@ -171,17 +171,14 @@ fn wire_cf_counting_layers(
     }
     {
         let store = store.clone();
-        let combiner_on = config.combiner_keys > 0;
         let config = config.clone();
-        let mut declarer = builder.set_bolt(
-            "item_count",
-            move || ItemCountBolt::new(store.clone(), config.clone()),
-            parallelism.item_count,
-        );
-        declarer.grouping_on("user_history", ITEM_DELTA, Grouping::fields(["item"]));
-        if combiner_on {
-            declarer.tick_interval(std::time::Duration::from_millis(100));
-        }
+        builder
+            .set_bolt(
+                "item_count",
+                move || ItemCountBolt::new(store.clone(), config.clone()),
+                parallelism.item_count,
+            )
+            .grouping_on("user_history", ITEM_DELTA, Grouping::fields(["item"]));
     }
     {
         let store = store.clone();
@@ -276,7 +273,7 @@ impl TopologyRecommender {
             rated.reserve(room);
             recent.reserve(room);
             let read = self.store.read(&keys::user_history(user), |raw| {
-                let records = history_records(raw?, config.dedup_window);
+                let records = history_records(raw?);
                 if records.len() > recent.capacity() || records.len() > rated.capacity() {
                     return Some(Err(records.len()));
                 }
@@ -433,43 +430,57 @@ mod tests {
     }
 
     #[test]
-    fn cache_and_combiner_preserve_final_counts() {
-        // The §5.2 cache and §5.3 combiner are pure optimisations: after
-        // drain + shutdown (which flushes combiners) the stored counts
-        // must be identical to the plain pipeline's.
-        let mut actions = Vec::new();
-        for u in 1..=25u64 {
-            actions.push(click(u, 1, u * 10));
-            actions.push(click(u, 2, u * 10 + 1));
-            actions.push(click(u, 1, u * 10 + 2)); // hot-item repeats
-        }
-        let plain = run_pipeline(actions.clone(), CfPipelineConfig::default());
-        let optimised = run_pipeline(
-            actions,
-            CfPipelineConfig {
-                cache_capacity: 256,
-                combiner_keys: 64,
-                ..Default::default()
-            },
-        );
-        for item in [1u64, 2] {
-            let key = crate::topology::state::session_key(
-                &crate::types::keys::item_count(item),
-                u64::MAX,
-            );
-            assert_eq!(
-                plain.get_f64(&key).unwrap(),
-                optimised.get_f64(&key).unwrap(),
-                "itemCount({item}) differs"
-            );
-        }
+    fn channel_spout_tasks_never_share_a_source() {
+        // Two spout tasks, each draining its own channel of 100 distinct
+        // users' clicks on one item. With replay memory on, an action
+        // whose source id another task also emitted would be dropped as a
+        // redelivery.
+        let channels: Vec<_> = (0..2u64)
+            .map(|task| {
+                let (tx, rx) = unbounded();
+                for u in 0..100 {
+                    tx.send(click(task * 1_000 + u, 7, u)).unwrap();
+                }
+                rx
+            })
+            .collect();
+        // `set_spout` calls the factory once as a probe before the two
+        // tasks, so channels go out modulo 2.
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let spout = move || {
+            let call = calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            ActionSpout::new(channels[call % 2].clone())
+        };
+        let store = TdStore::new(StoreConfig::default());
+        let config = CfPipelineConfig {
+            dedup_window: 256,
+            ..Default::default()
+        };
+        let parallelism = CfParallelism {
+            spouts: 2,
+            ..Default::default()
+        };
+        let topology_config = tstorm::topology::TopologyConfig::default();
+        let handle = build_cf_topology_with_spout(
+            spout,
+            store.clone(),
+            config,
+            parallelism,
+            topology_config,
+        )
+        .expect("valid topology")
+        .launch();
+        assert!(handle.wait_idle(Duration::from_secs(20)), "stalled");
+        handle.shutdown(Duration::from_secs(2));
+        let count = windowed_sum(&store, &keys::item_count(7), 0, 0).unwrap();
+        assert_eq!(count, 400.0, "200 clicks of weight 2");
     }
 
     #[test]
     fn registry_exposes_pipeline_metrics() {
         // One registry must cover both layers: the tstorm runtime metrics
-        // and the bolts' cache/combiner/pruning metrics, with non-zero
-        // values after a run.
+        // and the bolts' history-log/pruning metrics, with non-zero values
+        // after a run.
         let mut actions = Vec::new();
         for u in 1..=25u64 {
             actions.push(click(u, 1, u * 10));
@@ -477,30 +488,12 @@ mod tests {
             actions.push(click(u, 1, u * 10 + 2));
         }
         let config = CfPipelineConfig {
-            cache_capacity: 256,
-            combiner_keys: 64,
             pruning_delta: Some(1e-3),
             ..Default::default()
         };
         let registry = config.registry.clone();
         run_pipeline(actions, config);
 
-        let item_count: &[(&str, &str)] = &[("component", "item_count")];
-        let hits = registry
-            .counter_value("tencentrec_cache_hits_total", item_count)
-            .expect("cache hit counter registered");
-        let misses = registry
-            .counter_value("tencentrec_cache_misses_total", item_count)
-            .expect("cache miss counter registered");
-        assert!(hits + misses > 0, "cache saw no traffic");
-        let inputs = registry
-            .counter_value("tencentrec_combiner_inputs_total", item_count)
-            .expect("combiner input counter registered");
-        assert!(inputs > 0, "combiner saw no traffic");
-        let ratio = registry
-            .gauge_value("tencentrec_combiner_reduction_ratio", item_count)
-            .expect("reduction ratio registered");
-        assert!(ratio >= 1.0, "reduction ratio {ratio} below 1");
         assert!(
             registry
                 .gauge_value(
@@ -519,7 +512,7 @@ mod tests {
             "tstorm_exec_latency_seconds",
             "tstorm_queue_depth",
             "tstorm_backpressure_stalls_total",
-            "tencentrec_cache_hit_ratio",
+            "tencentrec_history_log_entries",
         ] {
             assert!(text.contains(family), "missing {family} in:\n{text}");
         }

@@ -12,22 +12,6 @@ use tdstore::{StoreError, TdStore};
 /// One user-history record: `(item, rating, last action ts)`.
 pub type HistoryRecord = (ItemId, f64, Timestamp);
 
-/// Encodes a user history as fixed 24-byte records.
-pub fn encode_history(entries: &[HistoryRecord]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(entries.len() * 24);
-    for &(item, rating, ts) in entries {
-        out.extend_from_slice(&item.to_le_bytes());
-        out.extend_from_slice(&rating.to_le_bytes());
-        out.extend_from_slice(&ts.to_le_bytes());
-    }
-    out
-}
-
-/// Decodes a user history (ignores a trailing partial record).
-pub fn decode_history(raw: &[u8]) -> Vec<HistoryRecord> {
-    history_records(raw, 0).collect()
-}
-
 /// One entry in a user history's embedded replay log: the source id of a
 /// processed action and the deltas that action contributed, kept so a
 /// replayed delivery (at-least-once upstream) re-emits the *original*
@@ -43,23 +27,29 @@ pub struct ReplayLogEntry {
     pub pair_deltas: Vec<(ItemId, ItemId, f64)>,
 }
 
-/// Encodes a user history together with its replay log (the dedup-enabled
-/// format):
+/// Encodes a user history together with its replay log — the one format
+/// the history bolt stores, whatever its `dedup_window`:
 /// `n:u32 | n × 24B records | m:u32 | m × log entries`,
+/// record = `item:u64 | rating:f64 | ts:u64`,
 /// log entry = `src:u64 | delta:f64 | k:u32 | k × (a:u64, b:u64, d:f64)`.
+/// A window of 0 keeps no log entries, so its values end in `m = 0`.
 ///
 /// History and log share one store value on purpose: the store's `modify`
 /// mutates them atomically, so "this action was applied" and its effects
 /// can never disagree after a crash or an injected write failure.
 ///
 /// The pipeline edits this format where it lies
-/// ([`apply_action_in_place`]); this function and [`decode_history_v2`]
+/// ([`apply_action_in_place`]); this function and [`decode_history`]
 /// define it, repair torn values, and are the reference the in-place
 /// editor is property-tested against.
-pub fn encode_history_v2(entries: &[HistoryRecord], log: &[ReplayLogEntry]) -> Vec<u8> {
+pub fn encode_history(entries: &[HistoryRecord], log: &[ReplayLogEntry]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + entries.len() * 24 + log.len() * 24);
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    out.extend_from_slice(&encode_history(entries));
+    for &(item, rating, ts) in entries {
+        out.extend_from_slice(&item.to_le_bytes());
+        out.extend_from_slice(&rating.to_le_bytes());
+        out.extend_from_slice(&ts.to_le_bytes());
+    }
     out.extend_from_slice(&(log.len() as u32).to_le_bytes());
     for e in log {
         push_log_entry(&mut out, e.src, e.delta_rating, &e.pair_deltas);
@@ -67,7 +57,7 @@ pub fn encode_history_v2(entries: &[HistoryRecord], log: &[ReplayLogEntry]) -> V
     out
 }
 
-/// Appends one replay-log entry in the v2 wire form.
+/// Appends one replay-log entry in its stored form.
 fn push_log_entry(out: &mut Vec<u8>, src: u64, delta: f64, pairs: &[(ItemId, ItemId, f64)]) {
     out.extend_from_slice(&src.to_le_bytes());
     out.extend_from_slice(&delta.to_le_bytes());
@@ -79,9 +69,9 @@ fn push_log_entry(out: &mut Vec<u8>, src: u64, delta: f64, pairs: &[(ItemId, Ite
     }
 }
 
-/// Decodes [`encode_history_v2`]; tolerant of truncation (a torn value
+/// Decodes [`encode_history`]; tolerant of truncation (a torn value
 /// yields the longest valid prefix rather than a panic).
-pub fn decode_history_v2(raw: &[u8]) -> (Vec<HistoryRecord>, Vec<ReplayLogEntry>) {
+pub fn decode_history(raw: &[u8]) -> (Vec<HistoryRecord>, Vec<ReplayLogEntry>) {
     let mut pos = 0usize;
     let read_u32 = |raw: &[u8], pos: &mut usize| -> Option<u32> {
         let v = u32::from_le_bytes(raw.get(*pos..*pos + 4)?.try_into().ok()?);
@@ -98,8 +88,8 @@ pub fn decode_history_v2(raw: &[u8]) -> (Vec<HistoryRecord>, Vec<ReplayLogEntry>
     };
     let hist_end = pos + (n as usize) * 24;
     let entries = match raw.get(pos..hist_end) {
-        Some(slice) => decode_history(slice),
-        None => return (decode_history(&raw[pos..]), Vec::new()),
+        Some(slice) => records(slice).collect(),
+        None => return (records(&raw[pos..]).collect(), Vec::new()),
     };
     pos = hist_end;
     let mut log = Vec::new();
@@ -160,9 +150,9 @@ pub struct HistoryLimits {
     pub linked_time_ms: u64,
     /// Records kept per user; past it the stalest record goes.
     pub max_history: usize,
-    /// 0 = plain v1 records, no replay log. Otherwise the v2 format,
-    /// whose log keeps, per partition, the sources within this many
-    /// offsets of the newest one — and at most this many entries in all.
+    /// How much replay memory the log keeps: per partition, the sources
+    /// within this many offsets of the newest one — and at most this many
+    /// entries in all. 0 keeps none.
     pub dedup_window: usize,
 }
 
@@ -199,7 +189,7 @@ fn log_entry_len(buf: &[u8], at: usize) -> Option<usize> {
     (at.checked_add(len)? <= buf.len()).then_some(len)
 }
 
-/// Shape of a well-formed v2 value: record count, log entry count, and
+/// Shape of a well-formed history value: record count, log entry count, and
 /// where the first log entry carrying a given source starts.
 struct HistoryShape {
     n: usize,
@@ -207,8 +197,8 @@ struct HistoryShape {
     seen_at: Option<usize>,
 }
 
-/// Walks a v2 value looking for `src` in its log. `None` unless the bytes
-/// are exactly what [`encode_history_v2`] writes — `n` whole records, `m`
+/// Walks a history value looking for `src` in its log. `None` unless the bytes
+/// are exactly what [`encode_history`] writes — `n` whole records, `m`
 /// whole entries, nothing after them.
 fn history_shape(buf: &[u8], src: u64) -> Option<HistoryShape> {
     let n = u32_at(buf, 0)?;
@@ -232,14 +222,14 @@ fn history_shape(buf: &[u8], src: u64) -> Option<HistoryShape> {
 /// to the action's weight, computes the item and pair deltas
 /// (`pair_deltas` is cleared and filled: `(a, b, delta)` with `a < b`),
 /// moves the item's record to the end with the new timestamp, and past
-/// `max_history` drops the stalest record. With `dedup_window > 0` the
-/// value is the v2 format and carries the replay log: a source already in
-/// the log is a redelivery — its *original* deltas are handed back and no
+/// `max_history` drops the stalest record. A source already in the replay
+/// log is a redelivery — its *original* deltas are handed back and no
 /// byte changes — and a new source is appended with its deltas, after
 /// which entries of the same partition lying `dedup_window` or more
 /// offsets behind it are dropped (the spout's span cap makes them
 /// unreachable: see [`super::replay::ReplayTracker::in_span`]) and the
-/// oldest entries past `dedup_window` in all.
+/// oldest entries past `dedup_window` in all — so a window of 0 keeps no
+/// log and applies every delivery.
 ///
 /// Bytes are exactly what decoding, editing `Vec`s and re-encoding would
 /// store; a torn or malformed value is first rewritten as that decode
@@ -253,36 +243,28 @@ pub fn apply_action_in_place(
     pair_deltas.clear();
     let mut changed = slot.is_none();
     let buf = slot.get_or_insert_with(Vec::new);
-    let window = limits.dedup_window;
-    // Where the records start, how many there are, and (v2) the log.
-    let (base, n, log) = if window == 0 {
-        let n = buf.len() / HIST_RECORD;
-        buf.truncate(n * HIST_RECORD);
-        (0, n, None)
-    } else {
-        let shape = match history_shape(buf, action.src) {
-            Some(shape) => shape,
-            None => {
-                let (entries, log) = decode_history_v2(buf);
-                *buf = encode_history_v2(&entries, &log);
-                changed = true;
-                history_shape(buf, action.src).expect("a fresh encoding is well-formed")
-            }
-        };
-        if let Some(at) = shape.seen_at {
-            let k = u32_at(buf, at + 16).expect("whole entry");
-            pair_deltas.extend((0..k).map(|i| {
-                let d = at + LOG_ENTRY_HEAD + i * HIST_RECORD;
-                (u64_at(buf, d), u64_at(buf, d + 8), f64_at(buf, d + 16))
-            }));
-            return HistoryEdit {
-                delta_rating: f64_at(buf, at + 8),
-                changed,
-                log_growth: 0,
-            };
+    let shape = match history_shape(buf, action.src) {
+        Some(shape) => shape,
+        None => {
+            let (entries, log) = decode_history(buf);
+            *buf = encode_history(&entries, &log);
+            changed = true;
+            history_shape(buf, action.src).expect("a fresh encoding is well-formed")
         }
-        (4, shape.n, Some(shape.m))
     };
+    if let Some(at) = shape.seen_at {
+        let k = u32_at(buf, at + 16).expect("whole entry");
+        pair_deltas.extend((0..k).map(|i| {
+            let d = at + LOG_ENTRY_HEAD + i * HIST_RECORD;
+            (u64_at(buf, d), u64_at(buf, d + 8), f64_at(buf, d + 16))
+        }));
+        return HistoryEdit {
+            delta_rating: f64_at(buf, at + 8),
+            changed,
+            log_growth: 0,
+        };
+    }
+    let HistoryShape { n, m, .. } = shape;
 
     let HistoryAction {
         item,
@@ -291,7 +273,7 @@ pub fn apply_action_in_place(
         src,
     } = *action;
     let record = |buf: &[u8], i: usize| {
-        let at = base + i * HIST_RECORD;
+        let at = 4 + i * HIST_RECORD;
         (u64_at(buf, at), f64_at(buf, at + 8), u64_at(buf, at + 16))
     };
     let old = (0..n)
@@ -313,13 +295,13 @@ pub fn apply_action_in_place(
             }
         }
         if kept != i {
-            let from = base + i * HIST_RECORD;
-            buf.copy_within(from..from + HIST_RECORD, base + kept * HIST_RECORD);
+            let from = 4 + i * HIST_RECORD;
+            buf.copy_within(from..from + HIST_RECORD, 4 + kept * HIST_RECORD);
         }
         kept += 1;
     }
-    let records_end = base + n * HIST_RECORD;
-    let at = base + kept * HIST_RECORD;
+    let records_end = 4 + n * HIST_RECORD;
+    let at = 4 + kept * HIST_RECORD;
     if kept == n {
         // A new item: one record's room opens between records and log.
         let len = buf.len();
@@ -337,24 +319,18 @@ pub fn apply_action_in_place(
         // The stalest record (the first of equals) goes; the last takes
         // its place.
         let stalest = (0..n).min_by_key(|&i| record(buf, i).2).expect("non-empty");
-        let last = base + (n - 1) * HIST_RECORD;
-        buf.copy_within(last..last + HIST_RECORD, base + stalest * HIST_RECORD);
+        let last = 4 + (n - 1) * HIST_RECORD;
+        buf.copy_within(last..last + HIST_RECORD, 4 + stalest * HIST_RECORD);
         buf.drain(last..last + HIST_RECORD);
         n -= 1;
     }
-    let edit = HistoryEdit {
-        delta_rating: new - old,
-        changed: true,
-        log_growth: 0,
-    };
-    let Some(m) = log else {
-        return edit;
-    };
-
     buf[..4].copy_from_slice(&(n as u32).to_le_bytes());
-    let log_at = base + n * HIST_RECORD + 4;
+
+    let window = limits.dedup_window;
+    let log_at = 4 + n * HIST_RECORD + 4;
     // Horizon trim: same-partition entries the span cap has put out of
-    // the spout's reach close up; then the count cap takes the oldest.
+    // the spout's reach close up; then the count cap keeps the newest
+    // `window` of the old entries and the new one.
     let (pid, off) = super::replay::decode_src(src);
     let (mut read, mut write, mut live) = (log_at, log_at, 0usize);
     for _ in 0..m {
@@ -370,48 +346,49 @@ pub fn apply_action_in_place(
         read += len;
     }
     buf.truncate(write);
-    let excess = (live + 1).saturating_sub(window);
-    if excess > 0 {
-        let mut end = log_at;
-        for _ in 0..excess {
-            end += log_entry_len(buf, end).expect("well-formed log");
-        }
-        buf.drain(log_at..end);
-        live -= excess;
+    let dropped = (live + 1).saturating_sub(window).min(live);
+    let mut end = log_at;
+    for _ in 0..dropped {
+        end += log_entry_len(buf, end).expect("well-formed log");
     }
-    buf.reserve_exact(LOG_ENTRY_HEAD + pair_deltas.len() * HIST_RECORD);
-    push_log_entry(buf, src, edit.delta_rating, pair_deltas);
-    buf[log_at - 4..log_at].copy_from_slice(&((live + 1) as u32).to_le_bytes());
+    buf.drain(log_at..end);
+    live -= dropped;
+    if live < window {
+        buf.reserve_exact(LOG_ENTRY_HEAD + pair_deltas.len() * HIST_RECORD);
+        push_log_entry(buf, src, new - old, pair_deltas);
+        live += 1;
+    }
+    buf[log_at - 4..log_at].copy_from_slice(&(live as u32).to_le_bytes());
     HistoryEdit {
-        log_growth: (live + 1) as i64 - m as i64,
-        ..edit
+        delta_rating: new - old,
+        changed: true,
+        log_growth: live as i64 - m as i64,
     }
 }
 
-/// The records of a stored user history in whichever format the pipeline
-/// is configured to write: the plain v1 records (`dedup_window == 0`) or
-/// the v2 format — of which only the `n × 24` record bytes are read. The
-/// replay log behind them is the history bolt's business alone, so a torn
-/// or garbage log changes nothing here; a torn record block yields its
-/// whole records, as [`decode_history_v2`] does.
-pub fn read_history(raw: &[u8], dedup_window: usize) -> Vec<HistoryRecord> {
-    history_records(raw, dedup_window).collect()
+/// The records of a stored user history: only the `n × 24` record bytes
+/// are read. The replay log behind them is the history bolt's business
+/// alone, so a torn or garbage log changes nothing here; a torn record
+/// block yields its whole records, as [`decode_history`] does.
+pub fn read_history(raw: &[u8]) -> Vec<HistoryRecord> {
+    history_records(raw).collect()
 }
 
 /// [`read_history`] without the copy: the records are decoded where they
 /// lie, so a caller inside [`TdStore::read`] keeps only what it needs.
-pub(crate) fn history_records(
-    raw: &[u8],
-    dedup_window: usize,
-) -> impl ExactSizeIterator<Item = HistoryRecord> + '_ {
-    let block = if dedup_window == 0 {
-        raw
-    } else if let Some((n, records)) = raw.split_first_chunk::<4>() {
-        let wanted = (u32::from_le_bytes(*n) as usize).saturating_mul(HIST_RECORD);
-        &records[..records.len().min(wanted)]
-    } else {
-        &[]
+pub(crate) fn history_records(raw: &[u8]) -> impl ExactSizeIterator<Item = HistoryRecord> + '_ {
+    let block = match raw.split_first_chunk::<4>() {
+        Some((n, block)) => {
+            let wanted = (u32::from_le_bytes(*n) as usize).saturating_mul(HIST_RECORD);
+            &block[..block.len().min(wanted)]
+        }
+        None => &[],
     };
+    records(block)
+}
+
+/// The whole 24-byte records of a record block.
+fn records(block: &[u8]) -> impl ExactSizeIterator<Item = HistoryRecord> + '_ {
     block
         .chunks_exact(HIST_RECORD)
         .map(|c| (u64_at(c, 0), f64_at(c, 8), u64_at(c, 16)))
@@ -553,19 +530,8 @@ pub fn session_key(base: &[u8], session: u64) -> KeyBuf {
     KeyBuf::new(base).with(b"@").with(&session.to_le_bytes())
 }
 
-/// Adds `delta` to the windowed count bucket of `base` at `session`.
-pub fn windowed_incr(
-    store: &TdStore,
-    base: &[u8],
-    session: u64,
-    delta: f64,
-) -> Result<f64, StoreError> {
-    store.incr_f64(&session_key(base, session), delta)
-}
-
-/// The count held in a stored counter value: the first 8 bytes, whether
-/// the value is a plain `incr_f64` float or a dedup-tracked counter whose
-/// source ring follows the count.
+/// The count held in a stored counter value
+/// (`count:f64 | n:u32 | n × src:u64`): the first 8 bytes.
 pub fn counter_prefix(raw: &[u8]) -> f64 {
     match raw.first_chunk::<8>() {
         Some(bytes) => f64::from_le_bytes(*bytes),
@@ -576,26 +542,6 @@ pub fn counter_prefix(raw: &[u8]) -> f64 {
 /// Reads a counter's count without copying the source ring behind it.
 fn stored_count(store: &TdStore, key: &[u8]) -> Result<f64, StoreError> {
     store.read(key, |raw| raw.map_or(0.0, counter_prefix))
-}
-
-/// Adds `delta` to the counter at `key` unless an update from the same
-/// `src` was already applied — the idempotence that turns the spout's
-/// at-least-once redelivery into exactly-once count effects.
-///
-/// Value layout: `count:f64 | n:u32 | n × src:u64`, a ring of the last
-/// `window` applied source ids. The ring lives in the *same* store value
-/// as the count, so one atomic `update` both checks and marks: a crash or
-/// injected write failure can never apply a delta without recording its
-/// src (or vice versa). Returns whether the delta was applied (`false` =
-/// duplicate delivery, skipped).
-pub fn apply_counter_delta(
-    store: &TdStore,
-    key: &[u8],
-    delta: f64,
-    src: u64,
-    window: usize,
-) -> Result<bool, StoreError> {
-    Ok(apply_counter_deltas(store, key, &[(src, delta)], window)?.applied == 1)
 }
 
 /// What a batch of deltas did to one counter.
@@ -611,11 +557,20 @@ pub struct CounterUpdate {
 
 const RING_AT: usize = 12;
 
-/// Applies `(src, delta)` updates to a counter value
-/// (`count:f64 | n:u32 | n × src:u64`) where it lies: the ring bytes are
-/// scanned for each source, and an unseen one bumps the count, is appended,
-/// and — past `window` sources — pushes the oldest out. No decoded ring, no
-/// second buffer, and growth is exact, so stored values carry no slack.
+/// Applies `(src, delta)` updates to a counter value where it lies.
+///
+/// Value layout: `count:f64 | n:u32 | n × src:u64`, a ring of the last
+/// `window` applied source ids (none at window 0, where the value is
+/// `count | 0`). The ring lives in the *same* store value as the count, so
+/// one atomic update both checks and marks: a crash or injected write
+/// failure can never apply a delta without recording its src (or vice
+/// versa). That idempotence turns the spout's at-least-once redelivery
+/// into exactly-once count effects.
+///
+/// The ring bytes are scanned for each source, and an unseen one bumps the
+/// count, is appended, and — past `window` sources — pushes the oldest
+/// out. No decoded ring, no second buffer, and growth is exact, so stored
+/// values carry no slack.
 /// Deltas apply strictly in order with the ring trimmed after every
 /// insert, so the bytes equal one update per delta. A short or torn value
 /// is first cut back to its readable prefix, as a decode would read it.
@@ -651,7 +606,7 @@ pub fn apply_deltas_in_place(
         applied += 1;
         let excess = (n + 1).saturating_sub(window);
         if excess > n {
-            // Only with `window == 0`: nothing is remembered.
+            // A window that holds no source: nothing is remembered.
             buf.truncate(RING_AT);
             n = 0;
             continue;
@@ -773,11 +728,79 @@ mod tests {
     use super::*;
     use tdstore::StoreConfig;
 
+    /// One delta from source `src`, as the CF bolts apply it; whether it
+    /// applied.
+    fn add(store: &TdStore, key: &[u8], delta: f64, src: u64, window: usize) -> bool {
+        apply_counter_deltas(store, key, &[(src, delta)], window)
+            .unwrap()
+            .applied
+            == 1
+    }
+
+    /// Adds `delta` to the bucket of `base` at `session`, remembering no
+    /// source.
+    fn bump(store: &TdStore, base: &[u8], session: u64, delta: f64) {
+        assert!(add(store, &session_key(base, session), delta, 0, 0));
+    }
+
     #[test]
     fn history_round_trip() {
         let entries = vec![(1u64, 2.5f64, 100u64), (9, 5.0, 200)];
-        assert_eq!(decode_history(&encode_history(&entries)), entries);
-        assert!(decode_history(&[]).is_empty());
+        let raw = encode_history(&entries, &[]);
+        let mut want = 2u32.to_le_bytes().to_vec();
+        for &(item, rating, ts) in &entries {
+            want.extend_from_slice(&item.to_le_bytes());
+            want.extend_from_slice(&rating.to_le_bytes());
+            want.extend_from_slice(&ts.to_le_bytes());
+        }
+        want.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(raw, want, "n | records | m = 0");
+        assert_eq!(decode_history(&raw), (entries, Vec::new()));
+        assert_eq!(decode_history(&[]), (Vec::new(), Vec::new()));
+    }
+
+    #[test]
+    fn window_zero_history_keeps_no_log_and_reapplies_a_source() {
+        let limits = HistoryLimits {
+            linked_time_ms: u64::MAX,
+            max_history: 8,
+            dedup_window: 0,
+        };
+        let (mut slot, mut pairs) = (None, Vec::new());
+        let click = |item, ts| HistoryAction {
+            item,
+            weight: 1.0,
+            ts,
+            src: 7,
+        };
+        let edit = apply_action_in_place(&mut slot, &click(1, 10), &limits, &mut pairs);
+        assert_eq!((edit.delta_rating, edit.log_growth), (1.0, 0));
+        assert_eq!(
+            slot.as_deref(),
+            Some(&encode_history(&[(1, 1.0, 10)], &[])[..])
+        );
+        // The same source again: nothing remembers it, so it applies.
+        let edit = apply_action_in_place(&mut slot, &click(2, 11), &limits, &mut pairs);
+        assert!(edit.changed);
+        assert_eq!(
+            (edit.delta_rating, pairs.as_slice()),
+            (1.0, &[(1, 2, 1.0)][..])
+        );
+        let entries = [(1, 1.0, 10), (2, 1.0, 11)];
+        assert_eq!(slot.as_deref(), Some(&encode_history(&entries, &[])[..]));
+    }
+
+    #[test]
+    fn window_zero_counter_is_count_then_zero_and_reapplies_a_source() {
+        let store = TdStore::new(StoreConfig::default());
+        assert!(add(&store, b"c", 2.0, 10, 0));
+        assert!(
+            add(&store, b"c", 3.0, 10, 0),
+            "a redelivered src applies again"
+        );
+        let mut want = 5.0f64.to_le_bytes().to_vec();
+        want.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(store.get(b"c").unwrap().unwrap(), want, "count | 0");
     }
 
     #[test]
@@ -857,9 +880,9 @@ mod tests {
     #[test]
     fn windowed_counts_in_store() {
         let store = TdStore::new(StoreConfig::default());
-        windowed_incr(&store, b"ic:7", 10, 2.0).unwrap();
-        windowed_incr(&store, b"ic:7", 11, 3.0).unwrap();
-        windowed_incr(&store, b"ic:7", 20, 5.0).unwrap();
+        bump(&store, b"ic:7", 10, 2.0);
+        bump(&store, b"ic:7", 11, 3.0);
+        bump(&store, b"ic:7", 20, 5.0);
         // Window of 3 sessions ending at 12 sees sessions 10..=12.
         assert_eq!(windowed_sum(&store, b"ic:7", 12, 3).unwrap(), 5.0);
         // Window ending at 20 sees only session 20.
@@ -869,10 +892,10 @@ mod tests {
     #[test]
     fn gc_removes_only_expired_buckets() {
         let store = TdStore::new(StoreConfig::default());
-        windowed_incr(&store, b"ic:1", 5, 1.0).unwrap();
-        windowed_incr(&store, b"ic:1", 9, 1.0).unwrap();
-        windowed_incr(&store, b"ic:1", 10, 1.0).unwrap();
-        windowed_incr(&store, b"ic:2", 2, 1.0).unwrap();
+        bump(&store, b"ic:1", 5, 1.0);
+        bump(&store, b"ic:1", 9, 1.0);
+        bump(&store, b"ic:1", 10, 1.0);
+        bump(&store, b"ic:2", 2, 1.0);
         // Window of 3 ending at session 10 keeps sessions 8..=10.
         let removed = gc_expired_sessions(&store, b"ic:", 10, 3).unwrap();
         assert_eq!(removed, 2, "sessions 5 and 2 expire");
@@ -883,7 +906,7 @@ mod tests {
     #[test]
     fn gc_ignores_unwindowed_buckets() {
         let store = TdStore::new(StoreConfig::default());
-        windowed_incr(&store, b"ic:7", u64::MAX, 3.0).unwrap();
+        bump(&store, b"ic:7", u64::MAX, 3.0);
         assert_eq!(gc_expired_sessions(&store, b"ic:", 1_000, 2).unwrap(), 0);
         assert_eq!(windowed_sum(&store, b"ic:7", 0, 0).unwrap(), 3.0);
     }
@@ -891,7 +914,7 @@ mod tests {
     #[test]
     fn gc_noop_for_unbounded_window() {
         let store = TdStore::new(StoreConfig::default());
-        windowed_incr(&store, b"ic:7", 3, 1.0).unwrap();
+        bump(&store, b"ic:7", 3, 1.0);
         assert_eq!(gc_expired_sessions(&store, b"ic:", 100, 0).unwrap(), 0);
     }
 
@@ -910,41 +933,38 @@ mod tests {
                 pair_deltas: Vec::new(),
             },
         ];
-        let raw = encode_history_v2(&entries, &log);
-        assert_eq!(decode_history_v2(&raw), (entries.clone(), log));
-        assert_eq!(read_history(&raw, 8), entries);
+        let raw = encode_history(&entries, &log);
+        assert_eq!(decode_history(&raw), (entries.clone(), log));
+        assert_eq!(read_history(&raw), entries);
         // The query side reads the records only: a torn or garbage log
         // behind them changes nothing.
         let records_end = 4 + entries.len() * 24;
         for cut in records_end..raw.len() {
-            assert_eq!(read_history(&raw[..cut], 8), entries);
+            assert_eq!(read_history(&raw[..cut]), entries);
         }
         let mut garbage = raw[..records_end].to_vec();
         garbage.extend_from_slice(&[0xFF; 37]);
-        assert_eq!(read_history(&garbage, 8), entries);
+        assert_eq!(read_history(&garbage), entries);
         // A torn record block yields its whole records, like the full
         // decoder.
-        assert_eq!(read_history(&raw[..records_end - 5], 8), entries[..1]);
+        assert_eq!(read_history(&raw[..records_end - 5]), entries[..1]);
         assert_eq!(
-            decode_history_v2(&raw[..records_end - 5]).0,
-            read_history(&raw[..records_end - 5], 8)
+            decode_history(&raw[..records_end - 5]).0,
+            read_history(&raw[..records_end - 5])
         );
-        assert!(read_history(&raw[..3], 8).is_empty());
-        // v1 path still decodes plain records.
-        let v1 = encode_history(&entries);
-        assert_eq!(read_history(&v1, 0), entries);
+        assert!(read_history(&raw[..3]).is_empty());
         // Truncation degrades, never panics.
-        assert_eq!(decode_history_v2(&raw[..raw.len() - 3]).0, entries);
-        assert!(decode_history_v2(&[]).0.is_empty());
+        assert_eq!(decode_history(&raw[..raw.len() - 3]).0, entries);
+        assert!(decode_history(&[]).0.is_empty());
     }
 
     #[test]
     fn counter_delta_dedups_by_src() {
         let store = TdStore::new(StoreConfig::default());
-        assert!(apply_counter_delta(&store, b"c", 2.0, 10, 4).unwrap());
-        assert!(apply_counter_delta(&store, b"c", 3.0, 11, 4).unwrap());
+        assert!(add(&store, b"c", 2.0, 10, 4));
+        assert!(add(&store, b"c", 3.0, 11, 4));
         // Same src again: skipped, count unchanged.
-        assert!(!apply_counter_delta(&store, b"c", 2.0, 10, 4).unwrap());
+        assert!(!add(&store, b"c", 2.0, 10, 4));
         let raw = store.get(b"c").unwrap().unwrap();
         assert_eq!(counter_prefix(&raw), 5.0);
     }
@@ -953,14 +973,14 @@ mod tests {
     fn counter_ring_evicts_beyond_window() {
         let store = TdStore::new(StoreConfig::default());
         for src in 0..5u64 {
-            assert!(apply_counter_delta(&store, b"c", 1.0, src, 3).unwrap());
+            assert!(add(&store, b"c", 1.0, src, 3));
         }
         // src 0 was evicted from a 3-deep ring: it re-applies (the window
         // bounds how far back dedup reaches — callers size it past the
         // spout's replay horizon).
-        assert!(apply_counter_delta(&store, b"c", 1.0, 0, 3).unwrap());
+        assert!(add(&store, b"c", 1.0, 0, 3));
         // src 4 is still in the ring.
-        assert!(!apply_counter_delta(&store, b"c", 1.0, 4, 3).unwrap());
+        assert!(!add(&store, b"c", 1.0, 4, 3));
         assert_eq!(counter_prefix(&store.get(b"c").unwrap().unwrap()), 6.0);
     }
 
@@ -974,7 +994,7 @@ mod tests {
         let update = apply_counter_deltas(&a, b"c", &deltas, 3).unwrap();
         assert_eq!((update.applied, update.count), (4, 5.0));
         for &(src, delta) in &deltas {
-            apply_counter_delta(&b, b"c", delta, src, 3).unwrap();
+            add(&b, b"c", delta, src, 3);
         }
         assert_eq!(a.get(b"c").unwrap(), b.get(b"c").unwrap());
         assert_eq!(counter_prefix(&a.get(b"c").unwrap().unwrap()), 5.0);
@@ -1021,8 +1041,8 @@ mod tests {
     #[test]
     fn windowed_sum_uses_known_buckets() {
         let store = TdStore::new(StoreConfig::default());
-        windowed_incr(&store, b"pc:x", 10, 2.0).unwrap();
-        windowed_incr(&store, b"pc:x", 11, 3.0).unwrap();
+        bump(&store, b"pc:x", 10, 2.0);
+        bump(&store, b"pc:x", 11, 3.0);
         // Session 11 is taken from the caller, not the store.
         let sum = windowed_sum_with(&store, b"pc:x", 11, 3, &[(11, 30.0)]).unwrap();
         assert_eq!(sum, 32.0);
@@ -1034,16 +1054,16 @@ mod tests {
     fn windowed_sum_reads_dedup_counters() {
         let store = TdStore::new(StoreConfig::default());
         let key = session_key(b"ic:7", u64::MAX);
-        apply_counter_delta(&store, &key, 2.5, 1, 8).unwrap();
-        apply_counter_delta(&store, &key, 1.5, 2, 8).unwrap();
+        add(&store, &key, 2.5, 1, 8);
+        add(&store, &key, 1.5, 2, 8);
         assert_eq!(windowed_sum(&store, b"ic:7", 0, 0).unwrap(), 4.0);
     }
 
     #[test]
     fn unwindowed_bucket() {
         let store = TdStore::new(StoreConfig::default());
-        windowed_incr(&store, b"ic:9", u64::MAX, 1.5).unwrap();
-        windowed_incr(&store, b"ic:9", u64::MAX, 1.5).unwrap();
+        bump(&store, b"ic:9", u64::MAX, 1.5);
+        bump(&store, b"ic:9", u64::MAX, 1.5);
         assert_eq!(windowed_sum(&store, b"ic:9", 0, 0).unwrap(), 3.0);
     }
 }

@@ -1,19 +1,17 @@
 //! Property tests for the hot-path data structures this crate mutates in
-//! place: the v2 user-history codec (records + embedded replay log) and
+//! place: the user-history codec (records + embedded replay log) and
 //! the string-id interner.
 //!
 //! The codec properties matter because the codec defines the format the
 //! history bolt edits in place, repairs the torn values it meets, and is
 //! the reference that editor is tested against
 //! (`inplace_state_props.rs`). The truncation property covers torn reads
-//! after a mid-write failover: `decode_history_v2` must degrade to the
+//! after a mid-write failover: `decode_history` must degrade to the
 //! longest valid prefix, never panic or invent records.
 
 use proptest::prelude::*;
 use tencentrec::interner::Interner;
-use tencentrec::topology::state::{
-    decode_history_v2, encode_history_v2, HistoryRecord, ReplayLogEntry,
-};
+use tencentrec::topology::state::{decode_history, encode_history, HistoryRecord, ReplayLogEntry};
 
 fn arb_entry() -> impl Strategy<Value = HistoryRecord> {
     (any::<u64>(), -1e6f64..1e6, any::<u64>())
@@ -40,8 +38,8 @@ proptest! {
         entries in prop::collection::vec(arb_entry(), 0..20),
         log in prop::collection::vec(arb_log_entry(), 0..8),
     ) {
-        let raw = encode_history_v2(&entries, &log);
-        let (got_entries, got_log) = decode_history_v2(&raw);
+        let raw = encode_history(&entries, &log);
+        let (got_entries, got_log) = decode_history(&raw);
         prop_assert_eq!(got_entries, entries);
         prop_assert_eq!(got_log, log);
     }
@@ -52,9 +50,9 @@ proptest! {
         log in prop::collection::vec(arb_log_entry(), 0..8),
         cut_seed in any::<usize>(),
     ) {
-        let raw = encode_history_v2(&entries, &log);
+        let raw = encode_history(&entries, &log);
         let cut = cut_seed % (raw.len() + 1); // 0..=len: empty through intact
-        let (got_entries, got_log) = decode_history_v2(&raw[..cut]);
+        let (got_entries, got_log) = decode_history(&raw[..cut]);
         // Whatever decodes is a prefix of what was written — a torn tail
         // may drop records but never fabricates or reorders them.
         prop_assert!(got_entries.len() <= entries.len());

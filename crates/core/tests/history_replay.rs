@@ -18,7 +18,7 @@ use tdaccess::{AccessCluster, ClusterConfig};
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::replay::encode_src;
-use tencentrec::topology::state::decode_history_v2;
+use tencentrec::topology::state::decode_history;
 use tencentrec::topology::{
     CfPipelineConfig, ReplayProgress, ReplayableSpout, UserHistoryBolt, ITEM_DELTA, PAIR_DELTA,
 };
@@ -253,7 +253,7 @@ fn stuck_offset_replays_its_original_deltas_and_leaves_history_alone() {
     assert_eq!((at_failure.unchanged_ops, unchanged), (0, 1));
     // The log is horizon-trimmed — offset 0 left when offset 4 arrived —
     // and still held the stuck offset at the edge of the window.
-    let (_, log) = decode_history_v2(&history);
+    let (_, log) = decode_history(&history);
     let sources: Vec<u64> = log.iter().map(|e| e.src).collect();
     assert_eq!(
         sources,
@@ -265,7 +265,7 @@ fn stuck_offset_replays_its_original_deltas_and_leaves_history_alone() {
         .scan_prefix(b"hist:")
         .unwrap()
         .iter()
-        .map(|(_, raw)| decode_history_v2(raw).1.len())
+        .map(|(_, raw)| decode_history(raw).1.len())
         .sum();
     assert_eq!(retained, 4 + 2);
     assert_eq!(

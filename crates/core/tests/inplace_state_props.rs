@@ -2,7 +2,9 @@
 //! in TDStore: the dedup-tracked counter
 //! (`count:f64 | n:u32 | n × src:u64`), the similar-items list (16-byte
 //! `(item, sim)` records, best first), and the user history (24-byte
-//! records, with the replay log behind them under dedup).
+//! records with the replay log behind them). Every window, 0 included,
+//! writes these same formats; the window only sets how much replay memory
+//! they keep.
 //!
 //! The references are the decode → `Vec` → encode forms the in-place
 //! editors replaced. Every stored byte must come out the same — the chaos
@@ -15,8 +17,7 @@ use proptest::prelude::*;
 use tencentrec::topology::replay::{decode_src, encode_src};
 use tencentrec::topology::state::{
     apply_action_in_place, apply_deltas_in_place, apply_sim_entry, counter_prefix, decode_history,
-    decode_history_v2, decode_sim_list, encode_history, encode_history_v2, encode_sim_list,
-    HistoryAction, HistoryLimits, ReplayLogEntry,
+    decode_sim_list, encode_history, encode_sim_list, HistoryAction, HistoryLimits, ReplayLogEntry,
 };
 use tencentrec::types::ItemId;
 
@@ -74,23 +75,20 @@ fn reference_sim_list(raw: &[u8], other: ItemId, sim: f64, k: usize) -> Vec<u8> 
     encode_sim_list(&entries)
 }
 
-/// The history update as it was: decode the records (and the log), edit
-/// `Vec`s, encode — plus the horizon trim on the decoded log. Returns the
-/// bytes to store, the item delta and the pair deltas to emit.
+/// The history update as it was: decode the records and the log, edit
+/// `Vec`s, encode — plus the horizon trim on the decoded log, which keeps
+/// nothing at window 0. Returns the bytes to store, the item delta and the
+/// pair deltas to emit.
 fn reference_history(
     raw: Option<&[u8]>,
     action: &HistoryAction,
     limits: &HistoryLimits,
 ) -> (Vec<u8>, f64, Vec<(ItemId, ItemId, f64)>) {
     let window = limits.dedup_window;
-    let (mut entries, mut log) = match (raw, window) {
-        (None, _) => (Vec::new(), Vec::new()),
-        (Some(raw), 0) => (decode_history(raw), Vec::new()),
-        (Some(raw), _) => decode_history_v2(raw),
-    };
+    let (mut entries, mut log) = raw.map(decode_history).unwrap_or_default();
     if let Some(seen) = log.iter().find(|e| e.src == action.src) {
         let (delta, pairs) = (seen.delta_rating, seen.pair_deltas.clone());
-        return (encode_history_v2(&entries, &log), delta, pairs);
+        return (encode_history(&entries, &log), delta, pairs);
     }
     let HistoryAction {
         item,
@@ -123,9 +121,6 @@ fn reference_history(
             .expect("non-empty");
         entries.swap_remove(idx);
     }
-    if window == 0 {
-        return (encode_history(&entries), new - old, pair_deltas);
-    }
     log.push(ReplayLogEntry {
         src,
         delta_rating: new - old,
@@ -140,7 +135,7 @@ fn reference_history(
         let excess = log.len() - window;
         log.drain(..excess);
     }
-    (encode_history_v2(&entries, &log), new - old, pair_deltas)
+    (encode_history(&entries, &log), new - old, pair_deltas)
 }
 
 /// One step of a history's life: an action, and optionally damage done
@@ -317,16 +312,16 @@ proptest! {
             for (got, want) in pair_deltas.iter().zip(&want_pairs) {
                 prop_assert_eq!((got.0, got.1, got.2.to_bits()), (want.0, want.1, want.2.to_bits()));
             }
-            let log_len = |raw: Option<&[u8]>| match (raw, window) {
-                (Some(raw), 1..) => decode_history_v2(raw).1.len() as i64,
-                _ => 0,
-            };
+            let log_len =
+                |raw: Option<&[u8]>| raw.map_or(0, |raw| decode_history(raw).1.len() as i64);
             prop_assert_eq!(edit.log_growth, log_len(Some(got)) - log_len(before.as_deref()));
             if window > 0 {
                 prop_assert_eq!(edit.changed, before.as_deref() != Some(&want[..]));
             } else {
-                // No log, no redelivery: every action rewrites its record.
+                // Nothing remembered, so no redelivery is found: every
+                // action rewrites its record, and the log stays empty.
                 prop_assert!(edit.changed);
+                prop_assert_eq!(log_len(Some(got)), 0);
             }
         }
     }

@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use support::oracle_recommend;
 use tdstore::{StoreConfig, TdStore};
-use tencentrec::topology::state::{encode_history_v2, encode_sim_list, HistoryRecord};
+use tencentrec::topology::state::{encode_history, encode_sim_list, HistoryRecord};
 use tencentrec::topology::{CfPipelineConfig, TopologyRecommender};
 use tencentrec::types::{keys, ItemId, UserId};
 
@@ -87,7 +87,7 @@ fn recommend_allocates_the_same_handful_for_any_history_length() {
             .map(|i| ((i * 37 + user) % ITEMS, 1.0 + (i % 3) as f64, i / 2))
             .collect();
         store
-            .put(&keys::user_history(user), encode_history_v2(&history, &[]))
+            .put(&keys::user_history(user), encode_history(&history, &[]))
             .unwrap();
     }
     let query = TopologyRecommender::new(store.clone(), config.clone());

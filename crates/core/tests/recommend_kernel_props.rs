@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use support::oracle_recommend;
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::topology::state::{
-    encode_history, encode_history_v2, encode_sim_list, HistoryRecord, ReplayLogEntry, SimRecord,
+    encode_history, encode_sim_list, HistoryRecord, ReplayLogEntry, SimRecord,
 };
 use tencentrec::topology::{CfPipelineConfig, TopologyRecommender};
 use tencentrec::types::{keys, ItemId};
@@ -27,7 +27,8 @@ const USER: u64 = 7;
 
 #[derive(Debug)]
 struct Case {
-    /// 0 stores the v1 records; otherwise v2 with a replay log.
+    /// The pipeline's replay memory: the stored log keeps at most this
+    /// many of `log`'s entries (none at 0).
     dedup_window: usize,
     history: Vec<HistoryRecord>,
     log: Vec<ReplayLogEntry>,
@@ -109,11 +110,8 @@ fn store_of(case: &Case) -> TdStore {
         replicated: false,
         ..StoreConfig::default()
     });
-    let mut hist = if case.dedup_window == 0 {
-        encode_history(&case.history)
-    } else {
-        encode_history_v2(&case.history, &case.log)
-    };
+    let kept = case.log.len().min(case.dedup_window);
+    let mut hist = encode_history(&case.history, &case.log[..kept]);
     if let Some(cut) = case.cut {
         hist.truncate(cut);
     } else if case.dedup_window == 0 {
@@ -168,7 +166,7 @@ fn ts_ties_at_the_boundary_go_by_record_position() {
     // first) is expanded, so only its neighbour 13 is recommended.
     let history = [(3, 1.0, 5), (1, 1.0, 5), (2, 1.0, 4)];
     store
-        .put(&keys::user_history(USER), encode_history(&history))
+        .put(&keys::user_history(USER), encode_history(&history, &[]))
         .unwrap();
     store
         .put(&keys::similar_items(3), encode_sim_list(&[(13, 0.5)]))

@@ -16,7 +16,7 @@ use tdaccess::{AccessCluster, ClusterConfig};
 use tencentrec::action::{ActionType, ActionWeights, UserAction};
 use tencentrec::topology::replay::{decode_src, ReplayableSpout};
 use tencentrec::topology::state::{
-    apply_action_in_place, decode_history_v2, HistoryAction, HistoryLimits,
+    apply_action_in_place, decode_history, HistoryAction, HistoryLimits,
 };
 
 #[derive(Debug, Clone)]
@@ -231,7 +231,7 @@ proptest! {
                             continue;
                         }
                         let raw = histories[user].as_deref().expect("applied");
-                        let (_, log) = decode_history_v2(raw);
+                        let (_, log) = decode_history(raw);
                         prop_assert!(
                             log.iter().any(|e| e.src == earlier),
                             "offset {offset} of partition {pid} is uncommitted \

@@ -16,11 +16,8 @@ pub fn oracle_recommend(
     user: UserId,
     n: usize,
 ) -> Vec<(ItemId, f64)> {
-    let dedup_window = config.dedup_window;
     let Some(mut history) = store
-        .read(&keys::user_history(user), |raw| {
-            raw.map(|raw| read_history(raw, dedup_window))
-        })
+        .read(&keys::user_history(user), |raw| raw.map(read_history))
         .ok()
         .flatten()
     else {

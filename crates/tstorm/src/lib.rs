@@ -20,9 +20,11 @@
 //!   timeouts,
 //! * per-component metrics,
 //! * topology construction from an XML config (the paper's Fig. 7) via a
-//!   built-in minimal XML parser and a component registry,
-//! * a simulated Nimbus/Supervisor cluster model for placement and
-//!   failure-recovery reasoning (Fig. 1).
+//!   built-in minimal XML parser and a component registry.
+//!
+//! Multi-process placement and failure recovery (Fig. 1) live in the
+//! `tcluster` crate, which runs slices of one topology in worker
+//! processes.
 //!
 //! ## Example
 //!
@@ -63,7 +65,6 @@
 
 pub mod ack;
 pub(crate) mod channel;
-pub mod cluster;
 pub mod collector;
 pub mod component;
 pub mod config;

@@ -47,33 +47,51 @@ fn main() {
     let producer = access.producer("user_actions").expect("producer");
 
     // Applications publish raw action records (user,item,action,ts).
-    println!("publishing ~1200 user actions to TDAccess...");
+    println!("publishing ~1600 user actions to TDAccess...");
+    let wire = |user: u64, item: u64, action: ActionType, ts: u64| {
+        let mut payload = Vec::with_capacity(25);
+        payload.extend_from_slice(&user.to_le_bytes());
+        payload.extend_from_slice(&item.to_le_bytes());
+        payload.push(action.code());
+        payload.extend_from_slice(&ts.to_le_bytes());
+        payload
+    };
     let mut ts = 0u64;
     for user in 0..500u64 {
         ts += 500;
-        let wire = |item: u64, action: ActionType, ts: u64| {
-            let mut payload = Vec::with_capacity(25);
-            payload.extend_from_slice(&user.to_le_bytes());
-            payload.extend_from_slice(&item.to_le_bytes());
-            payload.push(action.code());
-            payload.extend_from_slice(&ts.to_le_bytes());
-            payload
-        };
         // Viewers of show 10 also watch show 11; a minority add show 12.
         producer
-            .send(Some(&user.to_le_bytes()), &wire(10, ActionType::Click, ts))
+            .send(
+                Some(&user.to_le_bytes()),
+                &wire(user, 10, ActionType::Click, ts),
+            )
             .expect("send");
         producer
             .send(
                 Some(&user.to_le_bytes()),
-                &wire(11, ActionType::Read, ts + 10),
+                &wire(user, 11, ActionType::Read, ts + 10),
             )
             .expect("send");
         if user % 3 == 0 {
             producer
                 .send(
                     Some(&user.to_le_bytes()),
-                    &wire(12, ActionType::Click, ts + 20),
+                    &wire(user, 12, ActionType::Click, ts + 20),
+                )
+                .expect("send");
+        }
+    }
+    // A long tail: 200 more viewers of show 10 each add one of 20 niche
+    // shows. Show 10's list (top_k = 2) is already full with 11 and 12, so
+    // a niche pair scores below its last entry and changes no stored byte
+    // — the store counts that update as unchanged and writes nothing.
+    for user in 500..700u64 {
+        ts += 500;
+        for (item, dt) in [(10, 0), (100 + user % 20, 10)] {
+            producer
+                .send(
+                    Some(&user.to_le_bytes()),
+                    &wire(user, item, ActionType::Click, ts + dt),
                 )
                 .expect("send");
         }
@@ -90,8 +108,7 @@ fn main() {
     store.register_metrics(&registry);
     let (tx, rx) = unbounded();
     let config = CfPipelineConfig {
-        cache_capacity: 1024,
-        combiner_keys: 128,
+        top_k: 2,
         pruning_delta: Some(1e-3),
         registry: registry.clone(),
         ..Default::default()
@@ -158,7 +175,7 @@ fn main() {
 
     // --- Prometheus-style exposition ------------------------------------
     // Everything above — queue depths, execute/pipeline latency
-    // percentiles, cache hit ratio, combiner reduction, consumer lag,
+    // percentiles, history replay-log size, pruning state, consumer lag,
     // store ops, failovers — in one scrape body.
     progress.stop();
     println!("\n=== metrics exposition ===");
