@@ -193,20 +193,6 @@ fn w_wire_tuple(out: &mut Vec<u8>, t: &WireTuple) {
 
 fn w_acker_msg(out: &mut Vec<u8>, m: &AckerMsg) {
     match m {
-        AckerMsg::Init {
-            root,
-            xor,
-            slot,
-            msg_id,
-            emit_ms,
-        } => {
-            out.push(0);
-            w_u64(out, *root);
-            w_u64(out, *xor);
-            w_u64(out, *slot as u64);
-            w_u64(out, *msg_id);
-            w_u64(out, *emit_ms);
-        }
         AckerMsg::InitBatch(inits) => {
             out.push(1);
             w_u32(out, inits.len() as u32);
@@ -217,11 +203,6 @@ fn w_acker_msg(out: &mut Vec<u8>, m: &AckerMsg) {
                 w_u64(out, i.msg_id);
                 w_u64(out, i.emit_ms);
             }
-        }
-        AckerMsg::Xor { root, xor } => {
-            out.push(2);
-            w_u64(out, *root);
-            w_u64(out, *xor);
         }
         AckerMsg::XorBatch(pairs) => {
             out.push(3);
@@ -425,13 +406,6 @@ fn r_wire_tuple(r: &mut Reader<'_>) -> Result<WireTuple, ProtocolError> {
 
 fn r_acker_msg(r: &mut Reader<'_>) -> Result<AckerMsg, ProtocolError> {
     Ok(match r.u8()? {
-        0 => AckerMsg::Init {
-            root: r.u64()?,
-            xor: r.u64()?,
-            slot: r.u64()? as usize,
-            msg_id: r.u64()?,
-            emit_ms: r.u64()?,
-        },
         1 => {
             let n = r.count(40)?;
             let mut inits = Vec::with_capacity(n);
@@ -446,10 +420,6 @@ fn r_acker_msg(r: &mut Reader<'_>) -> Result<AckerMsg, ProtocolError> {
             }
             AckerMsg::InitBatch(inits)
         }
-        2 => AckerMsg::Xor {
-            root: r.u64()?,
-            xor: r.u64()?,
-        },
         3 => {
             let n = r.count(16)?;
             let mut pairs = Vec::with_capacity(n);
@@ -750,13 +720,6 @@ mod tests {
     #[test]
     fn acker_batch_roundtrips() {
         let msg = Msg::AckerBatch(vec![
-            AckerMsg::Init {
-                root: 1,
-                xor: 2,
-                slot: 3,
-                msg_id: 4,
-                emit_ms: 5,
-            },
             AckerMsg::InitBatch(vec![InitEntry {
                 root: 6,
                 xor: 7,
@@ -764,24 +727,13 @@ mod tests {
                 msg_id: 9,
                 emit_ms: 10,
             }]),
-            AckerMsg::Xor { root: 11, xor: 12 },
             AckerMsg::XorBatch(vec![(13, 14), (15, 16)]),
             AckerMsg::Fail { root: 17 },
         ]);
         match roundtrip(&msg) {
             Msg::AckerBatch(msgs) => {
-                assert_eq!(msgs.len(), 5);
-                assert!(matches!(
-                    msgs[0],
-                    AckerMsg::Init {
-                        root: 1,
-                        xor: 2,
-                        slot: 3,
-                        msg_id: 4,
-                        emit_ms: 5
-                    }
-                ));
-                match &msgs[1] {
+                assert_eq!(msgs.len(), 3);
+                match &msgs[0] {
                     AckerMsg::InitBatch(inits) => {
                         assert_eq!(inits.len(), 1);
                         assert_eq!(inits[0].root, 6);
@@ -789,14 +741,22 @@ mod tests {
                     }
                     other => panic!("{other:?}"),
                 }
-                assert!(matches!(msgs[2], AckerMsg::Xor { root: 11, xor: 12 }));
-                match &msgs[3] {
+                match &msgs[1] {
                     AckerMsg::XorBatch(p) => assert_eq!(p, &vec![(13, 14), (15, 16)]),
                     other => panic!("{other:?}"),
                 }
-                assert!(matches!(msgs[4], AckerMsg::Fail { root: 17 }));
+                assert!(matches!(msgs[2], AckerMsg::Fail { root: 17 }));
             }
             other => panic!("{other:?}"),
+        }
+        // The singleton Init (0) and Xor (2) shapes are gone from the
+        // wire: a one-message acker batch carrying either tag is refused.
+        for tag in [0u8, 2] {
+            let mut body = Vec::new();
+            w_u32(&mut body, 1);
+            body.push(tag);
+            body.extend_from_slice(&[0; 40]);
+            assert!(decode(TAG_ACKER_BATCH, &body).is_err(), "tag {tag}");
         }
     }
 

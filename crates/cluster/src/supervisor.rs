@@ -681,7 +681,6 @@ impl Cluster {
                 .spawn(move || {
                     while let Ok(msg) = rx.recv() {
                         let (kind, ids) = match msg {
-                            SpoutMsg::Ack(id) => (NotifyKind::Ack, vec![id]),
                             SpoutMsg::AckBatch(ids) => (NotifyKind::Ack, ids),
                             SpoutMsg::Fail(id) => (NotifyKind::Fail, vec![id]),
                             // Lifecycle messages are meaningful only to

@@ -404,12 +404,7 @@ fn worker_main(build: impl Fn(&WorkerContext) -> ClusterApp) -> i32 {
                     if let Some(s) = &slice {
                         match kind {
                             NotifyKind::Ack => {
-                                let msg = if ids.len() == 1 {
-                                    SpoutMsg::Ack(ids[0])
-                                } else {
-                                    SpoutMsg::AckBatch(ids)
-                                };
-                                s.handle.spout_notify(global_slot, msg);
+                                s.handle.spout_notify(global_slot, SpoutMsg::AckBatch(ids));
                             }
                             NotifyKind::Fail => {
                                 for id in ids {

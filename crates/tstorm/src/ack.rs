@@ -22,8 +22,6 @@ use tchaos::Clock;
 /// [`crate::executor::TopologyHandle::spout_notify`].
 #[derive(Debug)]
 pub enum SpoutMsg {
-    /// The tree rooted at this message id completed.
-    Ack(u64),
     /// Acks for every tree completed by one acker message: one channel
     /// message (one wake) instead of one per tree.
     AckBatch(Vec<u64>),
@@ -42,7 +40,7 @@ pub enum SpoutMsg {
     Shutdown,
 }
 
-/// One root registration: what `AckerMsg::Init` carries, batchable.
+/// One root registration carried by [`AckerMsg::InitBatch`].
 #[derive(Debug)]
 pub struct InitEntry {
     /// Random 64-bit root id of the tuple tree.
@@ -62,36 +60,13 @@ pub struct InitEntry {
 /// forward its emitters' acker traffic to a supervisor-hosted acker.
 #[derive(Debug)]
 pub enum AckerMsg {
-    /// Root created by spout `slot` with user message id `msg_id`;
-    /// `xor` folds the edge ids of the initial deliveries and `emit_ms`
-    /// stamps the spout emit time for pipeline-latency tracking.
-    Init {
-        /// Random 64-bit root id of the tuple tree.
-        root: u64,
-        /// XOR of the edge ids of the initial deliveries.
-        xor: u64,
-        /// Global acker slot of the owning spout task.
-        slot: usize,
-        /// User-supplied message id.
-        msg_id: u64,
-        /// Spout emit time in clock milliseconds.
-        emit_ms: u64,
-    },
     /// Roots registered since the spout's last flush, shipped together with
     /// the flushed deliveries: one acker message per flush instead of one
     /// per emitted tuple.
     InitBatch(Vec<InitEntry>),
-    /// XOR delta from a bolt completing an execute.
-    Xor {
-        /// Root id the delta applies to.
-        root: u64,
-        /// XOR of the edge ids acked and created by the execute.
-        xor: u64,
-    },
-    /// Pre-folded XOR deltas for a whole execute run: one delta per root,
-    /// one channel message for the lot. Equivalent to sending each pair as
-    /// an [`AckerMsg::Xor`] — XOR folding is order-independent — but the
-    /// acker queue sees one message per batch instead of one per tuple.
+    /// Pre-folded XOR deltas for a whole execute run: one `(root, xor)`
+    /// delta per root, one channel message for the lot (XOR folding is
+    /// order-independent).
     XorBatch(Vec<(u64, u64)>),
     /// Explicit failure of a tree.
     Fail {
@@ -125,14 +100,28 @@ impl std::hash::Hasher for RootHasher {
 
 type RootMap = HashMap<u64, Entry, std::hash::BuildHasherDefault<RootHasher>>;
 
+/// Where a root stands. Every state but `Tombstone` counts as pending.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// Deltas or a `Fail` arrived before the spout's Init (Init rides the
+    /// spout's next flush, after the deliveries). `failed` holds the
+    /// failure until Init names the spout to notify — dropping it would
+    /// strand the tree until the timeout sweep.
+    AwaitingInit { failed: bool },
+    /// Init seen: the tree completes when `pending` reaches zero.
+    Live,
+    /// Failed and notified. Absorbs the deltas and repeat `Fail`s still in
+    /// flight for the root (an upstream run's `XorBatch`, a second
+    /// downstream failure), which would otherwise re-create a pending
+    /// entry that holds `wait_idle` until the timeout sweep. The first
+    /// sweep marks it `swept`, the next removes it silently, so it lives
+    /// at least one full sweep period.
+    Tombstone { swept: bool },
+}
+
 struct Entry {
     pending: u64,
-    init: bool,
-    /// A `Fail` arrived before `Init` (a bolt can fail a tuple before the
-    /// spout's Init message reaches the acker, since Init is sent after
-    /// the deliveries). The failure is held until Init names the spout to
-    /// notify — dropping it would strand the tree until the timeout sweep.
-    failed: bool,
+    state: State,
     slot: usize,
     msg_id: u64,
     /// Creation time in clock milliseconds (logical under a mock clock).
@@ -142,120 +131,143 @@ struct Entry {
     emit_ms: u64,
 }
 
-/// Folds one XOR delta into `root`'s entry; a completed tree is pushed
-/// onto `completed` instead of notified immediately, so all trees finished
-/// by one incoming message ack the spout in one batched send (shared by
-/// the single and batched delta messages).
-fn apply_xor(
-    entries: &mut RootMap,
-    pending_gauge: &AtomicI64,
-    clock: &Clock,
-    pipeline: &LatencyHistogram,
-    completed: &mut Vec<(usize, u64)>,
-    root: u64,
-    xor: u64,
-) {
-    let e = entries.entry(root).or_insert_with(|| {
-        pending_gauge.fetch_add(1, Ordering::Relaxed);
-        let now = clock.now_ms();
-        Entry {
-            pending: 0,
-            init: false,
-            failed: false,
-            slot: 0,
-            msg_id: 0,
-            created: now,
-            emit_ms: now,
+/// The acker loop's state: the root map, the pending-tree gauge and the
+/// spout channels it notifies.
+struct Acker {
+    entries: RootMap,
+    spouts: Vec<Sender<SpoutMsg>>,
+    pending_gauge: Arc<AtomicI64>,
+    clock: Clock,
+    pipeline: Arc<LatencyHistogram>,
+    /// (slot, msg_id) of trees completed by the message being processed;
+    /// drained into one `AckBatch` per spout slot after each message.
+    completed: Vec<(usize, u64)>,
+}
+
+impl Acker {
+    /// The entry for `root`, created (and gauged as pending) on first sight.
+    fn entry(&mut self, root: u64) -> &mut Entry {
+        let (gauge, clock) = (&self.pending_gauge, &self.clock);
+        self.entries.entry(root).or_insert_with(|| {
+            gauge.fetch_add(1, Ordering::Relaxed);
+            let now = clock.now_ms();
+            Entry {
+                pending: 0,
+                state: State::AwaitingInit { failed: false },
+                slot: 0,
+                msg_id: 0,
+                created: now,
+                emit_ms: now,
+            }
+        })
+    }
+
+    /// Removes a live tree whose XOR reached zero and queues its ack.
+    fn complete(&mut self, root: u64) {
+        let e = self.entries.remove(&root).expect("completed entry exists");
+        self.pending_gauge.fetch_sub(1, Ordering::Relaxed);
+        // The clock ticks in milliseconds, so the histogram's nanosecond
+        // buckets see ms precision.
+        let ms = self.clock.now_ms().saturating_sub(e.emit_ms);
+        self.pipeline.record_nanos(ms.saturating_mul(1_000_000));
+        self.completed.push((e.slot, e.msg_id));
+    }
+
+    /// Tells the spout that a live tree failed; the caller has turned its
+    /// entry into a tombstone.
+    fn notify_fail(&self, slot: usize, msg_id: u64) {
+        self.pending_gauge.fetch_sub(1, Ordering::Relaxed);
+        let _ = self.spouts[slot].send(SpoutMsg::Fail(msg_id));
+    }
+
+    fn init(&mut self, init: InitEntry) {
+        let e = self.entry(init.root);
+        // A second Init for a root (a random u64) cannot happen.
+        let State::AwaitingInit { failed } = e.state else {
+            return;
+        };
+        e.slot = init.slot;
+        e.msg_id = init.msg_id;
+        e.emit_ms = init.emit_ms;
+        e.pending ^= init.xor;
+        if failed {
+            e.state = State::Tombstone { swept: false };
+            self.notify_fail(init.slot, init.msg_id);
+        } else if e.pending == 0 {
+            self.complete(init.root);
+        } else {
+            e.state = State::Live;
         }
-    });
-    e.pending ^= xor;
-    if e.init && !e.failed && e.pending == 0 {
-        let e = entries.remove(&root).expect("entry just updated");
-        pending_gauge.fetch_sub(1, Ordering::Relaxed);
-        record_pipeline(pipeline, clock, e.emit_ms);
-        completed.push((e.slot, e.msg_id));
     }
-}
 
-/// Records one spout-emit -> tree-complete latency. The clock ticks in
-/// milliseconds, so the histogram's nanosecond buckets see ms precision.
-fn record_pipeline(pipeline: &LatencyHistogram, clock: &Clock, emit_ms: u64) {
-    let ms = clock.now_ms().saturating_sub(emit_ms);
-    pipeline.record_nanos(ms.saturating_mul(1_000_000));
-}
-
-/// Registers one root (shared by the single and batched Init messages).
-fn apply_init(
-    entries: &mut RootMap,
-    spouts: &[Sender<SpoutMsg>],
-    pending_gauge: &AtomicI64,
-    clock: &Clock,
-    pipeline: &LatencyHistogram,
-    completed: &mut Vec<(usize, u64)>,
-    init: InitEntry,
-) {
-    let InitEntry {
-        root,
-        xor,
-        slot,
-        msg_id,
-        emit_ms,
-    } = init;
-    let e = entries.entry(root).or_insert_with(|| {
-        pending_gauge.fetch_add(1, Ordering::Relaxed);
-        Entry {
-            pending: 0,
-            init: false,
-            failed: false,
-            slot,
-            msg_id,
-            created: clock.now_ms(),
-            emit_ms,
+    fn xor(&mut self, root: u64, xor: u64) {
+        let e = self.entry(root);
+        e.pending ^= xor;
+        if e.state == State::Live && e.pending == 0 {
+            self.complete(root);
         }
-    });
-    e.init = true;
-    e.slot = slot;
-    e.msg_id = msg_id;
-    e.emit_ms = emit_ms;
-    e.pending ^= xor;
-    if e.failed {
-        let e = entries.remove(&root).expect("entry just inserted");
-        pending_gauge.fetch_sub(1, Ordering::Relaxed);
-        let _ = spouts[e.slot].send(SpoutMsg::Fail(e.msg_id));
-    } else if e.pending == 0 {
-        let e = entries.remove(&root).expect("entry just inserted");
-        pending_gauge.fetch_sub(1, Ordering::Relaxed);
-        record_pipeline(pipeline, clock, e.emit_ms);
-        completed.push((e.slot, e.msg_id));
     }
-}
 
-/// Ships the acks accumulated while processing one acker message: one
-/// `Ack` for a lone completion, one `AckBatch` per spout slot otherwise.
-fn flush_acks(completed: &mut Vec<(usize, u64)>, spouts: &[Sender<SpoutMsg>]) {
-    if completed.len() == 1 {
-        let (slot, msg_id) = completed.pop().expect("len checked");
-        let _ = spouts[slot].send(SpoutMsg::Ack(msg_id));
-        return;
+    fn fail(&mut self, root: u64) {
+        let e = self.entry(root);
+        match e.state {
+            State::AwaitingInit { .. } => e.state = State::AwaitingInit { failed: true },
+            State::Live => {
+                e.state = State::Tombstone { swept: false };
+                let (slot, msg_id) = (e.slot, e.msg_id);
+                self.notify_fail(slot, msg_id);
+            }
+            State::Tombstone { .. } => {}
+        }
     }
-    while !completed.is_empty() {
-        let slot = completed[0].0;
-        let mut ids = Vec::with_capacity(completed.len());
-        // `retain` keeps arrival order for the remaining slots.
-        completed.retain(|&(s, id)| {
-            if s == slot {
-                ids.push(id);
-                false
-            } else {
+
+    /// Ships the acks accumulated while processing one acker message, one
+    /// `AckBatch` per spout slot.
+    fn flush_acks(&mut self) {
+        let completed = &mut self.completed;
+        while !completed.is_empty() {
+            let slot = completed[0].0;
+            let mut ids = Vec::with_capacity(completed.len());
+            // `retain` keeps arrival order for the remaining slots.
+            completed.retain(|&(s, id)| {
+                if s == slot {
+                    ids.push(id);
+                    false
+                } else {
+                    true
+                }
+            });
+            let _ = self.spouts[slot].send(SpoutMsg::AckBatch(ids));
+        }
+    }
+
+    /// Fails live trees older than `timeout_ms` (leaving tombstones),
+    /// drops stale entries that never saw Init, and ages tombstones out.
+    fn sweep(&mut self, timeout_ms: u64) {
+        let now_ms = self.clock.now_ms();
+        self.entries.retain(|_, e| match e.state {
+            State::Tombstone { swept: false } => {
+                e.state = State::Tombstone { swept: true };
                 true
             }
+            State::Tombstone { swept: true } => false,
+            _ if now_ms.saturating_sub(e.created) <= timeout_ms => true,
+            State::Live => {
+                e.state = State::Tombstone { swept: false };
+                self.pending_gauge.fetch_sub(1, Ordering::Relaxed);
+                let _ = self.spouts[e.slot].send(SpoutMsg::Fail(e.msg_id));
+                true
+            }
+            State::AwaitingInit { .. } => {
+                self.pending_gauge.fetch_sub(1, Ordering::Relaxed);
+                false
+            }
         });
-        let _ = spouts[slot].send(SpoutMsg::AckBatch(ids));
     }
 }
 
 /// Runs the acker loop until shutdown. `pending_gauge` mirrors the number of
-/// live entries so the topology can detect quiescence. Entry ages are
+/// pending entries so the topology can detect quiescence. Entry ages are
 /// measured on `clock`, so a mock clock can expire trees in logical time.
 /// `pipeline` collects spout-emit -> tree-complete latencies.
 ///
@@ -271,7 +283,6 @@ pub fn run_acker(
     clock: Clock,
     pipeline: Arc<LatencyHistogram>,
 ) {
-    let mut entries = RootMap::default();
     let timeout_ms = timeout.as_millis() as u64;
     // The sweep wakes on real time even under a mock clock (something has
     // to poll); with mock time it polls fast so an `advance()` past the
@@ -283,126 +294,48 @@ pub fn run_acker(
             .min(Duration::from_millis(500))
             .max(Duration::from_millis(10))
     };
+    let mut acker = Acker {
+        entries: RootMap::default(),
+        spouts,
+        pending_gauge,
+        clock,
+        pipeline,
+        completed: Vec::new(),
+    };
     let mut next_sweep = Instant::now() + sweep_every;
-    // (slot, msg_id) of trees completed by the message being processed;
-    // drained into batched spout notifications after each message.
-    let mut completed: Vec<(usize, u64)> = Vec::new();
     loop {
         let wait = next_sweep.saturating_duration_since(Instant::now());
         match rx.recv_timeout(wait) {
-            Ok(AckerMsg::Init {
-                root,
-                xor,
-                slot,
-                msg_id,
-                emit_ms,
-            }) => {
-                apply_init(
-                    &mut entries,
-                    &spouts,
-                    &pending_gauge,
-                    &clock,
-                    &pipeline,
-                    &mut completed,
-                    InitEntry {
-                        root,
-                        xor,
-                        slot,
-                        msg_id,
-                        emit_ms,
-                    },
-                );
-            }
             Ok(AckerMsg::InitBatch(inits)) => {
                 for init in inits {
-                    apply_init(
-                        &mut entries,
-                        &spouts,
-                        &pending_gauge,
-                        &clock,
-                        &pipeline,
-                        &mut completed,
-                        init,
-                    );
+                    acker.init(init);
                 }
-            }
-            Ok(AckerMsg::Xor { root, xor }) => {
-                apply_xor(
-                    &mut entries,
-                    &pending_gauge,
-                    &clock,
-                    &pipeline,
-                    &mut completed,
-                    root,
-                    xor,
-                );
             }
             Ok(AckerMsg::XorBatch(pairs)) => {
                 for (root, xor) in pairs {
-                    apply_xor(
-                        &mut entries,
-                        &pending_gauge,
-                        &clock,
-                        &pipeline,
-                        &mut completed,
-                        root,
-                        xor,
-                    );
+                    acker.xor(root, xor);
                 }
             }
-            Ok(AckerMsg::Fail { root }) => match entries.entry(root) {
-                std::collections::hash_map::Entry::Occupied(o) => {
-                    if o.get().init {
-                        let e = o.remove();
-                        pending_gauge.fetch_sub(1, Ordering::Relaxed);
-                        let _ = spouts[e.slot].send(SpoutMsg::Fail(e.msg_id));
-                    } else {
-                        // Init not seen yet: hold the failure until it
-                        // arrives and identifies the owning spout.
-                        o.into_mut().failed = true;
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    pending_gauge.fetch_add(1, Ordering::Relaxed);
-                    let now = clock.now_ms();
-                    v.insert(Entry {
-                        pending: 0,
-                        init: false,
-                        failed: true,
-                        slot: 0,
-                        msg_id: 0,
-                        created: now,
-                        emit_ms: now,
-                    });
-                }
-            },
+            Ok(AckerMsg::Fail { root }) => acker.fail(root),
             Ok(AckerMsg::Shutdown) => break,
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
         }
-        if !completed.is_empty() {
-            flush_acks(&mut completed, &spouts);
-        }
-        if Instant::now() >= next_sweep {
-            let now = Instant::now();
-            let now_ms = clock.now_ms();
-            let expired: Vec<u64> = entries
-                .iter()
-                .filter(|(_, e)| now_ms.saturating_sub(e.created) > timeout_ms)
-                .map(|(&r, _)| r)
-                .collect();
-            for root in expired {
-                if let Some(e) = entries.remove(&root) {
-                    pending_gauge.fetch_sub(1, Ordering::Relaxed);
-                    if e.init {
-                        let _ = spouts[e.slot].send(SpoutMsg::Fail(e.msg_id));
-                    }
-                }
-            }
+        acker.flush_acks();
+        let now = Instant::now();
+        if now >= next_sweep {
+            acker.sweep(timeout_ms);
             next_sweep = now + sweep_every;
         }
     }
-    pending_gauge.fetch_sub(entries.len() as i64, Ordering::Relaxed);
+    let pending = acker
+        .entries
+        .values()
+        .filter(|e| !matches!(e.state, State::Tombstone { .. }))
+        .count();
+    acker
+        .pending_gauge
+        .fetch_sub(pending as i64, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -410,15 +343,16 @@ mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
 
-    fn setup_with_clock(
-        timeout: Duration,
-        clock: Clock,
-    ) -> (
+    /// The acker's input, the spout's notifications, the pending gauge
+    /// and the acker thread.
+    type Harness = (
         Sender<AckerMsg>,
         Receiver<SpoutMsg>,
         Arc<AtomicI64>,
         std::thread::JoinHandle<()>,
-    ) {
+    );
+
+    fn setup_with_clock(timeout: Duration, clock: Clock) -> Harness {
         let (tx, rx) = unbounded();
         let (stx, srx) = unbounded();
         let gauge = Arc::new(AtomicI64::new(0));
@@ -428,88 +362,80 @@ mod tests {
         (tx, srx, gauge, h)
     }
 
-    fn setup(
-        timeout: Duration,
-    ) -> (
-        Sender<AckerMsg>,
-        Receiver<SpoutMsg>,
-        Arc<AtomicI64>,
-        std::thread::JoinHandle<()>,
-    ) {
+    fn setup(timeout: Duration) -> Harness {
         setup_with_clock(timeout, Clock::system())
+    }
+
+    /// Registers one root for spout slot 0, as a one-emit spout flush does.
+    fn init(tx: &Sender<AckerMsg>, root: u64, xor: u64, msg_id: u64) {
+        tx.send(AckerMsg::InitBatch(vec![InitEntry {
+            root,
+            xor,
+            slot: 0,
+            msg_id,
+            emit_ms: 0,
+        }]))
+        .unwrap();
+    }
+
+    /// Sends one execute run's folded delta for a single root.
+    fn xor(tx: &Sender<AckerMsg>, root: u64, xor: u64) {
+        tx.send(AckerMsg::XorBatch(vec![(root, xor)])).unwrap();
+    }
+
+    /// The next notification, within two seconds.
+    fn next(srx: &Receiver<SpoutMsg>) -> SpoutMsg {
+        srx.recv_timeout(Duration::from_secs(2)).unwrap()
+    }
+
+    fn stop(tx: Sender<AckerMsg>, h: std::thread::JoinHandle<()>) {
+        tx.send(AckerMsg::Shutdown).unwrap();
+        h.join().unwrap();
     }
 
     #[test]
     fn simple_tree_completes() {
         let (tx, srx, gauge, h) = setup(Duration::from_secs(5));
         // spout emits root 7 with one edge id 0xAB, msg id 42
-        tx.send(AckerMsg::Init {
-            root: 7,
-            xor: 0xAB,
-            slot: 0,
-            msg_id: 42,
-            emit_ms: 0,
-        })
-        .unwrap();
+        init(&tx, 7, 0xAB, 42);
         // bolt acks the edge (no children)
-        tx.send(AckerMsg::Xor { root: 7, xor: 0xAB }).unwrap();
-        match srx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            SpoutMsg::Ack(42) => {}
-            other => panic!("expected Ack(42), got {other:?}"),
+        xor(&tx, 7, 0xAB);
+        match next(&srx) {
+            SpoutMsg::AckBatch(ids) => assert_eq!(ids, vec![42]),
+            other => panic!("expected AckBatch([42]), got {other:?}"),
         }
-        tx.send(AckerMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        stop(tx, h);
         assert_eq!(gauge.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn out_of_order_xor_before_init() {
         let (tx, srx, _g, h) = setup(Duration::from_secs(5));
-        tx.send(AckerMsg::Xor { root: 1, xor: 0x10 }).unwrap();
-        tx.send(AckerMsg::Init {
-            root: 1,
-            xor: 0x10,
-            slot: 0,
-            msg_id: 9,
-            emit_ms: 0,
-        })
-        .unwrap();
-        match srx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            SpoutMsg::Ack(9) => {}
-            other => panic!("expected Ack(9), got {other:?}"),
+        xor(&tx, 1, 0x10);
+        init(&tx, 1, 0x10, 9);
+        match next(&srx) {
+            SpoutMsg::AckBatch(ids) => assert_eq!(ids, vec![9]),
+            other => panic!("expected AckBatch([9]), got {other:?}"),
         }
-        tx.send(AckerMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        stop(tx, h);
     }
 
     #[test]
     fn multi_edge_tree() {
         let (tx, srx, _g, h) = setup(Duration::from_secs(5));
         // root with two initial edges
-        tx.send(AckerMsg::Init {
-            root: 3,
-            xor: 0xA ^ 0xB,
-            slot: 0,
-            msg_id: 1,
-            emit_ms: 0,
-        })
-        .unwrap();
+        init(&tx, 3, 0xA ^ 0xB, 1);
         // first bolt acks edge 0xA and creates child edge 0xC
-        tx.send(AckerMsg::Xor {
-            root: 3,
-            xor: 0xA ^ 0xC,
-        })
-        .unwrap();
+        xor(&tx, 3, 0xA ^ 0xC);
         assert!(srx.try_recv().is_err(), "tree not complete yet");
         // second bolt acks 0xB; third acks 0xC
-        tx.send(AckerMsg::Xor { root: 3, xor: 0xB }).unwrap();
-        tx.send(AckerMsg::Xor { root: 3, xor: 0xC }).unwrap();
-        match srx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            SpoutMsg::Ack(1) => {}
-            other => panic!("expected Ack(1), got {other:?}"),
+        xor(&tx, 3, 0xB);
+        xor(&tx, 3, 0xC);
+        match next(&srx) {
+            SpoutMsg::AckBatch(ids) => assert_eq!(ids, vec![1]),
+            other => panic!("expected AckBatch([1]), got {other:?}"),
         }
-        tx.send(AckerMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        stop(tx, h);
     }
 
     #[test]
@@ -517,28 +443,19 @@ mod tests {
         // One XorBatch message carries the pre-folded deltas of a whole
         // execute run spanning two roots; both trees must complete.
         let (tx, srx, gauge, h) = setup(Duration::from_secs(5));
-        for (root, msg_id) in [(21u64, 1u64), (22, 2)] {
-            tx.send(AckerMsg::Init {
-                root,
-                xor: 0xEE,
-                slot: 0,
-                msg_id,
-                emit_ms: 0,
-            })
-            .unwrap();
-        }
+        init(&tx, 21, 0xEE, 1);
+        init(&tx, 22, 0xEE, 2);
         tx.send(AckerMsg::XorBatch(vec![(21, 0xEE), (22, 0xEE)]))
             .unwrap();
         // Both trees complete while processing one message, so the spout
         // hears about them in one batched notification.
-        let mut acked = match srx.recv_timeout(Duration::from_secs(2)).unwrap() {
+        let mut acked = match next(&srx) {
             SpoutMsg::AckBatch(ids) => ids,
             other => panic!("expected AckBatch, got {other:?}"),
         };
         acked.sort_unstable();
         assert_eq!(acked, vec![1, 2]);
-        tx.send(AckerMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        stop(tx, h);
         assert_eq!(gauge.load(Ordering::Relaxed), 0);
     }
 
@@ -563,35 +480,26 @@ mod tests {
             (0..3u64).map(|i| (30 + i, 0x40 + i)).collect(),
         ))
         .unwrap();
-        let mut acked = match srx.recv_timeout(Duration::from_secs(2)).unwrap() {
+        let mut acked = match next(&srx) {
             SpoutMsg::AckBatch(ids) => ids,
             other => panic!("expected AckBatch, got {other:?}"),
         };
         acked.sort_unstable();
         assert_eq!(acked, vec![100, 101, 102]);
-        tx.send(AckerMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        stop(tx, h);
         assert_eq!(gauge.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn explicit_fail_notifies_spout() {
         let (tx, srx, _g, h) = setup(Duration::from_secs(5));
-        tx.send(AckerMsg::Init {
-            root: 5,
-            xor: 0x1,
-            slot: 0,
-            msg_id: 77,
-            emit_ms: 0,
-        })
-        .unwrap();
+        init(&tx, 5, 0x1, 77);
         tx.send(AckerMsg::Fail { root: 5 }).unwrap();
-        match srx.recv_timeout(Duration::from_secs(2)).unwrap() {
+        match next(&srx) {
             SpoutMsg::Fail(77) => {}
             other => panic!("expected Fail(77), got {other:?}"),
         }
-        tx.send(AckerMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        stop(tx, h);
     }
 
     #[test]
@@ -602,21 +510,40 @@ mod tests {
         // strand the tree until the timeout sweep).
         let (tx, srx, gauge, h) = setup(Duration::from_secs(60));
         tx.send(AckerMsg::Fail { root: 12 }).unwrap();
-        tx.send(AckerMsg::Init {
-            root: 12,
-            xor: 0x5,
-            slot: 0,
-            msg_id: 33,
-            emit_ms: 0,
-        })
-        .unwrap();
-        match srx.recv_timeout(Duration::from_secs(2)).unwrap() {
+        init(&tx, 12, 0x5, 33);
+        match next(&srx) {
             SpoutMsg::Fail(33) => {}
             other => panic!("expected Fail(33), got {other:?}"),
         }
-        tx.send(AckerMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        stop(tx, h);
         assert_eq!(gauge.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn failed_tree_absorbs_late_deltas_and_repeat_fails() {
+        // An upstream run's XorBatch can still be in flight when a
+        // downstream bolt fails the root, and a second failure can name it
+        // again. Both land on the failed tree's tombstone: nothing counts
+        // as pending and the spout hears exactly one Fail.
+        let (tx, srx, gauge, h) = setup(Duration::from_secs(60));
+        init(&tx, 14, 0x3, 8);
+        tx.send(AckerMsg::Fail { root: 14 }).unwrap();
+        xor(&tx, 14, 0x3 ^ 0x9);
+        tx.send(AckerMsg::Fail { root: 14 }).unwrap();
+        match next(&srx) {
+            SpoutMsg::Fail(8) => {}
+            other => panic!("expected Fail(8), got {other:?}"),
+        }
+        // A zero-edge root acks at once; its ack proves the acker has
+        // processed every message sent before it. (Read the gauge before
+        // shutdown, which subtracts whatever is still pending.)
+        init(&tx, 15, 0, 9);
+        match next(&srx) {
+            SpoutMsg::AckBatch(ids) => assert_eq!(ids, vec![9]),
+            other => panic!("expected AckBatch([9]) after one Fail, got {other:?}"),
+        }
+        assert_eq!(gauge.load(Ordering::Relaxed), 0);
+        stop(tx, h);
     }
 
     #[test]
@@ -625,43 +552,27 @@ mod tests {
         // but the test advances past it instantly instead of sleeping.
         let clock = Clock::mock();
         let (tx, srx, _g, h) = setup_with_clock(Duration::from_secs(3_600), clock.clone());
-        tx.send(AckerMsg::Init {
-            root: 8,
-            xor: 0x2,
-            slot: 0,
-            msg_id: 11,
-            emit_ms: 0,
-        })
-        .unwrap();
+        init(&tx, 8, 0x2, 11);
         assert!(
             srx.recv_timeout(Duration::from_millis(30)).is_err(),
             "tree must not expire before the clock advances"
         );
         clock.advance(3_600_001);
-        match srx.recv_timeout(Duration::from_secs(2)).unwrap() {
+        match next(&srx) {
             SpoutMsg::Fail(11) => {}
             other => panic!("expected timeout Fail(11), got {other:?}"),
         }
-        tx.send(AckerMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        stop(tx, h);
     }
 
     #[test]
     fn zero_edge_init_acks_immediately() {
         let (tx, srx, _g, h) = setup(Duration::from_secs(5));
-        tx.send(AckerMsg::Init {
-            root: 9,
-            xor: 0,
-            slot: 0,
-            msg_id: 5,
-            emit_ms: 0,
-        })
-        .unwrap();
-        match srx.recv_timeout(Duration::from_secs(2)).unwrap() {
-            SpoutMsg::Ack(5) => {}
-            other => panic!("expected Ack(5), got {other:?}"),
+        init(&tx, 9, 0, 5);
+        match next(&srx) {
+            SpoutMsg::AckBatch(ids) => assert_eq!(ids, vec![5]),
+            other => panic!("expected AckBatch([5]), got {other:?}"),
         }
-        tx.send(AckerMsg::Shutdown).unwrap();
-        h.join().unwrap();
+        stop(tx, h);
     }
 }

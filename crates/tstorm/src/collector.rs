@@ -64,7 +64,6 @@ impl TupleBatch {
 /// Messages delivered to bolt task queues.
 #[derive(Debug)]
 pub(crate) enum BoltMsg {
-    Tuple(Tuple),
     Batch(TupleBatch),
     Tick,
     Shutdown,
@@ -340,10 +339,10 @@ fn buffer_one(
     }
 }
 
-/// Ships one scatter arena downstream as a single batch message (or a
-/// single-tuple message for the trickle case). The arena `Vec`s keep their
-/// capacity across flushes; the batch itself is one exact-size value slab
-/// plus one meta list shared by every tuple in it.
+/// Ships one scatter arena downstream as a single batch message. The
+/// arena `Vec`s keep their capacity across flushes; the batch itself is
+/// one exact-size value slab plus one meta list shared by every tuple in
+/// it.
 #[allow(clippy::too_many_arguments)]
 fn flush_buffer(
     fault_plan: &tchaos::FaultPlan,
@@ -378,14 +377,9 @@ fn flush_buffer(
         src_task: task_index,
     });
     buf.values.clear();
-    let msg = if buf.metas.len() == 1 {
-        let meta = buf.metas.pop().expect("len checked");
-        BoltMsg::Tuple(Tuple::from_batch(&shared, 0, meta.len, meta.anchors))
-    } else {
-        let cap = buf.metas.len();
-        let metas = std::mem::replace(&mut buf.metas, Vec::with_capacity(cap));
-        BoltMsg::Batch(TupleBatch { shared, metas })
-    };
+    let cap = buf.metas.len();
+    let metas = std::mem::replace(&mut buf.metas, Vec::with_capacity(cap));
+    let msg = BoltMsg::Batch(TupleBatch { shared, metas });
     let weight = msg.weight();
     if sender.send(msg).is_err() {
         // Consumer already shut down; drop silently (only happens during
@@ -426,11 +420,6 @@ impl SpoutCollector {
     /// tracked and `ack`/`fail` will eventually be called with `msg_id`.
     pub fn emit(&mut self, values: Vec<Value>, msg_id: Option<u64>) {
         self.emit_values_on(DEFAULT_STREAM, &values, msg_id);
-    }
-
-    /// Emits on a named stream.
-    pub fn emit_on(&mut self, stream: &str, values: Vec<Value>, msg_id: Option<u64>) {
-        self.emit_values_on(stream, &values, msg_id);
     }
 
     /// Emits on the default stream from a borrowed slice — the
@@ -480,29 +469,9 @@ impl SpoutCollector {
     pub(crate) fn flush(&mut self) {
         self.now_ms = self.clock.now_ms();
         self.core.flush();
-        match self.pending_inits.len() {
-            0 => {}
-            1 => {
-                // Singleton flush (idle trickle) skips the Vec message.
-                let InitEntry {
-                    root,
-                    xor,
-                    slot,
-                    msg_id,
-                    emit_ms,
-                } = self.pending_inits.pop().expect("len checked");
-                let _ = self.core.acker.send(AckerMsg::Init {
-                    root,
-                    xor,
-                    slot,
-                    msg_id,
-                    emit_ms,
-                });
-            }
-            _ => {
-                let batch = std::mem::take(&mut self.pending_inits);
-                let _ = self.core.acker.send(AckerMsg::InitBatch(batch));
-            }
+        if !self.pending_inits.is_empty() {
+            let batch = std::mem::take(&mut self.pending_inits);
+            let _ = self.core.acker.send(AckerMsg::InitBatch(batch));
         }
     }
 }
@@ -510,12 +479,13 @@ impl SpoutCollector {
 /// Collector handed to [`crate::component::Bolt::execute`] and `tick`.
 pub struct BoltCollector {
     pub(crate) core: EmitterCore,
-    /// Anchors of the tuple currently being executed (empty inside `tick`;
-    /// the union of the run's anchors inside `execute_batch`).
+    /// Anchors emits attach to: the union of the executing chunk's
+    /// anchors until [`BoltCollector::anchor_to`] narrows them (empty
+    /// inside `tick`).
     pub(crate) current_anchors: AnchorSet,
-    /// XOR accumulated by emits of the tuple currently executing. Folded
-    /// into `run_pending` when the tuple completes, discarded when it
-    /// fails (its deliveries become orphans, exactly as unbatched).
+    /// XOR accumulated by emits of the chunk currently executing. Folded
+    /// into `run_pending` when the chunk completes, discarded when it
+    /// fails (its deliveries become orphans).
     pub(crate) tuple_pending: Vec<(u64, u64)>,
     /// XOR deltas accumulated across the whole execute run; folded per
     /// root and shipped to the acker as one `XorBatch` when the run ends.
@@ -565,48 +535,28 @@ impl BoltCollector {
         });
     }
 
-    /// Emits without anchoring (the tuple is not tracked; use for derived
-    /// data whose loss is acceptable).
-    pub fn emit_unanchored(&mut self, stream: &str, values: Vec<Value>) {
-        self.core.dispatch(stream, &values, |_| AnchorSet::None);
-    }
-
     /// Re-anchors subsequent emits to `tuple`. Only needed inside a custom
     /// [`crate::component::Bolt::execute_batch`] that emits per input
-    /// tuple; the runtime anchors `execute` calls automatically.
+    /// tuple; the default `execute_batch` anchors each `execute` call.
     pub fn anchor_to(&mut self, tuple: &Tuple) {
         self.current_anchors = tuple.anchors.clone();
     }
 
-    /// Called by the runtime when the current tuple completes: appends its
-    /// input edges and its emitted edges to the run accumulator. Deltas are
-    /// not folded per root here — a linear scan per tuple is quadratic in
-    /// the run length — but sorted and coalesced once in `flush_run`.
-    pub(crate) fn complete_ok(&mut self) {
-        let BoltCollector {
-            current_anchors,
-            tuple_pending,
-            run_pending,
-            ..
-        } = self;
-        run_pending.extend_from_slice(current_anchors.pairs());
-        run_pending.append(tuple_pending);
-    }
-
-    /// Called by the runtime when the current tuple fails: fails every
-    /// root this input belongs to. Its emitted edges are discarded (any
-    /// already-buffered children deliver as orphans, as unbatched).
-    pub(crate) fn complete_err(&mut self) {
-        self.tuple_pending.clear();
-        for &(root, _) in self.current_anchors.pairs() {
-            let _ = self.core.acker.send(AckerMsg::Fail { root });
+    /// Called by the runtime when an execute chunk succeeds: appends its
+    /// tuples' input edges and the edges it emitted to the run
+    /// accumulator. Deltas are not folded per root here — a linear scan per
+    /// tuple is quadratic in the run length — but sorted and coalesced once
+    /// in `flush_run`.
+    pub(crate) fn complete_ok(&mut self, tuples: &[Tuple]) {
+        for t in tuples {
+            self.run_pending.extend_from_slice(t.anchors.pairs());
         }
+        self.run_pending.append(&mut self.tuple_pending);
     }
 
-    /// Called by the runtime when a whole `execute_batch` run fails:
-    /// fails each distinct root across the run. Roots are deduplicated —
-    /// double-failing one root would re-create a vacant acker entry that
-    /// lingers (gauged as pending) until the timeout sweep.
+    /// Called by the runtime when an execute chunk fails (`Err` or panic):
+    /// fails each distinct root across the chunk, once. Its emitted edges
+    /// are discarded (any already-buffered children deliver as orphans).
     pub(crate) fn fail_run(&mut self, tuples: &[Tuple]) {
         self.tuple_pending.clear();
         let mut roots: Vec<u64> = tuples
@@ -626,11 +576,7 @@ impl BoltCollector {
     /// the acker as a single message.
     pub(crate) fn flush_run(&mut self) {
         self.core.flush();
-        if self.run_pending.len() == 1 {
-            // Singleton runs (batch size 1, idle trickle) skip the Vec.
-            let (root, xor) = self.run_pending.pop().expect("len checked");
-            let _ = self.core.acker.send(AckerMsg::Xor { root, xor });
-        } else if !self.run_pending.is_empty() {
+        if !self.run_pending.is_empty() {
             self.run_pending.sort_unstable_by_key(|&(root, _)| root);
             self.run_pending.dedup_by(|a, b| {
                 if a.0 == b.0 {

@@ -140,25 +140,27 @@ pub trait Bolt: Send {
     /// Processes one input tuple.
     fn execute(&mut self, tuple: &Tuple, collector: &mut BoltCollector) -> Result<(), String>;
 
-    /// Whether the runtime should hand this bolt whole runs of tuples via
-    /// [`Bolt::execute_batch`]. The default (`false`) keeps per-tuple
-    /// `execute` calls with per-tuple ack/fail. Opt in when the bolt can
-    /// merge same-key work across a batch (e.g. summing counter deltas
-    /// before touching the store); completion then becomes all-or-nothing
-    /// per run, which is safe under at-least-once replay and exact under
-    /// the per-(source, key) dedup layer.
+    /// Picks the completion granularity of this bolt's one execute path.
+    /// The runtime always calls [`Bolt::execute_batch`]: with the whole
+    /// run when this returns `true`, with one tuple at a time otherwise
+    /// (the default), each call acked or failed as a unit. Opt in when the
+    /// bolt can merge same-key work across a batch (e.g. summing counter
+    /// deltas before touching the store); completion then becomes
+    /// all-or-nothing per run, which is safe under at-least-once replay
+    /// and exact under the per-(source, key) dedup layer.
     fn supports_batch(&self) -> bool {
         false
     }
 
-    /// Processes a run of input tuples in one call (only invoked when
-    /// [`Bolt::supports_batch`] returns `true`). `Ok` acks every tuple in
-    /// the run; `Err` (or a panic) fails the whole run and each tuple
-    /// replays. Implementations that emit should call
+    /// Processes a chunk of input tuples in one call: the whole run when
+    /// [`Bolt::supports_batch`] returns `true`, a single tuple otherwise.
+    /// `Ok` acks every tuple in the chunk; `Err` (or a panic) fails each
+    /// distinct root in it once and those tuples replay. The runtime
+    /// pre-anchors the collector to the union of the chunk's anchors;
+    /// implementations that emit per input tuple should call
     /// [`BoltCollector::anchor_to`] with the relevant input before each
-    /// emit so the tuple tree stays connected; the runtime pre-anchors the
-    /// collector to the union of the run's anchors as a conservative
-    /// default.
+    /// emit so the tuple tree stays precise. The default does exactly
+    /// that around [`Bolt::execute`].
     fn execute_batch(
         &mut self,
         tuples: &[Tuple],

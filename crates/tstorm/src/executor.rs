@@ -4,11 +4,15 @@
 //! bounded input queue. Producers block when a consumer queue is full, which
 //! gives end-to-end backpressure. One extra thread runs the XOR acker.
 //!
-//! Transport is batched end to end: bolt queues are batch channels drained
-//! up to `batch_size` messages per lock, consecutive tuples execute as one
-//! *run* (a single `execute_batch` call for bolts that opt in, a per-tuple
-//! `execute` loop otherwise), emits coalesce in the collector's scatter
-//! buffers, and each run ships one pre-folded `XorBatch` to the acker.
+//! Transport is batched end to end and every runtime message is a batch:
+//! bolt queues carry tuple batches drained up to `batch_size` tuples per
+//! lock, spouts register roots in one `InitBatch` per flush, and the acker
+//! answers with one `AckBatch` per spout per message. Consecutive tuples
+//! execute as one *run* over one path: `execute_batch` once for the run
+//! when the bolt opts in, once per tuple otherwise — the bolt's
+//! `supports_batch` picks only the completion granularity. Emits coalesce
+//! in the collector's scatter buffers, and each run ships one pre-folded
+//! `XorBatch` to the acker.
 
 use crate::ack::{run_acker, AckerMsg, SpoutMsg};
 use crate::channel::{
@@ -269,7 +273,6 @@ impl Topology {
                                 let mut tuples: Vec<WireTuple> = Vec::with_capacity(inbox.len());
                                 for msg in inbox.drain(..) {
                                     match msg {
-                                        BoltMsg::Tuple(t) => tuples.push(WireTuple::from_tuple(&t)),
                                         BoltMsg::Batch(b) => {
                                             b.extend_into(&mut scratch);
                                             tuples.extend(
@@ -370,7 +373,6 @@ impl Topology {
                                 }
                                 for msg in inbox.drain(..) {
                                     match msg {
-                                        BoltMsg::Tuple(t) => run.push(t),
                                         BoltMsg::Batch(b) => b.extend_into(&mut run),
                                         BoltMsg::Tick => {
                                             // Flush the pending run first so
@@ -613,10 +615,6 @@ fn handle_ctl(
     active: &mut bool,
 ) -> Ctl {
     match msg {
-        SpoutMsg::Ack(id) => {
-            metrics.acked.inc();
-            spout.ack(id);
-        }
         SpoutMsg::AckBatch(ids) => {
             metrics.acked.add(ids.len() as u64);
             for id in ids {
@@ -646,13 +644,15 @@ fn do_tick(bolt: &mut Box<dyn Bolt>, collector: &mut BoltCollector) {
     collector.flush_run();
 }
 
-/// Executes one run of consecutive tuples and completes it: per-tuple
-/// `execute` with per-tuple ack/fail by default, or a single
-/// `execute_batch` with all-or-nothing completion for bolts that opt in.
-/// Either way the run ends with one emit flush and one `XorBatch`.
+/// Executes one run of consecutive tuples and completes it. The run is
+/// cut into chunks — the whole run when the bolt's
+/// [`Bolt::supports_batch`] is true, single tuples otherwise — and every
+/// chunk takes the same steps: pre-anchor, one `execute_batch`, then ack
+/// or fail of the chunk's trees. The run ends with one emit flush and one
+/// `XorBatch`.
 ///
 /// Storm's supervisor restarts crashed workers; here a panicking execute
-/// fails the affected tuple tree(s) (the spout will replay them) and the
+/// fails the chunk's tuple trees (the spout will replay them) and the
 /// bolt is rebuilt from its factory — safe because bolts keep durable
 /// state in TDStore, not in themselves.
 #[allow(clippy::too_many_arguments)]
@@ -669,74 +669,38 @@ fn execute_run(
     if run.is_empty() {
         return;
     }
-    let n = run.len();
-    if bolt.supports_batch() {
-        // Conservative pre-anchor: emits from a batch override that does
-        // not call `anchor_to` attach to every root in the run.
-        collector.current_anchors = run
+    let chunk_len = if bolt.supports_batch() { run.len() } else { 1 };
+    for chunk in run.chunks(chunk_len) {
+        // Conservative pre-anchor: emits that no `anchor_to` narrows
+        // attach to every root in the chunk.
+        collector.current_anchors = chunk
             .iter()
             .flat_map(|t| t.anchors.pairs().iter().copied())
             .collect();
         let start = Instant::now();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Injected before execute so a faulted run has had no effect
+            // Injected before execute so a faulted chunk has had no effect
             // on durable state: the replay re-runs it from scratch.
             if fault_plan.should_fault(tchaos::FaultSite::ExecutorPanic) {
                 panic!("tchaos: injected executor panic");
             }
-            bolt.execute_batch(run, collector)
+            bolt.execute_batch(chunk, collector)
         }));
         let nanos = start.elapsed().as_nanos() as u64;
-        match result {
-            Ok(Ok(())) => {
-                for t in run.iter() {
-                    collector.current_anchors = t.anchors.clone();
-                    collector.complete_ok();
-                }
-                metrics.record_exec_batch(nanos, n as u64, true);
-            }
-            Ok(Err(_reason)) => {
-                collector.fail_run(run);
-                metrics.record_exec_batch(nanos, n as u64, false);
-            }
-            Err(_panic) => {
-                collector.fail_run(run);
-                metrics.record_exec_batch(nanos, n as u64, false);
-                *bolt = factory();
-                bolt.prepare(ctx);
-            }
+        let ok = matches!(result, Ok(Ok(())));
+        if ok {
+            collector.complete_ok(chunk);
+        } else {
+            collector.fail_run(chunk);
         }
-    } else {
-        for t in run.iter() {
-            collector.current_anchors = t.anchors.clone();
-            let start = Instant::now();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if fault_plan.should_fault(tchaos::FaultSite::ExecutorPanic) {
-                    panic!("tchaos: injected executor panic");
-                }
-                bolt.execute(t, collector)
-            }));
-            let nanos = start.elapsed().as_nanos() as u64;
-            match result {
-                Ok(Ok(())) => {
-                    collector.complete_ok();
-                    metrics.record_exec(nanos, true);
-                }
-                Ok(Err(_reason)) => {
-                    collector.complete_err();
-                    metrics.record_exec(nanos, false);
-                }
-                Err(_panic) => {
-                    collector.complete_err();
-                    metrics.record_exec(nanos, false);
-                    *bolt = factory();
-                    bolt.prepare(ctx);
-                }
-            }
+        metrics.record_exec_batch(nanos, chunk.len() as u64, ok);
+        if result.is_err() {
+            *bolt = factory();
+            bolt.prepare(ctx);
         }
     }
     collector.flush_run();
-    inflight.fetch_sub(n as i64, Ordering::Relaxed);
+    inflight.fetch_sub(run.len() as i64, Ordering::Relaxed);
     run.clear();
 }
 
@@ -868,28 +832,17 @@ impl TopologyHandle {
         }
         let msgs: Vec<BoltMsg> = groups
             .into_values()
-            .map(|mut g| {
-                let shared = Arc::new(BatchShared {
-                    values: g.values.into_boxed_slice(),
-                    schema: g.schema,
-                    stream: g.stream,
-                    src_component: g.src,
-                    src_task: g.src_task,
-                });
-                if g.metas.len() == 1 {
-                    let meta = g.metas.pop().expect("len checked");
-                    BoltMsg::Tuple(crate::tuple::Tuple::from_batch(
-                        &shared,
-                        0,
-                        meta.len,
-                        meta.anchors,
-                    ))
-                } else {
-                    BoltMsg::Batch(TupleBatch {
-                        shared,
-                        metas: g.metas,
-                    })
-                }
+            .map(|g| {
+                BoltMsg::Batch(TupleBatch {
+                    shared: Arc::new(BatchShared {
+                        values: g.values.into_boxed_slice(),
+                        schema: g.schema,
+                        stream: g.stream,
+                        src_component: g.src,
+                        src_task: g.src_task,
+                    }),
+                    metas: g.metas,
+                })
             })
             .collect();
         if let Err(e) = tx.send_batch(msgs) {

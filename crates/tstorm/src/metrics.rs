@@ -31,20 +31,10 @@ pub struct ComponentMetrics {
 }
 
 impl ComponentMetrics {
-    pub(crate) fn record_exec(&self, nanos: u64, ok: bool) {
-        self.executed.inc();
-        self.exec_nanos.add(nanos);
-        self.exec_latency.record_nanos(nanos);
-        if ok {
-            self.acked.inc();
-        } else {
-            self.failed.inc();
-        }
-    }
-
-    /// Records one `execute_batch` invocation covering `count` tuples.
-    /// The histogram is fed the per-tuple share of the batch, so its
-    /// percentiles stay comparable with the unbatched path. The integer
+    /// Records one `execute_batch` invocation covering `count` tuples (or
+    /// one spout poll burst of `count` polls). The histogram is fed the
+    /// per-tuple share of the call, so its percentiles stay comparable
+    /// between per-run and per-tuple bolts. The integer
     /// division's remainder is distributed over `total_nanos % count`
     /// tuples (one extra nanosecond each), so the histogram's sum equals
     /// `exec_nanos` exactly instead of drifting low on every batch.
@@ -185,8 +175,8 @@ mod tests {
         let mut reg = MetricsRegistry::default();
         let obs = obs::Registry::new();
         let m = reg.register("bolt", &obs);
-        m.record_exec(1_000, true);
-        m.record_exec(3_000, false);
+        m.record_exec_batch(1_000, 1, true);
+        m.record_exec_batch(3_000, 1, false);
         let snap = reg.component("bolt").unwrap();
         assert_eq!(snap.executed, 2);
         assert_eq!(snap.acked, 1);

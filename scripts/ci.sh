@@ -56,9 +56,10 @@ echo "    exposition OK (pipeline latency samples: $count, unchanged store ops: 
 # Benchmark stage: the manifest must agree with the compiled-in metric
 # tables, a short traced ingest_broad run — the whole CF pipeline
 # against the in-memory reference — must come out correct, an untraced
-# one must stay under a peak-RSS ceiling, and a short untraced fresh_hot
-# run must stay fresh.
-echo "==> tbench (--validate, traced ingest_broad smoke, ingest_broad peak RSS, fresh_hot freshness)"
+# one must stay under a peak-RSS ceiling, a short untraced fresh_hot run
+# must stay fresh, and a short cluster_edge run — the acker wire codec
+# and the workers' acker forwarder between real processes — must verify.
+echo "==> tbench (--validate, traced ingest_broad smoke, ingest_broad peak RSS, fresh_hot freshness, cluster_edge)"
 cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- --validate
 tbench_out="$(cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- \
     --workload ingest_broad --seed 1 --seconds 2 --trace 1 | tail -n 1)"
@@ -113,11 +114,18 @@ if ! awk -v p="$fresh_p50" 'BEGIN { exit !(p > 0 && p <= 375) }'; then
     echo "TBENCH FAILURE: fresh_hot freshness p50 $fresh_p50 us (> 375 us)" >&2
     exit 1
 fi
+edge_out="$(cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- \
+    --workload cluster_edge --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+if ! grep -q '"correct": true' <<<"$edge_out"; then
+    echo "TBENCH FAILURE: cluster_edge did not verify:" >&2
+    echo "$edge_out" >&2
+    exit 1
+fi
 # The reader's query latency under ingest is reported, not gated: a 2-s
 # run is too noisy for a ceiling (the allocation guard in
 # crates/core/tests/recommend_allocs.rs is the deterministic check).
 ingest_p50="$(tbench_metric "$rss_out" latency_p50_us)"
-echo "    tbench OK ($store_bytes bytes in $store_keys keys, peak RSS $peak_rss MiB, ingest_broad query p50 $ingest_p50 us, fresh_hot p50 $fresh_p50 us)"
+echo "    tbench OK ($store_bytes bytes in $store_keys keys, peak RSS $peak_rss MiB, ingest_broad query p50 $ingest_p50 us, fresh_hot p50 $fresh_p50 us, cluster_edge correct)"
 
 # Multi-process stage: supervisor + 2 worker OS processes run the CF
 # pipeline with tuples crossing process boundaries over batched TCP;
