@@ -3,16 +3,28 @@
 //! Every frame uses the shared [`wire`] length-prefixed layout
 //! (`len:u32le | id:u64le tag:u8 body`). The supervisor relays
 //! [`Msg::TupleBatch`] frames between workers without decoding the tuple
-//! payload — [`peek_tuple_batch_dest`] reads only the destination
+//! payload — [`peek_tuple_batch_dest`] borrows only the destination
 //! component from the body head — so the data plane stays one copy per
 //! hop. Everything else is decoded with [`decode`].
+//!
+//! A tuple-batch body is one codec with several ends. One per-tuple
+//! writer serves both [`encode`] of the owned [`Msg::TupleBatch`] and
+//! [`encode_tuple_batch`], which a worker's egress runs straight over the
+//! runtime's batch arenas into a reused buffer. One reader hands each
+//! tuple, borrowed from the bytes, to a [`TupleSink`]: the owned
+//! [`WireTuple`] list behind [`decode`], the root collector behind
+//! [`peek_tuple_batch_roots`], and the runtime's injector behind
+//! [`inject`], which reads the frame straight into batch arenas for the
+//! destination task. The ends share the byte layout by construction.
 
 use bytes::BytesMut;
 use obs::{LatencySnapshot, Sample, SampleKind};
+use std::sync::Arc;
 use tstorm::ack::{AckerMsg, InitEntry};
-use tstorm::remote::WireTuple;
+use tstorm::remote::{TupleBatch, TupleSink, WireTuple};
 use tstorm::tuple::Value;
-use wire::{with_frame, ProtocolError, Reader};
+use tstorm::TopologyHandle;
+use wire::{frame_into, with_frame, ProtocolError, Reader};
 
 /// Worker → supervisor: first frame on a fresh connection.
 pub const TAG_REGISTER: u8 = 0x01;
@@ -75,13 +87,15 @@ pub enum Msg {
     },
     /// Every worker is registered; launch the slice and start emitting.
     Start,
-    /// Tuples for `dest_component`/`dest_task`, flattened for the wire.
+    /// Tuples for `dest_component`/`dest_task`, in the owned form (the
+    /// workers' data plane reads and writes these frames in place; see
+    /// [`encode_tuple_batch`] and [`inject`]).
     TupleBatch {
         /// Receiving component name.
         dest_component: String,
         /// Task index within the receiving component.
         dest_task: usize,
-        /// The flattened tuples.
+        /// The tuples, in frame order.
         tuples: Vec<WireTuple>,
     },
     /// Acker traffic drained from one worker's emitters.
@@ -176,16 +190,31 @@ fn w_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn w_wire_tuple(out: &mut Vec<u8>, t: &WireTuple) {
-    w_str(out, &t.stream);
-    w_str(out, &t.src_component);
-    w_u64(out, t.src_task as u64);
-    w_u32(out, t.values.len() as u32);
-    for v in &t.values {
+/// The one tuple-batch head writer.
+fn w_batch_head(out: &mut Vec<u8>, dest: &str, task: usize, n_tuples: usize) {
+    w_str(out, dest);
+    w_u64(out, task as u64);
+    w_u32(out, n_tuples as u32);
+}
+
+/// The one per-tuple writer, for owned and runtime tuples alike.
+fn w_tuple(
+    out: &mut Vec<u8>,
+    stream: &str,
+    src: &str,
+    task: usize,
+    values: &[Value],
+    anchors: &[(u64, u64)],
+) {
+    w_str(out, stream);
+    w_str(out, src);
+    w_u64(out, task as u64);
+    w_u32(out, values.len() as u32);
+    for v in values {
         w_value(out, v);
     }
-    w_u32(out, t.anchors.len() as u32);
-    for &(root, edge) in &t.anchors {
+    w_u32(out, anchors.len() as u32);
+    for &(root, edge) in anchors {
         w_u64(out, root);
         w_u64(out, edge);
     }
@@ -301,11 +330,16 @@ pub fn encode(buf: &mut BytesMut, id: u64, msg: &Msg) {
         } => (
             TAG_TUPLE_BATCH,
             Box::new(move |out| {
-                w_str(out, dest_component);
-                w_u64(out, *dest_task as u64);
-                w_u32(out, tuples.len() as u32);
+                w_batch_head(out, dest_component, *dest_task, tuples.len());
                 for t in tuples {
-                    w_wire_tuple(out, t);
+                    w_tuple(
+                        out,
+                        &t.stream,
+                        &t.src_component,
+                        t.src_task,
+                        &t.values,
+                        &t.anchors,
+                    );
                 }
             }),
         ),
@@ -365,8 +399,42 @@ pub fn encode(buf: &mut BytesMut, id: u64, msg: &Msg) {
     with_frame(buf, id, tag, |out| enc(out));
 }
 
+/// Appends one [`Msg::TupleBatch`] frame for `dest`/`task` to `frame`,
+/// written straight from the runtime's batches in order. The bytes are
+/// exactly those [`encode`] writes for the same tuples in the owned form;
+/// with `frame` reused across calls, encoding allocates nothing once it
+/// has grown to the largest frame.
+pub fn encode_tuple_batch(
+    frame: &mut Vec<u8>,
+    id: u64,
+    dest: &str,
+    task: usize,
+    batches: &[TupleBatch],
+) {
+    frame_into(frame, id, TAG_TUPLE_BATCH, |out| {
+        let n_tuples = batches.iter().map(TupleBatch::len).sum();
+        w_batch_head(out, dest, task, n_tuples);
+        for b in batches {
+            for (values, anchors) in b.tuples() {
+                w_tuple(
+                    out,
+                    b.stream(),
+                    b.src_component(),
+                    b.src_task(),
+                    values,
+                    anchors,
+                );
+            }
+        }
+    });
+}
+
+fn r_str_ref<'b>(r: &mut Reader<'b>) -> Result<&'b str, ProtocolError> {
+    std::str::from_utf8(r.bytes()?).map_err(|_| ProtocolError::BadPayload("invalid utf-8"))
+}
+
 fn r_str(r: &mut Reader<'_>) -> Result<String, ProtocolError> {
-    String::from_utf8(r.bytes()?.to_vec()).map_err(|_| ProtocolError::BadPayload("invalid utf-8"))
+    r_str_ref(r).map(str::to_string)
 }
 
 fn r_value(r: &mut Reader<'_>) -> Result<Value, ProtocolError> {
@@ -376,32 +444,54 @@ fn r_value(r: &mut Reader<'_>) -> Result<Value, ProtocolError> {
         2 => Value::I64(r.u64()? as i64),
         3 => Value::U64(r.u64()?),
         4 => Value::F64(f64::from_bits(r.u64()?)),
-        5 => Value::Str(r_str(r)?.into()),
+        5 => Value::Str(Arc::from(r_str_ref(r)?)),
         _ => return Err(ProtocolError::BadPayload("unknown value tag")),
     })
 }
 
-fn r_wire_tuple(r: &mut Reader<'_>) -> Result<WireTuple, ProtocolError> {
-    let stream = r_str(r)?;
-    let src_component = r_str(r)?;
-    let src_task = r.u64()? as usize;
-    let n_values = r.count(1)?;
-    let mut values = Vec::with_capacity(n_values);
-    for _ in 0..n_values {
-        values.push(r_value(r)?);
+/// Reads a tuple-batch head: destination component, task, tuple count.
+fn r_batch_head<'b>(r: &mut Reader<'b>) -> Result<(&'b str, usize, usize), ProtocolError> {
+    let dest = r_str_ref(r)?;
+    let task = r.u64()? as usize;
+    let n_tuples = r.count(16)?;
+    Ok((dest, task, n_tuples))
+}
+
+/// Little-endian `u64` from the first 8 bytes of `b`.
+fn le_u64(b: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&b[..8]);
+    u64::from_le_bytes(word)
+}
+
+/// The one tuple reader: hands each of the body's `n_tuples` tuples to
+/// `sink`, header and anchors borrowed from the bytes.
+fn r_tuples(
+    r: &mut Reader<'_>,
+    n_tuples: usize,
+    sink: &mut impl TupleSink,
+) -> Result<(), ProtocolError> {
+    for _ in 0..n_tuples {
+        let stream = r_str_ref(r)?;
+        let src = r_str_ref(r)?;
+        let task = r.u64()? as usize;
+        let n_values = r.count(1)?;
+        let values = sink
+            .open(stream, src, task)
+            .map_err(ProtocolError::BadPayload)?;
+        values.reserve(n_values);
+        for _ in 0..n_values {
+            values.push(r_value(r)?);
+        }
+        let n_anchors = r.count(16)?;
+        let anchors = r.take(n_anchors * 16)?;
+        let pairs = anchors
+            .chunks_exact(16)
+            .map(|p| (le_u64(p), le_u64(&p[8..])));
+        sink.close(n_values, pairs)
+            .map_err(ProtocolError::BadPayload)?;
     }
-    let n_anchors = r.count(16)?;
-    let mut anchors = Vec::with_capacity(n_anchors);
-    for _ in 0..n_anchors {
-        anchors.push((r.u64()?, r.u64()?));
-    }
-    Ok(WireTuple {
-        stream,
-        src_component,
-        src_task,
-        values,
-        anchors,
-    })
+    Ok(())
 }
 
 fn r_acker_msg(r: &mut Reader<'_>) -> Result<AckerMsg, ProtocolError> {
@@ -502,15 +592,11 @@ pub fn decode(tag: u8, body: &[u8]) -> Result<Msg, ProtocolError> {
         }
         TAG_START => Msg::Start,
         TAG_TUPLE_BATCH => {
-            let dest_component = r_str(&mut r)?;
-            let dest_task = r.u64()? as usize;
-            let n = r.count(16)?;
-            let mut tuples = Vec::with_capacity(n);
-            for _ in 0..n {
-                tuples.push(r_wire_tuple(&mut r)?);
-            }
+            let (dest, dest_task, n_tuples) = r_batch_head(&mut r)?;
+            let mut tuples = Vec::with_capacity(n_tuples);
+            r_tuples(&mut r, n_tuples, &mut tuples)?;
             Msg::TupleBatch {
-                dest_component,
+                dest_component: dest.to_string(),
                 dest_task,
                 tuples,
             }
@@ -564,11 +650,39 @@ pub fn decode(tag: u8, body: &[u8]) -> Result<Msg, ProtocolError> {
     Ok(msg)
 }
 
-/// Reads only the destination component from a [`Msg::TupleBatch`] body,
-/// so the supervisor can route the frame without decoding the tuples.
-pub fn peek_tuple_batch_dest(body: &[u8]) -> Result<String, ProtocolError> {
-    let mut r = Reader::new(body);
-    r_str(&mut r)
+/// Borrows only the destination component from a [`Msg::TupleBatch`]
+/// body, so the supervisor can route the frame without decoding the
+/// tuples.
+pub fn peek_tuple_batch_dest(body: &[u8]) -> Result<&str, ProtocolError> {
+    r_str_ref(&mut Reader::new(body))
+}
+
+/// The sink behind [`peek_tuple_batch_roots`]: distinct anchor roots in
+/// first-seen order.
+#[derive(Default)]
+struct Roots {
+    roots: Vec<u64>,
+    values: Vec<Value>,
+}
+
+impl TupleSink for Roots {
+    fn open(&mut self, _: &str, _: &str, _: usize) -> Result<&mut Vec<Value>, &'static str> {
+        self.values.clear();
+        Ok(&mut self.values)
+    }
+
+    fn close(
+        &mut self,
+        _: usize,
+        anchors: impl ExactSizeIterator<Item = (u64, u64)>,
+    ) -> Result<(), &'static str> {
+        for (root, _) in anchors {
+            if !self.roots.contains(&root) {
+                self.roots.push(root);
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Extracts the distinct anchor roots from a [`Msg::TupleBatch`] body.
@@ -580,19 +694,27 @@ pub fn peek_tuple_batch_dest(body: &[u8]) -> Result<String, ProtocolError> {
 /// path.
 pub fn peek_tuple_batch_roots(body: &[u8]) -> Result<Vec<u64>, ProtocolError> {
     let mut r = Reader::new(body);
-    let _dest = r_str(&mut r)?;
-    let _task = r.u64()?;
-    let n = r.count(16)?;
-    let mut roots: Vec<u64> = Vec::new();
-    for _ in 0..n {
-        let t = r_wire_tuple(&mut r)?;
-        for (root, _) in t.anchors {
-            if !roots.contains(&root) {
-                roots.push(root);
-            }
-        }
-    }
-    Ok(roots)
+    let (_, _, n_tuples) = r_batch_head(&mut r)?;
+    let mut sink = Roots::default();
+    r_tuples(&mut r, n_tuples, &mut sink)?;
+    Ok(sink.roots)
+}
+
+/// Reads a [`Msg::TupleBatch`] body straight into `handle`'s batch
+/// arenas and delivers them to the destination task's queue (blocking
+/// while it is full). The frame is checked whole before anything is
+/// delivered: a malformed body, or one naming a component, task or
+/// stream the topology does not have, is an error and delivers nothing.
+pub fn inject(handle: &TopologyHandle, body: &[u8]) -> Result<(), ProtocolError> {
+    let mut r = Reader::new(body);
+    let (dest, task, n_tuples) = r_batch_head(&mut r)?;
+    let mut injector = handle
+        .injector(dest, task, n_tuples)
+        .map_err(ProtocolError::BadPayload)?;
+    r_tuples(&mut r, n_tuples, &mut injector)?;
+    r.finish()?;
+    injector.deliver();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -715,6 +837,111 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    struct Silent;
+
+    impl tstorm::Spout for Silent {
+        fn next_tuple(&mut self, _: &mut tstorm::collector::SpoutCollector) -> bool {
+            false
+        }
+        fn declare_outputs(&self) -> Vec<tstorm::StreamDef> {
+            vec![tstorm::StreamDef::new("default", ["key", "seq"])]
+        }
+    }
+
+    /// A slice running nothing locally: `numbers` emits `default`
+    /// (two fields), `sum` has two tasks, and tuples injected for `sum`
+    /// leave through an egress that drops them.
+    fn slice() -> TopologyHandle {
+        let mut builder = tstorm::TopologyBuilder::new();
+        builder.set_spout("numbers", || Silent, 1);
+        builder
+            .set_bolt(
+                "sum",
+                || |_: &tstorm::Tuple, _: &mut tstorm::BoltCollector| Ok(()),
+                2,
+            )
+            .shuffle_grouping("numbers");
+        let (acker, _) = crossbeam::channel::unbounded();
+        builder
+            .build()
+            .unwrap()
+            .launch_slice(tstorm::remote::SliceSpec {
+                local: Default::default(),
+                slot_map: Vec::new(),
+                acker,
+                egress: Arc::new(|_: &mut Vec<u8>, _: &str, _: usize, _: &[TupleBatch]| {}),
+            })
+    }
+
+    /// The body of a one-tuple frame for `dest`/`task` from
+    /// `numbers`/`stream`.
+    fn frame(dest: &str, task: usize, stream: &str, values: Vec<Value>) -> BytesMut {
+        let mut buf = BytesMut::new();
+        encode(
+            &mut buf,
+            1,
+            &Msg::TupleBatch {
+                dest_component: dest.into(),
+                dest_task: task,
+                tuples: vec![WireTuple {
+                    stream: stream.into(),
+                    src_component: "numbers".into(),
+                    src_task: 0,
+                    values,
+                    anchors: vec![(1, 2)],
+                }],
+            },
+        );
+        split_frame(&mut buf).unwrap().unwrap().2
+    }
+
+    fn pair() -> Vec<Value> {
+        vec![Value::U64(1), Value::U64(2)]
+    }
+
+    #[test]
+    fn inject_accepts_a_frame_the_topology_declares() {
+        let handle = slice();
+        assert_eq!(inject(&handle, &frame("sum", 1, "default", pair())), Ok(()));
+        handle.kill();
+    }
+
+    #[test]
+    fn inject_rejects_an_unknown_destination() {
+        let handle = slice();
+        assert_eq!(
+            inject(&handle, &frame("ghost", 0, "default", pair())),
+            Err(ProtocolError::BadPayload("unknown destination component"))
+        );
+        handle.kill();
+    }
+
+    #[test]
+    fn inject_rejects_a_task_beyond_the_parallelism() {
+        let handle = slice();
+        assert_eq!(
+            inject(&handle, &frame("sum", 2, "default", pair())),
+            Err(ProtocolError::BadPayload("destination task out of range"))
+        );
+        handle.kill();
+    }
+
+    #[test]
+    fn inject_rejects_an_undeclared_stream_or_width() {
+        let handle = slice();
+        assert_eq!(
+            inject(&handle, &frame("sum", 0, "other", pair())),
+            Err(ProtocolError::BadPayload("unknown source stream"))
+        );
+        assert_eq!(
+            inject(&handle, &frame("sum", 0, "default", vec![Value::U64(1)])),
+            Err(ProtocolError::BadPayload(
+                "tuple width differs from its stream's schema"
+            ))
+        );
+        handle.kill();
     }
 
     #[test]

@@ -63,7 +63,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use tchaos::{Clock, FaultPlan, FaultSite};
 use tstorm::ack::{run_acker, AckerMsg, SpoutMsg};
-use wire::{split_frame, with_frame};
+use wire::{frame_into, split_frame};
 
 /// One worker process: which components it runs and whether chaos may
 /// kill it.
@@ -294,7 +294,7 @@ fn handle_frame(shared: &Shared, w: usize, id: u64, tag: u8, body: &[u8]) {
         let Ok(dest) = protocol::peek_tuple_batch_dest(body) else {
             return;
         };
-        let Some(&dest_worker) = shared.comp_to_worker.get(&dest) else {
+        let Some(&dest_worker) = shared.comp_to_worker.get(dest) else {
             return;
         };
         shared.relayed.fetch_add(1, Ordering::Relaxed);
@@ -318,8 +318,8 @@ fn handle_frame(shared: &Shared, w: usize, id: u64, tag: u8, body: &[u8]) {
             }
             return;
         }
-        let mut out = BytesMut::with_capacity(body.len() + 16);
-        with_frame(&mut out, id, TAG_TUPLE_BATCH, |b| b.extend_from_slice(body));
+        let mut out = Vec::with_capacity(4 + wire::HEADER_LEN + body.len());
+        frame_into(&mut out, id, TAG_TUPLE_BATCH, |b| b.extend_from_slice(body));
         write_or_condemn(&mut lock(&shared.mailboxes[dest_worker]), &out);
         return;
     }

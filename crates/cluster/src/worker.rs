@@ -4,6 +4,13 @@
 //! and spout notifications — plus periodic status, metrics, and offset
 //! commits.
 //!
+//! Tuple frames never pass through an owned message: egress encodes each
+//! frame straight from the runtime's batches into its pump's reused
+//! buffer ([`protocol::encode_tuple_batch`]), and ingress reads each body
+//! straight into the destination task's batch arenas
+//! ([`protocol::inject`]). A body that cannot be injected is handled
+//! like any undecodable frame.
+//!
 //! Transport robustness (tguard): the supervisor connection is dialed
 //! with bounded exponential backoff ([`wire::Backoff`]) instead of a
 //! single fatal attempt; every frame is stamped with this incarnation's
@@ -23,7 +30,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 use tstorm::ack::{AckerMsg, SpoutMsg};
-use tstorm::remote::{EgressFn, SliceSpec, WireTuple};
+use tstorm::remote::{EgressFn, SliceSpec, TupleBatch};
 use tstorm::TopologyHandle;
 use wire::{split_frame, Backoff};
 
@@ -89,8 +96,13 @@ struct WorkerConn {
 fn send(conn: &WorkerConn, msg: &Msg) {
     let mut buf = BytesMut::new();
     protocol::encode(&mut buf, conn.generation, msg);
+    write_frame(conn, &buf);
+}
+
+/// Writes encoded frame bytes under the connection lock; see [`send`].
+fn write_frame(conn: &WorkerConn, frame: &[u8]) {
     let mut stream = conn.stream.lock().unwrap_or_else(|e| e.into_inner());
-    if stream.write_all(&buf).is_err() {
+    if stream.write_all(frame).is_err() {
         conn.send_errors.inc();
         let _ = stream.shutdown(Shutdown::Both);
     }
@@ -177,16 +189,12 @@ fn launch(
 
     let (acker_tx, acker_rx) = unbounded::<AckerMsg>();
     let egress_conn = Arc::clone(conn);
-    let egress: EgressFn = Arc::new(move |dest: &str, task: usize, tuples: Vec<WireTuple>| {
-        send(
-            &egress_conn,
-            &Msg::TupleBatch {
-                dest_component: dest.to_string(),
-                dest_task: task,
-                tuples,
-            },
-        );
-    });
+    let egress: EgressFn = Arc::new(
+        move |frame: &mut Vec<u8>, dest: &str, task: usize, batches: &[TupleBatch]| {
+            protocol::encode_tuple_batch(frame, egress_conn.generation, dest, task, batches);
+            write_frame(&egress_conn, frame);
+        },
+    );
     let spec = SliceSpec {
         local: components.into_iter().collect(),
         slot_map,
@@ -342,10 +350,10 @@ fn worker_main(build: impl Fn(&WorkerContext) -> ClusterApp) -> i32 {
     type PendingAssignment = (Vec<String>, Vec<usize>, Option<Vec<u8>>);
     let mut assignment: Option<PendingAssignment> = None;
     let mut slice: Option<Slice> = None;
-    // Tuples relayed by the supervisor can race this worker's own Start
-    // frame (another worker may start a hair earlier); they are buffered
-    // and injected right after launch instead of dropped.
-    let mut pre_start: Vec<(String, usize, Vec<WireTuple>)> = Vec::new();
+    // Tuple frames relayed by the supervisor can race this worker's own
+    // Start frame (another worker may start a hair earlier); their bodies
+    // are buffered and injected right after launch instead of dropped.
+    let mut pre_start: Vec<BytesMut> = Vec::new();
 
     loop {
         let mut broken = false;
@@ -362,6 +370,18 @@ fn worker_main(build: impl Fn(&WorkerContext) -> ClusterApp) -> i32 {
                     break;
                 }
             };
+            if tag == protocol::TAG_TUPLE_BATCH {
+                match &slice {
+                    Some(s) => {
+                        if protocol::inject(&s.handle, &body).is_err() {
+                            broken = true;
+                            break;
+                        }
+                    }
+                    None => pre_start.push(body),
+                }
+                continue;
+            }
             let msg = match protocol::decode(tag, &body) {
                 Ok(m) => m,
                 Err(_) => {
@@ -383,19 +403,15 @@ fn worker_main(build: impl Fn(&WorkerContext) -> ClusterApp) -> i32 {
                     let s = launch(
                         &build, worker_id, components, slot_map, recovered, &conn, &runtime,
                     );
-                    for (dest, task, tuples) in pre_start.drain(..) {
-                        s.handle.inject(&dest, task, tuples);
-                    }
+                    let injected = pre_start
+                        .drain(..)
+                        .all(|body| protocol::inject(&s.handle, &body).is_ok());
                     slice = Some(s);
+                    if !injected {
+                        broken = true;
+                        break;
+                    }
                 }
-                Msg::TupleBatch {
-                    dest_component,
-                    dest_task,
-                    tuples,
-                } => match &slice {
-                    Some(s) => s.handle.inject(&dest_component, dest_task, tuples),
-                    None => pre_start.push((dest_component, dest_task, tuples)),
-                },
                 Msg::SpoutNotify {
                     global_slot,
                     kind,

@@ -38,14 +38,52 @@ pub(crate) struct TupleMeta {
 
 /// A batch of tuples sharing one value arena, shipped as a single channel
 /// message. The receiver materializes [`Tuple`] windows out of it (one
-/// `Arc` bump each).
+/// `Arc` bump each); the cluster transport reads it in place through the
+/// accessors below.
 #[derive(Debug)]
-pub(crate) struct TupleBatch {
+pub struct TupleBatch {
     pub(crate) shared: Arc<BatchShared>,
     pub(crate) metas: Vec<TupleMeta>,
 }
 
 impl TupleBatch {
+    /// Number of tuples in the batch.
+    pub fn len(&self) -> usize {
+        self.metas.len()
+    }
+
+    /// True when the batch carries no tuple.
+    pub fn is_empty(&self) -> bool {
+        self.metas.is_empty()
+    }
+
+    /// Stream every tuple of the batch was emitted on.
+    pub fn stream(&self) -> &str {
+        &self.shared.stream
+    }
+
+    /// Component that emitted the batch.
+    pub fn src_component(&self) -> &str {
+        &self.shared.src_component
+    }
+
+    /// Task index (within the source component) that emitted the batch.
+    pub fn src_task(&self) -> usize {
+        self.shared.src_task
+    }
+
+    /// Each tuple's values and `(root, edge)` anchor pairs, in batch
+    /// order, borrowed from the arena.
+    pub fn tuples(&self) -> impl Iterator<Item = (&[Value], &[(u64, u64)])> {
+        let mut start = 0usize;
+        self.metas.iter().map(move |meta| {
+            let end = start + meta.len as usize;
+            let values = &self.shared.values[start..end];
+            start = end;
+            (values, meta.anchors.pairs())
+        })
+    }
+
     /// Materializes every tuple of the batch into `run`.
     pub(crate) fn extend_into(self, run: &mut Vec<Tuple>) {
         let mut start = 0u32;

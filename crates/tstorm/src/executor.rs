@@ -20,16 +20,16 @@ use crate::channel::{
 };
 use crate::collector::{
     BoltCollector, BoltMsg, ConsumerEdge, EmitterCore, OutputMap, SpoutCollector, StreamOutputs,
-    TupleBatch, TupleMeta,
+    TupleBatch,
 };
 use crate::component::{Bolt, Spout, SpoutWaker, TaskContext};
 use crate::grouping::RoutingRule;
 use crate::metrics::{
     ComponentMetrics, LatencyHistogram, LatencySnapshot, MetricsRegistry, MetricsSnapshot,
 };
-use crate::remote::{SliceSpec, WireTuple};
+use crate::remote::{Injector, SliceSpec, SourceStream};
 use crate::topology::{BoltFactory, Topology};
-use crate::tuple::{AnchorSet, BatchShared, Schema, Value};
+use crate::tuple::AnchorSet;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -56,10 +56,10 @@ impl Topology {
     /// Starts only the slice of the topology named in `spec.local`, for a
     /// cluster worker process. Remote components get no task threads;
     /// tuples routed to them leave through `spec.egress` (and arrive from
-    /// elsewhere via [`TopologyHandle::inject`]). No acker thread runs —
-    /// acker traffic drains into `spec.acker` for the supervisor-hosted
-    /// global acker, whose notifications re-enter through
-    /// [`TopologyHandle::spout_notify`].
+    /// elsewhere through [`TopologyHandle::injector`]). No acker thread
+    /// runs — acker traffic drains into `spec.acker` for the
+    /// supervisor-hosted global acker, whose notifications re-enter
+    /// through [`TopologyHandle::spout_notify`].
     pub fn launch_slice(self, spec: SliceSpec) -> TopologyHandle {
         self.launch_inner(Some(spec))
     }
@@ -217,14 +217,18 @@ impl Topology {
             output_maps.insert(name, Arc::new(map));
         }
 
-        // Schema table for re-hydrating tuples that crossed a process
-        // boundary: (source component, stream) -> declared schema.
-        let schemas: HashMap<(String, String), Schema> = all_outputs
+        // Every declared stream, for re-attaching schemas to tuples that
+        // crossed a process boundary. Injected batches share the output
+        // maps' interned stream names.
+        let sources: Vec<SourceStream> = output_maps
             .iter()
-            .flat_map(|&(name, outputs)| {
-                outputs
-                    .iter()
-                    .map(move |def| ((name.to_string(), def.id.clone()), def.schema.clone()))
+            .flat_map(|(&name, map)| {
+                let src_component: Arc<str> = Arc::from(name);
+                map.streams.iter().map(move |out| SourceStream {
+                    src_component: Arc::clone(&src_component),
+                    stream: Arc::clone(&out.stream),
+                    schema: out.schema.clone(),
+                })
             })
             .collect();
 
@@ -245,7 +249,7 @@ impl Topology {
 
         // Remote bolts: their input queues exist (emitters route into them
         // exactly as if they were local) but are drained by egress pumps
-        // that flatten each batch and hand it to the cluster transport.
+        // that hand the drained batches, borrowed, to the cluster transport.
         for b in &self.bolts {
             if is_local(&b.name) {
                 continue;
@@ -262,6 +266,8 @@ impl Topology {
                         .name(format!("tstorm-egress-{name}-{task_index}"))
                         .spawn(move || {
                             let mut inbox: Vec<BoltMsg> = Vec::with_capacity(batch_size);
+                            let mut batches: Vec<TupleBatch> = Vec::with_capacity(batch_size);
+                            let mut frame: Vec<u8> = Vec::new();
                             loop {
                                 match rx.recv_batch(&mut inbox, batch_size, None) {
                                     RecvBatch::Msgs(_) => {}
@@ -269,29 +275,23 @@ impl Topology {
                                     RecvBatch::Disconnected => break,
                                 }
                                 let mut shutdown = false;
-                                let mut scratch: Vec<Tuple> = Vec::new();
-                                let mut tuples: Vec<WireTuple> = Vec::with_capacity(inbox.len());
                                 for msg in inbox.drain(..) {
                                     match msg {
-                                        BoltMsg::Batch(b) => {
-                                            b.extend_into(&mut scratch);
-                                            tuples.extend(
-                                                scratch
-                                                    .drain(..)
-                                                    .map(|t| WireTuple::from_tuple(&t)),
-                                            );
-                                        }
+                                        BoltMsg::Batch(b) => batches.push(b),
                                         BoltMsg::Tick => {}
                                         BoltMsg::Shutdown => shutdown = true,
                                     }
                                 }
-                                if !tuples.is_empty() {
+                                if !batches.is_empty() {
                                     // The tuples leave this process: local
                                     // in-flight accounting ends at the
                                     // handoff, the destination re-adds them
                                     // on inject.
-                                    inflight.fetch_sub(tuples.len() as i64, Ordering::Relaxed);
-                                    egress(&name, task_index, tuples);
+                                    let tuples: usize = batches.iter().map(TupleBatch::len).sum();
+                                    inflight.fetch_sub(tuples as i64, Ordering::Relaxed);
+                                    frame.clear();
+                                    egress(&mut frame, &name, task_index, &batches);
+                                    batches.clear();
                                 }
                                 if shutdown {
                                     break;
@@ -593,7 +593,7 @@ impl Topology {
                 .collect(),
             acker_tx,
             slot_map,
-            schemas,
+            sources,
             threads,
             spout_threads,
             acker_handle,
@@ -719,9 +719,9 @@ pub struct TopologyHandle {
     /// Local spout task position -> global acker slot (identity in
     /// single-process mode).
     slot_map: Vec<usize>,
-    /// (source component, stream) -> declared schema, for re-hydrating
-    /// injected wire tuples.
-    schemas: HashMap<(String, String), Schema>,
+    /// Every declared stream, for re-attaching schemas to injected
+    /// tuples.
+    sources: Vec<SourceStream>,
     threads: Vec<JoinHandle<()>>,
     spout_threads: Vec<JoinHandle<()>>,
     acker_handle: Option<JoinHandle<()>>,
@@ -775,81 +775,23 @@ impl TopologyHandle {
         self.spout_idle.iter().all(|f| f.load(Ordering::Acquire))
     }
 
-    /// Delivers tuples that crossed a process boundary into `component`'s
-    /// task queue, re-hydrating each against the schema declared for its
-    /// (source component, stream) pair. Blocks when the destination queue
-    /// is full, so transport-level backpressure reaches the sender.
-    ///
-    /// Panics on an unknown destination or stream: every process builds
-    /// the same topology, so a mismatch is a protocol bug, not an
-    /// operational condition.
-    pub fn inject(&self, component: &str, task: usize, tuples: Vec<WireTuple>) {
-        if tuples.is_empty() {
-            return;
-        }
+    /// A sink for one frame of `n_tuples` tuples that crossed a process
+    /// boundary, bound for task `task` of `component`: the cluster codec
+    /// reads the frame into it, then [`Injector::deliver`] hands the
+    /// batches to the task's queue. Bytes off a socket reach this, so a
+    /// destination this topology does not run is an error, not a panic.
+    pub fn injector(
+        &self,
+        component: &str,
+        task: usize,
+        n_tuples: usize,
+    ) -> Result<Injector<'_>, &'static str> {
         let txs = self
             .bolt_txs
             .get(component)
-            .unwrap_or_else(|| panic!("inject: unknown component `{component}`"));
-        let tx = &txs[task];
-        self.inflight
-            .fetch_add(tuples.len() as i64, Ordering::Relaxed);
-        // Regroup per (source, stream) so the whole injected batch
-        // re-enters the in-process representation it left: one shared
-        // value arena + one schema/stream/source handle per group instead
-        // of a standalone tuple per wire record.
-        struct Group {
-            schema: Schema,
-            stream: Arc<str>,
-            src: Arc<str>,
-            src_task: usize,
-            values: Vec<Value>,
-            metas: Vec<TupleMeta>,
-        }
-        let mut groups: HashMap<(String, String, usize), Group> = HashMap::new();
-        for wt in tuples {
-            let key = (wt.src_component, wt.stream, wt.src_task);
-            let g = groups.entry(key).or_insert_with_key(|k| {
-                let schema = self
-                    .schemas
-                    .get(&(k.0.clone(), k.1.clone()))
-                    .unwrap_or_else(|| panic!("inject: unknown stream `{}:{}`", k.0, k.1))
-                    .clone();
-                Group {
-                    schema,
-                    stream: Arc::from(k.1.as_str()),
-                    src: Arc::from(k.0.as_str()),
-                    src_task: k.2,
-                    values: Vec::new(),
-                    metas: Vec::new(),
-                }
-            });
-            g.metas.push(TupleMeta {
-                len: wt.values.len() as u32,
-                anchors: AnchorSet::from_pairs(wt.anchors),
-            });
-            g.values.extend(wt.values);
-        }
-        let msgs: Vec<BoltMsg> = groups
-            .into_values()
-            .map(|g| {
-                BoltMsg::Batch(TupleBatch {
-                    shared: Arc::new(BatchShared {
-                        values: g.values.into_boxed_slice(),
-                        schema: g.schema,
-                        stream: g.stream,
-                        src_component: g.src,
-                        src_task: g.src_task,
-                    }),
-                    metas: g.metas,
-                })
-            })
-            .collect();
-        if let Err(e) = tx.send_batch(msgs) {
-            // `undelivered` is in weight units, i.e. tuples.
-            self.inflight
-                .fetch_sub(e.undelivered as i64, Ordering::Relaxed);
-        }
+            .ok_or("unknown destination component")?;
+        let tx = txs.get(task).ok_or("destination task out of range")?;
+        Ok(Injector::new(tx, &self.sources, &self.inflight, n_tuples))
     }
 
     /// Routes a spout notification from a remote (supervisor-hosted)

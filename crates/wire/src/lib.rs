@@ -18,7 +18,7 @@
 //! contradicts its own counts is a [`ProtocolError`] — never a panic.
 //!
 //! This crate owns only the framing layer — frame splitting, the
-//! bounds-checked [`Reader`], and the [`with_frame`] writer. Message
+//! bounds-checked [`Reader`], and the [`with_frame`]/[`frame_into`] writer. Message
 //! vocabularies (tags and body layouts) live with their protocols:
 //! `tserve::protocol` for the serving API, `tcluster::protocol` for the
 //! cluster control and tuple transport. Both share this one proptested
@@ -97,13 +97,24 @@ pub struct Frame<T> {
 /// Appends one frame to `buf`: writes the header, lets `body` append the
 /// message payload, then stamps the length prefix.
 pub fn with_frame(buf: &mut BytesMut, id: u64, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
-    let mut payload = Vec::with_capacity(64);
-    payload.put_u64_le(id);
-    payload.put_u8(tag);
-    body(&mut payload);
-    debug_assert!(payload.len() <= MAX_FRAME_LEN, "oversized frame");
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_slice(&payload);
+    let mut frame = Vec::with_capacity(64);
+    frame_into(&mut frame, id, tag, body);
+    buf.put_slice(&frame);
+}
+
+/// Appends one frame to `out` in place — the allocation-free form of
+/// [`with_frame`] for a caller that reuses `out` across frames: reserves
+/// the length prefix, writes the header, lets `body` append the message
+/// payload, then stamps the prefix.
+pub fn frame_into(out: &mut Vec<u8>, id: u64, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.put_u32_le(0);
+    out.put_u64_le(id);
+    out.put_u8(tag);
+    body(out);
+    let len = out.len() - start - 4;
+    debug_assert!(len <= MAX_FRAME_LEN, "oversized frame");
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// What [`Reader::count`] returns for a count the remaining bytes cannot

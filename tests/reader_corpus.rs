@@ -6,10 +6,13 @@
 //! valid encoding. A truncation must be rejected (or, for an FDB log,
 //! replay exactly the complete records before the cut); a flip may decode
 //! to some other well-formed value or be rejected. Neither may panic.
+//! Tuple-batch frames also run through the worker's injector into a live
+//! topology slice, which may accept no frame the decoder rejects.
 
 use bytes::{BufMut, BytesMut};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::Arc;
 use tcluster::protocol::{self, Msg, NotifyKind};
 use tdstore::{FdbEngine, SnapshotStore, StorageEngine};
 use tencentrec::action::{ActionType, UserAction};
@@ -17,8 +20,8 @@ use tencentrec::topology::OffsetTable;
 use tserve::protocol::{decode_request, decode_response, encode_request, encode_response};
 use tserve::{Request, Response};
 use tstorm::ack::{AckerMsg, InitEntry};
-use tstorm::remote::WireTuple;
-use tstorm::tuple::Value;
+use tstorm::prelude::*;
+use tstorm::remote::{SliceSpec, TupleBatch, WireTuple};
 use wire::{split_frame, with_frame, COUNT_TOO_LARGE};
 
 /// Every strict prefix of `valid`.
@@ -165,8 +168,42 @@ fn offset_table_blob() {
     });
 }
 
+struct Silent;
+
+impl Spout for Silent {
+    fn next_tuple(&mut self, _: &mut SpoutCollector) -> bool {
+        false
+    }
+    fn declare_outputs(&self) -> Vec<StreamDef> {
+        vec![StreamDef::new(
+            DEFAULT_STREAM,
+            ["null", "flag", "delta", "count", "ratio", "name"],
+        )]
+    }
+}
+
+/// A worker slice the corpus's tuple batch is valid for: `numbers`
+/// declares the six-field default stream, `sum` runs two tasks, and
+/// nothing runs locally (injected tuples leave through a dropping
+/// egress).
+fn corpus_slice() -> TopologyHandle {
+    let mut builder = TopologyBuilder::new();
+    builder.set_spout("numbers", || Silent, 1);
+    builder
+        .set_bolt("sum", || |_: &Tuple, _: &mut BoltCollector| Ok(()), 2)
+        .shuffle_grouping("numbers");
+    let (acker, _) = crossbeam::channel::unbounded();
+    builder.build().unwrap().launch_slice(SliceSpec {
+        local: Default::default(),
+        slot_map: Vec::new(),
+        acker,
+        egress: Arc::new(|_: &mut Vec<u8>, _: &str, _: usize, _: &[TupleBatch]| {}),
+    })
+}
+
 #[test]
 fn cluster_protocol_frames() {
+    let slice = corpus_slice();
     let registry = obs::Registry::new();
     registry.counter("c_total", &[("w", "1")], "c").add(3);
     registry
@@ -232,17 +269,25 @@ fn cluster_protocol_frames() {
         protocol::encode(&mut buf, 1, msg);
         let (_, tag, body) = split_frame(&mut buf).unwrap().unwrap();
         // The tag is mutated with the body it selects the layout for.
-        check(&[&[tag][..], &body].concat(), |bytes| {
+        let valid = [&[tag][..], &body].concat();
+        check(&valid, |bytes| {
             let Some((&tag, body)) = bytes.split_first() else {
                 return false;
             };
+            let decoded = protocol::decode(tag, body).is_ok();
             if tag == protocol::TAG_TUPLE_BATCH {
                 let _ = protocol::peek_tuple_batch_dest(body);
                 let _ = protocol::peek_tuple_batch_roots(body);
+                let injected = protocol::inject(&slice, body).is_ok();
+                assert!(decoded || !injected, "injected a frame decode rejects");
+                if bytes == valid {
+                    assert!(injected, "valid tuple batch not injected");
+                }
             }
-            protocol::decode(tag, body).is_ok()
+            decoded
         });
     }
+    slice.kill();
 }
 
 /// Frames `payload` (`id tag body`) with its true length, so a truncated
