@@ -17,6 +17,7 @@ use tchaos::{Clock, FaultPlan, FaultSite};
 use tdaccess::{AccessCluster, ClusterConfig};
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
+use tencentrec::topology::replay::DEFAULT_MAX_PENDING;
 use tencentrec::topology::{
     build_cf_topology_with_spout, CfParallelism, CfPipelineConfig, ReplayProgress, ReplayableSpout,
     TopologyRecommender,
@@ -26,13 +27,28 @@ use tstorm::topology::TopologyConfig;
 /// Dedup depth. The spout emits nothing `max_pending` (64) or more
 /// offsets past a partition's committed watermark — its span cap;
 /// `max_pending` alone only counts trees in flight — so per partition
-/// every redeliverable source lies within 64 offsets of the newest one,
-/// and the history replay log, trimmed to 256 offsets per partition,
-/// holds them with a 4x margin. The counter rings keep the last 256
-/// sources per key by count; a key takes sources from every partition, so
-/// there 256 is a margin (that many updates of one key within one tree's
-/// lifetime), not a bound.
+/// every redeliverable source lies within 64 offsets of the newest one.
+/// Counter rings and history logs forget a source only once a newer one
+/// of its partition lies 256 offsets past it, so they hold every
+/// redeliverable source, whatever the keys' update rates.
 const DEDUP_WINDOW: usize = 256;
+
+/// What one run feeds the pipeline.
+struct Load {
+    actions: Vec<UserAction>,
+    /// The spout's span cap ([`ReplayableSpout::with_max_pending`]).
+    max_pending: usize,
+    config: CfPipelineConfig,
+}
+
+/// The matrix's load: [`workload`] at the default span cap.
+fn matrix_load() -> Load {
+    Load {
+        actions: workload(),
+        max_pending: DEFAULT_MAX_PENDING,
+        config: cf_config(),
+    }
+}
 
 fn workload() -> Vec<UserAction> {
     let mut actions = Vec::new();
@@ -63,14 +79,10 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 }
 
 /// Runs the full pipeline (topic -> replayable spout -> bolts -> store)
-/// under `plan`, waiting until every source offset is committed, and
-/// returns the final store.
-fn run_pipeline(plan: FaultPlan, label: &str) -> TdStore {
-    run_pipeline_with(plan, label, TopologyConfig::default())
-}
-
-fn run_pipeline_with(plan: FaultPlan, label: &str, transport: TopologyConfig) -> TdStore {
-    let actions = workload();
+/// on `load` under `plan`, waiting until every source offset is
+/// committed, and returns the final store.
+fn run_pipeline(plan: FaultPlan, label: &str, load: &Load, transport: TopologyConfig) -> TdStore {
+    let actions = &load.actions;
     let n = actions.len() as u64;
 
     let cluster = AccessCluster::new(ClusterConfig {
@@ -79,7 +91,7 @@ fn run_pipeline_with(plan: FaultPlan, label: &str, transport: TopologyConfig) ->
     });
     cluster.create_topic("actions", 4).unwrap();
     let producer = cluster.producer("actions").unwrap();
-    for a in &actions {
+    for a in actions {
         // Keyed by user: one partition (and so one history task order)
         // per user, matching the fields grouping downstream.
         producer
@@ -100,11 +112,14 @@ fn run_pipeline_with(plan: FaultPlan, label: &str, transport: TopologyConfig) ->
     let topo = build_cf_topology_with_spout(
         {
             let cluster = cluster.clone();
-            let progress = Arc::clone(&progress);
-            move || ReplayableSpout::new(cluster.clone(), "actions", "cf", Arc::clone(&progress))
+            let (progress, max_pending) = (Arc::clone(&progress), load.max_pending);
+            move || {
+                ReplayableSpout::new(cluster.clone(), "actions", "cf", Arc::clone(&progress))
+                    .with_max_pending(max_pending)
+            }
         },
         store.clone(),
-        cf_config(),
+        load.config.clone(),
         CfParallelism::default(),
         TopologyConfig {
             // Logical-time timeout: long enough that healthy trees never
@@ -190,19 +205,63 @@ fn seed_matrix() -> (Vec<u64>, bool) {
     }
 }
 
-#[test]
-fn chaos_runs_converge_to_fault_free_state() {
-    let baseline = run_pipeline(FaultPlan::none(), "fault-free");
+/// Runs `load` fault-free, then under `plan(seed)` for every matrix seed,
+/// and checks each seed against the fault-free run: byte-identical final
+/// itemCount / pairCount tables, and so identical similarities. Returns
+/// the fault-free run's recommender and, per seed, the plan and store.
+fn converge(
+    label: &str,
+    load: &Load,
+    transport: fn() -> TopologyConfig,
+    plan: fn(u64) -> FaultPlan,
+) -> (TopologyRecommender, Vec<(u64, FaultPlan, TdStore)>) {
+    let baseline = run_pipeline(
+        FaultPlan::none(),
+        &format!("{label}fault-free"),
+        load,
+        transport(),
+    );
     let base_ic = counts(&baseline, b"ic:");
     let base_pc = counts(&baseline, b"pc:");
     assert!(!base_ic.is_empty() && !base_pc.is_empty(), "baseline ran");
-    let base_query = TopologyRecommender::new(baseline, cf_config());
+    let base_query = TopologyRecommender::new(baseline, load.config.clone());
+    let mut runs = Vec::new();
+    for seed in seed_matrix().0 {
+        let plan = plan(seed);
+        let store = run_pipeline(
+            plan.clone(),
+            &format!("{label}seed {seed}"),
+            load,
+            transport(),
+        );
+        assert_eq!(
+            counts(&store, b"ic:"),
+            base_ic,
+            "{label}seed {seed}: itemCounts diverged from the fault-free run"
+        );
+        assert_eq!(
+            counts(&store, b"pc:"),
+            base_pc,
+            "{label}seed {seed}: pairCounts diverged from the fault-free run"
+        );
+        let query = TopologyRecommender::new(store.clone(), load.config.clone());
+        for &(p, q) in &[(1u64, 2u64), (1, 3), (2, 5)] {
+            assert_eq!(
+                query.similarity(p, q, 1_000).to_bits(),
+                base_query.similarity(p, q, 1_000).to_bits(),
+                "{label}seed {seed}: sim({p},{q}) diverged"
+            );
+        }
+        runs.push((seed, plan, store));
+    }
+    (base_query, runs)
+}
 
-    let (seeds, full_matrix) = seed_matrix();
+#[test]
+fn chaos_runs_converge_to_fault_free_state() {
+    let (base_query, runs) = converge("", &matrix_load(), TopologyConfig::default, chaos_plan);
     let mut fired_total: BTreeMap<&str, u64> = BTreeMap::new();
-    for seed in seeds {
-        let plan = chaos_plan(seed);
-        let store = run_pipeline(plan.clone(), &format!("seed {seed}"));
+    for (seed, plan, store) in runs {
         for (name, site) in [
             ("executor_panic", FaultSite::ExecutorPanic),
             ("tuple_drop", FaultSite::TupleDrop),
@@ -214,29 +273,8 @@ fn chaos_runs_converge_to_fault_free_state() {
         ] {
             *fired_total.entry(name).or_default() += plan.fired(site);
         }
-
-        // Byte-identical final itemCount / pairCount tables.
-        assert_eq!(
-            counts(&store, b"ic:"),
-            base_ic,
-            "seed {seed}: itemCounts diverged from the fault-free run"
-        );
-        assert_eq!(
-            counts(&store, b"pc:"),
-            base_pc,
-            "seed {seed}: pairCounts diverged from the fault-free run"
-        );
-
-        // Identical counts must yield identical similarities and
-        // recommendations.
+        // Identical counts must yield identical recommendations.
         let query = TopologyRecommender::new(store, cf_config());
-        for &(p, q) in &[(1u64, 2u64), (1, 3), (2, 5)] {
-            assert_eq!(
-                query.similarity(p, q, 1_000).to_bits(),
-                base_query.similarity(p, q, 1_000).to_bits(),
-                "seed {seed}: sim({p},{q}) diverged"
-            );
-        }
         for user in [1u64, 7, 30] {
             assert_eq!(
                 query.recommend(user, 5),
@@ -250,7 +288,7 @@ fn chaos_runs_converge_to_fault_free_state() {
     // chaos test that injects nothing proves nothing. (Skipped when a
     // CHAOS_SEEDS override narrows the run: one seed need not hit every
     // site.)
-    if full_matrix {
+    if seed_matrix().1 {
         for site in ["executor_panic", "tuple_drop", "torn_batch", "write_fail"] {
             assert!(
                 fired_total[site] > 0,
@@ -295,50 +333,63 @@ fn batching_chaos_plan(seed: u64) -> FaultPlan {
 /// to the fault-free batched run's bytes.
 #[test]
 fn chaos_runs_converge_with_batching_enabled() {
-    let baseline = run_pipeline_with(FaultPlan::none(), "fault-free batched", batched_transport());
-    let base_ic = counts(&baseline, b"ic:");
-    let base_pc = counts(&baseline, b"pc:");
-    assert!(!base_ic.is_empty() && !base_pc.is_empty(), "baseline ran");
-    let base_query = TopologyRecommender::new(baseline, cf_config());
-
-    let (seeds, full_matrix) = seed_matrix();
-    let mut batch_drops = 0u64;
-    for seed in seeds {
-        let plan = batching_chaos_plan(seed);
-        let store = run_pipeline_with(
-            plan.clone(),
-            &format!("batched seed {seed}"),
-            batched_transport(),
-        );
-        batch_drops += plan.fired(FaultSite::BatchDrop);
-
-        assert_eq!(
-            counts(&store, b"ic:"),
-            base_ic,
-            "batched seed {seed}: itemCounts diverged from the fault-free run"
-        );
-        assert_eq!(
-            counts(&store, b"pc:"),
-            base_pc,
-            "batched seed {seed}: pairCounts diverged from the fault-free run"
-        );
-
-        let query = TopologyRecommender::new(store, cf_config());
-        for &(p, q) in &[(1u64, 2u64), (1, 3), (2, 5)] {
-            assert_eq!(
-                query.similarity(p, q, 1_000).to_bits(),
-                base_query.similarity(p, q, 1_000).to_bits(),
-                "batched seed {seed}: sim({p},{q}) diverged"
-            );
-        }
-    }
-    if full_matrix {
+    let (_, runs) = converge(
+        "batched ",
+        &matrix_load(),
+        batched_transport,
+        batching_chaos_plan,
+    );
+    let batch_drops: u64 = runs
+        .iter()
+        .map(|(_, plan, _)| plan.fired(FaultSite::BatchDrop))
+        .sum();
+    if seed_matrix().1 {
         assert!(
             batch_drops > 0,
             "no whole-batch drop fired across the batching seed matrix"
         );
     }
     println!("batch drops fired across seeds: {batch_drops}");
+}
+
+/// A hot item in two of every three actions: its itemCount ring takes
+/// an update from every partition, so at an 8-offset window it turns over
+/// many times within one tuple tree's lifetime.
+fn hot_item_load() -> Load {
+    let mut actions = Vec::new();
+    let mut ts = 0u64;
+    for u in 1..=60u64 {
+        for (item, action) in [
+            (1, ActionType::Click),
+            ((u % 7) + 2, ActionType::Click),
+            (1, ActionType::Purchase),
+        ] {
+            ts += 1;
+            actions.push(UserAction::new(u, item, action, ts));
+        }
+    }
+    Load {
+        actions,
+        max_pending: 8,
+        config: CfPipelineConfig {
+            dedup_window: 8,
+            ..Default::default()
+        },
+    }
+}
+
+/// Replay memory at the tightest window the span cap allows, under the
+/// main matrix's faults: a redelivered source must still be in the hot
+/// item's ring however many other partitions' updates went through it
+/// since, so every seed converges to the fault-free bytes.
+#[test]
+fn chaos_runs_converge_when_a_hot_item_turns_its_rings_over() {
+    converge(
+        "hot item ",
+        &hot_item_load(),
+        TopologyConfig::default,
+        chaos_plan,
+    );
 }
 
 #[test]

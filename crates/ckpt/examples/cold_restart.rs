@@ -55,8 +55,8 @@ fn workload() -> Vec<UserAction> {
 
 fn cf_config() -> CfPipelineConfig {
     CfPipelineConfig {
-        // Covers the replay horizon (max_pending + one poll batch) so the
-        // restored dedup rings absorb the snapshot/offset overlap.
+        // At least the spout's `max_pending` (64), so the restored dedup
+        // rings still hold every source of the snapshot/offset overlap.
         dedup_window: 256,
         ..Default::default()
     }

@@ -323,9 +323,10 @@ fn workload() -> Vec<UserAction> {
 
 fn cf_config() -> CfPipelineConfig {
     CfPipelineConfig {
-        // Must cover the spout's replay horizon (max_pending 64 + one
-        // poll batch) — and the respawn path holds the same bound because
-        // recovered offsets cap the re-read tail at the same horizon.
+        // At least the spout's `max_pending` (64): replay memory then
+        // forgets only sources that can no longer come back — and the
+        // respawn path re-reads only from the recovered offsets, inside
+        // the same span.
         dedup_window: 256,
         ..Default::default()
     }

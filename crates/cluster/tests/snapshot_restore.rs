@@ -7,10 +7,10 @@
 //! fault-free baseline.
 //!
 //! The offset vector a worker-local barrier seals can lag the landed
-//! state by up to the spout's replay horizon (acks round-trip through
+//! state by up to the spout's span cap (acks round-trip through
 //! the supervisor's global acker), so the replayed tail overlaps events
 //! already folded into the snapshot; the dedup rings restored *with* the
-//! state absorb exactly that overlap (`dedup_window` ≥ replay horizon).
+//! state absorb exactly that overlap (`dedup_window` ≥ `max_pending`).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -62,9 +62,10 @@ fn workload() -> Vec<UserAction> {
 
 fn cf_config() -> CfPipelineConfig {
     CfPipelineConfig {
-        // Must cover the replay horizon of a barrier sealed with acks
-        // still in flight through the supervisor (max_pending + one poll
-        // batch), or restored-state-plus-tail-replay double-counts.
+        // At least the spout's `max_pending` (64): a barrier sealed with
+        // acks still in flight through the supervisor lags the landed
+        // state by less than that span, so the restored rings hold every
+        // source the tail replays, and nothing double-counts.
         dedup_window: 256,
         ..Default::default()
     }

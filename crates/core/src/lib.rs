@@ -15,7 +15,7 @@
 //! ([`db`]), association rules ([`ar`]), situational CTR ([`ctr`]), the
 //! real-time filtering mechanisms ([`filtering`]), and the engineering
 //! devices — combiner ([`combiner`]), fine-grained cache ([`cache`]),
-//! multi-hash group aggregation ([`multihash`]).
+//! multi-hash group aggregation ([`topology::demographic`]).
 //!
 //! [`engine::RecommendEngine`] ties the algorithms together the way the
 //! deployed system does (CF/CB candidates → real-time personalised
@@ -53,7 +53,6 @@ pub mod engine;
 pub mod fields;
 pub mod filtering;
 pub mod interner;
-pub mod multihash;
 pub mod topology;
 pub mod types;
 

@@ -13,7 +13,7 @@ use crate::cf::counts::WindowConfig;
 use crate::cf::pruning::PruneState;
 use crate::fields::FieldIndex;
 use crate::interner::Interner;
-use crate::topology::replay::encode_src;
+use crate::topology::replay::{encode_src, DEFAULT_MAX_PENDING};
 use crate::topology::state::{
     apply_action_in_place, apply_counter_deltas, session_key, update_sim_list, windowed_sum,
     windowed_sum_with, HistoryAction, HistoryEdit, HistoryLimits, SimRecord,
@@ -53,18 +53,18 @@ pub struct CfPipelineConfig {
     pub pruning_delta: Option<f64>,
     /// Per-user history size bound in the store.
     pub max_history: usize,
-    /// Replay memory: how many applied source ids each counter and
-    /// history remembers so redelivered tuples (at-least-once upstream)
-    /// have exactly-once effects. Every history and counter is stored in
-    /// the same format whatever this is; 0 (the default) remembers
-    /// nothing, so a redelivery applies again. Set it to at least the
-    /// spout's `max_pending`: the spout emits nothing that far past a
-    /// partition's committed watermark, so a history replay log trimmed
-    /// to this many offsets per partition holds every source that can
-    /// still be redelivered — exactly. Counter rings keep this many
-    /// sources per key by count (a key takes sources from every
-    /// partition), which is a margin, not a bound: it must exceed the
-    /// updates one key receives within one tuple tree's lifetime.
+    /// Replay memory: the replay horizon, in offsets per partition, within
+    /// which every counter and history remembers the sources it applied,
+    /// so redelivered tuples (at-least-once upstream) have exactly-once
+    /// effects. Every history and counter is stored in the same format
+    /// whatever this is; 0 remembers nothing, so a redelivery applies
+    /// again. At least the spout's `max_pending`, this is exact: the spout
+    /// emits nothing that far past a partition's committed watermark, so
+    /// a source is forgotten only once no redelivery of it can come
+    /// ([`past_horizon`]). Defaults to [`DEFAULT_MAX_PENDING`], the
+    /// default spout's cap.
+    ///
+    /// [`past_horizon`]: crate::topology::replay::past_horizon
     pub dedup_window: usize,
     /// Cap on live Hoeffding-pruning observation counts per pair-bolt
     /// task (see [`PruneState::with_cap`]).
@@ -88,7 +88,7 @@ impl Default for CfPipelineConfig {
             recent_k: 10,
             pruning_delta: None,
             max_history: 1024,
-            dedup_window: 0,
+            dedup_window: DEFAULT_MAX_PENDING,
             pruning_max_tracked: crate::cf::pruning::DEFAULT_MAX_TRACKED,
             registry: obs::Registry::new(),
         }

@@ -30,6 +30,28 @@ pub fn decode_src(src: u64) -> (PartitionId, u64) {
     ((src >> 48) as PartitionId, src & ((1 << 48) - 1))
 }
 
+/// The spout's default `max_pending` ([`ReplayableSpout::with_max_pending`])
+/// and the pipeline's default `dedup_window`: one number, so the default
+/// pipeline's replay memory covers exactly what the default spout can
+/// redeliver.
+pub const DEFAULT_MAX_PENDING: usize = 64;
+
+/// The replay horizon — the one rule by which every stored replay memory
+/// (counter rings, history logs) forgets a source. Applying source
+/// `newer` drops a remembered source `kept` exactly when both come from
+/// one partition and `kept` lies `window` or more offsets behind `newer`.
+///
+/// With `window >= max_pending` this forgets nothing that can still come
+/// back: the spout emitted `newer` only inside its partition's span
+/// ([`ReplayTracker::in_span`]), so every offset `window` or more behind
+/// it was already committed, and committed offsets are never redelivered.
+/// At window 0 a source is past its own horizon (`past_horizon(s, s, 0)`
+/// holds), so a window of 0 remembers nothing.
+pub fn past_horizon(kept: u64, newer: u64, window: u64) -> bool {
+    let ((kept_pid, kept_off), (pid, off)) = (decode_src(kept), decode_src(newer));
+    kept_pid == pid && kept_off.saturating_add(window) <= off
+}
+
 /// Shared progress counters for a replayable spout (one `Arc` can be
 /// shared across spout tasks; all counters are additive). Tests wait on
 /// `committed() == produced` instead of queue idleness, because injected
@@ -116,7 +138,7 @@ impl ReplayTracker {
     /// partition's committed watermark. The spout emits nothing outside
     /// it, so every offset it can still redeliver (`>= committed`) is
     /// within `span` of every offset the partition has emitted — the
-    /// bound the history replay log is trimmed by.
+    /// bound [`past_horizon`] trims replay memory by.
     pub fn in_span(&self, pid: PartitionId, offset: u64, span: u64) -> bool {
         match self.parts.get(&pid) {
             None => true,
@@ -184,7 +206,7 @@ impl ReplayTracker {
     /// Fast-forwards a partition's committed watermark without emitting
     /// anything — cluster recovery: a respawned worker resumes from the
     /// offsets its predecessor durably committed, so only the uncommitted
-    /// tail (bounded by the pending cap plus one poll batch) is replayed.
+    /// tail (fewer than `max_pending` offsets per partition) is replayed.
     pub fn resume(&mut self, pid: PartitionId, committed: u64) {
         let p = self.parts.entry(pid).or_default();
         p.committed = p.committed.max(committed);
@@ -296,7 +318,7 @@ impl ReplayableSpout {
             consumer: None,
             tracker: ReplayTracker::default(),
             buffer: VecDeque::new(),
-            max_pending: 64,
+            max_pending: DEFAULT_MAX_PENDING,
             poll_batch: 32,
             progress,
             pinned: None,
@@ -309,9 +331,10 @@ impl ReplayableSpout {
     /// each partition: no offset is emitted `max_pending` or more past
     /// its partition's committed watermark. The second is what bounds the
     /// replay horizon — a count alone lets one stuck tree be outrun by
-    /// any number of offsets — so a history replay log that remembers
-    /// `dedup_window >= max_pending` offsets per partition holds every
-    /// source that can still be redelivered.
+    /// any number of offsets — so replay memory trimmed by
+    /// [`past_horizon`] at `dedup_window >= max_pending` holds every
+    /// source that can still be redelivered. Defaults to
+    /// [`DEFAULT_MAX_PENDING`].
     pub fn with_max_pending(mut self, max_pending: usize) -> Self {
         self.max_pending = max_pending.max(1);
         self

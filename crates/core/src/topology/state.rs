@@ -5,6 +5,7 @@
 //! failure recovery". These helpers define the value formats for user
 //! histories, similar-items lists, and session-suffixed windowed counts.
 
+use super::replay::past_horizon;
 use crate::types::keys::KeyBuf;
 use crate::types::{keys, ItemId, Timestamp};
 use tdstore::{StoreError, TdStore};
@@ -150,9 +151,8 @@ pub struct HistoryLimits {
     pub linked_time_ms: u64,
     /// Records kept per user; past it the stalest record goes.
     pub max_history: usize,
-    /// How much replay memory the log keeps: per partition, the sources
-    /// within this many offsets of the newest one — and at most this many
-    /// entries in all. 0 keeps none.
+    /// The replay horizon in offsets per partition
+    /// ([`past_horizon`]); 0 keeps no log.
     pub dedup_window: usize,
 }
 
@@ -225,11 +225,9 @@ fn history_shape(buf: &[u8], src: u64) -> Option<HistoryShape> {
 /// `max_history` drops the stalest record. A source already in the replay
 /// log is a redelivery — its *original* deltas are handed back and no
 /// byte changes — and a new source is appended with its deltas, after
-/// which entries of the same partition lying `dedup_window` or more
-/// offsets behind it are dropped (the spout's span cap makes them
-/// unreachable: see [`super::replay::ReplayTracker::in_span`]) and the
-/// oldest entries past `dedup_window` in all — so a window of 0 keeps no
-/// log and applies every delivery.
+/// which every entry it puts past the replay horizon ([`past_horizon`])
+/// is dropped, the new one included at a window of 0, so that window
+/// keeps no log and applies every delivery.
 ///
 /// Bytes are exactly what decoding, editing `Vec`s and re-encoding would
 /// store; a torn or malformed value is first rewritten as that decode
@@ -326,17 +324,13 @@ pub fn apply_action_in_place(
     }
     buf[..4].copy_from_slice(&(n as u32).to_le_bytes());
 
-    let window = limits.dedup_window;
+    let window = limits.dedup_window as u64;
     let log_at = 4 + n * HIST_RECORD + 4;
-    // Horizon trim: same-partition entries the span cap has put out of
-    // the spout's reach close up; then the count cap keeps the newest
-    // `window` of the old entries and the new one.
-    let (pid, off) = super::replay::decode_src(src);
+    // Entries the new source puts past the replay horizon close up.
     let (mut read, mut write, mut live) = (log_at, log_at, 0usize);
     for _ in 0..m {
         let len = log_entry_len(buf, read).expect("well-formed log");
-        let (p, o) = super::replay::decode_src(u64_at(buf, read));
-        if p != pid || o.saturating_add(window as u64) > off {
+        if !past_horizon(u64_at(buf, read), src, window) {
             if write != read {
                 buf.copy_within(read..read + len, write);
             }
@@ -346,14 +340,7 @@ pub fn apply_action_in_place(
         read += len;
     }
     buf.truncate(write);
-    let dropped = (live + 1).saturating_sub(window).min(live);
-    let mut end = log_at;
-    for _ in 0..dropped {
-        end += log_entry_len(buf, end).expect("well-formed log");
-    }
-    buf.drain(log_at..end);
-    live -= dropped;
-    if live < window {
+    if !past_horizon(src, src, window) {
         buf.reserve_exact(LOG_ENTRY_HEAD + pair_deltas.len() * HIST_RECORD);
         push_log_entry(buf, src, new - old, pair_deltas);
         live += 1;
@@ -559,36 +546,38 @@ const RING_AT: usize = 12;
 
 /// Applies `(src, delta)` updates to a counter value where it lies.
 ///
-/// Value layout: `count:f64 | n:u32 | n × src:u64`, a ring of the last
-/// `window` applied source ids (none at window 0, where the value is
-/// `count | 0`). The ring lives in the *same* store value as the count, so
-/// one atomic update both checks and marks: a crash or injected write
-/// failure can never apply a delta without recording its src (or vice
-/// versa). That idempotence turns the spout's at-least-once redelivery
-/// into exactly-once count effects.
+/// Value layout: `count:f64 | n:u32 | n × src:u64`, a ring of the applied
+/// source ids still inside the replay horizon ([`past_horizon`]: per
+/// partition, the last `window` offsets; none at window 0, where the
+/// value is `count | 0`). The ring lives in the *same* store value as the
+/// count, so one atomic update both checks and marks: a crash or injected
+/// write failure can never apply a delta without recording its src (or
+/// vice versa). That idempotence turns the spout's at-least-once
+/// redelivery into exactly-once count effects.
 ///
 /// The ring bytes are scanned for each source, and an unseen one bumps the
-/// count, is appended, and — past `window` sources — pushes the oldest
-/// out. No decoded ring, no second buffer, and growth is exact, so stored
-/// values carry no slack.
-/// Deltas apply strictly in order with the ring trimmed after every
-/// insert, so the bytes equal one update per delta. A short or torn value
-/// is first cut back to its readable prefix, as a decode would read it.
+/// count, closes the ring up over every source it puts past the horizon,
+/// and is appended. No decoded ring, no second buffer, and growth is
+/// exact, so stored values carry no slack.
+/// Deltas apply strictly in order with the ring trimmed at every insert,
+/// so the bytes equal one update per delta. A short or torn value is
+/// first cut back to its readable prefix, as a decode would read it.
 pub fn apply_deltas_in_place(
     slot: &mut Option<Vec<u8>>,
     deltas: &[(u64, f64)],
     window: usize,
 ) -> CounterUpdate {
+    let window = window as u64;
     let mut changed = slot.is_none();
     let buf = slot.get_or_insert_with(Vec::new);
     let mut count = counter_prefix(buf);
     let declared = buf.get(8..RING_AT).map_or(0, |b| {
         u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize
     });
-    let mut n = declared.min(buf.len().saturating_sub(RING_AT) / 8);
     if buf.len() != RING_AT + 8 * declared {
         // An unreadable count or length reads as 0; sources stop at the
         // first torn one.
+        let n = declared.min(buf.len().saturating_sub(RING_AT) / 8);
         if buf.len() < RING_AT {
             buf.truncate(if buf.len() < 8 { 0 } else { 8 });
             buf.resize(RING_AT, 0);
@@ -598,33 +587,31 @@ pub fn apply_deltas_in_place(
     }
     let mut applied = 0;
     for &(src, delta) in deltas {
-        let src = src.to_le_bytes();
-        if buf[RING_AT..].chunks_exact(8).any(|s| s == src) {
+        if buf[RING_AT..]
+            .chunks_exact(8)
+            .any(|s| s == src.to_le_bytes())
+        {
             continue;
         }
         count += delta;
         applied += 1;
-        let excess = (n + 1).saturating_sub(window);
-        if excess > n {
-            // A window that holds no source: nothing is remembered.
-            buf.truncate(RING_AT);
-            n = 0;
-            continue;
+        let mut write = RING_AT;
+        for read in (RING_AT..buf.len()).step_by(8) {
+            if !past_horizon(u64_at(buf, read), src, window) {
+                if write != read {
+                    buf.copy_within(read..read + 8, write);
+                }
+                write += 8;
+            }
         }
-        if excess == 0 {
+        buf.truncate(write);
+        if !past_horizon(src, src, window) {
             buf.reserve_exact(8);
-            buf.extend_from_slice(&src);
-        } else {
-            // The oldest `excess` sources leave; the new one takes the
-            // slot that frees at the end.
-            buf.copy_within(RING_AT + 8 * excess.., RING_AT);
-            buf.truncate(RING_AT + 8 * (n + 1 - excess));
-            let last = buf.len() - 8;
-            buf[last..].copy_from_slice(&src);
+            buf.extend_from_slice(&src.to_le_bytes());
         }
-        n = n + 1 - excess;
     }
     if applied > 0 || changed {
+        let n = (buf.len() - RING_AT) / 8;
         buf[..8].copy_from_slice(&count.to_le_bytes());
         buf[8..RING_AT].copy_from_slice(&(n as u32).to_le_bytes());
         changed = true;
@@ -726,6 +713,7 @@ pub fn gc_expired_sessions(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::replay::encode_src;
     use tdstore::StoreConfig;
 
     /// One delta from source `src`, as the CF bolts apply it; whether it
@@ -975,13 +963,34 @@ mod tests {
         for src in 0..5u64 {
             assert!(add(&store, b"c", 1.0, src, 3));
         }
-        // src 0 was evicted from a 3-deep ring: it re-applies (the window
-        // bounds how far back dedup reaches — callers size it past the
-        // spout's replay horizon).
+        // src 0 lies the window or more behind src 4, past the horizon: it
+        // re-applies (the window bounds how far back dedup reaches —
+        // callers size it to the spout's span cap, which never lets an
+        // offset that far back come again).
         assert!(add(&store, b"c", 1.0, 0, 3));
         // src 4 is still in the ring.
         assert!(!add(&store, b"c", 1.0, 4, 3));
         assert_eq!(counter_prefix(&store.get(b"c").unwrap().unwrap()), 6.0);
+    }
+
+    #[test]
+    fn other_partitions_never_push_a_source_out_of_the_ring() {
+        // A hot key: one partition-0 source, then many times the window's
+        // worth of updates from partition 1, then the partition-0 source
+        // redelivered. Only its own partition's offsets move its horizon.
+        let window = 8;
+        let store = TdStore::new(StoreConfig::default());
+        let src = encode_src(0, 5);
+        assert!(add(&store, b"c", 1.0, src, window));
+        for off in 0..3 * window as u64 {
+            assert!(add(&store, b"c", 1.0, encode_src(1, off), window));
+        }
+        let before = store.get(b"c").unwrap().unwrap();
+        assert_eq!(counter_prefix(&before), 25.0);
+        assert!(!add(&store, b"c", 1.0, src, window), "a redelivery applied");
+        assert_eq!(store.get(b"c").unwrap().unwrap(), before);
+        // The ring: the partition-0 source and partition 1's last window.
+        assert_eq!(before.len(), RING_AT + 8 * (1 + window));
     }
 
     #[test]

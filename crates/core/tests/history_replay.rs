@@ -1,5 +1,6 @@
-//! A deterministic replay through the real history bolt, at the tightest
-//! window the contract allows (`dedup_window == max_pending`).
+//! Deterministic replays through the real history and item-count bolts,
+//! at the tightest window the contract allows
+//! (`dedup_window == max_pending`).
 //!
 //! One offset `s` of the only partition gets stuck: its tuple tree
 //! completes, but the spout never hears (the wrapper below swallows the
@@ -11,16 +12,24 @@
 //! redelivery must find `s` in the log, leave the stored value untouched
 //! (an unchanged `modify`: no write, no replication) and emit the
 //! original deltas again, bit for bit.
+//!
+//! The counter case: a partition-0 tree completes (its item count
+//! applied) but its ack is lost, and then partition 1 commits three
+//! windows' worth of actions on the same item. The redelivered source
+//! must still be in that item's counter ring — only its own partition's
+//! offsets can push it out — so the count equals the distinct actions.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tdaccess::{AccessCluster, ClusterConfig};
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::replay::encode_src;
-use tencentrec::topology::state::decode_history;
+use tencentrec::topology::state::{counter_prefix, decode_history};
 use tencentrec::topology::{
-    CfPipelineConfig, ReplayProgress, ReplayableSpout, UserHistoryBolt, ITEM_DELTA, PAIR_DELTA,
+    CfPipelineConfig, ItemCountBolt, ReplayProgress, ReplayableSpout, UserHistoryBolt, ITEM_DELTA,
+    PAIR_DELTA,
 };
 use tencentrec::types::keys;
 use tstorm::prelude::*;
@@ -45,12 +54,13 @@ struct Shared {
     at_failure: Mutex<Option<AtFailure>>,
 }
 
-/// [`ReplayableSpout`] whose first ack for `stuck` is lost; once the span
-/// cap has bound and `stuck` is the only thing outstanding, it fails it.
+/// [`ReplayableSpout`] whose first ack for `stuck` is lost; once `ready`
+/// holds and `stuck` is the only thing outstanding, it fails it.
 struct LostAckSpout {
     inner: ReplayableSpout,
     stuck: u64,
-    stuck_tree_done: bool,
+    stuck_tree_done: Arc<AtomicBool>,
+    ready: fn(&ReplayableSpout) -> bool,
     failed: bool,
     store: TdStore,
     registry: obs::Registry,
@@ -77,8 +87,10 @@ impl Spout for LostAckSpout {
         if self.inner.next_tuple(collector) {
             return true;
         }
-        let capped = self.inner.progress().span_stalls() > 0;
-        if self.failed || !capped || !self.stuck_tree_done || self.inner.tracker().outstanding() > 1
+        if self.failed
+            || !(self.ready)(&self.inner)
+            || !self.stuck_tree_done.load(Ordering::SeqCst)
+            || self.inner.tracker().outstanding() > 1
         {
             return false;
         }
@@ -103,7 +115,7 @@ impl Spout for LostAckSpout {
 
     fn ack(&mut self, msg_id: u64) {
         if msg_id == self.stuck && !self.failed {
-            self.stuck_tree_done = true;
+            self.stuck_tree_done.store(true, Ordering::SeqCst);
             return;
         }
         self.inner.ack(msg_id);
@@ -180,7 +192,8 @@ fn stuck_offset_replays_its_original_deltas_and_leaves_history_alone() {
                 inner: ReplayableSpout::new(access.clone(), "t", "g", Arc::clone(&progress))
                     .with_max_pending(MAX_PENDING),
                 stuck,
-                stuck_tree_done: false,
+                stuck_tree_done: Arc::default(),
+                ready: |spout| spout.progress().span_stalls() > 0,
                 failed: false,
                 store: store.clone(),
                 registry: registry.clone(),
@@ -274,5 +287,103 @@ fn stuck_offset_replays_its_original_deltas_and_leaves_history_alone() {
             &[("component", "user_history")]
         ),
         Some(retained as f64)
+    );
+}
+
+#[test]
+fn hot_item_counter_remembers_a_stuck_source_across_other_partitions() {
+    const HOT: u64 = 7;
+    const OTHERS: u64 = 3 * MAX_PENDING as u64;
+    let browse = |user| UserAction::new(user, HOT, ActionType::Browse, 100 + user);
+    let access = AccessCluster::new(ClusterConfig::default());
+    access.create_topic("t", 2).unwrap();
+    let producer = access.producer("t").unwrap();
+    // Records are keyed for placement only (the spout reads the payload):
+    // FNV-1a puts key [1] on partition 0 and key [0] on partition 1.
+    let send = |key: u8, action: &UserAction| producer.send(Some(&[key]), &action.to_bytes());
+    assert_eq!(send(1, &browse(USER)).unwrap(), (0, 0));
+    let stuck = encode_src(0, 0);
+
+    let store = TdStore::new(StoreConfig::default());
+    let config = CfPipelineConfig {
+        dedup_window: MAX_PENDING,
+        ..Default::default()
+    };
+    store.register_metrics(&config.registry);
+    let progress = Arc::new(ReplayProgress::default());
+    let stuck_tree_done = Arc::new(AtomicBool::new(false));
+    let mut builder = TopologyBuilder::new();
+    {
+        let (progress, store) = (Arc::clone(&progress), store.clone());
+        let (access, done) = (access.clone(), Arc::clone(&stuck_tree_done));
+        let registry = config.registry.clone();
+        builder.set_spout(
+            "spout",
+            move || LostAckSpout {
+                inner: ReplayableSpout::new(access.clone(), "t", "g", Arc::clone(&progress))
+                    .with_max_pending(MAX_PENDING),
+                stuck,
+                stuck_tree_done: Arc::clone(&done),
+                ready: |spout| spout.tracker().committed(1) == OTHERS,
+                failed: false,
+                store: store.clone(),
+                registry: registry.clone(),
+                shared: Arc::new(Shared {
+                    captured: Mutex::new(Vec::new()),
+                    at_failure: Mutex::new(None),
+                }),
+            },
+            1,
+        );
+    }
+    {
+        let (store, config) = (store.clone(), config.clone());
+        builder
+            .set_bolt(
+                "user_history",
+                move || UserHistoryBolt::new(store.clone(), config.clone()),
+                1,
+            )
+            .fields_grouping("spout", ["user"]);
+    }
+    {
+        let (store, config) = (store.clone(), config.clone());
+        builder
+            .set_bolt(
+                "item_count",
+                move || ItemCountBolt::new(store.clone(), config.clone()),
+                1,
+            )
+            .grouping_on("user_history", ITEM_DELTA, Grouping::fields(["item"]));
+    }
+    let handle = builder.build().expect("valid topology").launch();
+    let wait = |what: &str, done: &dyn Fn() -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
+    // Every partition-1 action lands after the stuck tree has applied, so
+    // they all follow it into the hot item's counter ring.
+    wait("the stuck tree never completed", &|| {
+        stuck_tree_done.load(Ordering::SeqCst)
+    });
+    for user in 0..OTHERS {
+        assert_eq!(send(0, &browse(USER + 1 + user)).unwrap(), (1, user));
+    }
+    wait("replay never drained", &|| {
+        progress.committed() == 1 + OTHERS
+    });
+    handle.shutdown(Duration::from_secs(5));
+
+    assert_eq!(progress.failed(), 1);
+    assert_eq!(progress.emitted(), 2 + OTHERS, "the stuck source came back");
+    let counts = store.scan_prefix(b"ic:").unwrap();
+    assert_eq!(counts.len(), 1, "one un-windowed bucket of the hot item");
+    assert_eq!(
+        counter_prefix(&counts[0].1),
+        (1 + OTHERS) as f64,
+        "the redelivered source applied twice"
     );
 }

@@ -21,9 +21,17 @@ use tencentrec::topology::state::{
 };
 use tencentrec::types::ItemId;
 
-/// The counter update as it was: decode the whole value, edit a
-/// `Vec<u64>` ring, encode a new value. Returns the bytes and how many
-/// deltas applied.
+/// The replay horizon, written out again from its definition rather than
+/// called: a remembered source goes once a newer source of its own
+/// partition lies `window` or more offsets past it.
+fn horizon(kept: u64, newer: u64, window: usize) -> bool {
+    let ((kept_pid, kept_off), (pid, off)) = (decode_src(kept), decode_src(newer));
+    kept_pid == pid && kept_off + window as u64 <= off
+}
+
+/// The counter update as decode → edit → encode: decode the whole value,
+/// edit a `Vec<u64>` ring trimmed by the replay horizon, encode a new
+/// value. Returns the bytes and how many deltas applied.
 fn reference_counter(raw: Option<&[u8]>, deltas: &[(u64, f64)], window: usize) -> (Vec<u8>, usize) {
     let (mut count, mut srcs) = match raw {
         None => (0.0, Vec::new()),
@@ -45,10 +53,7 @@ fn reference_counter(raw: Option<&[u8]>, deltas: &[(u64, f64)], window: usize) -
         if !srcs.contains(&src) {
             count += delta;
             srcs.push(src);
-            if srcs.len() > window {
-                let excess = srcs.len() - window;
-                srcs.drain(..excess);
-            }
+            srcs.retain(|&kept| !horizon(kept, src, window));
             applied += 1;
         }
     }
@@ -75,10 +80,10 @@ fn reference_sim_list(raw: &[u8], other: ItemId, sim: f64, k: usize) -> Vec<u8> 
     encode_sim_list(&entries)
 }
 
-/// The history update as it was: decode the records and the log, edit
-/// `Vec`s, encode — plus the horizon trim on the decoded log, which keeps
-/// nothing at window 0. Returns the bytes to store, the item delta and the
-/// pair deltas to emit.
+/// The history update as decode → edit → encode: decode the records and
+/// the log, edit `Vec`s, encode — plus the horizon trim on the decoded
+/// log, which keeps nothing at window 0. Returns the bytes to store, the
+/// item delta and the pair deltas to emit.
 fn reference_history(
     raw: Option<&[u8]>,
     action: &HistoryAction,
@@ -126,15 +131,7 @@ fn reference_history(
         delta_rating: new - old,
         pair_deltas: pair_deltas.clone(),
     });
-    let (pid, off) = decode_src(src);
-    log.retain(|e| {
-        let (p, o) = decode_src(e.src);
-        p != pid || o + window as u64 > off
-    });
-    if log.len() > window {
-        let excess = log.len() - window;
-        log.drain(..excess);
-    }
+    log.retain(|e| !horizon(e.src, src, window));
     (encode_history(&entries, &log), new - old, pair_deltas)
 }
 
@@ -179,10 +176,15 @@ fn arb_history_step() -> impl Strategy<Value = HistoryStep> {
         )
 }
 
-/// Sources from a small pool, so batches repeat sources within
-/// themselves and against the stored ring.
+/// Sources from a small pool over three partitions, so batches repeat
+/// sources within themselves and against the stored ring, and the
+/// horizon trim meets both its own partition and others.
+fn arb_src() -> impl Strategy<Value = u64> {
+    (0u32..3, 0u64..12).prop_map(|(pid, off)| encode_src(pid, off))
+}
+
 fn arb_deltas() -> impl Strategy<Value = Vec<(u64, f64)>> {
-    prop::collection::vec((0u64..24, -4.0f64..4.0), 0..12)
+    prop::collection::vec((arb_src(), -4.0f64..4.0), 0..12)
 }
 
 proptest! {
@@ -214,7 +216,7 @@ proptest! {
     fn ring_update_in_place_matches_on_short_and_torn_values(
         deltas in arb_deltas(),
         window in 0usize..10,
-        srcs in prop::collection::vec(0u64..24, 0..10),
+        srcs in prop::collection::vec(arb_src(), 0..10),
         declared_off in -3i64..4,
         cut in 0usize..100,
         tail in prop::collection::vec(any::<u8>(), 0..12),

@@ -69,9 +69,10 @@ if ! grep -q '"correct": true' <<<"$tbench_out"; then
     exit 1
 fi
 # Replay state must stay sized by what can still replay: at this size the
-# store holds 70.3 bytes per key (65,720 keys, 4.62 MB) with the history
-# replay log horizon-trimmed, 95.8 with every user carrying a 256-entry
-# log. The ceiling sits ~20% above the former, so a regrown log trips it.
+# store holds 67.7 bytes per key (65,720 keys, 4.45 MB) with counter rings
+# and history replay logs trimmed by the replay horizon, 93.2 with every
+# user carrying a 256-entry log. The ceiling sits ~25% above the former,
+# so a regrown log trips it.
 tbench_metric() {
     grep -o "\"$2\": {\"value\": [0-9.e+-]*" <<<"$1" | awk '{print $NF}'
 }
