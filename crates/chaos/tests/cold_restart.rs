@@ -90,10 +90,6 @@ fn build_topic(actions: &[UserAction]) -> AccessCluster {
 
 fn fresh_store(plan: &FaultPlan) -> TdStore {
     TdStore::new(StoreConfig {
-        servers: 4,
-        instances: 8,
-        replicated: true,
-        write_through: true,
         fault_plan: plan.clone(),
         ..Default::default()
     })

@@ -1,8 +1,8 @@
 //! Chaos convergence: the CF pipeline, run end-to-end from a TDAccess
 //! topic through the replayable spout into TDStore, must produce final
 //! similarity state **identical** to the fault-free run while executor
-//! panics, tuple drops/delays, poll stalls, torn batches, write failures
-//! and a storage failover are being injected.
+//! panics, tuple drops/delays, poll stalls, torn batches and write
+//! failures are being injected.
 //!
 //! This is the acceptance test for the recovery design: at-least-once
 //! replay (offset seek on fail/timeout) composed with per-(source, key)
@@ -74,7 +74,6 @@ fn chaos_plan(seed: u64) -> FaultPlan {
         .site(FaultSite::PollStall, 0.05, 10)
         .site(FaultSite::TornBatch, 0.2, 10)
         .site(FaultSite::WriteFail, 0.01, 10)
-        .site(FaultSite::Failover, 0.005, 1)
         .build()
 }
 
@@ -100,10 +99,6 @@ fn run_pipeline(plan: FaultPlan, label: &str, load: &Load, transport: TopologyCo
     }
 
     let store = TdStore::new(StoreConfig {
-        servers: 4,
-        instances: 8,
-        replicated: true,
-        write_through: true, // failover must not lose acknowledged writes
         fault_plan: plan.clone(),
         ..Default::default()
     });
@@ -269,7 +264,6 @@ fn chaos_runs_converge_to_fault_free_state() {
             ("poll_stall", FaultSite::PollStall),
             ("torn_batch", FaultSite::TornBatch),
             ("write_fail", FaultSite::WriteFail),
-            ("failover", FaultSite::Failover),
         ] {
             *fired_total.entry(name).or_default() += plan.fired(site);
         }
@@ -320,7 +314,6 @@ fn batching_chaos_plan(seed: u64) -> FaultPlan {
         .site(FaultSite::PollStall, 0.05, 10)
         .site(FaultSite::TornBatch, 0.2, 10)
         .site(FaultSite::WriteFail, 0.01, 10)
-        .site(FaultSite::Failover, 0.005, 1)
         // A dropped batch fails every tree buffered for one downstream
         // task at once — the worst case for the folded acker traffic.
         .site(FaultSite::BatchDrop, 0.05, 6)

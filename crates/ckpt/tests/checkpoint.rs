@@ -58,13 +58,7 @@ fn build_topic(actions: &[UserAction]) -> AccessCluster {
 }
 
 fn fresh_store() -> TdStore {
-    TdStore::new(StoreConfig {
-        servers: 4,
-        instances: 8,
-        replicated: true,
-        write_through: true,
-        ..Default::default()
-    })
+    TdStore::new(StoreConfig::default())
 }
 
 struct Pipeline {

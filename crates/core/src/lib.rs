@@ -4,7 +4,7 @@
 //! A from-scratch Rust reproduction of **TencentRec: Real-time Stream
 //! Recommendation in Practice** (Huang et al., SIGMOD 2015): a general
 //! real-time recommender built on a Storm-model stream processor
-//! ([`tstorm`]), with status data in a replicated KV store ([`tdstore`]).
+//! ([`tstorm`]), with status data in a memory KV store ([`tdstore`]).
 //!
 //! The core contribution is the practical item-based collaborative
 //! filtering in [`cf`]: robust to implicit feedback (action-weight

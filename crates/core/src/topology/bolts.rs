@@ -326,7 +326,7 @@ impl Spout for RawActionSpout {
 /// history state lives in TDStore under `hist:<user>` and each action is
 /// one conditional in-place [`TdStore::modify`] of it
 /// ([`apply_action_in_place`]): no decoded copy outlives the tuple, so a
-/// store failover or a failed write leaves nothing here to invalidate.
+/// failed write or a restore leaves nothing here to invalidate.
 pub struct UserHistoryBolt {
     store: TdStore,
     config: CfPipelineConfig,
@@ -375,7 +375,7 @@ impl Bolt for UserHistoryBolt {
         };
 
         // A redelivered tuple finds its source in the history's replay
-        // log: the value stays as it is (no write, no replication) and the
+        // log: the value stays as it is (no write) and the
         // original deltas come back, so a loss further along the tree is
         // repaired without double-counting here.
         let mut edit = HistoryEdit::default();
@@ -647,7 +647,7 @@ impl Bolt for CfPairBolt {
     /// recomputed once, and each *item* touched gets one conditional
     /// in-place update of its similar-items list carrying all of the
     /// batch's entries for it — which, for the usual entry that scores
-    /// below a full list's k-th, writes and replicates nothing.
+    /// below a full list's k-th, writes nothing.
     fn execute_batch(
         &mut self,
         tuples: &[Tuple],

@@ -490,7 +490,7 @@ pub fn sim_list_threshold(raw: &[u8], k: usize) -> f64 {
 /// stored similar-items list in one conditional in-place store update, and
 /// returns the list's pruning threshold afterwards. A batch that changes
 /// no byte (the usual case: unlisted pairs scoring below the k-th entry)
-/// is reported unchanged, so the store neither writes nor replicates it.
+/// is reported unchanged, so the store does not write it.
 pub fn update_sim_list(
     store: &TdStore,
     item: ItemId,
@@ -627,7 +627,7 @@ pub fn apply_deltas_in_place(
 /// one atomic, in-place store update ([`apply_deltas_in_place`]) and
 /// reports what it did — including the new count, so the caller need not
 /// read back what it just wrote. A batch of nothing but duplicate sources
-/// leaves the value untouched and unreplicated.
+/// leaves the value untouched: no write.
 pub fn apply_counter_deltas(
     store: &TdStore,
     key: &[u8],
@@ -845,23 +845,33 @@ mod tests {
         assert_eq!(sim_list_threshold(&raw, 2), 0.5);
     }
 
+    /// A store, and a reader of how many writes it has taken.
+    fn counted_store() -> (TdStore, impl Fn() -> u64) {
+        let store = TdStore::new(StoreConfig::default());
+        let registry = obs::Registry::new();
+        store.register_metrics(&registry);
+        let writes = move || {
+            registry
+                .counter_value("tdstore_ops_total", &[("op", "write")])
+                .unwrap_or(0)
+        };
+        (store, writes)
+    }
+
     #[test]
     fn store_list_update_is_conditional() {
-        let store = TdStore::new(StoreConfig {
-            sync_every: 0,
-            ..Default::default()
-        });
+        let (store, writes) = counted_store();
         let t = update_sim_list(&store, 9, &[(1, 0.9), (2, 0.5), (3, 0.7)], 2).unwrap();
         assert_eq!(t, 0.7);
         let key = keys::similar_items(9);
         let stored = store.get(&key).unwrap().unwrap();
         assert_eq!(decode_sim_list(&stored), vec![(1, 0.9), (3, 0.7)]);
-        store.sync();
-        // Entries that fall off the end leave the value and the
-        // replication queue alone, and still report the threshold.
+        assert_eq!(writes(), 1);
+        // Entries that fall off the end leave the value alone, write
+        // nothing, and still report the threshold.
         let t = update_sim_list(&store, 9, &[(4, 0.1), (5, 0.7)], 2).unwrap();
         assert_eq!(t, 0.7);
-        assert_eq!(store.unreplicated_ops(), 0);
+        assert_eq!(writes(), 1);
         assert_eq!(store.get(&key).unwrap().unwrap(), stored);
     }
 
@@ -1010,15 +1020,12 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_only_batch_leaves_value_and_replication_alone() {
-        let store = TdStore::new(StoreConfig {
-            sync_every: 0,
-            ..Default::default()
-        });
+    fn duplicate_only_batch_leaves_value_alone() {
+        let (store, writes) = counted_store();
         apply_counter_deltas(&store, b"c", &[(1, 1.0), (2, 2.0)], 4).unwrap();
         let stored = store.get(b"c").unwrap().unwrap();
         assert_eq!(stored.len(), 12 + 2 * 8);
-        store.sync();
+        assert_eq!(writes(), 1);
         let update = apply_counter_deltas(&store, b"c", &[(2, 2.0), (1, 1.0)], 4).unwrap();
         assert_eq!(
             update,
@@ -1028,7 +1035,7 @@ mod tests {
                 changed: false
             }
         );
-        assert_eq!(store.unreplicated_ops(), 0);
+        assert_eq!(writes(), 1);
         assert_eq!(store.get(b"c").unwrap().unwrap(), stored);
     }
 

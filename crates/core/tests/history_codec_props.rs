@@ -5,9 +5,9 @@
 //! The codec properties matter because the codec defines the format the
 //! history bolt edits in place, repairs the torn values it meets, and is
 //! the reference that editor is tested against
-//! (`inplace_state_props.rs`). The truncation property covers torn reads
-//! after a mid-write failover: `decode_history` must degrade to the
-//! longest valid prefix, never panic or invent records.
+//! (`inplace_state_props.rs`). The truncation property covers torn
+//! values: `decode_history` must degrade to the longest valid prefix,
+//! never panic or invent records.
 
 use proptest::prelude::*;
 use tencentrec::interner::Interner;

@@ -10,8 +10,7 @@
 //! editors replaced. Every stored byte must come out the same — the chaos
 //! matrix compares count tables bit for bit, and a ring that drifted by
 //! one source would re-apply or drop a replayed delta — and "unchanged"
-//! must mean exactly that, because an unchanged value is neither written
-//! nor replicated.
+//! must mean exactly that, because an unchanged value is not written.
 
 use proptest::prelude::*;
 use tencentrec::topology::replay::{decode_src, encode_src};

@@ -104,12 +104,7 @@ fn case() -> impl Strategy<Value = Case> {
 }
 
 fn store_of(case: &Case) -> TdStore {
-    let store = TdStore::new(StoreConfig {
-        servers: 1,
-        instances: 4,
-        replicated: false,
-        ..StoreConfig::default()
-    });
+    let store = TdStore::new(StoreConfig::default());
     let kept = case.log.len().min(case.dedup_window);
     let mut hist = encode_history(&case.history, &case.log[..kept]);
     if let Some(cut) = case.cut {

@@ -16,29 +16,54 @@ use crate::error::StoreError;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::io::{self, Read};
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use wire::Reader;
 
 /// Auto-compaction floor: logs smaller than this never compact on their
 /// own (the rewrite would cost more than the bytes it reclaims).
 const COMPACT_MIN_BYTES: u64 = 64 * 1024;
 
+/// key → (value offset, value length) into the log file.
+type Index = HashMap<Vec<u8>, (u64, u32)>;
+
 struct FdbInner {
     file: File,
-    /// key → (value offset, value length) into the log file.
-    index: HashMap<Vec<u8>, (u64, u32)>,
+    index: Index,
     /// Current append position.
     end: u64,
     /// Bytes of the log occupied by *live* records (the latest put of each
     /// indexed key). `end - live` is dead weight: overwritten values and
     /// delete markers. Maintained incrementally on every append.
     live: u64,
+    /// The first append that failed since the last [`FdbEngine::sync`],
+    /// which reports it. A failed append leaves its key as it was.
+    failed: Option<io::Error>,
 }
 
 /// Size on disk of one put record for `key` carrying `val_len` value bytes.
 fn record_bytes(key: &[u8], val_len: u32) -> u64 {
     8 + key.len() as u64 + u64::from(val_len)
+}
+
+/// Appends one framed record to `out`; `None` is a delete marker.
+fn push_record(out: &mut Vec<u8>, key: &[u8], value: Option<&[u8]>) {
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(key);
+    match value {
+        None => out.extend_from_slice(&(-1i32).to_le_bytes()),
+        Some(v) => {
+            out.extend_from_slice(&(v.len() as i32).to_le_bytes());
+            out.extend_from_slice(v);
+        }
+    }
+}
+
+fn read_at(file: &File, offset: u64, len: u32) -> io::Result<Vec<u8>> {
+    let mut buf = vec![0u8; len as usize];
+    file.read_exact_at(&mut buf, offset)?;
+    Ok(buf)
 }
 
 /// File-backed engine.
@@ -82,7 +107,6 @@ impl FdbEngine {
         // Drop any torn tail record so a shorter future append cannot
         // leave stale bytes that replay might misparse.
         file.set_len(end)?;
-        file.seek(SeekFrom::Start(end))?;
         let live = index
             .iter()
             .map(|(k, &(_, len))| record_bytes(k, len))
@@ -94,132 +118,139 @@ impl FdbEngine {
                 index,
                 end,
                 live,
+                failed: None,
             }),
         })
     }
 
-    fn append(inner: &mut FdbInner, key: &[u8], value: Option<&[u8]>) -> std::io::Result<()> {
+    /// Writes one record at the end of the log, then indexes it: a failed
+    /// write changes neither the index nor the live-byte count.
+    fn append(inner: &mut FdbInner, key: &[u8], value: Option<&[u8]>) -> io::Result<()> {
         let mut rec = Vec::with_capacity(8 + key.len() + value.map_or(0, <[u8]>::len));
-        rec.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        rec.extend_from_slice(key);
-        match value {
-            None => rec.extend_from_slice(&(-1i32).to_le_bytes()),
+        push_record(&mut rec, key, value);
+        if let Err(e) = inner.file.write_all_at(&rec, inner.end) {
+            // Cut whatever part of the record landed, so replay never
+            // reads it as the start of the next one. Best effort: if the
+            // cut fails too, the next append still writes from `end`.
+            let _ = inner.file.set_len(inner.end);
+            return Err(e);
+        }
+        let replaced = match value {
             Some(v) => {
-                rec.extend_from_slice(&(v.len() as i32).to_le_bytes());
-                let value_offset = inner.end + rec.len() as u64;
-                rec.extend_from_slice(v);
-                let prev = inner
-                    .index
-                    .insert(key.to_vec(), (value_offset, v.len() as u32));
-                if let Some((_, old_len)) = prev {
-                    inner.live -= record_bytes(key, old_len);
-                }
                 inner.live += record_bytes(key, v.len() as u32);
+                let at = inner.end + 8 + key.len() as u64;
+                inner.index.insert(key.to_vec(), (at, v.len() as u32))
             }
+            None => inner.index.remove(key),
+        };
+        if let Some((_, old_len)) = replaced {
+            inner.live -= record_bytes(key, old_len);
         }
-        if value.is_none() {
-            if let Some((_, old_len)) = inner.index.remove(key) {
-                inner.live -= record_bytes(key, old_len);
-            }
-        }
-        inner.file.write_all(&rec)?;
         inner.end += rec.len() as u64;
         Ok(())
     }
 
     /// Compacts when dead records (overwrites + delete markers) outweigh
-    /// live ones and the log is big enough for the rewrite to pay off.
+    /// live ones and the log is big enough for the rewrite to pay off. A
+    /// failed compaction keeps the old log, which still holds every
+    /// record; the next write past the threshold retries.
     fn maybe_compact(&self, inner: &mut FdbInner) {
         if inner.end >= COMPACT_MIN_BYTES && (inner.end - inner.live) * 2 > inner.end {
-            self.compact(inner);
+            let _ = self.compact(inner);
         }
     }
 
-    /// Rewrites the log with only live records and swaps it in atomically.
-    fn compact(&self, inner: &mut FdbInner) {
-        let live: Vec<(Vec<u8>, Vec<u8>)> = {
-            let keys: Vec<(Vec<u8>, (u64, u32))> = inner
-                .index
-                .iter()
-                .map(|(k, &loc)| (k.clone(), loc))
-                .collect();
-            keys.into_iter()
-                .filter_map(|(k, (off, len))| Self::read_at(inner, off, len).ok().map(|v| (k, v)))
-                .collect()
-        };
+    /// Rewrites the log with only live records. The copy is built beside
+    /// the log and renamed over it once it is on disk; only then do the
+    /// file and the index switch to it. On any error the old log and its
+    /// index stay in use, unchanged.
+    fn compact(&self, inner: &mut FdbInner) -> io::Result<()> {
         let tmp = self.path.with_extension("compact");
-        {
-            let file = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)
-                .expect("create compact file");
-            inner.file = file;
-            inner.end = 0;
-            inner.live = 0;
-            inner.index.clear();
-            for (k, v) in live {
-                Self::append(inner, &k, Some(&v)).expect("fdb compact append");
+        let compacted = Self::write_compacted(inner, &tmp)
+            .and_then(|copy| std::fs::rename(&tmp, &self.path).map(|()| copy));
+        match compacted {
+            Ok((file, index, end)) => {
+                inner.file = file;
+                inner.index = index;
+                inner.end = end;
+                inner.live = end;
+                Ok(())
             }
-            inner.file.sync_all().ok();
+            Err(e) => {
+                let _ = std::fs::remove_file(&tmp);
+                Err(e)
+            }
         }
-        std::fs::rename(&tmp, &self.path).expect("swap compacted log");
-        // Reopen the renamed file for continued appends.
-        let mut file = OpenOptions::new()
+    }
+
+    /// Writes every live record of `inner` to a new file at `path` and
+    /// syncs it; returns the file, its index and its length.
+    fn write_compacted(inner: &FdbInner, path: &Path) -> io::Result<(File, Index, u64)> {
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
-            .open(&self.path)
-            .expect("reopen compacted log");
-        file.seek(SeekFrom::Start(inner.end)).expect("seek end");
-        inner.file = file;
+            .create(true)
+            .truncate(true)
+            .open(path)?;
+        let mut index = HashMap::with_capacity(inner.index.len());
+        let (mut end, mut rec) = (0, Vec::new());
+        for (key, &(offset, len)) in &inner.index {
+            rec.clear();
+            push_record(&mut rec, key, Some(&read_at(&inner.file, offset, len)?));
+            file.write_all_at(&rec, end)?;
+            index.insert(key.clone(), (end + 8 + key.len() as u64, len));
+            end += rec.len() as u64;
+        }
+        file.sync_all()?;
+        Ok((file, index, end))
     }
 
-    /// Forces appended records to disk (`fsync`). The write path is
+    /// Forces appended records to disk (`fsync`), or reports the first
+    /// append that failed since the last call. The write path is
     /// OS-buffered — enough for process-kill durability — so only
     /// ordering-critical writers (the snapshot store's blob-before-
     /// manifest protocol) pay for this.
-    pub fn sync(&self) -> std::io::Result<()> {
-        self.inner.lock().file.sync_data()
-    }
-
-    /// Compacts now: rewrites the log with only live records.
-    pub fn flush(&self) {
+    pub fn sync(&self) -> io::Result<()> {
         let mut inner = self.inner.lock();
-        self.compact(&mut inner);
+        match inner.failed.take() {
+            Some(e) => Err(e),
+            None => inner.file.sync_data(),
+        }
     }
 
-    fn read_key(inner: &mut FdbInner, key: &[u8]) -> Option<Vec<u8>> {
-        let (off, len) = *inner.index.get(key)?;
-        Self::read_at(inner, off, len).ok()
+    /// Compacts now: rewrites the log with only live records. On error
+    /// the old log stays in use and every key keeps its value.
+    pub fn flush(&self) -> io::Result<()> {
+        let mut inner = self.inner.lock();
+        self.compact(&mut inner)
     }
 
-    fn read_at(inner: &mut FdbInner, offset: u64, len: u32) -> std::io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; len as usize];
-        inner.file.seek(SeekFrom::Start(offset))?;
-        inner.file.read_exact(&mut buf)?;
-        inner.file.seek(SeekFrom::Start(inner.end))?;
-        Ok(buf)
+    fn read_key(inner: &FdbInner, key: &[u8]) -> Option<Vec<u8>> {
+        let &(offset, len) = inner.index.get(key)?;
+        read_at(&inner.file, offset, len).ok()
     }
 }
 
 impl StorageEngine for FdbEngine {
     fn read(&self, key: &[u8], f: &mut super::ReadFn<'_>) {
-        let mut inner = self.inner.lock();
-        let value = Self::read_key(&mut inner, key);
+        let value = Self::read_key(&self.inner.lock(), key);
         f(value.as_deref());
     }
 
     fn modify(&self, key: &[u8], f: &mut super::ModifyFn<'_>) -> bool {
         let mut inner = self.inner.lock();
-        let mut slot = Self::read_key(&mut inner, key);
+        let mut slot = Self::read_key(&inner, key);
         let existed = slot.is_some();
         let changed = f(&mut slot);
         // A delete of an absent key appends nothing: the marker would be
         // pure dead weight.
         if changed && (existed || slot.is_some()) {
-            Self::append(&mut inner, key, slot.as_deref()).expect("fdb append");
-            self.maybe_compact(&mut inner);
+            match Self::append(&mut inner, key, slot.as_deref()) {
+                Ok(()) => self.maybe_compact(&mut inner),
+                Err(e) => {
+                    inner.failed.get_or_insert(e);
+                }
+            }
         }
         changed
     }
@@ -229,15 +260,16 @@ impl StorageEngine for FdbEngine {
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut inner = self.inner.lock();
-        let hits: Vec<(Vec<u8>, (u64, u32))> = inner
+        let inner = self.inner.lock();
+        inner
             .index
             .iter()
             .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(k, &loc)| (k.clone(), loc))
-            .collect();
-        hits.into_iter()
-            .filter_map(|(k, (off, len))| Self::read_at(&mut inner, off, len).ok().map(|v| (k, v)))
+            .filter_map(|(k, &(offset, len))| {
+                read_at(&inner.file, offset, len)
+                    .ok()
+                    .map(|v| (k.clone(), v))
+            })
             .collect()
     }
 }
@@ -373,7 +405,7 @@ mod tests {
             }
         }
         let before = std::fs::metadata(&p).unwrap().len();
-        e.flush();
+        e.flush().unwrap();
         let after = std::fs::metadata(&p).unwrap().len();
         assert!(after < before / 5, "compaction should drop dead records");
         for i in 0..20u32 {
@@ -385,6 +417,69 @@ mod tests {
         let e2 = FdbEngine::open(p.clone()).unwrap();
         assert_eq!(e2.get(b"post"), Some(vec![7]));
         assert_eq!(e2.len(), 21);
+        let _ = std::fs::remove_file(p);
+    }
+
+    #[test]
+    fn failed_compaction_keeps_the_old_log() {
+        // A directory squatting on the compaction target makes the
+        // rewrite fail before anything is swapped: `flush` reports it,
+        // every key keeps its value, and the log still takes writes.
+        let p = temp_path("squat");
+        let squat = p.with_extension("compact");
+        let _ = std::fs::remove_file(&p);
+        let _ = std::fs::remove_dir(&squat);
+        let e = FdbEngine::open(p.clone()).unwrap();
+        for round in 0..3u8 {
+            for i in 0..20u32 {
+                e.put(&i.to_le_bytes(), vec![round; 32]);
+            }
+        }
+        e.delete(&0u32.to_le_bytes());
+        let before = std::fs::metadata(&p).unwrap().len();
+        std::fs::create_dir(&squat).unwrap();
+        assert!(e.flush().is_err());
+        assert_eq!(std::fs::metadata(&p).unwrap().len(), before, "old log kept");
+        assert_eq!(e.len(), 19);
+        assert!(e.get(&0u32.to_le_bytes()).is_none());
+        for i in 1..20u32 {
+            assert_eq!(e.get(&i.to_le_bytes()), Some(vec![2; 32]));
+        }
+        e.put(b"post", vec![7]);
+        e.sync().unwrap();
+        assert_eq!(e.get(b"post"), Some(vec![7]));
+        drop(e);
+        std::fs::remove_dir(&squat).unwrap();
+        let e = FdbEngine::open(p.clone()).unwrap();
+        assert_eq!(e.len(), 20);
+        assert_eq!(e.get(b"post"), Some(vec![7]));
+        assert_eq!(e.get(&5u32.to_le_bytes()), Some(vec![2; 32]));
+        let _ = std::fs::remove_file(p);
+    }
+
+    #[test]
+    fn failed_append_changes_nothing_and_is_reported_by_sync() {
+        // A read-only handle makes every append fail: the key keeps its
+        // old value, the next `sync` reports the failure once, and with a
+        // writable handle back the log takes writes again.
+        let p = temp_path("append-fails");
+        let _ = std::fs::remove_file(&p);
+        let e = FdbEngine::open(p.clone()).unwrap();
+        e.put(b"k", vec![1]);
+        let writable = std::mem::replace(&mut e.inner.lock().file, File::open(&p).unwrap());
+        e.put(b"k", vec![2]);
+        e.put(b"new", vec![3]);
+        assert_eq!(e.get(b"k"), Some(vec![1]));
+        assert!(e.get(b"new").is_none());
+        assert_eq!(e.len(), 1);
+        assert!(e.sync().is_err());
+        e.inner.lock().file = writable;
+        e.sync().unwrap();
+        e.put(b"k", vec![4]);
+        drop(e);
+        let e = FdbEngine::open(p.clone()).unwrap();
+        assert_eq!(e.get(b"k"), Some(vec![4]));
+        assert_eq!(e.len(), 1);
         let _ = std::fs::remove_file(p);
     }
 }

@@ -107,24 +107,17 @@ impl MdbEngine {
         &self.shards[self.shard_index(key)]
     }
 
-    /// Replaces this engine's contents with a copy of `source`'s, map by
-    /// map (both engines must have the same shard count): how a failover
-    /// re-seeds a new slave from its host.
-    pub(crate) fn copy_from(&self, source: &MdbEngine) {
-        assert_eq!(
-            self.shards.len(),
-            source.shards.len(),
-            "shard counts differ"
-        );
-        for (to, from) in self.shards.iter().zip(&source.shards) {
-            to.lock().clone_from(&from.lock());
-        }
+    /// Calls `f` with the value of `key`, borrowed under its shard's lock:
+    /// the generic form of [`StorageEngine::read`], which returns what `f`
+    /// returns.
+    pub(crate) fn read_with<R>(&self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> R {
+        f(self.shard(key).lock().get(key).map(|v| &v[..]))
     }
 }
 
 impl StorageEngine for MdbEngine {
     fn read(&self, key: &[u8], f: &mut super::ReadFn<'_>) {
-        f(self.shard(key).lock().get(key).map(|v| &v[..]));
+        self.read_with(key, f);
     }
 
     fn modify(&self, key: &[u8], f: &mut super::ModifyFn<'_>) -> bool {
@@ -224,31 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_replaces_every_entry() {
-        let host = MdbEngine::new(16);
-        let slave = MdbEngine::new(16);
-        for len in [2, 29, 30, 31, 64] {
-            for i in 0..50u8 {
-                let mut key = vec![b'k'; len];
-                key[len - 1] = i;
-                host.put(&key, vec![i; len]);
-            }
-        }
-        slave.put(b"stale", vec![1]);
-        slave.put(&[b'k'; 64], vec![2]);
-        slave.copy_from(&host);
-        let mut want = host.scan_prefix(b"");
-        let mut got = slave.scan_prefix(b"");
-        want.sort();
-        got.sort();
-        assert_eq!(got.len(), 250);
-        assert_eq!(got, want);
-        // The copy is the slave's own: later writes do not leak across.
-        slave.put(b"late", vec![3]);
-        assert!(host.get(b"late").is_none());
-    }
-
-    #[test]
     fn single_shard_works() {
         conformance::basic_crud(&MdbEngine::new(1));
     }
@@ -284,14 +252,13 @@ mod tests {
         // Regression: the shard used to come from the same low hash bits
         // the router takes (`hash % 16`), so with 16 instances every key
         // of an instance shared one of its 16 locks.
-        let table = crate::RouteTable::new(16, 4, true);
         let engine = MdbEngine::new(16);
         let mut used = std::collections::HashSet::new();
         let mut routed = 0;
         for i in 0u64.. {
             let mut key = b"pc:".to_vec();
             key.extend_from_slice(&i.to_le_bytes());
-            if table.instance_for(&key) != 5 {
+            if crate::route::instance_for(&key, 16) != 5 {
                 continue;
             }
             used.insert(engine.shard_index(&key));
@@ -313,7 +280,6 @@ mod tests {
         // and on the shard bits; the map's hasher must not hand the table
         // those bits as its bucket index or its tag.
         use std::hash::BuildHasher;
-        let table = crate::RouteTable::new(16, 4, true);
         let engine = MdbEngine::new(16);
         let mut keys: Vec<Vec<u8>> = Vec::new();
         for prefix in [&b"pc:"[..], b"hist:"] {
@@ -321,7 +287,7 @@ mod tests {
             for i in 0u64.. {
                 let mut key = prefix.to_vec();
                 key.extend_from_slice(&i.to_le_bytes());
-                if table.instance_for(&key) == 5 && engine.shard_index(&key) == 3 {
+                if crate::route::instance_for(&key, 16) == 5 && engine.shard_index(&key) == 3 {
                     keys.push(key);
                     if keys.len() == wanted {
                         break;

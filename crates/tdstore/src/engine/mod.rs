@@ -1,11 +1,12 @@
 //! Storage engines. Of the paper's four data-server engines (MDB memory,
 //! LDB, RDB, FDB file) two have a job here, each one:
 //!
-//! - [`MdbEngine`] holds the status data. Every host and slave replica of
-//!   every data instance is an MDB engine.
+//! - [`MdbEngine`] holds the status data: each data instance is one MDB
+//!   engine, the only copy of its keys while the process runs.
 //! - [`FdbEngine`] holds the checkpoint log: the
 //!   [`SnapshotStore`](crate::SnapshotStore) writes its blobs and manifest
-//!   to one append-only FDB file, which is what survives a process death.
+//!   to one append-only FDB file, which is what survives a process death
+//!   and the one durable copy of the status data.
 //!
 //! [`StorageEngine`] is the surface both share, and the seam the
 //! conformance suite runs against.
@@ -14,7 +15,6 @@ mod fdb;
 mod mdb;
 
 pub use fdb::FdbEngine;
-pub(crate) use mdb::Key;
 pub use mdb::MdbEngine;
 
 /// The closure form taken by [`StorageEngine::read`].

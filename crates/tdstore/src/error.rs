@@ -2,19 +2,11 @@
 
 use std::fmt;
 
-/// Errors returned by the TDStore client and servers.
+/// Errors returned by the TDStore client and the checkpoint log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
-    /// The addressed data server is down.
-    ServerDown(u32),
-    /// No data server is available to host an instance.
-    NoServers,
-    /// An instance id is not in the route table.
-    UnknownInstance(u32),
     /// A disk operation failed (FDB engine).
     Io(String),
-    /// An instance has no live replica left.
-    InstanceLost(u32),
     /// A fault injected by a chaos [`tchaos::FaultPlan`]; the write it
     /// replaced was never applied, so retrying is always safe.
     Injected,
@@ -23,13 +15,7 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::ServerDown(id) => write!(f, "data server {id} is down"),
-            StoreError::NoServers => write!(f, "no data servers available"),
-            StoreError::UnknownInstance(i) => write!(f, "unknown data instance {i}"),
             StoreError::Io(e) => write!(f, "io error: {e}"),
-            StoreError::InstanceLost(i) => {
-                write!(f, "data instance {i} has no live replica")
-            }
             StoreError::Injected => write!(f, "injected fault (chaos testing)"),
         }
     }

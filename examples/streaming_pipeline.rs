@@ -1,8 +1,7 @@
 //! The full production stack in one process (Fig. 9's deployment):
 //! producers publish raw actions to **TDAccess**, the **tstorm** topology
 //! consumes them, maintains CF state in **TDStore**, and the recommender
-//! engine answers queries from the store — with a TDStore data-server
-//! failure injected along the way to show the fault-tolerance story.
+//! engine answers queries from the store.
 //!
 //! ```sh
 //! cargo run --example streaming_pipeline
@@ -99,10 +98,7 @@ fn main() {
 
     // --- TDProcess: the stream topology over TDStore --------------------
     let store = TdStore::new(StoreConfig {
-        servers: 4,
         instances: 32,
-        replicated: true,
-        sync_every: 64,
         ..Default::default()
     });
     store.register_metrics(&registry);
@@ -148,19 +144,10 @@ fn main() {
     );
 
     // --- The recommender engine reads TDStore ---------------------------
-    let query = TopologyRecommender::new(store.clone(), config);
+    let query = TopologyRecommender::new(store, config);
     println!("\nsimilar to show 10: {:?}", query.similar_items(10));
     println!(
         "recommendations for viewer 43: {:?}",
-        query.recommend(43, 2)
-    );
-
-    // --- Failure injection ----------------------------------------------
-    store.sync(); // let replication catch up
-    store.kill_server(0).expect("failover");
-    println!("\nkilled TDStore data server 0; instances failed over to slaves");
-    println!(
-        "recommendations for viewer 43 after failover: {:?}",
         query.recommend(43, 2)
     );
 
@@ -176,7 +163,7 @@ fn main() {
     // --- Prometheus-style exposition ------------------------------------
     // Everything above — queue depths, execute/pipeline latency
     // percentiles, history replay-log size, pruning state, consumer lag,
-    // store ops, failovers — in one scrape body.
+    // store ops — in one scrape body.
     progress.stop();
     println!("\n=== metrics exposition ===");
     print!("{}", reporter.render());

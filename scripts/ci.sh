@@ -10,6 +10,21 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+# Panic-site stage: no `.unwrap()` or `.expect(` in tdstore's non-test
+# code (everything before a file's `#[cfg(test)]`, doc comments aside).
+# The store's checkpoint log is the only durable copy of its state, so a
+# bad byte or a failed disk call there must come back as an error.
+echo "==> no unwrap/expect in tdstore non-test code"
+panic_sites="$(git ls-files 'crates/tdstore/src/*.rs' | while read -r f; do
+    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+        /\.unwrap\(\)|\.expect\(/ && !/^ *\/\/[\/!]/ { print f ":" FNR ": " $0 }' "$f"
+done)"
+if [[ -n "$panic_sites" ]]; then
+    echo "PANIC-SITE FAILURE: unwrap/expect in tdstore non-test code:" >&2
+    echo "$panic_sites" >&2
+    exit 1
+fi
+
 # Chaos stage: the convergence test must hold for every seed in the fixed
 # matrix. Seeds run one at a time so a failure names the guilty seed
 # (reproduce with: CHAOS_SEEDS=<seed> cargo test -p tchaos --test convergence).
@@ -33,7 +48,7 @@ for family in \
     tstorm_batch_size tencentrec_pruning_tracked_pairs \
     tencentrec_history_log_entries \
     tdaccess_produced_total tdaccess_consumed_total tdaccess_consumer_lag \
-    tdstore_ops_total tdstore_replication_queue_depth tdstore_failovers_total; do
+    tdstore_ops_total; do
     if ! grep -q "^$family" <<<"$expo"; then
         echo "OBSERVABILITY FAILURE: family $family missing from exposition" >&2
         exit 1
@@ -82,10 +97,13 @@ if ! awk -v b="$store_bytes" -v k="$store_keys" 'BEGIN { exit !(k > 0 && b / k <
     echo "TBENCH FAILURE: tdstore holds $store_bytes bytes in $store_keys keys (> 85 bytes/key)" >&2
     exit 1
 fi
-# Memory: an MDB entry is one allocation (the key inline in the map
-# slot). Three 2-s untraced runs read a peak of 37.6-37.9 MiB that way,
-# 42.8-43.4 MiB with each key in its own allocation. The ceiling sits
-# between the two, so a key moved back to the heap trips it.
+# Memory: the store keeps one copy of its state. Three 2-s untraced
+# seed-1 runs read a peak of 26.98-27.15 MiB that way, 37.35-37.54 MiB
+# with a second in-memory copy of every data instance (the former
+# in-process slave replica). The ceiling sits between the two, so a
+# second copy trips it. At this size a key boxed on the heap no longer
+# shows (27.09-27.37 MiB with every MDB key boxed); the MDB unit test
+# `an_entry_fills_one_48_byte_slot` guards that layout instead.
 rss_out="$(cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- \
     --workload ingest_broad --seed 1 --seconds 2 --trace 0 | tail -n 1)"
 if ! grep -q '"correct": true' <<<"$rss_out"; then
@@ -94,8 +112,8 @@ if ! grep -q '"correct": true' <<<"$rss_out"; then
     exit 1
 fi
 peak_rss="$(tbench_metric "$rss_out" peak_rss_mib)"
-if ! awk -v r="$peak_rss" 'BEGIN { exit !(r > 0 && r <= 41) }'; then
-    echo "TBENCH FAILURE: ingest_broad peak RSS $peak_rss MiB (> 41 MiB)" >&2
+if ! awk -v r="$peak_rss" 'BEGIN { exit !(r > 0 && r <= 32) }'; then
+    echo "TBENCH FAILURE: ingest_broad peak RSS $peak_rss MiB (> 32 MiB)" >&2
     exit 1
 fi
 # Freshness: an append wakes the idle spout that reads it. With the wake,

@@ -1,10 +1,8 @@
 //! Property test: TDStore behaves like a `HashMap` under arbitrary
-//! operation sequences, and failover after a sync never loses
-//! acknowledged data. The two primitives everything else
-//! is built on — the borrowing `read` and the conditional in-place
-//! `modify` — are driven directly: an unchanged `modify` must leave the
-//! value *and the replication queue* where they were, and a `modify` that
-//! empties the slot is a delete. Keys are 2, 29, 30, 31 or 64 bytes long —
+//! operation sequences. The two primitives everything else is built on —
+//! the borrowing `read` and the conditional in-place `modify` — are driven
+//! directly: an unchanged `modify` must leave the value where it was and
+//! count no write, and a `modify` that empties the slot is a delete. Keys are 2, 29, 30, 31 or 64 bytes long —
 //! both sides of the 30 bytes MDB keeps inline — and share their prefixes,
 //! so a prefix scan has to tell them apart.
 
@@ -25,7 +23,6 @@ enum Op {
     Inspect(u8),
     /// `modify` that empties the slot.
     Clear(u8),
-    SyncAndFailover(u8),
     /// `scan_prefix` with the first `PREFIX_LENGTHS[.0]` bytes of a key.
     Scan(u8, u8),
 }
@@ -53,7 +50,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (any::<u8>(), any::<u8>()).prop_map(|(k, v)| Op::Append(k, v)),
         any::<u8>().prop_map(Op::Inspect),
         any::<u8>().prop_map(Op::Clear),
-        (0u8..3).prop_map(Op::SyncAndFailover),
         (0..PREFIX_LENGTHS.len() as u8, any::<u8>()).prop_map(|(p, k)| Op::Scan(p, k)),
     ]
 }
@@ -64,14 +60,14 @@ proptest! {
     #[test]
     fn store_matches_hashmap_model(ops in prop::collection::vec(arb_op(), 1..80)) {
         let store = TdStore::new(StoreConfig {
-            servers: 4,
             instances: 8,
-            sync_every: 0,
             ..Default::default()
         });
+        let registry = obs::Registry::new();
+        store.register_metrics(&registry);
+        let writes = || registry.counter_value("tdstore_ops_total", &[("op", "write")]);
         let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
         let mut float_model: HashMap<Vec<u8>, f64> = HashMap::new();
-        let mut failed = 0u8;
         for op in &ops {
             match op {
                 Op::Put(k, v) => {
@@ -109,7 +105,7 @@ proptest! {
                 }
                 Op::Inspect(k) => {
                     let key = key(b'p', *k);
-                    let queued = store.unreplicated_ops();
+                    let written = writes();
                     let mut seen = None;
                     let changed = store
                         .modify(&key, |slot| {
@@ -119,21 +115,13 @@ proptest! {
                         .unwrap();
                     prop_assert!(!changed);
                     prop_assert_eq!(seen.as_ref(), model.get(&key));
-                    prop_assert_eq!(store.unreplicated_ops(), queued);
+                    prop_assert_eq!(writes(), written);
                 }
                 Op::Clear(k) => {
                     let key = key(b'p', *k);
                     let changed = store.modify(&key, |slot| slot.take().is_some()).unwrap();
                     prop_assert_eq!(changed, model.remove(&key).is_some());
                     prop_assert!(store.get(&key).unwrap().is_none());
-                }
-                Op::SyncAndFailover(server) => {
-                    // Only fail each server once, and keep ≥2 alive.
-                    if failed < 2 {
-                        store.sync();
-                        store.kill_server((*server % 4) as u32).ok();
-                        failed += 1;
-                    }
                 }
                 Op::Scan(p, k) => {
                     let full = key(b'p', *k);
