@@ -60,8 +60,8 @@ pub enum FaultSite {
     BatchDrop,
     /// `tcluster` supervisor SIGKILLs a kill-eligible worker process
     /// mid-run. The worker's executors, queues and connections vanish; the
-    /// supervisor respawns it, un-acked trees time out at the global acker
-    /// and replay, and dedup rings absorb the replayed tail.
+    /// supervisor respawns it, un-acked trees time out at their owners'
+    /// ackers and replay, and dedup rings absorb the replayed tail.
     WorkerKill,
     /// `tcluster` supervisor silently drops one relayed tuple batch — a
     /// transient partition of an inter-worker link. Every tree in the

@@ -8,12 +8,15 @@
 //! * spawns N **worker** OS processes (re-executing the current binary
 //!   with `TCLUSTER_ROLE=worker`), each running a *slice* of the topology
 //!   through [`tstorm::topology::Topology::launch_slice`];
-//! * relays tuples between workers over length-prefixed TCP (the shared
-//!   [`wire`] framing, batched end to end) in a hub-and-spoke layout —
-//!   workers connect only to the supervisor;
-//! * hosts the one global XOR acker, so tuple trees span processes: an
-//!   edge lost on the wire (or in a dead worker) is an edge never acked,
-//!   the tree times out, and the owning spout replays it;
+//! * relays tuples and acker traffic between workers over
+//!   length-prefixed TCP (the shared [`wire`] framing, batched end to
+//!   end) in a hub-and-spoke layout — workers connect only to the
+//!   supervisor;
+//! * lets tuple trees span processes: each worker runs the XOR acker for
+//!   the trees its own spouts root (roots carry their worker's index, see
+//!   [`tstorm::ack::RootTag`]), so an edge lost on the wire (or in a dead
+//!   worker) is an edge never acked, the tree times out at its owner,
+//!   and the owning spout replays it;
 //! * stores each worker's periodic offset commits and hands them back on
 //!   respawn, bounding replay after a crash to the uncommitted tail;
 //! * restarts dead workers with their original assignment and merges

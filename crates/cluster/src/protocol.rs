@@ -2,10 +2,12 @@
 //!
 //! Every frame uses the shared [`wire`] length-prefixed layout
 //! (`len:u32le | id:u64le tag:u8 body`). The supervisor relays
-//! [`Msg::TupleBatch`] frames between workers without decoding the tuple
-//! payload — [`peek_tuple_batch_dest`] borrows only the destination
-//! component from the body head — so the data plane stays one copy per
-//! hop. Everything else is decoded with [`decode`].
+//! [`Msg::TupleBatch`] and [`Msg::AckerBatch`] frames between workers
+//! without decoding their payload — [`peek_tuple_batch_dest`] borrows
+//! only the destination component from a tuple batch's head, and
+//! [`peek_acker_batch_dest`] reads the owning worker from an acker
+//! batch's — so the data plane stays one copy per hop. Everything else is
+//! decoded with [`decode`].
 //!
 //! A tuple-batch body is one codec with several ends. One per-tuple
 //! writer serves both [`encode`] of the owned [`Msg::TupleBatch`] and
@@ -20,7 +22,6 @@
 use bytes::BytesMut;
 use obs::{LatencySnapshot, Sample, SampleKind};
 use std::sync::Arc;
-use tstorm::ack::{AckerMsg, InitEntry};
 use tstorm::remote::{TupleBatch, TupleSink, WireTuple};
 use tstorm::tuple::Value;
 use tstorm::TopologyHandle;
@@ -28,16 +29,15 @@ use wire::{frame_into, with_frame, ProtocolError, Reader};
 
 /// Worker → supervisor: first frame on a fresh connection.
 pub const TAG_REGISTER: u8 = 0x01;
-/// Supervisor → worker: which components to run and their spout slots.
+/// Supervisor → worker: which components to run, the worker count and
+/// the tree timeout.
 pub const TAG_ASSIGNMENT: u8 = 0x02;
 /// Supervisor → worker: all workers are registered, start the slice.
 pub const TAG_START: u8 = 0x03;
 /// Either direction: tuples bound for one task of one component.
 pub const TAG_TUPLE_BATCH: u8 = 0x10;
-/// Worker → supervisor: batched acker traffic for the global acker.
+/// Either direction: acker traffic for the roots one worker owns.
 pub const TAG_ACKER_BATCH: u8 = 0x11;
-/// Supervisor → worker: ack/fail notifications for one spout slot.
-pub const TAG_SPOUT_NOTIFY: u8 = 0x12;
 /// Worker → supervisor: periodic liveness/progress report.
 pub const TAG_STATUS: u8 = 0x13;
 /// Supervisor → worker: serialize app state and report it back.
@@ -50,15 +50,9 @@ pub const TAG_SHUTDOWN: u8 = 0x16;
 pub const TAG_METRICS: u8 = 0x17;
 /// Worker → supervisor: latest durable resume point (offset commits).
 pub const TAG_COMMIT: u8 = 0x18;
-
-/// Ack/fail discriminator carried by [`Msg::SpoutNotify`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NotifyKind {
-    /// The tuple trees rooted at the carried message ids completed.
-    Ack,
-    /// The trees failed or timed out; the spout should replay them.
-    Fail,
-}
+/// Worker → supervisor: trees pending at the worker's acker, sent with
+/// every status.
+pub const TAG_PENDING_TREES: u8 = 0x19;
 
 /// One decoded protocol message.
 #[derive(Debug)]
@@ -79,8 +73,10 @@ pub enum Msg {
     Assignment {
         /// Components that get real task threads in this worker.
         components: Vec<String>,
-        /// Global acker slot of each local spout task, in local order.
-        slot_map: Vec<usize>,
+        /// Workers in the cluster: the width of the worker's root tag.
+        n_workers: u32,
+        /// Tree timeout of the worker's acker, in milliseconds.
+        message_timeout_ms: u64,
         /// The worker's last offset-commit blob, when this assignment
         /// follows a restart (`None` on first launch).
         recovered: Option<Vec<u8>>,
@@ -98,19 +94,17 @@ pub enum Msg {
         /// The tuples, in frame order.
         tuples: Vec<WireTuple>,
     },
-    /// Acker traffic drained from one worker's emitters.
-    AckerBatch(
-        /// The forwarded messages, in channel order.
-        Vec<AckerMsg>,
-    ),
-    /// Tree completions/failures for one global spout slot.
-    SpoutNotify {
-        /// Global acker slot of the owning spout task.
-        global_slot: usize,
-        /// Whether the ids acked or failed.
-        kind: NotifyKind,
-        /// User-supplied message ids of the affected trees.
-        ids: Vec<u64>,
+    /// Acker traffic for the roots `owner` tracks: what another worker's
+    /// acker (or the supervisor's fail-fast path) ships to it. The owner
+    /// leads the body, so the supervisor relays the frame unread (see
+    /// [`peek_acker_batch_dest`]).
+    AckerBatch {
+        /// Worker whose acker owns every root in the frame.
+        owner: u32,
+        /// `(root, xor)` deltas.
+        xors: Vec<(u64, u64)>,
+        /// Failed roots.
+        fails: Vec<u64>,
     },
     /// Periodic worker health/progress report.
     Status {
@@ -128,6 +122,12 @@ pub enum Msg {
     DrainReport(
         /// Opaque app-defined bytes (empty when the app has no drain fn).
         Vec<u8>,
+    ),
+    /// Trees pending at the worker's acker, read with the preceding
+    /// [`Msg::Status`].
+    PendingTrees(
+        /// The acker's pending-tree gauge.
+        i64,
     ),
     /// Stop the topology and exit.
     Shutdown,
@@ -220,37 +220,6 @@ fn w_tuple(
     }
 }
 
-fn w_acker_msg(out: &mut Vec<u8>, m: &AckerMsg) {
-    match m {
-        AckerMsg::InitBatch(inits) => {
-            out.push(1);
-            w_u32(out, inits.len() as u32);
-            for i in inits {
-                w_u64(out, i.root);
-                w_u64(out, i.xor);
-                w_u64(out, i.slot as u64);
-                w_u64(out, i.msg_id);
-                w_u64(out, i.emit_ms);
-            }
-        }
-        AckerMsg::XorBatch(pairs) => {
-            out.push(3);
-            w_u32(out, pairs.len() as u32);
-            for &(root, xor) in pairs {
-                w_u64(out, root);
-                w_u64(out, xor);
-            }
-        }
-        AckerMsg::Fail { root } => {
-            out.push(4);
-            w_u64(out, *root);
-        }
-        // Shutdown is process-local (end-of-stream marker for the
-        // forwarder); it never crosses the wire.
-        AckerMsg::Shutdown => out.push(5),
-    }
-}
-
 fn w_sample(out: &mut Vec<u8>, s: &Sample) {
     w_str(out, &s.family);
     w_str(out, &s.help);
@@ -300,7 +269,8 @@ pub fn encode(buf: &mut BytesMut, id: u64, msg: &Msg) {
         ),
         Msg::Assignment {
             components,
-            slot_map,
+            n_workers,
+            message_timeout_ms,
             recovered,
         } => (
             TAG_ASSIGNMENT,
@@ -309,10 +279,8 @@ pub fn encode(buf: &mut BytesMut, id: u64, msg: &Msg) {
                 for c in components {
                     w_str(out, c);
                 }
-                w_u32(out, slot_map.len() as u32);
-                for &s in slot_map {
-                    w_u64(out, s as u64);
-                }
+                w_u32(out, *n_workers);
+                w_u64(out, *message_timeout_ms);
                 match recovered {
                     None => out.push(0),
                     Some(b) => {
@@ -343,30 +311,18 @@ pub fn encode(buf: &mut BytesMut, id: u64, msg: &Msg) {
                 }
             }),
         ),
-        Msg::AckerBatch(msgs) => (
+        Msg::AckerBatch { owner, xors, fails } => (
             TAG_ACKER_BATCH,
             Box::new(move |out| {
-                w_u32(out, msgs.len() as u32);
-                for m in msgs {
-                    w_acker_msg(out, m);
+                w_u32(out, *owner);
+                w_u32(out, xors.len() as u32);
+                for &(root, xor) in xors {
+                    w_u64(out, root);
+                    w_u64(out, xor);
                 }
-            }),
-        ),
-        Msg::SpoutNotify {
-            global_slot,
-            kind,
-            ids,
-        } => (
-            TAG_SPOUT_NOTIFY,
-            Box::new(move |out| {
-                w_u64(out, *global_slot as u64);
-                out.push(match kind {
-                    NotifyKind::Ack => 0,
-                    NotifyKind::Fail => 1,
-                });
-                w_u32(out, ids.len() as u32);
-                for &i in ids {
-                    w_u64(out, i);
+                w_u32(out, fails.len() as u32);
+                for &root in fails {
+                    w_u64(out, root);
                 }
             }),
         ),
@@ -381,6 +337,10 @@ pub fn encode(buf: &mut BytesMut, id: u64, msg: &Msg) {
                 w_u64(out, *inflight as u64);
                 out.push(u8::from(*spouts_idle));
             }),
+        ),
+        Msg::PendingTrees(n) => (
+            TAG_PENDING_TREES,
+            Box::new(move |out| w_u64(out, *n as u64)),
         ),
         Msg::DrainRequest => (TAG_DRAIN_REQUEST, Box::new(|_| {})),
         Msg::DrainReport(bytes) => (TAG_DRAIN_REPORT, Box::new(move |out| w_bytes(out, bytes))),
@@ -494,36 +454,6 @@ fn r_tuples(
     Ok(())
 }
 
-fn r_acker_msg(r: &mut Reader<'_>) -> Result<AckerMsg, ProtocolError> {
-    Ok(match r.u8()? {
-        1 => {
-            let n = r.count(40)?;
-            let mut inits = Vec::with_capacity(n);
-            for _ in 0..n {
-                inits.push(InitEntry {
-                    root: r.u64()?,
-                    xor: r.u64()?,
-                    slot: r.u64()? as usize,
-                    msg_id: r.u64()?,
-                    emit_ms: r.u64()?,
-                });
-            }
-            AckerMsg::InitBatch(inits)
-        }
-        3 => {
-            let n = r.count(16)?;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                pairs.push((r.u64()?, r.u64()?));
-            }
-            AckerMsg::XorBatch(pairs)
-        }
-        4 => AckerMsg::Fail { root: r.u64()? },
-        5 => AckerMsg::Shutdown,
-        _ => return Err(ProtocolError::BadPayload("unknown acker tag")),
-    })
-}
-
 fn r_sample(r: &mut Reader<'_>) -> Result<Sample, ProtocolError> {
     let family = r_str(r)?;
     let help = r_str(r)?;
@@ -574,11 +504,8 @@ pub fn decode(tag: u8, body: &[u8]) -> Result<Msg, ProtocolError> {
             for _ in 0..n {
                 components.push(r_str(&mut r)?);
             }
-            let n = r.count(8)?;
-            let mut slot_map = Vec::with_capacity(n);
-            for _ in 0..n {
-                slot_map.push(r.u64()? as usize);
-            }
+            let n_workers = r.u32()?;
+            let message_timeout_ms = r.u64()?;
             let recovered = match r.u8()? {
                 0 => None,
                 1 => Some(r.bytes()?.to_vec()),
@@ -586,7 +513,8 @@ pub fn decode(tag: u8, body: &[u8]) -> Result<Msg, ProtocolError> {
             };
             Msg::Assignment {
                 components,
-                slot_map,
+                n_workers,
+                message_timeout_ms,
                 recovered,
             }
         }
@@ -602,36 +530,25 @@ pub fn decode(tag: u8, body: &[u8]) -> Result<Msg, ProtocolError> {
             }
         }
         TAG_ACKER_BATCH => {
-            let n = r.count(9)?;
-            let mut msgs = Vec::with_capacity(n);
+            let owner = r.u32()?;
+            let n = r.count(16)?;
+            let mut xors = Vec::with_capacity(n);
             for _ in 0..n {
-                msgs.push(r_acker_msg(&mut r)?);
+                xors.push((r.u64()?, r.u64()?));
             }
-            Msg::AckerBatch(msgs)
-        }
-        TAG_SPOUT_NOTIFY => {
-            let global_slot = r.u64()? as usize;
-            let kind = match r.u8()? {
-                0 => NotifyKind::Ack,
-                1 => NotifyKind::Fail,
-                _ => return Err(ProtocolError::BadPayload("unknown notify kind")),
-            };
             let n = r.count(8)?;
-            let mut ids = Vec::with_capacity(n);
+            let mut fails = Vec::with_capacity(n);
             for _ in 0..n {
-                ids.push(r.u64()?);
+                fails.push(r.u64()?);
             }
-            Msg::SpoutNotify {
-                global_slot,
-                kind,
-                ids,
-            }
+            Msg::AckerBatch { owner, xors, fails }
         }
         TAG_STATUS => Msg::Status {
             progress: r.u64()?,
             inflight: r.u64()? as i64,
             spouts_idle: r.u8()? != 0,
         },
+        TAG_PENDING_TREES => Msg::PendingTrees(r.u64()? as i64),
         TAG_DRAIN_REQUEST => Msg::DrainRequest,
         TAG_DRAIN_REPORT => Msg::DrainReport(r.bytes()?.to_vec()),
         TAG_SHUTDOWN => Msg::Shutdown,
@@ -655,6 +572,12 @@ pub fn decode(tag: u8, body: &[u8]) -> Result<Msg, ProtocolError> {
 /// tuples.
 pub fn peek_tuple_batch_dest(body: &[u8]) -> Result<&str, ProtocolError> {
     r_str_ref(&mut Reader::new(body))
+}
+
+/// Reads only the owning worker from a [`Msg::AckerBatch`] body, so the
+/// supervisor can route the frame without decoding it.
+pub fn peek_acker_batch_dest(body: &[u8]) -> Result<usize, ProtocolError> {
+    Ok(Reader::new(body).u32()? as usize)
 }
 
 /// The sink behind [`peek_tuple_batch_roots`]: distinct anchor roots in
@@ -688,7 +611,8 @@ impl TupleSink for Roots {
 /// Extracts the distinct anchor roots from a [`Msg::TupleBatch`] body.
 /// Used on the fail-fast degradation path — when the destination
 /// worker's lease is expired the supervisor fails every tree in the
-/// batch at the acker instead of buffering toward a frozen socket. This
+/// batch at its owner's acker instead of buffering toward a frozen
+/// socket. This
 /// walks the whole body (anchors are interleaved per tuple), which is
 /// fine: it only runs while a worker is down, never on the relay hot
 /// path.
@@ -745,23 +669,26 @@ mod tests {
         }
         match roundtrip(&Msg::Assignment {
             components: vec!["spout".into(), "count".into()],
-            slot_map: vec![2, 3],
+            n_workers: 3,
+            message_timeout_ms: 1500,
             recovered: Some(vec![9, 9]),
         }) {
             Msg::Assignment {
                 components,
-                slot_map,
+                n_workers,
+                message_timeout_ms,
                 recovered,
             } => {
                 assert_eq!(components, vec!["spout", "count"]);
-                assert_eq!(slot_map, vec![2, 3]);
+                assert_eq!((n_workers, message_timeout_ms), (3, 1500));
                 assert_eq!(recovered, Some(vec![9, 9]));
             }
             other => panic!("{other:?}"),
         }
         match roundtrip(&Msg::Assignment {
             components: vec![],
-            slot_map: vec![],
+            n_workers: 1,
+            message_timeout_ms: 0,
             recovered: None,
         }) {
             Msg::Assignment {
@@ -769,6 +696,10 @@ mod tests {
             } => {}
             other => panic!("{other:?}"),
         }
+        assert!(matches!(
+            roundtrip(&Msg::PendingTrees(-2)),
+            Msg::PendingTrees(-2)
+        ));
         match roundtrip(&Msg::OffsetCommit(vec![4, 5])) {
             Msg::OffsetCommit(b) => assert_eq!(b, vec![4, 5]),
             other => panic!("{other:?}"),
@@ -863,14 +794,12 @@ mod tests {
                 2,
             )
             .shuffle_grouping("numbers");
-        let (acker, _) = crossbeam::channel::unbounded();
         builder
             .build()
             .unwrap()
             .launch_slice(tstorm::remote::SliceSpec {
                 local: Default::default(),
-                slot_map: Vec::new(),
-                acker,
+                ack_route: tstorm::ack::AckRoute::local(std::time::Duration::from_secs(30)),
                 egress: Arc::new(|_: &mut Vec<u8>, _: &str, _: usize, _: &[TupleBatch]| {}),
             })
     }
@@ -946,64 +875,33 @@ mod tests {
 
     #[test]
     fn acker_batch_roundtrips() {
-        let msg = Msg::AckerBatch(vec![
-            AckerMsg::InitBatch(vec![InitEntry {
-                root: 6,
-                xor: 7,
-                slot: 8,
-                msg_id: 9,
-                emit_ms: 10,
-            }]),
-            AckerMsg::XorBatch(vec![(13, 14), (15, 16)]),
-            AckerMsg::Fail { root: 17 },
-        ]);
-        match roundtrip(&msg) {
-            Msg::AckerBatch(msgs) => {
-                assert_eq!(msgs.len(), 3);
-                match &msgs[0] {
-                    AckerMsg::InitBatch(inits) => {
-                        assert_eq!(inits.len(), 1);
-                        assert_eq!(inits[0].root, 6);
-                        assert_eq!(inits[0].emit_ms, 10);
-                    }
-                    other => panic!("{other:?}"),
-                }
-                match &msgs[1] {
-                    AckerMsg::XorBatch(p) => assert_eq!(p, &vec![(13, 14), (15, 16)]),
-                    other => panic!("{other:?}"),
-                }
-                assert!(matches!(msgs[2], AckerMsg::Fail { root: 17 }));
+        let msg = Msg::AckerBatch {
+            owner: 2,
+            xors: vec![(13, 14), (15, 16)],
+            fails: vec![17],
+        };
+        let mut buf = BytesMut::new();
+        encode(&mut buf, 7, &msg);
+        let (_, tag, body) = split_frame(&mut buf).unwrap().unwrap();
+        assert_eq!(tag, TAG_ACKER_BATCH);
+        assert_eq!(peek_acker_batch_dest(&body), Ok(2));
+        match decode(tag, &body).unwrap() {
+            Msg::AckerBatch { owner, xors, fails } => {
+                assert_eq!(owner, 2);
+                assert_eq!(xors, vec![(13, 14), (15, 16)]);
+                assert_eq!(fails, vec![17]);
             }
             other => panic!("{other:?}"),
         }
-        // The singleton Init (0) and Xor (2) shapes are gone from the
-        // wire: a one-message acker batch carrying either tag is refused.
-        for tag in [0u8, 2] {
-            let mut body = Vec::new();
-            w_u32(&mut body, 1);
-            body.push(tag);
-            body.extend_from_slice(&[0; 40]);
-            assert!(decode(TAG_ACKER_BATCH, &body).is_err(), "tag {tag}");
-        }
-    }
-
-    #[test]
-    fn spout_notify_roundtrips() {
-        match roundtrip(&Msg::SpoutNotify {
-            global_slot: 2,
-            kind: NotifyKind::Fail,
-            ids: vec![100, 200],
-        }) {
-            Msg::SpoutNotify {
-                global_slot,
-                kind,
-                ids,
-            } => {
-                assert_eq!(global_slot, 2);
-                assert_eq!(kind, NotifyKind::Fail);
-                assert_eq!(ids, vec![100, 200]);
-            }
-            other => panic!("{other:?}"),
+        // A body too short for its owner head is refused by the peek, and
+        // every truncation by the decoder.
+        for cut in 0..body.len() {
+            assert_eq!(
+                peek_acker_batch_dest(&body[..cut]).is_ok(),
+                cut >= 4,
+                "{cut}-byte body"
+            );
+            assert!(decode(tag, &body[..cut]).is_err(), "{cut}-byte body");
         }
     }
 
@@ -1041,7 +939,7 @@ mod tests {
             TAG_ASSIGNMENT,
             TAG_TUPLE_BATCH,
             TAG_ACKER_BATCH,
-            TAG_SPOUT_NOTIFY,
+            TAG_PENDING_TREES,
             TAG_STATUS,
             TAG_DRAIN_REPORT,
             TAG_METRICS,
@@ -1049,6 +947,11 @@ mod tests {
         ] {
             let _ = decode(tag, &[0xFF; 5]);
             let _ = decode(tag, &[]);
+        }
+        for body in [&[][..], &[0xFF; 3], &[0xFF; 5]] {
+            let _ = peek_tuple_batch_dest(body);
+            let _ = peek_tuple_batch_roots(body);
+            let _ = peek_acker_batch_dest(body);
         }
     }
 }

@@ -1,12 +1,14 @@
-//! Supervisor process: spawns worker processes, relays tuples between
-//! them, hosts the cluster's one global XOR acker, and restarts workers
-//! that die.
+//! Supervisor process: places components on worker processes, relays
+//! tuples and acker traffic between them, and restarts workers that die
+//! or stall. It tracks no tuple tree: every worker runs the acker for the
+//! trees its own spouts root.
 //!
 //! Topology: hub-and-spoke. Workers connect only to the supervisor; a
-//! tuple crossing worker boundaries makes exactly one relay hop. The
-//! supervisor never decodes relayed tuple payloads — it peeks the
-//! destination component off the frame head and re-frames the body
-//! verbatim ([`crate::protocol::peek_tuple_batch_dest`]).
+//! tuple or an acker batch crossing worker boundaries makes exactly one
+//! relay hop. The supervisor never decodes relayed payloads — it peeks
+//! the destination off the frame head and re-frames the body verbatim
+//! ([`crate::protocol::peek_tuple_batch_dest`],
+//! [`crate::protocol::peek_acker_batch_dest`]).
 //!
 //! Fail-over sequence when a worker dies (or is chaos-killed):
 //! 1. the monitor thread reaps the child and respawns it with the *same*
@@ -16,8 +18,10 @@
 //!    the last offset-commit blob the dead incarnation shipped, so its
 //!    spouts resume from the committed frontier instead of offset 0;
 //! 3. every tuple tree with an edge lost in the dead worker is never
-//!    fully acked, times out at the global acker, and is replayed by the
+//!    fully acked, times out at its owner's acker, and is replayed by the
 //!    owning spout — downstream dedup absorbs the re-delivered prefix.
+//!    Trees the dead worker itself rooted die with its acker; its
+//!    respawned spouts replay from the committed frontier.
 //!
 //! # tguard: gray failures, leases, and generation fencing
 //!
@@ -42,27 +46,28 @@
 //! acker replays whatever the zombie was mid-delivering.
 //!
 //! While a worker's lease is expired, tuple batches routed to it are
-//! **failed fast** at the global acker instead of buffered toward a
-//! frozen socket: the owning spouts replay them once the respawned
-//! incarnation registers. All of it is observable: `tcluster_lease_expired`,
+//! **failed fast** — a `Fail` for each root goes to the acker of the
+//! worker that owns it — instead of buffered toward a frozen socket: the
+//! owning spouts replay them once the respawned incarnation registers.
+//! Acker batches for a down worker are dropped; its acker's trees died
+//! with it. All of it is observable: `tcluster_lease_expired`,
 //! `tcluster_worker_generation`, `tcluster_fenced_frames`, and
 //! `tcluster_relay_failed_fast` in [`Cluster::render_metrics`].
 
-use crate::protocol::{self, Msg, NotifyKind, TAG_TUPLE_BATCH};
+use crate::protocol::{self, Msg, TAG_ACKER_BATCH, TAG_TUPLE_BATCH};
 use crate::{ClusterApp, WorkerContext, ENV_GENERATION, ENV_ROLE, ENV_SUPERVISOR, ENV_WORKER_ID};
 use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Sender};
-use obs::{ClusterScrape, Counter, Gauge, LatencyHistogram, Registry};
+use obs::{ClusterScrape, Counter, Gauge, Registry};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::process::{Child, Command};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-use tchaos::{Clock, FaultPlan, FaultSite};
-use tstorm::ack::{run_acker, AckerMsg, SpoutMsg};
+use tchaos::{FaultPlan, FaultSite};
+use tstorm::ack::RootTag;
 use wire::{frame_into, split_frame};
 
 /// One worker process: which components it runs and whether chaos may
@@ -115,8 +120,8 @@ pub struct SupervisorConfig {
     /// [`tchaos::FaultSite::LinkPartition`] (drawn per relayed tuple
     /// batch).
     pub fault_plan: FaultPlan,
-    /// Tree timeout at the global acker; trees pending longer than this
-    /// are failed back to their spout for replay.
+    /// Tree timeout at every worker's acker; trees pending longer than
+    /// this are failed back to their spout for replay.
     pub message_timeout: Duration,
     /// Extra argv passed to re-executions of the current binary. Test
     /// harnesses pass `["--exact", "<test_fn>", "--nocapture"]` so the
@@ -155,10 +160,10 @@ impl SupervisorConfig {
 
 /// Write timeout on every supervisor→worker mailbox. A SIGSTOPped worker
 /// stops draining its socket; once the kernel buffer fills, an unbounded
-/// `write_all` would wedge the relay and notify threads behind the one
-/// frozen peer for as long as the stall lasts. A timed-out write may
-/// leave a partial frame on the wire, so the stream is condemned
-/// (shutdown + mailbox cleared) — the worker re-dials for a clean one.
+/// `write_all` would wedge the relay threads behind the one frozen peer
+/// for as long as the stall lasts. A timed-out write may leave a partial
+/// frame on the wire, so the stream is condemned (shutdown + mailbox
+/// cleared) — the worker re-dials for a clean one.
 const MAILBOX_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Latest health report from one worker.
@@ -167,12 +172,11 @@ struct WorkerState {
     progress: u64,
     inflight: i64,
     spouts_idle: bool,
+    /// Trees pending at the worker's acker.
+    pending: i64,
     last_status: Option<Instant>,
     drain: Option<Vec<u8>>,
 }
-
-/// `(components, spout slot_map)` for one worker.
-type Assignment = (Vec<String>, Vec<usize>);
 
 struct Shared {
     mailboxes: Vec<Mutex<Option<TcpStream>>>,
@@ -186,11 +190,13 @@ struct Shared {
     relayed: AtomicU64,
     dropped: AtomicU64,
     restarts: AtomicU64,
-    assignments: Vec<Assignment>,
+    /// Components per worker.
+    assignments: Vec<Vec<String>>,
     comp_to_worker: HashMap<String, usize>,
     kill_eligible: Vec<bool>,
-    acker_tx: Sender<AckerMsg>,
-    pending: Arc<AtomicI64>,
+    /// Reads a root's owner (any worker's tag reads the same).
+    tag: RootTag,
+    message_timeout: Duration,
     plan: FaultPlan,
     /// Latest spawned generation per worker slot. Bumped *before* the old
     /// incarnation is touched, so its frames are stale the moment the
@@ -199,7 +205,7 @@ struct Shared {
     generations: Vec<AtomicU64>,
     /// True from lease expiry until the replacement incarnation
     /// registers; tuple batches routed to a down worker are failed fast
-    /// at the acker instead of buffered.
+    /// at their owners' ackers instead of buffered.
     lease_down: Vec<AtomicBool>,
     lease_timeout: Duration,
     /// Supervisor-side tguard metrics, appended to the cluster scrape.
@@ -239,6 +245,31 @@ fn send_to(shared: &Shared, w: usize, msg: &Msg) {
     let mut buf = BytesMut::new();
     protocol::encode(&mut buf, 0, msg);
     write_or_condemn(&mut lock(&shared.mailboxes[w]), &buf);
+}
+
+/// Re-frames `body` verbatim into worker `dest`'s mailbox.
+fn relay(shared: &Shared, dest: usize, id: u64, tag: u8, body: &[u8]) {
+    let mut out = Vec::with_capacity(4 + wire::HEADER_LEN + body.len());
+    frame_into(&mut out, id, tag, |b| b.extend_from_slice(body));
+    write_or_condemn(&mut lock(&shared.mailboxes[dest]), &out);
+}
+
+/// Sends a `Fail` for each of `roots` to the acker of the worker that
+/// owns it, one frame per owner. A down owner gets none: its trees died
+/// with it.
+fn fail_at_owners(shared: &Shared, roots: &[u64]) {
+    let mut by_owner = vec![Vec::new(); shared.mailboxes.len()];
+    for &root in roots {
+        if let Some(fails) = by_owner.get_mut(shared.tag.owner(root)) {
+            fails.push(root);
+        }
+    }
+    for (w, fails) in by_owner.into_iter().enumerate() {
+        if !fails.is_empty() && !shared.lease_down[w].load(Ordering::SeqCst) {
+            let (owner, xors) = (w as u32, Vec::new());
+            send_to(shared, w, &Msg::AckerBatch { owner, xors, fails });
+        }
+    }
 }
 
 fn spawn_worker(
@@ -290,6 +321,16 @@ fn handle_frame(shared: &Shared, w: usize, id: u64, tag: u8, body: &[u8]) {
         shared.fenced.inc();
         return;
     }
+    if tag == TAG_ACKER_BATCH {
+        // Relayed unread to the worker whose acker owns the roots. A down
+        // owner's socket is a black hole, and its trees died with it.
+        if let Ok(owner) = protocol::peek_acker_batch_dest(body) {
+            if owner < shared.mailboxes.len() && !shared.lease_down[owner].load(Ordering::SeqCst) {
+                relay(shared, owner, id, tag, body);
+            }
+        }
+        return;
+    }
     if tag == TAG_TUPLE_BATCH {
         let Ok(dest) = protocol::peek_tuple_batch_dest(body) else {
             return;
@@ -300,7 +341,7 @@ fn handle_frame(shared: &Shared, w: usize, id: u64, tag: u8, body: &[u8]) {
         shared.relayed.fetch_add(1, Ordering::Relaxed);
         if shared.plan.should_fault(FaultSite::LinkPartition) {
             // Dropped on the (simulated) wire: every tree in the batch
-            // times out at the acker and replays from its spout.
+            // times out at its owner's acker and replays from its spout.
             shared.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
@@ -312,28 +353,17 @@ fn handle_frame(shared: &Shared, w: usize, id: u64, tag: u8, body: &[u8]) {
             // waiting out the full tree timeout) toward a frozen peer.
             shared.failed_fast.inc();
             if let Ok(roots) = protocol::peek_tuple_batch_roots(body) {
-                for root in roots {
-                    let _ = shared.acker_tx.send(AckerMsg::Fail { root });
-                }
+                fail_at_owners(shared, &roots);
             }
             return;
         }
-        let mut out = Vec::with_capacity(4 + wire::HEADER_LEN + body.len());
-        frame_into(&mut out, id, TAG_TUPLE_BATCH, |b| b.extend_from_slice(body));
-        write_or_condemn(&mut lock(&shared.mailboxes[dest_worker]), &out);
+        relay(shared, dest_worker, id, tag, body);
         return;
     }
     let Ok(msg) = protocol::decode(tag, body) else {
         return;
     };
     match msg {
-        Msg::AckerBatch(msgs) => {
-            for m in msgs {
-                if !matches!(m, AckerMsg::Shutdown) {
-                    let _ = shared.acker_tx.send(m);
-                }
-            }
-        }
         Msg::Status {
             progress,
             inflight,
@@ -364,6 +394,7 @@ fn handle_frame(shared: &Shared, w: usize, id: u64, tag: u8, body: &[u8]) {
                 }
             }
         }
+        Msg::PendingTrees(n) => lock(&shared.state)[w].pending = n,
         Msg::DrainReport(bytes) => lock(&shared.state)[w].drain = Some(bytes),
         Msg::MetricsReport(samples) => lock(&shared.scrape).ingest(&format!("w{w}"), samples),
         Msg::OffsetCommit(bytes) => lock(&shared.commits)[w] = Some(bytes),
@@ -429,14 +460,14 @@ fn serve_conn(shared: Arc<Shared>, stream: TcpStream) {
                     // blank health record so wait_idle never trusts the
                     // dead incarnation's last report.
                     lock(&shared.state)[w] = WorkerState::default();
-                    let (components, slot_map) = shared.assignments[w].clone();
                     let recovered = lock(&shared.commits)[w].clone();
                     send_to(
                         &shared,
                         w,
                         &Msg::Assignment {
-                            components,
-                            slot_map,
+                            components: shared.assignments[w].clone(),
+                            n_workers: n as u32,
+                            message_timeout_ms: shared.message_timeout.as_millis() as u64,
                             recovered,
                         },
                     );
@@ -527,22 +558,19 @@ fn monitor_loop(shared: Arc<Shared>, addr: SocketAddr, spawn_args: Vec<String>) 
 pub struct Cluster {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    acker: JoinHandle<()>,
     accept: JoinHandle<()>,
     monitor: JoinHandle<()>,
     n: usize,
 }
 
 impl Cluster {
-    /// Validates placement, binds the hub socket, starts the global
-    /// acker, and spawns one worker process per [`WorkerSpec`] by
-    /// re-executing the current binary.
+    /// Validates placement, binds the hub socket, and spawns one worker
+    /// process per [`WorkerSpec`] by re-executing the current binary.
     ///
     /// `build` is invoked once here with a probe context
     /// ([`WorkerContext::is_probe`]) purely to learn the topology's
-    /// component names, parallelism, and spout order; the probe app is
-    /// dropped unlaunched. Worker processes call the same builder through
-    /// [`crate::maybe_run_worker`].
+    /// component names; the probe app is dropped unlaunched. Worker
+    /// processes call the same builder through [`crate::maybe_run_worker`].
     pub fn launch(
         config: SupervisorConfig,
         build: impl Fn(&WorkerContext) -> ClusterApp,
@@ -551,6 +579,10 @@ impl Cluster {
         if n == 0 {
             return Err(invalid("cluster needs at least one worker"));
         }
+        // Every worker's spouts write its index into their roots: more
+        // workers than a root tag can name are refused here, before
+        // anything binds or spawns.
+        let tag = RootTag::new(0, n).map_err(invalid)?;
         let probe = build(&WorkerContext {
             worker_id: u32::MAX,
             recovered: None,
@@ -580,24 +612,6 @@ impl Cluster {
             }
         }
 
-        // Global spout slots: spouts in topology definition order, one
-        // slot per task, owner = the worker running the component.
-        let mut slot_owner = Vec::new();
-        let mut per_worker_slots = vec![Vec::new(); n];
-        for info in infos.iter().filter(|i| i.is_spout) {
-            let w = comp_to_worker[&info.name];
-            for _ in 0..info.parallelism {
-                per_worker_slots[w].push(slot_owner.len());
-                slot_owner.push(w);
-            }
-        }
-        let assignments: Vec<Assignment> = config
-            .workers
-            .iter()
-            .zip(per_worker_slots)
-            .map(|(spec, slots)| (spec.components.clone(), slots))
-            .collect();
-
         let listener = TcpListener::bind(config.bind_addr)?;
         let mut addr = listener.local_addr()?;
         // A wildcard bind (0.0.0.0 / ::) accepts from any interface but is
@@ -609,8 +623,6 @@ impl Cluster {
                 std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
             });
         }
-        let (acker_tx, acker_rx) = unbounded();
-        let pending = Arc::new(AtomicI64::new(0));
         let registry = Registry::new();
         let fenced = registry.counter(
             "tcluster_fenced_frames",
@@ -620,7 +632,7 @@ impl Cluster {
         let failed_fast = registry.counter(
             "tcluster_relay_failed_fast",
             &[],
-            "tuple batches failed at the acker because the destination worker's lease was down",
+            "tuple batches failed at their roots' ackers because the destination worker's lease was down",
         );
         let mut lease_expired = Vec::with_capacity(n);
         let mut gen_gauges = Vec::with_capacity(n);
@@ -651,11 +663,15 @@ impl Cluster {
             relayed: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
-            assignments,
+            assignments: config
+                .workers
+                .iter()
+                .map(|s| s.components.clone())
+                .collect(),
             comp_to_worker,
             kill_eligible: config.workers.iter().map(|s| s.kill_eligible).collect(),
-            acker_tx,
-            pending: Arc::clone(&pending),
+            tag,
+            message_timeout: config.message_timeout,
             plan: config.fault_plan.clone(),
             generations: (0..n).map(|_| AtomicU64::new(1)).collect(),
             lease_down: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -666,58 +682,6 @@ impl Cluster {
             fenced,
             failed_fast,
         });
-
-        // Per-slot notification forwarders: the global acker's spout
-        // channels terminate here and turn into SpoutNotify frames for
-        // whichever worker owns the slot. They exit when run_acker
-        // returns and drops the senders.
-        let mut spout_txs = Vec::with_capacity(slot_owner.len());
-        for (slot, &owner) in slot_owner.iter().enumerate() {
-            let (tx, rx) = unbounded::<SpoutMsg>();
-            spout_txs.push(tx);
-            let sh = Arc::clone(&shared);
-            thread::Builder::new()
-                .name(format!("tcluster-notify-{slot}"))
-                .spawn(move || {
-                    while let Ok(msg) = rx.recv() {
-                        let (kind, ids) = match msg {
-                            SpoutMsg::AckBatch(ids) => (NotifyKind::Ack, ids),
-                            SpoutMsg::Fail(id) => (NotifyKind::Fail, vec![id]),
-                            // Lifecycle messages are meaningful only to
-                            // in-process spouts; worker lifecycle is the
-                            // Shutdown frame's job.
-                            SpoutMsg::Deactivate
-                            | SpoutMsg::Activate
-                            | SpoutMsg::Wake
-                            | SpoutMsg::Shutdown => continue,
-                        };
-                        send_to(
-                            &sh,
-                            owner,
-                            &Msg::SpoutNotify {
-                                global_slot: slot,
-                                kind,
-                                ids,
-                            },
-                        );
-                    }
-                })
-                .map_err(|e| invalid(format!("spawn notify forwarder: {e}")))?;
-        }
-        let timeout = config.message_timeout;
-        let acker_pending = Arc::clone(&pending);
-        let acker = thread::Builder::new()
-            .name("tcluster-acker".into())
-            .spawn(move || {
-                run_acker(
-                    acker_rx,
-                    spout_txs,
-                    timeout,
-                    acker_pending,
-                    Clock::system(),
-                    Arc::new(LatencyHistogram::new()),
-                );
-            })?;
 
         let accept_shared = Arc::clone(&shared);
         let accept = thread::Builder::new()
@@ -744,9 +708,7 @@ impl Cluster {
                         let _ = c.kill();
                         let _ = c.wait();
                     }
-                    let _ = shared.acker_tx.send(AckerMsg::Shutdown);
                     let _ = TcpStream::connect(addr);
-                    let _ = acker.join();
                     let _ = accept.join();
                     return Err(e);
                 }
@@ -762,7 +724,6 @@ impl Cluster {
         Ok(Cluster {
             shared,
             addr,
-            acker,
             accept,
             monitor,
             n,
@@ -795,9 +756,10 @@ impl Cluster {
         self.shared.dropped.load(Ordering::Relaxed)
     }
 
-    /// Tuple trees currently pending at the global acker.
+    /// Tuple trees pending across the workers' ackers, as their latest
+    /// status reports read.
     pub fn pending_trees(&self) -> i64 {
-        self.shared.pending.load(Ordering::SeqCst)
+        lock(&self.shared.state).iter().map(|s| s.pending).sum()
     }
 
     /// The fault plan this cluster is running under (for `fired` counts).
@@ -836,8 +798,8 @@ impl Cluster {
         self.shared.fenced.get()
     }
 
-    /// Tuple batches failed fast at the acker because their destination
-    /// worker's lease was down.
+    /// Tuple batches failed fast at their owners' ackers because their
+    /// destination worker's lease was down.
     pub fn failed_fast_batches(&self) -> u64 {
         self.shared.failed_fast.get()
     }
@@ -861,21 +823,19 @@ impl Cluster {
     }
 
     fn idle_now(&self) -> bool {
-        if self.shared.pending.load(Ordering::SeqCst) != 0 {
-            return false;
-        }
         lock(&self.shared.state).iter().all(|s| {
             s.spouts_idle
                 && s.inflight <= 0
+                && s.pending == 0
                 && s.last_status
                     .is_some_and(|t| t.elapsed() < Duration::from_millis(500))
         })
     }
 
-    /// Waits until the whole cluster is quiescent: zero trees pending at
-    /// the global acker and every worker's *fresh* status reports idle
-    /// spouts with no inflight tuples — stable across three consecutive
-    /// polls, so a single between-batches lull doesn't count.
+    /// Waits until the whole cluster is quiescent: every worker's *fresh*
+    /// status reports idle spouts, no inflight tuples and no tree pending
+    /// at its acker — stable across three consecutive polls, so a single
+    /// between-batches lull doesn't count.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut stable = 0;
@@ -919,8 +879,8 @@ impl Cluster {
     }
 
     /// Stops the cluster: asks every worker to exit, waits up to
-    /// `timeout` before killing stragglers, then tears down the acker,
-    /// accept, and monitor threads.
+    /// `timeout` before killing stragglers, then tears down the accept
+    /// and monitor threads.
     pub fn shutdown(self, timeout: Duration) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         for w in 0..self.n {
@@ -955,8 +915,6 @@ impl Cluster {
             }
             thread::sleep(Duration::from_millis(20));
         }
-        let _ = self.shared.acker_tx.send(AckerMsg::Shutdown);
-        let _ = self.acker.join();
         // The accept thread is parked in accept(); a throwaway connection
         // wakes it so it can observe the flag and exit.
         let _ = TcpStream::connect(self.addr);

@@ -1,8 +1,10 @@
 //! Worker-process runtime: registers with the supervisor, launches the
-//! assigned topology slice, and pumps the four flows a slice needs —
-//! tuple ingress (inject), tuple egress (TCP frames), acker forwarding,
-//! and spout notifications — plus periodic status, metrics, and offset
-//! commits.
+//! assigned topology slice, and pumps the flows a slice needs — tuples in
+//! (inject) and out (TCP frames), and acker traffic in (for the trees
+//! this worker's spouts root) and out (for the trees other workers own)
+//! — plus periodic status, metrics, and offset commits. The slice runs
+//! its own acker, so a spout hears about its trees from inside its own
+//! process.
 //!
 //! Tuple frames never pass through an owned message: egress encodes each
 //! frame straight from the runtime's batches into its pump's reused
@@ -19,17 +21,16 @@
 //! the read loop re-dials and re-registers, all counted in the worker's
 //! runtime metrics (`tcluster_send_errors`, `tcluster_reconnects`).
 
-use crate::protocol::{self, Msg, NotifyKind};
+use crate::protocol::{self, Msg};
 use crate::{ClusterApp, WorkerContext, ENV_GENERATION, ENV_ROLE, ENV_SUPERVISOR, ENV_WORKER_ID};
 use bytes::BytesMut;
-use crossbeam::channel::unbounded;
 use obs::{Counter, Registry};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
-use tstorm::ack::{AckerMsg, SpoutMsg};
+use tstorm::ack::{AckRoute, RootTag};
 use tstorm::remote::{EgressFn, SliceSpec, TupleBatch};
 use tstorm::TopologyHandle;
 use wire::{split_frame, Backoff};
@@ -38,8 +39,6 @@ use wire::{split_frame, Backoff};
 const STATUS_EVERY: Duration = Duration::from_millis(50);
 /// How often the worker exports metric samples.
 const METRICS_EVERY: Duration = Duration::from_millis(200);
-/// Largest acker-forward batch per frame.
-const ACKER_BATCH: usize = 256;
 /// Supervisor dial backoff: first retry delay and cap.
 const CONNECT_BASE: Duration = Duration::from_millis(10);
 const CONNECT_CAP: Duration = Duration::from_millis(500);
@@ -93,9 +92,11 @@ struct WorkerConn {
 /// framed on this stream — so the error is counted and the stream shut
 /// down; the read loop sees EOF and re-dials for a clean one. The acker
 /// replays whatever the lost frame carried.
-fn send(conn: &WorkerConn, msg: &Msg) {
+fn send(conn: &WorkerConn, msgs: &[Msg]) {
     let mut buf = BytesMut::new();
-    protocol::encode(&mut buf, conn.generation, msg);
+    for msg in msgs {
+        protocol::encode(&mut buf, conn.generation, msg);
+    }
     write_frame(conn, &buf);
 }
 
@@ -162,17 +163,21 @@ struct Slice {
     drain: Option<Arc<dyn Fn() -> Vec<u8> + Send + Sync>>,
 }
 
+/// What an [`Msg::Assignment`] hands the worker, kept until `Start`:
+/// components, root tag, tree timeout, recovered commit blob.
+type Assignment = (Vec<String>, RootTag, Duration, Option<Vec<u8>>);
+
 /// Builds the app, launches the assigned slice, and starts the pump
-/// threads. Returns the running slice state the frame loop dispatches to.
+/// threads. Returns the running slice state the frame loop dispatches to,
+/// or the error of a thread that could not be spawned.
 fn launch(
     build: &impl Fn(&WorkerContext) -> ClusterApp,
     worker_id: u32,
-    components: Vec<String>,
-    slot_map: Vec<usize>,
-    recovered: Option<Vec<u8>>,
+    assignment: Assignment,
     conn: &Arc<WorkerConn>,
     runtime: &Registry,
-) -> Slice {
+) -> io::Result<Slice> {
+    let (components, tag, message_timeout, recovered) = assignment;
     let ctx = WorkerContext {
         worker_id,
         recovered,
@@ -187,7 +192,6 @@ fn launch(
         registries,
     } = build(&ctx);
 
-    let (acker_tx, acker_rx) = unbounded::<AckerMsg>();
     let egress_conn = Arc::clone(conn);
     let egress: EgressFn = Arc::new(
         move |frame: &mut Vec<u8>, dest: &str, task: usize, batches: &[TupleBatch]| {
@@ -195,50 +199,24 @@ fn launch(
             write_frame(&egress_conn, frame);
         },
     );
+    let ack_conn = Arc::clone(conn);
     let spec = SliceSpec {
         local: components.into_iter().collect(),
-        slot_map,
-        acker: acker_tx,
+        ack_route: AckRoute {
+            tag,
+            message_timeout,
+            egress: Arc::new(move |owner, xors, fails| {
+                let owner = owner as u32;
+                send(&ack_conn, &[Msg::AckerBatch { owner, xors, fails }]);
+            }),
+        },
         egress,
     };
     let handle = Arc::new(topology.launch_slice(spec));
 
-    // Acker forwarder: drain the slice's acker channel into batched
-    // frames. `AckerMsg::Shutdown` is the local end-of-stream marker (the
-    // executor sends it when the slice shuts down) — everything before it
-    // is forwarded, the marker itself never crosses the wire.
-    let fconn = Arc::clone(conn);
-    thread::Builder::new()
-        .name("tcluster-acker-fwd".into())
-        .spawn(move || loop {
-            let first = match acker_rx.recv() {
-                Ok(m) => m,
-                Err(_) => return,
-            };
-            let mut stop = false;
-            let mut msgs = Vec::new();
-            match first {
-                AckerMsg::Shutdown => stop = true,
-                m => msgs.push(m),
-            }
-            while !stop && msgs.len() < ACKER_BATCH {
-                match acker_rx.try_recv() {
-                    Ok(AckerMsg::Shutdown) => stop = true,
-                    Ok(m) => msgs.push(m),
-                    Err(_) => break,
-                }
-            }
-            if !msgs.is_empty() {
-                send(&fconn, &Msg::AckerBatch(msgs));
-            }
-            if stop {
-                return;
-            }
-        })
-        .expect("spawn acker forwarder");
-
-    // Status + offset commits. Commits only ship when the blob changes,
-    // so an idle worker is one status frame per tick, not two.
+    // Status (with the acker's pending trees, in the same write) + offset
+    // commits. Commits only ship when the blob changes, so an idle worker
+    // is one write per tick, not two.
     let sconn = Arc::clone(conn);
     let shandle = Arc::clone(&handle);
     thread::Builder::new()
@@ -248,23 +226,25 @@ fn launch(
             loop {
                 send(
                     &sconn,
-                    &Msg::Status {
-                        progress: progress.as_ref().map_or(0, |f| f()),
-                        inflight: shandle.inflight(),
-                        spouts_idle: shandle.spouts_idle(),
-                    },
+                    &[
+                        Msg::Status {
+                            progress: progress.as_ref().map_or(0, |f| f()),
+                            inflight: shandle.inflight(),
+                            spouts_idle: shandle.spouts_idle(),
+                        },
+                        Msg::PendingTrees(shandle.pending_trees()),
+                    ],
                 );
                 if let Some(f) = &commit {
                     let blob = f();
                     if last_commit.as_ref() != Some(&blob) {
-                        send(&sconn, &Msg::OffsetCommit(blob.clone()));
+                        send(&sconn, &[Msg::OffsetCommit(blob.clone())]);
                         last_commit = Some(blob);
                     }
                 }
                 thread::sleep(STATUS_EVERY);
             }
-        })
-        .expect("spawn status thread");
+        })?;
 
     // Checkpoint driver: periodically runs the app's checkpoint hook
     // against the live handle. The hook owns the whole protocol (barrier,
@@ -277,8 +257,7 @@ fn launch(
             .spawn(move || loop {
                 thread::sleep(checkpoint_every);
                 ckpt(&chandle);
-            })
-            .expect("spawn checkpoint thread");
+            })?;
     }
 
     let mconn = Arc::clone(conn);
@@ -293,20 +272,30 @@ fn launch(
             }
             // The worker runtime's own transport counters ride along.
             samples.extend(runtime.export());
-            send(&mconn, &Msg::MetricsReport(samples));
+            send(&mconn, &[Msg::MetricsReport(samples)]);
             thread::sleep(METRICS_EVERY);
-        })
-        .expect("spawn metrics thread");
+        })?;
 
-    Slice { handle, drain }
+    Ok(Slice { handle, drain })
 }
 
+/// Exit code of a worker that could not set itself up: a missing or
+/// malformed environment, an unreachable supervisor, a thread the OS
+/// would not spawn.
+const EXIT_SETUP: i32 = 2;
+
 fn worker_main(build: impl Fn(&WorkerContext) -> ClusterApp) -> i32 {
-    let addr = std::env::var(ENV_SUPERVISOR).expect("TCLUSTER_SUPERVISOR not set");
-    let worker_id: u32 = std::env::var(ENV_WORKER_ID)
-        .expect("TCLUSTER_WORKER_ID not set")
-        .parse()
-        .expect("TCLUSTER_WORKER_ID not a u32");
+    let Ok(addr) = std::env::var(ENV_SUPERVISOR) else {
+        eprintln!("tcluster worker: {ENV_SUPERVISOR} not set");
+        return EXIT_SETUP;
+    };
+    let Some(worker_id) = std::env::var(ENV_WORKER_ID)
+        .ok()
+        .and_then(|s| s.parse::<u32>().ok())
+    else {
+        eprintln!("tcluster worker: {ENV_WORKER_ID} missing or not a u32");
+        return EXIT_SETUP;
+    };
     let generation: u64 = std::env::var(ENV_GENERATION)
         .ok()
         .and_then(|s| s.parse().ok())
@@ -329,9 +318,12 @@ fn worker_main(build: impl Fn(&WorkerContext) -> ClusterApp) -> i32 {
             .with_max_attempts(CONNECT_ATTEMPTS),
     ) else {
         eprintln!("tcluster worker {worker_id}: supervisor {addr} unreachable, giving up");
-        return 2;
+        return EXIT_SETUP;
     };
-    let mut read_half = stream.try_clone().expect("clone supervisor stream");
+    let Ok(mut read_half) = stream.try_clone() else {
+        eprintln!("tcluster worker {worker_id}: cannot clone the supervisor stream");
+        return EXIT_SETUP;
+    };
     let conn = Arc::new(WorkerConn {
         stream: Mutex::new(stream),
         generation,
@@ -339,16 +331,15 @@ fn worker_main(build: impl Fn(&WorkerContext) -> ClusterApp) -> i32 {
     });
     send(
         &conn,
-        &Msg::Register {
+        &[Msg::Register {
             worker_id,
             generation,
-        },
+        }],
     );
 
     let mut buf = BytesMut::with_capacity(64 * 1024);
     let mut chunk = vec![0u8; 64 * 1024];
-    type PendingAssignment = (Vec<String>, Vec<usize>, Option<Vec<u8>>);
-    let mut assignment: Option<PendingAssignment> = None;
+    let mut assignment: Option<Assignment> = None;
     let mut slice: Option<Slice> = None;
     // Tuple frames relayed by the supervisor can race this worker's own
     // Start frame (another worker may start a hair earlier); their bodies
@@ -392,17 +383,33 @@ fn worker_main(build: impl Fn(&WorkerContext) -> ClusterApp) -> i32 {
             match msg {
                 Msg::Assignment {
                     components,
-                    slot_map,
+                    n_workers,
+                    message_timeout_ms,
                     recovered,
                 } if slice.is_none() => {
-                    assignment = Some((components, slot_map, recovered));
+                    // A worker index the count cannot tag is a broken
+                    // stream, like any frame that makes no sense here.
+                    let Ok(tag) = RootTag::new(worker_id as usize, n_workers as usize) else {
+                        broken = true;
+                        break;
+                    };
+                    let timeout = Duration::from_millis(message_timeout_ms);
+                    assignment = Some((components, tag, timeout, recovered));
                 }
                 Msg::Start if slice.is_none() => {
-                    let (components, slot_map, recovered) =
-                        assignment.take().expect("Start before Assignment");
-                    let s = launch(
-                        &build, worker_id, components, slot_map, recovered, &conn, &runtime,
-                    );
+                    // A Start with no Assignment before it is a broken
+                    // stream: re-dial, and registering again brings both.
+                    let Some(a) = assignment.take() else {
+                        broken = true;
+                        break;
+                    };
+                    let s = match launch(&build, worker_id, a, &conn, &runtime) {
+                        Ok(s) => s,
+                        Err(e) => {
+                            eprintln!("tcluster worker {worker_id}: cannot start the slice: {e}");
+                            return EXIT_SETUP;
+                        }
+                    };
                     let injected = pre_start
                         .drain(..)
                         .all(|body| protocol::inject(&s.handle, &body).is_ok());
@@ -412,22 +419,11 @@ fn worker_main(build: impl Fn(&WorkerContext) -> ClusterApp) -> i32 {
                         break;
                     }
                 }
-                Msg::SpoutNotify {
-                    global_slot,
-                    kind,
-                    ids,
-                } => {
+                // Before Start no tree here exists to ack: the frame can
+                // only name a dead incarnation's roots.
+                Msg::AckerBatch { xors, fails, .. } => {
                     if let Some(s) = &slice {
-                        match kind {
-                            NotifyKind::Ack => {
-                                s.handle.spout_notify(global_slot, SpoutMsg::AckBatch(ids));
-                            }
-                            NotifyKind::Fail => {
-                                for id in ids {
-                                    s.handle.spout_notify(global_slot, SpoutMsg::Fail(id));
-                                }
-                            }
-                        }
+                        s.handle.ack_remote(xors, &fails);
                     }
                 }
                 Msg::DrainRequest => {
@@ -435,7 +431,7 @@ fn worker_main(build: impl Fn(&WorkerContext) -> ClusterApp) -> i32 {
                         .as_ref()
                         .and_then(|s| s.drain.as_ref())
                         .map_or_else(Vec::new, |f| f());
-                    send(&conn, &Msg::DrainReport(bytes));
+                    send(&conn, &[Msg::DrainReport(bytes)]);
                 }
                 Msg::Shutdown => return 0,
                 // Worker-bound traffic only; anything else is a peer-role

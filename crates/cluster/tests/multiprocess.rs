@@ -16,11 +16,12 @@
 
 use bytes::BytesMut;
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tchaos::{FaultPlan, FaultSite};
 use tcluster::protocol::{self, Msg};
 use tcluster::{
@@ -99,35 +100,38 @@ impl Bolt for DistinctSumBolt {
 
 const SMOKE_LIMIT: u64 = 100;
 
-fn smoke_app(_ctx: &WorkerContext) -> ClusterApp {
+/// One number spout per `(name, first)`, emitting `first..first +
+/// SMOKE_LIMIT`, all shuffled into the set-dedup sum bolt.
+fn number_app(spouts: &[(&str, u64)]) -> ClusterApp {
     let acked = Arc::new(AtomicU64::new(0));
     let seen = Arc::new(Mutex::new(HashSet::new()));
     let mut builder = TopologyBuilder::new();
-    builder.set_spout(
-        "numbers",
-        {
-            let acked = Arc::clone(&acked);
+    for &(name, first) in spouts {
+        let acked = Arc::clone(&acked);
+        builder.set_spout(
+            name,
             move || NumberSpout {
-                next: 1,
-                limit: SMOKE_LIMIT,
+                next: first,
+                limit: first + SMOKE_LIMIT - 1,
                 replay: VecDeque::new(),
                 acked: Arc::clone(&acked),
+            },
+            1,
+        );
+    }
+    let mut sum = builder.set_bolt(
+        "sum",
+        {
+            let seen = Arc::clone(&seen);
+            move || DistinctSumBolt {
+                seen: Arc::clone(&seen),
             }
         },
-        1,
+        2,
     );
-    builder
-        .set_bolt(
-            "sum",
-            {
-                let seen = Arc::clone(&seen);
-                move || DistinctSumBolt {
-                    seen: Arc::clone(&seen),
-                }
-            },
-            2,
-        )
-        .shuffle_grouping("numbers");
+    for &(name, _) in spouts {
+        sum.shuffle_grouping(name);
+    }
     let mut app = ClusterApp::new(builder.build().expect("smoke topology"));
     app.progress = Some(Arc::new(move || acked.load(Ordering::SeqCst)));
     app.drain = Some(Arc::new(move || {
@@ -138,6 +142,10 @@ fn smoke_app(_ctx: &WorkerContext) -> ClusterApp {
         out
     }));
     app
+}
+
+fn smoke_app(_ctx: &WorkerContext) -> ClusterApp {
+    number_app(&[("numbers", 1)])
 }
 
 fn smoke_config(test_fn: &str) -> SupervisorConfig {
@@ -152,13 +160,18 @@ fn smoke_config(test_fn: &str) -> SupervisorConfig {
 
 /// Asserts worker 1's drained state is exactly {1..=SMOKE_LIMIT}.
 fn assert_smoke_drain(cluster: &Cluster) {
+    assert_drain(cluster, 1, SMOKE_LIMIT);
+}
+
+/// Asserts worker `w`'s drained state is exactly {1..=n}.
+fn assert_drain(cluster: &Cluster, w: usize, n: u64) {
     let bytes = cluster
-        .drain(1, Duration::from_secs(10))
-        .expect("drain from worker 1");
+        .drain(w, Duration::from_secs(10))
+        .expect("drain from the bolt worker");
     let count = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
     let sum = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    assert_eq!(count, SMOKE_LIMIT, "distinct values");
-    assert_eq!(sum, SMOKE_LIMIT * (SMOKE_LIMIT + 1) / 2, "sum of 1..=limit");
+    assert_eq!(count, n, "distinct values");
+    assert_eq!(sum, n * (n + 1) / 2, "sum of 1..=n");
 }
 
 #[test]
@@ -191,7 +204,153 @@ fn tuples_cross_process_boundaries_and_drain() {
         "missing runtime families:\n{metrics}"
     );
     assert_eq!(cluster.restarts(), 0, "no worker should have died");
+    assert_eq!(cluster.pending_trees(), 0, "idle with trees pending");
+    // The spout worker's acker tracks its trees, so their latency reaches
+    // the scrape (metrics ship every 200 ms; wait for one after the acks).
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while pipeline_latency_count(&cluster.render_metrics(), "w0") == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "no pipeline latency in w0's series:\n{}",
+            cluster.render_metrics()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
     cluster.shutdown(Duration::from_secs(10));
+}
+
+/// The sample count of `worker`'s `tstorm_pipeline_latency_seconds`
+/// series in a rendered scrape (0 when absent).
+fn pipeline_latency_count(metrics: &str, worker: &str) -> u64 {
+    let series = format!("tstorm_pipeline_latency_seconds_count{{worker=\"{worker}\"}} ");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(&series))
+        .and_then(|n| n.trim().parse().ok())
+        .unwrap_or(0)
+}
+
+/// Two spouts, `low` (1..=limit) and `high` (limit+1..=2*limit), for
+/// workers 0 and 1, and the shared sum bolt for worker 2: the bolt's
+/// acker traffic goes to two different owners. Each worker runs one
+/// spout, so a worker's progress is its spout's acks.
+fn two_owner_app(_ctx: &WorkerContext) -> ClusterApp {
+    number_app(&[("low", 1), ("high", SMOKE_LIMIT + 1)])
+}
+
+#[test]
+fn acks_reach_two_owners_through_one_bolt_worker() {
+    assert!(!maybe_run_worker(two_owner_app));
+    let mut config = SupervisorConfig::new(vec![
+        WorkerSpec::new(["low"]),
+        WorkerSpec::new(["high"]),
+        WorkerSpec::protected(["sum"]),
+    ]);
+    config.message_timeout = Duration::from_millis(1500);
+    config.spawn_args = spawn_args("acks_reach_two_owners_through_one_bolt_worker");
+    let cluster = Cluster::launch(config, two_owner_app).expect("launch");
+    for w in [0, 1] {
+        assert!(
+            cluster.wait_progress(w, SMOKE_LIMIT, Duration::from_secs(60)),
+            "worker {w}'s spout saw {} of {SMOKE_LIMIT} acks",
+            cluster.progress(w)
+        );
+    }
+    assert!(cluster.wait_idle(Duration::from_secs(30)), "never idle");
+    assert_eq!(
+        cluster.progress(0),
+        SMOKE_LIMIT,
+        "low acked exactly once each"
+    );
+    assert_eq!(
+        cluster.progress(1),
+        SMOKE_LIMIT,
+        "high acked exactly once each"
+    );
+    assert_eq!(cluster.pending_trees(), 0);
+    assert_drain(&cluster, 2, 2 * SMOKE_LIMIT);
+    assert_eq!(cluster.restarts(), 0, "no worker should have died");
+    cluster.shutdown(Duration::from_secs(10));
+}
+
+/// Accepts one connection on `listener` within ten seconds.
+fn accept_within(listener: &TcpListener) -> TcpStream {
+    listener.set_nonblocking(true).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                stream.set_nonblocking(false).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                return stream;
+            }
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
+            Err(e) => panic!("no worker connection within 10 s: {e}"),
+        }
+    }
+}
+
+/// Reads the next whole frame off `stream` and decodes it.
+fn read_msg(stream: &mut TcpStream, buf: &mut BytesMut) -> Msg {
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some((_, tag, body)) = wire::split_frame(buf).unwrap() {
+            return protocol::decode(tag, &body).unwrap();
+        }
+        let n = stream.read(&mut chunk).expect("read from the worker");
+        assert!(n > 0, "the worker closed the stream");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+/// A `Start` with no `Assignment` before it is a broken stream, not a
+/// panic: the worker re-dials and registers again, and exits cleanly
+/// when told to.
+#[test]
+fn start_before_assignment_redials() {
+    assert!(!maybe_run_worker(smoke_app));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut child = Command::new(std::env::current_exe().unwrap())
+        .args(spawn_args("start_before_assignment_redials"))
+        .env(tcluster::ENV_ROLE, "worker")
+        .env(
+            tcluster::ENV_SUPERVISOR,
+            listener.local_addr().unwrap().to_string(),
+        )
+        .env(tcluster::ENV_WORKER_ID, "0")
+        .spawn()
+        .expect("spawn a worker");
+    let frame = |msg: &Msg| {
+        let mut out = BytesMut::new();
+        protocol::encode(&mut out, 0, msg);
+        out
+    };
+    let mut first = accept_within(&listener);
+    assert!(matches!(
+        read_msg(&mut first, &mut BytesMut::new()),
+        Msg::Register { worker_id: 0, .. }
+    ));
+    first.write_all(&frame(&Msg::Start)).unwrap();
+    let mut second = accept_within(&listener);
+    assert!(matches!(
+        read_msg(&mut second, &mut BytesMut::new()),
+        Msg::Register { worker_id: 0, .. }
+    ));
+    second.write_all(&frame(&Msg::Shutdown)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("the worker did not exit on Shutdown");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "worker exited with {status}");
 }
 
 /// Reassignment mid-batch: the spout worker dies with tuples in flight;
@@ -305,10 +464,15 @@ fn placement_validation_rejects_bad_specs() {
 // the offsets the dead incarnation committed through the supervisor.
 // ---------------------------------------------------------------------
 
+/// The 160-user stream tguard's CF test also drives. WorkerKill and
+/// WorkerStall draw once per worker-0 heartbeat (~20/s, about half of
+/// them lost to HeartbeatDrop), so a seed injects only what its run lasts
+/// long enough to draw: the stream is sized for runs that span enough
+/// heartbeats for the matrix to kill and stall, not only to converge.
 fn workload() -> Vec<UserAction> {
     let mut actions = Vec::new();
     let mut ts = 0u64;
-    for u in 1..=40u64 {
+    for u in 1..=160u64 {
         for item in [1u64, 2, (u % 5) + 3] {
             ts += 1;
             actions.push(UserAction::new(u, item, ActionType::Click, ts));

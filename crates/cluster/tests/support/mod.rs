@@ -11,6 +11,7 @@
 
 use bytes::BytesMut;
 use tcluster::protocol::{self, Msg};
+use tstorm::ack::AckRoute;
 use tstorm::prelude::*;
 use tstorm::remote::{EgressFn, SliceSpec, TupleBatch, WireTuple};
 
@@ -79,11 +80,9 @@ pub fn launch(egress: EgressFn) -> TopologyHandle {
     for (src, stream, _) in SOURCES {
         sink.grouping_on(src, stream, Grouping::Shuffle);
     }
-    let (acker, _) = crossbeam::channel::unbounded();
     builder.build().unwrap().launch_slice(SliceSpec {
         local: Default::default(),
-        slot_map: Vec::new(),
-        acker,
+        ack_route: AckRoute::local(std::time::Duration::from_secs(30)),
         egress,
     })
 }

@@ -6,6 +6,13 @@
 //! XOR the same id into the entry, so the entry reaches zero exactly when
 //! every edge has been both created and acked — regardless of arrival
 //! order. A sweep fails entries older than the message timeout.
+//!
+//! Every process runs one acker, for the trees its own spouts root. In a
+//! cluster each spout writes its worker index into the root id
+//! ([`RootTag`]), and an acker ships the deltas and failures of roots
+//! another worker owns to that worker through an [`AckerEgressFn`]; the
+//! owner's acker is the only place a tree is tracked. In one process the
+//! tag is zero bits wide and nothing leaves.
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use obs::LatencyHistogram;
@@ -15,13 +22,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tchaos::Clock;
 
-/// Control messages delivered to spout tasks.
-///
-/// Public because a cluster runtime hosts the acker in another process:
-/// notifications come back over the wire and are re-injected through
-/// [`crate::executor::TopologyHandle::spout_notify`].
+/// Control messages delivered to a spout task by its process's acker and
+/// runtime.
 #[derive(Debug)]
-pub enum SpoutMsg {
+pub(crate) enum SpoutMsg {
     /// Acks for every tree completed by one acker message: one channel
     /// message (one wake) instead of one per tree.
     AckBatch(Vec<u64>),
@@ -42,27 +46,29 @@ pub enum SpoutMsg {
 
 /// One root registration carried by [`AckerMsg::InitBatch`].
 #[derive(Debug)]
-pub struct InitEntry {
+pub(crate) struct InitEntry {
     /// Random 64-bit root id of the tuple tree.
-    pub root: u64,
+    pub(crate) root: u64,
     /// XOR of the edge ids of the initial deliveries.
-    pub xor: u64,
-    /// Acker slot of the owning spout task (global across the cluster).
-    pub slot: usize,
+    pub(crate) xor: u64,
+    /// The owning spout task's position among this process's spout tasks.
+    pub(crate) slot: usize,
     /// User-supplied message id, echoed in ack/fail notifications.
-    pub msg_id: u64,
+    pub(crate) msg_id: u64,
     /// Spout emit time in clock milliseconds; the acker measures whole-
     /// pipeline (spout emit -> tree complete) latency from this stamp.
-    pub emit_ms: u64,
+    pub(crate) emit_ms: u64,
 }
 
-/// Messages consumed by the acker loop. Public so a cluster worker can
-/// forward its emitters' acker traffic to a supervisor-hosted acker.
+/// Messages consumed by the acker loop, from this process's spouts and
+/// bolts (and, through [`crate::executor::TopologyHandle::ack_remote`],
+/// from other processes' ackers).
 #[derive(Debug)]
-pub enum AckerMsg {
+pub(crate) enum AckerMsg {
     /// Roots registered since the spout's last flush, shipped together with
     /// the flushed deliveries: one acker message per flush instead of one
-    /// per emitted tuple.
+    /// per emitted tuple. Always local: a spout's roots are its own
+    /// process's to track.
     InitBatch(Vec<InitEntry>),
     /// Pre-folded XOR deltas for a whole execute run: one `(root, xor)`
     /// delta per root, one channel message for the lot (XOR folding is
@@ -73,13 +79,100 @@ pub enum AckerMsg {
         /// Root id of the failed tree.
         root: u64,
     },
-    /// Stop the acker loop (or, on a forwarded channel, the forwarder).
+    /// Stop the acker loop.
     Shutdown,
 }
 
+/// First bit of a root's owner tag. The root map's hasher passes roots
+/// through, and the map picks a bucket from the low bits and a control
+/// byte from the top 7; 16 tag bits from bit 40 sit clear of both.
+const TAG_SHIFT: u32 = 40;
+
+/// Which worker's acker owns a root: the spouts of worker `i` of `n`
+/// write `i` into ⌈log2 n⌉ bits of every root id they draw, from bit 40.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RootTag {
+    worker: u64,
+    mask: u64,
+}
+
+impl RootTag {
+    /// One process: zero bits wide, so a root is its RNG draw unchanged
+    /// and every root is owned here.
+    pub const LOCAL: RootTag = RootTag { worker: 0, mask: 0 };
+
+    /// The tag of worker `worker` of `n_workers`; an error unless
+    /// `worker < n_workers <= 65,536`.
+    pub fn new(worker: usize, n_workers: usize) -> Result<RootTag, &'static str> {
+        if n_workers > 1 << 16 {
+            return Err("more workers than a root tag can name");
+        }
+        if worker >= n_workers {
+            return Err("worker index out of range");
+        }
+        let width = usize::BITS - (n_workers - 1).leading_zeros();
+        Ok(RootTag {
+            worker: worker as u64,
+            mask: ((1 << width) - 1) << TAG_SHIFT,
+        })
+    }
+
+    /// `raw` with this worker's index written into the tag bits.
+    pub fn apply(self, raw: u64) -> u64 {
+        (raw & !self.mask) | (self.worker << TAG_SHIFT)
+    }
+
+    /// The index of the worker whose acker owns `root`.
+    pub fn owner(self, root: u64) -> usize {
+        ((root & self.mask) >> TAG_SHIFT) as usize
+    }
+}
+
+/// Ships acker traffic for roots another worker owns: `(owner, xors,
+/// fails)`, one call per owner with the `(root, xor)` deltas and failed
+/// roots queued since the last call. Called from the acker thread, so it
+/// may block.
+pub type AckerEgressFn = Arc<dyn Fn(usize, Vec<(u64, u64)>, Vec<u64>) + Send + Sync>;
+
+/// How a slice's acker reaches the trees other workers own (see
+/// [`crate::remote::SliceSpec`]).
+pub struct AckRoute {
+    /// This worker's tag, which its spouts write into their roots.
+    pub tag: RootTag,
+    /// Tree timeout of this worker's acker: trees pending longer are
+    /// failed back to their spout for replay.
+    pub message_timeout: Duration,
+    /// Receives the deltas and failures of roots other workers own.
+    pub egress: AckerEgressFn,
+}
+
+impl AckRoute {
+    /// A single process's route: every root is owned here, so the egress
+    /// is never called.
+    pub fn local(message_timeout: Duration) -> AckRoute {
+        AckRoute {
+            tag: RootTag::LOCAL,
+            message_timeout,
+            egress: Arc::new(|_, _, _| {}),
+        }
+    }
+}
+
+/// Deltas and failures queued for one other worker's acker.
+#[derive(Default)]
+struct PeerQueue {
+    xors: Vec<(u64, u64)>,
+    fails: Vec<u64>,
+}
+
+/// The acker ships its peer queues when its channel runs dry, or sooner
+/// once this many deltas and failures have queued (64 KiB of frame).
+const PEER_BATCH: usize = 4096;
+
 /// Pass-through hasher for the root-keyed entry map. Roots are uniform
-/// random u64s drawn from the emitters' RNGs, so they need no further
-/// mixing — SipHash here costs two hashes per tuple for nothing.
+/// random u64s drawn from the emitters' RNGs (but for the [`RootTag`]
+/// bits, which the map never reads), so they need no further mixing —
+/// SipHash here costs two hashes per tuple for nothing.
 #[derive(Default)]
 struct RootHasher(u64);
 
@@ -131,8 +224,8 @@ struct Entry {
     emit_ms: u64,
 }
 
-/// The acker loop's state: the root map, the pending-tree gauge and the
-/// spout channels it notifies.
+/// The acker loop's state: the root map, the pending-tree gauge, the
+/// spout channels it notifies and the traffic queued for other workers.
 struct Acker {
     entries: RootMap,
     spouts: Vec<Sender<SpoutMsg>>,
@@ -142,9 +235,40 @@ struct Acker {
     /// (slot, msg_id) of trees completed by the message being processed;
     /// drained into one `AckBatch` per spout slot after each message.
     completed: Vec<(usize, u64)>,
+    tag: RootTag,
+    /// Indexed by worker; this worker's own queue stays empty.
+    peers: Vec<PeerQueue>,
+    /// Deltas and failures across `peers`.
+    queued: usize,
+    egress: AckerEgressFn,
 }
 
 impl Acker {
+    /// The queue of the worker that owns `root`, or `None` when this
+    /// worker does.
+    fn peer(&mut self, root: u64) -> Option<&mut PeerQueue> {
+        let owner = self.tag.owner(root);
+        if owner as u64 == self.tag.worker {
+            return None;
+        }
+        self.peers.get_mut(owner)
+    }
+
+    /// Ships every peer's queue, one egress call per owner.
+    fn flush_peers(&mut self) {
+        for (owner, q) in self.peers.iter_mut().enumerate() {
+            if q.xors.is_empty() && q.fails.is_empty() {
+                continue;
+            }
+            (self.egress)(
+                owner,
+                std::mem::take(&mut q.xors),
+                std::mem::take(&mut q.fails),
+            );
+        }
+        self.queued = 0;
+    }
+
     /// The entry for `root`, created (and gauged as pending) on first sight.
     fn entry(&mut self, root: u64) -> &mut Entry {
         let (gauge, clock) = (&self.pending_gauge, &self.clock);
@@ -201,6 +325,11 @@ impl Acker {
     }
 
     fn xor(&mut self, root: u64, xor: u64) {
+        if let Some(q) = self.peer(root) {
+            q.xors.push((root, xor));
+            self.queued += 1;
+            return;
+        }
         let e = self.entry(root);
         e.pending ^= xor;
         if e.state == State::Live && e.pending == 0 {
@@ -209,6 +338,11 @@ impl Acker {
     }
 
     fn fail(&mut self, root: u64) {
+        if let Some(q) = self.peer(root) {
+            q.fails.push(root);
+            self.queued += 1;
+            return;
+        }
         let e = self.entry(root);
         match e.state {
             State::AwaitingInit { .. } => e.state = State::AwaitingInit { failed: true },
@@ -266,23 +400,22 @@ impl Acker {
     }
 }
 
-/// Runs the acker loop until shutdown. `pending_gauge` mirrors the number of
-/// pending entries so the topology can detect quiescence. Entry ages are
-/// measured on `clock`, so a mock clock can expire trees in logical time.
-/// `pipeline` collects spout-emit -> tree-complete latencies.
-///
-/// Public so a cluster supervisor can host the one global acker for a
-/// topology whose spouts and bolts are spread over worker processes:
-/// `spouts` is then a vector of forwarding channels, one per global
-/// spout slot.
-pub fn run_acker(
+/// Runs this process's acker loop until shutdown. `pending_gauge`
+/// mirrors the number of pending entries so the topology can detect
+/// quiescence. Entry ages are measured on `clock`, so a mock clock can
+/// expire trees in logical time. `pipeline` collects spout-emit ->
+/// tree-complete latencies. Traffic for roots `route` says another worker
+/// owns leaves through its egress, one call per owner, once the channel
+/// runs dry or [`PEER_BATCH`] deltas have queued.
+pub(crate) fn run_acker(
     rx: Receiver<AckerMsg>,
     spouts: Vec<Sender<SpoutMsg>>,
-    timeout: Duration,
+    route: AckRoute,
     pending_gauge: Arc<AtomicI64>,
     clock: Clock,
     pipeline: Arc<LatencyHistogram>,
 ) {
+    let timeout = route.message_timeout;
     let timeout_ms = timeout.as_millis() as u64;
     // The sweep wakes on real time even under a mock clock (something has
     // to poll); with mock time it polls fast so an `advance()` past the
@@ -294,6 +427,8 @@ pub fn run_acker(
             .min(Duration::from_millis(500))
             .max(Duration::from_millis(10))
     };
+    // One queue per index the tag bits can name.
+    let n_peers = (route.tag.mask >> TAG_SHIFT) as usize + 1;
     let mut acker = Acker {
         entries: RootMap::default(),
         spouts,
@@ -301,6 +436,10 @@ pub fn run_acker(
         clock,
         pipeline,
         completed: Vec::new(),
+        tag: route.tag,
+        peers: (0..n_peers).map(|_| PeerQueue::default()).collect(),
+        queued: 0,
+        egress: route.egress,
     };
     let mut next_sweep = Instant::now() + sweep_every;
     loop {
@@ -322,12 +461,16 @@ pub fn run_acker(
             Err(RecvTimeoutError::Disconnected) => break,
         }
         acker.flush_acks();
+        if acker.queued > 0 && (acker.queued >= PEER_BATCH || rx.is_empty()) {
+            acker.flush_peers();
+        }
         let now = Instant::now();
         if now >= next_sweep {
             acker.sweep(timeout_ms);
             next_sweep = now + sweep_every;
         }
     }
+    acker.flush_peers();
     let pending = acker
         .entries
         .values()
@@ -342,6 +485,7 @@ pub fn run_acker(
 mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
+    use rand::{Rng, SeedableRng};
 
     /// The acker's input, the spout's notifications, the pending gauge
     /// and the acker thread.
@@ -352,14 +496,18 @@ mod tests {
         std::thread::JoinHandle<()>,
     );
 
-    fn setup_with_clock(timeout: Duration, clock: Clock) -> Harness {
+    fn spawn_acker(route: AckRoute, clock: Clock) -> Harness {
         let (tx, rx) = unbounded();
         let (stx, srx) = unbounded();
         let gauge = Arc::new(AtomicI64::new(0));
         let g = Arc::clone(&gauge);
         let pipeline = Arc::new(LatencyHistogram::new());
-        let h = std::thread::spawn(move || run_acker(rx, vec![stx], timeout, g, clock, pipeline));
+        let h = std::thread::spawn(move || run_acker(rx, vec![stx], route, g, clock, pipeline));
         (tx, srx, gauge, h)
+    }
+
+    fn setup_with_clock(timeout: Duration, clock: Clock) -> Harness {
+        spawn_acker(AckRoute::local(timeout), clock)
     }
 
     fn setup(timeout: Duration) -> Harness {
@@ -574,5 +722,99 @@ mod tests {
             other => panic!("expected AckBatch([5]), got {other:?}"),
         }
         stop(tx, h);
+    }
+
+    #[test]
+    fn tag_round_trips_through_the_owner() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        for (n, width) in [(1usize, 0), (2, 1), (3, 2), (65_536, 16)] {
+            for worker in [0, n / 2, n - 1] {
+                let tag = RootTag::new(worker, n).unwrap();
+                // The bits `apply` overwrites: ⌈log2 n⌉ of them.
+                assert_eq!((tag.apply(0) ^ tag.apply(u64::MAX)).count_zeros(), width);
+                for _ in 0..64 {
+                    let raw: u64 = rng.gen();
+                    let root = tag.apply(raw);
+                    // Any worker of the cluster reads the same owner.
+                    assert_eq!(tag.owner(root), worker, "n = {n}");
+                    assert_eq!(RootTag::new(0, n).unwrap().owner(root), worker);
+                    // Only bits 40..56 differ from the draw: clear of the
+                    // low bits and the top 7.
+                    assert_eq!((root ^ raw) & !(0xFFFF << 40), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_width_tag_leaves_the_draw_unchanged() {
+        assert_eq!(RootTag::new(0, 1), Ok(RootTag::LOCAL));
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
+        for _ in 0..1000 {
+            let raw: u64 = rng.gen();
+            assert_eq!(RootTag::LOCAL.apply(raw), raw);
+            assert_eq!(RootTag::LOCAL.owner(raw), 0);
+        }
+    }
+
+    #[test]
+    fn tags_reject_what_they_cannot_name() {
+        assert!(RootTag::new(65_535, 65_536).is_ok());
+        assert!(RootTag::new(0, 65_537).is_err());
+        assert!(RootTag::new(0, usize::MAX).is_err());
+        assert!(RootTag::new(0, 0).is_err());
+        assert!(RootTag::new(3, 3).is_err());
+    }
+
+    #[test]
+    fn roots_another_worker_owns_leave_through_the_egress() {
+        // Worker 1 of 3: deltas and fails for roots of workers 0 and 2
+        // leave through the egress, its own complete here.
+        type Shipped = (usize, Vec<(u64, u64)>, Vec<u64>);
+        let shipped: Arc<std::sync::Mutex<Vec<Shipped>>> = Arc::default();
+        let sink = Arc::clone(&shipped);
+        let route = AckRoute {
+            tag: RootTag::new(1, 3).unwrap(),
+            message_timeout: Duration::from_secs(60),
+            egress: Arc::new(move |owner, xors, fails| {
+                sink.lock().unwrap().push((owner, xors, fails));
+            }),
+        };
+        let of = |w: usize, raw: u64| RootTag::new(w, 3).unwrap().apply(raw);
+        let (tx, srx, gauge, h) = spawn_acker(route, Clock::system());
+        tx.send(AckerMsg::XorBatch(vec![
+            (of(0, 5), 0xA),
+            (of(2, 6), 0xB),
+            (of(0, 7), 0xC),
+        ]))
+        .unwrap();
+        tx.send(AckerMsg::Fail { root: of(2, 8) }).unwrap();
+        init(&tx, of(1, 9), 0xD, 4);
+        xor(&tx, of(1, 9), 0xD);
+        match next(&srx) {
+            SpoutMsg::AckBatch(ids) => assert_eq!(ids, vec![4]),
+            other => panic!("expected AckBatch([4]), got {other:?}"),
+        }
+        stop(tx, h);
+        // The acker may ship between messages; gather its calls by owner.
+        let mut by_owner = std::collections::BTreeMap::<_, (Vec<_>, Vec<_>)>::new();
+        for (owner, xors, fails) in shipped.lock().unwrap().drain(..) {
+            let q = by_owner.entry(owner).or_default();
+            q.0.extend(xors);
+            q.1.extend(fails);
+        }
+        let by_owner: Vec<_> = by_owner.into_iter().collect();
+        assert_eq!(
+            by_owner,
+            vec![
+                (0, (vec![(of(0, 5), 0xA), (of(0, 7), 0xC)], vec![])),
+                (2, (vec![(of(2, 6), 0xB)], vec![of(2, 8)])),
+            ]
+        );
+        assert_eq!(
+            gauge.load(Ordering::Relaxed),
+            0,
+            "nothing foreign is pending here"
+        );
     }
 }

@@ -17,7 +17,7 @@
 //! cases ([`AnchorSet`]), and the per-flush cost (one arena, one meta list,
 //! one `Arc`) is shared by up to `batch_size` tuples.
 
-use crate::ack::{AckerMsg, InitEntry};
+use crate::ack::{AckerMsg, InitEntry, RootTag};
 use crate::channel::{BatchSender, Weigh};
 use crate::grouping::{Route, RoutingRule};
 use crate::metrics::ComponentMetrics;
@@ -438,8 +438,12 @@ fn fold_xor(pending: &mut Vec<(u64, u64)>, root: u64, edge: u64) {
 /// Collector handed to [`crate::component::Spout::next_tuple`].
 pub struct SpoutCollector {
     pub(crate) core: EmitterCore,
-    /// Global slot of this spout task within the acker's notification table.
+    /// This task's position among the process's spout tasks: the row its
+    /// acker notifies.
     pub(crate) slot: usize,
+    /// Written into every root id, so any worker can tell whose acker
+    /// tracks the tree.
+    pub(crate) tag: RootTag,
     pub(crate) emitted_roots: Arc<AtomicU64>,
     /// Root registrations accumulated since the last flush; shipped to the
     /// acker as one `InitBatch` alongside the flushed deliveries.
@@ -475,7 +479,7 @@ impl SpoutCollector {
                 self.core.dispatch(stream, values, |_| AnchorSet::None);
             }
             Some(id) => {
-                let root: u64 = self.core.rng.gen();
+                let root = self.tag.apply(self.core.rng.gen());
                 let mut xor = 0u64;
                 self.core.dispatch(stream, values, |rng| {
                     let edge: u64 = rng.gen();

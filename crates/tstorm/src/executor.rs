@@ -14,7 +14,7 @@
 //! in the collector's scatter buffers, and each run ships one pre-folded
 //! `XorBatch` to the acker.
 
-use crate::ack::{run_acker, AckerMsg, SpoutMsg};
+use crate::ack::{run_acker, AckRoute, AckerMsg, SpoutMsg};
 use crate::channel::{
     batch_channel_with_stats, BatchReceiver, BatchSender, ChannelStats, RecvBatch, Weigh,
 };
@@ -30,7 +30,7 @@ use crate::metrics::{
 use crate::remote::{Injector, SliceSpec, SourceStream};
 use crate::topology::{BoltFactory, Topology};
 use crate::tuple::AnchorSet;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,19 +56,20 @@ impl Topology {
     /// Starts only the slice of the topology named in `spec.local`, for a
     /// cluster worker process. Remote components get no task threads;
     /// tuples routed to them leave through `spec.egress` (and arrive from
-    /// elsewhere through [`TopologyHandle::injector`]). No acker thread
-    /// runs — acker traffic drains into `spec.acker` for the
-    /// supervisor-hosted global acker, whose notifications re-enter
-    /// through [`TopologyHandle::spout_notify`].
+    /// elsewhere through [`TopologyHandle::injector`]). The slice's acker
+    /// tracks the trees its own spouts root; traffic for other workers'
+    /// roots leaves through `spec.ack_route` and theirs arrives through
+    /// [`TopologyHandle::ack_remote`].
     pub fn launch_slice(self, spec: SliceSpec) -> TopologyHandle {
         self.launch_inner(Some(spec))
     }
 
     fn launch_inner(self, spec: Option<SliceSpec>) -> TopologyHandle {
-        let is_local = |name: &str| match &spec {
-            None => true,
-            Some(s) => s.local.contains(name),
+        let (local, route, egress) = match spec {
+            None => (None, AckRoute::local(self.config.message_timeout), None),
+            Some(s) => (Some(s.local), s.ack_route, Some(s.egress)),
         };
+        let is_local = |name: &str| local.as_ref().is_none_or(|l| l.contains(name));
         let mut metrics = MetricsRegistry::default();
         let obs = self.config.registry.clone();
         let inflight = Arc::new(AtomicI64::new(0));
@@ -100,25 +101,13 @@ impl Topology {
         );
         let batch_size = self.config.batch_size.max(1);
         let flush_interval = self.config.flush_interval;
-        // In a slice only local spout tasks exist here; the slot map
-        // translates their local positions to global acker slots.
+        // In a slice only local spout tasks exist here.
         let total_spout_tasks: usize = self
             .spouts
             .iter()
             .filter(|s| is_local(&s.name))
             .map(|s| s.parallelism)
             .sum();
-        let slot_map: Vec<usize> = match &spec {
-            None => (0..total_spout_tasks).collect(),
-            Some(s) => {
-                assert_eq!(
-                    s.slot_map.len(),
-                    total_spout_tasks,
-                    "slot map must cover every local spout task"
-                );
-                s.slot_map.clone()
-            }
-        };
         // One flag per spout task: true once its most recent poll found
         // nothing to emit (or it was deactivated). `wait_idle` requires all
         // flags set, so it cannot return before a slow-starting spout has
@@ -156,28 +145,7 @@ impl Topology {
             bolt_rxs.insert(&b.name, rxs);
         }
 
-        // Spout control channels + acker slot table. A slice has no acker
-        // of its own: emitters send into the spec's channel, which the
-        // cluster layer forwards to the supervisor's global acker.
-        let (acker_tx, acker_rx) = match &spec {
-            None => {
-                let (tx, rx) = unbounded::<AckerMsg>();
-                (tx, Some(rx))
-            }
-            Some(s) => (s.acker.clone(), None),
-        };
-        let mut spout_ctl_txs: Vec<Sender<SpoutMsg>> = Vec::new();
-        let mut spout_ctl_rxs: Vec<Receiver<SpoutMsg>> = Vec::new();
-        for s in &self.spouts {
-            if !is_local(&s.name) {
-                continue;
-            }
-            for _ in 0..s.parallelism {
-                let (tx, rx) = unbounded();
-                spout_ctl_txs.push(tx);
-                spout_ctl_rxs.push(rx);
-            }
-        }
+        let (acker_tx, acker_rx) = unbounded::<AckerMsg>();
 
         // Output maps: component -> stream -> consumers.
         let mut output_maps: HashMap<&str, Arc<OutputMap>> = HashMap::new();
@@ -232,19 +200,6 @@ impl Topology {
             })
             .collect();
 
-        // Acker thread (single-process mode only; a slice forwards).
-        let acker_handle = acker_rx.map(|acker_rx| {
-            let spouts = spout_ctl_txs.clone();
-            let timeout = self.config.message_timeout;
-            let gauge = Arc::clone(&acker_pending);
-            let clock = self.config.clock.clone();
-            let pipeline = Arc::clone(&pipeline);
-            std::thread::Builder::new()
-                .name("tstorm-acker".into())
-                .spawn(move || run_acker(acker_rx, spouts, timeout, gauge, clock, pipeline))
-                .expect("spawn acker")
-        });
-
         let mut threads: Vec<JoinHandle<()>> = Vec::new();
 
         // Remote bolts: their input queues exist (emitters route into them
@@ -254,7 +209,7 @@ impl Topology {
             if is_local(&b.name) {
                 continue;
             }
-            let egress = Arc::clone(&spec.as_ref().expect("remote bolt implies slice").egress);
+            let egress = Arc::clone(egress.as_ref().expect("remote bolt implies slice"));
             let mut rxs = bolt_rxs.remove(b.name.as_str()).expect("rx registered");
             for task_index in (0..b.parallelism).rev() {
                 let rx = rxs.pop().expect("one rx per task");
@@ -432,10 +387,10 @@ impl Topology {
             }
         }
 
-        // Spout tasks. `slot` counts local spout tasks; the collector is
-        // handed the *global* acker slot so Init entries name the right
-        // notification row wherever the acker runs.
+        // Spout tasks. `slot` counts local spout tasks: the row of the
+        // acker's notification table, which holds their control channels.
         let mut slot = 0usize;
+        let mut spout_ctl_txs: Vec<Sender<SpoutMsg>> = Vec::new();
         let mut spout_threads: Vec<JoinHandle<()>> = Vec::new();
         for s in &self.spouts {
             if !is_local(&s.name) {
@@ -443,7 +398,8 @@ impl Topology {
             }
             let comp_metrics = metrics.register(&s.name, &obs);
             for task_index in 0..s.parallelism {
-                let rx = spout_ctl_rxs[slot].clone();
+                let (ctl_tx, rx) = unbounded();
+                spout_ctl_txs.push(ctl_tx.clone());
                 let mut spout = (s.factory)();
                 let ctx = TaskContext {
                     component: s.name.clone(),
@@ -461,7 +417,8 @@ impl Topology {
                         self.config.fault_plan.clone(),
                         batch_size,
                     ),
-                    slot: slot_map[slot],
+                    slot,
+                    tag: route.tag,
                     emitted_roots: Arc::clone(&emitted_roots),
                     pending_inits: Vec::new(),
                     now_ms: self.config.clock.now_ms(),
@@ -471,7 +428,7 @@ impl Topology {
                 let name = s.name.clone();
                 let idle_flags = Arc::clone(&spout_idle);
                 let my_slot = slot;
-                let waker = SpoutWaker::new(spout_ctl_txs[slot].clone());
+                let waker = SpoutWaker::new(ctl_tx);
                 spout_threads.push(
                     std::thread::Builder::new()
                         .name(format!("tstorm-{name}-{task_index}"))
@@ -578,6 +535,17 @@ impl Topology {
             }
         }
 
+        let acker_handle = {
+            let spouts = spout_ctl_txs.clone();
+            let gauge = Arc::clone(&acker_pending);
+            let clock = self.config.clock.clone();
+            let pipeline = Arc::clone(&pipeline);
+            std::thread::Builder::new()
+                .name("tstorm-acker".into())
+                .spawn(move || run_acker(acker_rx, spouts, route, gauge, clock, pipeline))
+                .expect("spawn acker")
+        };
+
         TopologyHandle {
             metrics,
             registry: obs,
@@ -592,7 +560,6 @@ impl Topology {
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
             acker_tx,
-            slot_map,
             sources,
             threads,
             spout_threads,
@@ -716,15 +683,12 @@ pub struct TopologyHandle {
     spout_ctl_txs: Vec<Sender<SpoutMsg>>,
     bolt_txs: HashMap<String, Vec<BatchSender<BoltMsg>>>,
     acker_tx: Sender<AckerMsg>,
-    /// Local spout task position -> global acker slot (identity in
-    /// single-process mode).
-    slot_map: Vec<usize>,
     /// Every declared stream, for re-attaching schemas to injected
     /// tuples.
     sources: Vec<SourceStream>,
     threads: Vec<JoinHandle<()>>,
     spout_threads: Vec<JoinHandle<()>>,
-    acker_handle: Option<JoinHandle<()>>,
+    acker_handle: JoinHandle<()>,
 }
 
 impl TopologyHandle {
@@ -794,14 +758,16 @@ impl TopologyHandle {
         Ok(Injector::new(tx, &self.sources, &self.inflight, n_tuples))
     }
 
-    /// Routes a spout notification from a remote (supervisor-hosted)
-    /// acker to the local task owning `global_slot`. Notifications for
-    /// slots not hosted here are dropped — after a reassignment the
-    /// supervisor can briefly hold stale routes, and a lost ack/fail only
-    /// delays the tree until the timeout sweep replays it.
-    pub fn spout_notify(&self, global_slot: usize, msg: SpoutMsg) {
-        if let Some(local) = self.slot_map.iter().position(|&g| g == global_slot) {
-            let _ = self.spout_ctl_txs[local].send(msg);
+    /// Hands this process's acker the `(root, xor)` deltas and failed
+    /// roots another worker's acker shipped for trees rooted here (see
+    /// [`crate::ack::AckRoute`]). A root no tree here has — one of a dead
+    /// incarnation's — is swept after the message timeout.
+    pub fn ack_remote(&self, xors: Vec<(u64, u64)>, fails: &[u64]) {
+        if !xors.is_empty() {
+            let _ = self.acker_tx.send(AckerMsg::XorBatch(xors));
+        }
+        for &root in fails {
+            let _ = self.acker_tx.send(AckerMsg::Fail { root });
         }
     }
 
@@ -904,9 +870,7 @@ impl TopologyHandle {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        if let Some(h) = self.acker_handle.take() {
-            let _ = h.join();
-        }
+        let _ = self.acker_handle.join();
     }
 
     /// Graceful shutdown: drain (bounded by `timeout`), then stop all tasks
@@ -928,9 +892,7 @@ impl TopologyHandle {
             let _ = t.join();
         }
         let _ = self.acker_tx.send(AckerMsg::Shutdown);
-        if let Some(h) = self.acker_handle.take() {
-            let _ = h.join();
-        }
+        let _ = self.acker_handle.join();
         self.metrics.snapshot()
     }
 }

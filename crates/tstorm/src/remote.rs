@@ -16,18 +16,21 @@
 //! becomes an owned [`WireTuple`] on either side; that form is the
 //! codec's owned view for tests and probes.
 //!
-//! Acker traffic flows through the spec's [`SliceSpec::acker`] sender
-//! instead of a local acker thread — a cluster runs exactly one XOR
-//! acker (hosted by the supervisor), so tuple trees span processes while
-//! keeping the single-process completion semantics: an edge lost on the
-//! wire is an edge never acked, the tree times out at the global acker,
+//! A slice runs its own acker, as a whole topology does, for the trees
+//! its own spouts root. Its spouts write the worker's index into every
+//! root id ([`crate::ack::RootTag`]), so a bolt anywhere in the cluster
+//! can name the acker a tree belongs to: deltas and failures for roots
+//! another worker owns leave through [`SliceSpec::ack_route`]'s egress
+//! and re-enter the owner through
+//! [`crate::executor::TopologyHandle::ack_remote`]. Trees span processes
+//! with the single-process completion semantics: an edge lost on the
+//! wire is an edge never acked, the tree times out at its owner's acker,
 //! and the owning spout replays it.
 
-use crate::ack::AckerMsg;
+use crate::ack::AckRoute;
 use crate::channel::BatchSender;
 use crate::collector::{BoltMsg, TupleMeta};
 use crate::tuple::{AnchorSet, BatchShared, Schema, Tuple, Value};
-use crossbeam::channel::Sender;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -300,15 +303,9 @@ pub struct SliceSpec {
     /// so fields groupings keep their key→task contract without any
     /// cross-process coordination.
     pub local: HashSet<String>,
-    /// For the i-th local spout task (counting local spouts in topology
-    /// definition order), its *global* acker slot. `InitEntry::slot`
-    /// carries the global slot; notifications come back through
-    /// [`crate::executor::TopologyHandle::spout_notify`].
-    pub slot_map: Vec<usize>,
-    /// Destination for all acker traffic. No local acker thread runs; the
-    /// cluster layer drains this channel into the supervisor's global
-    /// acker (treating [`AckerMsg::Shutdown`] as end-of-stream).
-    pub acker: Sender<AckerMsg>,
+    /// This worker's root tag, its acker's tree timeout, and where acker
+    /// traffic for other workers' roots goes.
+    pub ack_route: AckRoute,
     /// Receives every batch routed to a non-local component.
     pub egress: EgressFn,
 }

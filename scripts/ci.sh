@@ -10,20 +10,24 @@ cargo build --workspace --release
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
-# Panic-site stage: no `.unwrap()` or `.expect(` in tdstore's non-test
-# code (everything before a file's `#[cfg(test)]`, doc comments aside).
-# The store's checkpoint log is the only durable copy of its state, so a
-# bad byte or a failed disk call there must come back as an error.
-echo "==> no unwrap/expect in tdstore non-test code"
-panic_sites="$(git ls-files 'crates/tdstore/src/*.rs' | while read -r f; do
-    awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
-        /\.unwrap\(\)|\.expect\(/ && !/^ *\/\/[\/!]/ { print f ":" FNR ": " $0 }' "$f"
-done)"
-if [[ -n "$panic_sites" ]]; then
-    echo "PANIC-SITE FAILURE: unwrap/expect in tdstore non-test code:" >&2
-    echo "$panic_sites" >&2
-    exit 1
-fi
+# Panic-site stage: no `.unwrap()` or `.expect(` in the non-test code
+# (everything before a file's `#[cfg(test)]`, doc comments aside) of the
+# crates that bytes from a disk or a socket reach. The store's checkpoint
+# log is the only durable copy of its state, and a cluster worker reads
+# every frame the supervisor relays, so a bad byte, a failed disk call or
+# a thread the OS refuses must come back as an error.
+for crate in tdstore cluster; do
+    echo "==> no unwrap/expect in $crate non-test code"
+    panic_sites="$(git ls-files "crates/$crate/src/*.rs" | while read -r f; do
+        awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
+            /\.unwrap\(\)|\.expect\(/ && !/^ *\/\/[\/!]/ { print f ":" FNR ": " $0 }' "$f"
+    done)"
+    if [[ -n "$panic_sites" ]]; then
+        echo "PANIC-SITE FAILURE: unwrap/expect in $crate non-test code:" >&2
+        echo "$panic_sites" >&2
+        exit 1
+    fi
+done
 
 # Chaos stage: the convergence test must hold for every seed in the fixed
 # matrix. Seeds run one at a time so a failure names the guilty seed

@@ -13,13 +13,13 @@ use bytes::{BufMut, BytesMut};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use tcluster::protocol::{self, Msg, NotifyKind};
+use tcluster::protocol::{self, Msg};
 use tdstore::{FdbEngine, SnapshotStore, StorageEngine};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::OffsetTable;
 use tserve::protocol::{decode_request, decode_response, encode_request, encode_response};
 use tserve::{Request, Response};
-use tstorm::ack::{AckerMsg, InitEntry};
+use tstorm::ack::AckRoute;
 use tstorm::prelude::*;
 use tstorm::remote::{SliceSpec, TupleBatch, WireTuple};
 use wire::{split_frame, with_frame, COUNT_TOO_LARGE};
@@ -192,11 +192,9 @@ fn corpus_slice() -> TopologyHandle {
     builder
         .set_bolt("sum", || |_: &Tuple, _: &mut BoltCollector| Ok(()), 2)
         .shuffle_grouping("numbers");
-    let (acker, _) = crossbeam::channel::unbounded();
     builder.build().unwrap().launch_slice(SliceSpec {
         local: Default::default(),
-        slot_map: Vec::new(),
-        acker,
+        ack_route: AckRoute::local(std::time::Duration::from_secs(30)),
         egress: Arc::new(|_: &mut Vec<u8>, _: &str, _: usize, _: &[TupleBatch]| {}),
     })
 }
@@ -223,13 +221,6 @@ fn cluster_protocol_frames() {
         ],
         anchors: vec![(10, 20)],
     };
-    let init = InitEntry {
-        root: 6,
-        xor: 7,
-        slot: 8,
-        msg_id: 9,
-        emit_ms: 10,
-    };
     let msgs = [
         Msg::Register {
             worker_id: 1,
@@ -237,7 +228,8 @@ fn cluster_protocol_frames() {
         },
         Msg::Assignment {
             components: vec!["sum".into()],
-            slot_map: vec![4],
+            n_workers: 3,
+            message_timeout_ms: 1500,
             recovered: Some(vec![1, 2, 3]),
         },
         Msg::TupleBatch {
@@ -245,16 +237,12 @@ fn cluster_protocol_frames() {
             dest_task: 1,
             tuples: vec![tuple],
         },
-        Msg::AckerBatch(vec![
-            AckerMsg::InitBatch(vec![init]),
-            AckerMsg::XorBatch(vec![(13, 14)]),
-            AckerMsg::Fail { root: 17 },
-        ]),
-        Msg::SpoutNotify {
-            global_slot: 0,
-            kind: NotifyKind::Fail,
-            ids: vec![1, 2],
+        Msg::AckerBatch {
+            owner: 2,
+            xors: vec![(13, 14)],
+            fails: vec![17],
         },
+        Msg::PendingTrees(3),
         Msg::Status {
             progress: 5,
             inflight: -1,
@@ -283,6 +271,9 @@ fn cluster_protocol_frames() {
                 if bytes == valid {
                     assert!(injected, "valid tuple batch not injected");
                 }
+            }
+            if tag == protocol::TAG_ACKER_BATCH {
+                let _ = protocol::peek_acker_batch_dest(body);
             }
             decoded
         });
