@@ -46,7 +46,7 @@
 use obs::{Counter, Gauge, Registry};
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tdstore::{SnapshotMeta, SnapshotStore, StoreError, TdStore};
 use tencentrec::topology::{OffsetTable, PartitionId};
@@ -319,7 +319,11 @@ impl Coordinator {
         offsets: &OffsetTable,
         now_ms: u64,
     ) -> Result<SnapshotMeta, CkptError> {
-        let _gate = self.gate.lock().unwrap();
+        // The gate guards no data, and the capture below is replaced only
+        // whole, after a publish, and checked against the newest epoch
+        // before use: a checkpoint that panicked left nothing half-made,
+        // so a poisoned lock is taken as it is.
+        let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
         let barrier_start = Instant::now();
         let sealed = handle.with_barrier(self.config.drain_timeout, || {
             (state.scan_prefix(b""), offsets.encode())
@@ -347,7 +351,7 @@ impl Coordinator {
         // The capture is only usable if it still matches the newest
         // on-disk epoch (a restore or publish failure in between
         // invalidates it, and the next epoch rebases).
-        let mut prev_slot = self.prev.lock().unwrap();
+        let mut prev_slot = self.prev.lock().unwrap_or_else(PoisonError::into_inner);
         let latest_epoch = self.snapshots.latest().map_or(0, |m| m.epoch);
         let usable_prev = prev_slot
             .as_ref()

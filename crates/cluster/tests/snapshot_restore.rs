@@ -7,8 +7,8 @@
 //! fault-free baseline.
 //!
 //! The offset vector a worker-local barrier seals can lag the landed
-//! state by up to the spout's span cap (acks round-trip through
-//! the supervisor's global acker), so the replayed tail overlaps events
+//! state by up to the spout's span cap (a tree is acked only after its
+//! bolts have written it), so the replayed tail overlaps events
 //! already folded into the snapshot; the dedup rings restored *with* the
 //! state absorb exactly that overlap (`dedup_window` ≥ `max_pending`).
 

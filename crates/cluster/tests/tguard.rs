@@ -394,7 +394,7 @@ fn workload() -> Vec<UserAction> {
 fn cf_config() -> CfPipelineConfig {
     CfPipelineConfig {
         // Covers the replay horizon of a barrier sealed with acks still
-        // in flight through the supervisor's global acker.
+        // in flight to the spout's own acker, relayed by the supervisor.
         dedup_window: 256,
         ..Default::default()
     }

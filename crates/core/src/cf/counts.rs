@@ -53,18 +53,20 @@ impl<K: Eq + Hash + Copy> WindowedCounts<K> {
 
     /// Adds `delta` to `key`'s count at time `ts`, expiring old sessions
     /// first. Deltas for timestamps older than the window are ignored.
-    pub fn add(&mut self, key: K, delta: f64, ts: Timestamp) {
+    /// Returns whether a session expired, which may have lowered any
+    /// count.
+    pub fn add(&mut self, key: K, delta: f64, ts: Timestamp) -> bool {
         let Some(window) = self.window else {
             *self.totals.entry(key).or_insert(0.0) += delta;
-            return;
+            return false;
         };
         let session = window.session_of(ts);
-        self.advance_to(session);
+        let expired = self.advance_to(session);
         // The window trails the highest session seen, so late events
         // within the window still count and events older than it drop.
         let oldest_kept = self.max_session.saturating_sub(window.sessions as u64 - 1);
         if session < oldest_kept {
-            return;
+            return expired;
         }
         // Locate or create the session bucket (out-of-order within the
         // window is allowed).
@@ -77,17 +79,23 @@ impl<K: Eq + Hash + Copy> WindowedCounts<K> {
         };
         *self.per_session[target].1.entry(key).or_insert(0.0) += delta;
         *self.totals.entry(key).or_insert(0.0) += delta;
+        expired
     }
 
-    /// Expires sessions older than `max(current, watermark) - W + 1`.
-    pub fn advance_to(&mut self, current_session: u64) {
-        let Some(window) = self.window else { return };
+    /// Expires sessions older than `max(current, watermark) - W + 1`;
+    /// returns whether any did.
+    pub fn advance_to(&mut self, current_session: u64) -> bool {
+        let Some(window) = self.window else {
+            return false;
+        };
         self.max_session = self.max_session.max(current_session);
         let oldest_kept = self.max_session.saturating_sub(window.sessions as u64 - 1);
+        let mut expired = false;
         while let Some(&(session, _)) = self.per_session.front() {
             if session >= oldest_kept {
                 break;
             }
+            expired = true;
             let (_, counts) = self.per_session.pop_front().expect("front checked");
             for (key, value) in counts {
                 if let Some(total) = self.totals.get_mut(&key) {
@@ -98,6 +106,7 @@ impl<K: Eq + Hash + Copy> WindowedCounts<K> {
                 }
             }
         }
+        expired
     }
 
     /// Expires based on a timestamp rather than a session index.

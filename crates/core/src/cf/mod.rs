@@ -33,7 +33,7 @@ pub use pruning::{hoeffding_epsilon, PruneState};
 pub use similar::SimilarTable;
 
 use crate::action::{ActionWeights, UserAction};
-use crate::types::{FxHashMap, ItemId, ItemPair, UserId};
+use crate::types::{keep_least, FxHashMap, ItemId, ItemPair, UserId};
 
 /// Configuration of the practical item-based CF.
 #[derive(Debug, Clone)]
@@ -192,38 +192,38 @@ impl ItemCF {
     /// personalised filtering of §4.3: candidates come from the similar
     /// items of the user's `recent_k` most recent items, and predictions
     /// are weighted by the user's ratings of those recent items).
+    ///
+    /// Both sums of a candidate live in one map entry, and the final `n`
+    /// are picked by selection under a total order (score · confidence
+    /// descending, then item), so the page is the one a full sort gives.
     pub fn recommend(&self, user: UserId, n: usize) -> Vec<Recommendation> {
         let Some(history) = self.history.user(user) else {
             return Vec::new();
         };
-        let mut num: FxHashMap<ItemId, f64> = FxHashMap::default();
-        let mut den: FxHashMap<ItemId, f64> = FxHashMap::default();
+        let mut sums: FxHashMap<ItemId, (f64, f64)> = FxHashMap::default();
         for (recent_item, rating) in history.recent(self.config.recent_k) {
             for &(candidate, sim) in self.similar.similar(recent_item) {
                 if history.has_rated(candidate) {
                     continue;
                 }
-                *num.entry(candidate).or_insert(0.0) += sim * rating;
-                *den.entry(candidate).or_insert(0.0) += sim;
+                let (num, den) = sums.entry(candidate).or_insert((0.0, 0.0));
+                *num += sim * rating;
+                *den += sim;
             }
         }
-        let mut recs: Vec<Recommendation> = num
+        let mut recs: Vec<Recommendation> = sums
             .into_iter()
-            .map(|(item, numerator)| {
-                let confidence = den[&item];
-                Recommendation {
-                    item,
-                    score: numerator / confidence,
-                    confidence,
-                }
+            .map(|(item, (numerator, confidence))| Recommendation {
+                item,
+                score: numerator / confidence,
+                confidence,
             })
             .collect();
-        recs.sort_by(|a, b| {
+        keep_least(&mut recs, n, |a, b| {
             (b.score * b.confidence)
                 .total_cmp(&(a.score * a.confidence))
                 .then(a.item.cmp(&b.item))
         });
-        recs.truncate(n);
         recs
     }
 

@@ -6,11 +6,14 @@
 //! one. Per group the algorithm tracks **hot items** over a sliding
 //! window; for cold or inactive users — or when CF/CB confidence is low —
 //! the group's hot items complement the recommendation list. Users with no
-//! demographic information fall back to the global group.
+//! demographic information fall back to the global group. Each group keeps
+//! its [`HOT_LIST_LEN`] best items as its counts change, so a page does
+//! not rank the catalog.
 
 use crate::action::{ActionWeights, UserAction};
 use crate::cf::counts::{WindowConfig, WindowedCounts};
-use crate::types::{FxHashMap, FxHashSet, ItemId, UserId};
+use crate::types::{keep_least, FxHashMap, FxHashSet, ItemId, Timestamp, UserId};
+use std::cmp::Ordering;
 
 /// Demographic attributes of a user. Unknown attributes use the
 /// `UNKNOWN_*` sentinels.
@@ -109,14 +112,110 @@ impl GroupScheme {
     }
 }
 
+/// Length of the hot list each group keeps, in both DB forms: its
+/// [`HOT_LIST_LEN`] best items by [`hot_order`]. A page of a few dozen
+/// items is answered from it without ranking the catalog.
+pub const HOT_LIST_LEN: usize = 64;
+
+/// The order hot items rank in: count descending, then item ascending.
+pub fn hot_order(a: &(ItemId, f64), b: &(ItemId, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// The full ranking: the `n` best of `items` by [`hot_order`], skipping
+/// `exclude`. A hot list is built from it, and a query its list cannot
+/// answer falls back to it.
+pub(crate) fn rank_hot(
+    items: impl Iterator<Item = (ItemId, f64)>,
+    exclude: &FxHashSet<ItemId>,
+    n: usize,
+) -> Vec<(ItemId, f64)> {
+    let mut ranked: Vec<(ItemId, f64)> =
+        items.filter(|(item, _)| !exclude.contains(item)).collect();
+    keep_least(&mut ranked, n, hot_order);
+    ranked
+}
+
+/// One group's windowed hot-item counts and the hot list kept from them:
+/// the [`HOT_LIST_LEN`] best entries of `counts` in [`hot_order`]. A list
+/// shorter than that holds every counted item.
+#[derive(Debug, Clone)]
+struct GroupHot {
+    counts: WindowedCounts<ItemId>,
+    list: Vec<(ItemId, f64)>,
+}
+
+impl GroupHot {
+    fn new(window: Option<WindowConfig>) -> Self {
+        GroupHot {
+            counts: WindowedCounts::new(window),
+            list: Vec::new(),
+        }
+    }
+
+    /// Counts `weight > 0` for `item` and keeps the list exact: an expiry
+    /// can lower any count, so it rebuilds the list; otherwise only
+    /// `item`'s count grew, so only its entry can move, and only up.
+    fn add(&mut self, item: ItemId, weight: f64, ts: Timestamp) {
+        if self.counts.add(item, weight, ts) {
+            self.list = rank_hot(self.iter(), &FxHashSet::default(), HOT_LIST_LEN);
+            return;
+        }
+        // A count of 0 is an item whose delta fell outside the window.
+        let entry = (item, self.counts.get(&item));
+        if entry.1 == 0.0 {
+            return;
+        }
+        // An entry that ranks below a full list's last was not listed
+        // before either: its count only grew.
+        if self.list.len() == HOT_LIST_LEN
+            && self
+                .list
+                .last()
+                .is_some_and(|last| hot_order(&entry, last).is_gt())
+        {
+            return;
+        }
+        if let Some(at) = self.list.iter().position(|&(listed, _)| listed == item) {
+            self.list.remove(at);
+        }
+        let at = self
+            .list
+            .partition_point(|listed| hot_order(listed, &entry).is_lt());
+        self.list.insert(at, entry);
+        self.list.truncate(HOT_LIST_LEN);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (ItemId, f64)> + '_ {
+        self.counts.iter().map(|(&item, &count)| (item, count))
+    }
+
+    /// The `n` best items not in `exclude`: a walk of the list, or the
+    /// full ranking when the exclusions leave fewer than `n` in a list
+    /// that does not hold every item.
+    fn hot_items(&self, n: usize, exclude: &FxHashSet<ItemId>) -> Vec<(ItemId, f64)> {
+        let page: Vec<(ItemId, f64)> = self
+            .list
+            .iter()
+            .filter(|(item, _)| !exclude.contains(item))
+            .take(n)
+            .copied()
+            .collect();
+        if page.len() < n && self.list.len() < self.counts.len() {
+            return rank_hot(self.iter(), exclude, n);
+        }
+        page
+    }
+}
+
 /// The demographic-based recommender: per-group hot-item counts over a
 /// sliding window, plus the global group.
 #[derive(Debug, Clone)]
 pub struct DemographicRec {
     scheme: GroupScheme,
     weights: ActionWeights,
-    groups: FxHashMap<GroupId, WindowedCounts<ItemId>>,
-    global: WindowedCounts<ItemId>,
+    groups: FxHashMap<GroupId, GroupHot>,
+    global: GroupHot,
     window: Option<WindowConfig>,
     profiles: FxHashMap<UserId, DemographicProfile>,
 }
@@ -128,7 +227,7 @@ impl DemographicRec {
             scheme,
             weights,
             groups: FxHashMap::default(),
-            global: WindowedCounts::new(window),
+            global: GroupHot::new(window),
             window,
             profiles: FxHashMap::default(),
         }
@@ -163,7 +262,7 @@ impl DemographicRec {
         if group != GLOBAL_GROUP {
             self.groups
                 .entry(group)
-                .or_insert_with(|| WindowedCounts::new(self.window))
+                .or_insert_with(|| GroupHot::new(self.window))
                 .add(action.item, weight, action.timestamp);
         }
         self.global.add(action.item, weight, action.timestamp);
@@ -180,18 +279,11 @@ impl DemographicRec {
         exclude: &FxHashSet<ItemId>,
     ) -> Vec<(ItemId, f64)> {
         let group = self.group_of(user);
-        let counts = match self.groups.get(&group) {
-            Some(c) if group != GLOBAL_GROUP && !c.is_empty() => c,
+        let hot = match self.groups.get(&group) {
+            Some(g) if group != GLOBAL_GROUP && !g.counts.is_empty() => g,
             _ => &self.global,
         };
-        let mut items: Vec<(ItemId, f64)> = counts
-            .iter()
-            .filter(|(item, _)| !exclude.contains(item))
-            .map(|(&item, &count)| (item, count))
-            .collect();
-        items.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        items.truncate(n);
-        items
+        hot.hot_items(n, exclude)
     }
 
     /// Number of non-global groups with data.

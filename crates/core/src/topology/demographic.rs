@@ -8,20 +8,25 @@
 //! i.e., the write confliction." The fix is hashing **twice**: stage 1
 //! (by user) resolves the user's group and rating delta against their own
 //! history; stage 2 (by group) is then the single writer for each group's
-//! hot-item counters in TDStore.
+//! hot-item counters in TDStore, and of the hot list per session kept from
+//! them, which answers queries without a scan of the group's counters.
 
 use crate::action::{ActionType, ActionWeights};
-use crate::db::{DemographicProfile, GroupId, GroupScheme};
-use crate::topology::state::{session_key, windowed_sum};
-use crate::types::{FxHashMap, ItemId, UserId};
+use crate::db::{rank_hot, DemographicProfile, GroupId, GroupScheme, HOT_LIST_LEN};
+use crate::topology::state::{
+    apply_hot_entry, encode_sim_list, session_key, sim_records, windowed_sum, windowed_sum_with,
+};
+use crate::types::{FxHashMap, FxHashSet, ItemId, UserId};
 use parking_lot::RwLock;
 use std::sync::Arc;
-use tdstore::TdStore;
+use tdstore::{StoreError, TdStore};
 use tstorm::prelude::*;
 
 /// TDStore keys for demographic statistics.
 pub mod group_keys {
     use crate::db::GroupId;
+    use crate::topology::state::session_key;
+    use crate::types::keys::KeyBuf;
     use crate::types::ItemId;
 
     /// Hot-item count base key for `(group, item)`.
@@ -39,6 +44,14 @@ pub mod group_keys {
         k.extend_from_slice(b"grp:");
         k.extend_from_slice(&group.to_le_bytes());
         k
+    }
+
+    /// The hot list of `group` at `session`: `hot:<group>@<session>`, the
+    /// group's [`HOT_LIST_LEN`](crate::db::HOT_LIST_LEN) best items by
+    /// windowed count, as 16-byte `(item, count)` records in
+    /// [`hot_order`](crate::db::hot_order).
+    pub fn hot_list(group: GroupId, session: u64) -> KeyBuf {
+        session_key(&KeyBuf::new(b"hot:").with(&group.to_le_bytes()), session)
     }
 }
 
@@ -136,7 +149,8 @@ impl Bolt for UserGroupBolt {
 }
 
 /// Stage-2 bolt (hashed by **group**): the sole writer of each group's
-/// hot-item counters, so TDStore sees no conflicting writers.
+/// hot-item counters and hot lists, so TDStore sees no conflicting
+/// writers.
 pub struct GroupCountBolt {
     store: TdStore,
     config: DemographicPipelineConfig,
@@ -147,19 +161,67 @@ impl GroupCountBolt {
     pub fn new(store: TdStore, config: DemographicPipelineConfig) -> Self {
         GroupCountBolt { store, config }
     }
+
+    /// Adds `weight` to `item`'s count in `group` at `ts`, then folds the
+    /// new count into every stored hot list whose window covers `ts`'s
+    /// session, and builds that session's list when it has none. A
+    /// positive weight only grows a count, so an edit in place keeps each
+    /// list exact; any other weight rebuilds the lists instead.
+    pub fn count(
+        &self,
+        group: GroupId,
+        item: ItemId,
+        weight: f64,
+        ts: u64,
+    ) -> Result<(), StoreError> {
+        let base = group_keys::hot(group, item);
+        let session = self.config.session_of(ts);
+        let bucket = self.store.incr_f64(&session_key(&base, session), weight)?;
+        let windows = self.config.window_sessions();
+        let last = session.saturating_add(windows.saturating_sub(1) as u64);
+        for list_session in session..=last {
+            let key = group_keys::hot_list(group, list_session);
+            let stored = self.store.read(&key, |raw| raw.is_some())?;
+            if !stored && list_session != session {
+                continue;
+            }
+            if !stored || weight <= 0.0 || weight.is_nan() {
+                let list = rank_group(
+                    &self.store,
+                    group,
+                    &self.config,
+                    list_session,
+                    &FxHashSet::default(),
+                    HOT_LIST_LEN,
+                )?;
+                self.store.put(&key, encode_sim_list(&list))?;
+                continue;
+            }
+            let count = windowed_sum_with(
+                &self.store,
+                &base,
+                list_session,
+                windows,
+                &[(session, bucket)],
+            )?;
+            self.store.modify(&key, |slot| match slot {
+                Some(list) => apply_hot_entry(list, item, count, HOT_LIST_LEN),
+                None => false,
+            })?;
+        }
+        Ok(())
+    }
 }
 
 impl Bolt for GroupCountBolt {
     fn execute(&mut self, tuple: &Tuple, _collector: &mut BoltCollector) -> Result<(), String> {
-        let group = tuple.u64("group");
-        let item = tuple.u64("item");
-        let weight = tuple.f64("weight");
-        let ts = tuple.u64("ts");
-        let session = self.config.session_of(ts);
-        self.store
-            .incr_f64(&session_key(&group_keys::hot(group, item), session), weight)
-            .map_err(|e| e.to_string())?;
-        Ok(())
+        self.count(
+            tuple.u64("group"),
+            tuple.u64("item"),
+            tuple.f64("weight"),
+            tuple.u64("ts"),
+        )
+        .map_err(|e| e.to_string())
     }
 }
 
@@ -201,45 +263,68 @@ pub fn build_demographic_topology(
     builder.build()
 }
 
-/// Query side: top-`n` hot items of `group` at `now`.
+/// Query side: top-`n` hot items of `group` at `now`, excluding
+/// `exclude`. Walks the group's hot list for `now`'s session, and ranks
+/// the group's counters in full only when that session has no list yet,
+/// or when the exclusions leave fewer than `n` items in a list that may
+/// not hold every item.
 pub fn hot_items(
     store: &TdStore,
     group: GroupId,
     config: &DemographicPipelineConfig,
     now: u64,
     n: usize,
+    exclude: &FxHashSet<ItemId>,
 ) -> Vec<(ItemId, f64)> {
+    let session = config.session_of(now);
+    // Reserved before the read, so nothing allocates under the store lock.
+    let mut page = Vec::with_capacity(n.min(HOT_LIST_LEN));
+    let listed = store.read(&group_keys::hot_list(group, session), |raw| {
+        let list = sim_records(raw?);
+        let len = list.len();
+        page.extend(list.filter(|(item, _)| !exclude.contains(item)).take(n));
+        Some(len)
+    });
+    match listed {
+        // A list shorter than the cap holds every item with a count.
+        Ok(Some(len)) if page.len() == n || len < HOT_LIST_LEN => page,
+        _ => rank_group(store, group, config, session, exclude, n).unwrap_or_default(),
+    }
+}
+
+/// The full ranking of `group`'s hot items at `session`: every counted
+/// item's windowed count, by a scan of the group's counters. A hot list is
+/// built from it, and a query its list cannot answer falls back to it.
+fn rank_group(
+    store: &TdStore,
+    group: GroupId,
+    config: &DemographicPipelineConfig,
+    session: u64,
+    exclude: &FxHashSet<ItemId>,
+    n: usize,
+) -> Result<Vec<(ItemId, f64)>, StoreError> {
     let prefix = group_keys::group_prefix(group);
-    let Ok(entries) = store.scan_prefix(&prefix) else {
-        return Vec::new();
-    };
     // Keys are `grp:<group><item>@<session>`; aggregate per item over the
     // window.
-    let mut items: FxHashMap<ItemId, ()> = FxHashMap::default();
-    for (key, _) in &entries {
-        if key.len() >= prefix.len() + 8 {
-            let item = u64::from_le_bytes(key[prefix.len()..prefix.len() + 8].try_into().unwrap());
-            items.insert(item, ());
-        }
-    }
-    let windows = config.window_sessions();
-    let session = if windows == 0 {
-        0
-    } else {
-        config.session_of(now)
-    };
-    let mut scored: Vec<(ItemId, f64)> = items
-        .into_keys()
-        .map(|item| {
-            let count =
-                windowed_sum(store, &group_keys::hot(group, item), session, windows).unwrap_or(0.0);
-            (item, count)
-        })
-        .filter(|&(_, c)| c > 0.0)
+    let items: FxHashSet<ItemId> = store
+        .scan_prefix(&prefix)?
+        .iter()
+        .filter_map(|(key, _)| key.get(prefix.len()..)?.first_chunk::<8>().copied())
+        .map(u64::from_le_bytes)
         .collect();
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    scored.truncate(n);
-    scored
+    let windows = config.window_sessions();
+    let mut counts = Vec::with_capacity(items.len());
+    for item in items {
+        counts.push((
+            item,
+            windowed_sum(store, &group_keys::hot(group, item), session, windows)?,
+        ));
+    }
+    Ok(rank_hot(
+        counts.into_iter().filter(|&(_, c)| c > 0.0),
+        exclude,
+        n,
+    ))
 }
 
 #[cfg(test)]
@@ -286,8 +371,8 @@ mod tests {
         let scheme = GroupScheme::default();
         let women = scheme.group_of(&profile(0, 25));
         let men = scheme.group_of(&profile(1, 45));
-        let hot_women = hot_items(&store, women, &config, 1_000, 3);
-        let hot_men = hot_items(&store, men, &config, 1_000, 3);
+        let hot_women = hot_items(&store, women, &config, 1_000, 3, &FxHashSet::default());
+        let hot_men = hot_items(&store, men, &config, 1_000, 3, &FxHashSet::default());
         assert_eq!(hot_women.first(), Some(&(1, 20.0)), "{hot_women:?}");
         assert_eq!(hot_men.first(), Some(&(2, 20.0)), "{hot_men:?}");
         assert!(!hot_women.iter().any(|&(i, _)| i == 2));
@@ -309,7 +394,7 @@ mod tests {
         assert!(handle.wait_idle(Duration::from_secs(20)));
         handle.shutdown(Duration::from_secs(5));
         let group = GroupScheme::default().group_of(&profile(0, 25));
-        assert!(hot_items(&store, group, &config, 0, 5).is_empty());
+        assert!(hot_items(&store, group, &config, 0, 5, &FxHashSet::default()).is_empty());
     }
 
     #[test]
@@ -334,8 +419,8 @@ mod tests {
         assert!(handle.wait_idle(Duration::from_secs(20)));
         handle.shutdown(Duration::from_secs(5));
         let group = GroupScheme::default().group_of(&profile(0, 25));
-        assert!(!hot_items(&store, group, &config, 500, 5).is_empty());
+        assert!(!hot_items(&store, group, &config, 500, 5, &FxHashSet::default()).is_empty());
         // Far later the windowed count is zero.
-        assert!(hot_items(&store, group, &config, 60_000, 5).is_empty());
+        assert!(hot_items(&store, group, &config, 60_000, 5, &FxHashSet::default()).is_empty());
     }
 }

@@ -34,7 +34,7 @@ pub use replay::{OffsetTable, ReplayProgress, ReplayableSpout};
 pub use tdaccess::PartitionId;
 
 use crate::topology::state::{decode_sim_list, history_records, sim_records, windowed_sum};
-use crate::types::{keys, FxHashMap, FxHashSet, ItemId, Timestamp, UserId};
+use crate::types::{keep_least, keys, FxHashMap, FxHashSet, ItemId, Timestamp, UserId};
 use crossbeam::channel::Receiver;
 use tdstore::TdStore;
 use tstorm::prelude::*;
@@ -341,16 +341,6 @@ struct Recent {
     pos: usize,
     item: ItemId,
     rating: f64,
-}
-
-/// Keeps the `k` least elements of `v` under the total order `cmp`, in
-/// order: a selection, then a sort of only what is kept.
-fn keep_least<T>(v: &mut Vec<T>, k: usize, cmp: impl Fn(&T, &T) -> std::cmp::Ordering) {
-    if v.len() > k {
-        v.select_nth_unstable_by(k, &cmp);
-        v.truncate(k);
-    }
-    v.sort_unstable_by(cmp);
 }
 
 #[cfg(test)]

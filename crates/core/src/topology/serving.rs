@@ -81,18 +81,22 @@ impl RecommenderFrontEnd {
             for &(item, _) in &recs {
                 exclude.insert(item);
             }
+            let hot = hot_items(
+                &self.store,
+                group,
+                &self.config.db,
+                now,
+                n - recs.len(),
+                &exclude,
+            );
+            // Complemented items rank below CF candidates: scale hot
+            // counts into (0, min CF score), as the in-memory engine does.
             let floor = recs.last().map_or(1.0, |&(_, s)| s);
-            let hot = hot_items(&self.store, group, &self.config.db, now, n * 2);
             let max_hot = hot.first().map_or(1.0, |&(_, c)| c.max(1.0));
-            for (item, count) in hot {
-                if recs.len() >= n {
-                    break;
-                }
-                if exclude.contains(&item) {
-                    continue;
-                }
-                recs.push((item, 0.9 * floor * count / max_hot));
-            }
+            recs.extend(
+                hot.into_iter()
+                    .map(|(item, count)| (item, 0.9 * floor * count / max_hot)),
+            );
         }
         recs
     }
@@ -144,11 +148,21 @@ mod tests {
     /// Runs both the CF and demographic topologies over the same store,
     /// then serves queries from it.
     fn serve(actions: Vec<UserAction>, profiles: ProfileRegistry) -> RecommenderFrontEnd {
+        serve_split(&actions, &actions, profiles)
+    }
+
+    /// [`serve`] with the CF topology fed `cf_actions` and the
+    /// demographic one `db_actions`.
+    fn serve_split(
+        cf_actions: &[UserAction],
+        db_actions: &[UserAction],
+        profiles: ProfileRegistry,
+    ) -> RecommenderFrontEnd {
         let store = TdStore::new(StoreConfig::default());
         let config = ServingConfig::default();
 
         let (tx, rx) = unbounded();
-        for a in &actions {
+        for a in cf_actions {
             tx.send(*a).unwrap();
         }
         drop(tx);
@@ -162,7 +176,7 @@ mod tests {
         let cf_handle = cf_topo.launch();
 
         let (tx, rx) = unbounded();
-        for a in &actions {
+        for a in db_actions {
             tx.send(*a).unwrap();
         }
         drop(tx);
@@ -275,6 +289,30 @@ mod tests {
             Some("video/dogs"),
             "{recs:?}"
         );
+    }
+
+    #[test]
+    fn complement_fills_the_page_past_seen_hot_items() {
+        // The group's items 1..=10 are hot in that order; user 99 has seen
+        // the top four and has no CF candidate (its only co-rated items are
+        // its own), so the whole page comes from the complement.
+        let profiles = ProfileRegistry::new();
+        let mut actions = Vec::new();
+        for u in 1..=10u64 {
+            profiles.set(u, profile(0, 25));
+            for item in 1..=(11 - u) {
+                actions.push(click(u, item, u * 20 + item));
+            }
+        }
+        profiles.set(99, profile(0, 25));
+        let seen: Vec<UserAction> = (1..=4).map(|item| click(99, item, 500 + item)).collect();
+        actions.extend(&seen);
+        let front = serve_split(&seen, &actions, profiles);
+        let recs = front.recommend(99, 3, 1_000);
+        let items: Vec<ItemId> = recs.iter().map(|r| r.0).collect();
+        assert_eq!(items, vec![5, 6, 7], "{recs:?}");
+        // Scaled by the first item kept, not by the excluded item 1.
+        assert!((recs[0].1 - 0.9).abs() < 1e-12, "{recs:?}");
     }
 
     #[test]

@@ -423,12 +423,35 @@ fn sim_score_at(list: &[u8], i: usize) -> f64 {
 /// Returns whether any byte changed — it does not in the common case of a
 /// pair that is not listed and scores below a full list's k-th entry.
 pub fn apply_sim_entry(list: &mut Vec<u8>, other: ItemId, sim: f64, k: usize) -> bool {
+    apply_list_entry(list, other, sim, k, |_, score| score >= sim)
+}
+
+/// [`apply_sim_entry`] for a hot list, which ranks in
+/// [`hot_order`](crate::db::hot_order): `item`'s record goes in after every
+/// entry that ranks before `(item, count)`. The list stays the exact top
+/// `k` as long as `count` is `item`'s count grown, never shrunk.
+pub fn apply_hot_entry(list: &mut Vec<u8>, item: ItemId, count: f64, k: usize) -> bool {
+    apply_list_entry(list, item, count, k, |listed, score| {
+        crate::db::hot_order(&(listed, score), &(item, count)).is_lt()
+    })
+}
+
+/// Edits `other`'s record of an encoded top-`k` list in place; the new
+/// record goes in after the leading run of entries `(item, score)` for
+/// which `before` holds.
+fn apply_list_entry(
+    list: &mut Vec<u8>,
+    other: ItemId,
+    score: f64,
+    k: usize,
+    before: impl Fn(ItemId, f64) -> bool,
+) -> bool {
     // Only whole records count; a torn tail is dropped.
     let n = list.len() / SIM_RECORD;
     let mut changed = list.len() != n * SIM_RECORD;
     list.truncate(n * SIM_RECORD);
     let found = (0..n).find(|&i| sim_item_at(list, i) == other);
-    if sim <= 0.0 || sim.is_nan() {
+    if score <= 0.0 || score.is_nan() {
         if let Some(i) = found {
             list.drain(i * SIM_RECORD..(i + 1) * SIM_RECORD);
             changed = true;
@@ -438,12 +461,12 @@ pub fn apply_sim_entry(list: &mut Vec<u8>, other: ItemId, sim: f64, k: usize) ->
     // Index of the new record among the *other* entries.
     let pos = (0..n)
         .filter(|&i| Some(i) != found)
-        .take_while(|&i| sim_score_at(list, i) >= sim)
+        .take_while(|&i| before(sim_item_at(list, i), sim_score_at(list, i)))
         .count();
     let span = |from: usize, to: usize| from * SIM_RECORD..to * SIM_RECORD;
     match found {
         // Stays where it is: at most the score changes.
-        Some(i) if pos == i => changed |= sim_score_at(list, i).to_bits() != sim.to_bits(),
+        Some(i) if pos == i => changed |= sim_score_at(list, i).to_bits() != score.to_bits(),
         Some(i) if pos < i => {
             list.copy_within(span(pos, i), (pos + 1) * SIM_RECORD);
             changed = true;
@@ -466,7 +489,7 @@ pub fn apply_sim_entry(list: &mut Vec<u8>, other: ItemId, sim: f64, k: usize) ->
     }
     let at = pos * SIM_RECORD;
     list[at..at + 8].copy_from_slice(&other.to_le_bytes());
-    list[at + 8..at + 16].copy_from_slice(&sim.to_le_bytes());
+    list[at + 8..at + 16].copy_from_slice(&score.to_le_bytes());
     finish_sim_list(list, k, changed)
 }
 

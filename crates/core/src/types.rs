@@ -86,6 +86,16 @@ pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `HashSet` with the fast hasher.
 pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
+/// Keeps the `k` least elements of `v` under the total order `cmp`, in
+/// order: a selection, then a sort of only what is kept.
+pub(crate) fn keep_least<T>(v: &mut Vec<T>, k: usize, cmp: impl Fn(&T, &T) -> std::cmp::Ordering) {
+    if v.len() > k {
+        v.select_nth_unstable_by(k, &cmp);
+        v.truncate(k);
+    }
+    v.sort_unstable_by(cmp);
+}
+
 /// Key namespaces used when algorithm state lives in TDStore. Keeping the
 /// encoding in one place lets multiple bolts (and the query-side engine)
 /// share the statistical data, as in the paper's Fig. 6.

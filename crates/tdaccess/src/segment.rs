@@ -150,7 +150,10 @@ impl Segment {
 pub struct Partition {
     name: String,
     config: SegmentConfig,
-    segments: Vec<Segment>,
+    /// Sealed segments, oldest first; every offset below `active`'s.
+    sealed: Vec<Segment>,
+    /// The segment appends go to. A partition always has one.
+    active: Segment,
     next_offset: u64,
     /// Per-consumer-group replay floors: the smallest offset each group
     /// may still need. [`Partition::truncate_before`] never cuts below
@@ -168,7 +171,8 @@ impl Partition {
         Partition {
             name: name.to_string(),
             config,
-            segments: vec![Segment::new(0)],
+            sealed: Vec::new(),
+            active: Segment::new(0),
             next_offset: 0,
             group_floors: HashMap::new(),
         }
@@ -207,24 +211,18 @@ impl Partition {
         }
         spilled.sort_unstable_by_key(|&(base, _)| base);
 
-        let mut partition = Partition {
-            name: name.to_string(),
-            config,
-            segments: Vec::with_capacity(spilled.len() + 1),
-            next_offset: spilled.first().map_or(0, |&(base, _)| base),
-            group_floors: HashMap::new(),
-        };
+        let mut next_offset = spilled.first().map_or(0, |&(base, _)| base);
+        let mut sealed = Vec::with_capacity(spilled.len());
         for (base, path) in spilled {
             // The durable log must be contiguous after its first segment:
             // log compaction may have truncated the head (so an arbitrary
             // first base is legal), but a later segment whose base skips
             // past the previous end means a gap (a lost or foreign file),
             // and reads across it would silently drop offsets.
-            if base != partition.next_offset {
+            if base != next_offset {
                 return Err(AccessError::Io(format!(
-                    "segment {} starts at {base}, expected {}",
+                    "segment {} starts at {base}, expected {next_offset}",
                     path.display(),
-                    partition.next_offset
                 )));
             }
             let raw = fs::read(&path)?;
@@ -241,15 +239,21 @@ impl Partition {
                 seg_bytes += m.size_bytes();
                 count += 1;
             }
-            partition.next_offset = base + count as u64;
-            partition.segments.push(Segment {
+            next_offset = base + count as u64;
+            sealed.push(Segment {
                 base_offset: base,
                 bytes: seg_bytes,
                 data: SegmentData::Spilled { path, count },
             });
         }
-        partition.segments.push(Segment::new(partition.next_offset));
-        Ok(partition)
+        Ok(Partition {
+            name: name.to_string(),
+            config,
+            sealed,
+            active: Segment::new(next_offset),
+            next_offset,
+            group_floors: HashMap::new(),
+        })
     }
 
     /// Seals (and, with a spill dir, persists) the active segment even if
@@ -257,17 +261,25 @@ impl Partition {
     /// [`Partition::end_offset`] durable — the flush a broker does before
     /// an orderly shutdown or a checkpoint wants the topic pinned on disk.
     pub fn seal_active(&mut self) -> Result<(), AccessError> {
-        let active = self.segments.last_mut().expect("always one segment");
-        if active.is_empty() {
+        if self.active.is_empty() {
             return Ok(());
         }
-        let spill_path = self
-            .config
-            .spill_dir
-            .as_ref()
-            .map(|d| d.join(format!("{}-{:020}.seg", self.name, active.base_offset())));
-        active.seal(spill_path)?;
-        self.segments.push(Segment::new(self.next_offset));
+        self.roll()
+    }
+
+    /// Seals the active segment and starts a fresh one. A failed spill
+    /// leaves the segment active, so the next append retries it.
+    fn roll(&mut self) -> Result<(), AccessError> {
+        let spill_path = self.config.spill_dir.as_ref().map(|d| {
+            d.join(format!(
+                "{}-{:020}.seg",
+                self.name,
+                self.active.base_offset()
+            ))
+        });
+        self.active.seal(spill_path)?;
+        let fresh = Segment::new(self.next_offset);
+        self.sealed.push(std::mem::replace(&mut self.active, fresh));
         Ok(())
     }
 
@@ -280,21 +292,14 @@ impl Partition {
     ) -> Result<u64, AccessError> {
         let offset = self.next_offset;
         self.next_offset += 1;
-        let active = self.segments.last_mut().expect("always one segment");
-        active.append(Message {
+        self.active.append(Message {
             offset,
             timestamp_ms,
             key,
             payload,
         });
-        if active.full(&self.config) {
-            let spill_path = self
-                .config
-                .spill_dir
-                .as_ref()
-                .map(|d| d.join(format!("{}-{:020}.seg", self.name, active.base_offset())));
-            active.seal(spill_path)?;
-            self.segments.push(Segment::new(self.next_offset));
+        if self.active.full(&self.config) {
+            self.roll()?;
         }
         Ok(offset)
     }
@@ -310,16 +315,11 @@ impl Partition {
             return Err(AccessError::Compacted(self.name.clone(), from, start));
         }
         let mut out = Vec::new();
-        // Binary search for the first segment that can contain `from`.
-        let start = match self
-            .segments
-            .binary_search_by(|s| s.base_offset().cmp(&from))
-        {
-            Ok(i) => i,
-            Err(0) => 0,
-            Err(i) => i - 1,
-        };
-        for seg in &self.segments[start..] {
+        // The first segment that can contain `from`: the last one based
+        // at or below it.
+        let below = self.sealed.partition_point(|s| s.base_offset() <= from)
+            + usize::from(self.active.base_offset() <= from);
+        for seg in self.segments().skip(below.saturating_sub(1)) {
             if out.len() >= max {
                 break;
             }
@@ -337,10 +337,12 @@ impl Partition {
     /// [`Partition::truncate_before`] removes a head segment, and equals
     /// [`Partition::end_offset`] when compaction emptied the log.
     pub fn start_offset(&self) -> u64 {
-        self.segments
-            .first()
-            .expect("always one segment")
-            .base_offset()
+        self.sealed.first().unwrap_or(&self.active).base_offset()
+    }
+
+    /// Every segment, oldest first: the sealed ones, then the active one.
+    fn segments(&self) -> impl Iterator<Item = &Segment> {
+        self.sealed.iter().chain(std::iter::once(&self.active))
     }
 
     /// Records that `group` has durably consumed everything below
@@ -370,12 +372,11 @@ impl Partition {
         let floor = self.group_floors.values().copied().min().unwrap_or(0);
         let cut = upto.min(floor);
         let mut removed = 0usize;
-        while self.segments.len() > 1 {
-            let seg = &self.segments[0];
+        while let Some(seg) = self.sealed.first() {
             if seg.base_offset() + seg.len() as u64 > cut {
                 break;
             }
-            let seg = self.segments.remove(0);
+            let seg = self.sealed.remove(0);
             if let SegmentData::Spilled { path, .. } = &seg.data {
                 fs::remove_file(path)?;
             }
@@ -386,12 +387,12 @@ impl Partition {
 
     /// Number of segments (spilled + hot).
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.sealed.len() + 1
     }
 
     /// Number of spilled segments.
     pub fn spilled_count(&self) -> usize {
-        self.segments.iter().filter(|s| s.is_spilled()).count()
+        self.segments().filter(|s| s.is_spilled()).count()
     }
 }
 

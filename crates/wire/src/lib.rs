@@ -154,16 +154,21 @@ impl<'a> Reader<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.fixed().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.fixed().map(u64::from_le_bytes)
+    }
+
+    /// Takes the next `N` bytes as an array, or errors as [`Self::take`].
+    fn fixed<const N: usize>(&mut self) -> Result<[u8; N], ProtocolError> {
+        let bytes = *self.body[self.pos..]
+            .first_chunk::<N>()
+            .ok_or(ProtocolError::BadPayload("body shorter than declared"))?;
+        self.pos += N;
+        Ok(bytes)
     }
 
     /// Reads a `u32`-length-prefixed byte slice.
@@ -202,10 +207,10 @@ impl<'a> Reader<'a> {
 /// Splits one complete frame off `buf`, returning `(id, tag, body)`.
 /// `Ok(None)` means the buffer holds only a partial frame.
 pub fn split_frame(buf: &mut BytesMut) -> Result<Option<(u64, u8, BytesMut)>, ProtocolError> {
-    if buf.len() < 4 {
+    let Some(prefix) = buf.first_chunk::<4>() else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::FrameTooLarge(len));
     }
@@ -215,12 +220,14 @@ pub fn split_frame(buf: &mut BytesMut) -> Result<Option<(u64, u8, BytesMut)>, Pr
     if buf.len() < 4 + len {
         return Ok(None);
     }
-    let _ = buf.split_to(4);
-    let mut payload = buf.split_to(len);
-    let header = payload.split_to(HEADER_LEN);
-    let id = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
-    let tag = header[8];
-    Ok(Some((id, tag, payload)))
+    // The header (`id:u64le tag:u8`) opens the frame's `len >= HEADER_LEN`
+    // bytes, all in the buffer by now.
+    let Some((id, [tag, ..])) = buf[4..].split_first_chunk::<8>() else {
+        return Ok(None);
+    };
+    let (id, tag) = (u64::from_le_bytes(*id), *tag);
+    let _ = buf.split_to(4 + HEADER_LEN);
+    Ok(Some((id, tag, buf.split_to(len - HEADER_LEN))))
 }
 
 /// Classifies an EOF observed after [`split_frame`] returned `Ok(None)`:
