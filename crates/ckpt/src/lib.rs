@@ -12,8 +12,9 @@
 //! periodically captures
 //!
 //! 1. every stateful bolt's backing state (the full TDStore key space:
-//!    `ic:`/`pc:` co-rating counts with their in-value dedup rings,
-//!    `hist:` user histories, `sim:`/`res:` serving tables), and
+//!    the status-data families of `tencentrec::topology::state`, such as
+//!    the `ic:`/`pc:` co-rating counts with their in-value dedup rings,
+//!    `hist:` user histories and `sim:` similar-items lists), and
 //! 2. a **consistent offset vector** over all replayable-spout partitions,
 //!
 //! inside one drain/seal barrier ([`tstorm::topology` handle
@@ -49,6 +50,7 @@ use std::fmt;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tdstore::{SnapshotMeta, SnapshotStore, StoreError, TdStore};
+use tencentrec::topology::state::Family;
 use tencentrec::topology::{OffsetTable, PartitionId};
 use tstorm::executor::TopologyHandle;
 
@@ -156,9 +158,39 @@ struct CkptMetrics {
     delta_bytes: Gauge,
     rebases: Counter,
     restored_epoch: Gauge,
+    /// Keys and bytes per status-data family in the last full capture,
+    /// indexed as [`family_label`].
+    family_keys: [Gauge; FAMILY_GAUGES],
+    family_bytes: [Gauge; FAMILY_GAUGES],
+}
+
+/// One gauge per [`Family`], and one for keys no family names.
+const FAMILY_GAUGES: usize = Family::ALL.len() + 1;
+
+/// The `family` label of gauge `at`: the family's tag without its colon,
+/// and `other` last.
+fn family_label(at: usize) -> &'static str {
+    Family::ALL
+        .get(at)
+        .map_or("other", |f| f.tag().trim_end_matches(':'))
 }
 
 impl CkptMetrics {
+    /// Sets the family gauges from a full capture, off the barrier.
+    fn count_families(&self, pairs: &Pairs) {
+        let mut keys = [0usize; FAMILY_GAUGES];
+        let mut bytes = [0usize; FAMILY_GAUGES];
+        for (key, value) in pairs {
+            let at = Family::of(key).map_or(Family::ALL.len(), |f| f as usize);
+            keys[at] += 1;
+            bytes[at] += key.len() + value.len();
+        }
+        for at in 0..FAMILY_GAUGES {
+            self.family_keys[at].set(keys[at] as f64);
+            self.family_bytes[at].set(bytes[at] as f64);
+        }
+    }
+
     fn new() -> Self {
         CkptMetrics {
             checkpoints: Counter::new(),
@@ -172,6 +204,8 @@ impl CkptMetrics {
             delta_bytes: Gauge::new(),
             rebases: Counter::new(),
             restored_epoch: Gauge::new(),
+            family_keys: std::array::from_fn(|_| Gauge::new()),
+            family_bytes: std::array::from_fn(|_| Gauge::new()),
         }
     }
 }
@@ -405,6 +439,7 @@ impl Coordinator {
                 if had_chain {
                     m.rebases.inc();
                 }
+                m.count_families(&pairs);
                 0
             }
         };
@@ -455,7 +490,9 @@ impl Coordinator {
     /// `ckpt_checkpoints_total`, `ckpt_failures_total`,
     /// `ckpt_barrier_ms`, `ckpt_publish_ms`, `ckpt_snapshot_bytes`,
     /// `ckpt_snapshot_entries`, `ckpt_last_epoch`, `ckpt_last_created_ms`,
-    /// `ckpt_delta_bytes`, `ckpt_rebase_total`, `tsnap_restored_epoch`.
+    /// `ckpt_delta_bytes`, `ckpt_rebase_total`, `tsnap_restored_epoch`, and
+    /// per status-data family `tdstore_family_keys{family}` and
+    /// `tdstore_family_bytes{family}`.
     pub fn register_metrics(&self, registry: &Registry) {
         let m = &self.metrics;
         registry.register_counter(
@@ -524,5 +561,20 @@ impl Coordinator {
             "Epoch this process last restored a store from (0 = never restored)",
             &m.restored_epoch,
         );
+        for at in 0..FAMILY_GAUGES {
+            let labels = [("family", family_label(at))];
+            registry.register_gauge(
+                "tdstore_family_keys",
+                &labels,
+                "Keys of a status-data family in the last full checkpoint capture",
+                &m.family_keys[at],
+            );
+            registry.register_gauge(
+                "tdstore_family_bytes",
+                &labels,
+                "Key + value bytes of a status-data family in the last full checkpoint capture",
+                &m.family_bytes[at],
+            );
+        }
     }
 }

@@ -303,6 +303,64 @@ fn checkpoint_epochs_advance_and_metrics_register() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The per-family gauges split the last full capture: over every family
+/// and `other` they sum to `ckpt_snapshot_entries` and to the capture's
+/// key + value bytes, and a delta epoch leaves them as they were.
+#[test]
+fn family_gauges_split_the_full_capture() {
+    let actions = workload();
+    let path = temp_path("families");
+    let _ = std::fs::remove_file(&path);
+    let coord = Coordinator::open(&path, CheckpointConfig::default()).unwrap();
+    let registry = obs::Registry::new();
+    coord.register_metrics(&registry);
+    let gauge = |name: &str, family: &str| {
+        registry
+            .gauge_value(name, &[("family", family)])
+            .unwrap_or_else(|| panic!("{name}{{family={family}}} not registered"))
+    };
+    let families = [
+        "ic", "pc", "hist", "sim", "hot", "grp", "cbp", "cbn", "ci", "cc", "ctr", "arsess", "ari",
+        "arp", "other",
+    ];
+    let sums = || {
+        families.iter().fold((0.0, 0.0), |(keys, bytes), family| {
+            (
+                keys + gauge("tdstore_family_keys", family),
+                bytes + gauge("tdstore_family_bytes", family),
+            )
+        })
+    };
+
+    let run = launch(&build_topic(&actions), Vec::new());
+    wait_committed(&run.progress, actions.len() as u64, "all");
+    run.store.put(b"stray", vec![7; 5]).unwrap();
+    coord
+        .checkpoint(&run.handle, &run.store, &run.offsets, 100)
+        .unwrap();
+    let captured = run.store.scan_prefix(b"").unwrap();
+    let capture_bytes: usize = captured.iter().map(|(k, v)| k.len() + v.len()).sum();
+    let entries = registry.gauge_value("ckpt_snapshot_entries", &[]).unwrap();
+    assert_eq!(entries, captured.len() as f64);
+    assert_eq!(sums(), (entries, capture_bytes as f64));
+    assert_eq!(gauge("tdstore_family_keys", "other"), 1.0);
+    assert_eq!(gauge("tdstore_family_bytes", "other"), 10.0);
+    for family in ["ic", "pc", "hist", "sim"] {
+        assert!(gauge("tdstore_family_keys", family) > 0.0, "{family}");
+    }
+
+    // One more key: the next epoch publishes a delta, which recounts
+    // nothing.
+    run.store.put(b"stray2", vec![7; 5]).unwrap();
+    coord
+        .checkpoint(&run.handle, &run.store, &run.offsets, 200)
+        .unwrap();
+    run.handle.shutdown(Duration::from_secs(5));
+    assert!(registry.gauge_value("ckpt_delta_bytes", &[]).unwrap() > 0.0);
+    assert_eq!(sums(), (entries, capture_bytes as f64));
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn steady_state_publishes_deltas_and_rebases_on_schedule() {
     let actions = workload();

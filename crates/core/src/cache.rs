@@ -7,6 +7,7 @@
 //! tuples are fields-grouped by key, so exactly one worker caches any
 //! given key, and writers go through the cache (write-through).
 
+use crate::topology::state::{decode_scalar, encode_scalar};
 use crate::types::FxHashMap;
 use std::collections::BTreeMap;
 use tdstore::{StoreError, TdStore};
@@ -62,10 +63,9 @@ impl CachedStore {
 
     fn evict_if_full(&mut self) {
         while self.entries.len() >= self.capacity {
-            let Some((&oldest, _)) = self.recency.iter().next() else {
+            let Some((_, key)) = self.recency.pop_first() else {
                 return;
             };
-            let key = self.recency.remove(&oldest).expect("index entry exists");
             self.entries.remove(&key);
         }
     }
@@ -74,13 +74,13 @@ impl CachedStore {
     /// (a negative entry answers repeat lookups of a missing key without
     /// touching the store).
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        if let Some(entry) = self.entries.get(key) {
-            let old = entry.last_used;
-            let value = entry.value.clone();
-            let new_tick = self.touch(key, Some(old));
-            self.entries.get_mut(key).expect("entry present").last_used = new_tick;
+        if let Some(entry) = self.entries.get_mut(key) {
+            self.recency.remove(&entry.last_used);
+            self.tick += 1;
+            self.recency.insert(self.tick, key.to_vec());
+            entry.last_used = self.tick;
             self.hits += 1;
-            return Ok(value);
+            return Ok(entry.value.clone());
         }
         self.misses += 1;
         let value = self.store.get(key)?;
@@ -120,10 +120,10 @@ impl CachedStore {
     pub fn incr_f64(&mut self, key: &[u8], delta: f64) -> Result<f64, StoreError> {
         let current = self
             .get(key)?
-            .and_then(|v| v.as_slice().try_into().ok().map(f64::from_le_bytes))
+            .and_then(|v| decode_scalar(&v))
             .unwrap_or(0.0);
         let new = current + delta;
-        self.put(key, new.to_le_bytes().to_vec())?;
+        self.put(key, encode_scalar(new))?;
         Ok(new)
     }
 

@@ -90,13 +90,11 @@ impl<K: Eq + Hash + Copy> WindowedCounts<K> {
         };
         self.max_session = self.max_session.max(current_session);
         let oldest_kept = self.max_session.saturating_sub(window.sessions as u64 - 1);
-        let mut expired = false;
-        while let Some(&(session, _)) = self.per_session.front() {
-            if session >= oldest_kept {
-                break;
-            }
-            expired = true;
-            let (_, counts) = self.per_session.pop_front().expect("front checked");
+        // Sessions are kept in order: the expired ones lead.
+        let expired = self
+            .per_session
+            .partition_point(|&(session, _)| session < oldest_kept);
+        for (_, counts) in self.per_session.drain(..expired) {
             for (key, value) in counts {
                 if let Some(total) = self.totals.get_mut(&key) {
                     *total -= value;
@@ -106,7 +104,7 @@ impl<K: Eq + Hash + Copy> WindowedCounts<K> {
                 }
             }
         }
-        expired
+        expired > 0
     }
 
     /// Expires based on a timestamp rather than a session index.

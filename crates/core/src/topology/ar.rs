@@ -7,43 +7,13 @@
 //! side mines `X → Y` rules from them by support and confidence.
 
 use crate::action::ActionType;
-use crate::topology::state::{session_key, windowed_sum};
+use crate::topology::state::{
+    ar_item, ar_pair, ar_session, decode_session, encode_session, session_key, session_of,
+    window_sessions, windowed_sum, Family, KeyParts,
+};
 use crate::types::{ItemId, ItemPair};
 use tdstore::TdStore;
 use tstorm::prelude::*;
-
-/// TDStore keys for AR statistics.
-pub mod ar_keys {
-    use crate::types::{ItemId, ItemPair, UserId};
-
-    /// Per-user live-session state.
-    pub fn session(user: UserId) -> Vec<u8> {
-        let mut k = Vec::with_capacity(13);
-        k.extend_from_slice(b"arsess:");
-        k.extend_from_slice(&user.to_le_bytes());
-        k
-    }
-
-    /// Item transaction-count base key.
-    pub fn item_txn(item: ItemId) -> Vec<u8> {
-        let mut k = Vec::with_capacity(12);
-        k.extend_from_slice(b"ari:");
-        k.extend_from_slice(&item.to_le_bytes());
-        k
-    }
-
-    /// Pair transaction-count base key.
-    pub fn pair_txn(pair: ItemPair) -> Vec<u8> {
-        let mut k = Vec::with_capacity(20);
-        k.extend_from_slice(b"arp:");
-        k.extend_from_slice(&pair.a.to_le_bytes());
-        k.extend_from_slice(&pair.b.to_le_bytes());
-        k
-    }
-
-    /// Prefix of all pair transaction keys.
-    pub const PAIR_PREFIX: &[u8] = b"arp:";
-}
 
 /// AR pipeline parameters.
 #[derive(Debug, Clone)]
@@ -67,38 +37,6 @@ impl Default for ArPipelineConfig {
             min_confidence: 0.1,
         }
     }
-}
-
-impl ArPipelineConfig {
-    fn session_of(&self, ts: u64) -> u64 {
-        self.window.map_or(u64::MAX, |w| w.session_of(ts))
-    }
-
-    fn window_sessions(&self) -> usize {
-        self.window.map_or(0, |w| w.sessions)
-    }
-}
-
-/// Encoded session state: `last_ts:u64 | item:u64 ...`.
-fn decode_session(raw: &[u8]) -> (u64, Vec<ItemId>) {
-    if raw.len() < 8 {
-        return (0, Vec::new());
-    }
-    let last_ts = u64::from_le_bytes(raw[0..8].try_into().unwrap());
-    let items = raw[8..]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    (last_ts, items)
-}
-
-fn encode_session(last_ts: u64, items: &[ItemId]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + items.len() * 8);
-    out.extend_from_slice(&last_ts.to_le_bytes());
-    for item in items {
-        out.extend_from_slice(&item.to_le_bytes());
-    }
-    out
 }
 
 /// Session-reconstruction bolt (grouped by `user`): emits each item once
@@ -133,7 +71,7 @@ impl Bolt for SessionBolt {
         let mut new_item = false;
         let mut co_items: Vec<ItemId> = Vec::new();
         self.store
-            .update(&ar_keys::session(user), |raw| {
+            .update(&ar_session(user), |raw| {
                 new_item = false;
                 co_items.clear();
                 let (last_ts, mut items) = raw.map(decode_session).unwrap_or((0, Vec::new()));
@@ -188,7 +126,7 @@ impl Bolt for ItemTxnBolt {
         let ts = tuple.u64("ts");
         self.store
             .incr_f64(
-                &session_key(&ar_keys::item_txn(item), self.config.session_of(ts)),
+                &session_key(&ar_item(item), session_of(self.config.window, ts)),
                 1.0,
             )
             .map_err(|e| e.to_string())?;
@@ -215,7 +153,7 @@ impl Bolt for PairTxnBolt {
         let ts = tuple.u64("ts");
         self.store
             .incr_f64(
-                &session_key(&ar_keys::pair_txn(pair), self.config.session_of(ts)),
+                &session_key(&ar_pair(pair), session_of(self.config.window, ts)),
                 1.0,
             )
             .map_err(|e| e.to_string())?;
@@ -290,41 +228,37 @@ pub fn rules_from(
     now: u64,
     n: usize,
 ) -> Vec<StoredRule> {
-    let windows = config.window_sessions();
-    let session = if windows == 0 {
-        0
-    } else {
-        config.session_of(now)
-    };
-    let Ok(sx) = windowed_sum(store, &ar_keys::item_txn(antecedent), session, windows) else {
+    let windows = window_sessions(config.window);
+    let session = session_of(config.window, now);
+    let Ok(sx) = windowed_sum(store, &ar_item(antecedent), session, windows) else {
         return Vec::new();
     };
     if sx <= 0.0 {
         return Vec::new();
     }
     // Enumerate candidate pairs containing the antecedent.
-    let Ok(entries) = store.scan_prefix(ar_keys::PAIR_PREFIX) else {
+    let Ok(entries) = store.scan_prefix(Family::ArPair.tag().as_bytes()) else {
         return Vec::new();
     };
     let mut partners: Vec<ItemId> = Vec::new();
     for (key, _) in entries {
-        let body = &key[ar_keys::PAIR_PREFIX.len()..];
-        if body.len() < 16 {
+        let Some(KeyParts { ids: [a, b], .. }) = Family::ArPair.parse(&key) else {
             continue;
-        }
-        let a = u64::from_le_bytes(body[0..8].try_into().unwrap());
-        let b = u64::from_le_bytes(body[8..16].try_into().unwrap());
-        if a == antecedent && !partners.contains(&b) {
-            partners.push(b);
-        } else if b == antecedent && !partners.contains(&a) {
-            partners.push(a);
+        };
+        let other = match (a == antecedent, b == antecedent) {
+            (true, false) => b,
+            (false, true) => a,
+            _ => continue,
+        };
+        if !partners.contains(&other) {
+            partners.push(other);
         }
     }
     let mut rules: Vec<StoredRule> = partners
         .into_iter()
         .filter_map(|other| {
             let pair = ItemPair::new(antecedent, other);
-            let support = windowed_sum(store, &ar_keys::pair_txn(pair), session, windows).ok()?;
+            let support = windowed_sum(store, &ar_pair(pair), session, windows).ok()?;
             let confidence = support / sx;
             (support >= config.min_support && confidence >= config.min_confidence).then_some(
                 StoredRule {
@@ -394,7 +328,7 @@ mod tests {
         }
         let session = 0;
         for item in [1u64, 2, 3] {
-            let stored = windowed_sum(&store, &ar_keys::item_txn(item), session, 0).unwrap();
+            let stored = windowed_sum(&store, &ar_item(item), session, 0).unwrap();
             assert_eq!(
                 stored,
                 reference.item_support(item),
@@ -402,8 +336,7 @@ mod tests {
             );
         }
         for (a, b) in [(1u64, 2u64), (1, 3), (2, 3)] {
-            let stored =
-                windowed_sum(&store, &ar_keys::pair_txn(ItemPair::new(a, b)), session, 0).unwrap();
+            let stored = windowed_sum(&store, &ar_pair(ItemPair::new(a, b)), session, 0).unwrap();
             assert_eq!(stored, reference.pair_support(a, b), "pair ({a},{b})");
         }
     }

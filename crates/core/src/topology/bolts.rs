@@ -15,11 +15,11 @@ use crate::fields::FieldIndex;
 use crate::interner::Interner;
 use crate::topology::replay::{encode_src, DEFAULT_MAX_PENDING};
 use crate::topology::state::{
-    apply_action_in_place, apply_counter_deltas, session_key, update_sim_list, windowed_sum,
-    windowed_sum_with, HistoryAction, HistoryEdit, HistoryLimits, SimRecord,
+    apply_action_in_place, apply_counter_deltas, item_count, pair_count, session_key, session_of,
+    update_sim_list, user_history, window_sessions, windowed_sum, windowed_sum_with, HistoryAction,
+    HistoryEdit, HistoryLimits, KeyBuf, SimRecord,
 };
-use crate::types::keys::KeyBuf;
-use crate::types::{keys, FxHashMap, ItemId, ItemPair};
+use crate::types::{FxHashMap, ItemId, ItemPair};
 use crossbeam::channel::Receiver;
 use tdstore::TdStore;
 use tstorm::prelude::*;
@@ -30,6 +30,22 @@ type CountGroups = Vec<(KeyBuf, Vec<(u64, f64)>)>;
 /// Per pair: `(session, (src, delta) runs)` of one pairCount batch, in
 /// arrival order.
 type PairGroups = Vec<(ItemPair, Vec<(u64, Vec<(u64, f64)>)>)>;
+
+/// Appends `entry` to `key`'s run in `runs`, opening a run for a new key,
+/// and returns the run's index. Batches are small (≤ batch_size), so a
+/// linear find keeps arrival order without hashing.
+fn push_run<K: PartialEq, T>(runs: &mut Vec<(K, Vec<T>)>, key: K, entry: T) -> usize {
+    match runs.iter().position(|(k, _)| *k == key) {
+        Some(at) => {
+            runs[at].1.push(entry);
+            at
+        }
+        None => {
+            runs.push((key, vec![entry]));
+            runs.len() - 1
+        }
+    }
+}
 
 /// Stream carrying item-count deltas.
 pub const ITEM_DELTA: &str = "item_delta";
@@ -99,12 +115,12 @@ impl CfPipelineConfig {
     /// Session bucket for a timestamp (`u64::MAX` = the un-windowed
     /// bucket).
     pub fn session_of(&self, ts: u64) -> u64 {
-        self.window.map_or(u64::MAX, |w| w.session_of(ts))
+        session_of(self.window, ts)
     }
 
     /// Window length in sessions (0 = un-windowed).
     pub fn window_sessions(&self) -> usize {
-        self.window.map_or(0, |w| w.sessions)
+        window_sessions(self.window)
     }
 }
 
@@ -381,7 +397,7 @@ impl Bolt for UserHistoryBolt {
         let mut edit = HistoryEdit::default();
         let pair_deltas = &mut self.pair_deltas;
         self.store
-            .modify(&keys::user_history(user), |slot| {
+            .modify(&user_history(user), |slot| {
                 edit = apply_action_in_place(slot, &action, &limits, pair_deltas);
                 edit.changed
             })
@@ -462,20 +478,14 @@ impl Bolt for ItemCountBolt {
         tuples: &[Tuple],
         _collector: &mut BoltCollector,
     ) -> Result<(), String> {
-        // Batches are small (≤ batch_size); linear find keeps arrival
-        // order without hashing.
         let mut groups: CountGroups = Vec::new();
         for tuple in tuples {
             let [item_i, delta_i, ts_i, src_i] = *self.fields.resolve(tuple);
             let item = tuple.u64_at(item_i);
             let delta = tuple.f64_at(delta_i);
             let session = self.config.session_of(tuple.u64_at(ts_i));
-            let key = session_key(&keys::item_count(item), session);
-            let entry = (tuple.u64_at(src_i), delta);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, deltas)) => deltas.push(entry),
-                None => groups.push((key, vec![entry])),
-            }
+            let key = session_key(&item_count(item), session);
+            push_run(&mut groups, key, (tuple.u64_at(src_i), delta));
         }
         for (key, deltas) in groups {
             apply_counter_deltas(&self.store, &key, &deltas, self.config.dedup_window)
@@ -582,7 +592,7 @@ impl CfPairBolt {
         session: u64,
         deltas: &[(u64, f64)],
     ) -> Result<f64, String> {
-        let key = session_key(&keys::pair_count(pair), session);
+        let key = session_key(&pair_count(pair), session);
         apply_counter_deltas(&self.store, &key, deltas, self.config.dedup_window)
             .map(|update| update.count)
             .map_err(|e| e.to_string())
@@ -603,13 +613,8 @@ impl CfPairBolt {
             if let Some(&count) = memo.get(&(item, current_session)) {
                 return Ok(count);
             }
-            let count = windowed_sum(
-                &self.store,
-                &keys::item_count(item),
-                current_session,
-                windows,
-            )
-            .map_err(|e| e.to_string())?;
+            let count = windowed_sum(&self.store, &item_count(item), current_session, windows)
+                .map_err(|e| e.to_string())?;
             memo.insert((item, current_session), count);
             Ok(count)
         };
@@ -654,8 +659,6 @@ impl Bolt for CfPairBolt {
         _collector: &mut BoltCollector,
     ) -> Result<(), String> {
         // Per pair, per session bucket (in arrival order): src/delta runs.
-        // Batches are small (≤ batch_size); linear find keeps arrival
-        // order without hashing.
         let mut groups: PairGroups = Vec::new();
         for tuple in tuples {
             let [a_i, b_i, delta_i, ts_i, src_i] = *self.fields.resolve(tuple);
@@ -665,52 +668,44 @@ impl Bolt for CfPairBolt {
             }
             let session = self.config.session_of(tuple.u64_at(ts_i));
             let entry = (tuple.u64_at(src_i), tuple.f64_at(delta_i));
-            let sessions = match groups.iter_mut().find(|(p, _)| *p == pair) {
-                Some((_, sessions)) => sessions,
-                None => {
-                    groups.push((pair, Vec::new()));
-                    &mut groups.last_mut().expect("just pushed").1
+            match groups.iter_mut().find(|(p, _)| *p == pair) {
+                Some((_, sessions)) => {
+                    push_run(sessions, session, entry);
                 }
-            };
-            match sessions.iter_mut().find(|(s, _)| *s == session) {
-                Some((_, deltas)) => deltas.push(entry),
-                None => sessions.push((session, vec![entry])),
+                None => groups.push((pair, vec![(session, vec![entry])])),
             }
         }
 
         let windows = self.config.window_sessions();
         let mut item_counts = FxHashMap::default();
-        let mut sims: Vec<(ItemPair, f64)> = Vec::with_capacity(groups.len());
+        // Per pair: its similarity and where its two items sit in `lists`.
+        let mut sims: Vec<(ItemPair, f64, [usize; 2])> = Vec::with_capacity(groups.len());
         // Per item, the `(other, sim)` entries of this batch in the order
         // per-tuple execution would have applied them.
         let mut lists: Vec<(ItemId, Vec<SimRecord>)> = Vec::new();
         let mut written: Vec<(u64, f64)> = Vec::new();
         for (pair, sessions) in &groups {
             written.clear();
+            let mut current_session = 0;
             for (session, deltas) in sessions {
                 written.push((*session, self.apply_pair_deltas(*pair, *session, deltas)?));
+                current_session = *session;
             }
             // One recompute at the batch's final session for this pair:
             // the counts already include every delta above, so the result
             // matches what per-tuple execution would leave behind.
-            let last_session = written.last().expect("non-empty group").0;
-            let current_session = if windows == 0 { 0 } else { last_session };
             let pc = windowed_sum_with(
                 &self.store,
-                &keys::pair_count(*pair),
+                &pair_count(*pair),
                 current_session,
                 windows,
                 &written,
             )
             .map_err(|e| e.to_string())?;
             let sim = self.similarity(*pair, pc, current_session, &mut item_counts)?;
-            sims.push((*pair, sim));
-            for (item, other) in [(pair.a, pair.b), (pair.b, pair.a)] {
-                match lists.iter_mut().find(|(i, _)| *i == item) {
-                    Some((_, entries)) => entries.push((other, sim)),
-                    None => lists.push((item, vec![(other, sim)])),
-                }
-            }
+            let at = [(pair.a, pair.b), (pair.b, pair.a)]
+                .map(|(item, other)| push_run(&mut lists, item, (other, sim)));
+            sims.push((*pair, sim, at));
         }
 
         // One conditional update per item; each returns its list's k-th
@@ -724,12 +719,8 @@ impl Bolt for CfPairBolt {
             );
         }
         if let Some(pruning) = &mut self.pruning {
-            let threshold = |item: ItemId| {
-                let at = lists.iter().position(|(i, _)| *i == item);
-                thresholds[at.expect("every pair's items have a list entry")]
-            };
-            for (pair, sim) in sims {
-                pruning.observe(pair, sim, threshold(pair.a).min(threshold(pair.b)));
+            for (pair, sim, [a, b]) in sims {
+                pruning.observe(pair, sim, thresholds[a].min(thresholds[b]));
             }
         }
         self.sync_prune_obs();

@@ -9,32 +9,14 @@
 
 use crate::action::{ActionType, ActionWeights};
 use crate::catalog::{ItemCatalog, TagId};
+use crate::topology::state::{
+    cb_profile, cb_seen, decode_ids, decode_profile, encode_ids, encode_profile,
+};
 use crate::types::{FxHashMap, FxHashSet, ItemId, UserId};
 use parking_lot::RwLock;
 use std::sync::Arc;
 use tdstore::TdStore;
 use tstorm::prelude::*;
-
-/// TDStore keys for CB state.
-pub mod cb_keys {
-    use crate::types::UserId;
-
-    /// Decayed tag-weight profile of a user.
-    pub fn profile(user: UserId) -> Vec<u8> {
-        let mut k = Vec::with_capacity(12);
-        k.extend_from_slice(b"cbp:");
-        k.extend_from_slice(&user.to_le_bytes());
-        k
-    }
-
-    /// Seen-items set of a user.
-    pub fn seen(user: UserId) -> Vec<u8> {
-        let mut k = Vec::with_capacity(12);
-        k.extend_from_slice(b"cbn:");
-        k.extend_from_slice(&user.to_le_bytes());
-        k
-    }
-}
 
 /// CB pipeline parameters.
 #[derive(Debug, Clone)]
@@ -55,48 +37,6 @@ impl Default for CbPipelineConfig {
             max_profile_tags: 64,
         }
     }
-}
-
-/// Profile encoding: `last_ts:u64 | (tag:u32, weight:f64)*`.
-fn decode_profile(raw: &[u8]) -> (u64, Vec<(TagId, f64)>) {
-    if raw.len() < 8 {
-        return (0, Vec::new());
-    }
-    let last = u64::from_le_bytes(raw[0..8].try_into().unwrap());
-    let tags = raw[8..]
-        .chunks_exact(12)
-        .map(|c| {
-            (
-                u32::from_le_bytes(c[0..4].try_into().unwrap()),
-                f64::from_le_bytes(c[4..12].try_into().unwrap()),
-            )
-        })
-        .collect();
-    (last, tags)
-}
-
-fn encode_profile(last_ts: u64, tags: &[(TagId, f64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + tags.len() * 12);
-    out.extend_from_slice(&last_ts.to_le_bytes());
-    for &(tag, w) in tags {
-        out.extend_from_slice(&tag.to_le_bytes());
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
-fn decode_seen(raw: &[u8]) -> Vec<ItemId> {
-    raw.chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
-fn encode_seen(items: &[ItemId]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(items.len() * 8);
-    for item in items {
-        out.extend_from_slice(&item.to_le_bytes());
-    }
-    out
 }
 
 /// The shared, registration-driven tag index (catalog infrastructure —
@@ -210,12 +150,12 @@ impl Bolt for CbProfileBolt {
 
         // Mark seen.
         self.store
-            .update(&cb_keys::seen(user), |raw| {
-                let mut items = raw.map(decode_seen).unwrap_or_default();
+            .update(&cb_seen(user), |raw| {
+                let mut items = raw.map(decode_ids).unwrap_or_default();
                 if !items.contains(&item) {
                     items.push(item);
                 }
-                Some(encode_seen(&items))
+                Some(encode_ids(&items))
             })
             .map_err(map_err)?;
 
@@ -229,7 +169,7 @@ impl Bolt for CbProfileBolt {
         let half_life = self.config.half_life_ms as f64;
         let cap = self.config.max_profile_tags;
         self.store
-            .update(&cb_keys::profile(user), |raw| {
+            .update(&cb_profile(user), |raw| {
                 let (last, mut tags) = raw.map(decode_profile).unwrap_or((0, Vec::new()));
                 // Decay toward the new timestamp (a non-empty tag list
                 // means `last` is a real observation time, even at 0).
@@ -298,7 +238,7 @@ impl CbQuery {
 
     /// Top-`n` unseen items by profile–item cosine.
     pub fn recommend(&self, user: UserId, n: usize) -> Vec<(ItemId, f64)> {
-        let Ok(Some(raw)) = self.store.get(&cb_keys::profile(user)) else {
+        let Ok(Some(raw)) = self.store.get(&cb_profile(user)) else {
             return Vec::new();
         };
         let (_, tags) = decode_profile(&raw);
@@ -307,10 +247,10 @@ impl CbQuery {
         }
         let seen: FxHashSet<ItemId> = self
             .store
-            .get(&cb_keys::seen(user))
+            .get(&cb_seen(user))
             .ok()
             .flatten()
-            .map(|raw| decode_seen(&raw).into_iter().collect())
+            .map(|raw| decode_ids(&raw).into_iter().collect())
             .unwrap_or_default();
         let norm: f64 = tags.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
         let mut dots: FxHashMap<ItemId, f64> = FxHashMap::default();

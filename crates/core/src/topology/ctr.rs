@@ -11,7 +11,10 @@
 
 use crate::db::DemographicProfile;
 use crate::fields::FieldIndex;
-use crate::topology::state::{session_key, windowed_sum};
+use crate::topology::state::{
+    ctr_clicks, ctr_imps, ctr_rate, decode_scalar, encode_scalar, session_key, session_of,
+    window_sessions, windowed_sum,
+};
 use crate::types::ItemId;
 use crossbeam::channel::Receiver;
 use tdstore::TdStore;
@@ -52,51 +55,6 @@ impl Default for CtrPipelineConfig {
             smoothing: 20.0,
             prior_ctr: 0.01,
         }
-    }
-}
-
-impl CtrPipelineConfig {
-    fn session_of(&self, ts: u64) -> u64 {
-        self.window.map_or(u64::MAX, |w| w.session_of(ts))
-    }
-
-    fn window_sessions(&self) -> usize {
-        self.window.map_or(0, |w| w.sessions)
-    }
-}
-
-/// TDStore key namespaces for CTR statistics.
-pub mod ctr_keys {
-    use crate::types::ItemId;
-
-    /// Impression-count base key for a `(item, gender, age band)` cell.
-    pub fn imps(item: ItemId, gender: u8, age_band: u8) -> Vec<u8> {
-        let mut k = Vec::with_capacity(16);
-        k.extend_from_slice(b"ci:");
-        k.extend_from_slice(&item.to_le_bytes());
-        k.push(gender);
-        k.push(age_band);
-        k
-    }
-
-    /// Click-count base key for a `(item, gender, age band)` cell.
-    pub fn clicks(item: ItemId, gender: u8, age_band: u8) -> Vec<u8> {
-        let mut k = Vec::with_capacity(16);
-        k.extend_from_slice(b"cc:");
-        k.extend_from_slice(&item.to_le_bytes());
-        k.push(gender);
-        k.push(age_band);
-        k
-    }
-
-    /// Stored smoothed-CTR key for a cell.
-    pub fn ctr(item: ItemId, gender: u8, age_band: u8) -> Vec<u8> {
-        let mut k = Vec::with_capacity(17);
-        k.extend_from_slice(b"ctr:");
-        k.extend_from_slice(&item.to_le_bytes());
-        k.push(gender);
-        k.push(age_band);
-        k
     }
 }
 
@@ -190,18 +148,18 @@ impl Bolt for CtrStoreBolt {
             .as_bool()
             .ok_or("missing clicked flag")?;
         let ts = tuple.u64_at(ts_i);
-        let session = self.config.session_of(ts);
+        let session = session_of(self.config.window, ts);
         let map_err = |e: tdstore::StoreError| e.to_string();
         self.store
             .incr_f64(
-                &session_key(&ctr_keys::imps(item, gender, age_band), session),
+                &session_key(&ctr_imps(item, gender, age_band), session),
                 1.0,
             )
             .map_err(map_err)?;
         if clicked {
             self.store
                 .incr_f64(
-                    &session_key(&ctr_keys::clicks(item, gender, age_band), session),
+                    &session_key(&ctr_clicks(item, gender, age_band), session),
                     1.0,
                 )
                 .map_err(map_err)?;
@@ -249,23 +207,19 @@ impl Bolt for CtrBolt {
         let gender = tuple.u64_at(gender_i) as u8;
         let age_band = tuple.u64_at(age_i) as u8;
         let ts = tuple.u64_at(ts_i);
-        let windows = self.config.window_sessions();
-        let session = if windows == 0 {
-            0
-        } else {
-            self.config.session_of(ts)
-        };
+        let windows = window_sessions(self.config.window);
+        let session = session_of(self.config.window, ts);
         let map_err = |e: tdstore::StoreError| e.to_string();
         let imps = windowed_sum(
             &self.store,
-            &ctr_keys::imps(item, gender, age_band),
+            &ctr_imps(item, gender, age_band),
             session,
             windows,
         )
         .map_err(map_err)?;
         let clicks = windowed_sum(
             &self.store,
-            &ctr_keys::clicks(item, gender, age_band),
+            &ctr_clicks(item, gender, age_band),
             session,
             windows,
         )
@@ -314,10 +268,7 @@ impl Bolt for ResultStorageBolt {
         let age_band = tuple.u64_at(age_i) as u8;
         let ctr = tuple.f64_at(ctr_i);
         self.store
-            .put(
-                &ctr_keys::ctr(item, gender, age_band),
-                ctr.to_le_bytes().to_vec(),
-            )
+            .put(&ctr_rate(item, gender, age_band), encode_scalar(ctr))
             .map_err(|e| e.to_string())?;
         Ok(())
     }
@@ -390,7 +341,9 @@ pub fn ctr_registry(
 /// Query side: the stored smoothed CTR of a cell.
 pub fn stored_ctr(store: &TdStore, item: ItemId, profile: &DemographicProfile) -> Option<f64> {
     store
-        .get_f64(&ctr_keys::ctr(item, profile.gender, profile.age_band()))
+        .read(&ctr_rate(item, profile.gender, profile.age_band()), |raw| {
+            raw.and_then(decode_scalar)
+        })
         .ok()
         .flatten()
 }

@@ -14,46 +14,14 @@
 use crate::action::{ActionType, ActionWeights};
 use crate::db::{rank_hot, DemographicProfile, GroupId, GroupScheme, HOT_LIST_LEN};
 use crate::topology::state::{
-    apply_hot_entry, encode_sim_list, session_key, sim_records, windowed_sum, windowed_sum_with,
+    apply_hot_entry, encode_sim_list, group_prefix, hot, hot_list, session_key, session_of,
+    sim_records, window_sessions, windowed_sum, windowed_sum_with, Family,
 };
 use crate::types::{FxHashMap, FxHashSet, ItemId, UserId};
 use parking_lot::RwLock;
 use std::sync::Arc;
 use tdstore::{StoreError, TdStore};
 use tstorm::prelude::*;
-
-/// TDStore keys for demographic statistics.
-pub mod group_keys {
-    use crate::db::GroupId;
-    use crate::topology::state::session_key;
-    use crate::types::keys::KeyBuf;
-    use crate::types::ItemId;
-
-    /// Hot-item count base key for `(group, item)`.
-    pub fn hot(group: GroupId, item: ItemId) -> Vec<u8> {
-        let mut k = Vec::with_capacity(20);
-        k.extend_from_slice(b"grp:");
-        k.extend_from_slice(&group.to_le_bytes());
-        k.extend_from_slice(&item.to_le_bytes());
-        k
-    }
-
-    /// Prefix of all hot-item keys of one group.
-    pub fn group_prefix(group: GroupId) -> Vec<u8> {
-        let mut k = Vec::with_capacity(12);
-        k.extend_from_slice(b"grp:");
-        k.extend_from_slice(&group.to_le_bytes());
-        k
-    }
-
-    /// The hot list of `group` at `session`: `hot:<group>@<session>`, the
-    /// group's [`HOT_LIST_LEN`](crate::db::HOT_LIST_LEN) best items by
-    /// windowed count, as 16-byte `(item, count)` records in
-    /// [`hot_order`](crate::db::hot_order).
-    pub fn hot_list(group: GroupId, session: u64) -> KeyBuf {
-        session_key(&KeyBuf::new(b"hot:").with(&group.to_le_bytes()), session)
-    }
-}
 
 /// Shared profile registry (in production this comes from the account
 /// system; the topology reads it, never writes it).
@@ -92,16 +60,6 @@ pub struct DemographicPipelineConfig {
     pub weights: ActionWeights,
     /// Sliding window over the hot-item counts.
     pub window: Option<crate::cf::counts::WindowConfig>,
-}
-
-impl DemographicPipelineConfig {
-    fn session_of(&self, ts: u64) -> u64 {
-        self.window.map_or(u64::MAX, |w| w.session_of(ts))
-    }
-
-    fn window_sessions(&self) -> usize {
-        self.window.map_or(0, |w| w.sessions)
-    }
 }
 
 /// Stage-1 bolt (hashed by **user**): resolves the acting user's group
@@ -174,13 +132,13 @@ impl GroupCountBolt {
         weight: f64,
         ts: u64,
     ) -> Result<(), StoreError> {
-        let base = group_keys::hot(group, item);
-        let session = self.config.session_of(ts);
+        let base = hot(group, item);
+        let session = session_of(self.config.window, ts);
         let bucket = self.store.incr_f64(&session_key(&base, session), weight)?;
-        let windows = self.config.window_sessions();
+        let windows = window_sessions(self.config.window);
         let last = session.saturating_add(windows.saturating_sub(1) as u64);
         for list_session in session..=last {
-            let key = group_keys::hot_list(group, list_session);
+            let key = hot_list(group, list_session);
             let stored = self.store.read(&key, |raw| raw.is_some())?;
             if !stored && list_session != session {
                 continue;
@@ -276,10 +234,10 @@ pub fn hot_items(
     n: usize,
     exclude: &FxHashSet<ItemId>,
 ) -> Vec<(ItemId, f64)> {
-    let session = config.session_of(now);
+    let session = session_of(config.window, now);
     // Reserved before the read, so nothing allocates under the store lock.
     let mut page = Vec::with_capacity(n.min(HOT_LIST_LEN));
-    let listed = store.read(&group_keys::hot_list(group, session), |raw| {
+    let listed = store.read(&hot_list(group, session), |raw| {
         let list = sim_records(raw?);
         let len = list.len();
         page.extend(list.filter(|(item, _)| !exclude.contains(item)).take(n));
@@ -303,21 +261,19 @@ fn rank_group(
     exclude: &FxHashSet<ItemId>,
     n: usize,
 ) -> Result<Vec<(ItemId, f64)>, StoreError> {
-    let prefix = group_keys::group_prefix(group);
     // Keys are `grp:<group><item>@<session>`; aggregate per item over the
     // window.
     let items: FxHashSet<ItemId> = store
-        .scan_prefix(&prefix)?
+        .scan_prefix(&group_prefix(group))?
         .iter()
-        .filter_map(|(key, _)| key.get(prefix.len()..)?.first_chunk::<8>().copied())
-        .map(u64::from_le_bytes)
+        .filter_map(|(key, _)| Some(Family::GroupCount.parse(key)?.ids[1]))
         .collect();
-    let windows = config.window_sessions();
+    let windows = window_sessions(config.window);
     let mut counts = Vec::with_capacity(items.len());
     for item in items {
         counts.push((
             item,
-            windowed_sum(store, &group_keys::hot(group, item), session, windows)?,
+            windowed_sum(store, &hot(group, item), session, windows)?,
         ));
     }
     Ok(rank_hot(

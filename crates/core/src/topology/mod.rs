@@ -33,8 +33,11 @@ pub use bolts::{
 pub use replay::{OffsetTable, ReplayProgress, ReplayableSpout};
 pub use tdaccess::PartitionId;
 
-use crate::topology::state::{decode_sim_list, history_records, sim_records, windowed_sum};
-use crate::types::{keep_least, keys, FxHashMap, FxHashSet, ItemId, Timestamp, UserId};
+use crate::topology::state::{
+    decode_sim_list, history_records, item_count, pair_count, sim_records, similar_items,
+    user_history, windowed_sum,
+};
+use crate::types::{keep_least, FxHashMap, FxHashSet, ItemId, Timestamp, UserId};
 use crossbeam::channel::Receiver;
 use tdstore::TdStore;
 use tstorm::prelude::*;
@@ -212,19 +215,15 @@ impl TopologyRecommender {
             return 1.0;
         }
         let windows = self.config.window_sessions();
-        let session = if windows == 0 {
-            0
-        } else {
-            self.config.session_of(now)
-        };
-        let ic_p = windowed_sum(&self.store, &keys::item_count(p), session, windows).unwrap_or(0.0);
-        let ic_q = windowed_sum(&self.store, &keys::item_count(q), session, windows).unwrap_or(0.0);
+        let session = self.config.session_of(now);
+        let ic_p = windowed_sum(&self.store, &item_count(p), session, windows).unwrap_or(0.0);
+        let ic_q = windowed_sum(&self.store, &item_count(q), session, windows).unwrap_or(0.0);
         if ic_p <= 0.0 || ic_q <= 0.0 {
             return 0.0;
         }
         let pc = windowed_sum(
             &self.store,
-            &keys::pair_count(crate::types::ItemPair::new(p, q)),
+            &pair_count(crate::types::ItemPair::new(p, q)),
             session,
             windows,
         )
@@ -236,7 +235,7 @@ impl TopologyRecommender {
     /// store's copy.
     pub fn similar_items(&self, item: ItemId) -> Vec<(ItemId, f64)> {
         self.store
-            .read(&keys::similar_items(item), |raw| {
+            .read(&similar_items(item), |raw| {
                 raw.map(decode_sim_list).unwrap_or_default()
             })
             .unwrap_or_default()
@@ -272,7 +271,7 @@ impl TopologyRecommender {
         loop {
             rated.reserve(room);
             recent.reserve(room);
-            let read = self.store.read(&keys::user_history(user), |raw| {
+            let read = self.store.read(&user_history(user), |raw| {
                 let records = history_records(raw?);
                 if records.len() > recent.capacity() || records.len() > rated.capacity() {
                     return Some(Err(records.len()));
@@ -304,7 +303,7 @@ impl TopologyRecommender {
         for r in &recent {
             loop {
                 let room = sums.capacity() - sums.len();
-                let read = self.store.read(&keys::similar_items(r.item), |raw| {
+                let read = self.store.read(&similar_items(r.item), |raw| {
                     let list = sim_records(raw.unwrap_or_default());
                     if list.len() > room {
                         return Err(list.len());
@@ -462,7 +461,7 @@ mod tests {
         .launch();
         assert!(handle.wait_idle(Duration::from_secs(20)), "stalled");
         handle.shutdown(Duration::from_secs(2));
-        let count = windowed_sum(&store, &keys::item_count(7), 0, 0).unwrap();
+        let count = windowed_sum(&store, &item_count(7), 0, 0).unwrap();
         assert_eq!(count, 400.0, "200 clicks of weight 2");
     }
 

@@ -378,16 +378,20 @@ impl ReplayableSpout {
     /// Joins the consumer group. Called by [`Spout::open`]; tests driving
     /// the spout manually call it directly. On a spout task, every append
     /// to the topic wakes the task ([`SpoutWaker`]), so a record is polled
-    /// when it lands instead of when the idle backoff expires.
+    /// when it lands instead of when the idle backoff expires. A join that
+    /// fails (the topic does not exist yet) leaves the spout idle, and
+    /// every poll tries it again.
     pub fn connect(&mut self) {
         if self.consumer.is_none() {
-            let mut consumer = match self.pinned {
+            let joined = match self.pinned {
                 Some((idx, n)) => self
                     .cluster
                     .consumer_pinned(&self.topic, &self.group, idx, n),
                 None => self.cluster.consumer(&self.topic, &self.group),
-            }
-            .expect("replayable spout: join consumer group");
+            };
+            let Ok(mut consumer) = joined else {
+                return;
+            };
             if let Some(waker) = SpoutWaker::current() {
                 consumer.on_append(Arc::new(move || waker.wake()));
             }
@@ -412,6 +416,7 @@ impl ReplayableSpout {
             return None;
         }
         if self.buffer.is_empty() {
+            self.connect();
             let consumer = self.consumer.as_mut()?;
             match consumer.poll_records(self.poll_batch) {
                 Ok(batch) => self.buffer.extend(batch),
@@ -572,6 +577,19 @@ mod tests {
         assert_eq!(seen.len(), 20);
         assert_eq!(spout.progress().committed(), 20);
         assert_eq!(spout.tracker().outstanding(), 0);
+    }
+
+    #[test]
+    fn spout_started_before_its_topic_reads_once_it_appears() {
+        let cluster = AccessCluster::new(ClusterConfig::default());
+        let mut spout = ReplayableSpout::new(cluster.clone(), "t", "g", Arc::default());
+        spout.connect();
+        assert_eq!(spout.poll_next(), None, "no topic yet: idle");
+        cluster.create_topic("t", 1).unwrap();
+        let action = UserAction::new(1, 2, ActionType::Click, 3);
+        let producer = cluster.producer("t").unwrap();
+        producer.send(None, &action.to_bytes()).unwrap();
+        assert_eq!(spout.poll_next(), Some((encode_src(0, 0), action)));
     }
 
     #[test]

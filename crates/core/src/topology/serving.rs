@@ -102,22 +102,17 @@ impl RecommenderFrontEnd {
     }
 
     /// Top-`n` recommendations for a *string-keyed* user, de-interned
-    /// back to the frontend's original item keys. Requires
-    /// [`Self::with_interner`]; an unknown user (never interned) has no
-    /// history and gets only the demographic complement.
-    ///
-    /// Panics if the front end was built without an interner — mixing the
-    /// raw and integer-keyed APIs is a wiring bug.
-    pub fn recommend_raw(&self, user: &str, n: usize, now: u64) -> Vec<(String, f64)> {
-        let interner = self
-            .interner
-            .as_ref()
-            .expect("recommend_raw requires RecommenderFrontEnd::with_interner");
+    /// back to the frontend's original item keys; an unknown user (never
+    /// interned) has no history and gets only the demographic complement.
+    /// `None` unless the front end was built [`Self::with_interner`].
+    pub fn recommend_raw(&self, user: &str, n: usize, now: u64) -> Option<Vec<(String, f64)>> {
+        let interner = self.interner.as_ref()?;
         let uid = interner.intern(user);
-        self.recommend(uid, n, now)
-            .into_iter()
-            .filter_map(|(item, score)| interner.resolve(item).map(|key| (key, score)))
-            .collect()
+        let recs = self.recommend(uid, n, now).into_iter();
+        Some(
+            recs.filter_map(|(item, score)| interner.resolve(item).map(|key| (key, score)))
+                .collect(),
+        )
     }
 
     /// Direct access to the CF query engine.
@@ -283,7 +278,7 @@ mod tests {
 
         let front =
             RecommenderFrontEnd::with_interner(store, config, ProfileRegistry::new(), interner);
-        let recs = front.recommend_raw("cookie-new", 3, 1_000);
+        let recs = front.recommend_raw("cookie-new", 3, 1_000).unwrap();
         assert_eq!(
             recs.first().map(|r| r.0.as_str()),
             Some("video/dogs"),

@@ -1,14 +1,268 @@
-//! Binary encodings for algorithm state held in TDStore.
+//! The status data in TDStore: every key and value layout, in one place.
 //!
 //! The topology's bolts are state-free (§5.1): everything they need
 //! between tuples lives in TDStore so "the topology can conduct fast
-//! failure recovery". These helpers define the value formats for user
-//! histories, similar-items lists, and session-suffixed windowed counts.
+//! failure recovery", and the query side reads the same bytes (Fig. 6).
+//! This module is the one schema both sides share: each [`Family`]'s key
+//! builder, key parser and value codec, as DESIGN.md's "Status data in
+//! TDStore" table lists them. Every decoder is total: values come back
+//! from a checkpoint on disk at every restore, so a torn value reads as
+//! its longest valid prefix and never panics.
 
 use super::replay::past_horizon;
-use crate::types::keys::KeyBuf;
-use crate::types::{keys, ItemId, Timestamp};
+use crate::catalog::TagId;
+use crate::cf::counts::WindowConfig;
+use crate::db::GroupId;
+use crate::types::{ItemId, ItemPair, Timestamp, UserId};
 use tdstore::{StoreError, TdStore};
+use wire::Reader;
+
+/// Defines [`Family`] from its table: each family's tag, then its key
+/// layout after the tag as `(u64 ids, one-byte cell fields, windowed)`.
+macro_rules! families {
+    ($($(#[$doc:meta])* $family:ident $tag:literal $layout:expr;)*) => {
+        /// One family of status data: every key under one tag, laid out
+        /// one way. A windowed key ends in `@session:u64`.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Family {
+            $($(#[$doc])* $family,)*
+        }
+
+        impl Family {
+            /// Every family, in the order of DESIGN.md's table.
+            pub const ALL: [Family; 14] = [$(Family::$family),*];
+
+            /// The tag every key of the family starts with. No tag is a
+            /// prefix of another, so a key names at most one family.
+            pub const fn tag(self) -> &'static str {
+                match self {
+                    $(Family::$family => $tag,)*
+                }
+            }
+
+            const fn layout(self) -> (usize, usize, bool) {
+                match self {
+                    $(Family::$family => $layout,)*
+                }
+            }
+        }
+    };
+}
+
+families! {
+    /// `itemCount` buckets ([`item_count`]), counters ([`apply_deltas_in_place`]).
+    ItemCount "ic:" (1, 0, true);
+    /// `pairCount` buckets ([`pair_count`]), counters.
+    PairCount "pc:" (2, 0, true);
+    /// User histories with replay logs ([`user_history`], [`encode_history`]).
+    History "hist:" (1, 0, false);
+    /// Similar-items lists ([`similar_items`], [`encode_sim_list`]).
+    SimList "sim:" (1, 0, false);
+    /// A group's hot list per session ([`hot_list`]), in the sim-list format.
+    HotList "hot:" (1, 0, true);
+    /// A group's hot-item counts ([`hot`]), scalars ([`decode_scalar`]).
+    GroupCount "grp:" (2, 0, true);
+    /// CB interest profiles ([`cb_profile`], [`encode_profile`]).
+    CbProfile "cbp:" (1, 0, false);
+    /// CB seen-item sets ([`cb_seen`], [`encode_ids`]).
+    CbSeen "cbn:" (1, 0, false);
+    /// CTR impressions per cell ([`ctr_imps`]), scalars.
+    CtrImps "ci:" (1, 2, true);
+    /// CTR clicks per cell ([`ctr_clicks`]), scalars.
+    CtrClicks "cc:" (1, 2, true);
+    /// The smoothed CTR of a cell ([`ctr_rate`]), a scalar.
+    Ctr "ctr:" (1, 2, false);
+    /// AR live sessions ([`ar_session`], [`encode_session`]).
+    ArSession "arsess:" (1, 0, false);
+    /// AR item transaction counts ([`ar_item`]), scalars.
+    ArItem "ari:" (1, 0, true);
+    /// AR pair transaction counts ([`ar_pair`]), scalars.
+    ArPair "arp:" (2, 0, true);
+}
+
+impl Family {
+    /// The family whose tag starts `key`, if any.
+    pub fn of(key: &[u8]) -> Option<Family> {
+        Self::ALL
+            .into_iter()
+            .find(|f| key.starts_with(f.tag().as_bytes()))
+    }
+
+    /// The parts a key of this family names; `None` unless `key` is
+    /// exactly this family's tag and layout.
+    pub fn parse(self, key: &[u8]) -> Option<KeyParts> {
+        let (ids, cells, windowed) = self.layout();
+        let mut r = Reader::new(key.strip_prefix(self.tag().as_bytes())?);
+        let mut parts = KeyParts::default();
+        for id in &mut parts.ids[..ids] {
+            *id = r.u64().ok()?;
+        }
+        for cell in &mut parts.cell[..cells] {
+            *cell = r.u8().ok()?;
+        }
+        if windowed {
+            (r.u8().ok()? == SESSION_MARK).then_some(())?;
+            parts.session = Some(r.u64().ok()?);
+        }
+        r.finish().ok().map(|()| parts)
+    }
+}
+
+/// What a key names after its tag. Slots the family's layout does not use
+/// are 0 (`None` for the session).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KeyParts {
+    /// The `u64` ids: one, or a pair's two items, or a group and an item.
+    pub ids: [u64; 2],
+    /// A CTR cell's `(gender, age band)`.
+    pub cell: [u8; 2],
+    /// The session bucket of a windowed key.
+    pub session: Option<u64>,
+}
+
+/// Separates a windowed key's base from its session.
+const SESSION_MARK: u8 = b'@';
+
+/// A store key built on the stack: a short tag and fixed-width ids, so the
+/// hot paths never allocate to name a value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyBuf {
+    len: u8,
+    bytes: [u8; KeyBuf::CAPACITY],
+}
+
+impl KeyBuf {
+    /// Longest key a `KeyBuf` holds.
+    const CAPACITY: usize = 40;
+
+    fn new(tag: &[u8]) -> Self {
+        let empty = KeyBuf {
+            len: 0,
+            bytes: [0; Self::CAPACITY],
+        };
+        empty.with(tag)
+    }
+
+    /// The key with `part` appended. Panics past [`Self::CAPACITY`]: the
+    /// layouts are fixed in this module, so that is a bug here.
+    fn with(mut self, part: &[u8]) -> Self {
+        let end = self.len as usize + part.len();
+        self.bytes[self.len as usize..end].copy_from_slice(part);
+        self.len = end as u8;
+        self
+    }
+
+    fn family(family: Family) -> Self {
+        Self::new(family.tag().as_bytes())
+    }
+
+    fn id(self, id: u64) -> Self {
+        self.with(&id.to_le_bytes())
+    }
+}
+
+impl std::ops::Deref for KeyBuf {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
+/// The session bucket `ts` lands in; `u64::MAX`, the one bucket, unwindowed.
+pub fn session_of(window: Option<WindowConfig>, ts: Timestamp) -> u64 {
+    window.map_or(u64::MAX, |w| w.session_of(ts))
+}
+
+/// The sessions a windowed sum reads; 0, the one bucket, unwindowed.
+pub fn window_sessions(window: Option<WindowConfig>) -> usize {
+    window.map_or(0, |w| w.sessions)
+}
+
+/// Key for a windowed count bucket: a windowed family's base key + `@` +
+/// session index. Un-windowed counts use session `u64::MAX` as the single
+/// bucket.
+pub fn session_key(base: &[u8], session: u64) -> KeyBuf {
+    KeyBuf::new(base).with(&[SESSION_MARK]).id(session)
+}
+
+/// `itemCount(item)` base key, windowed: `ic:<item>`.
+pub fn item_count(item: ItemId) -> KeyBuf {
+    KeyBuf::family(Family::ItemCount).id(item)
+}
+
+/// `pairCount(pair)` base key, windowed: `pc:<a><b>`.
+pub fn pair_count(pair: ItemPair) -> KeyBuf {
+    KeyBuf::family(Family::PairCount).id(pair.a).id(pair.b)
+}
+
+/// A user's history: `hist:<user>`.
+pub fn user_history(user: UserId) -> KeyBuf {
+    KeyBuf::family(Family::History).id(user)
+}
+
+/// An item's similar-items list: `sim:<item>`.
+pub fn similar_items(item: ItemId) -> KeyBuf {
+    KeyBuf::family(Family::SimList).id(item)
+}
+
+/// The hot list of `group` at `session`: `hot:<group>@<session>`.
+pub fn hot_list(group: GroupId, session: u64) -> KeyBuf {
+    session_key(&KeyBuf::family(Family::HotList).id(group), session)
+}
+
+/// The prefix of every hot-item count of `group`: `grp:<group>`.
+pub fn group_prefix(group: GroupId) -> KeyBuf {
+    KeyBuf::family(Family::GroupCount).id(group)
+}
+
+/// Hot-item count base key, windowed: `grp:<group><item>`.
+pub fn hot(group: GroupId, item: ItemId) -> KeyBuf {
+    group_prefix(group).id(item)
+}
+
+/// A user's CB interest profile: `cbp:<user>`.
+pub fn cb_profile(user: UserId) -> KeyBuf {
+    KeyBuf::family(Family::CbProfile).id(user)
+}
+
+/// A user's CB seen-items set: `cbn:<user>`.
+pub fn cb_seen(user: UserId) -> KeyBuf {
+    KeyBuf::family(Family::CbSeen).id(user)
+}
+
+/// Impression-count base key of a cell, windowed: `ci:<item><gender><band>`.
+pub fn ctr_imps(item: ItemId, gender: u8, age_band: u8) -> KeyBuf {
+    ctr_cell(Family::CtrImps, item, gender, age_band)
+}
+
+/// Click-count base key of a cell, windowed: `cc:<item><gender><band>`.
+pub fn ctr_clicks(item: ItemId, gender: u8, age_band: u8) -> KeyBuf {
+    ctr_cell(Family::CtrClicks, item, gender, age_band)
+}
+
+/// A cell's stored smoothed CTR: `ctr:<item><gender><band>`.
+pub fn ctr_rate(item: ItemId, gender: u8, age_band: u8) -> KeyBuf {
+    ctr_cell(Family::Ctr, item, gender, age_band)
+}
+
+fn ctr_cell(family: Family, item: ItemId, gender: u8, age_band: u8) -> KeyBuf {
+    KeyBuf::family(family).id(item).with(&[gender, age_band])
+}
+
+/// A user's live AR session: `arsess:<user>`.
+pub fn ar_session(user: UserId) -> KeyBuf {
+    KeyBuf::family(Family::ArSession).id(user)
+}
+
+/// Item transaction-count base key, windowed: `ari:<item>`.
+pub fn ar_item(item: ItemId) -> KeyBuf {
+    KeyBuf::family(Family::ArItem).id(item)
+}
+
+/// Pair transaction-count base key, windowed: `arp:<a><b>`.
+pub fn ar_pair(pair: ItemPair) -> KeyBuf {
+    KeyBuf::family(Family::ArPair).id(pair.a).id(pair.b)
+}
 
 /// One user-history record: `(item, rating, last action ts)`.
 pub type HistoryRecord = (ItemId, f64, Timestamp);
@@ -73,46 +327,25 @@ fn push_log_entry(out: &mut Vec<u8>, src: u64, delta: f64, pairs: &[(ItemId, Ite
 /// Decodes [`encode_history`]; tolerant of truncation (a torn value
 /// yields the longest valid prefix rather than a panic).
 pub fn decode_history(raw: &[u8]) -> (Vec<HistoryRecord>, Vec<ReplayLogEntry>) {
-    let mut pos = 0usize;
-    let read_u32 = |raw: &[u8], pos: &mut usize| -> Option<u32> {
-        let v = u32::from_le_bytes(raw.get(*pos..*pos + 4)?.try_into().ok()?);
-        *pos += 4;
-        Some(v)
-    };
-    let read_u64 = |raw: &[u8], pos: &mut usize| -> Option<u64> {
-        let v = u64::from_le_bytes(raw.get(*pos..*pos + 8)?.try_into().ok()?);
-        *pos += 8;
-        Some(v)
-    };
-    let Some(n) = read_u32(raw, &mut pos) else {
+    let Some(n) = u32_at(raw, 0) else {
         return (Vec::new(), Vec::new());
     };
-    let hist_end = pos + (n as usize) * 24;
-    let entries = match raw.get(pos..hist_end) {
-        Some(slice) => records(slice).collect(),
-        None => return (records(&raw[pos..]).collect(), Vec::new()),
+    let Some(block) = raw.get(4..4 + n * HIST_RECORD) else {
+        return (records(&raw[4..]).collect(), Vec::new());
     };
-    pos = hist_end;
+    let mut r = Reader::new(&raw[4 + block.len()..]);
     let mut log = Vec::new();
-    if let Some(m) = read_u32(raw, &mut pos) {
+    if let Ok(m) = r.u32() {
         'log: for _ in 0..m {
-            let (Some(src), Some(delta_bits), Some(k)) = (
-                read_u64(raw, &mut pos),
-                read_u64(raw, &mut pos),
-                read_u32(raw, &mut pos),
-            ) else {
+            let (Ok(src), Ok(delta_bits), Ok(k)) = (r.u64(), r.u64(), r.u32()) else {
                 break;
             };
             // `k` is read from a possibly torn value: never reserve for
             // more deltas than there are bytes left to hold them.
-            let room = raw.len().saturating_sub(pos) / HIST_RECORD;
+            let room = r.remaining() / HIST_RECORD;
             let mut pair_deltas = Vec::with_capacity(room.min(k as usize));
             for _ in 0..k {
-                let (Some(a), Some(b), Some(d_bits)) = (
-                    read_u64(raw, &mut pos),
-                    read_u64(raw, &mut pos),
-                    read_u64(raw, &mut pos),
-                ) else {
+                let (Ok(a), Ok(b), Ok(d_bits)) = (r.u64(), r.u64(), r.u64()) else {
                     break 'log;
                 };
                 pair_deltas.push((a, b, f64::from_bits(d_bits)));
@@ -124,7 +357,7 @@ pub fn decode_history(raw: &[u8]) -> (Vec<HistoryRecord>, Vec<ReplayLogEntry>) {
             });
         }
     }
-    (entries, log)
+    (records(block).collect(), log)
 }
 
 const HIST_RECORD: usize = 24;
@@ -170,31 +403,36 @@ pub struct HistoryEdit {
 }
 
 fn u32_at(buf: &[u8], at: usize) -> Option<usize> {
-    let bytes = buf.get(at..at.checked_add(4)?)?;
-    Some(u32::from_le_bytes(bytes.try_into().expect("4 bytes")) as usize)
+    let bytes = buf.get(at..)?.first_chunk::<4>()?;
+    Some(u32::from_le_bytes(*bytes) as usize)
 }
 
+/// The `u64` at `at`; 0 past the end, where the editors never look.
 fn u64_at(buf: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8 bytes"))
+    buf.get(at..)
+        .and_then(<[u8]>::first_chunk::<8>)
+        .map_or(0, |bytes| u64::from_le_bytes(*bytes))
 }
 
 fn f64_at(buf: &[u8], at: usize) -> f64 {
     f64::from_bits(u64_at(buf, at))
 }
 
-/// Byte length of the log entry starting at `at`, if it is whole.
-fn log_entry_len(buf: &[u8], at: usize) -> Option<usize> {
+/// Pair-delta count and byte length of the log entry starting at `at`, if
+/// it is whole.
+fn log_entry_len(buf: &[u8], at: usize) -> Option<(usize, usize)> {
     let k = u32_at(buf, at.checked_add(16)?)?;
     let len = LOG_ENTRY_HEAD.checked_add(k.checked_mul(HIST_RECORD)?)?;
-    (at.checked_add(len)? <= buf.len()).then_some(len)
+    (at.checked_add(len)? <= buf.len()).then_some((k, len))
 }
 
 /// Shape of a well-formed history value: record count, log entry count, and
-/// where the first log entry carrying a given source starts.
+/// where the first log entry carrying a given source starts, with its
+/// pair-delta count.
 struct HistoryShape {
     n: usize,
     m: usize,
-    seen_at: Option<usize>,
+    seen_at: Option<(usize, usize)>,
 }
 
 /// Walks a history value looking for `src` in its log. `None` unless the bytes
@@ -206,9 +444,9 @@ fn history_shape(buf: &[u8], src: u64) -> Option<HistoryShape> {
     let m = u32_at(buf, m_at)?;
     let (mut at, mut seen_at) = (m_at + 4, None);
     for _ in 0..m {
-        let len = log_entry_len(buf, at)?;
+        let (k, len) = log_entry_len(buf, at)?;
         if seen_at.is_none() && u64_at(buf, at) == src {
-            seen_at = Some(at);
+            seen_at = Some((at, k));
         }
         at += len;
     }
@@ -247,11 +485,22 @@ pub fn apply_action_in_place(
             let (entries, log) = decode_history(buf);
             *buf = encode_history(&entries, &log);
             changed = true;
-            history_shape(buf, action.src).expect("a fresh encoding is well-formed")
+            if let Some(seen) = log.iter().find(|e| e.src == action.src) {
+                pair_deltas.extend_from_slice(&seen.pair_deltas);
+                return HistoryEdit {
+                    delta_rating: seen.delta_rating,
+                    changed,
+                    log_growth: 0,
+                };
+            }
+            HistoryShape {
+                n: entries.len(),
+                m: log.len(),
+                seen_at: None,
+            }
         }
     };
-    if let Some(at) = shape.seen_at {
-        let k = u32_at(buf, at + 16).expect("whole entry");
+    if let Some((at, k)) = shape.seen_at {
         pair_deltas.extend((0..k).map(|i| {
             let d = at + LOG_ENTRY_HEAD + i * HIST_RECORD;
             (u64_at(buf, d), u64_at(buf, d + 8), f64_at(buf, d + 16))
@@ -316,7 +565,13 @@ pub fn apply_action_in_place(
     if n > limits.max_history {
         // The stalest record (the first of equals) goes; the last takes
         // its place.
-        let stalest = (0..n).min_by_key(|&i| record(buf, i).2).expect("non-empty");
+        let stalest = (1..n).fold(0, |stalest, i| {
+            if record(buf, i).2 < record(buf, stalest).2 {
+                i
+            } else {
+                stalest
+            }
+        });
         let last = 4 + (n - 1) * HIST_RECORD;
         buf.copy_within(last..last + HIST_RECORD, 4 + stalest * HIST_RECORD);
         buf.drain(last..last + HIST_RECORD);
@@ -326,10 +581,10 @@ pub fn apply_action_in_place(
 
     let window = limits.dedup_window as u64;
     let log_at = 4 + n * HIST_RECORD + 4;
-    // Entries the new source puts past the replay horizon close up.
+    // Entries the new source puts past the replay horizon close up. The
+    // log is well-formed, so its entries run exactly to the end.
     let (mut read, mut write, mut live) = (log_at, log_at, 0usize);
-    for _ in 0..m {
-        let len = log_entry_len(buf, read).expect("well-formed log");
+    while let Some((_, len)) = log_entry_len(buf, read) {
         if !past_horizon(u64_at(buf, read), src, window) {
             if write != read {
                 buf.copy_within(read..read + len, write);
@@ -521,7 +776,7 @@ pub fn update_sim_list(
     k: usize,
 ) -> Result<f64, StoreError> {
     let mut threshold = 0.0;
-    store.modify(&keys::similar_items(item), |slot| {
+    store.modify(&similar_items(item), |slot| {
         // A first update stores the list even if it ends up empty.
         let mut changed = slot.is_none();
         let list = slot.get_or_insert_with(Vec::new);
@@ -532,12 +787,6 @@ pub fn update_sim_list(
         changed
     })?;
     Ok(threshold)
-}
-
-/// Key for a windowed count bucket: `prefix` + raw key + session index.
-/// Un-windowed counts use session `u64::MAX` as the single bucket.
-pub fn session_key(base: &[u8], session: u64) -> KeyBuf {
-    KeyBuf::new(base).with(b"@").with(&session.to_le_bytes())
 }
 
 /// The count held in a stored counter value
@@ -594,9 +843,7 @@ pub fn apply_deltas_in_place(
     let mut changed = slot.is_none();
     let buf = slot.get_or_insert_with(Vec::new);
     let mut count = counter_prefix(buf);
-    let declared = buf.get(8..RING_AT).map_or(0, |b| {
-        u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize
-    });
+    let declared = u32_at(buf, 8).unwrap_or(0);
     if buf.len() != RING_AT + 8 * declared {
         // An unreadable count or length reads as 0; sources stop at the
         // first torn one.
@@ -701,17 +948,13 @@ pub fn windowed_sum_with(
     Ok(total)
 }
 
-/// Deletes windowed count buckets whose session is older than
-/// `current_session - window + 1` for every key under `prefix`. Returns
-/// the number of buckets removed.
-///
-/// The sliding-window counts write one store key per `(base, session)`;
-/// expired sessions stop being *read* immediately (the window sum skips
-/// them) but their buckets linger. Production systems run this as a
-/// periodic maintenance task to bound store size.
+/// Deletes the buckets of a windowed `family` whose session is older than
+/// `current_session - window + 1`, and returns how many. A window sum
+/// skips expired buckets at once, but they linger until this maintenance
+/// task runs.
 pub fn gc_expired_sessions(
     store: &TdStore,
-    prefix: &[u8],
+    family: Family,
     current_session: u64,
     window: usize,
 ) -> Result<usize, StoreError> {
@@ -720,17 +963,83 @@ pub fn gc_expired_sessions(
     }
     let oldest_kept = current_session.saturating_sub(window as u64 - 1);
     let mut removed = 0;
-    for (key, _) in store.scan_prefix(prefix)? {
-        // Keys end with `@<session:8 bytes LE>`.
-        if key.len() < 9 || key[key.len() - 9] != b'@' {
+    for (key, _) in store.scan_prefix(family.tag().as_bytes())? {
+        let Some(session) = family.parse(&key).and_then(|parts| parts.session) else {
             continue;
-        }
-        let session = u64::from_le_bytes(key[key.len() - 8..].try_into().expect("8 bytes"));
+        };
         if session != u64::MAX && session < oldest_kept && store.delete(&key)? {
             removed += 1;
         }
     }
     Ok(removed)
+}
+
+/// Encodes a lone `f64`: a [`Family::Ctr`] value, and the 8-byte count
+/// [`TdStore::incr_f64`] keeps for the scalar-counted families.
+pub fn encode_scalar(value: f64) -> Vec<u8> {
+    value.to_le_bytes().to_vec()
+}
+
+/// Decodes [`encode_scalar`]; `None` unless the value is exactly 8 bytes.
+pub fn decode_scalar(raw: &[u8]) -> Option<f64> {
+    raw.try_into().ok().map(f64::from_le_bytes)
+}
+
+/// Encodes ids, 8 bytes each: a CB seen-items set.
+pub fn encode_ids(ids: &[u64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(ids.len() * 8);
+    ids.iter()
+        .for_each(|id| out.extend_from_slice(&id.to_le_bytes()));
+    out
+}
+
+/// Decodes [`encode_ids`]; a torn tail is ignored.
+pub fn decode_ids(raw: &[u8]) -> Vec<u64> {
+    let mut r = Reader::new(raw);
+    std::iter::from_fn(|| r.u64().ok()).collect()
+}
+
+/// Encodes a CB interest profile: `last_ts:u64 | (tag:u32, weight:f64)*`.
+pub fn encode_profile(last_ts: Timestamp, tags: &[(TagId, f64)]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + tags.len() * 12);
+    out.extend_from_slice(&last_ts.to_le_bytes());
+    for &(tag, weight) in tags {
+        out.extend_from_slice(&tag.to_le_bytes());
+        out.extend_from_slice(&weight.to_le_bytes());
+    }
+    out
+}
+
+/// Decodes [`encode_profile`]: a value shorter than its timestamp is an
+/// empty profile, and a torn tag tail is ignored.
+pub fn decode_profile(raw: &[u8]) -> (Timestamp, Vec<(TagId, f64)>) {
+    let mut r = Reader::new(raw);
+    let Ok(last_ts) = r.u64() else {
+        return (0, Vec::new());
+    };
+    let mut tags = Vec::with_capacity(r.remaining() / 12);
+    while let (Ok(tag), Ok(weight)) = (r.u32(), r.u64()) {
+        tags.push((tag, f64::from_bits(weight)));
+    }
+    (last_ts, tags)
+}
+
+/// Encodes an AR live session: its last action time, then its items, as
+/// [`encode_ids`] lays them out.
+pub fn encode_session(last_ts: Timestamp, items: &[ItemId]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + items.len() * 8);
+    for id in std::iter::once(&last_ts).chain(items) {
+        out.extend_from_slice(&id.to_le_bytes());
+    }
+    out
+}
+
+/// Decodes [`encode_session`]: a value shorter than its timestamp is an
+/// empty session, and a torn item tail is ignored.
+pub fn decode_session(raw: &[u8]) -> (Timestamp, Vec<ItemId>) {
+    let mut items = decode_ids(raw);
+    let last_ts = if items.is_empty() { 0 } else { items.remove(0) };
+    (last_ts, items)
 }
 
 #[cfg(test)]
@@ -886,7 +1195,7 @@ mod tests {
         let (store, writes) = counted_store();
         let t = update_sim_list(&store, 9, &[(1, 0.9), (2, 0.5), (3, 0.7)], 2).unwrap();
         assert_eq!(t, 0.7);
-        let key = keys::similar_items(9);
+        let key = similar_items(9);
         let stored = store.get(&key).unwrap().unwrap();
         assert_eq!(decode_sim_list(&stored), vec![(1, 0.9), (3, 0.7)]);
         assert_eq!(writes(), 1);
@@ -913,30 +1222,36 @@ mod tests {
     #[test]
     fn gc_removes_only_expired_buckets() {
         let store = TdStore::new(StoreConfig::default());
-        bump(&store, b"ic:1", 5, 1.0);
-        bump(&store, b"ic:1", 9, 1.0);
-        bump(&store, b"ic:1", 10, 1.0);
-        bump(&store, b"ic:2", 2, 1.0);
+        bump(&store, &item_count(1), 5, 1.0);
+        bump(&store, &item_count(1), 9, 1.0);
+        bump(&store, &item_count(1), 10, 1.0);
+        bump(&store, &item_count(2), 2, 1.0);
         // Window of 3 ending at session 10 keeps sessions 8..=10.
-        let removed = gc_expired_sessions(&store, b"ic:", 10, 3).unwrap();
+        let removed = gc_expired_sessions(&store, Family::ItemCount, 10, 3).unwrap();
         assert_eq!(removed, 2, "sessions 5 and 2 expire");
-        assert_eq!(windowed_sum(&store, b"ic:1", 10, 3).unwrap(), 2.0);
+        assert_eq!(windowed_sum(&store, &item_count(1), 10, 3).unwrap(), 2.0);
         assert_eq!(store.len().unwrap(), 2);
     }
 
     #[test]
     fn gc_ignores_unwindowed_buckets() {
         let store = TdStore::new(StoreConfig::default());
-        bump(&store, b"ic:7", u64::MAX, 3.0);
-        assert_eq!(gc_expired_sessions(&store, b"ic:", 1_000, 2).unwrap(), 0);
-        assert_eq!(windowed_sum(&store, b"ic:7", 0, 0).unwrap(), 3.0);
+        bump(&store, &item_count(7), u64::MAX, 3.0);
+        assert_eq!(
+            gc_expired_sessions(&store, Family::ItemCount, 1_000, 2).unwrap(),
+            0
+        );
+        assert_eq!(windowed_sum(&store, &item_count(7), 0, 0).unwrap(), 3.0);
     }
 
     #[test]
     fn gc_noop_for_unbounded_window() {
         let store = TdStore::new(StoreConfig::default());
-        bump(&store, b"ic:7", 3, 1.0);
-        assert_eq!(gc_expired_sessions(&store, b"ic:", 100, 0).unwrap(), 0);
+        bump(&store, &item_count(7), 3, 1.0);
+        assert_eq!(
+            gc_expired_sessions(&store, Family::ItemCount, 100, 0).unwrap(),
+            0
+        );
     }
 
     #[test]

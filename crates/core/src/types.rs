@@ -1,4 +1,4 @@
-//! Core identifiers, fast hashing, and TDStore key encoding.
+//! Core identifiers and fast hashing.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -96,93 +96,6 @@ pub(crate) fn keep_least<T>(v: &mut Vec<T>, k: usize, cmp: impl Fn(&T, &T) -> st
     v.sort_unstable_by(cmp);
 }
 
-/// Key namespaces used when algorithm state lives in TDStore. Keeping the
-/// encoding in one place lets multiple bolts (and the query-side engine)
-/// share the statistical data, as in the paper's Fig. 6.
-pub mod keys {
-    use super::{ItemId, ItemPair, UserId};
-
-    /// A store key built on the stack. Every key format is a short tag
-    /// followed by fixed-width ids (plus, for windowed counts, a session
-    /// suffix), so the hot paths never allocate to name a value.
-    #[derive(Clone, Copy)]
-    pub struct KeyBuf {
-        len: u8,
-        bytes: [u8; KeyBuf::CAPACITY],
-    }
-
-    impl KeyBuf {
-        /// Longest key a `KeyBuf` holds.
-        pub const CAPACITY: usize = 40;
-
-        /// A key starting with `tag`.
-        pub fn new(tag: &[u8]) -> Self {
-            KeyBuf {
-                len: 0,
-                bytes: [0; Self::CAPACITY],
-            }
-            .with(tag)
-        }
-
-        /// The key with `part` appended. Panics past [`Self::CAPACITY`]:
-        /// key formats are fixed in this crate, so that is a bug here.
-        pub fn with(mut self, part: &[u8]) -> Self {
-            let end = self.len as usize + part.len();
-            self.bytes[self.len as usize..end].copy_from_slice(part);
-            self.len = end as u8;
-            self
-        }
-    }
-
-    impl std::ops::Deref for KeyBuf {
-        type Target = [u8];
-        fn deref(&self) -> &[u8] {
-            &self.bytes[..self.len as usize]
-        }
-    }
-
-    impl PartialEq for KeyBuf {
-        fn eq(&self, other: &Self) -> bool {
-            **self == **other
-        }
-    }
-
-    impl Eq for KeyBuf {}
-
-    impl std::fmt::Debug for KeyBuf {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            std::fmt::Debug::fmt(&**self, f)
-        }
-    }
-
-    /// `itemCount(item)` accumulator.
-    pub fn item_count(item: ItemId) -> KeyBuf {
-        KeyBuf::new(b"ic:").with(&item.to_le_bytes())
-    }
-
-    /// `pairCount(pair)` accumulator.
-    pub fn pair_count(pair: ItemPair) -> KeyBuf {
-        KeyBuf::new(b"pc:")
-            .with(&pair.a.to_le_bytes())
-            .with(&pair.b.to_le_bytes())
-    }
-
-    /// Serialized user behaviour history.
-    pub fn user_history(user: UserId) -> KeyBuf {
-        KeyBuf::new(b"hist:").with(&user.to_le_bytes())
-    }
-
-    /// Serialized similar-items list of an item.
-    pub fn similar_items(item: ItemId) -> KeyBuf {
-        KeyBuf::new(b"sim:").with(&item.to_le_bytes())
-    }
-
-    /// Recommendation result list for a user.
-    pub fn result(user: UserId) -> KeyBuf {
-        KeyBuf::new(b"res:").with(&user.to_le_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,27 +129,99 @@ mod tests {
 
     #[test]
     fn key_namespaces_disjoint() {
+        use crate::topology::state::*;
+        let (pair, session) = (ItemPair::new(3, 9), 77);
+        let parts =
+            |ids: [u64; 2], cell: [u8; 2], session: Option<u64>| KeyParts { ids, cell, session };
+        let windowed = |base: KeyBuf| session_key(&base, session);
         let keys = [
-            keys::item_count(1),
-            keys::pair_count(ItemPair::new(1, 2)),
-            keys::user_history(1),
-            keys::similar_items(1),
-            keys::result(1),
+            (
+                Family::ItemCount,
+                windowed(item_count(3)),
+                parts([3, 0], [0; 2], Some(session)),
+            ),
+            (
+                Family::PairCount,
+                windowed(pair_count(pair)),
+                parts([3, 9], [0; 2], Some(session)),
+            ),
+            (
+                Family::History,
+                user_history(5),
+                parts([5, 0], [0; 2], None),
+            ),
+            (
+                Family::SimList,
+                similar_items(3),
+                parts([3, 0], [0; 2], None),
+            ),
+            (
+                Family::HotList,
+                hot_list(4, session),
+                parts([4, 0], [0; 2], Some(session)),
+            ),
+            (
+                Family::GroupCount,
+                windowed(hot(4, 3)),
+                parts([4, 3], [0; 2], Some(session)),
+            ),
+            (
+                Family::CbProfile,
+                cb_profile(5),
+                parts([5, 0], [0; 2], None),
+            ),
+            (Family::CbSeen, cb_seen(5), parts([5, 0], [0; 2], None)),
+            (
+                Family::CtrImps,
+                windowed(ctr_imps(3, 1, 2)),
+                parts([3, 0], [1, 2], Some(session)),
+            ),
+            (
+                Family::CtrClicks,
+                windowed(ctr_clicks(3, 1, 2)),
+                parts([3, 0], [1, 2], Some(session)),
+            ),
+            (Family::Ctr, ctr_rate(3, 1, 2), parts([3, 0], [1, 2], None)),
+            (
+                Family::ArSession,
+                ar_session(5),
+                parts([5, 0], [0; 2], None),
+            ),
+            (
+                Family::ArItem,
+                windowed(ar_item(3)),
+                parts([3, 0], [0; 2], Some(session)),
+            ),
+            (
+                Family::ArPair,
+                windowed(ar_pair(pair)),
+                parts([3, 9], [0; 2], Some(session)),
+            ),
         ];
-        for (i, a) in keys.iter().enumerate() {
-            for (j, b) in keys.iter().enumerate() {
+        assert_eq!(
+            keys.map(|(family, _, _)| family),
+            Family::ALL,
+            "one key per family"
+        );
+        for (i, (family, key, want)) in keys.iter().enumerate() {
+            assert_eq!(Family::of(key), Some(*family), "{key:?}");
+            assert_eq!(family.parse(key), Some(*want), "{key:?}");
+            for (j, (other, other_key, _)) in keys.iter().enumerate() {
                 if i != j {
-                    assert_ne!(a, b);
+                    assert_ne!(key, other_key);
+                    assert_eq!(other.parse(key), None, "{key:?} as {other:?}");
                 }
             }
         }
+        assert_eq!(Family::of(b"res:1"), None);
     }
 
     #[test]
     fn pair_count_key_is_order_independent() {
+        use crate::topology::state::pair_count;
         assert_eq!(
-            keys::pair_count(ItemPair::new(9, 4)),
-            keys::pair_count(ItemPair::new(4, 9))
+            pair_count(ItemPair::new(9, 4)),
+            pair_count(ItemPair::new(4, 9))
         );
     }
 }

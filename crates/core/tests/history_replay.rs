@@ -26,12 +26,11 @@ use tdaccess::{AccessCluster, ClusterConfig};
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::replay::encode_src;
-use tencentrec::topology::state::{counter_prefix, decode_history};
+use tencentrec::topology::state::{self as keys, counter_prefix, decode_history};
 use tencentrec::topology::{
     CfPipelineConfig, ItemCountBolt, ReplayProgress, ReplayableSpout, UserHistoryBolt, ITEM_DELTA,
     PAIR_DELTA,
 };
-use tencentrec::types::keys;
 use tstorm::prelude::*;
 use tstorm::topology::TopologyConfig;
 

@@ -23,10 +23,8 @@ use tencentrec::cf::{CfConfig, ItemCF, Recommendation, WindowConfig, WindowedCou
 use tencentrec::db::{
     DemographicProfile, DemographicRec, GroupId, GroupScheme, GLOBAL_GROUP, HOT_LIST_LEN,
 };
-use tencentrec::topology::demographic::{
-    group_keys, hot_items, DemographicPipelineConfig, GroupCountBolt,
-};
-use tencentrec::topology::state::windowed_sum;
+use tencentrec::topology::demographic::{hot_items, DemographicPipelineConfig, GroupCountBolt};
+use tencentrec::topology::state::{self as group_keys, windowed_sum};
 use tencentrec::types::{FxHashMap, FxHashSet, ItemId, UserId};
 
 const ITEMS: u64 = 2 * HOT_LIST_LEN as u64;

@@ -14,9 +14,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use support::oracle_recommend;
 use tdstore::{StoreConfig, TdStore};
-use tencentrec::topology::state::{encode_history, encode_sim_list, HistoryRecord};
+use tencentrec::topology::state::{self as keys, encode_history, encode_sim_list, HistoryRecord};
 use tencentrec::topology::{CfPipelineConfig, TopologyRecommender};
-use tencentrec::types::{keys, ItemId, UserId};
+use tencentrec::types::{ItemId, UserId};
 
 struct Counting;
 

@@ -15,10 +15,10 @@ use proptest::prelude::*;
 use support::oracle_recommend;
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::topology::state::{
-    encode_history, encode_sim_list, HistoryRecord, ReplayLogEntry, SimRecord,
+    self as keys, encode_history, encode_sim_list, HistoryRecord, ReplayLogEntry, SimRecord,
 };
 use tencentrec::topology::{CfPipelineConfig, TopologyRecommender};
-use tencentrec::types::{keys, ItemId};
+use tencentrec::types::ItemId;
 
 /// Items are drawn from a small universe so that candidates recur across
 /// the recent items' lists and often are items the user rated.

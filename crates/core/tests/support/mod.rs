@@ -1,9 +1,9 @@
 //! Test support shared by this crate's integration tests.
 
 use tdstore::TdStore;
-use tencentrec::topology::state::{decode_sim_list, read_history};
+use tencentrec::topology::state::{self as keys, decode_sim_list, read_history};
 use tencentrec::topology::CfPipelineConfig;
-use tencentrec::types::{keys, FxHashMap, FxHashSet, ItemId, UserId};
+use tencentrec::types::{FxHashMap, FxHashSet, ItemId, UserId};
 
 /// The store-backed query as it was before it read the store in place,
 /// kept as the reference for `TopologyRecommender::recommend`: decode the

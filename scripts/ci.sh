@@ -14,10 +14,11 @@ cargo test --workspace --quiet
 # (everything before a file's `#[cfg(test)]`, doc comments aside) of the
 # crates that bytes from a disk or a socket reach. The store's checkpoint
 # log is the only durable copy of its state, a cluster worker reads every
-# frame the supervisor relays, and `tdaccess`, `ckpt` and `wire` read the
-# log segments, the checkpoints and the frames, so a bad byte, a failed
-# disk call or a thread the OS refuses must come back as an error.
-for crate in tdstore cluster tdaccess ckpt wire; do
+# frame the supervisor relays, `tdaccess`, `ckpt` and `wire` read the
+# log segments, the checkpoints and the frames, and `core` reads every
+# status-data value a restore brings back, so a bad byte, a failed disk
+# call or a thread the OS refuses must come back as an error.
+for crate in tdstore cluster tdaccess ckpt wire core; do
     echo "==> no unwrap/expect in $crate non-test code"
     panic_sites="$(git ls-files "crates/$crate/src/*.rs" | while read -r f; do
         awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }

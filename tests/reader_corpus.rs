@@ -8,6 +8,13 @@
 //! to some other well-formed value or be rejected. Neither may panic.
 //! Tuple-batch frames also run through the worker's injector into a live
 //! topology slice, which may accept no frame the decoder rejects.
+//!
+//! The status data in TDStore comes back from a checkpoint at every
+//! restore, so every family's value goes through the same corpus. Its
+//! decoders read a torn value as its longest valid prefix, so there a
+//! truncation is no error: each cut and flip runs through the decoders
+//! and the in-place editors, and none may panic. Every truncation of a
+//! valid key must parse to nothing.
 
 use bytes::{BufMut, BytesMut};
 use std::collections::BTreeMap;
@@ -16,7 +23,10 @@ use std::sync::Arc;
 use tcluster::protocol::{self, Msg};
 use tdstore::{FdbEngine, SnapshotStore, StorageEngine};
 use tencentrec::action::{ActionType, UserAction};
+use tencentrec::topology::replay::encode_src;
+use tencentrec::topology::state::*;
 use tencentrec::topology::OffsetTable;
+use tencentrec::types::ItemPair;
 use tserve::protocol::{decode_request, decode_response, encode_request, encode_response};
 use tserve::{Request, Response};
 use tstorm::ack::AckRoute;
@@ -48,6 +58,14 @@ fn check(valid: &[u8], decodes: impl Fn(&[u8]) -> bool) {
     for flip in bit_flips(valid) {
         decodes(&flip);
     }
+}
+
+/// `survives` runs on `valid` and on each of its truncations and bit
+/// flips. It may read them any way it likes, but must not panic.
+fn survive(valid: &[u8], survives: impl Fn(&[u8])) {
+    survives(valid);
+    truncations(valid).for_each(&survives);
+    bit_flips(valid).for_each(|flip| survives(&flip));
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -381,4 +399,95 @@ fn oversized_counts_fail_before_any_entry() {
     encode_response(0, &Response::Recommendations { items: vec![] }, &mut empty);
     let claim = [&empty[4..empty.len() - 4], &(1u32 << 16).to_le_bytes()].concat();
     assert_eq!(decode_response(&mut reframe(&claim)), Err(COUNT_TOO_LARGE));
+}
+
+#[test]
+fn status_data_families() {
+    let pair = ItemPair::new(3, 9);
+    let windowed = |base: KeyBuf| session_key(&base, 77);
+    let keys = [
+        (Family::ItemCount, windowed(item_count(3))),
+        (Family::PairCount, windowed(pair_count(pair))),
+        (Family::History, user_history(5)),
+        (Family::SimList, similar_items(3)),
+        (Family::HotList, hot_list(4, 77)),
+        (Family::GroupCount, windowed(hot(4, 3))),
+        (Family::CbProfile, cb_profile(5)),
+        (Family::CbSeen, cb_seen(5)),
+        (Family::CtrImps, windowed(ctr_imps(3, 1, 2))),
+        (Family::CtrClicks, windowed(ctr_clicks(3, 1, 2))),
+        (Family::Ctr, ctr_rate(3, 1, 2)),
+        (Family::ArSession, ar_session(5)),
+        (Family::ArItem, windowed(ar_item(3))),
+        (Family::ArPair, windowed(ar_pair(pair))),
+    ];
+    for (family, key) in keys {
+        assert!(family.parse(&key).is_some(), "{family:?}");
+        for cut in truncations(&key) {
+            assert_eq!(family.parse(cut), None, "{family:?}: {cut:?}");
+        }
+        survive(&key, |k| {
+            let _ = Family::of(k).map(|f| f.parse(k));
+        });
+    }
+
+    // `ic:` and `pc:`: a counter with its ring of sources.
+    let mut counter = None;
+    let ring = [(encode_src(0, 4), 2.0), (encode_src(1, 9), 1.5)];
+    apply_deltas_in_place(&mut counter, &ring, 8);
+    survive(&counter.unwrap(), |raw| {
+        counter_prefix(raw);
+        let update = apply_deltas_in_place(&mut Some(raw.to_vec()), &[(encode_src(1, 10), 1.0)], 8);
+        assert!(update.changed);
+    });
+
+    // `hist:`: records, then the replay log.
+    let log = [ReplayLogEntry {
+        src: encode_src(0, 3),
+        delta_rating: 1.0,
+        pair_deltas: vec![(1, 2, 1.0)],
+    }];
+    let history = encode_history(&[(1, 1.0, 10), (2, 2.0, 20)], &log);
+    let limits = HistoryLimits {
+        linked_time_ms: 100,
+        max_history: 2,
+        dedup_window: 8,
+    };
+    survive(&history, |raw| {
+        decode_history(raw);
+        read_history(raw);
+        for src in [encode_src(0, 3), encode_src(0, 4)] {
+            let action = HistoryAction {
+                item: 7,
+                weight: 2.0,
+                ts: 30,
+                src,
+            };
+            apply_action_in_place(&mut Some(raw.to_vec()), &action, &limits, &mut Vec::new());
+        }
+    });
+
+    // `sim:` and `hot:`: 16-byte `(item, score)` records, best first.
+    survive(&encode_sim_list(&[(4, 0.9), (6, 0.5), (8, 0.25)]), |raw| {
+        decode_sim_list(raw);
+        sim_list_threshold(raw, 3);
+        apply_sim_entry(&mut raw.to_vec(), 6, 0.95, 3);
+        apply_hot_entry(&mut raw.to_vec(), 8, 2.0, 3);
+    });
+
+    // `grp:`, `ci:`, `cc:`, `ctr:`, `ari:` and `arp:`: one `f64`.
+    survive(&encode_scalar(2.5), |raw| {
+        decode_scalar(raw);
+        counter_prefix(raw);
+    });
+    // `cbp:`, `cbn:` and `arsess:`.
+    survive(&encode_profile(40, &[(1, 0.5), (7, 0.25)]), |raw| {
+        decode_profile(raw);
+    });
+    survive(&encode_ids(&[3, 9, 27]), |raw| {
+        decode_ids(raw);
+    });
+    survive(&encode_session(40, &[3, 9]), |raw| {
+        decode_session(raw);
+    });
 }
