@@ -11,7 +11,7 @@
 //!
 //! A tuple-batch body is one codec with several ends. One per-tuple
 //! writer serves both [`encode`] of the owned [`Msg::TupleBatch`] and
-//! [`encode_tuple_batch`], which a worker's egress runs straight over the
+//! [`encode_tuple_frames`], which a worker's egress runs straight over the
 //! runtime's batch arenas into a reused buffer. One reader hands each
 //! tuple, borrowed from the bytes, to a [`TupleSink`]: the owned
 //! [`WireTuple`] list behind [`decode`], the root collector behind
@@ -85,7 +85,7 @@ pub enum Msg {
     Start,
     /// Tuples for `dest_component`/`dest_task`, in the owned form (the
     /// workers' data plane reads and writes these frames in place; see
-    /// [`encode_tuple_batch`] and [`inject`]).
+    /// [`encode_tuple_frames`] and [`inject`]).
     TupleBatch {
         /// Receiving component name.
         dest_component: String,
@@ -359,34 +359,58 @@ pub fn encode(buf: &mut BytesMut, id: u64, msg: &Msg) {
     with_frame(buf, id, tag, |out| enc(out));
 }
 
-/// Appends one [`Msg::TupleBatch`] frame for `dest`/`task` to `frame`,
-/// written straight from the runtime's batches in order. The bytes are
-/// exactly those [`encode`] writes for the same tuples in the owned form;
-/// with `frame` reused across calls, encoding allocates nothing once it
-/// has grown to the largest frame.
-pub fn encode_tuple_batch(
+/// Bytes one frame written by [`encode_tuple_frames`] may take, length
+/// prefix included, unless a single batch is larger: a quarter of
+/// [`wire::MAX_FRAME_LEN`], so a backed-up edge sends a few large frames
+/// that stay far from the limit.
+pub const TUPLE_FRAME_BUDGET: usize = wire::MAX_FRAME_LEN / 4;
+
+/// Appends [`Msg::TupleBatch`] frames for `dest`/`task` to `frame`,
+/// written straight from the runtime's batches in order. Frames are cut
+/// between batches at [`TUPLE_FRAME_BUDGET`]; a batch larger than the
+/// budget goes alone in its frame. Each tuple's bytes are exactly those
+/// [`encode`] writes for it in the owned form; with `frame` reused across
+/// calls, encoding allocates nothing once it has grown to the largest
+/// drain.
+pub fn encode_tuple_frames(
     frame: &mut Vec<u8>,
     id: u64,
     dest: &str,
     task: usize,
     batches: &[TupleBatch],
 ) {
-    frame_into(frame, id, TAG_TUPLE_BATCH, |out| {
-        let n_tuples = batches.iter().map(TupleBatch::len).sum();
-        w_batch_head(out, dest, task, n_tuples);
-        for b in batches {
-            for (values, anchors) in b.tuples() {
-                w_tuple(
-                    out,
-                    b.stream(),
-                    b.src_component(),
-                    b.src_task(),
-                    values,
-                    anchors,
-                );
+    let mut rest = batches;
+    while !rest.is_empty() {
+        let start = frame.len();
+        let mut taken = 0;
+        frame_into(frame, id, TAG_TUPLE_BATCH, |out| {
+            w_batch_head(out, dest, task, 0);
+            let count_at = out.len() - 4;
+            let mut n_tuples = 0;
+            for b in rest {
+                let mark = out.len();
+                for (values, anchors) in b.tuples() {
+                    w_tuple(
+                        out,
+                        b.stream(),
+                        b.src_component(),
+                        b.src_task(),
+                        values,
+                        anchors,
+                    );
+                }
+                if taken > 0 && out.len() - start > TUPLE_FRAME_BUDGET {
+                    // Over the budget: this batch opens the next frame.
+                    out.truncate(mark);
+                    break;
+                }
+                taken += 1;
+                n_tuples += b.len();
             }
-        }
-    });
+            out[count_at..count_at + 4].copy_from_slice(&(n_tuples as u32).to_le_bytes());
+        });
+        rest = &rest[taken..];
+    }
 }
 
 fn r_str_ref<'b>(r: &mut Reader<'b>) -> Result<&'b str, ProtocolError> {

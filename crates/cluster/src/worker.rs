@@ -8,7 +8,7 @@
 //!
 //! Tuple frames never pass through an owned message: egress encodes each
 //! frame straight from the runtime's batches into its pump's reused
-//! buffer ([`protocol::encode_tuple_batch`]), and ingress reads each body
+//! buffer ([`protocol::encode_tuple_frames`]), and ingress reads each body
 //! straight into the destination task's batch arenas
 //! ([`protocol::inject`]). A body that cannot be injected is handled
 //! like any undecodable frame.
@@ -195,7 +195,7 @@ fn launch(
     let egress_conn = Arc::clone(conn);
     let egress: EgressFn = Arc::new(
         move |frame: &mut Vec<u8>, dest: &str, task: usize, batches: &[TupleBatch]| {
-            protocol::encode_tuple_batch(frame, egress_conn.generation, dest, task, batches);
+            protocol::encode_tuple_frames(frame, egress_conn.generation, dest, task, batches);
             write_frame(&egress_conn, frame);
         },
     );

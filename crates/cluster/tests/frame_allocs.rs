@@ -87,7 +87,7 @@ fn frame_allocations_do_not_grow_with_the_frame() {
     let (tx, rx) = unbounded();
     let egress: EgressFn = Arc::new(
         move |buf: &mut Vec<u8>, dest: &str, task: usize, batches: &[TupleBatch]| {
-            let (n, ()) = allocs_in(|| protocol::encode_tuple_batch(buf, 0, dest, task, batches));
+            let (n, ()) = allocs_in(|| protocol::encode_tuple_frames(buf, 0, dest, task, batches));
             let _ = tx.send(n);
         },
     );

@@ -5,7 +5,7 @@
 //!
 //! Each frame is written by `protocol::encode`, injected into a slice
 //! and drained by the egress pump, which re-encodes the runtime batches
-//! with `protocol::encode_tuple_batch`. The runtime encoder must write
+//! with `protocol::encode_tuple_frames`. The runtime encoder must write
 //! exactly the bytes `encode` writes for the same tuples, the batches
 //! must hold the `decode` result grouped by (source, stream, task) in
 //! first-seen order, and a frame whose groups are already contiguous
@@ -96,7 +96,7 @@ proptest! {
         let (tx, rx) = unbounded();
         let egress: EgressFn = Arc::new(
             move |buf: &mut Vec<u8>, dest: &str, task: usize, batches: &[TupleBatch]| {
-                protocol::encode_tuple_batch(buf, 0, dest, task, batches);
+                protocol::encode_tuple_frames(buf, 0, dest, task, batches);
                 let _ = tx.send((buf.clone(), dest.to_string(), task, support::owned(batches)));
             },
         );

@@ -113,6 +113,36 @@ impl LatencyHistogram {
         self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
     }
 
+    /// Records a batch of `(nanos, n)` pairs, each `n` identical
+    /// observations, with one atomic add per touched bucket and one each
+    /// for the count, the sum and the max: the flush of a caller that
+    /// gathered its observations locally. Sorts `samples` in place.
+    pub fn record_batch(&self, samples: &mut [(u64, u64)]) {
+        samples.sort_unstable_by_key(|&(nanos, _)| nanos);
+        let (mut total, mut sum, mut max) = (0u64, 0u64, 0u64);
+        // The bucket being counted and its count so far: sorted values
+        // visit each bucket in one stretch.
+        let mut open = (0usize, 0u64);
+        for &(nanos, n) in samples.iter().filter(|&&(_, n)| n > 0) {
+            total += n;
+            sum = sum.wrapping_add(nanos.saturating_mul(n));
+            max = nanos;
+            let bucket = bucket_index(nanos);
+            if bucket != open.0 && open.1 > 0 {
+                self.counts[open.0].fetch_add(open.1, Ordering::Relaxed);
+                open.1 = 0;
+            }
+            open = (bucket, open.1 + n);
+        }
+        if total == 0 {
+            return;
+        }
+        self.counts[open.0].fetch_add(open.1, Ordering::Relaxed);
+        self.total.fetch_add(total, Ordering::Relaxed);
+        self.sum_nanos.fetch_add(sum, Ordering::Relaxed);
+        self.max_nanos.fetch_max(max, Ordering::Relaxed);
+    }
+
     /// Point-in-time copy of the distribution.
     pub fn snapshot(&self) -> LatencySnapshot {
         LatencySnapshot {
@@ -323,6 +353,28 @@ mod tests {
         assert_eq!(snap.max(), Duration::from_millis(1));
         let mean = snap.mean().as_micros();
         assert!((480..=520).contains(&mean), "mean = {mean}");
+    }
+
+    #[test]
+    fn a_batch_records_what_single_records_do() {
+        let mut samples = vec![
+            (900, 2),
+            (5, 1),
+            (1_000_000, 3),
+            (7, 0),
+            (901, 1),
+            (5, 4),
+            (u64::MAX / 2, 1),
+        ];
+        let single = LatencyHistogram::new();
+        for &(nanos, n) in &samples {
+            single.record_nanos_n(nanos, n);
+        }
+        let batched = LatencyHistogram::new();
+        batched.record_batch(&mut samples);
+        assert_eq!(batched.snapshot(), single.snapshot());
+        batched.record_batch(&mut []);
+        assert_eq!(batched.snapshot(), single.snapshot());
     }
 
     #[test]

@@ -224,14 +224,43 @@ struct Entry {
     emit_ms: u64,
 }
 
+/// Folds `deltas` to one `(root, xor)` entry per root: one sort, then a
+/// merge of adjacent entries (XOR is order-independent, so reordering is
+/// free).
+pub(crate) fn fold_per_root(deltas: &mut Vec<(u64, u64)>) {
+    deltas.sort_unstable_by_key(|&(root, _)| root);
+    deltas.dedup_by(|a, b| {
+        if a.0 == b.0 {
+            b.1 ^= a.1;
+            true
+        } else {
+            false
+        }
+    });
+}
+
 /// The acker loop's state: the root map, the pending-tree gauge, the
 /// spout channels it notifies and the traffic queued for other workers.
+///
+/// A tree costs no clock read and no shared atomic of its own: the acker
+/// reads the clock once per message ([`Acker::handle`]) and folds the
+/// message's gauge changes and latency observations into one update each
+/// ([`Acker::settle`]) before it blocks again.
 struct Acker {
     entries: RootMap,
     spouts: Vec<Sender<SpoutMsg>>,
     pending_gauge: Arc<AtomicI64>,
     clock: Clock,
     pipeline: Arc<LatencyHistogram>,
+    /// Clock reading, in milliseconds, taken when the message being
+    /// processed arrived: the creation time of every entry it creates and
+    /// the completion time of every tree it completes.
+    now_ms: u64,
+    /// Change to the pending count not yet applied to `pending_gauge`.
+    pending_delta: i64,
+    /// Pipeline latencies not yet recorded, as `(ms, trees)`: one entry
+    /// per distinct millisecond.
+    latencies: Vec<(u64, u64)>,
     /// (slot, msg_id) of trees completed by the message being processed;
     /// drained into one `AckBatch` per spout slot after each message.
     completed: Vec<(usize, u64)>,
@@ -244,6 +273,70 @@ struct Acker {
 }
 
 impl Acker {
+    fn new(
+        spouts: Vec<Sender<SpoutMsg>>,
+        route: AckRoute,
+        pending_gauge: Arc<AtomicI64>,
+        clock: Clock,
+        pipeline: Arc<LatencyHistogram>,
+    ) -> Acker {
+        // One queue per index the tag bits can name.
+        let n_peers = (route.tag.mask >> TAG_SHIFT) as usize + 1;
+        Acker {
+            entries: RootMap::default(),
+            spouts,
+            pending_gauge,
+            clock,
+            pipeline,
+            now_ms: 0,
+            pending_delta: 0,
+            latencies: Vec::new(),
+            completed: Vec::new(),
+            tag: route.tag,
+            peers: (0..n_peers).map(|_| PeerQueue::default()).collect(),
+            queued: 0,
+            egress: route.egress,
+        }
+    }
+
+    /// Processes one message ([`AckerMsg::Shutdown`] is the caller's).
+    fn handle(&mut self, msg: AckerMsg) {
+        self.now_ms = self.clock.now_ms();
+        match msg {
+            AckerMsg::InitBatch(inits) => {
+                for init in inits {
+                    self.init(init);
+                }
+            }
+            AckerMsg::XorBatch(pairs) => {
+                for (root, xor) in pairs {
+                    self.xor(root, xor);
+                }
+            }
+            AckerMsg::Fail { root } => self.fail(root),
+            AckerMsg::Shutdown => {}
+        }
+    }
+
+    /// Publishes what the messages since the last call changed: the
+    /// pending gauge in one add, the pipeline latencies in one
+    /// `record_nanos_n` per distinct millisecond, then the acks, one
+    /// `AckBatch` per spout slot.
+    fn settle(&mut self) {
+        if self.pending_delta != 0 {
+            self.pending_gauge
+                .fetch_add(self.pending_delta, Ordering::Relaxed);
+            self.pending_delta = 0;
+        }
+        // The clock ticks in milliseconds, so the histogram's nanosecond
+        // buckets see ms precision.
+        for (ms, trees) in self.latencies.drain(..) {
+            self.pipeline
+                .record_nanos_n(ms.saturating_mul(1_000_000), trees);
+        }
+        self.flush_acks();
+    }
+
     /// The queue of the worker that owns `root`, or `None` when this
     /// worker does.
     fn peer(&mut self, root: u64) -> Option<&mut PeerQueue> {
@@ -254,12 +347,16 @@ impl Acker {
         self.peers.get_mut(owner)
     }
 
-    /// Ships every peer's queue, one egress call per owner.
+    /// Ships every peer's queue, one egress call per owner, with the
+    /// deltas folded to one per root and the failures deduplicated.
     fn flush_peers(&mut self) {
         for (owner, q) in self.peers.iter_mut().enumerate() {
             if q.xors.is_empty() && q.fails.is_empty() {
                 continue;
             }
+            fold_per_root(&mut q.xors);
+            q.fails.sort_unstable();
+            q.fails.dedup();
             (self.egress)(
                 owner,
                 std::mem::take(&mut q.xors),
@@ -269,12 +366,12 @@ impl Acker {
         self.queued = 0;
     }
 
-    /// The entry for `root`, created (and gauged as pending) on first sight.
+    /// The entry for `root`, created (and counted as pending) on first
+    /// sight.
     fn entry(&mut self, root: u64) -> &mut Entry {
-        let (gauge, clock) = (&self.pending_gauge, &self.clock);
+        let (delta, now) = (&mut self.pending_delta, self.now_ms);
         self.entries.entry(root).or_insert_with(|| {
-            gauge.fetch_add(1, Ordering::Relaxed);
-            let now = clock.now_ms();
+            *delta += 1;
             Entry {
                 pending: 0,
                 state: State::AwaitingInit { failed: false },
@@ -288,19 +385,22 @@ impl Acker {
 
     /// Removes a live tree whose XOR reached zero and queues its ack.
     fn complete(&mut self, root: u64) {
-        let e = self.entries.remove(&root).expect("completed entry exists");
-        self.pending_gauge.fetch_sub(1, Ordering::Relaxed);
-        // The clock ticks in milliseconds, so the histogram's nanosecond
-        // buckets see ms precision.
-        let ms = self.clock.now_ms().saturating_sub(e.emit_ms);
-        self.pipeline.record_nanos(ms.saturating_mul(1_000_000));
+        let Some(e) = self.entries.remove(&root) else {
+            return;
+        };
+        self.pending_delta -= 1;
+        let ms = self.now_ms.saturating_sub(e.emit_ms);
+        match self.latencies.iter_mut().rev().find(|(m, _)| *m == ms) {
+            Some((_, trees)) => *trees += 1,
+            None => self.latencies.push((ms, 1)),
+        }
         self.completed.push((e.slot, e.msg_id));
     }
 
     /// Tells the spout that a live tree failed; the caller has turned its
     /// entry into a tombstone.
-    fn notify_fail(&self, slot: usize, msg_id: u64) {
-        self.pending_gauge.fetch_sub(1, Ordering::Relaxed);
+    fn notify_fail(&mut self, slot: usize, msg_id: u64) {
+        self.pending_delta -= 1;
         let _ = self.spouts[slot].send(SpoutMsg::Fail(msg_id));
     }
 
@@ -379,6 +479,7 @@ impl Acker {
     /// drops stale entries that never saw Init, and ages tombstones out.
     fn sweep(&mut self, timeout_ms: u64) {
         let now_ms = self.clock.now_ms();
+        let (delta, spouts) = (&mut self.pending_delta, &self.spouts);
         self.entries.retain(|_, e| match e.state {
             State::Tombstone { swept: false } => {
                 e.state = State::Tombstone { swept: true };
@@ -388,12 +489,12 @@ impl Acker {
             _ if now_ms.saturating_sub(e.created) <= timeout_ms => true,
             State::Live => {
                 e.state = State::Tombstone { swept: false };
-                self.pending_gauge.fetch_sub(1, Ordering::Relaxed);
-                let _ = self.spouts[e.slot].send(SpoutMsg::Fail(e.msg_id));
+                *delta -= 1;
+                let _ = spouts[e.slot].send(SpoutMsg::Fail(e.msg_id));
                 true
             }
             State::AwaitingInit { .. } => {
-                self.pending_gauge.fetch_sub(1, Ordering::Relaxed);
+                *delta -= 1;
                 false
             }
         });
@@ -427,47 +528,23 @@ pub(crate) fn run_acker(
             .min(Duration::from_millis(500))
             .max(Duration::from_millis(10))
     };
-    // One queue per index the tag bits can name.
-    let n_peers = (route.tag.mask >> TAG_SHIFT) as usize + 1;
-    let mut acker = Acker {
-        entries: RootMap::default(),
-        spouts,
-        pending_gauge,
-        clock,
-        pipeline,
-        completed: Vec::new(),
-        tag: route.tag,
-        peers: (0..n_peers).map(|_| PeerQueue::default()).collect(),
-        queued: 0,
-        egress: route.egress,
-    };
+    let mut acker = Acker::new(spouts, route, pending_gauge, clock, pipeline);
     let mut next_sweep = Instant::now() + sweep_every;
     loop {
         let wait = next_sweep.saturating_duration_since(Instant::now());
         match rx.recv_timeout(wait) {
-            Ok(AckerMsg::InitBatch(inits)) => {
-                for init in inits {
-                    acker.init(init);
-                }
-            }
-            Ok(AckerMsg::XorBatch(pairs)) => {
-                for (root, xor) in pairs {
-                    acker.xor(root, xor);
-                }
-            }
-            Ok(AckerMsg::Fail { root }) => acker.fail(root),
-            Ok(AckerMsg::Shutdown) => break,
+            Ok(AckerMsg::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+            Ok(msg) => acker.handle(msg),
             Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        acker.flush_acks();
-        if acker.queued > 0 && (acker.queued >= PEER_BATCH || rx.is_empty()) {
-            acker.flush_peers();
         }
         let now = Instant::now();
         if now >= next_sweep {
             acker.sweep(timeout_ms);
             next_sweep = now + sweep_every;
+        }
+        acker.settle();
+        if acker.queued > 0 && (acker.queued >= PEER_BATCH || rx.is_empty()) {
+            acker.flush_peers();
         }
     }
     acker.flush_peers();
@@ -772,16 +849,18 @@ mod tests {
         // leave through the egress, its own complete here.
         type Shipped = (usize, Vec<(u64, u64)>, Vec<u64>);
         let shipped: Arc<std::sync::Mutex<Vec<Shipped>>> = Arc::default();
-        let sink = Arc::clone(&shipped);
-        let route = AckRoute {
-            tag: RootTag::new(1, 3).unwrap(),
-            message_timeout: Duration::from_secs(60),
-            egress: Arc::new(move |owner, xors, fails| {
-                sink.lock().unwrap().push((owner, xors, fails));
-            }),
+        let route = || {
+            let sink = Arc::clone(&shipped);
+            AckRoute {
+                tag: RootTag::new(1, 3).unwrap(),
+                message_timeout: Duration::from_secs(60),
+                egress: Arc::new(move |owner, xors, fails| {
+                    sink.lock().unwrap().push((owner, xors, fails));
+                }),
+            }
         };
         let of = |w: usize, raw: u64| RootTag::new(w, 3).unwrap().apply(raw);
-        let (tx, srx, gauge, h) = spawn_acker(route, Clock::system());
+        let (tx, srx, gauge, h) = spawn_acker(route(), Clock::system());
         tx.send(AckerMsg::XorBatch(vec![
             (of(0, 5), 0xA),
             (of(2, 6), 0xB),
@@ -816,5 +895,109 @@ mod tests {
             0,
             "nothing foreign is pending here"
         );
+
+        // Several runs' deltas for one root, queued between two flushes,
+        // leave as one entry per root, and a repeated failure once.
+        let mut acker = Acker::new(
+            Vec::new(),
+            route(),
+            Arc::default(),
+            Clock::system(),
+            Arc::default(),
+        );
+        acker.handle(AckerMsg::XorBatch(vec![(of(0, 5), 0xA), (of(2, 6), 0xB)]));
+        acker.handle(AckerMsg::XorBatch(vec![(of(0, 7), 0xC), (of(0, 5), 0x3)]));
+        acker.handle(AckerMsg::XorBatch(vec![(of(2, 6), 0x4)]));
+        acker.handle(AckerMsg::Fail { root: of(2, 8) });
+        acker.handle(AckerMsg::Fail { root: of(2, 8) });
+        assert_eq!(acker.queued, 7);
+        acker.flush_peers();
+        let calls = shipped.lock().unwrap().clone();
+        assert_eq!(
+            calls,
+            vec![
+                (0, vec![(of(0, 5), 0xA ^ 0x3), (of(0, 7), 0xC)], vec![]),
+                (2, vec![(of(2, 6), 0xB ^ 0x4)], vec![of(2, 8)]),
+            ],
+            "one egress call per owner, one entry per root"
+        );
+        assert_eq!(acker.queued, 0);
+        assert!(acker.entries.is_empty(), "nothing foreign is tracked here");
+    }
+
+    #[test]
+    fn folded_accounting_matches_the_root_map_after_every_message() {
+        // Random Init/Xor/Fail/sweep sequences over a few roots on a mock
+        // clock. After every message the folded gauge must equal the
+        // non-tombstone entries, and the pipeline histogram must hold one
+        // observation per tree completed so far.
+        const TIMEOUT_MS: u64 = 40;
+        let pair =
+            |rng: &mut rand::rngs::SmallRng| (rng.gen_range(0..12u64), rng.gen_range(0..4u64));
+        for seed in 0..64u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let clock = Clock::mock();
+            let (stx, srx) = unbounded();
+            let gauge = Arc::new(AtomicI64::new(0));
+            let pipeline = Arc::new(LatencyHistogram::new());
+            let mut acker = Acker::new(
+                vec![stx],
+                AckRoute::local(Duration::from_millis(TIMEOUT_MS)),
+                Arc::clone(&gauge),
+                clock.clone(),
+                Arc::clone(&pipeline),
+            );
+            let mut completed = 0u64;
+            for step in 0..400 {
+                match rng.gen_range(0..10) {
+                    0..=2 => {
+                        let inits = (0..rng.gen_range(1..4))
+                            .map(|_| {
+                                let (root, xor) = pair(&mut rng);
+                                InitEntry {
+                                    root,
+                                    xor,
+                                    slot: 0,
+                                    msg_id: root,
+                                    emit_ms: clock.now_ms().saturating_sub(rng.gen_range(0..3)),
+                                }
+                            })
+                            .collect();
+                        acker.handle(AckerMsg::InitBatch(inits));
+                    }
+                    3..=6 => {
+                        let pairs = (0..rng.gen_range(1..5)).map(|_| pair(&mut rng)).collect();
+                        acker.handle(AckerMsg::XorBatch(pairs));
+                    }
+                    7 => acker.handle(AckerMsg::Fail {
+                        root: pair(&mut rng).0,
+                    }),
+                    8 => acker.sweep(TIMEOUT_MS),
+                    _ => clock.advance(rng.gen_range(1..20)),
+                }
+                acker.settle();
+                for msg in srx.try_iter() {
+                    if let SpoutMsg::AckBatch(ids) = msg {
+                        completed += ids.len() as u64;
+                    }
+                }
+                let pending = acker
+                    .entries
+                    .values()
+                    .filter(|e| !matches!(e.state, State::Tombstone { .. }))
+                    .count() as i64;
+                assert_eq!(
+                    gauge.load(Ordering::Relaxed),
+                    pending,
+                    "seed {seed}, step {step}: gauge against the root map"
+                );
+                assert_eq!(
+                    pipeline.snapshot().count(),
+                    completed,
+                    "seed {seed}, step {step}: pipeline observations against completed trees"
+                );
+            }
+            assert!(completed > 0, "seed {seed} completed no tree");
+        }
     }
 }

@@ -17,7 +17,7 @@
 //! cases ([`AnchorSet`]), and the per-flush cost (one arena, one meta list,
 //! one `Arc`) is shared by up to `batch_size` tuples.
 
-use crate::ack::{AckerMsg, InitEntry, RootTag};
+use crate::ack::{fold_per_root, AckerMsg, InitEntry, RootTag};
 use crate::channel::{BatchSender, Weigh};
 use crate::grouping::{Route, RoutingRule};
 use crate::metrics::ComponentMetrics;
@@ -241,62 +241,53 @@ impl EmitterCore {
         values: &[Value],
         mut make_anchors: impl FnMut(&mut SmallRng) -> AnchorSet,
     ) {
-        // Split borrows: `outputs` is behind an Arc we must not hold while
-        // mutating the scatter buffers, so clone the cheap Arc first.
-        let outputs = Arc::clone(&self.outputs);
+        // Split borrows: the output map is read while the scatter arenas,
+        // the RNG and the anchor callback are written.
+        let EmitterCore {
+            component,
+            task_index,
+            outputs,
+            inflight,
+            rng,
+            fault_plan,
+            batch_size,
+            scatter,
+            ..
+        } = self;
         let (stream_idx, out) = outputs.get(stream).unwrap_or_else(|| {
-            panic!(
-                "component `{}` emitted on undeclared stream `{stream}`",
-                self.component
-            )
+            panic!("component `{component}` emitted on undeclared stream `{stream}`")
         });
         assert_eq!(
             values.len(),
             out.schema.len(),
-            "component `{}` emitted {} values on stream `{stream}` which declares {} fields",
-            self.component,
+            "component `{component}` emitted {} values on stream `{stream}` which declares {} fields",
             values.len(),
             out.schema.len()
         );
-        let scatter = &mut self.scatter[stream_idx];
-        for (edge, ebuf) in out.consumers.iter().zip(scatter.iter_mut()) {
+        for (edge, ebuf) in out.consumers.iter().zip(scatter[stream_idx].iter_mut()) {
             let n_tasks = edge.senders.len();
             if n_tasks == 0 {
                 continue;
             }
-            match edge.rule.route_buffered(values, n_tasks, &mut ebuf.sticky) {
-                Route::One(task) => buffer_one(
-                    &mut self.rng,
-                    &self.fault_plan,
-                    &self.inflight,
-                    &self.component,
-                    self.task_index,
+            let tasks = match edge.rule.route_buffered(values, n_tasks, &mut ebuf.sticky) {
+                Route::One(task) => task..task + 1,
+                Route::All => 0..n_tasks,
+            };
+            for task in tasks {
+                buffer_one(
+                    rng,
+                    fault_plan,
+                    inflight,
+                    component,
+                    *task_index,
                     out,
                     values,
                     &mut make_anchors,
-                    self.batch_size,
+                    *batch_size,
                     edge,
                     ebuf,
                     task,
-                ),
-                Route::All => {
-                    for task in 0..n_tasks {
-                        buffer_one(
-                            &mut self.rng,
-                            &self.fault_plan,
-                            &self.inflight,
-                            &self.component,
-                            self.task_index,
-                            out,
-                            values,
-                            &mut make_anchors,
-                            self.batch_size,
-                            edge,
-                            ebuf,
-                            task,
-                        );
-                    }
-                }
+                );
             }
         }
         self.emitted_pending += 1;
@@ -309,8 +300,7 @@ impl EmitterCore {
             self.metrics.emitted.add(self.emitted_pending);
             self.emitted_pending = 0;
         }
-        let outputs = Arc::clone(&self.outputs);
-        for (out, ebufs) in outputs.streams.iter().zip(self.scatter.iter_mut()) {
+        for (out, ebufs) in self.outputs.streams.iter().zip(self.scatter.iter_mut()) {
             for (edge, ebuf) in out.consumers.iter().zip(ebufs.iter_mut()) {
                 for (task, buf) in ebuf.bufs.iter_mut().enumerate() {
                     flush_buffer(
@@ -613,21 +603,12 @@ impl BoltCollector {
     }
 
     /// Ends an execute run: flushes buffered emits downstream, folds the
-    /// run's XOR deltas per root (one sort + merge of adjacent entries —
-    /// XOR is order-independent, so reordering is free) and ships them to
-    /// the acker as a single message.
+    /// run's XOR deltas per root ([`fold_per_root`]) and ships them to the
+    /// acker as a single message.
     pub(crate) fn flush_run(&mut self) {
         self.core.flush();
         if !self.run_pending.is_empty() {
-            self.run_pending.sort_unstable_by_key(|&(root, _)| root);
-            self.run_pending.dedup_by(|a, b| {
-                if a.0 == b.0 {
-                    b.1 ^= a.1;
-                    true
-                } else {
-                    false
-                }
-            });
+            fold_per_root(&mut self.run_pending);
             let batch = std::mem::take(&mut self.run_pending);
             let _ = self.core.acker.send(AckerMsg::XorBatch(batch));
         }

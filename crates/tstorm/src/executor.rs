@@ -12,7 +12,10 @@
 //! when the bolt opts in, once per tuple otherwise — the bolt's
 //! `supports_batch` picks only the completion granularity. Emits coalesce
 //! in the collector's scatter buffers, and each run ships one pre-folded
-//! `XorBatch` to the acker.
+//! `XorBatch` to the acker and folds its execute accounting into the
+//! component's metrics once: a tuple adds to no shared counter, and the
+//! clock is read once per chunk. An egress pump drains a remote task's
+//! whole queue at a time.
 
 use crate::ack::{run_acker, AckRoute, AckerMsg, SpoutMsg};
 use crate::channel::{
@@ -25,7 +28,8 @@ use crate::collector::{
 use crate::component::{Bolt, Spout, SpoutWaker, TaskContext};
 use crate::grouping::RoutingRule;
 use crate::metrics::{
-    ComponentMetrics, LatencyHistogram, LatencySnapshot, MetricsRegistry, MetricsSnapshot,
+    ComponentMetrics, ExecTally, LatencyHistogram, LatencySnapshot, MetricsRegistry,
+    MetricsSnapshot,
 };
 use crate::remote::{Injector, SliceSpec, SourceStream};
 use crate::topology::{BoltFactory, Topology};
@@ -205,6 +209,9 @@ impl Topology {
         // Remote bolts: their input queues exist (emitters route into them
         // exactly as if they were local) but are drained by egress pumps
         // that hand the drained batches, borrowed, to the cluster transport.
+        // A pump takes everything queued, up to the queue's capacity, so a
+        // backed-up edge leaves in a few large writes, not one per batch.
+        let queue_capacity = self.config.queue_capacity;
         for b in &self.bolts {
             if is_local(&b.name) {
                 continue;
@@ -220,11 +227,11 @@ impl Topology {
                     std::thread::Builder::new()
                         .name(format!("tstorm-egress-{name}-{task_index}"))
                         .spawn(move || {
-                            let mut inbox: Vec<BoltMsg> = Vec::with_capacity(batch_size);
-                            let mut batches: Vec<TupleBatch> = Vec::with_capacity(batch_size);
+                            let mut inbox: Vec<BoltMsg> = Vec::new();
+                            let mut batches: Vec<TupleBatch> = Vec::new();
                             let mut frame: Vec<u8> = Vec::new();
                             loop {
-                                match rx.recv_batch(&mut inbox, batch_size, None) {
+                                match rx.recv_batch(&mut inbox, queue_capacity, None) {
                                     RecvBatch::Msgs(_) => {}
                                     RecvBatch::TimedOut => continue,
                                     RecvBatch::Disconnected => break,
@@ -273,13 +280,13 @@ impl Topology {
             for task_index in (0..b.parallelism).rev() {
                 let rx = rxs.pop().expect("one rx per task");
                 let factory = Arc::clone(&b.factory);
-                let mut bolt = factory();
+                let bolt = factory();
                 let ctx = TaskContext {
                     component: b.name.clone(),
                     task_index,
                     n_tasks: b.parallelism,
                 };
-                let mut collector = BoltCollector {
+                let collector = BoltCollector {
                     core: EmitterCore::new(
                         Arc::from(b.name.as_str()),
                         task_index,
@@ -294,20 +301,27 @@ impl Topology {
                     tuple_pending: Vec::new(),
                     run_pending: Vec::new(),
                 };
+                let mut task = BoltTask {
+                    bolt,
+                    collector,
+                    metrics: Arc::clone(&comp_metrics),
+                    tally: ExecTally::default(),
+                    inflight: Arc::clone(&inflight),
+                    fault_plan: self.config.fault_plan.clone(),
+                    factory,
+                    ctx,
+                    run: Vec::with_capacity(batch_size),
+                };
                 let tick = b.tick;
-                let fault_plan = self.config.fault_plan.clone();
-                let metrics = Arc::clone(&comp_metrics);
                 let batch_hist = Arc::clone(&batch_hist);
-                let inflight = Arc::clone(&inflight);
                 let name = b.name.clone();
                 threads.push(
                     std::thread::Builder::new()
                         .name(format!("tstorm-{name}-{task_index}"))
                         .spawn(move || {
-                            bolt.prepare(&ctx);
+                            task.bolt.prepare(&task.ctx);
                             let mut next_tick = tick.map(|d| Instant::now() + d);
                             let mut inbox: Vec<BoltMsg> = Vec::with_capacity(batch_size);
-                            let mut run: Vec<Tuple> = Vec::with_capacity(batch_size);
                             'main: loop {
                                 match rx.recv_batch(&mut inbox, batch_size, next_tick) {
                                     RecvBatch::Msgs(n) => {
@@ -319,7 +333,7 @@ impl Topology {
                                         batch_hist.record_nanos(tuples as u64);
                                     }
                                     RecvBatch::TimedOut => {
-                                        do_tick(&mut bolt, &mut collector);
+                                        task.tick();
                                         next_tick =
                                             Some(Instant::now() + tick.expect("tick interval set"));
                                         continue;
@@ -328,54 +342,27 @@ impl Topology {
                                 }
                                 for msg in inbox.drain(..) {
                                     match msg {
-                                        BoltMsg::Batch(b) => b.extend_into(&mut run),
+                                        BoltMsg::Batch(b) => b.extend_into(&mut task.run),
                                         BoltMsg::Tick => {
                                             // Flush the pending run first so
                                             // the tick observes every tuple
                                             // queued before it.
-                                            execute_run(
-                                                &mut run,
-                                                &mut bolt,
-                                                &mut collector,
-                                                &metrics,
-                                                &inflight,
-                                                &fault_plan,
-                                                &factory,
-                                                &ctx,
-                                            );
-                                            do_tick(&mut bolt, &mut collector);
+                                            task.execute_run();
+                                            task.tick();
                                         }
                                         BoltMsg::Shutdown => {
-                                            execute_run(
-                                                &mut run,
-                                                &mut bolt,
-                                                &mut collector,
-                                                &metrics,
-                                                &inflight,
-                                                &fault_plan,
-                                                &factory,
-                                                &ctx,
-                                            );
-                                            bolt.cleanup();
+                                            task.execute_run();
+                                            task.bolt.cleanup();
                                             break 'main;
                                         }
                                     }
                                 }
-                                execute_run(
-                                    &mut run,
-                                    &mut bolt,
-                                    &mut collector,
-                                    &metrics,
-                                    &inflight,
-                                    &fault_plan,
-                                    &factory,
-                                    &ctx,
-                                );
+                                task.execute_run();
                                 if let Some(deadline) = next_tick {
                                     // A long run can overshoot the tick
                                     // deadline; catch up before blocking.
                                     if Instant::now() >= deadline {
-                                        do_tick(&mut bolt, &mut collector);
+                                        task.tick();
                                         next_tick =
                                             Some(Instant::now() + tick.expect("tick interval set"));
                                     }
@@ -439,6 +426,7 @@ impl Topology {
                             let mut idle_wait = IDLE_BACKOFF_MIN;
                             let mut last_flush = Instant::now();
                             let mut emitted = false;
+                            let mut tally = ExecTally::default();
                             loop {
                                 // Drain control messages without blocking.
                                 while let Ok(msg) = rx.try_recv() {
@@ -481,11 +469,8 @@ impl Topology {
                                         }
                                     }
                                     if polled > 0 {
-                                        metrics.record_exec_batch(
-                                            start.elapsed().as_nanos() as u64,
-                                            polled,
-                                            true,
-                                        );
+                                        tally.add(start.elapsed().as_nanos() as u64, polled, true);
+                                        metrics.record(&mut tally);
                                     }
                                 }
                                 emitted = polled > 0;
@@ -605,70 +590,99 @@ fn handle_ctl(
     Ctl::Continue
 }
 
-fn do_tick(bolt: &mut Box<dyn Bolt>, collector: &mut BoltCollector) {
-    collector.current_anchors = AnchorSet::None;
-    bolt.tick(collector);
-    collector.flush_run();
+/// One bolt task: the bolt, its collector, and what an execute run needs
+/// and keeps across runs.
+struct BoltTask {
+    bolt: Box<dyn Bolt>,
+    collector: BoltCollector,
+    metrics: Arc<ComponentMetrics>,
+    /// The current run's execute accounting, folded into `metrics` once
+    /// per run.
+    tally: ExecTally,
+    inflight: Arc<AtomicI64>,
+    fault_plan: tchaos::FaultPlan,
+    factory: BoltFactory,
+    ctx: TaskContext,
+    /// Tuples drained since the last run, in arrival order.
+    run: Vec<Tuple>,
 }
 
-/// Executes one run of consecutive tuples and completes it. The run is
-/// cut into chunks — the whole run when the bolt's
-/// [`Bolt::supports_batch`] is true, single tuples otherwise — and every
-/// chunk takes the same steps: pre-anchor, one `execute_batch`, then ack
-/// or fail of the chunk's trees. The run ends with one emit flush and one
-/// `XorBatch`.
-///
-/// Storm's supervisor restarts crashed workers; here a panicking execute
-/// fails the chunk's tuple trees (the spout will replay them) and the
-/// bolt is rebuilt from its factory — safe because bolts keep durable
-/// state in TDStore, not in themselves.
-#[allow(clippy::too_many_arguments)]
-fn execute_run(
-    run: &mut Vec<Tuple>,
-    bolt: &mut Box<dyn Bolt>,
-    collector: &mut BoltCollector,
-    metrics: &ComponentMetrics,
-    inflight: &AtomicI64,
-    fault_plan: &tchaos::FaultPlan,
-    factory: &BoltFactory,
-    ctx: &TaskContext,
-) {
-    if run.is_empty() {
-        return;
+impl BoltTask {
+    fn tick(&mut self) {
+        self.collector.current_anchors = AnchorSet::None;
+        self.bolt.tick(&mut self.collector);
+        self.collector.flush_run();
     }
-    let chunk_len = if bolt.supports_batch() { run.len() } else { 1 };
-    for chunk in run.chunks(chunk_len) {
-        // Conservative pre-anchor: emits that no `anchor_to` narrows
-        // attach to every root in the chunk.
-        collector.current_anchors = chunk
-            .iter()
-            .flat_map(|t| t.anchors.pairs().iter().copied())
-            .collect();
-        let start = Instant::now();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Injected before execute so a faulted chunk has had no effect
-            // on durable state: the replay re-runs it from scratch.
-            if fault_plan.should_fault(tchaos::FaultSite::ExecutorPanic) {
-                panic!("tchaos: injected executor panic");
-            }
-            bolt.execute_batch(chunk, collector)
-        }));
-        let nanos = start.elapsed().as_nanos() as u64;
-        let ok = matches!(result, Ok(Ok(())));
-        if ok {
-            collector.complete_ok(chunk);
+
+    /// Executes the pending run of consecutive tuples and completes it.
+    /// The run is cut into chunks — the whole run when the bolt's
+    /// [`Bolt::supports_batch`] is true, single tuples otherwise — and
+    /// every chunk takes the same steps: pre-anchor, one `execute_batch`,
+    /// then ack or fail of the chunk's trees. The run ends with one emit
+    /// flush, one `XorBatch` and one fold of its accounting into the
+    /// component's metrics.
+    ///
+    /// One clock read per chunk boundary times the chunks: a chunk's time
+    /// runs from the previous chunk's end (the run's start for the first)
+    /// to its own, so it includes its pre-anchor and the previous chunk's
+    /// completion, a few nanoseconds next to any execute.
+    ///
+    /// Storm's supervisor restarts crashed workers; here a panicking
+    /// execute fails the chunk's tuple trees (the spout will replay them)
+    /// and the bolt is rebuilt from its factory — safe because bolts keep
+    /// durable state in TDStore, not in themselves.
+    fn execute_run(&mut self) {
+        if self.run.is_empty() {
+            return;
+        }
+        let chunk_len = if self.bolt.supports_batch() {
+            self.run.len()
         } else {
-            collector.fail_run(chunk);
+            1
+        };
+        let collector = &mut self.collector;
+        let mut mark = Instant::now();
+        for chunk in self.run.chunks(chunk_len) {
+            // Conservative pre-anchor: emits that no `anchor_to` narrows
+            // attach to every root in the chunk.
+            collector.current_anchors = chunk
+                .iter()
+                .flat_map(|t| t.anchors.pairs().iter().copied())
+                .collect();
+            let bolt = &mut self.bolt;
+            let fault_plan = &self.fault_plan;
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // Injected before execute so a faulted chunk has had no
+                // effect on durable state: the replay re-runs it from
+                // scratch.
+                if fault_plan.should_fault(tchaos::FaultSite::ExecutorPanic) {
+                    panic!("tchaos: injected executor panic");
+                }
+                bolt.execute_batch(chunk, collector)
+            }));
+            let now = Instant::now();
+            let nanos = now.duration_since(mark).as_nanos() as u64;
+            mark = now;
+            let ok = matches!(result, Ok(Ok(())));
+            if ok {
+                collector.complete_ok(chunk);
+            } else {
+                collector.fail_run(chunk);
+            }
+            self.tally.add(nanos, chunk.len() as u64, ok);
+            if result.is_err() {
+                self.bolt = (self.factory)();
+                self.bolt.prepare(&self.ctx);
+                // The rebuild is no chunk's execute time.
+                mark = Instant::now();
+            }
         }
-        metrics.record_exec_batch(nanos, chunk.len() as u64, ok);
-        if result.is_err() {
-            *bolt = factory();
-            bolt.prepare(ctx);
-        }
+        collector.flush_run();
+        self.metrics.record(&mut self.tally);
+        self.inflight
+            .fetch_sub(self.run.len() as i64, Ordering::Relaxed);
+        self.run.clear();
     }
-    collector.flush_run();
-    inflight.fetch_sub(run.len() as i64, Ordering::Relaxed);
-    run.clear();
 }
 
 /// Handle to a running topology.

@@ -30,29 +30,66 @@ pub struct ComponentMetrics {
     pub exec_latency: Arc<LatencyHistogram>,
 }
 
-impl ComponentMetrics {
-    /// Records one `execute_batch` invocation covering `count` tuples (or
-    /// one spout poll burst of `count` polls). The histogram is fed the
-    /// per-tuple share of the call, so its percentiles stay comparable
-    /// between per-run and per-tuple bolts. The integer
-    /// division's remainder is distributed over `total_nanos % count`
-    /// tuples (one extra nanosecond each), so the histogram's sum equals
-    /// `exec_nanos` exactly instead of drifting low on every batch.
-    pub(crate) fn record_exec_batch(&self, total_nanos: u64, count: u64, ok: bool) {
+/// One task's execute accounting between flushes. The runtime adds every
+/// chunk (or spout poll burst) here and folds the lot into the component's
+/// shared counters once per execute run, so a tuple pays no atomic. The
+/// task keeps it across runs: its buffer allocates once.
+#[derive(Debug, Default)]
+pub(crate) struct ExecTally {
+    acked: u64,
+    failed: u64,
+    nanos: u64,
+    /// Per-tuple latency shares as `(nanos, tuples)`.
+    latency: Vec<(u64, u64)>,
+}
+
+impl ExecTally {
+    /// Adds one `execute_batch` invocation covering `count` tuples (or one
+    /// spout poll burst of `count` polls) that took `total_nanos`. The
+    /// histogram is fed the per-tuple share of the call, so its
+    /// percentiles stay comparable between per-run and per-tuple bolts.
+    /// The integer division's remainder is distributed over
+    /// `total_nanos % count` tuples (one extra nanosecond each), so the
+    /// histogram's sum equals `exec_nanos` exactly instead of drifting low
+    /// on every batch.
+    pub(crate) fn add(&mut self, total_nanos: u64, count: u64, ok: bool) {
         if count == 0 {
             return;
         }
-        self.executed.add(count);
-        self.exec_nanos.add(total_nanos);
+        if ok {
+            self.acked += count;
+        } else {
+            self.failed += count;
+        }
+        self.nanos += total_nanos;
         let share = total_nanos / count;
         let rem = total_nanos % count;
-        self.exec_latency.record_nanos_n(share, count - rem);
-        self.exec_latency.record_nanos_n(share + 1, rem);
-        if ok {
-            self.acked.add(count);
-        } else {
-            self.failed.add(count);
+        self.latency.push((share, count - rem));
+        if rem > 0 {
+            self.latency.push((share + 1, rem));
         }
+    }
+}
+
+impl ComponentMetrics {
+    /// Folds `tally` into the shared counters — one atomic add per counter
+    /// and per touched histogram bucket — and empties it.
+    pub(crate) fn record(&self, tally: &mut ExecTally) {
+        let executed = tally.acked + tally.failed;
+        if executed == 0 {
+            return;
+        }
+        self.executed.add(executed);
+        self.exec_nanos.add(tally.nanos);
+        if tally.acked > 0 {
+            self.acked.add(tally.acked);
+        }
+        if tally.failed > 0 {
+            self.failed.add(tally.failed);
+        }
+        self.exec_latency.record_batch(&mut tally.latency);
+        tally.latency.clear();
+        (tally.acked, tally.failed, tally.nanos) = (0, 0, 0);
     }
 
     /// Point-in-time copy of the counters.
@@ -175,8 +212,10 @@ mod tests {
         let mut reg = MetricsRegistry::default();
         let obs = obs::Registry::new();
         let m = reg.register("bolt", &obs);
-        m.record_exec_batch(1_000, 1, true);
-        m.record_exec_batch(3_000, 1, false);
+        let mut tally = ExecTally::default();
+        tally.add(1_000, 1, true);
+        tally.add(3_000, 1, false);
+        m.record(&mut tally);
         let snap = reg.component("bolt").unwrap();
         assert_eq!(snap.executed, 2);
         assert_eq!(snap.acked, 1);
@@ -209,9 +248,14 @@ mod tests {
         // record 1000ns total, silently dropping 7ns per batch. The
         // remainder must be distributed so both sums agree exactly.
         let m = ComponentMetrics::default();
-        m.record_exec_batch(1_007, 10, true);
-        m.record_exec_batch(999, 4, false);
-        m.record_exec_batch(5, 7, true); // more tuples than nanos
+        let mut tally = ExecTally::default();
+        tally.add(1_007, 10, true);
+        tally.add(999, 4, false);
+        m.record(&mut tally);
+        // A tally is empty after a flush and fills again.
+        tally.add(5, 7, true); // more tuples than nanos
+        m.record(&mut tally);
+        m.record(&mut tally);
         let snap = m.snapshot("b");
         assert_eq!(snap.exec_nanos, 1_007 + 999 + 5);
         assert_eq!(

@@ -5,9 +5,10 @@
 //! in [`SliceSpec::local`] get real task threads; every other component
 //! is assumed to run in some other process. Tuples routed to a remote
 //! component still travel as runtime [`TupleBatch`]es: an egress pump
-//! hands the batches it drained, borrowed, to the [`SliceSpec::egress`]
-//! callback, which encodes the frame straight from their arenas (the
-//! cluster layer ships it over TCP). On the receiving side the cluster
+//! drains everything queued for its task, up to the queue's capacity, and
+//! hands the batches, borrowed, to the [`SliceSpec::egress`] callback,
+//! which encodes frames straight from their arenas (the cluster layer
+//! ships them over TCP). On the receiving side the cluster
 //! codec reads a frame body tuple by tuple into a [`TupleSink`]; the
 //! runtime's sink is the [`Injector`] from
 //! [`crate::executor::TopologyHandle::injector`], which appends the
@@ -38,7 +39,8 @@ use std::sync::Arc;
 pub use crate::collector::TupleBatch;
 
 /// Callback receiving the batches one egress pump drained for a remote
-/// component: `(frame, dest_component, dest_task, batches)`. `frame` is a
+/// component, everything queued up to the queue's capacity:
+/// `(frame, dest_component, dest_task, batches)`. `frame` is a
 /// buffer the pump keeps across calls and hands over empty, so the
 /// transport can encode without allocating per call. Invoked from per-task
 /// egress pump threads, so implementations may block (backpressure

@@ -141,14 +141,17 @@ if ! awk -v p="$fresh_p50" 'BEGIN { exit !(p > 0 && p <= 375) }'; then
     exit 1
 fi
 # Remote edge: frames are written from the runtime's batch arenas and
-# read straight into them, no owned tuple per record. On a 2-core box,
-# 2-s untraced runs read 1.14-2.07M tuples/s that way (29 runs, median
-# 1.54M) and 0.70-1.25M with a `WireTuple` built per tuple at each end
-# (24 runs, median 0.94M, alternated with the former). The box drifts
-# enough that the two ranges overlap, so no floor splits every run: this
-# one sits 8% under the slowest batch-frame run and above 18 of the 24
-# per-tuple runs, so a per-tuple flatten or regroup on either side
-# trips it in most runs and no batch-frame run did.
+# read straight into them, no owned tuple per record, and the runtime
+# pays its bookkeeping per message, not per tuple: the acker reads the
+# clock and settles its gauge and latency histogram once per message, a
+# bolt folds its execute counters once per run, and an egress pump
+# drains its whole queue into a few large frames. On a shared 2-core
+# box, 36 2-s untraced runs read 1.52-2.69M tuples/s that way, drifting
+# by a third within minutes (12 of them alternated with the per-tuple
+# bookkeeping of the parent commit, which read 1.29-1.75M). The floor
+# sits 20% under the slowest run, so noise no longer trips it, while a
+# per-tuple flatten or regroup on either side (0.70-1.25M when it was
+# last measured) still does.
 edge_out="$(cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- \
     --workload cluster_edge --seed 1 --seconds 2 --trace 0 | tail -n 1)"
 if ! grep -q '"correct": true' <<<"$edge_out"; then
@@ -157,8 +160,8 @@ if ! grep -q '"correct": true' <<<"$edge_out"; then
     exit 1
 fi
 edge_ops="$(tbench_metric "$edge_out" ops_per_s)"
-if ! awk -v o="$edge_ops" 'BEGIN { exit !(o >= 1050000) }'; then
-    echo "TBENCH FAILURE: cluster_edge $edge_ops tuples/s (< 1.05M/s)" >&2
+if ! awk -v o="$edge_ops" 'BEGIN { exit !(o >= 1250000) }'; then
+    echo "TBENCH FAILURE: cluster_edge $edge_ops tuples/s (< 1.25M/s)" >&2
     exit 1
 fi
 # Serving edge: a cold or sparse user's page is filled from the group's
