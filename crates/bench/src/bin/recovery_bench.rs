@@ -11,11 +11,10 @@
 //!   only the tail;
 //! - **full replay**: rebuild the whole state from offset zero.
 //!
-//! Writes the `recovery` section of `BENCH_topology.json` (preserving
-//! every other section). Modes:
+//! Writes its record to `BENCH_recovery.json`. Modes:
 //!
-//! - default: day-scale sizes, rewrites `recovery`.
-//! - `--smoke`: small sizes (CI-friendly), rewrites `recovery`.
+//! - default: day-scale sizes.
+//! - `--smoke`: small sizes (CI-friendly).
 //! - `--check`: exits non-zero unless restore beats full replay by the
 //!   committed floor (5x) — the durability acceptance gate.
 
@@ -285,21 +284,21 @@ fn run_recovery(n: u64, users: u64, items: u64) -> RecoveryResult {
 fn recovery_json(r: &RecoveryResult) -> String {
     format!(
         concat!(
-            "\"recovery\": {{\n",
-            "    \"actions\": {},\n",
-            "    \"spilled_segments\": {},\n",
-            "    \"snapshot_entries\": {},\n",
-            "    \"snapshot_bytes\": {},\n",
-            "    \"delta_entries\": {},\n",
-            "    \"delta_bytes\": {},\n",
-            "    \"delta_ratio\": {:.4},\n",
-            "    \"tail_records\": {},\n",
-            "    \"restore_ms\": {:.1},\n",
-            "    \"tail_replay_ms\": {:.1},\n",
-            "    \"time_to_recover_ms\": {:.1},\n",
-            "    \"full_replay_ms\": {:.1},\n",
-            "    \"speedup\": {:.2}\n",
-            "  }}"
+            "{{\n",
+            "  \"actions\": {},\n",
+            "  \"spilled_segments\": {},\n",
+            "  \"snapshot_entries\": {},\n",
+            "  \"snapshot_bytes\": {},\n",
+            "  \"delta_entries\": {},\n",
+            "  \"delta_bytes\": {},\n",
+            "  \"delta_ratio\": {:.4},\n",
+            "  \"tail_records\": {},\n",
+            "  \"restore_ms\": {:.1},\n",
+            "  \"tail_replay_ms\": {:.1},\n",
+            "  \"time_to_recover_ms\": {:.1},\n",
+            "  \"full_replay_ms\": {:.1},\n",
+            "  \"speedup\": {:.2}\n",
+            "}}\n"
         ),
         r.actions,
         r.spilled_segments,
@@ -317,31 +316,10 @@ fn recovery_json(r: &RecoveryResult) -> String {
     )
 }
 
-/// Finds `"name": { ... }` (brace-balanced) in the flat bench JSON.
-fn extract_section(json: &str, name: &str) -> Option<String> {
-    let start = json.find(&format!("\"{name}\": {{"))?;
-    let open = start + name.len() + 4;
-    let mut depth = 0usize;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(json[start..open + i + 1].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let check = args.iter().any(|a| a == "--check");
-    let bench_path = "BENCH_topology.json";
 
     // Full size is bounded by the full-replay arm (the slow side being
     // measured): ~600k actions over a cold spilled log keeps the sweep
@@ -373,21 +351,8 @@ fn main() {
         r.full_replay_ms, r.speedup
     );
 
-    // Rewrite only the `recovery` section, preserving everything else.
-    let old = std::fs::read_to_string(bench_path).unwrap_or_default();
-    let section = recovery_json(&r);
-    let json = match extract_section(&old, "recovery") {
-        Some(existing) => old.replace(&existing, &section),
-        None => match old.rfind('}') {
-            Some(close) => format!(
-                "{},\n  {section}\n}}\n",
-                old[..close].trim_end().trim_end_matches(',')
-            ),
-            None => format!("{{\n  {section}\n}}\n"),
-        },
-    };
-    std::fs::write(bench_path, &json).expect("write BENCH_topology.json");
-    eprintln!("wrote {bench_path}");
+    std::fs::write("BENCH_recovery.json", recovery_json(&r)).expect("write BENCH_recovery.json");
+    eprintln!("wrote BENCH_recovery.json");
 
     if check && r.speedup < SPEEDUP_FLOOR {
         eprintln!(

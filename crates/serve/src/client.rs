@@ -3,8 +3,9 @@
 //! Each pooled connection owns one TCP stream plus a reader thread that
 //! routes responses back to callers by correlation id, so many requests
 //! can be in flight on one connection at once (pipelining). The pool
-//! hands requests to connections round-robin; a connection that dies is
-//! lazily re-dialed on next use.
+//! pins a user's requests to one connection and hands `Health`/`Stats`
+//! out round-robin; a connection that dies is lazily re-dialed on next
+//! use.
 
 use crate::protocol::{
     decode_response, encode_request, ProtocolError, Request, Response, StatsReport,
@@ -228,6 +229,14 @@ fn reader_loop(mut stream: TcpStream, pending: PendingMap, alive: Arc<AtomicBool
 }
 
 /// A pooled, pipelining client for one tserve server.
+///
+/// Per-user order: `Recommend` and `ReportAction` for user `u` always go
+/// out on connection `u % connections`, and the server queues one
+/// connection's requests for one user on one shard in arrival order. So
+/// requests for one user submitted from one thread are answered in
+/// submission order: a `Recommend` pipelined behind that user's
+/// `ReportAction` sees the action. Requests for different users, and
+/// requests for one user submitted from several threads, carry no order.
 pub struct Client {
     addr: String,
     config: ClientConfig,
@@ -265,11 +274,16 @@ impl Client {
     }
 
     /// Sends `request` without waiting; resolve with [`Pending::wait`].
-    /// Multiple submissions pipeline on the same connection.
+    /// Multiple submissions pipeline on the same connection; a user's
+    /// requests keep their order (see [`Client`]).
     pub fn submit(&self, request: &Request) -> Result<Pending, ClientError> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let slot_index = (self.next_conn.fetch_add(1, Ordering::Relaxed)
-            % self.connections.len() as u64) as usize;
+        let key = match request {
+            Request::Recommend { user, .. } => *user,
+            Request::ReportAction { action } => action.user,
+            Request::Health | Request::Stats => self.next_conn.fetch_add(1, Ordering::Relaxed),
+        };
+        let slot_index = (key % self.connections.len() as u64) as usize;
         let mut slot = self.connections[slot_index].lock();
         // Lazily re-dial a connection that died.
         let needs_dial = match slot.as_ref() {

@@ -469,7 +469,7 @@ impl Topology {
                                         }
                                     }
                                     if polled > 0 {
-                                        tally.add(start.elapsed().as_nanos() as u64, polled, true);
+                                        tally.add_polls(start.elapsed().as_nanos() as u64, polled);
                                         metrics.record(&mut tally);
                                     }
                                 }

@@ -71,7 +71,6 @@ pub mod config;
 pub mod executor;
 pub mod grouping;
 pub mod metrics;
-pub mod planner;
 pub mod remote;
 pub mod topology;
 pub mod tuple;

@@ -36,6 +36,7 @@ pub struct ComponentMetrics {
 /// task keeps it across runs: its buffer allocates once.
 #[derive(Debug, Default)]
 pub(crate) struct ExecTally {
+    executed: u64,
     acked: u64,
     failed: u64,
     nanos: u64,
@@ -44,23 +45,31 @@ pub(crate) struct ExecTally {
 }
 
 impl ExecTally {
-    /// Adds one `execute_batch` invocation covering `count` tuples (or one
-    /// spout poll burst of `count` polls) that took `total_nanos`. The
-    /// histogram is fed the per-tuple share of the call, so its
-    /// percentiles stay comparable between per-run and per-tuple bolts.
-    /// The integer division's remainder is distributed over
-    /// `total_nanos % count` tuples (one extra nanosecond each), so the
-    /// histogram's sum equals `exec_nanos` exactly instead of drifting low
-    /// on every batch.
+    /// Adds one `execute_batch` invocation covering `count` tuples that
+    /// took `total_nanos`, each tuple acked if `ok` and failed if not.
     pub(crate) fn add(&mut self, total_nanos: u64, count: u64, ok: bool) {
-        if count == 0 {
-            return;
-        }
+        self.add_polls(total_nanos, count);
         if ok {
             self.acked += count;
         } else {
             self.failed += count;
         }
+    }
+
+    /// Adds one spout poll burst of `count` polls that took
+    /// `total_nanos`. A poll is executed but neither acked nor failed: a
+    /// spout's `acked` and `failed` count its tuple trees, which the
+    /// acker settles later. The histogram is fed the per-tuple share of
+    /// the call, so its percentiles stay comparable between per-run and
+    /// per-tuple bolts. The integer division's remainder is distributed
+    /// over `total_nanos % count` tuples (one extra nanosecond each), so
+    /// the histogram's sum equals `exec_nanos` exactly instead of
+    /// drifting low on every batch.
+    pub(crate) fn add_polls(&mut self, total_nanos: u64, count: u64) {
+        if count == 0 {
+            return;
+        }
+        self.executed += count;
         self.nanos += total_nanos;
         let share = total_nanos / count;
         let rem = total_nanos % count;
@@ -75,11 +84,10 @@ impl ComponentMetrics {
     /// Folds `tally` into the shared counters — one atomic add per counter
     /// and per touched histogram bucket — and empties it.
     pub(crate) fn record(&self, tally: &mut ExecTally) {
-        let executed = tally.acked + tally.failed;
-        if executed == 0 {
+        if tally.executed == 0 {
             return;
         }
-        self.executed.add(executed);
+        self.executed.add(tally.executed);
         self.exec_nanos.add(tally.nanos);
         if tally.acked > 0 {
             self.acked.add(tally.acked);
@@ -89,7 +97,7 @@ impl ComponentMetrics {
         }
         self.exec_latency.record_batch(&mut tally.latency);
         tally.latency.clear();
-        (tally.acked, tally.failed, tally.nanos) = (0, 0, 0);
+        (tally.executed, tally.acked, tally.failed, tally.nanos) = (0, 0, 0, 0);
     }
 
     /// Point-in-time copy of the counters.

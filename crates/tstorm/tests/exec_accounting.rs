@@ -97,10 +97,9 @@ fn a_mixed_run_counts_what_per_chunk_records_counted() {
     let (bolt, spout) = (of("picky"), of("numbers"));
     // Three `Err`s and three panics among thirty tuples.
     assert_eq!((bolt.executed, bolt.acked, bolt.failed), (30, 24, 6));
-    // A spout's `acked` also counts its polls (each burst is recorded as
-    // a successful execute), so only its polls and failed trees are
-    // checked here.
-    assert_eq!((spout.executed, spout.failed), (30, 6));
+    // A spout executes its polls and acks or fails its trees: a poll
+    // burst is not an ack.
+    assert_eq!((spout.executed, spout.acked, spout.failed), (30, 24, 6));
     assert_eq!(bolt.exec_latency.count(), bolt.executed);
     assert_eq!(bolt.exec_latency.sum_nanos(), bolt.exec_nanos);
     assert!(bolt.exec_nanos > 0);

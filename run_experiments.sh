@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper's evaluation plus all
-# ablations. See EXPERIMENTS.md for the paper-vs-measured record.
+# ablations. See EXPERIMENTS.md for the paper-vs-measured record; the
+# performance claims are measured by crates/tbench (README "Performance").
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -10,8 +11,6 @@ BINARIES=(
   fig11_news_reads
   fig13_yixun_price
   fig14_yixun_purchase
-  deployment_throughput
-  scaling_throughput
   ablation_pruning
   ablation_combiner
   ablation_cache

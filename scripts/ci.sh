@@ -72,16 +72,27 @@ if [[ -z "$unchanged" || "$unchanged" == "0" ]]; then
     echo "OBSERVABILITY FAILURE: tdstore_ops_total{op=\"unchanged\"} missing or zero" >&2
     exit 1
 fi
-echo "    exposition OK (pipeline latency samples: $count, unchanged store ops: $unchanged)"
+# The history bolt edits a user's history in place: seven runs of the
+# example read an execute p99 of 5.9-11.5 us over its 1,567 executes. The
+# ceiling is 500 us, so a history rewritten whole per action, or a
+# blocking call per execute, trips it (a 1-ms sleep per execute reads
+# 1.18 ms).
+uh_p99="$(grep '^tstorm_exec_latency_seconds{component="user_history",quantile="0.99"}' <<<"$expo" | awk '{print $2}')"
+if ! awk -v p="$uh_p99" 'BEGIN { exit !(p != "" && p + 0 > 0 && p + 0 <= 0.0005) }'; then
+    echo "OBSERVABILITY FAILURE: user_history execute p99 ${uh_p99:-missing} s (> 500 us)" >&2
+    exit 1
+fi
+echo "    exposition OK (pipeline latency samples: $count, unchanged store ops: $unchanged, user_history p99 $uh_p99 s)"
 
 # Benchmark stage: the manifest must agree with the compiled-in metric
 # tables, a short traced ingest_broad run — the whole CF pipeline
 # against the in-memory reference — must come out correct, an untraced
-# one must stay under a peak-RSS ceiling, a short untraced fresh_hot run
-# must stay fresh, a short cluster_edge run — the tuple and acker
-# wire codecs between real processes — must verify and stay fast, and a
-# short serve_mixed run must verify and keep its tail.
-echo "==> tbench (--validate, traced ingest_broad smoke, ingest_broad peak RSS, fresh_hot freshness, cluster_edge, serve_mixed)"
+# one must stay under a peak-RSS ceiling and above a throughput floor, a
+# short untraced fresh_hot run must stay fresh, a short cluster_edge run
+# — the tuple and acker wire codecs between real processes — must verify
+# and stay fast, and a short serve_mixed run must verify and keep its
+# tail.
+echo "==> tbench (--validate, traced ingest_broad smoke, ingest_broad peak RSS and throughput, fresh_hot freshness, cluster_edge, serve_mixed)"
 cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- --validate
 tbench_out="$(cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- \
     --workload ingest_broad --seed 1 --seconds 2 --trace 1 | tail -n 1)"
@@ -122,6 +133,25 @@ peak_rss="$(tbench_metric "$rss_out" peak_rss_mib)"
 if ! awk -v r="$peak_rss" 'BEGIN { exit !(r > 0 && r <= 32) }'; then
     echo "TBENCH FAILURE: ingest_broad peak RSS $peak_rss MiB (> 32 MiB)" >&2
     exit 1
+fi
+# Throughput: the whole CF pipeline must keep its drain rate. On a shared
+# 2-core box, 18 2-s untraced seed-1 runs read 29.7K-66.4K actions/s,
+# drifting with the box. The floor sits 20% under the slowest, so noise
+# alone does not trip it, while a cf_pair that takes twice as long per
+# run (20.4K-23.3K in 6 runs alternated with the above) does. One retry:
+# a 2-s run on a shared box can dip on its own, a real regression fails
+# both runs.
+ingest_ops="$(tbench_metric "$rss_out" ops_per_s)"
+if ! awk -v o="$ingest_ops" 'BEGIN { exit !(o >= 23700) }'; then
+    echo "    ingest_broad $ingest_ops actions/s under the floor once; retrying to rule out machine noise"
+    retry_out="$(cargo run --release --offline --quiet --manifest-path crates/tbench/Cargo.toml -- \
+        --workload ingest_broad --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    ingest_ops="$(tbench_metric "$retry_out" ops_per_s)"
+    if ! grep -q '"correct": true' <<<"$retry_out" \
+        || ! awk -v o="$ingest_ops" 'BEGIN { exit !(o >= 23700) }'; then
+        echo "TBENCH FAILURE: ingest_broad $ingest_ops actions/s (< 23.7K/s)" >&2
+        exit 1
+    fi
 fi
 # Freshness: an append wakes the idle spout that reads it. With the wake,
 # five 2-s untraced runs read a p50 of 171-187 us; left to the idle
@@ -188,7 +218,7 @@ fi
 # run is too noisy for a ceiling (the allocation guard in
 # crates/core/tests/recommend_allocs.rs is the deterministic check).
 ingest_p50="$(tbench_metric "$rss_out" latency_p50_us)"
-echo "    tbench OK ($store_bytes bytes in $store_keys keys, peak RSS $peak_rss MiB, ingest_broad query p50 $ingest_p50 us, fresh_hot p50 $fresh_p50 us, cluster_edge $edge_ops tuples/s, serve_mixed p95 $serve_p95 us)"
+echo "    tbench OK ($store_bytes bytes in $store_keys keys, peak RSS $peak_rss MiB, ingest_broad $ingest_ops actions/s, query p50 $ingest_p50 us, fresh_hot p50 $fresh_p50 us, cluster_edge $edge_ops tuples/s, serve_mixed p95 $serve_p95 us)"
 
 # Multi-process stage: supervisor + 2 worker OS processes run the CF
 # pipeline with tuples crossing process boundaries over batched TCP;
@@ -282,31 +312,11 @@ echo "    incremental restart OK ($(grep -c '^tsnap\|^tdaccess' <<<"$inc_out") m
 # Recovery gate: snapshot restore + tail replay must beat a full-log
 # replay by at least 5x on a disk-spilled log (smoke size), and the
 # steady-state delta checkpoint must stay under 0.3x of the full blob it
-# patches. Rewrites the recovery section of BENCH_topology.json; the
-# committed baseline is restored below unless re-baselining.
+# patches. The run rewrites BENCH_recovery.json with its smoke-size
+# record; the committed record is restored after it.
 echo "==> time-to-recover + delta-ratio gate (smoke)"
 cargo run --release -p bench --bin recovery_bench -- --smoke --check
-
-# Throughput gate: a smoke-size batch-transport run must stay within 20%
-# of the committed BENCH_topology.json baseline, allocate at most 3.1
-# allocations per tuple on the batched shuffle edge, and keep the
-# user_history execute p99 under 500us (the in-place history update).
-# After an intentional perf change, re-baseline with:
-# BENCH_REBASELINE=1 scripts/ci.sh (or re-run scripts/bench.sh and commit
-# the refreshed report; the allocation and latency ceilings are absolute
-# and still apply). One retry: the smoke run is ~25 ms of work, so a noisy
-# neighbor alone can push a single run past the 20% floor; a real
-# regression fails both runs.
-echo "==> topology throughput gate (smoke)"
-if ! cargo run --release -p bench --bin topology_bench -- --smoke --check; then
-    echo "    gate failed once; retrying to rule out machine noise"
-    cargo run --release -p bench --bin topology_bench -- --smoke --check
-fi
-if [[ "${BENCH_REBASELINE:-0}" != "1" ]]; then
-    # The check pass rewrites the smoke section with this run's (noisy)
-    # numbers; restore the committed baseline unless re-baselining.
-    git checkout -- BENCH_topology.json 2>/dev/null || true
-fi
+git checkout -- BENCH_recovery.json 2>/dev/null || true
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings

@@ -238,6 +238,67 @@ fn per_user_read_your_writes_ordering() {
 }
 
 #[test]
+fn a_users_requests_keep_their_order_across_pooled_connections() {
+    // Two pooled connections, each with its own server-side reader: a
+    // user's query must not overtake that user's pipelined action by
+    // leaving on the other connection.
+    let server = server(1, 256);
+    let client = client(&server, 2);
+    for u in 1..=30u64 {
+        client
+            .report_action(UserAction::new(u, 1, ActionType::Click, u))
+            .expect("seed");
+        client
+            .report_action(UserAction::new(u, 2, ActionType::Click, u + 1))
+            .expect("seed");
+    }
+    let probes = 1_000..1_300u64;
+    for user in probes.clone() {
+        client
+            .report_action(UserAction::new(user, 1, ActionType::Click, user))
+            .expect("probe click");
+    }
+    let page = |user: u64| {
+        client.submit(&Request::Recommend {
+            user,
+            n: 5,
+            deadline_ms: 0,
+        })
+    };
+    let items = |pending: tserve::Pending| match pending.wait().expect("recs") {
+        Response::Recommendations { items } => items,
+        other => panic!("unexpected {other:?}"),
+    };
+    // Control: having clicked item 1, a probe user is shown item 2, so
+    // the check below can fire.
+    let control = items(page(probes.start).expect("submit"));
+    assert!(control.iter().any(|&(i, _)| i == 2), "{control:?}");
+
+    // Each probe user reports item 2 and asks for a page right behind it,
+    // 16 users' pairs in flight at a time.
+    let mut overtaken = 0;
+    let users: Vec<u64> = probes.collect();
+    for chunk in users.chunks(16) {
+        let pairs: Vec<_> = chunk
+            .iter()
+            .map(|&user| {
+                let action = UserAction::new(user, 2, ActionType::Click, user + 1);
+                let action = client.submit(&Request::ReportAction { action });
+                (action.expect("submit"), page(user).expect("submit"))
+            })
+            .collect();
+        for (action, query) in pairs {
+            assert_eq!(action.wait().expect("ack"), Response::Ack);
+            if items(query).iter().any(|&(i, _)| i == 2) {
+                overtaken += 1;
+            }
+        }
+    }
+    assert_eq!(overtaken, 0, "queries overtook their user's action");
+    server.shutdown();
+}
+
+#[test]
 fn dead_connection_is_redialed() {
     let server = server(1, 64);
     let client = client(&server, 1);
