@@ -13,130 +13,31 @@
 //! Run: `cargo run --release -p ckpt --example cold_restart`
 //! CI greps the `tsnap:` markers and the final `COLD RESTART OK`.
 
+mod common;
+
 use ckpt::{CheckpointConfig, Coordinator};
-use std::collections::BTreeMap;
+use common::{build_topic, counts, launch, now_ms, workload};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tdaccess::{AccessCluster, ClusterConfig};
+use tdaccess::ClusterConfig;
 use tdstore::{StoreConfig, TdStore};
-use tencentrec::action::{ActionType, UserAction};
-use tencentrec::topology::{
-    build_cf_topology_with_spout, CfParallelism, CfPipelineConfig, OffsetTable, ReplayProgress,
-    ReplayableSpout,
-};
-use tstorm::prelude::TopologyHandle;
-use tstorm::topology::TopologyConfig;
 
 const ENV_ROLE: &str = "TSNAP_ROLE";
 const ENV_PATH: &str = "TSNAP_PATH";
 /// Epochs the parent waits for before pulling the trigger: ≥ 2 proves
 /// the manifest advanced (not just a first publish) and leaves a tail.
 const KILL_AFTER_EPOCH: u64 = 2;
-
-/// Deterministic day-scale-shaped workload: every process (child,
-/// baseline, restore) rebuilds the identical topic, so the access log is
-/// a pure function and only the snapshot file crosses the kill.
-fn workload() -> Vec<UserAction> {
-    let mut actions = Vec::with_capacity(200_000);
-    let mut state = 0x243F_6A88_85A3_08D3u64; // fixed LCG seed
-    for ts in 1..=200_000u64 {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let user = (state >> 33) % 500 + 1;
-        let item = (state >> 17) % 100 + 1;
-        actions.push(UserAction::new(user, item, ActionType::Click, ts));
-    }
-    actions
-}
-
-fn cf_config() -> CfPipelineConfig {
-    CfPipelineConfig {
-        // At least the spout's `max_pending` (64), so the restored dedup
-        // rings still hold every source of the snapshot/offset overlap.
-        dedup_window: 256,
-        ..Default::default()
-    }
-}
-
-fn build_topic(actions: &[UserAction]) -> AccessCluster {
-    let cluster = AccessCluster::new(ClusterConfig::default());
-    cluster.create_topic("actions", 4).unwrap();
-    let producer = cluster.producer("actions").unwrap();
-    for a in actions {
-        producer
-            .send(Some(&a.user.to_le_bytes()[..]), &a.to_bytes())
-            .unwrap();
-    }
-    cluster
-}
-
-struct Life {
-    handle: TopologyHandle,
-    store: TdStore,
-    progress: Arc<ReplayProgress>,
-    offsets: Arc<OffsetTable>,
-}
-
-fn launch(
-    cluster: &AccessCluster,
-    group: &str,
-    store: TdStore,
-    start_offsets: Vec<(u32, u64)>,
-) -> Life {
-    let progress = Arc::new(ReplayProgress::default());
-    let offsets = Arc::new(OffsetTable::new());
-    let topo = build_cf_topology_with_spout(
-        {
-            let cluster = cluster.clone();
-            let group = group.to_string();
-            let progress = Arc::clone(&progress);
-            let offsets = Arc::clone(&offsets);
-            move || {
-                ReplayableSpout::new(cluster.clone(), "actions", &group, Arc::clone(&progress))
-                    .with_offset_table(Arc::clone(&offsets))
-                    .with_start_offsets(start_offsets.clone())
-            }
-        },
-        store.clone(),
-        cf_config(),
-        CfParallelism::default(),
-        TopologyConfig::default(),
-    )
-    .expect("valid topology");
-    Life {
-        handle: topo.launch(),
-        store,
-        progress,
-        offsets,
-    }
-}
-
-fn counts(store: &TdStore, prefix: &[u8]) -> BTreeMap<Vec<u8>, u64> {
-    store
-        .scan_prefix(prefix)
-        .unwrap()
-        .into_iter()
-        .map(|(k, v)| (k, u64::from_le_bytes(v[0..8].try_into().unwrap())))
-        .collect()
-}
-
-fn now_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_millis() as u64
-}
+/// Seed of the deterministic workload.
+const WORKLOAD_SEED: u64 = 0x243F_6A88_85A3_08D3;
 
 /// Child: run the pipeline, checkpoint every interval, print an epoch
 /// marker per publish, and never look back — the parent kills us.
 fn child_main(path: PathBuf) -> ! {
-    let actions = workload();
+    let actions = workload(WORKLOAD_SEED);
     let n = actions.len() as u64;
-    let topic = build_topic(&actions);
+    let topic = build_topic(&actions, ClusterConfig::default());
     let coord = Coordinator::open(
         &path,
         CheckpointConfig {
@@ -176,7 +77,7 @@ fn main() {
     }
     let _ = std::fs::remove_file(&path);
 
-    let actions = workload();
+    let actions = workload(WORKLOAD_SEED);
     let n = actions.len() as u64;
 
     // Child life: same binary, checkpointing against the shared path.
@@ -221,7 +122,7 @@ fn main() {
 
     // Fault-free baseline, same deterministic workload.
     let baseline = launch(
-        &build_topic(&actions),
+        &build_topic(&actions, ClusterConfig::default()),
         "base",
         TdStore::new(StoreConfig::default()),
         Vec::new(),
@@ -256,7 +157,7 @@ fn main() {
 
     // Second life over the tail only.
     let second = launch(
-        &build_topic(&actions),
+        &build_topic(&actions, ClusterConfig::default()),
         "cold-2",
         store,
         restored.start_offsets.clone(),

@@ -21,52 +21,34 @@
 //! Run: `cargo run --release -p ckpt --example incremental_restart`
 //! CI greps the `tsnap:`/`tdaccess:` markers and `INCREMENTAL RESTART OK`.
 
+mod common;
+
 use ckpt::{CheckpointConfig, Coordinator};
+use common::{build_topic, counts, launch, now_ms, workload};
 use obs::Registry;
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tdaccess::{AccessCluster, ClusterConfig, SegmentConfig};
+use tdaccess::{ClusterConfig, SegmentConfig};
 use tdstore::{SnapshotKind, StoreConfig, TdStore};
-use tencentrec::action::{ActionType, UserAction};
-use tencentrec::topology::{
-    build_cf_topology_with_spout, CfParallelism, CfPipelineConfig, OffsetTable, ReplayProgress,
-    ReplayableSpout,
-};
-use tstorm::prelude::TopologyHandle;
-use tstorm::topology::TopologyConfig;
 
 const ENV_ROLE: &str = "TSNAP_ROLE";
 const ENV_PATH: &str = "TSNAP_PATH";
 /// Delta publishes the parent waits for before pulling the trigger:
 /// ≥ 2 proves restore walks a chain, not just full + one patch.
 const KILL_AFTER_DELTAS: u64 = 2;
+/// Seed of the deterministic workload.
+const WORKLOAD_SEED: u64 = 0x0131_98A2_E037_0734;
 
-/// Deterministic workload: every process (child, baseline, restore)
-/// rebuilds the identical topic, so the access log is a pure function
-/// and only the checkpoint log crosses the kill.
-fn workload() -> Vec<UserAction> {
-    let mut actions = Vec::with_capacity(200_000);
-    let mut state = 0x0131_98A2_E037_0734u64; // fixed LCG seed
-    for ts in 1..=200_000u64 {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let user = (state >> 33) % 500 + 1;
-        let item = (state >> 17) % 100 + 1;
-        actions.push(UserAction::new(user, item, ActionType::Click, ts));
-    }
-    actions
-}
-
-fn cf_config() -> CfPipelineConfig {
-    CfPipelineConfig {
-        // Covers the replay horizon so restored dedup rings absorb the
-        // snapshot/offset overlap.
-        dedup_window: 256,
+/// Small segments so the kill point leaves whole segments below the
+/// restored offset floor — compaction must have something to remove.
+fn topic_config() -> ClusterConfig {
+    ClusterConfig {
+        segment: SegmentConfig {
+            max_messages: 256,
+            ..Default::default()
+        },
         ..Default::default()
     }
 }
@@ -82,76 +64,6 @@ fn ckpt_config() -> CheckpointConfig {
     }
 }
 
-/// Small segments so the kill point leaves whole segments below the
-/// restored offset floor — compaction must have something to remove.
-fn build_topic(actions: &[UserAction]) -> AccessCluster {
-    let cluster = AccessCluster::new(ClusterConfig {
-        segment: SegmentConfig {
-            max_messages: 256,
-            ..Default::default()
-        },
-        ..Default::default()
-    });
-    cluster.create_topic("actions", 4).unwrap();
-    let producer = cluster.producer("actions").unwrap();
-    for a in actions {
-        producer
-            .send(Some(&a.user.to_le_bytes()[..]), &a.to_bytes())
-            .unwrap();
-    }
-    cluster
-}
-
-struct Life {
-    handle: TopologyHandle,
-    store: TdStore,
-    progress: Arc<ReplayProgress>,
-    offsets: Arc<OffsetTable>,
-}
-
-fn launch(
-    cluster: &AccessCluster,
-    group: &str,
-    store: TdStore,
-    start_offsets: Vec<(u32, u64)>,
-) -> Life {
-    let progress = Arc::new(ReplayProgress::default());
-    let offsets = Arc::new(OffsetTable::new());
-    let topo = build_cf_topology_with_spout(
-        {
-            let cluster = cluster.clone();
-            let group = group.to_string();
-            let progress = Arc::clone(&progress);
-            let offsets = Arc::clone(&offsets);
-            move || {
-                ReplayableSpout::new(cluster.clone(), "actions", &group, Arc::clone(&progress))
-                    .with_offset_table(Arc::clone(&offsets))
-                    .with_start_offsets(start_offsets.clone())
-            }
-        },
-        store.clone(),
-        cf_config(),
-        CfParallelism::default(),
-        TopologyConfig::default(),
-    )
-    .expect("valid topology");
-    Life {
-        handle: topo.launch(),
-        store,
-        progress,
-        offsets,
-    }
-}
-
-fn counts(store: &TdStore, prefix: &[u8]) -> BTreeMap<Vec<u8>, u64> {
-    store
-        .scan_prefix(prefix)
-        .unwrap()
-        .into_iter()
-        .map(|(k, v)| (k, u64::from_le_bytes(v[0..8].try_into().unwrap())))
-        .collect()
-}
-
 /// Sums every `tdaccess_truncated_segments` series in a rendered scrape.
 fn scraped_truncated_segments(rendered: &str) -> u64 {
     rendered
@@ -161,19 +73,12 @@ fn scraped_truncated_segments(rendered: &str) -> u64 {
         .sum::<f64>() as u64
 }
 
-fn now_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_millis() as u64
-}
-
 /// Child: run the pipeline, checkpoint every interval, print an epoch
 /// marker (with its chain kind) per publish — the parent kills us.
 fn child_main(path: PathBuf) -> ! {
-    let actions = workload();
+    let actions = workload(WORKLOAD_SEED);
     let n = actions.len() as u64;
-    let topic = build_topic(&actions);
+    let topic = build_topic(&actions, topic_config());
     let coord = Coordinator::open(&path, ckpt_config()).expect("open checkpoint log");
     let life = launch(
         &topic,
@@ -209,7 +114,7 @@ fn main() {
     }
     let _ = std::fs::remove_file(&path);
 
-    let actions = workload();
+    let actions = workload(WORKLOAD_SEED);
     let n = actions.len() as u64;
 
     // Child life: same binary, checkpointing a delta chain to the shared
@@ -260,7 +165,7 @@ fn main() {
 
     // Fault-free baseline, same deterministic workload.
     let baseline = launch(
-        &build_topic(&actions),
+        &build_topic(&actions, topic_config()),
         "base",
         TdStore::new(StoreConfig::default()),
         Vec::new(),
@@ -324,7 +229,7 @@ fn main() {
     // Compaction: the restored offset vector is a proven replay floor —
     // commit it for this group, truncate everything below it, and prove
     // via the scrape that whole segments actually went away.
-    let access = build_topic(&actions);
+    let access = build_topic(&actions, topic_config());
     access
         .commit_group_offsets("actions", "inc", &restored.start_offsets)
         .expect("commit restored floor");

@@ -25,31 +25,32 @@
 //! action past it has touched anything. Restart therefore equals
 //! *load newest snapshot + replay only the tail*.
 //!
-//! The **asynchronous** half: only the in-memory capture happens inside
-//! the barrier (a scan + an offset-table encode). The durable write —
-//! blob, `fsync`, manifest, `fsync` against [`tdstore::SnapshotStore`] —
-//! runs after the spouts have resumed, so the pipeline stall is bounded by
-//! drain time, not disk time. Manifest atomicity (write the blob first,
-//! name it in the manifest last, let fdb's torn-tail truncation discard a
-//! half-written manifest) guarantees a crash *during* publication simply
-//! falls back to the previous checkpoint.
+//! The **asynchronous** half: only the in-memory read happens inside
+//! the barrier (the state read + an offset-table encode). The durable
+//! write — blob, `fsync`, manifest, `fsync` against
+//! [`tdstore::SnapshotStore`] — runs after the spouts have resumed, so
+//! the pipeline stall is bounded by drain time, not disk time. Manifest
+//! atomicity (write the blob first, name it in the manifest last, let
+//! fdb's torn-tail truncation discard a half-written manifest) guarantees
+//! a crash *during* publication simply falls back to the previous
+//! checkpoint.
 //!
-//! The **incremental** half: the coordinator keeps the previous epoch's
-//! sorted capture in memory and, still off the barrier, diffs the fresh
-//! capture against it (a two-pointer merge over the sorted pairs).
-//! Steady-state epochs publish a [`tdstore delta record`](SnapshotStore::
-//! publish_delta) carrying only changed keys; every
-//! [`CheckpointConfig::rebase_every`] epochs — or whenever the delta
-//! would exceed [`CheckpointConfig::max_delta_ratio`] of the full blob —
-//! it rebases to a self-contained full blob so restore chains stay short
-//! and retention can reclaim old chains.
+//! The **incremental** half: from a store's first checkpoint until the
+//! coordinator drops, the store records which keys its writes changed
+//! ([`TdStore::track_changes`]). A steady-state epoch takes those keys
+//! inside the barrier ([`TdStore::take_changes`]) and publishes a
+//! [`delta record`](SnapshotStore::publish_delta): a present key is a
+//! put, an absent one a delete. Every [`CheckpointConfig::rebase_every`]
+//! epochs, past [`CheckpointConfig::max_delta_ratio`] of the chain's full
+//! base, or when the changes since the newest epoch are not known, it
+//! rebases to a self-contained full blob so restore chains stay short.
 
 use obs::{Counter, Gauge, Registry};
-use std::cmp::Ordering;
 use std::fmt;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-use tdstore::{SnapshotMeta, SnapshotStore, StoreError, TdStore};
+use tdstore::snapshot::delta_payload_bytes;
+use tdstore::{Changes, KvPairs, SnapshotMeta, SnapshotStore, StoreError, TdStore};
 use tencentrec::topology::state::Family;
 use tencentrec::topology::{OffsetTable, PartitionId};
 use tstorm::executor::TopologyHandle;
@@ -71,8 +72,9 @@ pub struct CheckpointConfig {
     /// restore chain at one full blob + `K - 1` deltas.
     pub rebase_every: u64,
     /// Publish a full blob instead of a delta whenever the encoded delta
-    /// would exceed this fraction of the full blob — at that churn rate
-    /// the delta saves nothing and only lengthens the restore chain.
+    /// would exceed this fraction of the chain's full base, as published
+    /// — at that churn rate the delta saves nothing and only lengthens
+    /// the restore chain.
     pub max_delta_ratio: f64,
 }
 
@@ -146,6 +148,7 @@ pub struct Restored {
 
 /// Checkpoint metrics, held as plain handles so the checkpoint path never
 /// touches the registry lock.
+#[derive(Default)]
 struct CkptMetrics {
     checkpoints: Counter,
     failures: Counter,
@@ -177,7 +180,7 @@ fn family_label(at: usize) -> &'static str {
 
 impl CkptMetrics {
     /// Sets the family gauges from a full capture, off the barrier.
-    fn count_families(&self, pairs: &Pairs) {
+    fn count_families(&self, pairs: &KvPairs) {
         let mut keys = [0usize; FAMILY_GAUGES];
         let mut bytes = [0usize; FAMILY_GAUGES];
         for (key, value) in pairs {
@@ -190,100 +193,74 @@ impl CkptMetrics {
             self.family_bytes[at].set(bytes[at] as f64);
         }
     }
+}
 
-    fn new() -> Self {
-        CkptMetrics {
-            checkpoints: Counter::new(),
-            failures: Counter::new(),
-            barrier_ms: Gauge::new(),
-            publish_ms: Gauge::new(),
-            snapshot_bytes: Gauge::new(),
-            snapshot_entries: Gauge::new(),
-            last_epoch: Gauge::new(),
-            last_created_ms: Gauge::new(),
-            delta_bytes: Gauge::new(),
-            rebases: Counter::new(),
-            restored_epoch: Gauge::new(),
-            family_keys: std::array::from_fn(|_| Gauge::new()),
-            family_bytes: std::array::from_fn(|_| Gauge::new()),
-        }
+/// Sorts `pairs` by key for a deterministic blob layout: the store hands
+/// them over in its own order. Keys compare first by their leading 16
+/// bytes, held beside each index, so most comparisons read no key: 672K
+/// pairs sort in 0.10–0.16 s that way on a shared 2-core box, against
+/// 0.19–0.30 s comparing the keys alone.
+fn sort_by_key(pairs: &mut KvPairs) {
+    let lead = |key: &[u8]| {
+        let mut lead = [0u8; 16];
+        let n = key.len().min(16);
+        lead[..n].copy_from_slice(&key[..n]);
+        u128::from_be_bytes(lead)
+    };
+    let mut order: Vec<(u128, usize)> = pairs.iter().map(|(k, _)| lead(k)).zip(0..).collect();
+    order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| pairs[a.1].0.cmp(&pairs[b.1].0)));
+    let sorted = order
+        .iter()
+        .map(|&(_, at)| std::mem::take(&mut pairs[at]))
+        .collect();
+    *pairs = sorted;
+}
+
+/// The delta chain this coordinator extends: what the next checkpoint
+/// needs to publish a delta instead of a full blob. Dropping it stops
+/// tracking the store's changes.
+struct Chain {
+    /// The store whose changes are tracked, and its tracker's id.
+    store: TdStore,
+    tracker: u64,
+    /// Epoch and payload bytes of the chain's full base.
+    base_epoch: u64,
+    base_bytes: u64,
+    /// Deltas published since the base.
+    len: u64,
+}
+
+impl Chain {
+    /// The newest epoch the chain published.
+    fn head(&self) -> u64 {
+        self.base_epoch + self.len
     }
 }
 
-/// Sorted state pairs, as captured inside the barrier.
-type Pairs = Vec<(Vec<u8>, Vec<u8>)>;
-
-/// The previous epoch's capture, kept in memory so the next epoch can
-/// diff against it off the barrier.
-struct PrevCapture {
-    /// Epoch the capture was published as.
-    epoch: u64,
-    /// Sorted state pairs at that epoch.
-    pairs: Pairs,
-    /// Deltas published since the last full blob (0 right after a full).
-    chain_len: u64,
-}
-
-/// Two-pointer merge of consecutive sorted captures → (puts, deletes).
-fn diff_captures(prev: &Pairs, cur: &Pairs) -> (Pairs, Vec<Vec<u8>>) {
-    let mut puts = Vec::new();
-    let mut deletes = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < prev.len() && j < cur.len() {
-        match prev[i].0.cmp(&cur[j].0) {
-            Ordering::Less => {
-                deletes.push(prev[i].0.clone());
-                i += 1;
-            }
-            Ordering::Greater => {
-                puts.push(cur[j].clone());
-                j += 1;
-            }
-            Ordering::Equal => {
-                if prev[i].1 != cur[j].1 {
-                    puts.push(cur[j].clone());
-                }
-                i += 1;
-                j += 1;
-            }
-        }
+impl Drop for Chain {
+    fn drop(&mut self) {
+        self.store.untrack_changes(self.tracker);
     }
-    deletes.extend(prev[i..].iter().map(|(k, _)| k.clone()));
-    puts.extend(cur[j..].iter().cloned());
-    (puts, deletes)
 }
 
-/// Encoded-payload size estimates (kept in sync with the tdstore codec:
-/// header + offset vector + length-prefixed entries).
-fn full_payload_bytes(offsets: usize, pairs: &Pairs) -> u64 {
-    21 + offsets as u64
-        + pairs
-            .iter()
-            .map(|(k, v)| 8 + k.len() as u64 + v.len() as u64)
-            .sum::<u64>()
-}
-
-fn delta_payload_bytes(offsets: usize, puts: &Pairs, deletes: &[Vec<u8>]) -> u64 {
-    33 + offsets as u64
-        + puts
-            .iter()
-            .map(|(k, v)| 8 + k.len() as u64 + v.len() as u64)
-            .sum::<u64>()
-        + deletes.iter().map(|k| 4 + k.len() as u64).sum::<u64>()
+/// What a checkpoint read inside the barrier.
+enum Capture {
+    /// The keys changed since the chain's head.
+    Delta(Changes),
+    /// The whole store, and the tracker started at the same cut.
+    Full { pairs: KvPairs, tracker: u64 },
 }
 
 /// The checkpoint coordinator: owns the on-disk [`SnapshotStore`] and
-/// drives barrier capture, diffing, durable publication, retention and
-/// restore.
+/// drives barrier capture, durable publication, retention and restore.
 pub struct Coordinator {
     snapshots: SnapshotStore,
     config: CheckpointConfig,
     metrics: CkptMetrics,
-    /// Serialises concurrent `checkpoint` callers (e.g. a timer thread
-    /// racing a shutdown checkpoint): barriers must not nest.
-    gate: Mutex<()>,
-    /// Previous epoch's capture, diffed against off the barrier.
-    prev: Mutex<Option<PrevCapture>>,
+    /// The chain the next checkpoint extends. Its lock also serialises
+    /// concurrent `checkpoint` callers (e.g. a timer thread racing a
+    /// shutdown checkpoint): barriers must not nest.
+    chain: Mutex<Option<Chain>>,
 }
 
 impl Coordinator {
@@ -305,9 +282,8 @@ impl Coordinator {
         Ok(Coordinator {
             snapshots,
             config,
-            metrics: CkptMetrics::new(),
-            gate: Mutex::new(()),
-            prev: Mutex::new(None),
+            metrics: CkptMetrics::default(),
+            chain: Mutex::new(None),
         })
     }
 
@@ -337,15 +313,20 @@ impl Coordinator {
     /// Takes one checkpoint of the running topology.
     ///
     /// Inside the barrier (spouts deactivated, zero tuples in flight) the
-    /// full bolt state and the committed offset vector are captured in
-    /// memory; everything else — diffing against the previous epoch's
-    /// retained capture, encoding, the durable publish — happens *after*
-    /// the spouts resume. Steady-state epochs publish a delta of changed
-    /// keys; the first epoch, every `rebase_every`-th epoch, and any
-    /// epoch whose delta would exceed `max_delta_ratio` of the full blob
-    /// publish a self-contained full blob instead. `now_ms` is the
-    /// coordinator's clock reading, stamped into the payload header so
-    /// restore can report snapshot age for any epoch.
+    /// committed offset vector is encoded and the state is read: for a
+    /// delta epoch only the keys the store recorded as changed since this
+    /// coordinator's newest epoch, for a full epoch every key, after which
+    /// the store records changes from that cut. Sorting, encoding and the
+    /// durable publish happen *after* the spouts resume.
+    ///
+    /// A full blob is published at the first checkpoint, every
+    /// `rebase_every`-th epoch, when the delta would exceed
+    /// `max_delta_ratio` of the chain's full base, and whenever the
+    /// changes are not known relative to the newest epoch: a store this
+    /// coordinator does not track, a checkpoint after `restore_into`, or
+    /// after a failed attempt. `now_ms` is the coordinator's clock
+    /// reading, stamped into the payload header so restore can report
+    /// snapshot age for any epoch.
     pub fn checkpoint(
         &self,
         handle: &TopologyHandle,
@@ -353,69 +334,83 @@ impl Coordinator {
         offsets: &OffsetTable,
         now_ms: u64,
     ) -> Result<SnapshotMeta, CkptError> {
-        // The gate guards no data, and the capture below is replaced only
-        // whole, after a publish, and checked against the newest epoch
-        // before use: a checkpoint that panicked left nothing half-made,
-        // so a poisoned lock is taken as it is.
-        let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        // A checkpoint that panicked left nothing half-made in the slot
+        // (a chain changes only after a publish, and is checked against
+        // the newest epoch before use), so a poisoned lock is taken as is.
+        let mut chain = self.chain.lock().unwrap_or_else(PoisonError::into_inner);
+        let latest_epoch = self.snapshots.latest().map_or(0, |m| m.epoch);
+        // A chain that no longer ends at the newest epoch (another writer
+        // published since) is of no use; one that is due for its rebase
+        // still counts one.
+        let usable = chain.as_ref().filter(|c| c.head() == latest_epoch);
+        let extend = usable
+            .filter(|c| c.len + 1 < self.config.rebase_every)
+            .map(|c| (c.tracker, c.base_bytes));
+        let rebase = usable.is_some();
+
         let barrier_start = Instant::now();
         let sealed = handle.with_barrier(self.config.drain_timeout, || {
-            (state.scan_prefix(b""), offsets.encode())
+            let offset_blob = offsets.encode();
+            let delta = extend.and_then(|(tracker, base_bytes)| {
+                let changes = state.take_changes(tracker)?;
+                let bytes = delta_payload_bytes(offset_blob.len(), &changes.puts, &changes.deletes);
+                (bytes as f64 <= self.config.max_delta_ratio * base_bytes as f64).then_some(changes)
+            });
+            // A rebase scans at the same cut as the offsets.
+            let capture = match delta {
+                Some(changes) => Ok(Capture::Delta(changes)),
+                None => state.scan_prefix(b"").map(|pairs| Capture::Full {
+                    pairs,
+                    tracker: state.track_changes(),
+                }),
+            };
+            (capture, offset_blob)
         });
         let barrier_ms = barrier_start.elapsed().as_secs_f64() * 1e3;
 
-        let (pairs, offset_blob) = match sealed {
-            Some((Ok(pairs), blob)) => (pairs, blob),
+        let (capture, offset_blob) = match sealed {
+            Some((Ok(capture), blob)) => (capture, blob),
             Some((Err(e), _)) => {
                 self.metrics.failures.inc();
+                *chain = None;
                 return Err(e.into());
             }
+            // The barrier never sealed, so no changes were taken.
             None => {
                 self.metrics.failures.inc();
                 return Err(CkptError::BarrierTimeout);
             }
         };
 
-        // Sort for a deterministic blob layout; scan order is
-        // engine-dependent.
-        let mut pairs = pairs;
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-
-        // Decide full vs delta against the retained previous capture.
-        // The capture is only usable if it still matches the newest
-        // on-disk epoch (a restore or publish failure in between
-        // invalidates it, and the next epoch rebases).
-        let mut prev_slot = self.prev.lock().unwrap_or_else(PoisonError::into_inner);
-        let latest_epoch = self.snapshots.latest().map_or(0, |m| m.epoch);
-        let usable_prev = prev_slot
-            .as_ref()
-            .filter(|p| p.epoch == latest_epoch && latest_epoch > 0);
-        let planned_delta = usable_prev.and_then(|p| {
-            if p.chain_len + 1 >= self.config.rebase_every {
-                return None; // chain-length rebase
-            }
-            let (puts, deletes) = diff_captures(&p.pairs, &pairs);
-            let full = full_payload_bytes(offset_blob.len(), &pairs);
-            let delta = delta_payload_bytes(offset_blob.len(), &puts, &deletes);
-            if delta as f64 > self.config.max_delta_ratio * full as f64 {
-                return None; // churn-ratio rebase
-            }
-            Some((puts, deletes, p.chain_len))
-        });
-
         let publish_start = Instant::now();
-        let had_chain = usable_prev.is_some();
-        let published = match &planned_delta {
-            Some((puts, deletes, _)) => {
+        let published = match capture {
+            Capture::Delta(mut changes) => {
+                sort_by_key(&mut changes.puts);
+                changes.deletes.sort_unstable();
                 self.snapshots
-                    .publish_delta(now_ms, &offset_blob, latest_epoch, puts, deletes)
+                    .publish_delta(
+                        now_ms,
+                        &offset_blob,
+                        latest_epoch,
+                        &changes.puts,
+                        &changes.deletes,
+                    )
+                    .map(|meta| (meta, None))
             }
-            None => self.snapshots.publish(now_ms, &offset_blob, &pairs),
+            Capture::Full { mut pairs, tracker } => {
+                sort_by_key(&mut pairs);
+                let published = self.snapshots.publish(now_ms, &offset_blob, &pairs);
+                if published.is_err() {
+                    state.untrack_changes(tracker);
+                }
+                published.map(|meta| (meta, Some((pairs, tracker))))
+            }
         };
-        let meta = match published {
-            Ok(meta) => meta,
+        let (meta, full) = match published {
+            Ok(published) => published,
             Err(e) => {
                 self.metrics.failures.inc();
+                *chain = None;
                 return Err(e.into());
             }
         };
@@ -427,27 +422,30 @@ impl Coordinator {
         m.publish_ms
             .set(publish_start.elapsed().as_secs_f64() * 1e3);
         m.snapshot_bytes.set(meta.bytes as f64);
-        m.snapshot_entries.set(pairs.len() as f64);
+        m.snapshot_entries.set(meta.entries as f64);
         m.last_epoch.set(meta.epoch as f64);
         m.last_created_ms.set(meta.created_ms as f64);
-        let chain_len = match &planned_delta {
-            Some((_, _, prev_chain)) => {
-                m.delta_bytes.set(meta.bytes as f64);
-                prev_chain + 1
-            }
-            None => {
-                if had_chain {
+        match full {
+            Some((pairs, tracker)) => {
+                if rebase {
                     m.rebases.inc();
                 }
                 m.count_families(&pairs);
-                0
+                *chain = Some(Chain {
+                    store: state.clone(),
+                    tracker,
+                    base_epoch: meta.epoch,
+                    base_bytes: meta.bytes,
+                    len: 0,
+                });
             }
-        };
-        *prev_slot = Some(PrevCapture {
-            epoch: meta.epoch,
-            pairs,
-            chain_len,
-        });
+            None => {
+                m.delta_bytes.set(meta.bytes as f64);
+                if let Some(chain) = chain.as_mut() {
+                    chain.len += 1;
+                }
+            }
+        }
         Ok(meta)
     }
 
@@ -461,6 +459,9 @@ impl Coordinator {
     /// break byte-identical convergence. A non-empty store is rejected
     /// with [`CkptError::DirtyStore`] before anything is written.
     pub fn restore_into(&self, state: &TdStore) -> Result<Option<Restored>, CkptError> {
+        // The next checkpoint rebases: what changed since the newest epoch
+        // is not known once a store has been reloaded from it.
+        *self.chain.lock().unwrap_or_else(PoisonError::into_inner) = None;
         let Some(manifest) = self.snapshots.latest() else {
             return Ok(None);
         };
@@ -495,72 +496,65 @@ impl Coordinator {
     /// `tdstore_family_bytes{family}`.
     pub fn register_metrics(&self, registry: &Registry) {
         let m = &self.metrics;
-        registry.register_counter(
-            "ckpt_checkpoints_total",
-            &[],
-            "Checkpoints published",
-            &m.checkpoints,
-        );
-        registry.register_counter(
-            "ckpt_failures_total",
-            &[],
-            "Checkpoint attempts that failed (barrier timeout or store error)",
-            &m.failures,
-        );
-        registry.register_gauge(
-            "ckpt_barrier_ms",
-            &[],
-            "Pipeline stall of the last checkpoint: drain + in-memory capture",
-            &m.barrier_ms,
-        );
-        registry.register_gauge(
-            "ckpt_publish_ms",
-            &[],
-            "Durable publish time of the last checkpoint (off the hot path)",
-            &m.publish_ms,
-        );
-        registry.register_gauge(
-            "ckpt_snapshot_bytes",
-            &[],
-            "Payload size of the last checkpoint",
-            &m.snapshot_bytes,
-        );
-        registry.register_gauge(
-            "ckpt_snapshot_entries",
-            &[],
-            "State entries captured by the last checkpoint",
-            &m.snapshot_entries,
-        );
-        registry.register_gauge(
-            "ckpt_last_epoch",
-            &[],
-            "Epoch of the newest published checkpoint",
-            &m.last_epoch,
-        );
-        registry.register_gauge(
-            "ckpt_last_created_ms",
-            &[],
-            "Coordinator clock at the newest checkpoint's seal (snapshot age = now - this)",
-            &m.last_created_ms,
-        );
-        registry.register_gauge(
-            "ckpt_delta_bytes",
-            &[],
-            "Payload size of the last delta checkpoint (vs ckpt_snapshot_bytes for the record actually published)",
-            &m.delta_bytes,
-        );
-        registry.register_counter(
-            "ckpt_rebase_total",
-            &[],
-            "Delta chains rebased to a full blob (chain-length cap or churn-ratio trigger)",
-            &m.rebases,
-        );
-        registry.register_gauge(
-            "tsnap_restored_epoch",
-            &[],
-            "Epoch this process last restored a store from (0 = never restored)",
-            &m.restored_epoch,
-        );
+        for (name, help, counter) in [
+            ("ckpt_checkpoints_total", "Checkpoints published", &m.checkpoints),
+            (
+                "ckpt_failures_total",
+                "Checkpoint attempts that failed (barrier timeout or store error)",
+                &m.failures,
+            ),
+            (
+                "ckpt_rebase_total",
+                "Delta chains rebased to a full blob (chain-length cap, churn ratio, or unknown changes)",
+                &m.rebases,
+            ),
+        ] {
+            registry.register_counter(name, &[], help, counter);
+        }
+        for (name, help, gauge) in [
+            (
+                "ckpt_barrier_ms",
+                "Pipeline stall of the last checkpoint: drain + in-memory read",
+                &m.barrier_ms,
+            ),
+            (
+                "ckpt_publish_ms",
+                "Durable publish time of the last checkpoint (off the hot path)",
+                &m.publish_ms,
+            ),
+            (
+                "ckpt_snapshot_bytes",
+                "Payload size of the last checkpoint",
+                &m.snapshot_bytes,
+            ),
+            (
+                "ckpt_snapshot_entries",
+                "Entries the last checkpoint published: state pairs for a full blob, changed keys for a delta",
+                &m.snapshot_entries,
+            ),
+            (
+                "ckpt_last_epoch",
+                "Epoch of the newest published checkpoint",
+                &m.last_epoch,
+            ),
+            (
+                "ckpt_last_created_ms",
+                "Coordinator clock at the newest checkpoint's seal (snapshot age = now - this)",
+                &m.last_created_ms,
+            ),
+            (
+                "ckpt_delta_bytes",
+                "Payload size of the last delta checkpoint (vs ckpt_snapshot_bytes for the record actually published)",
+                &m.delta_bytes,
+            ),
+            (
+                "tsnap_restored_epoch",
+                "Epoch this process last restored a store from (0 = never restored)",
+                &m.restored_epoch,
+            ),
+        ] {
+            registry.register_gauge(name, &[], help, gauge);
+        }
         for at in 0..FAMILY_GAUGES {
             let labels = [("family", family_label(at))];
             registry.register_gauge(
@@ -576,5 +570,37 @@ impl Coordinator {
                 &m.family_bytes[at],
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn sort_by_key_orders_as_the_key_bytes_do() {
+        let pc = b"pc:\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00";
+        let keys: [&[u8]; 12] = [
+            b"",
+            b"a",
+            b"a\0",
+            b"ab",
+            b"abcdefghijklmnop",
+            b"abcdefghijklmnop\0",
+            b"abcdefghijklmnopz",
+            b"abcdefghijklmnoq",
+            b"ic:\x01",
+            pc,
+            &[&pc[..], b"\x00\x00\x00\x01"].concat(),
+            b"\xff",
+        ];
+        let mut pairs = keys
+            .iter()
+            .rev()
+            .map(|k| (k.to_vec(), k.to_vec()))
+            .collect();
+        super::sort_by_key(&mut pairs);
+        assert!(pairs
+            .iter()
+            .map(|(k, v)| (&k[..], &v[..]))
+            .eq(keys.iter().map(|k| (*k, *k))));
     }
 }

@@ -5,12 +5,14 @@
 //! run.
 
 use ckpt::{CheckpointConfig, CkptError, Coordinator};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tdaccess::{AccessCluster, ClusterConfig};
-use tdstore::{StoreConfig, TdStore};
+use tdstore::{SnapshotKind, StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::{
     build_cf_topology_with_spout, CfParallelism, CfPipelineConfig, OffsetTable, ReplayProgress,
@@ -69,7 +71,15 @@ struct Pipeline {
 }
 
 fn launch(cluster: &AccessCluster, start_offsets: Vec<(u32, u64)>) -> Pipeline {
-    let store = fresh_store();
+    launch_into(cluster, start_offsets, fresh_store())
+}
+
+/// [`launch`] over `store`, which may hold restored state.
+fn launch_into(
+    cluster: &AccessCluster,
+    start_offsets: Vec<(u32, u64)>,
+    store: TdStore,
+) -> Pipeline {
     let progress = Arc::new(ReplayProgress::default());
     let offsets = Arc::new(OffsetTable::new());
     let topo = build_cf_topology_with_spout(
@@ -203,36 +213,11 @@ fn snapshot_plus_tail_replay_matches_uninterrupted_run() {
         "snapshot offsets cover the pre-checkpoint prefix ({skipped}/{n})"
     );
 
-    let second = {
-        let cluster = build_topic(&actions);
-        let store = restored_store.clone();
-        let progress = Arc::new(ReplayProgress::default());
-        let offsets = Arc::new(OffsetTable::new());
-        let start = restored.start_offsets.clone();
-        let topo = build_cf_topology_with_spout(
-            {
-                let cluster = cluster.clone();
-                let progress = Arc::clone(&progress);
-                let offsets = Arc::clone(&offsets);
-                move || {
-                    ReplayableSpout::new(cluster.clone(), "actions", "cf", Arc::clone(&progress))
-                        .with_offset_table(Arc::clone(&offsets))
-                        .with_start_offsets(start.clone())
-                }
-            },
-            store.clone(),
-            cf_config(),
-            CfParallelism::default(),
-            Default::default(),
-        )
-        .expect("valid topology");
-        Pipeline {
-            handle: topo.launch(),
-            store,
-            progress,
-            offsets,
-        }
-    };
+    let second = launch_into(
+        &build_topic(&actions),
+        restored.start_offsets.clone(),
+        restored_store,
+    );
     wait_committed(&second.progress, n - skipped, "tail replay");
     second.handle.shutdown(Duration::from_secs(5));
 
@@ -430,6 +415,145 @@ fn steady_state_publishes_deltas_and_rebases_on_schedule() {
     assert!(rendered.contains("ckpt_rebase_total 1"), "{rendered}");
     assert!(rendered.contains("ckpt_delta_bytes"), "{rendered}");
 
+    run.handle.shutdown(Duration::from_secs(5));
+    let _ = std::fs::remove_file(&path);
+}
+
+/// Random rounds of puts, increments and deletes made directly on a
+/// drained pipeline's store — over its own keys and new ones, short and
+/// past MDB's 30-byte inline limit, with keys created and deleted within
+/// one epoch and keys deleted then recreated — each followed by a
+/// checkpoint. Every epoch, delta or full, resolves to the sorted store
+/// byte for byte.
+#[test]
+fn every_epoch_resolves_to_the_store_it_sealed() {
+    let actions = workload();
+    for seed in 1..=5u64 {
+        let path = temp_path(&format!("rounds-{seed}"));
+        let _ = std::fs::remove_file(&path);
+        let config = CheckpointConfig {
+            rebase_every: 4,
+            ..Default::default()
+        };
+        let coord = Coordinator::open(&path, config).unwrap();
+        let run = launch(&build_topic(&actions), Vec::new());
+        wait_committed(&run.progress, actions.len() as u64, "rounds");
+        let state = run.store.scan_prefix(b"").unwrap();
+        let mut pool: Vec<Vec<u8>> = state.into_iter().map(|(k, _)| k).collect();
+        pool.sort();
+        pool.truncate(40);
+        for i in 0..24u8 {
+            pool.push(format!("rnd:{i}").into_bytes());
+            pool.push([&b"rnd-long:"[..], &[i; 32]].concat());
+        }
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut deltas = 0;
+        for round in 0..12u64 {
+            for _ in 0..rng.gen_range(0..24) {
+                let key = &pool[rng.gen_range(0..pool.len())];
+                let value = vec![rng.gen::<u8>(); rng.gen_range(0..40)];
+                let store = &run.store;
+                match rng.gen_range(0..5) {
+                    0 => store.put(key, value).unwrap(),
+                    1 => drop(store.incr_f64(key, 1.0).unwrap()),
+                    2 => drop(store.delete(key).unwrap()),
+                    3 => {
+                        store.put(key, value).unwrap();
+                        store.delete(key).unwrap();
+                    }
+                    _ => {
+                        store.delete(key).unwrap();
+                        store.put(key, value).unwrap();
+                    }
+                }
+            }
+            let epoch = coord
+                .checkpoint(&run.handle, &run.store, &run.offsets, round)
+                .unwrap()
+                .epoch;
+            let mut want = run.store.scan_prefix(b"").unwrap();
+            want.sort();
+            let got = coord.snapshots().load(epoch).unwrap().state;
+            assert!(
+                got == want,
+                "seed {seed}, round {round}: epoch {epoch} differs"
+            );
+            let kind = coord.snapshots().load_record(epoch).unwrap().kind;
+            deltas += matches!(kind, SnapshotKind::Delta { .. }) as u32;
+        }
+        // rebase_every = 4 over 12 epochs: 3 full blobs, unless a round
+        // churned past the ratio.
+        assert!(
+            deltas >= 6,
+            "seed {seed}: {deltas} of 12 epochs were deltas"
+        );
+        run.handle.shutdown(Duration::from_secs(5));
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A store records its changes only while a coordinator keeps a chain on
+/// it, and changes are known only relative to that store and the newest
+/// epoch: a second store, and a store reloaded by `restore_into`, each
+/// get a full blob, and the chain then goes on.
+#[test]
+fn tracking_follows_the_chain_and_a_second_store_or_a_restore_rebases() {
+    let actions = workload();
+    let path = temp_path("rebase-on-store");
+    let _ = std::fs::remove_file(&path);
+    let run = launch(&build_topic(&actions), Vec::new());
+    wait_committed(&run.progress, actions.len() as u64, "all");
+    let coord = Coordinator::open(&path, CheckpointConfig::default()).unwrap();
+    let kind = |epoch| coord.snapshots().load_record(epoch).unwrap().kind;
+    let checkpoint = |store: &TdStore| {
+        let meta = coord.checkpoint(&run.handle, store, &run.offsets, 0);
+        let epoch = meta.unwrap().epoch;
+        (epoch, kind(epoch))
+    };
+    assert!(
+        !run.store.tracks_changes(),
+        "an unattached store holds no change set"
+    );
+    assert_eq!(checkpoint(&run.store), (1, SnapshotKind::Full));
+    assert!(run.store.tracks_changes());
+    run.store.put(b"stray", vec![1]).unwrap();
+    assert_eq!(
+        checkpoint(&run.store).1,
+        SnapshotKind::Delta { base_epoch: 1 }
+    );
+
+    // Large enough that a one-key delta stays under max_delta_ratio.
+    let other = fresh_store();
+    let pairs: Vec<(Vec<u8>, Vec<u8>)> = (0..100u8)
+        .map(|i| (format!("other:{i:03}").into_bytes(), vec![i; 16]))
+        .collect();
+    other.batch_put(pairs.clone()).unwrap();
+    assert_eq!(
+        checkpoint(&other),
+        (3, SnapshotKind::Full),
+        "a second store rebases"
+    );
+    assert!(!run.store.tracks_changes(), "the first store is let go");
+    assert_eq!(coord.snapshots().load(3).unwrap().state, pairs);
+    other.put(b"other:000", vec![3]).unwrap();
+    assert_eq!(checkpoint(&other).1, SnapshotKind::Delta { base_epoch: 3 });
+
+    coord
+        .restore_into(&fresh_store())
+        .unwrap()
+        .expect("a snapshot");
+    assert_eq!(
+        checkpoint(&other),
+        (5, SnapshotKind::Full),
+        "a restore rebases"
+    );
+    other.delete(b"other:001").unwrap();
+    assert_eq!(checkpoint(&other).1, SnapshotKind::Delta { base_epoch: 5 });
+    drop(coord);
+    assert!(
+        !other.tracks_changes(),
+        "a dropped coordinator stops tracking"
+    );
     run.handle.shutdown(Duration::from_secs(5));
     let _ = std::fs::remove_file(&path);
 }

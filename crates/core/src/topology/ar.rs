@@ -87,12 +87,12 @@ impl Bolt for SessionBolt {
             })
             .map_err(|e| e.to_string())?;
         if new_item {
-            collector.emit_on(TXN, vec![Value::U64(item), Value::U64(ts)]);
+            collector.emit_values_on(TXN, &[Value::U64(item), Value::U64(ts)]);
             for other in co_items {
                 let pair = ItemPair::new(item, other);
-                collector.emit_on(
+                collector.emit_values_on(
                     PAIR_TXN,
-                    vec![Value::U64(pair.a), Value::U64(pair.b), Value::U64(ts)],
+                    &[Value::U64(pair.a), Value::U64(pair.b), Value::U64(ts)],
                 );
             }
         }

@@ -109,7 +109,7 @@ impl Bolt for AdPretreatmentBolt {
         if tuple.u64("gender") > u8::MAX as u64 || tuple.u64("age_band") > u8::MAX as u64 {
             return Ok(()); // filtered, still acked
         }
-        collector.emit(tuple.values().to_vec());
+        collector.emit_values(tuple.values());
         Ok(())
     }
 
@@ -164,7 +164,7 @@ impl Bolt for CtrStoreBolt {
                 )
                 .map_err(map_err)?;
         }
-        collector.emit(vec![
+        collector.emit_values(&[
             Value::U64(item),
             Value::U64(gender as u64),
             Value::U64(age_band as u64),
@@ -226,7 +226,7 @@ impl Bolt for CtrBolt {
         .map_err(map_err)?;
         let ctr = (clicks + self.config.smoothing * self.config.prior_ctr)
             / (imps + self.config.smoothing);
-        collector.emit(vec![
+        collector.emit_values(&[
             Value::U64(item),
             Value::U64(gender as u64),
             Value::U64(age_band as u64),

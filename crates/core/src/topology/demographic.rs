@@ -89,7 +89,7 @@ impl Bolt for UserGroupBolt {
             return Ok(());
         }
         let group = self.config.scheme.group_of(&self.profiles.get(user));
-        collector.emit(vec![
+        collector.emit_values(&[
             Value::U64(group),
             Value::U64(item),
             Value::F64(weight),

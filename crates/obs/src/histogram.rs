@@ -184,19 +184,15 @@ impl LatencySnapshot {
         for &(index, count) in sparse {
             counts[(index as usize).min(BUCKETS - 1)] += count;
         }
-        let total = counts.iter().fold(0u64, |acc, &c| acc.saturating_add(c));
-        if total == 0 {
+        let Some(top) = counts.iter().rposition(|&c| c > 0) else {
             return LatencySnapshot {
                 counts,
                 total: 0,
                 sum_nanos: 0,
                 max_nanos: 0,
             };
-        }
-        let top = counts
-            .iter()
-            .rposition(|&c| c > 0)
-            .expect("total > 0 implies an occupied bucket");
+        };
+        let total = counts.iter().fold(0u64, |acc, &c| acc.saturating_add(c));
         let floor_sum = counts.iter().enumerate().fold(0u64, |acc, (i, &c)| {
             acc.saturating_add(c.saturating_mul(bucket_floor(i)))
         });

@@ -7,6 +7,7 @@
 //! stderr; a real deployment would serve the same text over HTTP).
 
 use crate::registry::{render_registries, Registry};
+use std::io;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -36,11 +37,12 @@ impl MetricsReporter {
 
     /// Spawns a background thread invoking `sink` with a fresh exposition
     /// every `interval` until the returned handle is stopped or dropped.
+    /// Fails when the OS refuses the thread.
     pub fn spawn(
         self,
         interval: Duration,
         mut sink: impl FnMut(&str) + Send + 'static,
-    ) -> ReporterHandle {
+    ) -> io::Result<ReporterHandle> {
         let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let stop2 = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
@@ -64,12 +66,11 @@ impl MetricsReporter {
                         stopped = lock.lock().unwrap_or_else(|e| e.into_inner());
                     }
                 }
-            })
-            .expect("spawn reporter");
-        ReporterHandle {
+            })?;
+        Ok(ReporterHandle {
             stop,
             thread: Some(thread),
-        }
+        })
     }
 }
 
@@ -145,10 +146,12 @@ mod tests {
         rep.add(&reg);
         let renders = Arc::new(AtomicUsize::new(0));
         let r2 = Arc::clone(&renders);
-        let handle = rep.spawn(Duration::from_millis(5), move |text| {
-            assert!(text.contains("ticks_total"));
-            r2.fetch_add(1, Ordering::SeqCst);
-        });
+        let handle = rep
+            .spawn(Duration::from_millis(5), move |text| {
+                assert!(text.contains("ticks_total"));
+                r2.fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while renders.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));

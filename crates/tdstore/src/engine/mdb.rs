@@ -14,12 +14,16 @@
 //! `Box<[u8]>` of exactly the stored length. [`StorageEngine::modify`]
 //! lends the value as a `Vec` and takes it back: both moves are free
 //! unless the closure left spare capacity, which is trimmed.
+//!
+//! A shard can also record which keys `modify` changed, under the lock
+//! it already holds, so a checkpoint reads only those keys. Untracked, a
+//! shard holds no set and a write pays one branch for it.
 
 use super::StorageEngine;
 use crate::route::{key_hash, KeyHashBuilder};
 use parking_lot::Mutex;
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 
@@ -82,11 +86,17 @@ impl PartialEq for Key {
 
 impl Eq for Key {}
 
-type Shard = Mutex<HashMap<Key, Box<[u8]>, KeyHashBuilder>>;
+/// One lock's keys, and the keys `modify` changed since the last
+/// [`MdbEngine::take_changes`] while changes are tracked.
+#[derive(Default)]
+struct Shard {
+    map: HashMap<Key, Box<[u8]>, KeyHashBuilder>,
+    changed: Option<HashSet<Key, KeyHashBuilder>>,
+}
 
 /// Sharded hash-map engine.
 pub struct MdbEngine {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<Shard>>,
 }
 
 impl MdbEngine {
@@ -95,7 +105,7 @@ impl MdbEngine {
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
         MdbEngine {
-            shards: (0..n).map(|_| Mutex::new(HashMap::default())).collect(),
+            shards: (0..n).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -103,7 +113,7 @@ impl MdbEngine {
         (key_hash(key) >> 32) as usize & (self.shards.len() - 1)
     }
 
-    fn shard(&self, key: &[u8]) -> &Shard {
+    fn shard(&self, key: &[u8]) -> &Mutex<Shard> {
         &self.shards[self.shard_index(key)]
     }
 
@@ -111,7 +121,37 @@ impl MdbEngine {
     /// the generic form of [`StorageEngine::read`], which returns what `f`
     /// returns.
     pub(crate) fn read_with<R>(&self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> R {
-        f(self.shard(key).lock().get(key).map(|v| &v[..]))
+        f(self.shard(key).lock().map.get(key).map(|v| &v[..]))
+    }
+
+    /// Starts (`true`) or stops (`false`) recording changed keys. Either
+    /// way every shard's set is dropped, so a restart records from empty.
+    pub(crate) fn track_changes(&self, on: bool) {
+        for shard in &self.shards {
+            shard.lock().changed = on.then(HashSet::default);
+        }
+    }
+
+    /// Empties every shard's change set into `puts` (keys still present,
+    /// with their values) and `deletes` (keys now absent), one lock per
+    /// shard. Records nothing while changes are not tracked.
+    pub(crate) fn take_changes(
+        &self,
+        puts: &mut Vec<(Vec<u8>, Vec<u8>)>,
+        deletes: &mut Vec<Vec<u8>>,
+    ) {
+        for shard in &self.shards {
+            let shard = &mut *shard.lock();
+            let Some(changed) = &mut shard.changed else {
+                continue;
+            };
+            for key in changed.drain() {
+                match shard.map.get(&*key) {
+                    Some(value) => puts.push((key.to_vec(), value.to_vec())),
+                    None => deletes.push(key.to_vec()),
+                }
+            }
+        }
     }
 }
 
@@ -121,8 +161,8 @@ impl StorageEngine for MdbEngine {
     }
 
     fn modify(&self, key: &[u8], f: &mut super::ModifyFn<'_>) -> bool {
-        let mut shard = self.shard(key).lock();
-        match shard.get_mut(key) {
+        let shard = &mut *self.shard(key).lock();
+        let changed = match shard.map.get_mut(key) {
             // The value is edited where it lives: moved into the slot and
             // back (a pointer move), never copied, and the key is not
             // cloned. Only a value the closure left with spare capacity
@@ -133,7 +173,7 @@ impl StorageEngine for MdbEngine {
                 match slot {
                     Some(new) => *value = new.into_boxed_slice(),
                     None => {
-                        shard.remove(key);
+                        shard.map.remove(key);
                     }
                 }
                 changed
@@ -142,22 +182,30 @@ impl StorageEngine for MdbEngine {
                 let mut slot = None;
                 let changed = f(&mut slot);
                 if let Some(new) = slot {
-                    shard.insert(Key::from(key), new.into_boxed_slice());
+                    shard.map.insert(Key::from(key), new.into_boxed_slice());
                 }
                 changed
             }
+        };
+        // What the closure reports is what the set records: by the
+        // `ModifyFn` contract an unchanged value was left as it was.
+        if let Some(set) = &mut shard.changed {
+            if changed && !set.contains(key) {
+                set.insert(Key::from(key));
+            }
         }
+        changed
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().map.len()).sum()
     }
 
     fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
-            for (k, v) in shard.iter() {
+            for (k, v) in shard.map.iter() {
                 if k.starts_with(prefix) {
                     out.push((k.to_vec(), v.to_vec()));
                 }
@@ -309,7 +357,7 @@ mod tests {
         for (i, key) in keys.iter().enumerate() {
             engine.put(key, vec![i as u8]);
         }
-        assert_eq!(engine.shards[3].lock().len(), keys.len());
+        assert_eq!(engine.shards[3].lock().map.len(), keys.len());
         for (i, key) in keys.iter().enumerate() {
             assert_eq!(engine.get(key.as_slice()), Some(vec![i as u8]));
         }

@@ -22,6 +22,11 @@
 //!   place and *conditional*: a closure that reports "unchanged" costs no
 //!   write and no copy. `get`/`put`/`delete`/`update` are wrappers over
 //!   them.
+//! * A checkpoint coordinator can ask the store to **track changes**
+//!   ([`TdStore::track_changes`]): every instance then records the keys
+//!   `modify` changed, and [`TdStore::take_changes`] hands them over with
+//!   their current values, so a delta checkpoint reads what changed
+//!   instead of the whole store.
 //!
 //! ```
 //! use tdstore::{StoreConfig, TdStore};
@@ -40,6 +45,8 @@ pub use engine::{FdbEngine, MdbEngine, StorageEngine};
 pub use error::StoreError;
 pub use snapshot::{Snapshot, SnapshotKind, SnapshotMeta, SnapshotRecord, SnapshotStore};
 
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Store construction parameters.
@@ -80,6 +87,9 @@ struct StoreInner {
     instances: Vec<MdbEngine>,
     fault_plan: tchaos::FaultPlan,
     metrics: StoreMetrics,
+    /// Id of the tracker the instances record changes for; 0 when
+    /// changes are not tracked.
+    tracker: Mutex<u64>,
 }
 
 impl StoreInner {
@@ -90,6 +100,20 @@ impl StoreInner {
 
 /// A set of raw `(key, value)` pairs returned by scans.
 pub type KvPairs = Vec<(Vec<u8>, Vec<u8>)>;
+
+/// The keys changed since a change tracker started or last took them,
+/// unordered: those still present with their values, and those now absent.
+#[derive(Debug, Default)]
+pub struct Changes {
+    /// Changed keys that hold a value, with that value.
+    pub puts: KvPairs,
+    /// Changed keys that hold none (deleted, or created and deleted again).
+    pub deletes: Vec<Vec<u8>>,
+}
+
+/// Source of tracker ids, unique across every store of the process, so a
+/// tracker of one store never takes another store's changes.
+static NEXT_TRACKER: AtomicU64 = AtomicU64::new(1);
 
 /// Client handle to a TDStore deployment. Cheap to clone.
 #[derive(Clone)]
@@ -111,6 +135,7 @@ impl TdStore {
                     deletes: obs::Counter::new(),
                     unchanged: obs::Counter::new(),
                 },
+                tracker: Mutex::new(0),
             }),
         }
     }
@@ -243,6 +268,54 @@ impl TdStore {
             out.extend(engine.scan_prefix(prefix));
         }
         Ok(out)
+    }
+
+    /// Starts recording, in every instance, the keys that
+    /// [`TdStore::modify`] changes, and returns the new tracker's id. A
+    /// tracker started earlier loses its change sets: its
+    /// [`TdStore::take_changes`] returns `None` from now on. What a write
+    /// closure reports is what gets recorded, so a closure that reports
+    /// "unchanged" must leave the value as it was.
+    pub fn track_changes(&self) -> u64 {
+        let mut tracker = self.inner.tracker.lock();
+        *tracker = NEXT_TRACKER.fetch_add(1, Ordering::Relaxed);
+        for engine in &self.inner.instances {
+            engine.track_changes(true);
+        }
+        *tracker
+    }
+
+    /// Hands tracker `tracker` the keys changed since it started or last
+    /// took them, and starts the change sets again from empty. `None` when
+    /// `tracker` does not track this store's changes.
+    pub fn take_changes(&self, tracker: u64) -> Option<Changes> {
+        let current = self.inner.tracker.lock();
+        if *current != tracker || tracker == 0 {
+            return None;
+        }
+        let mut changes = Changes::default();
+        for engine in &self.inner.instances {
+            engine.take_changes(&mut changes.puts, &mut changes.deletes);
+        }
+        Some(changes)
+    }
+
+    /// Stops tracker `tracker` and frees its change sets. A no-op when
+    /// another tracker has taken over since.
+    pub fn untrack_changes(&self, tracker: u64) {
+        let mut current = self.inner.tracker.lock();
+        if *current != tracker {
+            return;
+        }
+        *current = 0;
+        for engine in &self.inner.instances {
+            engine.track_changes(false);
+        }
+    }
+
+    /// Whether a tracker records this store's changes (inspection / tests).
+    pub fn tracks_changes(&self) -> bool {
+        *self.inner.tracker.lock() != 0
     }
 
     /// Total number of live keys.
@@ -481,6 +554,37 @@ mod tests {
         assert_eq!(s.incr_f64(b"torn", -3.0).unwrap(), -0.5);
         assert_eq!(s.get_f64(b"torn").unwrap(), Some(-0.5));
         assert_eq!(s.get_f64(b"zero").unwrap().map(f64::to_bits), Some(0));
+    }
+
+    #[test]
+    fn changes_name_what_modify_changed_since_the_last_take() {
+        let s = store();
+        s.put(b"before", vec![1]).unwrap();
+        assert!(!s.tracks_changes(), "a store starts untracked");
+        let tracker = s.track_changes();
+        s.put(b"kept", vec![1]).unwrap();
+        s.incr_f64(b"count", 1.0).unwrap();
+        s.put(b"brief", vec![2]).unwrap();
+        s.delete(b"brief").unwrap();
+        s.delete(b"before").unwrap();
+        assert!(!s.delete(b"never").unwrap(), "unchanged: not recorded");
+        let mut changes = s.take_changes(tracker).unwrap();
+        changes.puts.sort();
+        changes.deletes.sort();
+        let count = 1.0f64.to_le_bytes().to_vec();
+        let puts = [(b"count".to_vec(), count), (b"kept".to_vec(), vec![1])];
+        assert_eq!(changes.puts, puts);
+        assert_eq!(changes.deletes, [b"before".to_vec(), b"brief".to_vec()]);
+        // Taken: the sets start again from empty.
+        let changes = s.take_changes(tracker).unwrap();
+        assert!(changes.puts.is_empty() && changes.deletes.is_empty());
+        // A second tracker takes over; a stale one takes and stops nothing.
+        let second = s.track_changes();
+        assert!(s.take_changes(tracker).is_none());
+        s.untrack_changes(tracker);
+        assert!(s.take_changes(second).is_some());
+        s.untrack_changes(second);
+        assert!(!s.tracks_changes() && s.take_changes(second).is_none());
     }
 
     #[test]

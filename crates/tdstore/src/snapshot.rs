@@ -173,6 +173,22 @@ fn encode_payload(
     Ok(out)
 }
 
+/// Encoded size of the delta record [`SnapshotStore::publish_delta`]
+/// writes for an offset vector of `offsets` bytes, `puts` and `deletes`:
+/// header, base epoch, offset vector, then length-prefixed entries.
+pub fn delta_payload_bytes(
+    offsets: usize,
+    puts: &[(Vec<u8>, Vec<u8>)],
+    deletes: &[Vec<u8>],
+) -> usize {
+    33 + offsets
+        + puts
+            .iter()
+            .map(|(k, v)| 8 + k.len() + v.len())
+            .sum::<usize>()
+        + deletes.iter().map(|k| 4 + k.len()).sum::<usize>()
+}
+
 fn encode_delta(
     created_ms: u64,
     base_epoch: u64,
@@ -180,14 +196,7 @@ fn encode_delta(
     puts: &[(Vec<u8>, Vec<u8>)],
     deletes: &[Vec<u8>],
 ) -> Result<Vec<u8>, StoreError> {
-    let mut out = Vec::with_capacity(
-        33 + offsets.len()
-            + puts
-                .iter()
-                .map(|(k, v)| 8 + k.len() + v.len())
-                .sum::<usize>()
-            + deletes.iter().map(|k| 4 + k.len()).sum::<usize>(),
-    );
+    let mut out = Vec::with_capacity(delta_payload_bytes(offsets.len(), puts, deletes));
     push_u32(&mut out, PAYLOAD_VERSION);
     out.push(KIND_DELTA);
     out.extend_from_slice(&created_ms.to_le_bytes());
@@ -919,6 +928,7 @@ mod tests {
                 proptest::collection::vec(any::<u8>(), 0..24), 0..8),
         ) {
             let enc = encode_delta(created, base, &offsets, &puts, &deletes).unwrap();
+            prop_assert_eq!(enc.len(), delta_payload_bytes(offsets.len(), &puts, &deletes));
             let (c, b, off, p, d) = decode_delta(&enc).unwrap();
             prop_assert_eq!(c, created);
             prop_assert_eq!(b, base);

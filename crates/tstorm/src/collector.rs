@@ -450,6 +450,9 @@ pub struct SpoutCollector {
 impl SpoutCollector {
     /// Emits on the default stream. With `Some(msg_id)` the tuple tree is
     /// tracked and `ack`/`fail` will eventually be called with `msg_id`.
+    /// A thin wrapper over [`SpoutCollector::emit_values`] for spouts that
+    /// already own their values in a `Vec` (the benchmark's traced spout
+    /// is one); bolts have only the slice form.
     pub fn emit(&mut self, values: Vec<Value>, msg_id: Option<u64>) {
         self.emit_values_on(DEFAULT_STREAM, &values, msg_id);
     }
@@ -525,18 +528,9 @@ pub struct BoltCollector {
 }
 
 impl BoltCollector {
-    /// Emits on the default stream, anchored to the input tuple.
-    pub fn emit(&mut self, values: Vec<Value>) {
-        self.emit_values_on(DEFAULT_STREAM, &values);
-    }
-
-    /// Emits on a named stream, anchored to the input tuple.
-    pub fn emit_on(&mut self, stream: &str, values: Vec<Value>) {
-        self.emit_values_on(stream, &values);
-    }
-
-    /// Emits on the default stream from a borrowed slice — the
-    /// allocation-free fast path.
+    /// Emits on the default stream from a borrowed slice, anchored to the
+    /// input tuple. The values are copied into the batch arena: build them
+    /// in a stack array or a reused buffer.
     pub fn emit_values(&mut self, values: &[Value]) {
         self.emit_values_on(DEFAULT_STREAM, values);
     }

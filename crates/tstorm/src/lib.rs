@@ -38,7 +38,7 @@
 //!     fn next_tuple(&mut self, c: &mut SpoutCollector) -> bool {
 //!         if self.0 == 0 { return false; }
 //!         self.0 -= 1;
-//!         c.emit(vec![Value::U64(self.0 % 3)], Some(self.0));
+//!         c.emit_values(&[Value::U64(self.0 % 3)], Some(self.0));
 //!         true
 //!     }
 //!     fn declare_outputs(&self) -> Vec<StreamDef> {

@@ -30,7 +30,7 @@ struct FanBolt;
 impl Bolt for FanBolt {
     fn execute(&mut self, t: &Tuple, c: &mut BoltCollector) -> Result<(), String> {
         for _ in 0..3 {
-            c.emit(t.values().to_vec());
+            c.emit_values(t.values());
         }
         Ok(())
     }

@@ -62,7 +62,7 @@ struct ForwardBolt;
 
 impl Bolt for ForwardBolt {
     fn execute(&mut self, tuple: &Tuple, collector: &mut BoltCollector) -> Result<(), String> {
-        collector.emit(tuple.values().to_vec());
+        collector.emit_values(tuple.values());
         Ok(())
     }
     fn declare_outputs(&self) -> Vec<StreamDef> {

@@ -213,7 +213,7 @@ struct FanoutBolt {
 impl Bolt for FanoutBolt {
     fn execute(&mut self, tuple: &Tuple, collector: &mut BoltCollector) -> Result<(), String> {
         for _ in 0..self.copies {
-            collector.emit(tuple.values().to_vec());
+            collector.emit_values(tuple.values());
         }
         Ok(())
     }

@@ -202,8 +202,8 @@ struct Splitter;
 
 impl Bolt for Splitter {
     fn execute(&mut self, tuple: &Tuple, collector: &mut BoltCollector) -> Result<(), String> {
-        collector.emit(tuple.values().to_vec());
-        collector.emit(tuple.values().to_vec());
+        collector.emit_values(tuple.values());
+        collector.emit_values(tuple.values());
         Ok(())
     }
     fn declare_outputs(&self) -> Vec<StreamDef> {
@@ -224,7 +224,7 @@ impl Bolt for Joiner {
         true
     }
     fn execute_batch(&mut self, tuples: &[Tuple], c: &mut BoltCollector) -> Result<(), String> {
-        c.emit(vec![Value::U64(tuples[0].u64("key"))]);
+        c.emit_values(&[Value::U64(tuples[0].u64("key"))]);
         Ok(())
     }
     fn declare_outputs(&self) -> Vec<StreamDef> {

@@ -20,18 +20,14 @@
 //! * [`apps`] — presets mirroring the four evaluated applications (news /
 //!   videos / e-commerce / ads) and constructors for the TencentRec and
 //!   "Original" arms.
-//! * [`driver`] — open-loop (paced arrivals) and closed-loop (fixed
-//!   concurrency) load drivers for serving-latency experiments.
 
 pub mod apps;
 pub mod click;
-pub mod driver;
 pub mod metrics;
 pub mod sim;
 pub mod world;
 
 pub use click::ClickModel;
-pub use driver::{closed_loop, open_loop, CallOutcome, LoadReport};
 pub use metrics::{improvement_stats, DayMetrics, ImprovementStats};
 pub use sim::{run_simulation, Position, SimConfig};
 pub use world::{World, WorldConfig};

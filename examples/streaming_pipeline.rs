@@ -26,13 +26,16 @@ fn main() {
 
     // Periodic reporting while the pipeline runs (a deployment would
     // serve the same exposition over HTTP on each scrape).
-    let progress = reporter.clone().spawn(Duration::from_millis(250), |text| {
-        let done = text
-            .lines()
-            .find_map(|l| l.strip_prefix("tstorm_pipeline_latency_seconds_count "))
-            .unwrap_or("0");
-        eprintln!("[obs] tuple trees completed: {done}");
-    });
+    let progress = reporter
+        .clone()
+        .spawn(Duration::from_millis(250), |text| {
+            let done = text
+                .lines()
+                .find_map(|l| l.strip_prefix("tstorm_pipeline_latency_seconds_count "))
+                .unwrap_or("0");
+            eprintln!("[obs] tuple trees completed: {done}");
+        })
+        .expect("spawn metrics reporter");
 
     // --- TDAccess: the data access layer -------------------------------
     let access = AccessCluster::new(ClusterConfig {

@@ -15,10 +15,11 @@ cargo test --workspace --quiet
 # crates that bytes from a disk or a socket reach. The store's checkpoint
 # log is the only durable copy of its state, a cluster worker reads every
 # frame the supervisor relays, `tdaccess`, `ckpt` and `wire` read the
-# log segments, the checkpoints and the frames, and `core` reads every
-# status-data value a restore brings back, so a bad byte, a failed disk
+# log segments, the checkpoints and the frames, `core` reads every
+# status-data value a restore brings back, and `obs` rebuilds latency
+# histograms from cluster and serve frames, so a bad byte, a failed disk
 # call or a thread the OS refuses must come back as an error.
-for crate in tdstore cluster tdaccess ckpt wire core; do
+for crate in tdstore cluster tdaccess ckpt wire core obs; do
     echo "==> no unwrap/expect in $crate non-test code"
     panic_sites="$(git ls-files "crates/$crate/src/*.rs" | while read -r f; do
         awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
