@@ -27,8 +27,8 @@ use tdstore::SnapshotKind;
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::{
-    build_cf_topology_with_spout, CfParallelism, CfPipelineConfig, OffsetTable, ReplayProgress,
-    ReplayableSpout,
+    build_cf_topology_with_spout, produce_actions, CfParallelism, CfPipelineConfig, OffsetTable,
+    ReplayProgress, ReplayableSpout,
 };
 use tstorm::prelude::TopologyHandle;
 use tstorm::topology::TopologyConfig;
@@ -86,12 +86,7 @@ fn build_spilled_topic(spill_dir: &Path) -> AccessCluster {
 }
 
 fn produce(cluster: &AccessCluster, actions: &[UserAction]) {
-    let producer = cluster.producer("actions").unwrap();
-    for a in actions {
-        producer
-            .send(Some(&a.user.to_le_bytes()[..]), &a.to_bytes())
-            .unwrap();
-    }
+    produce_actions(&cluster.producer("actions").unwrap(), actions).unwrap();
 }
 
 struct Life {

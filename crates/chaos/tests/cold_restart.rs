@@ -20,8 +20,8 @@ use tdstore::SnapshotKind;
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::{
-    build_cf_topology_with_spout, CfParallelism, CfPipelineConfig, OffsetTable, ReplayProgress,
-    ReplayableSpout,
+    build_cf_topology_with_spout, produce_actions, CfParallelism, CfPipelineConfig, OffsetTable,
+    ReplayProgress, ReplayableSpout,
 };
 use tstorm::prelude::TopologyHandle;
 use tstorm::topology::TopologyConfig;
@@ -79,12 +79,7 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 fn build_topic(actions: &[UserAction]) -> AccessCluster {
     let cluster = AccessCluster::new(ClusterConfig::default());
     cluster.create_topic("actions", 4).unwrap();
-    let producer = cluster.producer("actions").unwrap();
-    for a in actions {
-        producer
-            .send(Some(&a.user.to_le_bytes()[..]), &a.to_bytes())
-            .unwrap();
-    }
+    produce_actions(&cluster.producer("actions").unwrap(), actions).unwrap();
     cluster
 }
 

@@ -19,8 +19,8 @@ use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::replay::DEFAULT_MAX_PENDING;
 use tencentrec::topology::{
-    build_cf_topology_with_spout, CfParallelism, CfPipelineConfig, ReplayProgress, ReplayableSpout,
-    TopologyRecommender,
+    build_cf_topology_with_spout, produce_actions, CfParallelism, CfPipelineConfig, ReplayProgress,
+    ReplayableSpout, TopologyRecommender,
 };
 use tstorm::topology::TopologyConfig;
 
@@ -89,14 +89,7 @@ fn run_pipeline(plan: FaultPlan, label: &str, load: &Load, transport: TopologyCo
         ..Default::default()
     });
     cluster.create_topic("actions", 4).unwrap();
-    let producer = cluster.producer("actions").unwrap();
-    for a in actions {
-        // Keyed by user: one partition (and so one history task order)
-        // per user, matching the fields grouping downstream.
-        producer
-            .send(Some(&a.user.to_le_bytes()[..]), &a.to_bytes())
-            .unwrap();
-    }
+    produce_actions(&cluster.producer("actions").unwrap(), actions).unwrap();
 
     let store = TdStore::new(StoreConfig {
         fault_plan: plan.clone(),

@@ -8,8 +8,8 @@ use tdaccess::{AccessCluster, ClusterConfig};
 use tdstore::TdStore;
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::{
-    build_cf_topology_with_spout, CfParallelism, CfPipelineConfig, OffsetTable, ReplayProgress,
-    ReplayableSpout,
+    build_cf_topology_with_spout, produce_actions, CfParallelism, CfPipelineConfig, OffsetTable,
+    ReplayProgress, ReplayableSpout,
 };
 use tstorm::prelude::TopologyHandle;
 use tstorm::topology::TopologyConfig;
@@ -36,12 +36,7 @@ pub fn workload(seed: u64) -> Vec<UserAction> {
 pub fn build_topic(actions: &[UserAction], config: ClusterConfig) -> AccessCluster {
     let cluster = AccessCluster::new(config);
     cluster.create_topic("actions", 4).unwrap();
-    let producer = cluster.producer("actions").unwrap();
-    for a in actions {
-        producer
-            .send(Some(&a.user.to_le_bytes()[..]), &a.to_bytes())
-            .unwrap();
-    }
+    produce_actions(&cluster.producer("actions").unwrap(), actions).unwrap();
     cluster
 }
 

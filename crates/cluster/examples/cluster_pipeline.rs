@@ -15,8 +15,8 @@ use tdaccess::{AccessCluster, ClusterConfig};
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::{
-    build_cf_topology_with_spout, CfParallelism, CfPipelineConfig, OffsetTable, ReplayProgress,
-    ReplayableSpout,
+    build_cf_topology_with_spout, produce_actions, CfParallelism, CfPipelineConfig, OffsetTable,
+    ReplayProgress, ReplayableSpout,
 };
 use tstorm::prelude::*;
 
@@ -64,12 +64,7 @@ fn encode_counts(store: &TdStore) -> Vec<u8> {
 fn app(ctx: &WorkerContext) -> ClusterApp {
     let access = AccessCluster::new(ClusterConfig::default());
     access.create_topic("actions", 4).unwrap();
-    let producer = access.producer("actions").unwrap();
-    for a in workload() {
-        producer
-            .send(Some(&a.user.to_le_bytes()[..]), &a.to_bytes())
-            .unwrap();
-    }
+    produce_actions(&access.producer("actions").unwrap(), &workload()).unwrap();
     let store = TdStore::new(StoreConfig::default());
     let progress = Arc::new(ReplayProgress::default());
     let table = Arc::new(OffsetTable::new());

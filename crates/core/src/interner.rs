@@ -1,11 +1,13 @@
-//! String-id interning for the pretreatment edge (§5.1).
+//! String-id interning where actions enter the log.
 //!
 //! Production frontends key users and items by strings (cookies, QQ
-//! numbers, content urls); everything downstream of pretreatment — fields
-//! groupings, TDStore keys, the counting layers — wants dense `u64` ids.
-//! An [`Interner`] maps each distinct string to the next dense id exactly
-//! once, concurrently, so the pretreatment bolt can translate raw tuples
-//! in place and no later stage ever hashes or clones an `Arc<str>` again.
+//! numbers, content urls); the action log and everything that reads it —
+//! fields groupings, TDStore keys, the counting layers — want dense `u64`
+//! ids. An [`Interner`] maps each distinct string to the next dense id
+//! exactly once, concurrently, so a producer translates an action's keys
+//! before it logs the action and no later stage ever hashes or clones an
+//! `Arc<str>`. A replay reads the ids back from the log, so they are the
+//! ids the store already counts under.
 //!
 //! The *reverse* table (id → string) is only consulted at the serving
 //! edge, to de-intern recommendation results for the caller. It is

@@ -161,22 +161,21 @@ impl Bolt for PairTxnBolt {
     }
 }
 
-/// Builds the AR topology over an action channel.
-pub fn build_ar_topology(
-    source: crossbeam::channel::Receiver<crate::action::UserAction>,
+/// Builds the AR topology over the spouts `spout` makes (a
+/// [`ReplayableSpout`](crate::topology::ReplayableSpout) reading an
+/// action topic).
+pub fn build_ar_topology<S, F>(
+    spout: F,
     store: TdStore,
     config: ArPipelineConfig,
     parallelism: usize,
-) -> Result<tstorm::topology::Topology, TopologyError> {
+) -> Result<tstorm::topology::Topology, TopologyError>
+where
+    S: Spout + 'static,
+    F: Fn() -> S + Send + Sync + 'static,
+{
     let mut builder = TopologyBuilder::new();
-    {
-        let source = source.clone();
-        builder.set_spout(
-            "spout",
-            move || crate::topology::bolts::ActionSpout::new(source.clone()),
-            1,
-        );
-    }
+    builder.set_spout("spout", spout, 1);
     {
         let store = store.clone();
         let config = config.clone();
@@ -284,22 +283,16 @@ mod tests {
     use super::*;
     use crate::action::UserAction;
     use crate::ar::{ArConfig, AssociationRules};
+    use crate::topology::replay::test_feed::TopicFeed;
     use crate::types::UserId;
-    use crossbeam::channel::unbounded;
-    use std::time::Duration;
     use tdstore::StoreConfig;
 
     fn run(actions: Vec<UserAction>, config: ArPipelineConfig) -> TdStore {
         let store = TdStore::new(StoreConfig::default());
-        let (tx, rx) = unbounded();
-        for a in actions {
-            tx.send(a).unwrap();
-        }
-        drop(tx);
-        let topo = build_ar_topology(rx, store.clone(), config, 3).expect("valid topology");
-        let handle = topo.launch();
-        assert!(handle.wait_idle(Duration::from_secs(20)));
-        handle.shutdown(Duration::from_secs(5));
+        let feed = TopicFeed::new(4, &actions);
+        let topo =
+            build_ar_topology(feed.spout(), store.clone(), config, 3).expect("valid topology");
+        feed.drain(topo.launch());
         store
     }
 

@@ -1,4 +1,5 @@
-//! The spout and bolts of the CF pipeline (Fig. 4 mapped onto Fig. 6).
+//! The bolts of the CF pipeline (Fig. 4 mapped onto Fig. 6), fed by a
+//! [`ReplayableSpout`](crate::topology::ReplayableSpout).
 //!
 //! Every bolt is state-free: all cross-tuple state lives in TDStore, so a
 //! restarted task resumes exactly where the store left off. Routing
@@ -8,19 +9,17 @@
 //! grouping, only a single worker node should operate over a specific item
 //! pair".
 
-use crate::action::{ActionType, ActionWeights, UserAction};
+use crate::action::{ActionType, ActionWeights};
 use crate::cf::counts::WindowConfig;
 use crate::cf::pruning::PruneState;
 use crate::fields::FieldIndex;
-use crate::interner::Interner;
-use crate::topology::replay::{encode_src, DEFAULT_MAX_PENDING};
+use crate::topology::replay::DEFAULT_MAX_PENDING;
 use crate::topology::state::{
     apply_action_in_place, apply_counter_deltas, item_count, pair_count, session_key, session_of,
     update_sim_list, user_history, window_sessions, windowed_sum, windowed_sum_with, HistoryAction,
     HistoryEdit, HistoryLimits, KeyBuf, SimRecord,
 };
 use crate::types::{FxHashMap, ItemId, ItemPair};
-use crossbeam::channel::Receiver;
 use tdstore::TdStore;
 use tstorm::prelude::*;
 
@@ -86,11 +85,11 @@ pub struct CfPipelineConfig {
     /// task (see [`PruneState::with_cap`]).
     pub pruning_max_tracked: usize,
     /// Metric registry the pipeline's bolts register into (history log
-    /// size, pruning state). [`build_cf_topology`] shares this registry
-    /// with the tstorm runtime, so one exposition covers framework and
-    /// application metrics.
+    /// size, pruning state). [`build_cf_topology_with_spout`] shares this
+    /// registry with the tstorm runtime, so one exposition covers
+    /// framework and application metrics.
     ///
-    /// [`build_cf_topology`]: crate::topology::build_cf_topology
+    /// [`build_cf_topology_with_spout`]: crate::topology::build_cf_topology_with_spout
     pub registry: obs::Registry,
 }
 
@@ -124,105 +123,22 @@ impl CfPipelineConfig {
     }
 }
 
-/// Spout feeding user actions from a channel (in production, the consumer
-/// side of TDAccess; in tests, a test fixture).
-pub struct ActionSpout {
-    source: Receiver<UserAction>,
-    sources: ChannelSources,
-}
-
-impl ActionSpout {
-    /// Spout reading from `source` until it disconnects.
-    pub fn new(source: Receiver<UserAction>) -> Self {
-        ActionSpout {
-            source,
-            sources: ChannelSources::default(),
-        }
-    }
-}
-
-/// Source ids for a channel spout, which has no durable source: the task
-/// index stands in for the partition and the emit counter for the offset,
-/// so two tasks of one spout never share a source id.
-#[derive(Default)]
-struct ChannelSources {
-    task: u32,
-    emitted: u64,
-}
-
-impl ChannelSources {
-    fn open(&mut self, ctx: &TaskContext) {
-        self.task = ctx.task_index as u32;
-    }
-
-    fn next(&mut self) -> u64 {
-        self.emitted += 1;
-        encode_src(self.task, self.emitted)
-    }
-}
-
-impl Spout for ActionSpout {
-    fn open(&mut self, ctx: &TaskContext) {
-        self.sources.open(ctx);
-    }
-
-    fn next_tuple(&mut self, collector: &mut SpoutCollector) -> bool {
-        match self.source.try_recv() {
-            Ok(action) => {
-                let src = self.sources.next();
-                collector.emit(
-                    vec![
-                        Value::U64(action.user),
-                        Value::U64(action.item),
-                        Value::U64(action.action.code() as u64),
-                        Value::U64(action.timestamp),
-                        Value::U64(src),
-                    ],
-                    Some(src),
-                );
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn declare_outputs(&self) -> Vec<StreamDef> {
-        vec![StreamDef::new(
-            DEFAULT_STREAM,
-            ["user", "item", "action", "ts", "src"],
-        )]
-    }
-}
-
 /// Pretreatment (§5.1): parses and validates raw tuples, dropping
-/// unqualified ones, and forwards clean action tuples. With an
-/// [`Interner`] attached, raw tuples carrying *string* user/item ids (the
-/// form production front ends send) are translated to dense `u64`s here,
-/// at the topology's edge — downstream groupings, bolts, and TDStore keys
-/// only ever see integers.
+/// unqualified ones, and forwards clean action tuples. User and item ids
+/// arrive as dense `u64`s — a front end with string keys interns them
+/// before it logs the action ([`crate::interner::Interner`]), so an id a
+/// replay reads back is the id the store already counts under.
 pub struct PretreatmentBolt {
     dropped: u64,
-    interner: Option<Interner>,
     fields: FieldIndex<5>,
 }
 
 impl PretreatmentBolt {
-    /// New bolt for pre-interned (integer-keyed) feeds.
+    /// New bolt.
     pub fn new() -> Self {
         PretreatmentBolt {
             dropped: 0,
-            interner: None,
             fields: FieldIndex::new(["user", "item", "action", "ts", "src"]),
-        }
-    }
-
-    /// New bolt that interns string user/item ids through `interner`.
-    /// Integer-keyed tuples still pass through unchanged, so mixed feeds
-    /// work during a migration.
-    pub fn with_interner(interner: Interner) -> Self {
-        PretreatmentBolt {
-            interner: Some(interner),
-            ..Self::new()
         }
     }
 }
@@ -235,99 +151,19 @@ impl Default for PretreatmentBolt {
 
 impl Bolt for PretreatmentBolt {
     fn execute(&mut self, tuple: &Tuple, collector: &mut BoltCollector) -> Result<(), String> {
-        let [user_i, item_i, action_i, ts_i, src_i] = *self.fields.resolve(tuple);
+        let [user_i, item_i, action_i, _, _] = *self.fields.resolve(tuple);
         let values = tuple.values();
         let code = values[action_i].as_u64().unwrap_or(u64::MAX);
-        if code > u8::MAX as u64 || ActionType::from_code(code as u8).is_none() {
+        let qualified = code <= u8::MAX as u64
+            && ActionType::from_code(code as u8).is_some()
+            && values[user_i].as_u64().is_some()
+            && values[item_i].as_u64().is_some();
+        if !qualified {
             self.dropped += 1;
             return Ok(()); // unqualified tuple: filtered, still acked
         }
-        let (user, item) = (&values[user_i], &values[item_i]);
-        if user.as_str().is_some() || item.as_str().is_some() {
-            // String-keyed raw tuple: both ids must be strings and an
-            // interner must be attached, else the tuple is unqualified.
-            let (Some(interner), Some(user), Some(item)) =
-                (self.interner.as_ref(), user.as_str(), item.as_str())
-            else {
-                self.dropped += 1;
-                return Ok(());
-            };
-            collector.emit_values(&[
-                Value::U64(interner.intern(user)),
-                Value::U64(interner.intern(item)),
-                values[action_i].clone(),
-                values[ts_i].clone(),
-                values[src_i].clone(),
-            ]);
-        } else {
-            collector.emit_values(values);
-        }
+        collector.emit_values(values);
         Ok(())
-    }
-
-    fn declare_outputs(&self) -> Vec<StreamDef> {
-        vec![StreamDef::new(
-            DEFAULT_STREAM,
-            ["user", "item", "action", "ts", "src"],
-        )]
-    }
-}
-
-/// One raw, string-keyed user action as sent by a production front end,
-/// before pretreatment assigns dense ids.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RawAction {
-    /// Frontend user key (cookie, account id, ...).
-    pub user: String,
-    /// Frontend item key (content url, SKU, ...).
-    pub item: String,
-    /// What the user did.
-    pub action: ActionType,
-    /// Event time in stream milliseconds.
-    pub timestamp: u64,
-}
-
-/// Spout feeding raw string-keyed actions from a channel. Must be paired
-/// with [`PretreatmentBolt::with_interner`], which assigns the dense ids
-/// before the first fields-grouped edge.
-pub struct RawActionSpout {
-    source: Receiver<RawAction>,
-    sources: ChannelSources,
-}
-
-impl RawActionSpout {
-    /// Spout reading from `source` until it disconnects.
-    pub fn new(source: Receiver<RawAction>) -> Self {
-        RawActionSpout {
-            source,
-            sources: ChannelSources::default(),
-        }
-    }
-}
-
-impl Spout for RawActionSpout {
-    fn open(&mut self, ctx: &TaskContext) {
-        self.sources.open(ctx);
-    }
-
-    fn next_tuple(&mut self, collector: &mut SpoutCollector) -> bool {
-        match self.source.try_recv() {
-            Ok(action) => {
-                let src = self.sources.next();
-                collector.emit(
-                    vec![
-                        Value::from(action.user),
-                        Value::from(action.item),
-                        Value::U64(action.action.code() as u64),
-                        Value::U64(action.timestamp),
-                        Value::U64(src),
-                    ],
-                    Some(src),
-                );
-                true
-            }
-            Err(_) => false,
-        }
     }
 
     fn declare_outputs(&self) -> Vec<StreamDef> {

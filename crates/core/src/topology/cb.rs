@@ -197,23 +197,22 @@ impl Bolt for CbProfileBolt {
     }
 }
 
-/// Builds the CB topology over an action channel.
-pub fn build_cb_topology(
-    source: crossbeam::channel::Receiver<crate::action::UserAction>,
+/// Builds the CB topology over the spouts `spout` makes (a
+/// [`ReplayableSpout`](crate::topology::ReplayableSpout) reading an
+/// action topic).
+pub fn build_cb_topology<S, F>(
+    spout: F,
     store: TdStore,
     index: TagIndex,
     config: CbPipelineConfig,
     parallelism: usize,
-) -> Result<tstorm::topology::Topology, TopologyError> {
+) -> Result<tstorm::topology::Topology, TopologyError>
+where
+    S: Spout + 'static,
+    F: Fn() -> S + Send + Sync + 'static,
+{
     let mut builder = TopologyBuilder::new();
-    {
-        let source = source.clone();
-        builder.set_spout(
-            "spout",
-            move || crate::topology::bolts::ActionSpout::new(source.clone()),
-            1,
-        );
-    }
+    builder.set_spout("spout", spout, 1);
     builder
         .set_bolt(
             "cb_profile",
@@ -291,8 +290,7 @@ mod tests {
     use super::*;
     use crate::action::UserAction;
     use crate::catalog::ItemMeta;
-    use crossbeam::channel::unbounded;
-    use std::time::Duration;
+    use crate::topology::replay::test_feed::TopicFeed;
     use tdstore::StoreConfig;
 
     fn catalog() -> ItemCatalog {
@@ -318,22 +316,16 @@ mod tests {
             index.register(&catalog, item);
         }
         let store = TdStore::new(StoreConfig::default());
-        let (tx, rx) = unbounded();
-        for a in actions {
-            tx.send(a).unwrap();
-        }
-        drop(tx);
+        let feed = TopicFeed::new(4, &actions);
         let topo = build_cb_topology(
-            rx,
+            feed.spout(),
             store.clone(),
             index.clone(),
             CbPipelineConfig::default(),
             3,
         )
         .expect("valid topology");
-        let handle = topo.launch();
-        assert!(handle.wait_idle(Duration::from_secs(20)));
-        handle.shutdown(Duration::from_secs(5));
+        feed.drain(topo.launch());
         (store, index)
     }
 

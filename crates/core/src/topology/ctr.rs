@@ -3,39 +3,30 @@
 //! constructible both programmatically and from the XML configuration
 //! format via [`ctr_registry`].
 //!
+//! It reads the same [`UserAction`](crate::action::UserAction) topic as
+//! every other algorithm: an `Impression` action counts one impression of
+//! its item, a `Click` one click, so a producer logs both for a clicked
+//! view. Pretreatment looks the situation (gender, age band) up in the
+//! [`ProfileRegistry`].
+//!
 //! The decoupling of Fig. 6 is visible here: `CtrStoreBolt` is a *data
 //! statistics* unit (it only maintains impression/click counts in
 //! TDStore), `CtrBolt` is an *algorithm computation* unit (it reads the
 //! statistics and recomputes the smoothed CTR), and `ResultStorageBolt`
 //! persists the per-situation ranking that the query side serves.
 
+use crate::action::ActionType;
 use crate::db::DemographicProfile;
 use crate::fields::FieldIndex;
+use crate::topology::demographic::ProfileRegistry;
 use crate::topology::state::{
     ctr_clicks, ctr_imps, ctr_rate, decode_scalar, encode_scalar, session_key, session_of,
     window_sessions, windowed_sum,
 };
 use crate::types::ItemId;
-use crossbeam::channel::Receiver;
 use tdstore::TdStore;
 use tstorm::config::ComponentRegistry;
 use tstorm::prelude::*;
-
-/// One ad event on the wire: an impression or a click of `item` in a
-/// demographic situation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdEvent {
-    /// Shown/clicked item (advertisement).
-    pub item: ItemId,
-    /// Viewer demographics.
-    pub profile: DemographicProfile,
-    /// Placement position.
-    pub position: u8,
-    /// Whether this event is a click (false = impression).
-    pub clicked: bool,
-    /// Event time.
-    pub timestamp: u64,
-}
 
 /// CTR pipeline parameters.
 #[derive(Debug, Clone)]
@@ -58,58 +49,52 @@ impl Default for CtrPipelineConfig {
     }
 }
 
-/// Spout feeding [`AdEvent`]s from a channel.
-pub struct AdEventSpout {
-    source: Receiver<AdEvent>,
-    emitted: u64,
+/// Tuple fields of an ad event, as pretreatment emits them.
+pub const AD_FIELDS: [&str; 5] = ["item", "gender", "age_band", "clicked", "ts"];
+
+/// Pretreatment for ad events: keeps impressions and clicks, drops every
+/// other action and every malformed tuple, and attaches the viewer's
+/// situation from the profile registry.
+pub struct AdPretreatmentBolt {
+    profiles: ProfileRegistry,
+    fields: FieldIndex<4>,
 }
 
-impl AdEventSpout {
-    /// Spout reading from `source`.
-    pub fn new(source: Receiver<AdEvent>) -> Self {
-        AdEventSpout { source, emitted: 0 }
-    }
-}
-
-/// Tuple fields emitted by [`AdEventSpout`].
-pub const AD_FIELDS: [&str; 6] = ["item", "gender", "age_band", "position", "clicked", "ts"];
-
-impl Spout for AdEventSpout {
-    fn next_tuple(&mut self, collector: &mut SpoutCollector) -> bool {
-        match self.source.try_recv() {
-            Ok(ev) => {
-                self.emitted += 1;
-                collector.emit(
-                    vec![
-                        Value::U64(ev.item),
-                        Value::U64(ev.profile.gender as u64),
-                        Value::U64(ev.profile.age_band() as u64),
-                        Value::U64(ev.position as u64),
-                        Value::Bool(ev.clicked),
-                        Value::U64(ev.timestamp),
-                    ],
-                    Some(self.emitted),
-                );
-                true
-            }
-            Err(_) => false,
+impl AdPretreatmentBolt {
+    /// New bolt reading situations from `profiles`.
+    pub fn new(profiles: ProfileRegistry) -> Self {
+        AdPretreatmentBolt {
+            profiles,
+            fields: FieldIndex::new(["user", "item", "action", "ts"]),
         }
     }
-
-    fn declare_outputs(&self) -> Vec<StreamDef> {
-        vec![StreamDef::new(DEFAULT_STREAM, AD_FIELDS)]
-    }
 }
-
-/// Pretreatment for ad events: drops malformed tuples, forwards the rest.
-pub struct AdPretreatmentBolt;
 
 impl Bolt for AdPretreatmentBolt {
     fn execute(&mut self, tuple: &Tuple, collector: &mut BoltCollector) -> Result<(), String> {
-        if tuple.u64("gender") > u8::MAX as u64 || tuple.u64("age_band") > u8::MAX as u64 {
+        let [user_i, item_i, action_i, ts_i] = *self.fields.resolve(tuple);
+        let values = tuple.values();
+        let (Some(user), Some(item), Some(code), Some(ts)) = (
+            values[user_i].as_u64(),
+            values[item_i].as_u64(),
+            values[action_i].as_u64(),
+            values[ts_i].as_u64(),
+        ) else {
             return Ok(()); // filtered, still acked
-        }
-        collector.emit_values(tuple.values());
+        };
+        let clicked = match u8::try_from(code).ok().and_then(ActionType::from_code) {
+            Some(ActionType::Impression) => false,
+            Some(ActionType::Click) => true,
+            _ => return Ok(()),
+        };
+        let profile = self.profiles.get(user);
+        collector.emit_values(&[
+            Value::U64(item),
+            Value::U64(profile.gender as u64),
+            Value::U64(profile.age_band() as u64),
+            Value::Bool(clicked),
+            Value::U64(ts),
+        ]);
         Ok(())
     }
 
@@ -120,7 +105,8 @@ impl Bolt for AdPretreatmentBolt {
 
 /// Data-statistics unit (`CtrStore` in Fig. 7): maintains windowed
 /// impression/click counts per `(item, gender, age band)` cell in
-/// TDStore, then notifies the algorithm layer.
+/// TDStore — an impression adds one impression, a click one click — then
+/// notifies the algorithm layer.
 pub struct CtrStoreBolt {
     store: TdStore,
     config: CtrPipelineConfig,
@@ -149,21 +135,14 @@ impl Bolt for CtrStoreBolt {
             .ok_or("missing clicked flag")?;
         let ts = tuple.u64_at(ts_i);
         let session = session_of(self.config.window, ts);
-        let map_err = |e: tdstore::StoreError| e.to_string();
+        let counter = if clicked {
+            ctr_clicks(item, gender, age_band)
+        } else {
+            ctr_imps(item, gender, age_band)
+        };
         self.store
-            .incr_f64(
-                &session_key(&ctr_imps(item, gender, age_band), session),
-                1.0,
-            )
-            .map_err(map_err)?;
-        if clicked {
-            self.store
-                .incr_f64(
-                    &session_key(&ctr_clicks(item, gender, age_band), session),
-                    1.0,
-                )
-                .map_err(map_err)?;
-        }
+            .incr_f64(&session_key(&counter, session), 1.0)
+            .map_err(|e| e.to_string())?;
         collector.emit_values(&[
             Value::U64(item),
             Value::U64(gender as u64),
@@ -307,17 +286,26 @@ pub const FIG7_XML: &str = r#"
 </topology>
 "#;
 
-/// Builds the class registry for the Fig. 7 topology. "To generate
-/// topology for a specific application, we just need to rewrite the XML
-/// file."
-pub fn ctr_registry(
-    source: Receiver<AdEvent>,
+/// Builds the class registry for the Fig. 7 topology over the spouts
+/// `spout` makes (a [`ReplayableSpout`](crate::topology::ReplayableSpout)
+/// reading an action topic), with situations from `profiles`. "To
+/// generate topology for a specific application, we just need to rewrite
+/// the XML file."
+pub fn ctr_registry<S, F>(
+    spout: F,
+    profiles: ProfileRegistry,
     store: TdStore,
     config: CtrPipelineConfig,
-) -> ComponentRegistry {
+) -> ComponentRegistry
+where
+    S: Spout + 'static,
+    F: Fn() -> S + Send + Sync + 'static,
+{
     let mut registry = ComponentRegistry::new();
-    registry.register_spout("Spout", move || AdEventSpout::new(source.clone()));
-    registry.register_bolt("Pretreatment", || AdPretreatmentBolt);
+    registry.register_spout("Spout", spout);
+    registry.register_bolt("Pretreatment", move || {
+        AdPretreatmentBolt::new(profiles.clone())
+    });
     {
         let store = store.clone();
         let config = config.clone();
@@ -351,8 +339,8 @@ pub fn stored_ctr(store: &TdStore, item: ItemId, profile: &DemographicProfile) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
-    use std::time::Duration;
+    use crate::action::UserAction;
+    use crate::topology::replay::test_feed::TopicFeed;
     use tdstore::StoreConfig;
     use tstorm::config::topology_from_xml;
 
@@ -364,31 +352,41 @@ mod tests {
         }
     }
 
-    fn event(item: u64, gender: u8, clicked: bool, ts: u64) -> AdEvent {
-        AdEvent {
-            item,
-            profile: profile(gender, 25),
-            position: 0,
-            clicked,
-            timestamp: ts,
+    /// Logs one view of `item` by `user`: an impression, and a click
+    /// after it when `clicked`.
+    fn view(log: &mut Vec<UserAction>, user: u64, item: u64, clicked: bool, ts: u64) {
+        log.push(UserAction::new(user, item, ActionType::Impression, ts));
+        if clicked {
+            log.push(UserAction::new(user, item, ActionType::Click, ts));
         }
+    }
+
+    /// User 1 is a man in his twenties, user 2 a woman.
+    fn profiles() -> ProfileRegistry {
+        let profiles = ProfileRegistry::new();
+        profiles.set(1, profile(1, 25));
+        profiles.set(2, profile(0, 25));
+        profiles
     }
 
     #[test]
     fn fig7_topology_from_xml_computes_ctr() {
         let store = TdStore::new(StoreConfig::default());
-        let (tx, rx) = unbounded();
+        let mut log = Vec::new();
         // Ad 1: 25% CTR for men, 0% for women.
         for i in 0..200u64 {
-            tx.send(event(1, 1, i % 4 == 0, i)).unwrap();
-            tx.send(event(1, 0, false, i)).unwrap();
+            view(&mut log, 1, 1, i % 4 == 0, i);
+            view(&mut log, 2, 1, false, i);
         }
-        drop(tx);
-        let registry = ctr_registry(rx, store.clone(), CtrPipelineConfig::default());
+        let feed = TopicFeed::new(4, &log);
+        let registry = ctr_registry(
+            feed.spout(),
+            profiles(),
+            store.clone(),
+            CtrPipelineConfig::default(),
+        );
         let topo = topology_from_xml(FIG7_XML, &registry).expect("Fig. 7 XML builds");
-        let handle = topo.launch();
-        assert!(handle.wait_idle(Duration::from_secs(30)));
-        handle.shutdown(Duration::from_secs(5));
+        feed.drain(topo.launch());
 
         let men = stored_ctr(&store, 1, &profile(1, 25)).expect("cell computed");
         let women = stored_ctr(&store, 1, &profile(0, 25)).expect("cell computed");
@@ -402,7 +400,6 @@ mod tests {
     #[test]
     fn windowed_ctr_forgets() {
         let store = TdStore::new(StoreConfig::default());
-        let (tx, rx) = unbounded();
         let config = CtrPipelineConfig {
             window: Some(crate::cf::counts::WindowConfig {
                 session_ms: 1_000,
@@ -411,14 +408,15 @@ mod tests {
             smoothing: 0.001, // near-raw for the assertion
             prior_ctr: 0.0,
         };
-        // Early burst of clicks, then a late impression far outside the
-        // window.
+        // Early burst of clicked views, then a late impression far outside
+        // the window.
+        let mut log = Vec::new();
         for i in 0..50u64 {
-            tx.send(event(7, 1, true, i)).unwrap();
+            view(&mut log, 1, 7, true, i);
         }
-        tx.send(event(7, 1, false, 100_000)).unwrap();
-        drop(tx);
-        let registry = ctr_registry(rx, store.clone(), config);
+        view(&mut log, 1, 7, false, 100_000);
+        let feed = TopicFeed::new(4, &log);
+        let registry = ctr_registry(feed.spout(), profiles(), store.clone(), config);
         // Single-task pretreatment keeps event order end-to-end so the
         // late impression is guaranteed to be the last computation.
         let xml = FIG7_XML.replace(
@@ -426,14 +424,36 @@ mod tests {
             r#"class="Pretreatment" parallelism="1""#,
         );
         let topo = topology_from_xml(&xml, &registry).unwrap();
-        let handle = topo.launch();
-        assert!(handle.wait_idle(Duration::from_secs(30)));
-        handle.shutdown(Duration::from_secs(5));
+        feed.drain(topo.launch());
         let ctr = stored_ctr(&store, 7, &profile(1, 25)).unwrap();
         assert!(
             ctr < 0.01,
             "after the window expired only the late impression counts: {ctr}"
         );
+    }
+
+    #[test]
+    fn pretreatment_keeps_only_impressions_and_clicks() {
+        // A purchase is no ad event: it reaches pretreatment, and no cell.
+        let store = TdStore::new(StoreConfig::default());
+        let feed = TopicFeed::new(1, &[UserAction::new(1, 3, ActionType::Purchase, 0)]);
+        let registry = ctr_registry(
+            feed.spout(),
+            profiles(),
+            store.clone(),
+            CtrPipelineConfig::default(),
+        );
+        let topo = topology_from_xml(FIG7_XML, &registry).unwrap();
+        let metrics = feed.drain(topo.launch());
+        let executed = |name: &str| {
+            metrics
+                .iter()
+                .find(|m| m.component == name)
+                .unwrap()
+                .executed
+        };
+        assert_eq!((executed("pretreatment"), executed("ctrStore")), (1, 0));
+        assert_eq!(stored_ctr(&store, 3, &profile(1, 25)), None);
     }
 
     #[test]

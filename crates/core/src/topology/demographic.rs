@@ -183,24 +183,23 @@ impl Bolt for GroupCountBolt {
     }
 }
 
-/// Builds the two-stage demographic topology over an action channel.
-pub fn build_demographic_topology(
-    source: crossbeam::channel::Receiver<crate::action::UserAction>,
+/// Builds the two-stage demographic topology over the spouts `spout`
+/// makes (a [`ReplayableSpout`](crate::topology::ReplayableSpout) reading
+/// an action topic).
+pub fn build_demographic_topology<S, F>(
+    spout: F,
     profiles: ProfileRegistry,
     store: TdStore,
     config: DemographicPipelineConfig,
     stage1_tasks: usize,
     stage2_tasks: usize,
-) -> Result<tstorm::topology::Topology, TopologyError> {
+) -> Result<tstorm::topology::Topology, TopologyError>
+where
+    S: Spout + 'static,
+    F: Fn() -> S + Send + Sync + 'static,
+{
     let mut builder = TopologyBuilder::new();
-    {
-        let source = source.clone();
-        builder.set_spout(
-            "spout",
-            move || crate::topology::bolts::ActionSpout::new(source.clone()),
-            1,
-        );
-    }
+    builder.set_spout("spout", spout, 1);
     {
         let config = config.clone();
         builder
@@ -287,8 +286,7 @@ fn rank_group(
 mod tests {
     use super::*;
     use crate::action::UserAction;
-    use crossbeam::channel::unbounded;
-    use std::time::Duration;
+    use crate::topology::replay::test_feed::TopicFeed;
     use tdstore::StoreConfig;
 
     fn profile(gender: u8, age: u8) -> DemographicProfile {
@@ -310,19 +308,16 @@ mod tests {
             profiles.set(u, profile(0, 25));
             profiles.set(10 + u, profile(1, 45));
         }
-        let (tx, rx) = unbounded();
+        let mut actions = Vec::new();
         for u in 0..10u64 {
-            tx.send(UserAction::new(u, 1, ActionType::Click, u))
-                .unwrap();
-            tx.send(UserAction::new(10 + u, 2, ActionType::Click, u))
-                .unwrap();
+            actions.push(UserAction::new(u, 1, ActionType::Click, u));
+            actions.push(UserAction::new(10 + u, 2, ActionType::Click, u));
         }
-        drop(tx);
-        let topo = build_demographic_topology(rx, profiles, store.clone(), config.clone(), 4, 4)
-            .expect("valid topology");
-        let handle = topo.launch();
-        assert!(handle.wait_idle(Duration::from_secs(20)));
-        handle.shutdown(Duration::from_secs(5));
+        let feed = TopicFeed::new(4, &actions);
+        let topo =
+            build_demographic_topology(feed.spout(), profiles, store.clone(), config.clone(), 4, 4)
+                .expect("valid topology");
+        feed.drain(topo.launch());
 
         let scheme = GroupScheme::default();
         let women = scheme.group_of(&profile(0, 25));
@@ -340,15 +335,11 @@ mod tests {
         let profiles = ProfileRegistry::new();
         profiles.set(1, profile(0, 25));
         let config = DemographicPipelineConfig::default();
-        let (tx, rx) = unbounded();
-        tx.send(UserAction::new(1, 9, ActionType::Impression, 0))
-            .unwrap();
-        drop(tx);
+        let feed = TopicFeed::new(4, &[UserAction::new(1, 9, ActionType::Impression, 0)]);
         let topo =
-            build_demographic_topology(rx, profiles, store.clone(), config.clone(), 2, 2).unwrap();
-        let handle = topo.launch();
-        assert!(handle.wait_idle(Duration::from_secs(20)));
-        handle.shutdown(Duration::from_secs(5));
+            build_demographic_topology(feed.spout(), profiles, store.clone(), config.clone(), 2, 2)
+                .unwrap();
+        feed.drain(topo.launch());
         let group = GroupScheme::default().group_of(&profile(0, 25));
         assert!(hot_items(&store, group, &config, 0, 5, &FxHashSet::default()).is_empty());
     }
@@ -365,15 +356,11 @@ mod tests {
             }),
             ..Default::default()
         };
-        let (tx, rx) = unbounded();
-        tx.send(UserAction::new(1, 9, ActionType::Click, 0))
-            .unwrap();
-        drop(tx);
+        let feed = TopicFeed::new(4, &[UserAction::new(1, 9, ActionType::Click, 0)]);
         let topo =
-            build_demographic_topology(rx, profiles, store.clone(), config.clone(), 1, 1).unwrap();
-        let handle = topo.launch();
-        assert!(handle.wait_idle(Duration::from_secs(20)));
-        handle.shutdown(Duration::from_secs(5));
+            build_demographic_topology(feed.spout(), profiles, store.clone(), config.clone(), 1, 1)
+                .unwrap();
+        feed.drain(topo.launch());
         let group = GroupScheme::default().group_of(&profile(0, 25));
         assert!(!hot_items(&store, group, &config, 500, 5, &FxHashSet::default()).is_empty());
         // Far later the windowed count is zero.

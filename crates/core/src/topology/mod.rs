@@ -2,15 +2,20 @@
 //! status data in [`tdstore`].
 //!
 //! ```text
-//!  ActionSpout ──shuffle──▶ Pretreatment ──by user──▶ UserHistory
-//!                                                       │        │
-//!                                             item_delta│        │pair_delta
-//!                                              (by item)▼        ▼(by pair)
-//!                                               ItemCount        CfPairBolt
-//!                                                   │                │
-//!                                                   ▼                ▼
-//!                                                  TDStore (ic:, pc:, sim:)
+//!  ReplayableSpout ──shuffle──▶ Pretreatment ──by user──▶ UserHistory
+//!                                                           │        │
+//!                                                 item_delta│        │pair_delta
+//!                                                  (by item)▼        ▼(by pair)
+//!                                                   ItemCount        CfPairBolt
+//!                                                       │                │
+//!                                                       ▼                ▼
+//!                                                      TDStore (ic:, pc:, sim:)
 //! ```
+//!
+//! Every topology here — CF, and the CB, AR, demographic and CTR ones —
+//! reads a TDAccess topic of [`crate::action::UserAction`]s through
+//! [`ReplayableSpout`], so each tuple stays replayable from the log until
+//! its tree is acked.
 //!
 //! The query side ([`TopologyRecommender`]) answers recommendation
 //! requests straight from the store — "the recommender engine [...]
@@ -27,10 +32,10 @@ pub mod serving;
 pub mod state;
 
 pub use bolts::{
-    ActionSpout, CfPairBolt, CfPipelineConfig, ItemCountBolt, PretreatmentBolt, RawAction,
-    RawActionSpout, UserHistoryBolt, ITEM_DELTA, PAIR_DELTA,
+    CfPairBolt, CfPipelineConfig, ItemCountBolt, PretreatmentBolt, UserHistoryBolt, ITEM_DELTA,
+    PAIR_DELTA,
 };
-pub use replay::{OffsetTable, ReplayProgress, ReplayableSpout};
+pub use replay::{produce_actions, OffsetTable, ReplayProgress, ReplayableSpout};
 pub use tdaccess::PartitionId;
 
 use crate::topology::state::{
@@ -38,7 +43,6 @@ use crate::topology::state::{
     user_history, windowed_sum,
 };
 use crate::types::{keep_least, FxHashMap, FxHashSet, ItemId, Timestamp, UserId};
-use crossbeam::channel::Receiver;
 use tdstore::TdStore;
 use tstorm::prelude::*;
 use tstorm::topology::Topology;
@@ -70,27 +74,11 @@ impl Default for CfParallelism {
     }
 }
 
-/// Builds the CF topology of Fig. 6 over an action channel and a store.
-pub fn build_cf_topology(
-    source: Receiver<crate::action::UserAction>,
-    store: TdStore,
-    config: CfPipelineConfig,
-    parallelism: CfParallelism,
-) -> Result<Topology, TopologyError> {
-    build_cf_topology_with_spout(
-        move || ActionSpout::new(source.clone()),
-        store,
-        config,
-        parallelism,
-        tstorm::topology::TopologyConfig::default(),
-    )
-}
-
-/// Builds the CF topology over any action spout (e.g. a
-/// [`ReplayableSpout`] reading a TDAccess topic) and an explicit runtime
-/// config — the hook for chaos tests that need a fault plan, a mock
-/// clock, or a short message timeout. The spout must declare the
-/// five-field default stream `[user, item, action, ts, src]`.
+/// Builds the CF topology of Fig. 6 over a store, fed by the spouts
+/// `spout` makes — a [`ReplayableSpout`] reading a TDAccess topic — with
+/// an explicit runtime config, the hook for chaos tests that need a fault
+/// plan, a mock clock, or a short message timeout. The spout must declare
+/// the five-field default stream `[user, item, action, ts, src]`.
 pub fn build_cf_topology_with_spout<S, F>(
     spout: F,
     store: TdStore,
@@ -115,52 +103,6 @@ where
             parallelism.pretreatment,
         )
         .shuffle_grouping("spout");
-    wire_cf_counting_layers(&mut builder, store, config, parallelism);
-    builder.build()
-}
-
-/// Builds the CF topology over a *raw* string-keyed action feed: the
-/// spout emits frontend keys verbatim and the pretreatment bolt interns
-/// them to dense `u64` ids through `interner`, so every fields-grouped
-/// edge and every TDStore key downstream is integer-only. Query results
-/// de-intern through the same handle (see
-/// [`serving::RecommenderFrontEnd::with_interner`]).
-pub fn build_cf_topology_raw(
-    source: Receiver<RawAction>,
-    interner: crate::interner::Interner,
-    store: TdStore,
-    config: CfPipelineConfig,
-    parallelism: CfParallelism,
-) -> Result<Topology, TopologyError> {
-    let topology_config = tstorm::topology::TopologyConfig {
-        registry: config.registry.clone(),
-        ..Default::default()
-    };
-    let mut builder = TopologyBuilder::new().with_config(topology_config);
-    builder.set_spout(
-        "spout",
-        move || RawActionSpout::new(source.clone()),
-        parallelism.spouts,
-    );
-    builder
-        .set_bolt(
-            "pretreatment",
-            move || PretreatmentBolt::with_interner(interner.clone()),
-            parallelism.pretreatment,
-        )
-        .shuffle_grouping("spout");
-    wire_cf_counting_layers(&mut builder, store, config, parallelism);
-    builder.build()
-}
-
-/// Wires the counting layers below pretreatment (user history, item
-/// counts, pair similarity) — shared by every CF topology variant.
-fn wire_cf_counting_layers(
-    builder: &mut TopologyBuilder,
-    store: TdStore,
-    config: CfPipelineConfig,
-    parallelism: CfParallelism,
-) {
     {
         let store = store.clone();
         let config = config.clone();
@@ -183,17 +125,14 @@ fn wire_cf_counting_layers(
             )
             .grouping_on("user_history", ITEM_DELTA, Grouping::fields(["item"]));
     }
-    {
-        let store = store.clone();
-        let config = config.clone();
-        builder
-            .set_bolt(
-                "cf_pair",
-                move || CfPairBolt::new(store.clone(), config.clone()),
-                parallelism.pair,
-            )
-            .grouping_on("user_history", PAIR_DELTA, Grouping::fields(["a", "b"]));
-    }
+    builder
+        .set_bolt(
+            "cf_pair",
+            move || CfPairBolt::new(store.clone(), config.clone()),
+            parallelism.pair,
+        )
+        .grouping_on("user_history", PAIR_DELTA, Grouping::fields(["a", "b"]));
+    builder.build()
 }
 
 /// Query-side engine over the state the topology maintains in TDStore.
@@ -346,25 +285,24 @@ struct Recent {
 mod tests {
     use super::*;
     use crate::action::{ActionType, UserAction};
-    use crossbeam::channel::unbounded;
-    use std::time::Duration;
+    use crate::topology::replay::test_feed::TopicFeed;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
     use tdstore::StoreConfig;
 
+    /// Runs the CF topology over a topic of `actions`, drained.
     fn run_pipeline(actions: Vec<UserAction>, config: CfPipelineConfig) -> TdStore {
         let store = TdStore::new(StoreConfig::default());
-        let (tx, rx) = unbounded();
-        for a in actions {
-            tx.send(a).unwrap();
-        }
-        drop(tx);
-        let topo = build_cf_topology(rx, store.clone(), config, CfParallelism::default())
-            .expect("valid topology");
-        let handle = topo.launch();
-        assert!(
-            handle.wait_idle(Duration::from_secs(20)),
-            "pipeline stalled"
-        );
-        handle.shutdown(Duration::from_secs(2));
+        let feed = TopicFeed::new(4, &actions);
+        let topo = build_cf_topology_with_spout(
+            feed.spout(),
+            store.clone(),
+            config,
+            CfParallelism::default(),
+            Default::default(),
+        )
+        .expect("valid topology");
+        feed.drain(topo.launch());
         store
     }
 
@@ -419,26 +357,22 @@ mod tests {
     }
 
     #[test]
-    fn channel_spout_tasks_never_share_a_source() {
-        // Two spout tasks, each draining its own channel of 100 distinct
-        // users' clicks on one item. With replay memory on, an action
-        // whose source id another task also emitted would be dropped as a
-        // redelivery.
-        let channels: Vec<_> = (0..2u64)
-            .map(|task| {
-                let (tx, rx) = unbounded();
-                for u in 0..100 {
-                    tx.send(click(task * 1_000 + u, 7, u)).unwrap();
-                }
-                rx
-            })
-            .collect();
-        // `set_spout` calls the factory once as a probe before the two
-        // tasks, so channels go out modulo 2.
-        let calls = std::sync::atomic::AtomicUsize::new(0);
-        let spout = move || {
-            let call = calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            ActionSpout::new(channels[call % 2].clone())
+    fn replayable_spout_tasks_never_share_a_source() {
+        // Two spout tasks in one consumer group split a 4-partition topic
+        // of 200 distinct users' clicks on one item. With replay memory
+        // on, an action whose source id another record also had would be
+        // dropped as a redelivery.
+        let actions: Vec<UserAction> = (0..200).map(|u| click(u, 7, u)).collect();
+        let feed = TopicFeed::new(4, &actions);
+        // A rebalance can hand a partition to the second task after the
+        // first read part of it, so both may deliver one record (under one
+        // source id, which the replay memory absorbs) and `committed`
+        // counts it twice. The drain waits instead for every partition's
+        // watermark to reach the end of the log.
+        let table = Arc::new(OffsetTable::new());
+        let spout = {
+            let (spout, table) = (feed.spout(), Arc::clone(&table));
+            move || spout().with_offset_table(Arc::clone(&table))
         };
         let store = TdStore::new(StoreConfig::default());
         let config = CfPipelineConfig {
@@ -449,17 +383,20 @@ mod tests {
             spouts: 2,
             ..Default::default()
         };
-        let topology_config = tstorm::topology::TopologyConfig::default();
         let handle = build_cf_topology_with_spout(
             spout,
             store.clone(),
             config,
             parallelism,
-            topology_config,
+            Default::default(),
         )
         .expect("valid topology")
         .launch();
-        assert!(handle.wait_idle(Duration::from_secs(20)), "stalled");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while table.snapshot().iter().map(|&(_, end)| end).sum::<u64>() < 200 {
+            assert!(Instant::now() < deadline, "stalled: {:?}", table.snapshot());
+            std::thread::sleep(Duration::from_millis(1));
+        }
         handle.shutdown(Duration::from_secs(2));
         let count = windowed_sum(&store, &item_count(7), 0, 0).unwrap();
         assert_eq!(count, 400.0, "200 clicks of weight 2");
@@ -509,24 +446,22 @@ mod tests {
 
     #[test]
     fn pretreatment_filters_garbage() {
-        // An out-of-range action code must be dropped, not crash the
-        // pipeline. We inject it by constructing the tuple path directly:
-        // codes above ALL.len() are unqualified.
+        // A record the spout cannot decode commits without an emission;
+        // the action after it flows through pretreatment.
         let store = TdStore::new(StoreConfig::default());
-        let (tx, rx) = unbounded::<UserAction>();
-        // Normal action followed by channel close.
-        tx.send(click(1, 10, 5)).unwrap();
-        drop(tx);
-        let topo = build_cf_topology(
-            rx,
+        let feed = TopicFeed::new(1, &[]);
+        let producer = feed.cluster.producer(replay::test_feed::TOPIC).unwrap();
+        producer.send(None, b"garbage").unwrap();
+        feed.produce(&[click(1, 10, 5)]);
+        let topo = build_cf_topology_with_spout(
+            feed.spout(),
             store.clone(),
             CfPipelineConfig::default(),
             CfParallelism::default(),
+            Default::default(),
         )
         .unwrap();
-        let handle = topo.launch();
-        assert!(handle.wait_idle(Duration::from_secs(20)));
-        let metrics = handle.shutdown(Duration::from_secs(2));
+        let metrics = feed.drain(topo.launch());
         let pre = metrics
             .iter()
             .find(|m| m.component == "pretreatment")

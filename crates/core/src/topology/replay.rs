@@ -12,8 +12,19 @@ use crate::action::UserAction;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use tdaccess::{AccessCluster, Consumer, Message, PartitionId};
+use tdaccess::{AccessCluster, AccessError, Consumer, Message, PartitionId, Producer};
 use tstorm::prelude::*;
+
+/// Produces `actions` into `producer`'s topic in order, each keyed by its
+/// user and encoded by [`UserAction::to_bytes`] — the record format
+/// [`ReplayableSpout`] reads. Keying by user puts one user's actions on
+/// one partition, so they reach the user-grouped bolts in log order.
+pub fn produce_actions(producer: &Producer, actions: &[UserAction]) -> Result<(), AccessError> {
+    for action in actions {
+        producer.send(Some(&action.user.to_le_bytes()), &action.to_bytes())?;
+    }
+    Ok(())
+}
 
 /// Packs a `(partition, offset)` source anchor into the one `u64` that
 /// serves as both the tstorm message id and the dedup source id:
@@ -500,8 +511,8 @@ impl Spout for ReplayableSpout {
     fn next_tuple(&mut self, collector: &mut SpoutCollector) -> bool {
         match self.poll_next() {
             Some((src, action)) => {
-                collector.emit(
-                    vec![
+                collector.emit_values(
+                    &[
                         Value::U64(action.user),
                         Value::U64(action.item),
                         Value::U64(action.action.code() as u64),
@@ -538,6 +549,67 @@ impl Spout for ReplayableSpout {
     }
 }
 
+/// The input of this crate's topology unit tests: an in-memory topic of
+/// actions and the spouts that read it.
+#[cfg(test)]
+pub(crate) mod test_feed {
+    use super::*;
+    use std::time::{Duration, Instant};
+    use tdaccess::ClusterConfig;
+
+    /// The topic every test topology reads.
+    pub(crate) const TOPIC: &str = "actions";
+
+    /// An in-memory topic of actions, keyed by user, and the progress its
+    /// spouts share.
+    pub(crate) struct TopicFeed {
+        pub(crate) cluster: AccessCluster,
+        progress: Arc<ReplayProgress>,
+    }
+
+    impl TopicFeed {
+        /// A topic of `partitions` partitions holding `actions`.
+        pub(crate) fn new(partitions: usize, actions: &[UserAction]) -> Self {
+            let cluster = AccessCluster::new(ClusterConfig::default());
+            cluster.create_topic(TOPIC, partitions).unwrap();
+            let feed = TopicFeed {
+                cluster,
+                progress: Arc::default(),
+            };
+            feed.produce(actions);
+            feed
+        }
+
+        /// Appends `actions` to the topic.
+        pub(crate) fn produce(&self, actions: &[UserAction]) {
+            produce_actions(&self.cluster.producer(TOPIC).unwrap(), actions).unwrap();
+        }
+
+        /// A spout factory: every spout joins one consumer group.
+        pub(crate) fn spout(&self) -> impl Fn() -> ReplayableSpout + Send + Sync + 'static {
+            let (cluster, progress) = (self.cluster.clone(), Arc::clone(&self.progress));
+            move || ReplayableSpout::new(cluster.clone(), TOPIC, "test", Arc::clone(&progress))
+        }
+
+        /// Waits until every record of the topic is committed — its tuple
+        /// tree acked, so every bolt it reached has executed — then shuts
+        /// the topology down.
+        pub(crate) fn drain(&self, handle: TopologyHandle) -> Vec<MetricsSnapshot> {
+            let records = self.cluster.topic_len(TOPIC).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while self.progress.committed() < records {
+                assert!(
+                    Instant::now() < deadline,
+                    "stalled at {} of {records} records",
+                    self.progress.committed()
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            handle.shutdown(Duration::from_secs(5))
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,13 +619,10 @@ mod tests {
     fn cluster_with(topic: &str, partitions: usize, n: u64) -> AccessCluster {
         let cluster = AccessCluster::new(ClusterConfig::default());
         cluster.create_topic(topic, partitions).unwrap();
-        let producer = cluster.producer(topic).unwrap();
-        for i in 0..n {
-            let a = UserAction::new(i, i % 7, ActionType::Click, i);
-            producer
-                .send(Some(&i.to_le_bytes()[..]), &a.to_bytes())
-                .unwrap();
-        }
+        let actions: Vec<UserAction> = (0..n)
+            .map(|i| UserAction::new(i, i % 7, ActionType::Click, i))
+            .collect();
+        produce_actions(&cluster.producer(topic).unwrap(), &actions).unwrap();
         cluster
     }
 

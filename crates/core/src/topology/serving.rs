@@ -35,9 +35,9 @@ pub struct RecommenderFrontEnd {
     cf: TopologyRecommender,
     config: ServingConfig,
     profiles: ProfileRegistry,
-    /// Present when the topology was built by
-    /// [`crate::topology::build_cf_topology_raw`]: maps the dense ids back
-    /// to the frontend's original string keys at the serving edge.
+    /// Present in a string-keyed deployment, whose producers interned the
+    /// frontend keys before logging the actions: maps the dense ids back
+    /// to the original string keys at the serving edge.
     interner: Option<Interner>,
 }
 
@@ -127,9 +127,8 @@ mod tests {
     use crate::action::{ActionType, UserAction};
     use crate::db::DemographicProfile;
     use crate::topology::demographic::build_demographic_topology;
-    use crate::topology::{build_cf_topology, CfParallelism};
-    use crossbeam::channel::unbounded;
-    use std::time::Duration;
+    use crate::topology::replay::test_feed::TopicFeed;
+    use crate::topology::{build_cf_topology_with_spout, CfParallelism};
     use tdstore::StoreConfig;
 
     fn profile(gender: u8, age: u8) -> DemographicProfile {
@@ -156,40 +155,31 @@ mod tests {
         let store = TdStore::new(StoreConfig::default());
         let config = ServingConfig::default();
 
-        let (tx, rx) = unbounded();
-        for a in cf_actions {
-            tx.send(*a).unwrap();
-        }
-        drop(tx);
-        let cf_topo = build_cf_topology(
-            rx,
+        let cf_feed = TopicFeed::new(4, cf_actions);
+        let cf_handle = build_cf_topology_with_spout(
+            cf_feed.spout(),
             store.clone(),
             config.cf.clone(),
             CfParallelism::default(),
+            Default::default(),
         )
-        .unwrap();
-        let cf_handle = cf_topo.launch();
+        .unwrap()
+        .launch();
 
-        let (tx, rx) = unbounded();
-        for a in db_actions {
-            tx.send(*a).unwrap();
-        }
-        drop(tx);
-        let db_topo = build_demographic_topology(
-            rx,
+        let db_feed = TopicFeed::new(4, db_actions);
+        let db_handle = build_demographic_topology(
+            db_feed.spout(),
             profiles.clone(),
             store.clone(),
             config.db.clone(),
             2,
             2,
         )
-        .unwrap();
-        let db_handle = db_topo.launch();
+        .unwrap()
+        .launch();
 
-        assert!(cf_handle.wait_idle(Duration::from_secs(30)));
-        assert!(db_handle.wait_idle(Duration::from_secs(30)));
-        cf_handle.shutdown(Duration::from_secs(5));
-        db_handle.shutdown(Duration::from_secs(5));
+        cf_feed.drain(cf_handle);
+        db_feed.drain(db_handle);
         RecommenderFrontEnd::new(store, config, profiles)
     }
 
@@ -235,46 +225,39 @@ mod tests {
 
     #[test]
     fn raw_feed_round_trips_string_keys() {
-        // End-to-end over the interning path: string-keyed actions in,
-        // string-keyed recommendations out, with every stage in between
-        // (groupings, store keys) running on dense u64 ids.
-        use crate::interner::Interner;
-        use crate::topology::{build_cf_topology_raw, RawAction};
-
-        let store = TdStore::new(tdstore::StoreConfig::default());
+        // End-to-end over interning: the producer interns string keys as
+        // it logs each action, every stage after it (the log, groupings,
+        // store keys) runs on dense u64 ids, and the serving edge turns
+        // the recommended ids back into the string keys.
         let interner = Interner::new();
-        let config = ServingConfig::default();
-        let (tx, rx) = unbounded();
-        for u in 1..=20u32 {
+        let clicked = |user: &str, item: &str, ts: u64| {
+            UserAction::new(
+                interner.intern(user),
+                interner.intern(item),
+                ActionType::Click,
+                ts,
+            )
+        };
+        let mut actions = Vec::new();
+        for u in 1..=20u64 {
             for item in ["video/cats", "video/dogs"] {
-                tx.send(RawAction {
-                    user: format!("cookie-{u}"),
-                    item: item.to_string(),
-                    action: ActionType::Click,
-                    timestamp: u as u64 * 10,
-                })
-                .unwrap();
+                actions.push(clicked(&format!("cookie-{u}"), item, u * 10));
             }
         }
-        tx.send(RawAction {
-            user: "cookie-new".into(),
-            item: "video/cats".into(),
-            action: ActionType::Click,
-            timestamp: 500,
-        })
-        .unwrap();
-        drop(tx);
-        let topo = build_cf_topology_raw(
-            rx,
-            interner.clone(),
+        actions.push(clicked("cookie-new", "video/cats", 500));
+
+        let store = TdStore::new(StoreConfig::default());
+        let config = ServingConfig::default();
+        let feed = TopicFeed::new(4, &actions);
+        let topo = build_cf_topology_with_spout(
+            feed.spout(),
             store.clone(),
             config.cf.clone(),
             CfParallelism::default(),
+            Default::default(),
         )
         .unwrap();
-        let handle = topo.launch();
-        assert!(handle.wait_idle(Duration::from_secs(30)));
-        handle.shutdown(Duration::from_secs(5));
+        feed.drain(topo.launch());
 
         let front =
             RecommenderFrontEnd::with_interner(store, config, ProfileRegistry::new(), interner);

@@ -14,11 +14,14 @@
 //! everything derived from them deterministically must match.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use tdaccess::{AccessCluster, ClusterConfig};
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::{
-    build_cf_topology_with_spout, ActionSpout, CfParallelism, CfPipelineConfig, TopologyRecommender,
+    build_cf_topology_with_spout, produce_actions, CfParallelism, CfPipelineConfig, ReplayProgress,
+    ReplayableSpout, TopologyRecommender,
 };
 use tstorm::topology::TopologyConfig;
 
@@ -44,13 +47,17 @@ fn workload() -> Vec<UserAction> {
 
 fn run_pipeline(batch_size: usize, cf: CfPipelineConfig, parallelism: CfParallelism) -> TdStore {
     let store = TdStore::new(StoreConfig::default());
-    let (tx, rx) = crossbeam::channel::unbounded();
-    for a in workload() {
-        tx.send(a).unwrap();
-    }
-    drop(tx);
+    let access = AccessCluster::new(ClusterConfig::default());
+    access.create_topic("actions", 4).unwrap();
+    let actions = workload();
+    produce_actions(&access.producer("actions").unwrap(), &actions).unwrap();
+    let progress = Arc::new(ReplayProgress::default());
+    let spout = {
+        let progress = Arc::clone(&progress);
+        move || ReplayableSpout::new(access.clone(), "actions", "cf", Arc::clone(&progress))
+    };
     let topo = build_cf_topology_with_spout(
-        move || ActionSpout::new(rx.clone()),
+        spout,
         store.clone(),
         cf,
         parallelism,
@@ -62,10 +69,14 @@ fn run_pipeline(batch_size: usize, cf: CfPipelineConfig, parallelism: CfParallel
     )
     .expect("valid topology");
     let handle = topo.launch();
-    assert!(
-        handle.wait_idle(Duration::from_secs(30)),
-        "pipeline stalled at batch_size {batch_size}"
-    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while progress.committed() < actions.len() as u64 {
+        assert!(
+            Instant::now() < deadline,
+            "pipeline stalled at batch_size {batch_size}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     handle.shutdown(Duration::from_secs(5));
     store
 }

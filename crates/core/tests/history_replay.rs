@@ -28,8 +28,8 @@ use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::replay::encode_src;
 use tencentrec::topology::state::{self as keys, counter_prefix, decode_history};
 use tencentrec::topology::{
-    CfPipelineConfig, ItemCountBolt, ReplayProgress, ReplayableSpout, UserHistoryBolt, ITEM_DELTA,
-    PAIR_DELTA,
+    produce_actions, CfPipelineConfig, ItemCountBolt, ReplayProgress, ReplayableSpout,
+    UserHistoryBolt, ITEM_DELTA, PAIR_DELTA,
 };
 use tstorm::prelude::*;
 use tstorm::topology::TopologyConfig;
@@ -159,12 +159,7 @@ fn stuck_offset_replays_its_original_deltas_and_leaves_history_alone() {
     let stuck = encode_src(0, 1);
     let access = AccessCluster::new(ClusterConfig::default());
     access.create_topic("t", 1).unwrap();
-    let producer = access.producer("t").unwrap();
-    for a in &actions {
-        producer
-            .send(Some(&a.user.to_le_bytes()[..]), &a.to_bytes())
-            .unwrap();
-    }
+    produce_actions(&access.producer("t").unwrap(), &actions).unwrap();
 
     let store = TdStore::new(StoreConfig::default());
     let config = CfPipelineConfig {

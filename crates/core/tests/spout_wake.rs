@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tdaccess::{AccessCluster, ClusterConfig, Producer};
 use tencentrec::action::{ActionType, UserAction};
-use tencentrec::topology::{ReplayProgress, ReplayableSpout};
+use tencentrec::topology::{produce_actions, ReplayProgress, ReplayableSpout};
 use tstorm::prelude::*;
 
 const TOPIC: &str = "actions";
@@ -34,10 +34,11 @@ fn cluster() -> AccessCluster {
 }
 
 fn send(producer: &Producer, i: u64) {
-    let a = UserAction::new(i, i % 13, ActionType::Click, i);
-    producer
-        .send(Some(&i.to_le_bytes()), &a.to_bytes())
-        .unwrap();
+    produce_actions(
+        producer,
+        &[UserAction::new(i, i % 13, ActionType::Click, i)],
+    )
+    .unwrap();
 }
 
 fn wait_until(timeout: Duration, done: impl Fn() -> bool) -> bool {

@@ -1,19 +1,20 @@
 //! The full production stack in one process (Fig. 9's deployment):
-//! producers publish raw actions to **TDAccess**, the **tstorm** topology
-//! consumes them, maintains CF state in **TDStore**, and the recommender
-//! engine answers queries from the store.
+//! producers publish actions to **TDAccess**, the **tstorm** topology's
+//! replayable spout consumes them, the topology maintains CF state in
+//! **TDStore**, and the recommender engine answers queries from the store.
 //!
 //! ```sh
 //! cargo run --example streaming_pipeline
 //! ```
 
-use crossbeam::channel::unbounded;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tdaccess::{AccessCluster, ClusterConfig};
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::{
-    build_cf_topology, CfParallelism, CfPipelineConfig, TopologyRecommender,
+    build_cf_topology_with_spout, produce_actions, CfParallelism, CfPipelineConfig, ReplayProgress,
+    ReplayableSpout, TopologyRecommender,
 };
 
 fn main() {
@@ -48,39 +49,17 @@ fn main() {
         .expect("create topic");
     let producer = access.producer("user_actions").expect("producer");
 
-    // Applications publish raw action records (user,item,action,ts).
+    // Applications publish action records, keyed by user.
     println!("publishing ~1600 user actions to TDAccess...");
-    let wire = |user: u64, item: u64, action: ActionType, ts: u64| {
-        let mut payload = Vec::with_capacity(25);
-        payload.extend_from_slice(&user.to_le_bytes());
-        payload.extend_from_slice(&item.to_le_bytes());
-        payload.push(action.code());
-        payload.extend_from_slice(&ts.to_le_bytes());
-        payload
-    };
+    let mut actions = Vec::new();
     let mut ts = 0u64;
     for user in 0..500u64 {
         ts += 500;
         // Viewers of show 10 also watch show 11; a minority add show 12.
-        producer
-            .send(
-                Some(&user.to_le_bytes()),
-                &wire(user, 10, ActionType::Click, ts),
-            )
-            .expect("send");
-        producer
-            .send(
-                Some(&user.to_le_bytes()),
-                &wire(user, 11, ActionType::Read, ts + 10),
-            )
-            .expect("send");
+        actions.push(UserAction::new(user, 10, ActionType::Click, ts));
+        actions.push(UserAction::new(user, 11, ActionType::Read, ts + 10));
         if user % 3 == 0 {
-            producer
-                .send(
-                    Some(&user.to_le_bytes()),
-                    &wire(user, 12, ActionType::Click, ts + 20),
-                )
-                .expect("send");
+            actions.push(UserAction::new(user, 12, ActionType::Click, ts + 20));
         }
     }
     // A long tail: 200 more viewers of show 10 each add one of 20 niche
@@ -90,14 +69,10 @@ fn main() {
     for user in 500..700u64 {
         ts += 500;
         for (item, dt) in [(10, 0), (100 + user % 20, 10)] {
-            producer
-                .send(
-                    Some(&user.to_le_bytes()),
-                    &wire(user, item, ActionType::Click, ts + dt),
-                )
-                .expect("send");
+            actions.push(UserAction::new(user, item, ActionType::Click, ts + dt));
         }
     }
+    produce_actions(&producer, &actions).expect("send");
 
     // --- TDProcess: the stream topology over TDStore --------------------
     let store = TdStore::new(StoreConfig {
@@ -105,45 +80,43 @@ fn main() {
         ..Default::default()
     });
     store.register_metrics(&registry);
-    let (tx, rx) = unbounded();
     let config = CfPipelineConfig {
         top_k: 2,
         pruning_delta: Some(1e-3),
         registry: registry.clone(),
         ..Default::default()
     };
-    let topology = build_cf_topology(rx, store.clone(), config.clone(), CfParallelism::default())
-        .expect("valid topology");
+    // The spout holds a consumer of the topic: offsets commit when a
+    // tuple tree is acked, and a failed tree is read again from the log.
+    let committed = Arc::new(ReplayProgress::default());
+    let spout = {
+        let committed = Arc::clone(&committed);
+        move || {
+            ReplayableSpout::new(
+                access.clone(),
+                "user_actions",
+                "tdprocess",
+                Arc::clone(&committed),
+            )
+        }
+    };
+    let topology = build_cf_topology_with_spout(
+        spout,
+        store.clone(),
+        config.clone(),
+        CfParallelism::default(),
+        Default::default(),
+    )
+    .expect("valid topology");
     let handle = topology.launch();
-
-    // Bridge: a consumer group drains TDAccess into the topology's spout
-    // (in production the spout itself holds the consumer).
-    let mut consumer = access
-        .consumer("user_actions", "tdprocess")
-        .expect("consumer");
-    let mut delivered = 0usize;
-    loop {
-        let batch = consumer.poll(256).expect("poll");
-        if batch.is_empty() {
-            break;
-        }
-        for msg in batch {
-            let p = &msg.payload;
-            let action = UserAction::new(
-                u64::from_le_bytes(p[0..8].try_into().unwrap()),
-                u64::from_le_bytes(p[8..16].try_into().unwrap()),
-                ActionType::from_code(p[16]).expect("valid code"),
-                u64::from_le_bytes(p[17..25].try_into().unwrap()),
-            );
-            tx.send(action).expect("feed spout");
-            delivered += 1;
-        }
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while committed.committed() < actions.len() as u64 {
+        assert!(Instant::now() < deadline, "pipeline stalled");
+        std::thread::sleep(Duration::from_millis(2));
     }
-    drop(tx);
-    println!("delivered {delivered} actions through TDAccess -> topology");
-    assert!(
-        handle.wait_idle(Duration::from_secs(60)),
-        "pipeline stalled"
+    println!(
+        "committed {} actions through TDAccess -> topology",
+        committed.committed()
     );
 
     // --- The recommender engine reads TDStore ---------------------------

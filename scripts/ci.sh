@@ -85,6 +85,18 @@ if ! awk -v p="$uh_p99" 'BEGIN { exit !(p != "" && p + 0 > 0 && p + 0 <= 0.0005)
 fi
 echo "    exposition OK (pipeline latency samples: $count, unchanged store ops: $unchanged, user_history p99 $uh_p99 s)"
 
+# Fig. 7 stage: the CTR topology built from the checked-in XML reads an
+# action topic through the replayable spout. The example asserts that
+# every logged action committed and that the male cell's CTR lies above
+# the female cell's, and exits non-zero when either fails.
+echo "==> Fig. 7 XML topology smoke (xml_topology)"
+if ! xml_out="$(cargo run --release -p tencentrec --example xml_topology 2>&1)"; then
+    echo "XML TOPOLOGY FAILURE:" >&2
+    echo "$xml_out" >&2
+    exit 1
+fi
+echo "    $(grep '^committed all' <<<"$xml_out")"
+
 # Benchmark stage: the manifest must agree with the compiled-in metric
 # tables, a short traced ingest_broad run — the whole CF pipeline
 # against the in-memory reference — must come out correct, an untraced

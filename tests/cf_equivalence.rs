@@ -3,14 +3,16 @@
 //! distributed (topology + TDStore) decomposition matches the in-memory
 //! engine.
 
-use crossbeam::channel::unbounded;
 use proptest::prelude::*;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+use tdaccess::{AccessCluster, ClusterConfig};
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, ActionWeights, UserAction};
 use tencentrec::cf::{CfConfig, ExplicitItemCF, ItemCF};
 use tencentrec::topology::{
-    build_cf_topology, CfParallelism, CfPipelineConfig, TopologyRecommender,
+    build_cf_topology_with_spout, produce_actions, CfParallelism, CfPipelineConfig, ReplayProgress,
+    ReplayableSpout, TopologyRecommender,
 };
 
 fn arb_action() -> impl Strategy<Value = UserAction> {
@@ -113,16 +115,29 @@ proptest! {
         }
 
         let store = TdStore::new(StoreConfig::default());
-        let (tx, rx) = unbounded();
-        for a in &actions {
-            tx.send(*a).unwrap();
-        }
-        drop(tx);
+        let access = AccessCluster::new(ClusterConfig::default());
+        access.create_topic("actions", 4).unwrap();
+        produce_actions(&access.producer("actions").unwrap(), &actions).unwrap();
+        let progress = Arc::new(ReplayProgress::default());
+        let spout = {
+            let progress = Arc::clone(&progress);
+            move || ReplayableSpout::new(access.clone(), "actions", "cf", Arc::clone(&progress))
+        };
         let config = CfPipelineConfig::default();
-        let topo = build_cf_topology(rx, store.clone(), config.clone(), CfParallelism::default())
-            .expect("valid topology");
+        let topo = build_cf_topology_with_spout(
+            spout,
+            store.clone(),
+            config.clone(),
+            CfParallelism::default(),
+            Default::default(),
+        )
+        .expect("valid topology");
         let handle = topo.launch();
-        prop_assert!(handle.wait_idle(Duration::from_secs(30)));
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while progress.committed() < actions.len() as u64 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        prop_assert_eq!(progress.committed(), actions.len() as u64, "pipeline stalled");
         handle.shutdown(Duration::from_secs(5));
 
         let query = TopologyRecommender::new(store, config);

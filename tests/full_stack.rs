@@ -2,34 +2,30 @@
 //! including a store failure mid-stream, mirroring the deployment of Fig. 9.
 
 use ckpt::{CheckpointConfig, Coordinator};
-use crossbeam::channel::unbounded;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tdaccess::{AccessCluster, ClusterConfig};
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::{
-    build_cf_topology, build_cf_topology_with_spout, CfParallelism, CfPipelineConfig, OffsetTable,
+    build_cf_topology_with_spout, produce_actions, CfParallelism, CfPipelineConfig, OffsetTable,
     ReplayProgress, ReplayableSpout, TopologyRecommender,
 };
 use tstorm::prelude::TopologyHandle;
 
-fn encode(action: &UserAction) -> Vec<u8> {
-    let mut p = Vec::with_capacity(25);
-    p.extend_from_slice(&action.user.to_le_bytes());
-    p.extend_from_slice(&action.item.to_le_bytes());
-    p.push(action.action.code());
-    p.extend_from_slice(&action.timestamp.to_le_bytes());
-    p
+/// Two clicks per user, items 1 then 2.
+fn co_clicks(users: std::ops::Range<u64>) -> Vec<UserAction> {
+    users
+        .flat_map(|user| {
+            [(1u64, 0u64), (2, 1)]
+                .map(|(item, dt)| UserAction::new(user, item, ActionType::Click, user * 10 + dt))
+        })
+        .collect()
 }
 
-fn decode(p: &[u8]) -> UserAction {
-    UserAction::new(
-        u64::from_le_bytes(p[0..8].try_into().unwrap()),
-        u64::from_le_bytes(p[8..16].try_into().unwrap()),
-        ActionType::from_code(p[16]).expect("valid code"),
-        u64::from_le_bytes(p[17..25].try_into().unwrap()),
-    )
+/// Publishes `actions` to the `actions` topic of `cluster`.
+fn publish(cluster: &AccessCluster, actions: &[UserAction]) {
+    produce_actions(&cluster.producer("actions").unwrap(), actions).unwrap();
 }
 
 #[test]
@@ -39,41 +35,14 @@ fn actions_flow_from_access_to_recommendations() {
         ..Default::default()
     });
     access.create_topic("actions", 3).unwrap();
-    let producer = access.producer("actions").unwrap();
-    for user in 0..100u64 {
-        for (item, offset) in [(1u64, 0u64), (2, 1)] {
-            let a = UserAction::new(user, item, ActionType::Click, user * 10 + offset);
-            producer
-                .send(Some(&user.to_le_bytes()), &encode(&a))
-                .unwrap();
-        }
-    }
+    publish(&access, &co_clicks(0..100));
 
     let store = TdStore::new(StoreConfig::default());
-    let (tx, rx) = unbounded();
-    let config = CfPipelineConfig::default();
-    let topo =
-        build_cf_topology(rx, store.clone(), config.clone(), CfParallelism::default()).unwrap();
-    let handle = topo.launch();
-
-    let mut consumer = access.consumer("actions", "pipeline").unwrap();
-    let mut delivered = 0;
-    loop {
-        let batch = consumer.poll(64).unwrap();
-        if batch.is_empty() {
-            break;
-        }
-        for msg in batch {
-            tx.send(decode(&msg.payload)).unwrap();
-            delivered += 1;
-        }
-    }
-    assert_eq!(delivered, 200, "every published action must be consumed");
-    drop(tx);
-    assert!(handle.wait_idle(Duration::from_secs(30)));
+    let (handle, progress, _) = launch_replayable(&access, &store, Vec::new());
+    wait_committed(&progress, 200);
     handle.shutdown(Duration::from_secs(5));
 
-    let query = TopologyRecommender::new(store, config);
+    let query = TopologyRecommender::new(store, CfPipelineConfig::default());
     let sim = query.similarity(1, 2, 10_000);
     assert!(sim > 0.9, "perfectly co-clicked items: sim = {sim}");
 }
@@ -122,17 +91,6 @@ fn wait_committed(progress: &ReplayProgress, n: u64) {
 
 #[test]
 fn store_failover_mid_stream_preserves_results() {
-    let publish = |cluster: &AccessCluster, users: std::ops::Range<u64>| {
-        let producer = cluster.producer("actions").unwrap();
-        for user in users {
-            for (item, offset) in [(1u64, 0u64), (2, 1)] {
-                let a = UserAction::new(user, item, ActionType::Click, user * 10 + offset);
-                producer
-                    .send(Some(&user.to_le_bytes()), &a.to_bytes())
-                    .unwrap();
-            }
-        }
-    };
     let topic = || {
         let cluster = AccessCluster::new(ClusterConfig::default());
         cluster.create_topic("actions", 3).unwrap();
@@ -152,7 +110,7 @@ fn store_failover_mid_stream_preserves_results() {
 
     // The whole stream through a store that never fails.
     let cluster = topic();
-    publish(&cluster, 0..100);
+    publish(&cluster, &co_clicks(0..100));
     let reference = TdStore::new(StoreConfig::default());
     let (handle, progress, _) = launch_replayable(&cluster, &reference, Vec::new());
     wait_committed(&progress, 200);
@@ -164,7 +122,7 @@ fn store_failover_mid_stream_preserves_results() {
     let _ = std::fs::remove_file(&ckpt_path);
     let coord = Coordinator::open(&ckpt_path, CheckpointConfig::default()).unwrap();
     let cluster = topic();
-    publish(&cluster, 0..50);
+    publish(&cluster, &co_clicks(0..50));
     let store = TdStore::new(StoreConfig::default());
     let (handle, progress, offsets) = launch_replayable(&cluster, &store, Vec::new());
     wait_committed(&progress, 100);
@@ -176,7 +134,7 @@ fn store_failover_mid_stream_preserves_results() {
 
     // The second half arrives; the replacement store is restored from the
     // checkpoint and the topology resumes from the offsets it sealed.
-    publish(&cluster, 50..100);
+    publish(&cluster, &co_clicks(50..100));
     let store = TdStore::new(StoreConfig::default());
     let restored = coord
         .restore_into(&store)
@@ -202,26 +160,26 @@ fn store_failover_mid_stream_preserves_results() {
 fn freshness_under_one_second() {
     // The paper's headline latency claim: "whenever an event occurs, it
     // costs less than one second for TencentRec to respond to this change
-    // and update the recommendation results."
-    let store = TdStore::new(StoreConfig::default());
-    let (tx, rx) = unbounded();
-    let config = CfPipelineConfig::default();
-    let topo =
-        build_cf_topology(rx, store.clone(), config.clone(), CfParallelism::default()).unwrap();
-    let handle = topo.launch();
-    let query = TopologyRecommender::new(store, config);
-
+    // and update the recommendation results." The action travels the
+    // whole path: TDAccess, the replayable spout, the bolts, TDStore.
+    let access = AccessCluster::new(ClusterConfig::default());
+    access.create_topic("actions", 3).unwrap();
+    let mut warmup = Vec::new();
     for u in 0..30u64 {
-        tx.send(UserAction::new(u, 7, ActionType::Click, u))
-            .unwrap();
-        tx.send(UserAction::new(u, 8, ActionType::Click, u + 1))
-            .unwrap();
+        warmup.push(UserAction::new(u, 7, ActionType::Click, u));
+        warmup.push(UserAction::new(u, 8, ActionType::Click, u + 1));
     }
-    assert!(handle.wait_idle(Duration::from_secs(30)));
+    publish(&access, &warmup);
+    let store = TdStore::new(StoreConfig::default());
+    let (handle, progress, _) = launch_replayable(&access, &store, Vec::new());
+    wait_committed(&progress, 60);
+    let query = TopologyRecommender::new(store, CfPipelineConfig::default());
 
     let t0 = Instant::now();
-    tx.send(UserAction::new(500, 7, ActionType::Click, 10_000))
-        .unwrap();
+    publish(
+        &access,
+        &[UserAction::new(500, 7, ActionType::Click, 10_000)],
+    );
     let mut fresh = false;
     while t0.elapsed() < Duration::from_secs(1) {
         if query.recommend(500, 1).first().map(|r| r.0) == Some(8) {
@@ -230,7 +188,6 @@ fn freshness_under_one_second() {
         }
         std::thread::sleep(Duration::from_micros(100));
     }
-    drop(tx);
     handle.shutdown(Duration::from_secs(5));
     assert!(fresh, "recommendation must reflect the action within 1 s");
 }
