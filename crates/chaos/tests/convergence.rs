@@ -24,10 +24,10 @@ use tencentrec::topology::{
 };
 use tstorm::topology::TopologyConfig;
 
-/// Dedup depth. The spout emits nothing `max_pending` (64) or more
-/// offsets past a partition's committed watermark — its span cap;
+/// Dedup depth. The spout emits nothing `max_pending` (256 by default)
+/// or more offsets past a partition's committed watermark — its span cap;
 /// `max_pending` alone only counts trees in flight — so per partition
-/// every redeliverable source lies within 64 offsets of the newest one.
+/// every redeliverable source lies within 256 offsets of the newest one.
 /// Counter rings and history logs forget a source only once a newer one
 /// of its partition lies 256 offsets past it, so they hold every
 /// redeliverable source, whatever the keys' update rates.

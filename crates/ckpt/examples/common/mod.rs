@@ -59,7 +59,7 @@ pub fn launch(
     let progress = Arc::new(ReplayProgress::default());
     let offsets = Arc::new(OffsetTable::new());
     let cf = CfPipelineConfig {
-        // Covers the replay horizon (the spout's `max_pending`, 64), so
+        // Covers the replay horizon (the spout's `max_pending`, 256), so
         // restored dedup rings absorb the snapshot/offset overlap.
         dedup_window: 256,
         ..Default::default()

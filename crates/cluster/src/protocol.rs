@@ -187,6 +187,10 @@ fn w_value(out: &mut Vec<u8>, v: &Value) {
             out.push(5);
             w_str(out, s);
         }
+        Value::Bytes(b) => {
+            out.push(6);
+            w_bytes(out, b);
+        }
     }
 }
 
@@ -429,6 +433,10 @@ fn r_value(r: &mut Reader<'_>) -> Result<Value, ProtocolError> {
         3 => Value::U64(r.u64()?),
         4 => Value::F64(f64::from_bits(r.u64()?)),
         5 => Value::Str(Arc::from(r_str_ref(r)?)),
+        6 => {
+            let len = r.count(1)?;
+            Value::Bytes(Arc::from(r.take(len)?))
+        }
         _ => return Err(ProtocolError::BadPayload("unknown value tag")),
     })
 }
@@ -762,6 +770,7 @@ mod tests {
                 Value::U64(9),
                 Value::F64(1.5),
                 Value::Str("hi".into()),
+                Value::Bytes([7u8; 24].as_slice().into()),
             ],
             anchors: vec![(10, 20), (30, 40)],
         };

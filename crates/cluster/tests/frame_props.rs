@@ -31,6 +31,7 @@ fn value() -> impl Strategy<Value = Value> {
         (-1e12f64..1e12).prop_map(Value::F64),
         any::<String>().prop_map(|s| Value::Str(s.into())),
         Just(Value::Str("größe 中文 🦀".into())),
+        prop::collection::vec(any::<u8>(), 0..72).prop_map(|b| Value::Bytes(b.into())),
     ]
 }
 

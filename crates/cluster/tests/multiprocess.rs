@@ -487,7 +487,7 @@ fn workload() -> Vec<UserAction> {
 
 fn cf_config() -> CfPipelineConfig {
     CfPipelineConfig {
-        // At least the spout's `max_pending` (64): replay memory then
+        // At least the spout's `max_pending` (256): replay memory then
         // forgets only sources that can no longer come back — and the
         // respawn path re-reads only from the recovered offsets, inside
         // the same span.

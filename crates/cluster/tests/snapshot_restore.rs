@@ -62,7 +62,7 @@ fn workload() -> Vec<UserAction> {
 
 fn cf_config() -> CfPipelineConfig {
     CfPipelineConfig {
-        // At least the spout's `max_pending` (64): a barrier sealed with
+        // At least the spout's `max_pending` (256): a barrier sealed with
         // acks still in flight through the supervisor lags the landed
         // state by less than that span, so the restored rings hold every
         // source the tail replays, and nothing double-counts.

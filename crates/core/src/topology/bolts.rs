@@ -8,6 +8,11 @@
 //! pair (`pairCount`s and similarity), mirroring §4.1.3's "by the key
 //! grouping, only a single worker node should operate over a specific item
 //! pair".
+//!
+//! Pair deltas travel packed: one [`PAIR_DELTA`] tuple per action and
+//! `cf_pair` task carries every pair of the action that routes to that
+//! task ([`pair_block`]), so a pair still reaches the one task that owns
+//! it while the transport pays per block, not per pair.
 
 use crate::action::{ActionType, ActionWeights};
 use crate::cf::counts::WindowConfig;
@@ -15,35 +20,125 @@ use crate::cf::pruning::PruneState;
 use crate::fields::FieldIndex;
 use crate::topology::replay::DEFAULT_MAX_PENDING;
 use crate::topology::state::{
-    apply_action_in_place, apply_counter_deltas, item_count, pair_count, session_key, session_of,
-    update_sim_list, user_history, window_sessions, windowed_sum, windowed_sum_with, HistoryAction,
-    HistoryEdit, HistoryLimits, KeyBuf, SimRecord,
+    apply_action_in_place, apply_counter_deltas, f64_at, item_count, pair_count, session_key,
+    session_of, u64_at, update_sim_list, user_history, window_sessions, windowed_sum,
+    windowed_sum_with, HistoryAction, HistoryEdit, HistoryLimits, SimRecord,
 };
 use crate::types::{FxHashMap, ItemId, ItemPair};
+use std::hash::Hash;
+use std::sync::Arc;
 use tdstore::TdStore;
 use tstorm::prelude::*;
 
-/// Same-key `(src, delta)` runs of one itemCount batch, in arrival order.
-type CountGroups = Vec<(KeyBuf, Vec<(u64, f64)>)>;
+/// Same-key runs of one batch: keys in first-arrival order, found by
+/// hash, each with its entries in arrival order. Entries go into one
+/// buffer and are grouped by key in one counting-sort pass
+/// ([`Runs::group`]), so no run allocates; a bolt keeps its `Runs` and
+/// clears them per batch, reusing every buffer.
+struct Runs<K, T> {
+    at: FxHashMap<K, usize>,
+    keys: Vec<K>,
+    /// `(run, entry)` in arrival order.
+    arrivals: Vec<(usize, T)>,
+    /// After [`Runs::group`]: run `i`'s entries, in arrival order, are
+    /// `grouped[ends[i - 1]..ends[i]]` (from 0 for the first run).
+    ends: Vec<usize>,
+    grouped: Vec<T>,
+}
 
-/// Per pair: `(session, (src, delta) runs)` of one pairCount batch, in
-/// arrival order.
-type PairGroups = Vec<(ItemPair, Vec<(u64, Vec<(u64, f64)>)>)>;
-
-/// Appends `entry` to `key`'s run in `runs`, opening a run for a new key,
-/// and returns the run's index. Batches are small (≤ batch_size), so a
-/// linear find keeps arrival order without hashing.
-fn push_run<K: PartialEq, T>(runs: &mut Vec<(K, Vec<T>)>, key: K, entry: T) -> usize {
-    match runs.iter().position(|(k, _)| *k == key) {
-        Some(at) => {
-            runs[at].1.push(entry);
-            at
-        }
-        None => {
-            runs.push((key, vec![entry]));
-            runs.len() - 1
+impl<K, T> Default for Runs<K, T> {
+    fn default() -> Self {
+        Runs {
+            at: FxHashMap::default(),
+            keys: Vec::new(),
+            arrivals: Vec::new(),
+            ends: Vec::new(),
+            grouped: Vec::new(),
         }
     }
+}
+
+impl<K: Copy + Eq + Hash, T: Copy> Runs<K, T> {
+    fn clear(&mut self) {
+        self.at.clear();
+        self.keys.clear();
+        self.arrivals.clear();
+    }
+
+    /// Appends `entry` to `key`'s run, opening a run for a new key, and
+    /// returns the run's index and whether it is new.
+    fn push(&mut self, key: K, entry: T) -> (usize, bool) {
+        let next = self.keys.len();
+        let run = *self.at.entry(key).or_insert(next);
+        if run == next {
+            self.keys.push(key);
+        }
+        self.arrivals.push((run, entry));
+        (run, run == next)
+    }
+
+    /// Number of runs.
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Lays every run's entries out contiguously, keeping arrival order
+    /// within a run; call after the last `push` and before reading runs.
+    fn group(&mut self) {
+        self.ends.clear();
+        self.ends.resize(self.keys.len(), 0);
+        for &(run, _) in &self.arrivals {
+            self.ends[run] += 1;
+        }
+        // Counts become each run's start, then advance to its end as the
+        // entries are placed.
+        let mut start = 0;
+        for end in &mut self.ends {
+            let count = *end;
+            *end = start;
+            start += count;
+        }
+        self.grouped.clear();
+        if let Some(&(_, fill)) = self.arrivals.first() {
+            self.grouped.resize(self.arrivals.len(), fill);
+        }
+        for &(run, entry) in &self.arrivals {
+            self.grouped[self.ends[run]] = entry;
+            self.ends[run] += 1;
+        }
+    }
+
+    /// Run `i`'s key and entries (after [`Runs::group`]).
+    fn run(&self, i: usize) -> (K, &[T]) {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        (self.keys[i], &self.grouped[start..self.ends[i]])
+    }
+
+    /// Every run, in first-arrival order (after [`Runs::group`]).
+    fn runs(&self) -> impl Iterator<Item = (K, &[T])> {
+        (0..self.len()).map(|i| self.run(i))
+    }
+}
+
+/// Bytes one pair takes in a packed [`PAIR_DELTA`] block: `a`, `b` and the
+/// delta's bits, each a little-endian `u64`.
+const PAIR_BYTES: usize = 24;
+
+/// The `(a, b, delta)` entries of a packed [`PAIR_DELTA`] block (its
+/// `pairs` field), in the order they were packed. A trailing partial entry
+/// is ignored.
+pub fn pair_block(raw: &[u8]) -> impl Iterator<Item = (ItemId, ItemId, f64)> + '_ {
+    raw.chunks_exact(PAIR_BYTES)
+        .map(|e| (u64_at(e, 0), u64_at(e, 8), f64_at(e, 16)))
+}
+
+/// One [`PAIR_DELTA`] block being packed: the task its pairs route to, its
+/// first pair (whose ends the block carries as its key) and its entries.
+#[derive(Default)]
+struct PairBlock {
+    task: usize,
+    key: (ItemId, ItemId),
+    bytes: Vec<u8>,
 }
 
 /// Stream carrying item-count deltas.
@@ -185,6 +280,9 @@ pub struct UserHistoryBolt {
     fields: FieldIndex<5>,
     /// The current tuple's pair deltas, reused across tuples.
     pair_deltas: Vec<(ItemId, ItemId, f64)>,
+    /// The current tuple's pair blocks, one per `cf_pair` task
+    /// ([`pack_pairs`] fills a prefix; the rest keep their buffers).
+    blocks: Vec<PairBlock>,
     /// Replay-log entries retained across all users' histories; shared by
     /// every task, so each publishes only its changes.
     log_entries: obs::Gauge,
@@ -203,6 +301,7 @@ impl UserHistoryBolt {
             config,
             fields: FieldIndex::new(["user", "item", "action", "ts", "src"]),
             pair_deltas: Vec::new(),
+            blocks: Vec::new(),
             log_entries,
         }
     }
@@ -251,13 +350,25 @@ impl Bolt for UserHistoryBolt {
                 ],
             );
         }
-        for &(a, b, delta) in &self.pair_deltas {
-            collector.emit_values_on(
+        let live = pack_pairs(&self.pair_deltas, &mut self.blocks, |a, b| {
+            collector.task_of(
                 PAIR_DELTA,
                 &[
                     Value::U64(a),
                     Value::U64(b),
-                    Value::F64(delta),
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                ],
+            )
+        });
+        for block in &self.blocks[..live] {
+            collector.emit_values_on(
+                PAIR_DELTA,
+                &[
+                    Value::U64(block.key.0),
+                    Value::U64(block.key.1),
+                    Value::Bytes(Arc::from(block.bytes.as_slice())),
                     Value::U64(action.ts),
                     Value::U64(action.src),
                 ],
@@ -269,9 +380,43 @@ impl Bolt for UserHistoryBolt {
     fn declare_outputs(&self) -> Vec<StreamDef> {
         vec![
             StreamDef::new(ITEM_DELTA, ["item", "delta", "ts", "src"]),
-            StreamDef::new(PAIR_DELTA, ["a", "b", "delta", "ts", "src"]),
+            StreamDef::new(PAIR_DELTA, ["a", "b", "pairs", "ts", "src"]),
         ]
     }
+}
+
+/// Packs `pairs` into one block per task (`task_of` names a pair's task)
+/// and returns how many of `blocks` it filled. Blocks come out in the
+/// order of their first pairs, each with its pairs in their order.
+fn pack_pairs(
+    pairs: &[(ItemId, ItemId, f64)],
+    blocks: &mut Vec<PairBlock>,
+    mut task_of: impl FnMut(ItemId, ItemId) -> usize,
+) -> usize {
+    let mut live = 0;
+    for &(a, b, delta) in pairs {
+        let task = task_of(a, b);
+        // A linear find: there are at most as many blocks as tasks.
+        let at = match blocks[..live].iter().position(|block| block.task == task) {
+            Some(at) => at,
+            None => {
+                if live == blocks.len() {
+                    blocks.push(PairBlock::default());
+                }
+                let block = &mut blocks[live];
+                block.task = task;
+                block.key = (a, b);
+                block.bytes.clear();
+                live += 1;
+                live - 1
+            }
+        };
+        let bytes = &mut blocks[at].bytes;
+        bytes.extend_from_slice(&a.to_le_bytes());
+        bytes.extend_from_slice(&b.to_le_bytes());
+        bytes.extend_from_slice(&delta.to_bits().to_le_bytes());
+    }
+    live
 }
 
 /// `ItemCount` statistics unit (Fig. 6): grouped by `item`, accumulates
@@ -283,6 +428,8 @@ pub struct ItemCountBolt {
     store: TdStore,
     config: CfPipelineConfig,
     fields: FieldIndex<4>,
+    /// Per `(item, session)` bucket: its `(src, delta)` run.
+    buckets: Runs<(ItemId, u64), (u64, f64)>,
 }
 
 impl ItemCountBolt {
@@ -292,6 +439,7 @@ impl ItemCountBolt {
             store,
             config,
             fields: FieldIndex::new(["item", "delta", "ts", "src"]),
+            buckets: Runs::default(),
         }
     }
 }
@@ -307,24 +455,25 @@ impl Bolt for ItemCountBolt {
 
     /// Merges same-key deltas before touching state: a batch that hits one
     /// hot item's session bucket N times costs one store update, not N.
-    /// `(src, delta)` pairs are grouped per key and applied in arrival
-    /// order through one atomic ring-checked update.
+    /// `(src, delta)` pairs are grouped per `(item, session)` bucket and
+    /// applied in arrival order through one atomic ring-checked update.
     fn execute_batch(
         &mut self,
         tuples: &[Tuple],
         _collector: &mut BoltCollector,
     ) -> Result<(), String> {
-        let mut groups: CountGroups = Vec::new();
+        let buckets = &mut self.buckets;
+        buckets.clear();
         for tuple in tuples {
             let [item_i, delta_i, ts_i, src_i] = *self.fields.resolve(tuple);
-            let item = tuple.u64_at(item_i);
-            let delta = tuple.f64_at(delta_i);
             let session = self.config.session_of(tuple.u64_at(ts_i));
-            let key = session_key(&item_count(item), session);
-            push_run(&mut groups, key, (tuple.u64_at(src_i), delta));
+            let entry = (tuple.u64_at(src_i), tuple.f64_at(delta_i));
+            buckets.push((tuple.u64_at(item_i), session), entry);
         }
-        for (key, deltas) in groups {
-            apply_counter_deltas(&self.store, &key, &deltas, self.config.dedup_window)
+        buckets.group();
+        for ((item, session), deltas) in buckets.runs() {
+            let key = session_key(&item_count(item), session);
+            apply_counter_deltas(&self.store, &key, deltas, self.config.dedup_window)
                 .map_err(|e| e.to_string())?;
         }
         Ok(())
@@ -341,7 +490,25 @@ pub struct CfPairBolt {
     /// owns any given pair for the topology's lifetime.
     pruning: Option<PruneState>,
     prune_obs: Option<PruneObs>,
-    fields: FieldIndex<5>,
+    fields: FieldIndex<3>,
+    /// One run's grouping, reused across runs.
+    runs: PairRuns,
+}
+
+/// How [`CfPairBolt`] groups one run of pair blocks.
+#[derive(Default)]
+struct PairRuns {
+    /// Per `(pair, session)` bucket: its `(src, delta)` run.
+    buckets: Runs<(ItemPair, u64), (u64, f64)>,
+    /// Per pair: its buckets, in the order they first arrived.
+    pairs: Runs<ItemPair, usize>,
+    /// Per item: the `(other, sim)` entries of the run, in the order
+    /// per-tuple execution would have applied them.
+    lists: Runs<ItemId, SimRecord>,
+    /// Per pair: its similarity and the runs of its two items in `lists`.
+    sims: Vec<(ItemPair, f64, [usize; 2])>,
+    /// Per `(item, session)`: its windowed `itemCount`, read once.
+    item_counts: FxHashMap<(ItemId, u64), f64>,
 }
 
 /// Mirrors one task's [`PruneState`] into shared registry metrics. The
@@ -407,7 +574,8 @@ impl CfPairBolt {
             config,
             pruning,
             prune_obs,
-            fields: FieldIndex::new(["a", "b", "delta", "ts", "src"]),
+            fields: FieldIndex::new(["pairs", "ts", "src"]),
+            runs: PairRuns::default(),
         }
     }
 
@@ -418,59 +586,58 @@ impl CfPairBolt {
     }
 }
 
-impl CfPairBolt {
-    /// Folds a run of `(src, delta)` updates into one session bucket of a
-    /// pair's `pairCount` (one atomic ring-checked update) and returns the
-    /// bucket's new count.
-    fn apply_pair_deltas(
-        &self,
-        pair: ItemPair,
-        session: u64,
-        deltas: &[(u64, f64)],
-    ) -> Result<f64, String> {
-        let key = session_key(&pair_count(pair), session);
-        apply_counter_deltas(&self.store, &key, deltas, self.config.dedup_window)
-            .map(|update| update.count)
-            .map_err(|e| e.to_string())
-    }
+/// Folds a run of `(src, delta)` updates into one session bucket of a
+/// pair's `pairCount` (one atomic ring-checked update) and returns the
+/// bucket's new count.
+fn apply_pair_deltas(
+    store: &TdStore,
+    config: &CfPipelineConfig,
+    pair: ItemPair,
+    session: u64,
+    deltas: &[(u64, f64)],
+) -> Result<f64, String> {
+    let key = session_key(&pair_count(pair), session);
+    apply_counter_deltas(store, &key, deltas, config.dedup_window)
+        .map(|update| update.count)
+        .map_err(|e| e.to_string())
+}
 
-    /// The pair's similarity (Eq. 5/10) from the decomposed counts: `pc`
-    /// as the pair's writes just returned it, the two `itemCount`s read —
-    /// the 8-byte count only — at most once per item per batch (`memo`).
-    fn similarity(
-        &self,
-        pair: ItemPair,
-        pc: f64,
-        current_session: u64,
-        memo: &mut FxHashMap<(ItemId, u64), f64>,
-    ) -> Result<f64, String> {
-        let windows = self.config.window_sessions();
-        let mut item_count = |item: ItemId| -> Result<f64, String> {
-            if let Some(&count) = memo.get(&(item, current_session)) {
-                return Ok(count);
-            }
-            let count = windowed_sum(&self.store, &item_count(item), current_session, windows)
-                .map_err(|e| e.to_string())?;
-            memo.insert((item, current_session), count);
-            Ok(count)
-        };
-        // The item-count stream runs in a parallel bolt with no ordering
-        // against this one, so a read here may lag the increments for the
-        // very actions that formed this pair. Once caught up,
-        // pairCount(a,b) ≤ itemCount(a), itemCount(b) always holds;
-        // reading less than `pc` proves lag. Clamp so a lagging read
-        // degrades to a conservative overestimate of similarity instead
-        // of sim = 0 — which would drop the pair from both similar-items
-        // lists and, on the final update of a pair, leave it dropped
-        // forever.
-        let ic_a = item_count(pair.a)?.max(pc);
-        let ic_b = item_count(pair.b)?.max(pc);
-        Ok(if ic_a > 0.0 && ic_b > 0.0 {
-            (pc / (ic_a.sqrt() * ic_b.sqrt())).max(0.0)
-        } else {
-            0.0
-        })
-    }
+/// The pair's similarity (Eq. 5/10) from the decomposed counts: `pc` as
+/// the pair's writes just returned it, the two `itemCount`s read — the
+/// 8-byte count only — at most once per item per run (`memo`).
+fn similarity(
+    store: &TdStore,
+    config: &CfPipelineConfig,
+    pair: ItemPair,
+    pc: f64,
+    current_session: u64,
+    memo: &mut FxHashMap<(ItemId, u64), f64>,
+) -> Result<f64, String> {
+    let windows = config.window_sessions();
+    let mut item_count = |item: ItemId| -> Result<f64, String> {
+        if let Some(&count) = memo.get(&(item, current_session)) {
+            return Ok(count);
+        }
+        let count = windowed_sum(store, &item_count(item), current_session, windows)
+            .map_err(|e| e.to_string())?;
+        memo.insert((item, current_session), count);
+        Ok(count)
+    };
+    // The item-count stream runs in a parallel bolt with no ordering
+    // against this one, so a read here may lag the increments for the very
+    // actions that formed this pair. Once caught up, pairCount(a,b) ≤
+    // itemCount(a), itemCount(b) always holds; reading less than `pc`
+    // proves lag. Clamp so a lagging read degrades to a conservative
+    // overestimate of similarity instead of sim = 0 — which would drop the
+    // pair from both similar-items lists and, on the final update of a
+    // pair, leave it dropped forever.
+    let ic_a = item_count(pair.a)?.max(pc);
+    let ic_b = item_count(pair.b)?.max(pc);
+    Ok(if ic_a > 0.0 && ic_b > 0.0 {
+        (pc / (ic_a.sqrt() * ic_b.sqrt())).max(0.0)
+    } else {
+        0.0
+    })
 }
 
 impl Bolt for CfPairBolt {
@@ -482,80 +649,97 @@ impl Bolt for CfPairBolt {
         true
     }
 
-    /// Algorithm 1 over a run of pair deltas, paying per change: every
+    /// Algorithm 1 over a run of pair blocks, paying per change: every
     /// pair's deltas land in its session buckets (one in-place update per
     /// bucket, which hands back the new count), each pair's similarity is
     /// recomputed once, and each *item* touched gets one conditional
     /// in-place update of its similar-items list carrying all of the
-    /// batch's entries for it — which, for the usual entry that scores
+    /// run's entries for it — which, for the usual entry that scores
     /// below a full list's k-th, writes nothing.
     fn execute_batch(
         &mut self,
         tuples: &[Tuple],
         _collector: &mut BoltCollector,
     ) -> Result<(), String> {
-        // Per pair, per session bucket (in arrival order): src/delta runs.
-        let mut groups: PairGroups = Vec::new();
+        let CfPairBolt {
+            store,
+            config,
+            pruning,
+            fields,
+            runs,
+            ..
+        } = self;
+        let PairRuns {
+            buckets,
+            pairs,
+            lists,
+            sims,
+            item_counts,
+        } = runs;
+        buckets.clear();
+        pairs.clear();
         for tuple in tuples {
-            let [a_i, b_i, delta_i, ts_i, src_i] = *self.fields.resolve(tuple);
-            let pair = ItemPair::new(tuple.u64_at(a_i), tuple.u64_at(b_i));
-            if self.pruning.as_ref().is_some_and(|p| p.is_pruned(pair)) {
-                continue;
-            }
-            let session = self.config.session_of(tuple.u64_at(ts_i));
-            let entry = (tuple.u64_at(src_i), tuple.f64_at(delta_i));
-            match groups.iter_mut().find(|(p, _)| *p == pair) {
-                Some((_, sessions)) => {
-                    push_run(sessions, session, entry);
+            let [pairs_i, ts_i, src_i] = *fields.resolve(tuple);
+            let session = config.session_of(tuple.u64_at(ts_i));
+            let src = tuple.u64_at(src_i);
+            let block = tuple
+                .get(pairs_i)
+                .as_bytes()
+                .ok_or("pairs is not a block")?;
+            for (a, b, delta) in pair_block(block) {
+                let pair = ItemPair::new(a, b);
+                if pruning.as_ref().is_some_and(|p| p.is_pruned(pair)) {
+                    continue;
                 }
-                None => groups.push((pair, vec![(session, vec![entry])])),
+                let (bucket, new) = buckets.push((pair, session), (src, delta));
+                if new {
+                    pairs.push(pair, bucket);
+                }
             }
         }
+        buckets.group();
+        pairs.group();
 
-        let windows = self.config.window_sessions();
-        let mut item_counts = FxHashMap::default();
-        // Per pair: its similarity and where its two items sit in `lists`.
-        let mut sims: Vec<(ItemPair, f64, [usize; 2])> = Vec::with_capacity(groups.len());
-        // Per item, the `(other, sim)` entries of this batch in the order
-        // per-tuple execution would have applied them.
-        let mut lists: Vec<(ItemId, Vec<SimRecord>)> = Vec::new();
+        let windows = config.window_sessions();
+        item_counts.clear();
+        lists.clear();
+        sims.clear();
         let mut written: Vec<(u64, f64)> = Vec::new();
-        for (pair, sessions) in &groups {
+        for (pair, pair_buckets) in pairs.runs() {
             written.clear();
             let mut current_session = 0;
-            for (session, deltas) in sessions {
-                written.push((*session, self.apply_pair_deltas(*pair, *session, deltas)?));
-                current_session = *session;
+            for &bucket in pair_buckets {
+                let ((_, session), deltas) = buckets.run(bucket);
+                written.push((
+                    session,
+                    apply_pair_deltas(store, config, pair, session, deltas)?,
+                ));
+                current_session = session;
             }
-            // One recompute at the batch's final session for this pair:
+            // One recompute at the run's final session for this pair:
             // the counts already include every delta above, so the result
             // matches what per-tuple execution would leave behind.
-            let pc = windowed_sum_with(
-                &self.store,
-                &pair_count(*pair),
-                current_session,
-                windows,
-                &written,
-            )
-            .map_err(|e| e.to_string())?;
-            let sim = self.similarity(*pair, pc, current_session, &mut item_counts)?;
+            let pc =
+                windowed_sum_with(store, &pair_count(pair), current_session, windows, &written)
+                    .map_err(|e| e.to_string())?;
+            let sim = similarity(store, config, pair, pc, current_session, item_counts)?;
             let at = [(pair.a, pair.b), (pair.b, pair.a)]
-                .map(|(item, other)| push_run(&mut lists, item, (other, sim)));
-            sims.push((*pair, sim, at));
+                .map(|(item, other)| lists.push(item, (other, sim)).0);
+            sims.push((pair, sim, at));
         }
+        lists.group();
 
         // One conditional update per item; each returns its list's k-th
         // score afterwards, the Hoeffding pruning threshold
         // (bidirectional: the smaller of the pair's two lists).
         let mut thresholds: Vec<f64> = Vec::with_capacity(lists.len());
-        for (item, entries) in &lists {
+        for (item, entries) in lists.runs() {
             thresholds.push(
-                update_sim_list(&self.store, *item, entries, self.config.top_k)
-                    .map_err(|e| e.to_string())?,
+                update_sim_list(store, item, entries, config.top_k).map_err(|e| e.to_string())?,
             );
         }
-        if let Some(pruning) = &mut self.pruning {
-            for (pair, sim, [a, b]) in sims {
+        if let Some(pruning) = pruning {
+            for &(pair, sim, [a, b]) in sims.iter() {
                 pruning.observe(pair, sim, thresholds[a].min(thresholds[b]));
             }
         }

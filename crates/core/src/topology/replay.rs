@@ -44,8 +44,10 @@ pub fn decode_src(src: u64) -> (PartitionId, u64) {
 /// The spout's default `max_pending` ([`ReplayableSpout::with_max_pending`])
 /// and the pipeline's default `dedup_window`: one number, so the default
 /// pipeline's replay memory covers exactly what the default spout can
-/// redeliver.
-pub const DEFAULT_MAX_PENDING: usize = 64;
+/// redeliver. 256 is the replay horizon the chaos matrix, the checkpoint
+/// and cluster tests and the benchmark already run; a cap that high keeps
+/// enough actions in flight that the pair bolt merges long runs.
+pub const DEFAULT_MAX_PENDING: usize = 256;
 
 /// The replay horizon — the one rule by which every stored replay memory
 /// (counter rings, history logs) forgets a source. Applying source

@@ -408,13 +408,13 @@ fn u32_at(buf: &[u8], at: usize) -> Option<usize> {
 }
 
 /// The `u64` at `at`; 0 past the end, where the editors never look.
-fn u64_at(buf: &[u8], at: usize) -> u64 {
+pub(crate) fn u64_at(buf: &[u8], at: usize) -> u64 {
     buf.get(at..)
         .and_then(<[u8]>::first_chunk::<8>)
         .map_or(0, |bytes| u64::from_le_bytes(*bytes))
 }
 
-fn f64_at(buf: &[u8], at: usize) -> f64 {
+pub(crate) fn f64_at(buf: &[u8], at: usize) -> f64 {
     f64::from_bits(u64_at(buf, at))
 }
 

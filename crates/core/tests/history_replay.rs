@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 use tdaccess::{AccessCluster, ClusterConfig};
 use tdstore::{StoreConfig, TdStore};
 use tencentrec::action::{ActionType, UserAction};
+use tencentrec::topology::bolts::pair_block;
 use tencentrec::topology::replay::encode_src;
 use tencentrec::topology::state::{self as keys, counter_prefix, decode_history};
 use tencentrec::topology::{
@@ -129,16 +130,27 @@ impl Spout for LostAckSpout {
     }
 }
 
-/// Records every delta the history bolt emits.
+/// Records every delta the history bolt emits, one entry per item delta
+/// and one per pair of a packed pair block: `[a, b, delta, ts, src]`.
 struct CaptureBolt(Arc<Shared>);
 
 impl Bolt for CaptureBolt {
     fn execute(&mut self, tuple: &Tuple, _collector: &mut BoltCollector) -> Result<(), String> {
         let bits = |v: &Value| v.as_u64().or(v.as_f64().map(f64::to_bits)).expect("number");
-        self.0.captured.lock().unwrap().push((
-            tuple.stream().to_string(),
-            tuple.values().iter().map(bits).collect(),
-        ));
+        let mut captured = self.0.captured.lock().unwrap();
+        let stream = tuple.stream().to_string();
+        if stream == PAIR_DELTA {
+            let [ts, src] = [tuple.u64("ts"), tuple.u64("src")];
+            let block = tuple
+                .get_by_name("pairs")
+                .and_then(Value::as_bytes)
+                .unwrap();
+            for (a, b, delta) in pair_block(block) {
+                captured.push((stream.clone(), vec![a, b, delta.to_bits(), ts, src]));
+            }
+        } else {
+            captured.push((stream, tuple.values().iter().map(bits).collect()));
+        }
         Ok(())
     }
 }

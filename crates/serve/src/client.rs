@@ -148,8 +148,7 @@ impl Connection {
             let alive = Arc::clone(&alive);
             std::thread::Builder::new()
                 .name("tserve-client-reader".into())
-                .spawn(move || reader_loop(read_stream, pending, alive))
-                .expect("spawn client reader")
+                .spawn(move || reader_loop(read_stream, pending, alive))?
         };
         Ok(Connection {
             stream,
@@ -286,15 +285,11 @@ impl Client {
         let slot_index = (key % self.connections.len() as u64) as usize;
         let mut slot = self.connections[slot_index].lock();
         // Lazily re-dial a connection that died.
-        let needs_dial = match slot.as_ref() {
-            Some(conn) => !conn.is_alive(),
-            None => true,
+        let conn = match slot.take() {
+            Some(conn) if conn.is_alive() => conn,
+            _ => Connection::dial(&self.addr)?,
         };
-        if needs_dial {
-            *slot = Some(Connection::dial(&self.addr)?);
-        }
-        slot.as_mut()
-            .expect("connection present")
+        slot.insert(conn)
             .submit(id, request, self.config.request_timeout)
     }
 
@@ -309,18 +304,16 @@ impl Client {
         } else {
             1
         };
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.backoff(attempt);
-            }
+        let mut attempt = 0;
+        loop {
             match self.call_once(request) {
                 Ok(response) => return Ok(response),
-                Err(e) if e.is_retriable() && attempt + 1 < attempts => last_err = Some(e),
+                Err(e) if e.is_retriable() && attempt + 1 < attempts => {}
                 Err(e) => return Err(e),
             }
+            attempt += 1;
+            self.backoff(attempt);
         }
-        Err(last_err.expect("loop ran at least once"))
     }
 
     fn call_once(&self, request: &Request) -> Result<Response, ClientError> {

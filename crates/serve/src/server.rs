@@ -87,8 +87,7 @@ impl Server {
             let config = config.clone();
             std::thread::Builder::new()
                 .name("tserve-accept".into())
-                .spawn(move || accept_loop(listener, running, pool, config))
-                .expect("spawn accept thread")
+                .spawn(move || accept_loop(listener, running, pool, config))?
         };
         Ok(Server {
             local_addr,
@@ -163,13 +162,16 @@ fn accept_loop(
                 let running = Arc::clone(&running);
                 let pool = Arc::clone(&pool);
                 let config = config.clone();
-                let t = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("tserve-conn".into())
                     .spawn(move || {
                         let _ = serve_connection(stream, running, pool, config);
-                    })
-                    .expect("spawn connection thread");
-                conn_threads.push(t);
+                    });
+                // A thread the OS refuses closes the connection: the
+                // stream drops with the closure that would have served it.
+                if let Ok(t) = spawned {
+                    conn_threads.push(t);
+                }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -215,8 +217,7 @@ fn serve_connection(
                     return;
                 }
             }
-        })
-        .expect("spawn writer thread");
+        })?;
 
     let mut stream = stream;
     let mut inbox = BytesMut::new();

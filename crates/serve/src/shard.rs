@@ -99,7 +99,8 @@ pub struct ShardPool {
 impl ShardPool {
     /// Spawns `shards` worker threads, each owning one engine from
     /// `factory`. `queue_capacity` bounds each shard's inbox — the knob
-    /// admission control trades latency against under load.
+    /// admission control trades latency against under load. A shard whose
+    /// thread the OS refuses sheds every job routed to it.
     pub fn new(shards: usize, queue_capacity: usize, factory: EngineFactory) -> Self {
         assert!(shards > 0, "at least one shard");
         assert!(queue_capacity > 0, "queue capacity must be positive");
@@ -110,6 +111,9 @@ impl ShardPool {
                 let admission = AdmissionController::new(queue_capacity);
                 let latency = Arc::new(LatencyHistogram::new());
                 let depth = obs::Gauge::new();
+                // A worker thread the OS refuses leaves its shard closed:
+                // the inbox's receiver drops with the closure, so every
+                // job sent there is shed.
                 let worker = spawn_worker(
                     index,
                     rx,
@@ -118,13 +122,14 @@ impl ShardPool {
                     Arc::clone(&latency),
                     depth.clone(),
                     admission.clone(),
-                );
+                )
+                .ok();
                 Shard {
                     tx,
                     admission,
                     latency,
                     depth,
-                    worker: Some(worker),
+                    worker,
                 }
             })
             .collect();
@@ -284,7 +289,7 @@ fn spawn_worker(
     latency: Arc<LatencyHistogram>,
     depth: obs::Gauge,
     admission: AdmissionController,
-) -> JoinHandle<()> {
+) -> std::io::Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name(format!("tserve-shard-{index}"))
         .spawn(move || {
@@ -329,7 +334,6 @@ fn spawn_worker(
                 }
             }
         })
-        .expect("spawn shard worker")
 }
 
 #[cfg(test)]

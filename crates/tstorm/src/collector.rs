@@ -107,14 +107,23 @@ pub(crate) enum BoltMsg {
     Shutdown,
 }
 
+impl BoltMsg {
+    /// Tuples the message carries: a batch's length, 0 for control
+    /// messages.
+    pub(crate) fn tuples(&self) -> usize {
+        match self {
+            BoltMsg::Batch(b) => b.metas.len(),
+            BoltMsg::Tick | BoltMsg::Shutdown => 0,
+        }
+    }
+}
+
 impl Weigh for BoltMsg {
     /// Channel capacity and drain budgets are counted in tuples, so a
-    /// batch message weighs as many slots as it carries.
+    /// batch message weighs as many slots as it carries; a control
+    /// message takes one slot.
     fn weight(&self) -> usize {
-        match self {
-            BoltMsg::Batch(b) => b.metas.len().max(1),
-            _ => 1,
-        }
+        self.tuples().max(1)
     }
 }
 
@@ -291,6 +300,23 @@ impl EmitterCore {
             }
         }
         self.emitted_pending += 1;
+    }
+
+    /// See [`BoltCollector::task_of`].
+    fn task_of(&self, stream: &str, values: &[Value]) -> usize {
+        let Some((_, out)) = self.outputs.get(stream) else {
+            return 0;
+        };
+        out.consumers
+            .iter()
+            .filter(|edge| !edge.senders.is_empty())
+            .fold(0, |placement, edge| {
+                let n_tasks = edge.senders.len();
+                match edge.rule.keyed_task(values, n_tasks) {
+                    Some(task) => placement * n_tasks + task,
+                    None => placement,
+                }
+            })
     }
 
     /// Flushes every non-empty scatter arena and resets shuffle
@@ -559,6 +585,19 @@ impl BoltCollector {
                 AnchorSet::Many(new.into())
             }
         });
+    }
+
+    /// The consumer task that an emit of `values` on `stream` would be
+    /// routed to, without emitting anything: for a stream with one
+    /// consumer that groups by fields, the task the key hashes to; for a
+    /// global grouping, 0. Emits with equal results land on the same task
+    /// of every consumer, which lets a bolt pack several keys bound for
+    /// one task into one tuple that carries any one of them. A consumer
+    /// whose pick does not depend on the values (shuffle, all) adds
+    /// nothing; with several keyed consumers the tasks are combined into
+    /// one number (mixed radix), equal exactly when every task is.
+    pub fn task_of(&self, stream: &str, values: &[Value]) -> usize {
+        self.core.task_of(stream, values)
     }
 
     /// Re-anchors subsequent emits to `tuple`. Only needed inside a custom

@@ -19,7 +19,7 @@
 
 use crate::ack::{run_acker, AckRoute, AckerMsg, SpoutMsg};
 use crate::channel::{
-    batch_channel_with_stats, BatchReceiver, BatchSender, ChannelStats, RecvBatch, Weigh,
+    batch_channel_with_stats, BatchReceiver, BatchSender, ChannelStats, RecvBatch,
 };
 use crate::collector::{
     BoltCollector, BoltMsg, ConsumerEdge, EmitterCore, OutputMap, SpoutCollector, StreamOutputs,
@@ -274,7 +274,7 @@ impl Topology {
             let batch_hist = obs.histogram_values(
                 "tstorm_batch_size",
                 &[("component", &b.name)],
-                "Messages drained per receive into this bolt's execute loop.",
+                "Tuples drained per receive into this bolt's execute loop.",
             );
             let mut rxs = bolt_rxs.remove(b.name.as_str()).expect("rx registered");
             for task_index in (0..b.parallelism).rev() {
@@ -328,9 +328,14 @@ impl Topology {
                                         debug_assert_eq!(n, inbox.len());
                                         // Depth of the drain in *tuples*, not
                                         // transport messages: a whole-arena
-                                        // batch message counts its payload.
-                                        let tuples: usize = inbox.iter().map(Weigh::weight).sum();
-                                        batch_hist.record_nanos(tuples as u64);
+                                        // batch message counts its payload,
+                                        // a tick or shutdown nothing, and a
+                                        // drain of control messages alone is
+                                        // no batch.
+                                        let tuples: usize = inbox.iter().map(BoltMsg::tuples).sum();
+                                        if tuples > 0 {
+                                            batch_hist.record_nanos(tuples as u64);
+                                        }
                                     }
                                     RecvBatch::TimedOut => {
                                         task.tick();

@@ -56,6 +56,18 @@ impl Hasher for Fnv1a {
     }
 }
 
+/// The task out of `n_tasks` that a fields grouping sends a tuple whose
+/// grouping fields hold `key` (in the grouping's field order): FNV-1a over
+/// the values' [`Value::hash_into`], modulo the task count. This is the
+/// rule the runtime routes by, exposed so a caller can check a placement.
+pub fn fields_task<'a>(key: impl IntoIterator<Item = &'a Value>, n_tasks: usize) -> usize {
+    let mut h = Fnv1a::new();
+    for v in key {
+        v.hash_into(&mut h);
+    }
+    (h.finish() % n_tasks as u64) as usize
+}
+
 /// Resolved grouping with cached field indices and round-robin state.
 pub(crate) struct RoutingRule {
     grouping: Grouping,
@@ -96,15 +108,25 @@ impl RoutingRule {
         debug_assert!(n_tasks > 0);
         match &self.grouping {
             Grouping::Shuffle => Route::One(self.rr.fetch_add(1, Ordering::Relaxed) % n_tasks),
-            Grouping::Fields(_) => {
-                let mut h = Fnv1a::new();
-                for &idx in &self.field_indices {
-                    values[idx].hash_into(&mut h);
-                }
-                Route::One((h.finish() % n_tasks as u64) as usize)
-            }
             Grouping::All => Route::All,
-            Grouping::Global => Route::One(0),
+            Grouping::Fields(_) | Grouping::Global => {
+                Route::One(self.keyed_task(values, n_tasks).unwrap_or(0))
+            }
+        }
+    }
+
+    /// The task `values` lands on when the grouping picks it from the
+    /// values alone (fields: the key's hash; global: task 0), without
+    /// advancing any round-robin. `None` for shuffle and all, whose
+    /// delivery does not depend on the values.
+    pub(crate) fn keyed_task(&self, values: &[Value], n_tasks: usize) -> Option<usize> {
+        match &self.grouping {
+            Grouping::Fields(_) => Some(fields_task(
+                self.field_indices.iter().map(|&idx| &values[idx]),
+                n_tasks,
+            )),
+            Grouping::Global => Some(0),
+            Grouping::Shuffle | Grouping::All => None,
         }
     }
 
@@ -233,6 +255,25 @@ mod tests {
         let schema = Schema::new(["user"]);
         let err = RoutingRule::new(Grouping::fields(["nope"]), |n| schema.index_of(n));
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn keyed_task_matches_route_without_advancing_shuffle() {
+        let r = rule(Grouping::fields(["item", "user"]));
+        for u in 0..32 {
+            let t = make_tuple(u, u * 7 + 1);
+            let task = r.keyed_task(&t, 5).unwrap();
+            assert_eq!(r.route(&t, 5), Route::One(task));
+            assert_eq!(task, fields_task([&t[1], &t[0]], 5), "grouping field order");
+        }
+        assert_eq!(
+            rule(Grouping::Global).keyed_task(&make_tuple(1, 2), 3),
+            Some(0)
+        );
+        let shuffle = rule(Grouping::Shuffle);
+        assert_eq!(shuffle.keyed_task(&make_tuple(1, 2), 3), None);
+        assert_eq!(shuffle.route(&make_tuple(1, 2), 3), Route::One(0));
+        assert_eq!(rule(Grouping::All).keyed_task(&make_tuple(1, 2), 3), None);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 /// A dynamically typed value carried inside a [`Tuple`].
 ///
-/// Strings are reference counted so that cloning a tuple along a broadcast
-/// edge is cheap.
+/// Strings and byte payloads are reference counted so that cloning a tuple
+/// along a broadcast edge is cheap.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// Absent value.
@@ -33,6 +33,9 @@ pub enum Value {
     F64(f64),
     /// Shared immutable string.
     Str(Arc<str>),
+    /// Shared immutable byte payload: a packed run of fixed-width records
+    /// that travels as one tuple (its layout is the emitter's business).
+    Bytes(Arc<[u8]>),
 }
 
 impl Value {
@@ -69,6 +72,14 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Returns the value as a byte slice if it is a byte payload.
+    pub fn as_bytes(&self) -> Option<&[u8]> {
+        match self {
+            Value::Bytes(b) => Some(b),
             _ => None,
         }
     }
@@ -113,6 +124,10 @@ impl Value {
                 5u8.hash(h);
                 s.as_bytes().hash(h);
             }
+            Value::Bytes(b) => {
+                6u8.hash(h);
+                b.hash(h);
+            }
         }
     }
 }
@@ -126,6 +141,7 @@ impl fmt::Display for Value {
             Value::U64(v) => write!(f, "{v}"),
             Value::F64(v) => write!(f, "{v}"),
             Value::Str(s) => write!(f, "{s}"),
+            Value::Bytes(b) => write!(f, "<{} bytes>", b.len()),
         }
     }
 }
@@ -500,6 +516,9 @@ mod tests {
         assert_eq!(Value::from("hi").as_str(), Some("hi"));
         assert_eq!(Value::from(true).as_bool(), Some(true));
         assert_eq!(Value::Null.as_u64(), None);
+        let bytes = Value::Bytes(Arc::from(&[1u8, 2][..]));
+        assert_eq!(bytes.as_bytes(), Some(&[1u8, 2][..]));
+        assert_eq!((bytes.as_u64(), Value::U64(1).as_bytes()), (None, None));
     }
 
     #[test]

@@ -133,18 +133,18 @@ fn every_family_reads_its_hand_count() {
         let labels = [("component", component), ("task", task)];
         assert_eq!(gauge("tstorm_queue_depth", &labels), 0.0, "{labels:?}");
     }
+    // Counters are folded at the end of each run; after shutdown every
+    // run has ended.
+    handle.shutdown(Duration::from_secs(10));
+
     // A drain records its depth in tuples, so the depths sum to every
-    // tuple the bolt received. (Read before shutdown: the shutdown
-    // message takes a slot of its own.)
+    // tuple the bolt received; the shutdown message carries none.
     for (component, received) in [("first", 40), ("second", 32)] {
         let drains = registry
             .histogram_snapshot("tstorm_batch_size", &[("component", component)])
             .unwrap();
         assert_eq!(drains.sum_nanos(), received, "{component}: tuples drained");
     }
-    // Counters are folded at the end of each run; after shutdown every
-    // run has ended.
-    handle.shutdown(Duration::from_secs(10));
 
     let counter = |family: &str, component: &str| {
         registry

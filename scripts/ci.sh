@@ -16,10 +16,11 @@ cargo test --workspace --quiet
 # log is the only durable copy of its state, a cluster worker reads every
 # frame the supervisor relays, `tdaccess`, `ckpt` and `wire` read the
 # log segments, the checkpoints and the frames, `core` reads every
-# status-data value a restore brings back, and `obs` rebuilds latency
-# histograms from cluster and serve frames, so a bad byte, a failed disk
-# call or a thread the OS refuses must come back as an error.
-for crate in tdstore cluster tdaccess ckpt wire core obs; do
+# status-data value a restore brings back, `obs` rebuilds latency
+# histograms from cluster and serve frames, and `serve` reads client
+# sockets, so a bad byte, a failed disk call or a thread the OS refuses
+# must come back as an error.
+for crate in tdstore cluster tdaccess ckpt wire core obs serve; do
     echo "==> no unwrap/expect in $crate non-test code"
     panic_sites="$(git ls-files "crates/$crate/src/*.rs" | while read -r f; do
         awk -v f="$f" '/^#\[cfg\(test\)\]/ { exit }
@@ -128,6 +129,17 @@ if ! awk -v b="$store_bytes" -v k="$store_keys" 'BEGIN { exit !(k > 0 && b / k <
     echo "TBENCH FAILURE: tdstore holds $store_bytes bytes in $store_keys keys (> 85 bytes/key)" >&2
     exit 1
 fi
+# Packed pair stream: the history bolt emits one pair block per action
+# and cf_pair task, not one tuple per pair. At this size the smoke reads
+# 1.41 pair-stream tuples per action packed (25,444 for 18,000 actions),
+# 4.08 with a tuple per pair. The ceiling sits between the two, so a
+# stream that unpacks again trips it.
+pair_tuples="$(tbench_metric "$tbench_out" core.cf_pair.tuples_in)"
+actions_in="$(tbench_metric "$tbench_out" core.pretreatment.tuples_out)"
+if ! awk -v p="$pair_tuples" -v a="$actions_in" 'BEGIN { exit !(a > 0 && p / a <= 2.5) }'; then
+    echo "TBENCH FAILURE: $pair_tuples pair-stream tuples for $actions_in actions (> 2.5 per action)" >&2
+    exit 1
+fi
 # Memory: the store keeps one copy of its state. Three 2-s untraced
 # seed-1 runs read a peak of 26.98-27.15 MiB that way, 37.35-37.54 MiB
 # with a second in-memory copy of every data instance (the former
@@ -231,7 +243,7 @@ fi
 # run is too noisy for a ceiling (the allocation guard in
 # crates/core/tests/recommend_allocs.rs is the deterministic check).
 ingest_p50="$(tbench_metric "$rss_out" latency_p50_us)"
-echo "    tbench OK ($store_bytes bytes in $store_keys keys, peak RSS $peak_rss MiB, ingest_broad $ingest_ops actions/s, query p50 $ingest_p50 us, fresh_hot p50 $fresh_p50 us, cluster_edge $edge_ops tuples/s, serve_mixed p95 $serve_p95 us)"
+echo "    tbench OK ($store_bytes bytes in $store_keys keys, $pair_tuples pair-stream tuples for $actions_in actions, peak RSS $peak_rss MiB, ingest_broad $ingest_ops actions/s, query p50 $ingest_p50 us, fresh_hot p50 $fresh_p50 us, cluster_edge $edge_ops tuples/s, serve_mixed p95 $serve_p95 us)"
 
 # Multi-process stage: supervisor + 2 worker OS processes run the CF
 # pipeline with tuples crossing process boundaries over batched TCP;
