@@ -323,9 +323,9 @@ fn run_with_kill(seed: u64, ckpt_path: &PathBuf) -> (TdStore, KillStats) {
     let start_offsets = restored.take().map(|r| r.start_offsets).unwrap_or_default();
     let skipped: u64 = start_offsets.iter().map(|&(_, off)| off).sum();
 
-    // A SIGKILLed spout never left consumer group "cf"; the snapshot's
-    // offset vector — not group state — carries the resume point, so the
-    // second life joins a fresh group.
+    // The snapshot's offset vector carries the resume point: a consumer
+    // keeps no group state, so the second life, under a group name of its
+    // own, starts exactly there.
     let second = launch(&cluster, "cf-2", store, start_offsets, &plan, &clock);
     let deadline = Instant::now() + Duration::from_secs(120);
     while second.progress.committed() < n - skipped {

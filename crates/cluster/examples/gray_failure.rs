@@ -78,7 +78,6 @@ fn app(ctx: &WorkerContext) -> ClusterApp {
             let table = Arc::clone(&table);
             move || {
                 ReplayableSpout::new(access.clone(), "actions", "cf", Arc::clone(&progress))
-                    .with_pinned_partitions(0, 1)
                     .with_start_offsets(start.clone())
                     .with_offset_table(Arc::clone(&table))
             }

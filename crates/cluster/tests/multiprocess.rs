@@ -534,9 +534,6 @@ fn cf_cluster_app(ctx: &WorkerContext) -> ClusterApp {
             let table = Arc::clone(&table);
             move || {
                 ReplayableSpout::new(access.clone(), "actions", "cf", Arc::clone(&progress))
-                    // A SIGKILLed worker never leaves its consumer group;
-                    // the pinned slice sidesteps the ghost membership.
-                    .with_pinned_partitions(0, 1)
                     .with_start_offsets(start.clone())
                     .with_offset_table(Arc::clone(&table))
             }

@@ -161,9 +161,6 @@ fn cf_snapshot_app(ctx: &WorkerContext) -> ClusterApp {
             let start = start.clone();
             move || {
                 ReplayableSpout::new(access.clone(), "actions", "cf", Arc::clone(&progress))
-                    // A SIGKILLed worker never leaves its consumer group;
-                    // the pinned slice sidesteps the ghost membership.
-                    .with_pinned_partitions(0, 1)
                     .with_start_offsets(start.clone())
                     .with_offset_table(Arc::clone(&table))
             }

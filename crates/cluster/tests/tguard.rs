@@ -466,7 +466,6 @@ fn cf_guard_app(ctx: &WorkerContext) -> ClusterApp {
             let start = start.clone();
             move || {
                 ReplayableSpout::new(access.clone(), "actions", "cf", Arc::clone(&progress))
-                    .with_pinned_partitions(0, 1)
                     .with_start_offsets(start.clone())
                     .with_offset_table(Arc::clone(&table))
             }

@@ -286,8 +286,6 @@ mod tests {
     use super::*;
     use crate::action::{ActionType, UserAction};
     use crate::topology::replay::test_feed::TopicFeed;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
     use tdstore::StoreConfig;
 
     /// Runs the CF topology over a topic of `actions`, drained.
@@ -364,16 +362,6 @@ mod tests {
         // dropped as a redelivery.
         let actions: Vec<UserAction> = (0..200).map(|u| click(u, 7, u)).collect();
         let feed = TopicFeed::new(4, &actions);
-        // A rebalance can hand a partition to the second task after the
-        // first read part of it, so both may deliver one record (under one
-        // source id, which the replay memory absorbs) and `committed`
-        // counts it twice. The drain waits instead for every partition's
-        // watermark to reach the end of the log.
-        let table = Arc::new(OffsetTable::new());
-        let spout = {
-            let (spout, table) = (feed.spout(), Arc::clone(&table));
-            move || spout().with_offset_table(Arc::clone(&table))
-        };
         let store = TdStore::new(StoreConfig::default());
         let config = CfPipelineConfig {
             dedup_window: 256,
@@ -383,21 +371,15 @@ mod tests {
             spouts: 2,
             ..Default::default()
         };
-        let handle = build_cf_topology_with_spout(
-            spout,
+        let topo = build_cf_topology_with_spout(
+            feed.spout(),
             store.clone(),
             config,
             parallelism,
             Default::default(),
         )
-        .expect("valid topology")
-        .launch();
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while table.snapshot().iter().map(|&(_, end)| end).sum::<u64>() < 200 {
-            assert!(Instant::now() < deadline, "stalled: {:?}", table.snapshot());
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        handle.shutdown(Duration::from_secs(2));
+        .expect("valid topology");
+        feed.drain(topo.launch());
         let count = windowed_sum(&store, &item_count(7), 0, 0).unwrap();
         assert_eq!(count, 400.0, "200 clicks of weight 2");
     }

@@ -295,6 +295,14 @@ impl OffsetTable {
 /// replay: offsets commit on acker-complete, fail/timeout seeks back and
 /// re-emits. The emitted `src` field (= the message id) anchors each
 /// tuple to its source record for downstream dedup.
+///
+/// Task `i` of a spout component with `n` tasks reads the static
+/// partition slice `(i, n)` ([`AccessCluster::consumer_pinned`]): the
+/// partitions `p` with `p % n == i`. The tasks of one component thus read
+/// every partition exactly once between them, and a task whose slice is
+/// empty (more tasks than partitions) idles. A spout driven without
+/// [`Spout::open`] — [`connect`](Self::connect) called directly — reads
+/// the whole topic, the slice `(0, 1)`.
 pub struct ReplayableSpout {
     cluster: AccessCluster,
     topic: String,
@@ -305,9 +313,8 @@ pub struct ReplayableSpout {
     max_pending: usize,
     poll_batch: usize,
     progress: Arc<ReplayProgress>,
-    /// `(worker_index, n_workers)`: consume a fixed partition slice
-    /// instead of joining the group (cluster workers).
-    pinned: Option<(usize, usize)>,
+    /// `(task_index, n_tasks)`: the partition slice this task reads.
+    slice: (usize, usize),
     /// Seek here on connect (cluster recovery after a worker restart).
     start_offsets: Vec<(PartitionId, u64)>,
     /// Mirrors committed watermarks for the worker's offset commits.
@@ -315,8 +322,8 @@ pub struct ReplayableSpout {
 }
 
 impl ReplayableSpout {
-    /// Spout consuming `topic` as a member of consumer group `group`.
-    /// Several spout tasks in one group split the topic's partitions and
+    /// Spout consuming `topic` for consumer group `group`. The tasks of
+    /// one spout component split the topic's partitions by task index and
     /// can share one `progress`.
     pub fn new(
         cluster: AccessCluster,
@@ -334,7 +341,7 @@ impl ReplayableSpout {
             max_pending: DEFAULT_MAX_PENDING,
             poll_batch: 32,
             progress,
-            pinned: None,
+            slice: (0, 1),
             start_offsets: Vec::new(),
             offsets: None,
         }
@@ -350,17 +357,6 @@ impl ReplayableSpout {
     /// [`DEFAULT_MAX_PENDING`].
     pub fn with_max_pending(mut self, max_pending: usize) -> Self {
         self.max_pending = max_pending.max(1);
-        self
-    }
-
-    /// Consumes the fixed partition slice `worker_index` of `n_workers`
-    /// (see [`AccessCluster::consumer_pinned`]) instead of joining the
-    /// consumer group dynamically. A cluster worker needs this: a
-    /// SIGKILLed process never leaves its group, so its ghost membership
-    /// would strand half the partitions on respawn, while the pinned
-    /// slice is a pure function of `(worker_index, n_workers)`.
-    pub fn with_pinned_partitions(mut self, worker_index: usize, n_workers: usize) -> Self {
-        self.pinned = Some((worker_index, n_workers));
         self
     }
 
@@ -388,21 +384,20 @@ impl ReplayableSpout {
         &self.tracker
     }
 
-    /// Joins the consumer group. Called by [`Spout::open`]; tests driving
-    /// the spout manually call it directly. On a spout task, every append
-    /// to the topic wakes the task ([`SpoutWaker`]), so a record is polled
-    /// when it lands instead of when the idle backoff expires. A join that
+    /// Opens the consumer of this task's slice. Called by
+    /// [`Spout::open`]; tests driving the spout manually call it directly
+    /// and read the whole topic. On a spout task, every append to the
+    /// topic wakes the task ([`SpoutWaker`]), so a record is polled when
+    /// it lands instead of when the idle backoff expires. A connect that
     /// fails (the topic does not exist yet) leaves the spout idle, and
     /// every poll tries it again.
     pub fn connect(&mut self) {
         if self.consumer.is_none() {
-            let joined = match self.pinned {
-                Some((idx, n)) => self
-                    .cluster
-                    .consumer_pinned(&self.topic, &self.group, idx, n),
-                None => self.cluster.consumer(&self.topic, &self.group),
-            };
-            let Ok(mut consumer) = joined else {
+            let (index, n) = self.slice;
+            let Ok(mut consumer) = self
+                .cluster
+                .consumer_pinned(&self.topic, &self.group, index, n)
+            else {
                 return;
             };
             if let Some(waker) = SpoutWaker::current() {
@@ -506,7 +501,8 @@ impl ReplayableSpout {
 }
 
 impl Spout for ReplayableSpout {
-    fn open(&mut self, _ctx: &TaskContext) {
+    fn open(&mut self, ctx: &TaskContext) {
+        self.slice = (ctx.task_index, ctx.n_tasks);
         self.connect();
     }
 
@@ -538,8 +534,7 @@ impl Spout for ReplayableSpout {
     }
 
     fn close(&mut self) {
-        // Dropping the consumer leaves the group, handing partitions to
-        // surviving members.
+        // Dropping the consumer unregisters its append listener.
         self.consumer = None;
     }
 
@@ -587,7 +582,8 @@ pub(crate) mod test_feed {
             produce_actions(&self.cluster.producer(TOPIC).unwrap(), actions).unwrap();
         }
 
-        /// A spout factory: every spout joins one consumer group.
+        /// A spout factory: every spout reads for one consumer group, each
+        /// task its own partition slice.
         pub(crate) fn spout(&self) -> impl Fn() -> ReplayableSpout + Send + Sync + 'static {
             let (cluster, progress) = (self.cluster.clone(), Arc::clone(&self.progress));
             move || ReplayableSpout::new(cluster.clone(), TOPIC, "test", Arc::clone(&progress))
@@ -836,7 +832,6 @@ mod tests {
         let progress = Arc::new(ReplayProgress::default());
         let mut resumed =
             ReplayableSpout::new(cluster_with("t", 2, 20), "t", "g", Arc::clone(&progress))
-                .with_pinned_partitions(0, 1)
                 .with_start_offsets(start);
         resumed.connect();
         let mut seen = Vec::new();

@@ -76,7 +76,6 @@ proptest! {
             ends.iter().map(|(&pid, &end)| (pid, end * resumed[pid as usize] / 4)).collect();
         let mut spout = ReplayableSpout::new(cluster, "t", "g", Arc::default())
             .with_max_pending(max_pending)
-            .with_pinned_partitions(0, 1)
             .with_start_offsets(starts.iter().map(|(&pid, &start)| (pid, start)).collect());
         spout.connect();
 

@@ -7,7 +7,6 @@ use crate::segment::{Partition, SegmentConfig};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Identifier of a data server.
 pub type BrokerId = u32;
@@ -17,7 +16,6 @@ pub type BrokerId = u32;
 /// owns placement.
 pub struct Broker {
     id: BrokerId,
-    alive: AtomicBool,
     /// topic → partition → log.
     partitions: Mutex<HashMap<String, HashMap<PartitionId, Partition>>>,
 }
@@ -27,7 +25,6 @@ impl Broker {
     pub fn new(id: BrokerId) -> Self {
         Broker {
             id,
-            alive: AtomicBool::new(true),
             partitions: Mutex::new(HashMap::new()),
         }
     }
@@ -35,21 +32,6 @@ impl Broker {
     /// This broker's id.
     pub fn id(&self) -> BrokerId {
         self.id
-    }
-
-    /// Whether the broker is serving requests.
-    pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire)
-    }
-
-    /// Simulates a crash (requests start failing).
-    pub fn kill(&self) {
-        self.alive.store(false, Ordering::Release);
-    }
-
-    /// Brings the broker back.
-    pub fn revive(&self) {
-        self.alive.store(true, Ordering::Release);
     }
 
     /// Hosts a new partition of `topic`.
@@ -175,16 +157,6 @@ mod tests {
             b.read("t", 9, 0, 1),
             Err(AccessError::UnknownPartition(_, 9))
         ));
-    }
-
-    #[test]
-    fn kill_and_revive() {
-        let b = Broker::new(3);
-        assert!(b.is_alive());
-        b.kill();
-        assert!(!b.is_alive());
-        b.revive();
-        assert!(b.is_alive());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Consumer group member: polls assigned partitions, tracks offsets.
+//! Consumer: polls a fixed partition slice, tracks offsets.
 
 use crate::error::AccessError;
 use crate::master::{PartitionId, TopicMeta};
@@ -7,29 +7,23 @@ use crate::{AccessCluster, AppendListener, AppendSignal};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One member of a consumer group. `poll` reads from the partitions the
-/// master assigned to this member, advancing per-partition offsets so each
-/// message is delivered once within the group.
-///
-/// A consumer built with [`AccessCluster::consumer_pinned`] skips the
-/// master's dynamic assignment and always reads its fixed partition slice
-/// — cluster workers need a partition→worker mapping that survives worker
-/// restarts, so a respawned worker resumes exactly the partitions its
-/// predecessor owned instead of triggering a group rebalance.
+/// A reader of a fixed slice of one topic's partitions, chosen at
+/// construction ([`AccessCluster::consumer_pinned`]; the whole topic for
+/// [`AccessCluster::consumer`]). `poll` reads only that slice, advancing
+/// per-partition offsets, so consumers holding the slices `0..n` of `n`
+/// deliver each message once between them. The slice never changes: a
+/// respawned worker with the same `(index, n)` resumes exactly the
+/// partitions its predecessor read.
 pub struct Consumer {
     cluster: AccessCluster,
     meta: TopicMeta,
     signal: Arc<AppendSignal>,
     /// Id of the listener registered by [`Consumer::on_append`].
     listener: Option<u64>,
-    group: String,
-    member: u64,
-    /// When set, overrides the master's group assignment: `poll` reads
-    /// only these partitions and `Drop` skips `leave_group` (a pinned
-    /// consumer never joined).
-    pinned: Option<Vec<PartitionId>>,
+    /// The partitions `poll` reads, ascending.
+    slice: Vec<PartitionId>,
     offsets: HashMap<PartitionId, u64>,
-    /// Round-robin cursor over assigned partitions for fairness.
+    /// Round-robin cursor over the slice for fairness.
     cursor: usize,
     /// Per-partition `tdaccess_consumed_total` counters, indexed by pid.
     consumed: Vec<obs::Counter>,
@@ -42,9 +36,8 @@ impl Consumer {
         cluster: AccessCluster,
         meta: TopicMeta,
         signal: Arc<AppendSignal>,
-        group: String,
-        member: u64,
-        pinned: Option<Vec<PartitionId>>,
+        group: &str,
+        slice: Vec<PartitionId>,
     ) -> Self {
         let mut consumed = Vec::with_capacity(meta.partitions as usize);
         let mut lag_gauges = Vec::with_capacity(meta.partitions as usize);
@@ -52,7 +45,7 @@ impl Consumer {
             let partition = pid.to_string();
             let labels: &[(&str, &str)] = &[
                 ("topic", &meta.name),
-                ("group", &group),
+                ("group", group),
                 ("partition", &partition),
             ];
             consumed.push(cluster.registry().counter(
@@ -71,19 +64,12 @@ impl Consumer {
             meta,
             signal,
             listener: None,
-            group,
-            member,
-            pinned,
+            slice,
             offsets: HashMap::new(),
             cursor: 0,
             consumed,
             lag_gauges,
         }
-    }
-
-    /// This member's id within its group.
-    pub fn member_id(&self) -> u64 {
-        self.member
     }
 
     /// Calls `listener` after every record appended to this consumer's
@@ -99,20 +85,14 @@ impl Consumer {
         self.listener = Some(self.signal.subscribe(listener));
     }
 
-    /// The partitions this consumer reads: the pinned slice when set,
-    /// otherwise whatever the master currently assigns this member.
-    pub fn assignment(&self) -> Result<Vec<PartitionId>, AccessError> {
-        match &self.pinned {
-            Some(p) => Ok(p.clone()),
-            None => self
-                .cluster
-                .group_assignment(&self.meta.name, &self.group, self.member),
-        }
+    /// The partitions this consumer reads.
+    pub fn assignment(&self) -> &[PartitionId] {
+        &self.slice
     }
 
-    /// Reads up to `max` messages across the member's assigned partitions,
-    /// fairly round-robining between them. Returns an empty vec when all
-    /// assigned partitions are exhausted.
+    /// Reads up to `max` messages across the slice's partitions, fairly
+    /// round-robining between them. Returns an empty vec when every
+    /// partition of the slice is exhausted, and always for an empty slice.
     pub fn poll(&mut self, max: usize) -> Result<Vec<Message>, AccessError> {
         Ok(self
             .poll_records(max)?
@@ -134,17 +114,16 @@ impl Consumer {
         {
             return Ok(Vec::new());
         }
-        let assigned = self.assignment()?;
-        if assigned.is_empty() || max == 0 {
+        let n = self.slice.len();
+        if n == 0 || max == 0 {
             return Ok(Vec::new());
         }
         let mut out = Vec::new();
-        let n = assigned.len();
         for i in 0..n {
             if out.len() >= max {
                 break;
             }
-            let pid = assigned[(self.cursor + i) % n];
+            let pid = self.slice[(self.cursor + i) % n];
             let from = *self.offsets.entry(pid).or_insert(0);
             let broker_id = self.cluster.route(&self.meta.name, pid)?;
             let broker = self.cluster.broker(broker_id)?;
@@ -176,7 +155,7 @@ impl Consumer {
         Ok(out)
     }
 
-    /// Resets this member's offset for one partition (replay).
+    /// Resets this consumer's offset for one partition (replay).
     pub fn seek(&mut self, pid: PartitionId, offset: u64) {
         self.offsets.insert(pid, offset);
     }
@@ -186,12 +165,11 @@ impl Consumer {
         self.offsets.get(&pid).copied().unwrap_or(0)
     }
 
-    /// Messages retained but not yet consumed across this member's
-    /// assigned partitions (consumer lag).
+    /// Messages retained but not yet consumed across the slice (consumer
+    /// lag).
     pub fn lag(&self) -> Result<u64, AccessError> {
-        let assigned = self.assignment()?;
         let mut total = 0;
-        for pid in assigned {
+        for &pid in &self.slice {
             let broker = self
                 .cluster
                 .broker(self.cluster.route(&self.meta.name, pid)?)?;
@@ -206,10 +184,6 @@ impl Drop for Consumer {
     fn drop(&mut self) {
         if let Some(id) = self.listener {
             self.signal.unsubscribe(id);
-        }
-        if self.pinned.is_none() {
-            self.cluster
-                .leave_group(&self.meta.name, &self.group, self.member);
         }
     }
 }
@@ -285,39 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn two_members_split_the_topic() {
-        let cluster = AccessCluster::new(ClusterConfig::default());
-        cluster.create_topic("t", 4).unwrap();
-        let p = cluster.producer("t").unwrap();
-        for i in 0..40u32 {
-            p.send(None, &i.to_le_bytes()).unwrap();
-        }
-        let mut a = cluster.consumer("t", "g").unwrap();
-        let mut b = cluster.consumer("t", "g").unwrap();
-        let got_a = a.poll(100).unwrap();
-        let got_b = b.poll(100).unwrap();
-        assert_eq!(got_a.len() + got_b.len(), 40);
-        assert!(!got_a.is_empty() && !got_b.is_empty());
-    }
-
-    #[test]
-    fn member_leave_hands_partitions_to_survivor() {
-        let cluster = AccessCluster::new(ClusterConfig::default());
-        cluster.create_topic("t", 2).unwrap();
-        let p = cluster.producer("t").unwrap();
-        for i in 0..10u32 {
-            p.send(None, &i.to_le_bytes()).unwrap();
-        }
-        let mut a = cluster.consumer("t", "g").unwrap();
-        {
-            let _b = cluster.consumer("t", "g").unwrap();
-            // `a` only gets one partition while `b` is alive.
-            assert_eq!(a.poll(100).unwrap().len(), 5);
-        } // b dropped -> leaves group
-        assert_eq!(a.poll(100).unwrap().len(), 5, "takes over b's partition");
-    }
-
-    #[test]
     fn seek_replays() {
         let cluster = AccessCluster::new(ClusterConfig::default());
         cluster.create_topic("t", 1).unwrap();
@@ -358,35 +299,13 @@ mod tests {
         }
         let mut a = cluster.consumer_pinned("t", "g", 0, 2).unwrap();
         let mut b = cluster.consumer_pinned("t", "g", 1, 2).unwrap();
-        assert_eq!(a.assignment().unwrap(), vec![0, 2]);
-        assert_eq!(b.assignment().unwrap(), vec![1, 3]);
+        assert_eq!(a.assignment(), [0, 2]);
+        assert_eq!(b.assignment(), [1, 3]);
         let got_a = a.poll_records(100).unwrap();
         let got_b = b.poll_records(100).unwrap();
         assert_eq!(got_a.len() + got_b.len(), 40);
         assert!(got_a.iter().all(|(pid, _)| *pid == 0 || *pid == 2));
         assert!(got_b.iter().all(|(pid, _)| *pid == 1 || *pid == 3));
-    }
-
-    #[test]
-    fn pinned_consumer_ignores_group_rebalance() {
-        let cluster = AccessCluster::new(ClusterConfig::default());
-        cluster.create_topic("t", 2).unwrap();
-        let p = cluster.producer("t").unwrap();
-        for i in 0..10u32 {
-            p.send(None, &i.to_le_bytes()).unwrap();
-        }
-        let pinned = cluster.consumer_pinned("t", "g", 0, 2).unwrap();
-        {
-            // A dynamic member joining (and later leaving) the same group
-            // must not move the pinned consumer off its slice.
-            let mut dynamic = cluster.consumer("t", "g").unwrap();
-            dynamic.poll(100).unwrap();
-            assert_eq!(pinned.assignment().unwrap(), vec![0]);
-        }
-        assert_eq!(pinned.assignment().unwrap(), vec![0]);
-        // A restarted worker with the same (index, n) resumes the slice.
-        let replacement = cluster.consumer_pinned("t", "g", 0, 2).unwrap();
-        assert_eq!(replacement.assignment().unwrap(), vec![0]);
     }
 
     #[test]

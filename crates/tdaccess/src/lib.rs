@@ -7,14 +7,19 @@
 //!
 //! * Topics are split into **partitions** spread over **data servers**
 //!   (brokers); producers and consumers work in partition parallelism.
-//! * Data servers share nothing; an active/standby **master** pair keeps
-//!   the route table and balances partitions over brokers and consumers.
+//! * Data servers share nothing; the **master**'s route table places
+//!   partitions round-robin over brokers.
 //! * Partitions are **segmented append-only logs**. Unlike a transient
 //!   message queue, data is retained (optionally spilled to disk with
 //!   sequential reads/writes) so late or offline consumers can replay —
 //!   the paper's "unconditional availability".
-//! * Consumer groups track per-partition offsets; within a partition,
-//!   delivery order equals append order.
+//! * A consumer reads a fixed slice of a topic's partitions, a pure
+//!   function of its `(worker_index, n_workers)`: worker `i` of `n` reads
+//!   every partition `p` with `p % n == i`. Ownership is static, so no
+//!   member joins, leaves or rebalances, and a restarted worker resumes
+//!   its predecessor's slice. A consumer group names the offsets a
+//!   reader commits for log compaction; within a partition, delivery
+//!   order equals append order.
 //!
 //! ```
 //! use tdaccess::{AccessCluster, ClusterConfig};
@@ -39,11 +44,12 @@ mod segment;
 pub use broker::{Broker, BrokerId};
 pub use consumer::Consumer;
 pub use error::AccessError;
-pub use master::{MasterServer, MasterState, PartitionId, TopicMeta};
+pub use master::{PartitionId, TopicMeta};
 pub use message::Message;
 pub use producer::Producer;
 pub use segment::{Partition, Segment, SegmentConfig};
 
+use master::RouteTable;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,8 +115,8 @@ impl Default for ClusterConfig {
     }
 }
 
-/// An in-process TDAccess cluster: brokers plus an active/standby master
-/// pair. Cheap to clone (shared state).
+/// An in-process TDAccess cluster: brokers plus the master's route table.
+/// Cheap to clone (shared state).
 #[derive(Clone)]
 pub struct AccessCluster {
     inner: Arc<ClusterInner>,
@@ -118,8 +124,7 @@ pub struct AccessCluster {
 
 struct ClusterInner {
     brokers: Vec<Broker>,
-    /// Index 0 = active, 1 = standby; swapped on failover.
-    masters: RwLock<[MasterServer; 2]>,
+    routes: RwLock<RouteTable>,
     /// topic → its append signal, created with the topic's first handle.
     signals: RwLock<HashMap<String, Arc<AppendSignal>>>,
     segment: SegmentConfig,
@@ -134,16 +139,10 @@ impl AccessCluster {
         let brokers: Vec<Broker> = (0..config.brokers)
             .map(|i| Broker::new(i as BrokerId))
             .collect();
-        let broker_ids: Vec<BrokerId> = brokers.iter().map(|b| b.id()).collect();
-        let state = MasterState::new(broker_ids);
-        let masters = [
-            MasterServer::new_active(state.clone()),
-            MasterServer::new_standby(state),
-        ];
         AccessCluster {
             inner: Arc::new(ClusterInner {
                 brokers,
-                masters: RwLock::new(masters),
+                routes: RwLock::new(RouteTable::new(config.brokers)),
                 signals: RwLock::new(HashMap::new()),
                 segment: config.segment,
                 fault_plan: config.fault_plan,
@@ -152,16 +151,16 @@ impl AccessCluster {
         }
     }
 
-    /// Registers a topic with `partitions` partitions, assigning each to a
-    /// broker via the active master.
+    /// Registers a topic with `partitions` partitions, placing each on a
+    /// broker via the route table.
     pub fn create_topic(&self, topic: &str, partitions: usize) -> Result<(), AccessError> {
-        let assignment = {
-            let mut masters = self.inner.masters.write();
-            masters[0].create_topic(topic, partitions)?
-        };
-        for (pid, broker_id) in assignment {
-            self.broker(broker_id)?
-                .create_partition(topic, pid, self.inner.segment.clone());
+        let placement = self.inner.routes.write().create_topic(topic, partitions)?;
+        for (pid, broker_id) in placement.into_iter().enumerate() {
+            self.broker(broker_id)?.create_partition(
+                topic,
+                pid as PartitionId,
+                self.inner.segment.clone(),
+            );
         }
         Ok(())
     }
@@ -178,32 +177,20 @@ impl AccessCluster {
         Ok(Producer::new(self.clone(), meta, self.signal(topic)))
     }
 
-    /// A consumer handle for `topic` in consumer `group`. Each handle is a
-    /// group *member*; partitions are balanced over the group's members by
-    /// the master.
+    /// A consumer handle reading all of `topic` for consumer `group`: the
+    /// whole-topic slice `(0, 1)` of [`consumer_pinned`](Self::consumer_pinned).
     pub fn consumer(&self, topic: &str, group: &str) -> Result<Consumer, AccessError> {
-        let meta = self.topic_meta(topic)?;
-        let member = {
-            let mut masters = self.inner.masters.write();
-            masters[0].join_group(topic, group)?
-        };
-        Ok(Consumer::new(
-            self.clone(),
-            meta,
-            self.signal(topic),
-            group.to_string(),
-            member,
-            None,
-        ))
+        self.consumer_pinned(topic, group, 0, 1)
     }
 
-    /// A consumer pinned to a fixed slice of `topic`'s partitions: worker
+    /// A consumer of a fixed slice of `topic`'s partitions: worker
     /// `worker_index` of `n_workers` reads exactly the partitions `p` with
-    /// `p % n_workers == worker_index`. The slice is a pure function of the
-    /// arguments, so a restarted worker resumes its predecessor's
-    /// partitions without a group rebalance (no master assignment, no
-    /// group join/leave). Replay then only has to rewind this worker's own
-    /// offsets.
+    /// `p % n_workers == worker_index`, none when `worker_index` is at or
+    /// past the partition count. The slice is a pure function of the
+    /// arguments, so workers `0..n_workers` read every partition exactly
+    /// once between them, and a restarted worker resumes its
+    /// predecessor's partitions. Replay then only has to rewind this
+    /// worker's own offsets.
     ///
     /// # Panics
     ///
@@ -220,38 +207,21 @@ impl AccessCluster {
             "worker_index {worker_index} out of range for {n_workers} workers"
         );
         let meta = self.topic_meta(topic)?;
-        let pinned: Vec<PartitionId> = (0..meta.partitions)
+        let slice: Vec<PartitionId> = (0..meta.partitions)
             .filter(|p| *p as usize % n_workers == worker_index)
             .collect();
         Ok(Consumer::new(
             self.clone(),
             meta,
             self.signal(topic),
-            group.to_string(),
-            worker_index as u64,
-            Some(pinned),
+            group,
+            slice,
         ))
     }
 
     /// Current metadata for `topic`.
     pub fn topic_meta(&self, topic: &str) -> Result<TopicMeta, AccessError> {
-        self.inner.masters.read()[0].topic_meta(topic)
-    }
-
-    /// Partition assignment for one member of a consumer group.
-    pub(crate) fn group_assignment(
-        &self,
-        topic: &str,
-        group: &str,
-        member: u64,
-    ) -> Result<Vec<PartitionId>, AccessError> {
-        self.inner.masters.read()[0].group_assignment(topic, group, member)
-    }
-
-    /// Removes a member from a consumer group (rebalances the rest).
-    pub(crate) fn leave_group(&self, topic: &str, group: &str, member: u64) {
-        let mut masters = self.inner.masters.write();
-        masters[0].leave_group(topic, group, member);
+        self.inner.routes.read().topic_meta(topic)
     }
 
     pub(crate) fn fault_plan(&self) -> &tchaos::FaultPlan {
@@ -267,27 +237,12 @@ impl AccessCluster {
         self.inner
             .brokers
             .get(id as usize)
-            .filter(|b| b.is_alive())
             .ok_or(AccessError::BrokerUnavailable(id))
     }
 
-    /// Broker hosting a given partition, per the active master's routes.
+    /// Broker hosting a given partition, per the route table.
     pub(crate) fn route(&self, topic: &str, pid: PartitionId) -> Result<BrokerId, AccessError> {
-        self.inner.masters.read()[0].route(topic, pid)
-    }
-
-    /// Kills the active master; the standby takes over with the shared
-    /// replicated state ("an active server and a standby server").
-    pub fn fail_over_master(&self) {
-        let mut masters = self.inner.masters.write();
-        masters.swap(0, 1);
-        masters[0].promote();
-        masters[1].demote();
-    }
-
-    /// Whether the currently active master started as the standby.
-    pub fn active_master_is_former_standby(&self) -> bool {
-        self.inner.masters.read()[0].started_as_standby()
+        self.inner.routes.read().route(topic, pid)
     }
 
     /// Number of brokers.
@@ -433,27 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn master_failover_preserves_routes() {
-        let cluster = AccessCluster::new(ClusterConfig::default());
-        cluster.create_topic("t", 3).unwrap();
-        let producer = cluster.producer("t").unwrap();
-        producer.send(Some(b"k"), b"before").unwrap();
-        cluster.fail_over_master();
-        assert!(cluster.active_master_is_former_standby());
-        producer.send(Some(b"k"), b"after").unwrap();
-        let mut c = cluster.consumer("t", "g").unwrap();
-        let mut msgs = Vec::new();
-        loop {
-            let batch = c.poll(10).unwrap();
-            if batch.is_empty() {
-                break;
-            }
-            msgs.extend(batch);
-        }
-        assert_eq!(msgs.len(), 2);
-    }
-
-    #[test]
     fn duplicate_topic_rejected() {
         let cluster = AccessCluster::new(ClusterConfig::default());
         cluster.create_topic("t", 1).unwrap();
@@ -557,6 +491,15 @@ mod tests {
         let mut c = cluster.consumer("t", "fresh").unwrap();
         c.seek(0, 0);
         assert!(matches!(c.poll(10), Err(AccessError::Compacted(_, 0, _))));
+    }
+
+    #[test]
+    fn unknown_broker_is_unavailable() {
+        let cluster = AccessCluster::new(ClusterConfig::default());
+        assert!(matches!(
+            cluster.broker(7),
+            Err(AccessError::BrokerUnavailable(7))
+        ));
     }
 
     #[test]

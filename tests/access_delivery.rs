@@ -1,20 +1,22 @@
 //! Property tests on TDAccess delivery semantics: every published message
-//! is delivered exactly once per consumer group, and per-key order is
-//! preserved.
+//! is delivered exactly once per consumer group, whether one consumer
+//! reads the whole topic or static partition slices split it, and
+//! per-key order is preserved.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 use tdaccess::{AccessCluster, ClusterConfig, SegmentConfig};
 
-fn drain(consumer: &mut tdaccess::Consumer) -> Vec<(Option<Vec<u8>>, Vec<u8>)> {
+/// Every record the consumer reads: `(partition, key, payload)`.
+fn drain(consumer: &mut tdaccess::Consumer) -> Vec<(u32, Option<Vec<u8>>, Vec<u8>)> {
     let mut out = Vec::new();
     loop {
-        let batch = consumer.poll(13).unwrap();
+        let batch = consumer.poll_records(13).unwrap();
         if batch.is_empty() {
             return out;
         }
-        for m in batch {
-            out.push((m.key.as_ref().map(|k| k.to_vec()), m.payload.to_vec()));
+        for (pid, m) in batch {
+            out.push((pid, m.key.as_ref().map(|k| k.to_vec()), m.payload.to_vec()));
         }
     }
 }
@@ -49,7 +51,7 @@ proptest! {
         let got = drain(&mut a);
         prop_assert_eq!(got.len(), messages.len(), "exactly-once delivery");
         let mut per_key: HashMap<Vec<u8>, Vec<Vec<u8>>> = HashMap::new();
-        for (key, payload) in &got {
+        for (_, key, payload) in &got {
             per_key.entry(key.clone().unwrap()).or_default().push(payload.clone());
         }
         for (key, payload) in &messages {
@@ -67,11 +69,25 @@ proptest! {
             );
         }
 
-        // Group B with two members: the union is exactly the topic.
-        let mut b1 = cluster.consumer("t", "b").unwrap();
-        let mut b2 = cluster.consumer("t", "b").unwrap();
-        let got1 = drain(&mut b1);
-        let got2 = drain(&mut b2);
-        prop_assert_eq!(got1.len() + got2.len(), messages.len());
+        // Group B with two static slices, (0, 2) and (1, 2): each reads
+        // only its own partitions (none for slice 1 of a 1-partition
+        // topic), and together they read exactly the topic.
+        let mut b = [
+            cluster.consumer_pinned("t", "b", 0, 2).unwrap(),
+            cluster.consumer_pinned("t", "b", 1, 2).unwrap(),
+        ];
+        let mut union = Vec::new();
+        for (index, consumer) in b.iter_mut().enumerate() {
+            let slice: Vec<u32> = (0..partitions).filter(|p| *p as usize % 2 == index).collect();
+            prop_assert_eq!(consumer.assignment(), &slice[..]);
+            for record in drain(consumer) {
+                prop_assert!(slice.contains(&record.0), "slice {} read partition {}", index, record.0);
+                union.push(record);
+            }
+        }
+        let mut all = got;
+        all.sort();
+        union.sort();
+        prop_assert_eq!(union, all, "the slices' union is the topic");
     }
 }
