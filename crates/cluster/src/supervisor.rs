@@ -781,12 +781,6 @@ impl Cluster {
         signal_child(&self.shared, w, "STOP");
     }
 
-    /// SIGCONTs worker `w`, undoing [`Cluster::stall_worker`] if the
-    /// lease has not already expired it.
-    pub fn resume_worker(&self, w: usize) {
-        signal_child(&self.shared, w, "CONT");
-    }
-
     /// Total lease expiries across all workers (stalled-but-alive
     /// detections; process deaths don't count here).
     pub fn lease_expiries(&self) -> u64 {

@@ -52,10 +52,6 @@ pub struct CfConfig {
     pub recent_k: usize,
     /// Hoeffding pruning confidence `δ` (§4.1.4); `None` disables pruning.
     pub pruning_delta: Option<f64>,
-    /// Cap on live pruning observation counts (see
-    /// [`PruneState::with_cap`]); bounds the state a long-tailed stream
-    /// can accumulate.
-    pub pruning_max_tracked: usize,
 }
 
 impl Default for CfConfig {
@@ -67,7 +63,6 @@ impl Default for CfConfig {
             top_k: 20,
             recent_k: 10,
             pruning_delta: Some(1e-3),
-            pruning_max_tracked: pruning::DEFAULT_MAX_TRACKED,
         }
     }
 }
@@ -115,9 +110,7 @@ impl ItemCF {
             item_counts: WindowedCounts::new(config.window),
             pair_counts: WindowedCounts::new(config.window),
             similar: SimilarTable::new(config.top_k),
-            pruning: config
-                .pruning_delta
-                .map(|d| PruneState::with_cap(d, config.pruning_max_tracked)),
+            pruning: config.pruning_delta.map(PruneState::new),
             config,
             stats: CfStats::default(),
         }

@@ -116,11 +116,6 @@ impl<R: StreamRecommender> Instrumented<R> {
     pub fn inner(&self) -> &R {
         &self.inner
     }
-
-    /// Mutable access to the wrapped recommender.
-    pub fn inner_mut(&mut self) -> &mut R {
-        &mut self.inner
-    }
 }
 
 impl<R: StreamRecommender> StreamRecommender for Instrumented<R> {

@@ -14,8 +14,11 @@
 //! production algorithms of §4–§5: content-based ([`cb`]), demographic
 //! ([`db`]), association rules ([`ar`]), situational CTR ([`ctr`]), the
 //! real-time filtering mechanisms ([`filtering`]), and the engineering
-//! devices — combiner ([`combiner`]), fine-grained cache ([`cache`]),
-//! multi-hash group aggregation ([`topology::demographic`]).
+//! devices: multi-hash group aggregation ([`topology::demographic`]), and
+//! §5.3's combiner and §5.2's fine-grained cache as the CF topology does
+//! them, per run of tuples ([`topology::bolts::ItemCountBolt`] merges a
+//! run's same-key deltas into one store update, and
+//! [`topology::bolts::CfPairBolt`] reads each item count once per run).
 //!
 //! [`engine::RecommendEngine`] ties the algorithms together the way the
 //! deployed system does (CF/CB candidates → real-time personalised
@@ -42,11 +45,9 @@
 pub mod action;
 pub mod ar;
 pub mod baseline;
-pub mod cache;
 pub mod catalog;
 pub mod cb;
 pub mod cf;
-pub mod combiner;
 pub mod ctr;
 pub mod db;
 pub mod engine;

@@ -176,9 +176,6 @@ pub struct CfPipelineConfig {
     ///
     /// [`past_horizon`]: crate::topology::replay::past_horizon
     pub dedup_window: usize,
-    /// Cap on live Hoeffding-pruning observation counts per pair-bolt
-    /// task (see [`PruneState::with_cap`]).
-    pub pruning_max_tracked: usize,
     /// Metric registry the pipeline's bolts register into (history log
     /// size, pruning state). [`build_cf_topology_with_spout`] shares this
     /// registry with the tstorm runtime, so one exposition covers
@@ -199,7 +196,6 @@ impl Default for CfPipelineConfig {
             pruning_delta: None,
             max_history: 1024,
             dedup_window: DEFAULT_MAX_PENDING,
-            pruning_max_tracked: crate::cf::pruning::DEFAULT_MAX_TRACKED,
             registry: obs::Registry::new(),
         }
     }
@@ -565,9 +561,7 @@ impl PruneObs {
 impl CfPairBolt {
     /// New bolt over the shared store.
     pub fn new(store: TdStore, config: CfPipelineConfig) -> Self {
-        let pruning = config
-            .pruning_delta
-            .map(|d| PruneState::with_cap(d, config.pruning_max_tracked));
+        let pruning = config.pruning_delta.map(PruneState::new);
         let prune_obs = pruning.is_some().then(|| PruneObs::new(&config.registry));
         CfPairBolt {
             store,

@@ -6,6 +6,11 @@
 //! and compares the final `ic:`/`pc:` count tables byte-for-byte plus the
 //! similarities recomputed from them over the whole item universe.
 //!
+//! The batched run must also cost the store no more: a run merges
+//! same-key deltas into one update (§5.3's combiner) and reads each
+//! item's count once (§5.2's cache), so it spends at most the store
+//! operations its tuples would spend executing one at a time.
+//!
 //! The *stored* similar-items lists (and so `recommend`, which reads
 //! them) are deliberately not compared: each list entry holds the sim
 //! computed at that pair's last update, using item counts read from a
@@ -45,8 +50,21 @@ fn workload() -> Vec<UserAction> {
     actions
 }
 
-fn run_pipeline(batch_size: usize, cf: CfPipelineConfig, parallelism: CfParallelism) -> TdStore {
+/// Store operations one drain spent: `get`s, and `modify` calls
+/// (`write` + `unchanged`).
+struct StoreOps {
+    gets: u64,
+    modifies: u64,
+}
+
+fn run_pipeline(
+    batch_size: usize,
+    cf: CfPipelineConfig,
+    parallelism: CfParallelism,
+) -> (TdStore, StoreOps) {
     let store = TdStore::new(StoreConfig::default());
+    let registry = obs::Registry::new();
+    store.register_metrics(&registry);
     let access = AccessCluster::new(ClusterConfig::default());
     access.create_topic("actions", 4).unwrap();
     let actions = workload();
@@ -78,7 +96,16 @@ fn run_pipeline(batch_size: usize, cf: CfPipelineConfig, parallelism: CfParallel
         std::thread::sleep(Duration::from_millis(1));
     }
     handle.shutdown(Duration::from_secs(5));
-    store
+    let op = |op| {
+        registry
+            .counter_value("tdstore_ops_total", &[("op", op)])
+            .unwrap_or(0)
+    };
+    let ops = StoreOps {
+        gets: op("get"),
+        modifies: op("write") + op("unchanged"),
+    };
+    (store, ops)
 }
 
 /// Count tables as raw f64 bits (the value's first 8 bytes); the dedup
@@ -98,8 +125,14 @@ fn counts(store: &TdStore, prefix: &[u8]) -> BTreeMap<Vec<u8>, u64> {
         .collect()
 }
 
-fn assert_equivalent_with(cf: CfPipelineConfig, parallelism: CfParallelism, label: &str) {
-    let unbatched = run_pipeline(1, cf.clone(), parallelism);
+/// Runs the stream at batch size 1 and 64, checks both, and returns
+/// their store operations, unbatched first.
+fn assert_equivalent_with(
+    cf: CfPipelineConfig,
+    parallelism: CfParallelism,
+    label: &str,
+) -> (StoreOps, StoreOps) {
+    let (unbatched, base_ops) = run_pipeline(1, cf.clone(), parallelism);
     let base_ic = counts(&unbatched, b"ic:");
     let base_pc = counts(&unbatched, b"pc:");
     assert!(
@@ -108,7 +141,19 @@ fn assert_equivalent_with(cf: CfPipelineConfig, parallelism: CfParallelism, labe
     );
     let base_query = TopologyRecommender::new(unbatched, cf.clone());
 
-    let batched = run_pipeline(64, cf.clone(), parallelism);
+    let (batched, ops) = run_pipeline(64, cf.clone(), parallelism);
+    assert!(
+        ops.gets <= base_ops.gets,
+        "{label}: batched run read more ({} gets vs {})",
+        ops.gets,
+        base_ops.gets
+    );
+    assert!(
+        ops.modifies <= base_ops.modifies,
+        "{label}: batched run wrote more ({} modifies vs {})",
+        ops.modifies,
+        base_ops.modifies
+    );
     assert_eq!(
         counts(&batched, b"ic:"),
         base_ic,
@@ -131,15 +176,24 @@ fn assert_equivalent_with(cf: CfPipelineConfig, parallelism: CfParallelism, labe
             );
         }
     }
+    (base_ops, ops)
 }
 
-fn assert_equivalent(cf: CfPipelineConfig, label: &str) {
-    assert_equivalent_with(cf, CfParallelism::default(), label);
+fn assert_equivalent(cf: CfPipelineConfig, label: &str) -> (StoreOps, StoreOps) {
+    assert_equivalent_with(cf, CfParallelism::default(), label)
 }
 
 #[test]
 fn batched_pipeline_matches_unbatched() {
-    assert_equivalent(CfPipelineConfig::default(), "plain");
+    let (base_ops, ops) = assert_equivalent(CfPipelineConfig::default(), "plain");
+    // Items 1 and 2 are in every user's history, so their counts and
+    // pairs are hit by many tuples of one run: merging must save writes.
+    assert!(
+        ops.modifies < base_ops.modifies,
+        "plain: batching merged no write ({} modifies vs {})",
+        ops.modifies,
+        base_ops.modifies
+    );
 }
 
 #[test]

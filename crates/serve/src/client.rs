@@ -267,11 +267,6 @@ impl Client {
         })
     }
 
-    /// Connects with default configuration.
-    pub fn connect_default(addr: &str) -> Result<Client, ClientError> {
-        Client::connect(addr, ClientConfig::default())
-    }
-
     /// Sends `request` without waiting; resolve with [`Pending::wait`].
     /// Multiple submissions pipeline on the same connection; a user's
     /// requests keep their order (see [`Client`]).

@@ -245,11 +245,6 @@ impl AccessCluster {
         self.inner.routes.read().route(topic, pid)
     }
 
-    /// Number of brokers.
-    pub fn broker_count(&self) -> usize {
-        self.inner.brokers.len()
-    }
-
     /// Records durable replay floors for consumer `group`: for each
     /// `(partition, offset)` pair, the group promises it will never again
     /// need offsets below `offset` of that partition (it has checkpointed

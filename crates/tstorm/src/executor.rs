@@ -27,10 +27,7 @@ use crate::collector::{
 };
 use crate::component::{Bolt, Spout, SpoutWaker, TaskContext};
 use crate::grouping::RoutingRule;
-use crate::metrics::{
-    ComponentMetrics, ExecTally, LatencyHistogram, LatencySnapshot, MetricsRegistry,
-    MetricsSnapshot,
-};
+use crate::metrics::{ComponentMetrics, ExecTally, MetricsRegistry, MetricsSnapshot};
 use crate::remote::{Injector, SliceSpec, SourceStream};
 use crate::topology::{BoltFactory, Topology};
 use crate::tuple::AnchorSet;
@@ -529,7 +526,6 @@ impl Topology {
             let spouts = spout_ctl_txs.clone();
             let gauge = Arc::clone(&acker_pending);
             let clock = self.config.clock.clone();
-            let pipeline = Arc::clone(&pipeline);
             std::thread::Builder::new()
                 .name("tstorm-acker".into())
                 .spawn(move || run_acker(acker_rx, spouts, route, gauge, clock, pipeline))
@@ -539,7 +535,6 @@ impl Topology {
         TopologyHandle {
             metrics,
             registry: obs,
-            pipeline,
             inflight,
             acker_pending,
             emitted_roots,
@@ -694,7 +689,6 @@ impl BoltTask {
 pub struct TopologyHandle {
     metrics: MetricsRegistry,
     registry: obs::Registry,
-    pipeline: Arc<LatencyHistogram>,
     inflight: Arc<AtomicI64>,
     acker_pending: Arc<AtomicI64>,
     emitted_roots: Arc<AtomicU64>,
@@ -716,24 +710,12 @@ impl TopologyHandle {
         self.metrics.snapshot()
     }
 
-    /// Metrics snapshot of one component.
-    pub fn metrics_for(&self, component: &str) -> Option<MetricsSnapshot> {
-        self.metrics.component(component)
-    }
-
     /// The exposition registry every runtime metric of this topology is
     /// attached to (a clone shares the underlying entries). Render it with
     /// [`obs::Registry::render`] or combine several registries with
     /// [`obs::render_registries`].
     pub fn registry(&self) -> obs::Registry {
         self.registry.clone()
-    }
-
-    /// Snapshot of whole-pipeline latency (spout emit to tuple-tree
-    /// completion, millisecond precision), recorded by the acker for every
-    /// tracked tuple.
-    pub fn pipeline_latency(&self) -> LatencySnapshot {
-        self.pipeline.snapshot()
     }
 
     /// Number of tuples currently queued, buffered or executing.

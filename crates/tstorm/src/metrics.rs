@@ -201,14 +201,6 @@ impl MetricsRegistry {
             .map(|(name, m)| m.snapshot(name))
             .collect()
     }
-
-    /// Snapshot of one component, if it exists.
-    pub fn component(&self, name: &str) -> Option<MetricsSnapshot> {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(n, m)| m.snapshot(n))
-    }
 }
 
 #[cfg(test)]
@@ -224,12 +216,14 @@ mod tests {
         tally.add(1_000, 1, true);
         tally.add(3_000, 1, false);
         m.record(&mut tally);
-        let snap = reg.component("bolt").unwrap();
+        let snaps = reg.snapshot();
+        assert_eq!(snaps.len(), 1);
+        let snap = &snaps[0];
+        assert_eq!(snap.component, "bolt");
         assert_eq!(snap.executed, 2);
         assert_eq!(snap.acked, 1);
         assert_eq!(snap.failed, 1);
         assert!((snap.mean_exec_micros() - 2.0).abs() < 1e-9);
-        assert!(reg.component("missing").is_none());
         // The same counters are visible through the exposition registry.
         assert_eq!(
             obs.counter_value("tstorm_executed_total", &[("component", "bolt")]),

@@ -350,16 +350,6 @@ impl BoltDeclarer<'_> {
         self.push(src, crate::tuple::DEFAULT_STREAM, Grouping::fields(fields))
     }
 
-    /// Subscribe to `src`'s default stream with all (broadcast) grouping.
-    pub fn all_grouping(&mut self, src: &str) -> &mut Self {
-        self.push(src, crate::tuple::DEFAULT_STREAM, Grouping::All)
-    }
-
-    /// Subscribe to `src`'s default stream with global grouping (task 0).
-    pub fn global_grouping(&mut self, src: &str) -> &mut Self {
-        self.push(src, crate::tuple::DEFAULT_STREAM, Grouping::Global)
-    }
-
     /// Subscribe to a named stream with an explicit grouping.
     pub fn grouping_on(&mut self, src: &str, stream: &str, grouping: Grouping) -> &mut Self {
         self.push(src, stream, grouping)

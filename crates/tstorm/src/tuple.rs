@@ -49,15 +49,6 @@ impl Value {
         }
     }
 
-    /// Returns the value as `i64` if it is an integer that fits.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::I64(v) => Some(*v),
-            Value::U64(v) if *v <= i64::MAX as u64 => Some(*v as i64),
-            _ => None,
-        }
-    }
-
     /// Returns the value as `f64` (integers are widened).
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -160,7 +160,6 @@ pub fn tencentrec_cf_arm_with(weights: ActionWeights) -> RecommendEngine {
             top_k: 20,
             recent_k: 10,
             pruning_delta: Some(1e-3),
-            ..Default::default()
         })),
         DemographicRec::new(GroupScheme::default(), weights, realtime_window()),
         0.0,
@@ -187,7 +186,6 @@ pub fn original_cf_arm_with(
                 top_k: 20,
                 recent_k: 10,
                 pruning_delta: None,
-                ..Default::default()
             })),
             DemographicRec::new(GroupScheme::default(), weights.clone(), None),
             0.0,

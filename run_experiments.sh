@@ -12,8 +12,7 @@ BINARIES=(
   fig13_yixun_price
   fig14_yixun_purchase
   ablation_pruning
-  ablation_combiner
-  ablation_cache
+  ablation_run_merge
   ablation_window
   ablation_sparsity
   ablation_linked_time
