@@ -11,10 +11,11 @@
 //!   only the tail;
 //! - **full replay**: rebuild the whole state from offset zero.
 //!
-//! Writes its record to `BENCH_recovery.json`. Modes:
+//! Modes:
 //!
-//! - default: day-scale sizes.
-//! - `--smoke`: small sizes (CI-friendly).
+//! - default: day-scale sizes; writes its record to `BENCH_recovery.json`.
+//! - `--smoke`: small sizes (CI-friendly); prints its numbers and leaves
+//!   the committed full-size record alone.
 //! - `--check`: exits non-zero unless restore beats full replay by the
 //!   committed floor (5x) — the durability acceptance gate.
 
@@ -169,7 +170,7 @@ fn run_recovery(n: u64, users: u64, items: u64) -> RecoveryResult {
     std::fs::create_dir_all(&tmp).unwrap();
     let spill_dir = tmp.join("segments");
     std::fs::create_dir_all(&spill_dir).unwrap();
-    let ckpt_path = tmp.join("ckpt.fdb");
+    let ckpt_path = tmp.join("ckpt.log");
 
     let actions = workload(n, users, items);
     let topic = build_spilled_topic(&spill_dir);
@@ -346,8 +347,11 @@ fn main() {
         r.full_replay_ms, r.speedup
     );
 
-    std::fs::write("BENCH_recovery.json", recovery_json(&r)).expect("write BENCH_recovery.json");
-    eprintln!("wrote BENCH_recovery.json");
+    if !smoke {
+        std::fs::write("BENCH_recovery.json", recovery_json(&r))
+            .expect("write BENCH_recovery.json");
+        eprintln!("wrote BENCH_recovery.json");
+    }
 
     if check && r.speedup < SPEEDUP_FLOOR {
         eprintln!(

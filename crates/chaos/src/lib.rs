@@ -89,9 +89,9 @@ pub enum FaultSite {
     HeartbeatDrop,
     /// The process dies mid-append of a *delta* checkpoint record: the
     /// ckpt log gains a torn delta tail. On restart the store truncates
-    /// the torn record and the manifest still names the previous epoch,
-    /// so restore resolves the intact prefix of the chain and tail-replays
-    /// the rest — the incremental-checkpoint analogue of a torn manifest.
+    /// the torn record, the previous epoch is the newest again, and
+    /// restore resolves the intact prefix of the chain and tail-replays
+    /// the rest.
     TornDeltaTail,
     /// The process is killed right after publishing a delta checkpoint,
     /// before the next rebase: restore must walk a full base plus a

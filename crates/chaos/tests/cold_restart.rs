@@ -219,9 +219,9 @@ fn run_with_kill(seed: u64, ckpt_path: &PathBuf) -> (TdStore, KillStats) {
     let mut next_ckpt = n / 5;
     let mut stats = KillStats::default();
     let mut published = 0u64;
-    // File length just before the newest delta's record was appended —
-    // the window a torn tail chops into.
-    let mut delta_write_start: Option<u64> = None;
+    // Encoded length of the newest delta's record, the last record in
+    // the log — the window a torn tail chops into.
+    let mut delta_record_bytes: Option<u64> = None;
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
         let committed = first.progress.committed();
@@ -241,7 +241,6 @@ fn run_with_kill(seed: u64, ckpt_path: &PathBuf) -> (TdStore, KillStats) {
             // A failed attempt (barrier timeout under heavy chaos) just
             // leaves the previous snapshot live — exactly the production
             // contract.
-            let len_before = std::fs::metadata(ckpt_path).map(|m| m.len()).unwrap_or(0);
             if let Ok(meta) =
                 coord.checkpoint(&first.handle, &first.store, &first.offsets, committed)
             {
@@ -251,7 +250,7 @@ fn run_with_kill(seed: u64, ckpt_path: &PathBuf) -> (TdStore, KillStats) {
                     Some(SnapshotKind::Delta { .. })
                 );
                 if is_delta {
-                    delta_write_start = Some(len_before);
+                    delta_record_bytes = Some(meta.bytes);
                     if plan.should_fault(FaultSite::MidChainCrash) {
                         stats.killed = true;
                         stats.mid_chain = true;
@@ -282,20 +281,22 @@ fn run_with_kill(seed: u64, ckpt_path: &PathBuf) -> (TdStore, KillStats) {
     first.handle.kill();
 
     // For a mid-chain death the crash may additionally land *during* the
-    // delta append: chop the log midway through the bytes the last delta
-    // publish wrote (record + manifest), exactly what an interrupted
-    // write leaves behind. The reopened store truncates the torn record;
-    // the surviving manifest names an older epoch whose chain is intact.
-    let coord = match delta_write_start {
-        Some(len_before) if stats.mid_chain && plan.should_fault(FaultSite::TornDeltaTail) => {
+    // delta append: chop the log midway through the last delta's record,
+    // exactly what an interrupted write leaves behind. (A publish can
+    // shrink the log, when `retain` rewrites it, so the record's own
+    // length marks it, not the log's length before the publish.) The
+    // reopened store truncates the torn record; the newest complete one
+    // is an older epoch whose chain is intact.
+    let coord = match delta_record_bytes {
+        Some(record) if stats.mid_chain && plan.should_fault(FaultSite::TornDeltaTail) => {
             drop(coord);
             let len = std::fs::metadata(ckpt_path).unwrap().len();
-            assert!(len > len_before, "delta publish must have grown the log");
+            assert!(len >= record, "the delta's record must be in the log");
             let file = std::fs::OpenOptions::new()
                 .write(true)
                 .open(ckpt_path)
                 .unwrap();
-            file.set_len(len_before + (len - len_before) / 2).unwrap();
+            file.set_len(len - record + record / 2).unwrap();
             file.sync_all().unwrap();
             drop(file);
             stats.torn_tail = true;
@@ -373,7 +374,7 @@ fn process_kill_recovers_via_snapshot_and_tail_replay() {
     let mut torn_tails = 0u64;
     for &seed in &seeds {
         let ckpt_path =
-            std::env::temp_dir().join(format!("tsnap-chaos-{}-{seed}.fdb", std::process::id()));
+            std::env::temp_dir().join(format!("tsnap-chaos-{}-{seed}.log", std::process::id()));
         let _ = std::fs::remove_file(&ckpt_path);
         let (store, stats) = run_with_kill(seed, &ckpt_path);
         kills += u64::from(stats.killed);

@@ -27,7 +27,7 @@ use tdstore::{StoreConfig, TdStore};
 const ENV_ROLE: &str = "TSNAP_ROLE";
 const ENV_PATH: &str = "TSNAP_PATH";
 /// Epochs the parent waits for before pulling the trigger: ≥ 2 proves
-/// the manifest advanced (not just a first publish) and leaves a tail.
+/// the log advanced (not just a first publish) and leaves a tail.
 const KILL_AFTER_EPOCH: u64 = 2;
 /// Seed of the deterministic workload.
 const WORKLOAD_SEED: u64 = 0x243F_6A88_85A3_08D3;
@@ -70,7 +70,7 @@ fn main() {
     let path = std::env::var(ENV_PATH)
         .map(PathBuf::from)
         .unwrap_or_else(|_| {
-            std::env::temp_dir().join(format!("tsnap-cold-restart-{}.fdb", std::process::id()))
+            std::env::temp_dir().join(format!("tsnap-cold-restart-{}.log", std::process::id()))
         });
     if std::env::var(ENV_ROLE).as_deref() == Ok("child") {
         child_main(path);
@@ -94,7 +94,7 @@ fn main() {
         path.display()
     );
 
-    // Tail the child's markers until the manifest has advanced far
+    // Tail the child's markers until the log has advanced far
     // enough, then SIGKILL mid-run.
     let stdout = child.stdout.take().expect("child stdout");
     let mut last_epoch = 0u64;
@@ -136,8 +136,8 @@ fn main() {
     let base_ic = counts(&baseline.store, b"ic:");
     let base_pc = counts(&baseline.store, b"pc:");
 
-    // Restore: the snapshot file is the only survivor of the kill. The
-    // manifest may be one epoch behind the last marker (the child can die
+    // Restore: the snapshot file is the only survivor of the kill. Its
+    // newest epoch may be one behind the last marker (the child can die
     // mid-publish); torn tails must fall back, never corrupt.
     let coord = Coordinator::open(&path, CheckpointConfig::default()).expect("reopen after kill");
     let store = TdStore::new(StoreConfig::default());

@@ -107,7 +107,7 @@ fn main() {
     let path = std::env::var(ENV_PATH)
         .map(PathBuf::from)
         .unwrap_or_else(|_| {
-            std::env::temp_dir().join(format!("tsnap-incremental-{}.fdb", std::process::id()))
+            std::env::temp_dir().join(format!("tsnap-incremental-{}.log", std::process::id()))
         });
     if std::env::var(ENV_ROLE).as_deref() == Ok("child") {
         child_main(path);
@@ -181,7 +181,7 @@ fn main() {
 
     // Restore: must walk full base + delta chain (every epoch after 1 is
     // a delta by construction). A torn delta tail from the kill must fall
-    // back to the previous manifest, never corrupt.
+    // back to the previous epoch, never corrupt.
     let coord = Coordinator::open(&path, ckpt_config()).expect("reopen after kill");
     let store = TdStore::new(StoreConfig::default());
     let restored = coord
@@ -190,7 +190,7 @@ fn main() {
         .expect("child published at least one loadable snapshot");
     assert!(
         restored.meta.epoch > KILL_AFTER_DELTAS,
-        "manifest should have advanced through the delta chain"
+        "the log should have advanced through the delta chain"
     );
     assert!(
         matches!(

@@ -27,13 +27,11 @@
 //!
 //! The **asynchronous** half: only the in-memory read happens inside
 //! the barrier (the state read + an offset-table encode). The durable
-//! write — blob, `fsync`, manifest, `fsync` against
-//! [`tdstore::SnapshotStore`] — runs after the spouts have resumed, so
-//! the pipeline stall is bounded by drain time, not disk time. Manifest
-//! atomicity (write the blob first, name it in the manifest last, let
-//! fdb's torn-tail truncation discard a half-written manifest) guarantees
-//! a crash *during* publication simply falls back to the previous
-//! checkpoint.
+//! write — one record appended to the [`tdstore::SnapshotStore`] log,
+//! then `fsync` — runs after the spouts have resumed, so the pipeline
+//! stall is bounded by drain time, not disk time. A complete record is
+//! its own commit, and reopening the log truncates a torn one, so a crash
+//! *during* publication simply falls back to the previous checkpoint.
 //!
 //! The **incremental** half: from a store's first checkpoint until the
 //! coordinator drops, the store records which keys its writes changed
@@ -65,7 +63,7 @@ pub struct CheckpointConfig {
     pub drain_timeout: Duration,
     /// Number of epochs kept restorable on disk (must be ≥ 1). Retention
     /// is chain-aware: a delta epoch keeps its full base alive, and the
-    /// fdb engine's dead-bytes compaction reclaims reclaimed chains.
+    /// log is rewritten without the chains it cuts.
     pub retain: usize,
     /// Force a full (self-contained) blob at least every this many
     /// epochs (must be ≥ 1). `1` disables deltas entirely; `K` bounds a
@@ -98,7 +96,7 @@ pub enum CkptError {
     /// The state scan or snapshot-store write failed.
     Store(StoreError),
     /// A loaded snapshot failed to decode (corrupt offset vector, or a
-    /// manifest pointing at an unresolvable delta chain).
+    /// newest epoch with an unresolvable delta chain).
     Corrupt(&'static str),
     /// `restore_into` was handed a store that already holds keys.
     /// Restore must target a fresh store: stale keys from a partial
@@ -462,7 +460,7 @@ impl Coordinator {
         // The next checkpoint rebases: what changed since the newest epoch
         // is not known once a store has been reloaded from it.
         *self.chain.lock().unwrap_or_else(PoisonError::into_inner) = None;
-        let Some(manifest) = self.snapshots.latest() else {
+        let Some(newest) = self.snapshots.latest() else {
             return Ok(None);
         };
         if !state.is_empty()? {
@@ -470,7 +468,7 @@ impl Coordinator {
         }
         let snap = self
             .snapshots
-            .load(manifest.epoch)
+            .load(newest.epoch)
             .ok_or(CkptError::Corrupt("snapshot chain"))?;
         let start_offsets =
             OffsetTable::decode(&snap.offsets).ok_or(CkptError::Corrupt("offset vector"))?;

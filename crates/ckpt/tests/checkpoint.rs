@@ -152,7 +152,7 @@ fn histories(store: &TdStore) -> BTreeMap<Vec<u8>, Vec<(u64, u64)>> {
 }
 
 fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("ckpt-test-{}-{tag}.fdb", std::process::id()))
+    std::env::temp_dir().join(format!("ckpt-test-{}-{tag}.log", std::process::id()))
 }
 
 #[test]
@@ -625,7 +625,7 @@ fn restore_into_empty_coordinator_reports_none_and_corrupt_offsets_error() {
     let store = fresh_store();
     assert!(coord.restore_into(&store).unwrap().is_none());
 
-    // A manifest pointing at a snapshot whose offset vector does not
+    // A newest snapshot whose offset vector does not
     // decode must surface Corrupt, not silently replay from zero.
     coord
         .snapshots()

@@ -303,7 +303,7 @@ fn killed_state_worker_restores_from_snapshot_and_converges() {
         let dir = std::env::temp_dir().join(format!("tsnap-cluster-{}-{seed}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.fdb");
+        let path = dir.join("ckpt.log");
         std::env::set_var(ENV_SNAP, &path);
 
         // One worker holds everything: spout, every bolt, and the store.
@@ -374,7 +374,7 @@ fn killed_state_worker_restores_from_snapshot_and_converges() {
             let restored = coord
                 .restore_into(&fresh)
                 .expect("post-run restore")
-                .expect("manifest points at a loadable snapshot");
+                .expect("the newest epoch is a loadable snapshot");
             assert_eq!(restored.meta.epoch, meta.epoch);
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -397,7 +397,7 @@ fn killed_state_worker_restores_from_snapshot_and_converges() {
     let dir = std::env::temp_dir().join(format!("tsnap-cluster-{}-det", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    std::env::set_var(ENV_SNAP, dir.join("ckpt.fdb"));
+    std::env::set_var(ENV_SNAP, dir.join("ckpt.log"));
     let mut config = SupervisorConfig::new(vec![WorkerSpec::new([
         "spout",
         "pretreatment",

@@ -555,7 +555,7 @@ fn stalled_state_owning_worker_recovers_via_lease_and_snapshot() {
     let dir = std::env::temp_dir().join(format!("tguard-snap-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    std::env::set_var(ENV_SNAP, dir.join("ckpt.fdb"));
+    std::env::set_var(ENV_SNAP, dir.join("ckpt.log"));
 
     let baseline = baseline_counts();
     let n = workload().len() as u64;

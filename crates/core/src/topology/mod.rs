@@ -96,13 +96,16 @@ where
     topology_config.registry = config.registry.clone();
     let mut builder = TopologyBuilder::new().with_config(topology_config);
     builder.set_spout("spout", spout, parallelism.spouts);
+    // By user, so one task carries each user's actions to `user_history`
+    // in the order their partition holds them: a shuffle could swap two,
+    // and the stored history would then depend on the schedule.
     builder
         .set_bolt(
             "pretreatment",
             PretreatmentBolt::new,
             parallelism.pretreatment,
         )
-        .shuffle_grouping("spout");
+        .fields_grouping("spout", ["user"]);
     {
         let store = store.clone();
         let config = config.clone();

@@ -270,7 +270,7 @@ impl OffsetTable {
     }
 
     /// Folds recovered watermarks into the table, keeping the maximum per
-    /// partition — merging a snapshot manifest's offsets with a possibly
+    /// partition — merging a snapshot's offsets with a possibly
     /// newer offset-commit blob takes whichever got further.
     pub fn merge(&self, offsets: &[(PartitionId, u64)]) {
         for &(pid, off) in offsets {

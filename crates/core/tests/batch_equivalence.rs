@@ -57,11 +57,7 @@ struct StoreOps {
     modifies: u64,
 }
 
-fn run_pipeline(
-    batch_size: usize,
-    cf: CfPipelineConfig,
-    parallelism: CfParallelism,
-) -> (TdStore, StoreOps) {
+fn run_pipeline(batch_size: usize, cf: CfPipelineConfig) -> (TdStore, StoreOps) {
     let store = TdStore::new(StoreConfig::default());
     let registry = obs::Registry::new();
     store.register_metrics(&registry);
@@ -78,7 +74,7 @@ fn run_pipeline(
         spout,
         store.clone(),
         cf,
-        parallelism,
+        CfParallelism::default(),
         TopologyConfig {
             batch_size,
             flush_interval: Duration::from_millis(1),
@@ -127,12 +123,8 @@ fn counts(store: &TdStore, prefix: &[u8]) -> BTreeMap<Vec<u8>, u64> {
 
 /// Runs the stream at batch size 1 and 64, checks both, and returns
 /// their store operations, unbatched first.
-fn assert_equivalent_with(
-    cf: CfPipelineConfig,
-    parallelism: CfParallelism,
-    label: &str,
-) -> (StoreOps, StoreOps) {
-    let (unbatched, base_ops) = run_pipeline(1, cf.clone(), parallelism);
+fn assert_equivalent(cf: CfPipelineConfig, label: &str) -> (StoreOps, StoreOps) {
+    let (unbatched, base_ops) = run_pipeline(1, cf.clone());
     let base_ic = counts(&unbatched, b"ic:");
     let base_pc = counts(&unbatched, b"pc:");
     assert!(
@@ -141,7 +133,7 @@ fn assert_equivalent_with(
     );
     let base_query = TopologyRecommender::new(unbatched, cf.clone());
 
-    let (batched, ops) = run_pipeline(64, cf.clone(), parallelism);
+    let (batched, ops) = run_pipeline(64, cf.clone());
     assert!(
         ops.gets <= base_ops.gets,
         "{label}: batched run read more ({} gets vs {})",
@@ -179,10 +171,6 @@ fn assert_equivalent_with(
     (base_ops, ops)
 }
 
-fn assert_equivalent(cf: CfPipelineConfig, label: &str) -> (StoreOps, StoreOps) {
-    assert_equivalent_with(cf, CfParallelism::default(), label)
-}
-
 #[test]
 fn batched_pipeline_matches_unbatched() {
     let (base_ops, ops) = assert_equivalent(CfPipelineConfig::default(), "plain");
@@ -209,24 +197,16 @@ fn batched_pipeline_matches_unbatched_with_dedup() {
 
 #[test]
 fn batched_pipeline_matches_unbatched_windowed() {
-    // Pretreatment runs single-task here: with several shuffle-grouped
-    // pretreatment tasks one user's actions can reach the history bolt
-    // out of order, and the max-based rating deltas then attribute
-    // different amounts to different *session buckets* (totals still
-    // agree — which is why the un-windowed variants tolerate it). That
-    // reordering predates batching; pinning pretreatment to one task
-    // makes the per-session tables deterministic so the byte-for-byte
-    // comparison is meaningful.
-    assert_equivalent_with(
+    // The per-session tables need each user's actions in order: the
+    // max-based rating deltas of an action pair swapped in flight would
+    // land in different session buckets. Pretreatment is fields-grouped
+    // by user, so the default parallelism keeps that order.
+    assert_equivalent(
         CfPipelineConfig {
             window: Some(tencentrec::cf::counts::WindowConfig {
                 session_ms: 10,
                 sessions: 4,
             }),
-            ..Default::default()
-        },
-        CfParallelism {
-            pretreatment: 1,
             ..Default::default()
         },
         "windowed",

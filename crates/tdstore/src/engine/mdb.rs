@@ -11,7 +11,7 @@
 //!
 //! An entry is one heap allocation: its [`Key`] lives in the map slot
 //! (every status-data key fits the inline bytes) and its value is a
-//! `Box<[u8]>` of exactly the stored length. [`StorageEngine::modify`]
+//! `Box<[u8]>` of exactly the stored length. [`MdbEngine::modify`]
 //! lends the value as a `Vec` and takes it back: both moves are free
 //! unless the closure left spare capacity, which is trimmed.
 //!
@@ -19,7 +19,6 @@
 //! it already holds, so a checkpoint reads only those keys. Untracked, a
 //! shard holds no set and a write pays one branch for it.
 
-use super::StorageEngine;
 use crate::route::{key_hash, KeyHashBuilder};
 use parking_lot::Mutex;
 use std::borrow::Borrow;
@@ -117,11 +116,96 @@ impl MdbEngine {
         &self.shards[self.shard_index(key)]
     }
 
-    /// Calls `f` with the value of `key`, borrowed under its shard's lock:
-    /// the generic form of [`StorageEngine::read`], which returns what `f`
-    /// returns.
-    pub(crate) fn read_with<R>(&self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> R {
+    /// Calls `f` with the value of `key`, borrowed under its shard's lock
+    /// (no copy), and returns what `f` returns. `f` must be short and must
+    /// not call back into the engine.
+    pub fn read<R>(&self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> R {
         f(self.shard(key).lock().map.get(key).map(|v| &v[..]))
+    }
+
+    /// Atomic, conditional read-modify-write, in place: `f` edits the
+    /// value (`None` = absent; leaving it `None` deletes the key) and
+    /// reports whether it changed it. After reporting `false` the slot
+    /// must hold what it held on entry; an unchanged value is not written
+    /// back. `f` runs under the shard's lock, so it must be short and must
+    /// not call back into the engine. Returns what `f` returned.
+    pub fn modify(&self, key: &[u8], f: impl FnOnce(&mut Option<Vec<u8>>) -> bool) -> bool {
+        let shard = &mut *self.shard(key).lock();
+        let changed = match shard.map.get_mut(key) {
+            // The value is edited where it lives: moved into the slot and
+            // back (a pointer move), never copied, and the key is not
+            // cloned. Only a value the closure left with spare capacity
+            // is reallocated, to its length.
+            Some(value) => {
+                let mut slot = Some(std::mem::take(value).into_vec());
+                let changed = f(&mut slot);
+                match slot {
+                    Some(new) => *value = new.into_boxed_slice(),
+                    None => {
+                        shard.map.remove(key);
+                    }
+                }
+                changed
+            }
+            None => {
+                let mut slot = None;
+                let changed = f(&mut slot);
+                if let Some(new) = slot {
+                    shard.map.insert(Key::from(key), new.into_boxed_slice());
+                }
+                changed
+            }
+        };
+        // What the closure reports is what the set records: by the
+        // contract above an unchanged value was left as it was.
+        if let Some(set) = &mut shard.changed {
+            if changed && !set.contains(key) {
+                set.insert(Key::from(key));
+            }
+        }
+        changed
+    }
+
+    /// Current value for `key` (a copy).
+    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.read(key, |raw| raw.map(<[u8]>::to_vec))
+    }
+
+    /// Stores `value` under `key`.
+    pub fn put(&self, key: &[u8], value: Vec<u8>) {
+        self.modify(key, |slot| {
+            *slot = Some(value);
+            true
+        });
+    }
+
+    /// Removes `key`; returns whether it was present.
+    pub fn delete(&self, key: &[u8]) -> bool {
+        self.modify(key, |slot| slot.take().is_some())
+    }
+
+    /// Number of live keys.
+    pub fn len(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().map.len()).sum()
+    }
+
+    /// Whether the engine holds no keys.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// All `(key, value)` pairs whose key starts with `prefix`, unordered.
+    pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.lock();
+            for (k, v) in shard.map.iter() {
+                if k.starts_with(prefix) {
+                    out.push((k.to_vec(), v.to_vec()));
+                }
+            }
+        }
+        out
     }
 
     /// Starts (`true`) or stops (`false`) recording changed keys. Either
@@ -155,84 +239,155 @@ impl MdbEngine {
     }
 }
 
-impl StorageEngine for MdbEngine {
-    fn read(&self, key: &[u8], f: &mut super::ReadFn<'_>) {
-        self.read_with(key, f);
-    }
-
-    fn modify(&self, key: &[u8], f: &mut super::ModifyFn<'_>) -> bool {
-        let shard = &mut *self.shard(key).lock();
-        let changed = match shard.map.get_mut(key) {
-            // The value is edited where it lives: moved into the slot and
-            // back (a pointer move), never copied, and the key is not
-            // cloned. Only a value the closure left with spare capacity
-            // is reallocated, to its length.
-            Some(value) => {
-                let mut slot = Some(std::mem::take(value).into_vec());
-                let changed = f(&mut slot);
-                match slot {
-                    Some(new) => *value = new.into_boxed_slice(),
-                    None => {
-                        shard.map.remove(key);
-                    }
-                }
-                changed
-            }
-            None => {
-                let mut slot = None;
-                let changed = f(&mut slot);
-                if let Some(new) = slot {
-                    shard.map.insert(Key::from(key), new.into_boxed_slice());
-                }
-                changed
-            }
-        };
-        // What the closure reports is what the set records: by the
-        // `ModifyFn` contract an unchanged value was left as it was.
-        if let Some(set) = &mut shard.changed {
-            if changed && !set.contains(key) {
-                set.insert(Key::from(key));
-            }
-        }
-        changed
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
-    }
-
-    fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (k, v) in shard.map.iter() {
-                if k.starts_with(prefix) {
-                    out.push((k.to_vec(), v.to_vec()));
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::conformance;
     use std::sync::Arc;
 
-    #[test]
-    fn conformance_suite() {
-        conformance::basic_crud(&MdbEngine::new(4));
-        conformance::modify_semantics(&MdbEngine::new(4));
-        conformance::prefix_scan(&MdbEngine::new(4));
-        conformance::many_keys(&MdbEngine::new(4));
+    fn basic_crud(engine: &MdbEngine) {
+        assert!(engine.get(b"a").is_none());
+        engine.put(b"a", vec![1]);
+        assert_eq!(engine.get(b"a"), Some(vec![1]));
+        engine.put(b"a", vec![2]);
+        assert_eq!(engine.get(b"a"), Some(vec![2]));
+        assert_eq!(engine.len(), 1);
+        assert!(engine.delete(b"a"));
+        assert!(!engine.delete(b"a"));
+        assert!(engine.get(b"a").is_none());
+        assert_eq!(engine.len(), 0);
+        assert!(engine.is_empty());
     }
 
     #[test]
+    fn conformance_suite() {
+        basic_crud(&MdbEngine::new(4));
+        let engine = &MdbEngine::new(4);
+        // Insert through modify.
+        let changed = engine.modify(b"ctr", |slot| {
+            assert!(slot.is_none());
+            *slot = Some(vec![1]);
+            true
+        });
+        assert!(changed);
+        // Edit in place.
+        assert!(engine.modify(b"ctr", |slot| {
+            slot.as_mut().unwrap()[0] += 1;
+            true
+        }));
+        assert_eq!(engine.get(b"ctr"), Some(vec![2]));
+        // An unchanged modify sees the value and leaves it alone.
+        assert!(!engine.modify(b"ctr", |slot| {
+            assert_eq!(slot.as_deref(), Some(&[2u8][..]));
+            false
+        }));
+        assert!(!engine.modify(b"absent", |slot| {
+            assert!(slot.is_none());
+            false
+        }));
+        assert_eq!(engine.get(b"ctr"), Some(vec![2]));
+        assert_eq!(engine.len(), 1);
+        // read borrows the same bytes.
+        let mut seen = None;
+        engine.read(b"ctr", |raw| seen = raw.map(<[u8]>::to_vec));
+        assert_eq!(seen, Some(vec![2]));
+        engine.read(b"absent", |raw| assert!(raw.is_none()));
+        // Delete through modify.
+        assert!(engine.modify(b"ctr", |slot| slot.take().is_some()));
+        assert!(engine.get(b"ctr").is_none());
+        assert_eq!(engine.len(), 0);
+        let engine = &MdbEngine::new(4);
+        engine.put(b"item:1", vec![1]);
+        engine.put(b"item:2", vec![2]);
+        engine.put(b"pair:1", vec![3]);
+        let mut items = engine.scan_prefix(b"item:");
+        items.sort();
+        assert_eq!(
+            items,
+            vec![(b"item:1".to_vec(), vec![1]), (b"item:2".to_vec(), vec![2])]
+        );
+        assert_eq!(engine.scan_prefix(b"zzz").len(), 0);
+        assert_eq!(engine.scan_prefix(b"").len(), 3);
+        let engine = &MdbEngine::new(4);
+        for i in 0..1000u32 {
+            engine.put(&i.to_le_bytes(), i.to_le_bytes().to_vec());
+        }
+        assert_eq!(engine.len(), 1000);
+        for i in (0..1000u32).step_by(7) {
+            assert_eq!(engine.get(&i.to_le_bytes()), Some(i.to_le_bytes().to_vec()));
+        }
+        for i in (0..1000u32).step_by(2) {
+            engine.delete(&i.to_le_bytes());
+        }
+        assert_eq!(engine.len(), 500);
+        assert!(engine.get(&4u32.to_le_bytes()).is_none());
+        assert!(engine.get(&5u32.to_le_bytes()).is_some());
+    }
+
+    /// Key lengths [`conformance_over_key_lengths`] covers: every one from
+    /// empty to well past the longest key MDB holds inline (30 bytes).
+    const KEY_LENGTHS: std::ops::RangeInclusive<usize> = 0..=64;
+
+    /// The prefix scan and the many-keys case of [`conformance_suite`]
+    /// over keys of every length in [`KEY_LENGTHS`].
+    #[test]
     fn conformance_over_key_lengths() {
-        conformance::prefix_scan_key_lengths(&MdbEngine::new(4));
-        conformance::many_keys_key_lengths(&MdbEngine::new(4));
+        // A run of `k`s (each one a prefix of every longer one) and,
+        // beside each, a sibling that differs only in its last byte.
+        // Every prefix of the longest key must return exactly the keys
+        // that start with it.
+        let engine = &MdbEngine::new(4);
+        let mut model = std::collections::BTreeMap::new();
+        for len in KEY_LENGTHS {
+            let run = vec![b'k'; len];
+            let mut sibling = run.clone();
+            if let Some(last) = sibling.last_mut() {
+                *last = b'x';
+            }
+            for (tag, key) in [(0, run), (1, sibling)] {
+                let value = vec![len as u8, tag];
+                engine.put(&key, value.clone());
+                model.insert(key, value);
+            }
+        }
+        assert_eq!(engine.len(), model.len());
+        let keys: Vec<Vec<u8>> = model.keys().cloned().collect();
+        for prefix in &keys {
+            let mut got = engine.scan_prefix(prefix);
+            got.sort();
+            let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                .iter()
+                .filter(|(k, _)| k.starts_with(prefix))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            assert_eq!(got, want, "prefix of {} bytes", prefix.len());
+        }
+        // Many keys, with values as long as their keys.
+        let engine = &MdbEngine::new(4);
+        let mut keys = Vec::new();
+        for len in KEY_LENGTHS {
+            for i in 0..if len == 0 { 1 } else { 20u8 } {
+                let mut key = vec![b'k'; len];
+                if let Some(last) = key.last_mut() {
+                    *last = i;
+                }
+                keys.push(key);
+            }
+        }
+        for (i, key) in keys.iter().enumerate() {
+            engine.put(key, vec![i as u8; key.len()]);
+        }
+        assert_eq!(engine.len(), keys.len());
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(engine.get(key), Some(vec![i as u8; key.len()]));
+        }
+        for key in keys.iter().step_by(2) {
+            assert!(engine.delete(key));
+        }
+        assert_eq!(engine.len(), keys.len() / 2);
+        for (i, key) in keys.iter().enumerate() {
+            let want = (i % 2 == 1).then(|| vec![i as u8; key.len()]);
+            assert_eq!(engine.get(key), want, "key of {} bytes", key.len());
+        }
     }
 
     #[test]
@@ -266,7 +421,7 @@ mod tests {
 
     #[test]
     fn single_shard_works() {
-        conformance::basic_crud(&MdbEngine::new(1));
+        basic_crud(&MdbEngine::new(1));
     }
 
     #[test]
@@ -277,7 +432,7 @@ mod tests {
                 let e = Arc::clone(&engine);
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        e.modify(b"counter", &mut |slot| {
+                        e.modify(b"counter", |slot| {
                             let n = slot
                                 .as_deref()
                                 .map_or(0, |v| u64::from_le_bytes(v.try_into().unwrap()));

@@ -5,7 +5,7 @@ use std::fmt;
 /// Errors returned by the TDStore client and the checkpoint log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
-    /// A disk operation failed (FDB engine).
+    /// A disk operation on the checkpoint log failed.
     Io(String),
     /// A fault injected by a chaos [`tchaos::FaultPlan`]; the write it
     /// replaced was never applied, so retrying is always safe.

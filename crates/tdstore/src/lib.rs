@@ -13,10 +13,10 @@
 //! * There is **one copy** of the state. The paper backs each instance up
 //!   on a second data server; in one process a backup would die with the
 //!   copy it backs up, so durability comes from the checkpoint log
-//!   instead. [`SnapshotStore`] keeps sealed snapshots on an
-//!   [`engine::FdbEngine`] (an append-only file), and a restart restores
-//!   the newest one and replays the access log from the offsets it sealed.
-//! * The client API is two primitives, on the engines and on
+//!   instead. [`SnapshotStore`] appends sealed snapshots, full or delta,
+//!   to one file as epoch records, and a restart restores the newest one
+//!   and replays the access log from the offsets it sealed.
+//! * The client API is two primitives, on the engine and on
 //!   [`TdStore`] alike: [`TdStore::read`] lends the stored bytes to a
 //!   closure, and [`TdStore::modify`] is the one read-modify-write — in
 //!   place and *conditional*: a closure that reports "unchanged" costs no
@@ -41,7 +41,7 @@ mod error;
 mod route;
 pub mod snapshot;
 
-pub use engine::{FdbEngine, MdbEngine, StorageEngine};
+pub use engine::MdbEngine;
 pub use error::StoreError;
 pub use snapshot::{Snapshot, SnapshotKind, SnapshotMeta, SnapshotRecord, SnapshotStore};
 
@@ -145,7 +145,7 @@ impl TdStore {
     /// and do not call the store from it.
     pub fn read<R>(&self, key: &[u8], f: impl FnOnce(Option<&[u8]>) -> R) -> Result<R, StoreError> {
         self.inner.metrics.gets.inc();
-        Ok(self.inner.engine(key).read_with(key, f))
+        Ok(self.inner.engine(key).read(key, f))
     }
 
     /// Atomic, conditional read-modify-write on one key, in place: `f`
@@ -170,7 +170,7 @@ impl TdStore {
             return Err(StoreError::Injected);
         }
         let mut deleted = false;
-        let changed = self.inner.engine(key).modify(key, &mut |slot| {
+        let changed = self.inner.engine(key).modify(key, |slot| {
             let changed = f(slot);
             deleted = changed && slot.is_none();
             changed
@@ -416,7 +416,7 @@ mod tests {
     }
 
     fn log_path(tag: &str) -> std::path::PathBuf {
-        let p = std::env::temp_dir().join(format!("tdstore-test-{}-{tag}.fdb", std::process::id()));
+        let p = std::env::temp_dir().join(format!("tdstore-test-{}-{tag}.log", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
     }

@@ -12,14 +12,15 @@ cargo test --workspace --quiet
 
 # Panic-site stage: no `.unwrap()` or `.expect(` in the non-test code
 # (everything before a file's `#[cfg(test)]`, doc comments aside) of the
-# crates that bytes from a disk or a socket reach. The store's checkpoint
-# log is the only durable copy of its state, a cluster worker reads every
-# frame the supervisor relays, `tdaccess`, `ckpt` and `wire` read the
-# log segments, the checkpoints and the frames, `core` reads every
-# status-data value a restore brings back, `obs` rebuilds latency
-# histograms from cluster and serve frames, and `serve` reads client
-# sockets, so a bad byte, a failed disk call or a thread the OS refuses
-# must come back as an error.
+# crates that bytes from a disk or a socket reach. `tdstore` walks the
+# record headers of its checkpoint log, the only durable copy of the
+# state, at every open and decodes its records at every restore, a
+# cluster worker reads every frame the supervisor relays, `tdaccess`,
+# `ckpt` and `wire` read the log segments, the checkpoints and the
+# frames, `core` reads every status-data value a restore brings back,
+# `obs` rebuilds latency histograms from cluster and serve frames, and
+# `serve` reads client sockets, so a bad byte, a failed disk call or a
+# thread the OS refuses must come back as an error.
 for crate in tdstore cluster tdaccess ckpt wire core obs serve; do
     echo "==> no unwrap/expect in $crate non-test code"
     panic_sites="$(git ls-files "crates/$crate/src/*.rs" | while read -r f; do
@@ -337,11 +338,9 @@ echo "    incremental restart OK ($(grep -c '^tsnap\|^tdaccess' <<<"$inc_out") m
 # Recovery gate: snapshot restore + tail replay must beat a full-log
 # replay by at least 5x on a disk-spilled log (smoke size), and the
 # steady-state delta checkpoint must stay under 0.3x of the full blob it
-# patches. The run rewrites BENCH_recovery.json with its smoke-size
-# record; the committed record is restored after it.
+# patches.
 echo "==> time-to-recover + delta-ratio gate (smoke)"
 cargo run --release -p bench --bin recovery_bench -- --smoke --check
-git checkout -- BENCH_recovery.json 2>/dev/null || true
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --quiet -- -D warnings

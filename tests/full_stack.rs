@@ -118,7 +118,7 @@ fn store_failover_mid_stream_preserves_results() {
 
     // First half, a checkpoint, then the store is lost with its process.
     let ckpt_path =
-        std::env::temp_dir().join(format!("full-stack-failover-{}.fdb", std::process::id()));
+        std::env::temp_dir().join(format!("full-stack-failover-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&ckpt_path);
     let coord = Coordinator::open(&ckpt_path, CheckpointConfig::default()).unwrap();
     let cluster = topic();

@@ -1,11 +1,11 @@
 //! One corpus for the one byte reader. Every format the workspace decodes
-//! through `wire::Reader` — snapshot full and delta payloads, the snapshot
-//! manifest, an FDB log replayed by `FdbEngine::open`, the spout's
-//! `OffsetTable` blob, `tcluster` frames and `tserve` requests and
-//! responses — is fed every truncation and every single-bit flip of a
-//! valid encoding. A truncation must be rejected (or, for an FDB log,
-//! replay exactly the complete records before the cut); a flip may decode
-//! to some other well-formed value or be rejected. Neither may panic.
+//! through `wire::Reader` — snapshot full and delta payloads, the
+//! checkpoint log they are records of, the spout's `OffsetTable` blob,
+//! `tcluster` frames and `tserve` requests and responses — is fed every
+//! truncation and every single-bit flip of a valid encoding. A truncation
+//! must be rejected (or, for the checkpoint log, reopen to exactly the
+//! complete records before the cut); a flip may decode to some other
+//! well-formed value or be rejected. Neither may panic.
 //! Tuple-batch frames also run through the worker's injector into a live
 //! topology slice, which may accept no frame the decoder rejects.
 //!
@@ -17,11 +17,11 @@
 //! valid key must parse to nothing.
 
 use bytes::{BufMut, BytesMut};
-use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tcluster::protocol::{self, Msg};
-use tdstore::{FdbEngine, SnapshotStore, StorageEngine};
+use tdstore::snapshot::StateEntries;
+use tdstore::{SnapshotMeta, SnapshotStore};
 use tencentrec::action::{ActionType, UserAction};
 use tencentrec::topology::replay::encode_src;
 use tencentrec::topology::state::*;
@@ -75,10 +75,25 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// The payload of each record of the checkpoint log at `path`, oldest
+/// first: the log is a run of `len:u32 | payload` records.
+fn log_payloads(path: &Path) -> Vec<Vec<u8>> {
+    let log = std::fs::read(path).unwrap();
+    let mut r = wire::Reader::new(&log);
+    let mut payloads = Vec::new();
+    while r.remaining() > 0 {
+        payloads.push(r.bytes().unwrap().to_vec());
+    }
+    payloads
+}
+
+/// A complete record is the checkpoint log's only manifest, so each
+/// payload is fed as the one record of a log: it must load exactly when
+/// it is whole.
 #[test]
 fn snapshot_payloads_and_manifest() {
     let dir = scratch("snapshot");
-    let path = dir.join("log.fdb");
+    let path = dir.join("ckpt.log");
     let offsets = OffsetTable::new();
     offsets.merge(&[(0, 17), (3, 5)]);
     let state = [
@@ -92,83 +107,95 @@ fn snapshot_payloads_and_manifest() {
         .publish_delta(8, &offsets.encode(), 1, &state[..1], &deletes)
         .unwrap();
     drop(store);
-    let records = FdbEngine::open(path.clone()).unwrap();
-    let full_key = [&b"snap:"[..], &1u64.to_le_bytes()].concat();
-    let delta_key = [&b"delta:"[..], &2u64.to_le_bytes()].concat();
-    // A log holding only `bytes` under `key`, opened as a snapshot store.
-    let store_with = |key: &[u8], bytes: &[u8]| {
-        let _ = std::fs::remove_file(dir.join("corpus.fdb"));
-        FdbEngine::open(dir.join("corpus.fdb"))
-            .unwrap()
-            .put(key, bytes.to_vec());
-        SnapshotStore::open_read_only(dir.join("corpus.fdb")).unwrap()
+    let payloads = log_payloads(&path);
+    assert_eq!(payloads.len(), 2);
+    // A log holding only `payload`, opened as a snapshot store.
+    let corpus = dir.join("corpus.log");
+    let store_with = |payload: &[u8]| {
+        let len = u32::try_from(payload.len()).unwrap().to_le_bytes();
+        std::fs::write(&corpus, [&len[..], payload].concat()).unwrap();
+        SnapshotStore::open_read_only(&corpus).unwrap()
     };
-    check(&records.get(&full_key).unwrap(), |b| {
-        store_with(&full_key, b).load_record(1).is_some()
-    });
-    check(&records.get(&delta_key).unwrap(), |b| {
-        store_with(&delta_key, b).load_record(2).is_some()
-    });
-    check(&records.get(b"manifest").unwrap(), |b| {
-        store_with(b"manifest", b).latest().is_some()
-    });
+    check(&payloads[0], |b| store_with(b).load_record(1).is_some());
+    check(&payloads[1], |b| store_with(b).load_record(2).is_some());
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// What a reopened checkpoint log shows: its epochs, its newest record,
+/// and the offsets and state every epoch resolves to.
+type LogView = (
+    Vec<u64>,
+    Option<SnapshotMeta>,
+    Vec<Option<(Vec<u8>, StateEntries)>>,
+);
+
+fn view(store: &SnapshotStore) -> LogView {
+    let epochs = store.epochs();
+    let resolved = epochs
+        .iter()
+        .map(|&e| store.load(e).map(|snap| (snap.offsets, snap.state)))
+        .collect();
+    (epochs, store.latest(), resolved)
 }
 
 #[test]
 fn fdb_log_replay() {
-    let dir = scratch("fdb");
-    let path = dir.join("log.fdb");
-    let ops: [(&[u8], Option<&[u8]>); 5] = [
-        (b"a", Some(b"one")),
-        (b"bb", Some(b"")),
-        (b"a", None),
-        (b"ccc", Some(b"three")),
-        (b"bb", Some(b"two")),
-    ];
-    // The model after each complete record: (end offset, live keys).
-    let mut model = vec![(0, BTreeMap::new())];
-    let engine = FdbEngine::open(path.clone()).unwrap();
-    for (key, value) in ops {
-        let (end, mut live) = model.last().unwrap().clone();
-        match value {
-            Some(v) => {
-                engine.put(key, v.to_vec());
-                live.insert(key.to_vec(), v.to_vec());
-            }
-            None => {
-                engine.delete(key);
-                live.remove(key);
-            }
-        }
-        model.push((end + 8 + key.len() + value.map_or(0, <[u8]>::len), live));
-    }
-    drop(engine);
-    let log = std::fs::read(&path).unwrap();
-    assert_eq!(log.len(), model.last().unwrap().0);
-
-    let replay = |bytes: &[u8]| {
-        std::fs::write(&path, bytes).unwrap();
-        let engine = FdbEngine::open(path.clone()).unwrap();
-        let live: BTreeMap<_, _> = engine.scan_prefix(b"").into_iter().collect();
-        (engine, live)
+    let dir = scratch("log");
+    let path = dir.join("ckpt.log");
+    let key = |i: u8| vec![b'k', i];
+    let store = SnapshotStore::open(&path).unwrap();
+    // The view after each complete record, with the log's length then.
+    let mut model = vec![(0, view(&store))];
+    let mut published = |meta: SnapshotMeta, store: &SnapshotStore| {
+        let end = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(end, model.last().unwrap().0 + meta.bytes);
+        model.push((end, view(store)));
     };
+    let full = [(key(1), vec![1]), (key(2), vec![2])];
+    published(store.publish(1, b"off-1", &full).unwrap(), &store);
+    let meta = store
+        .publish_delta(2, b"off-2", 1, &[(key(3), vec![3])], &[key(1)])
+        .unwrap();
+    published(meta, &store);
+    let meta = store
+        .publish_delta(3, b"off-3", 2, &[(key(2), vec![22])], &[])
+        .unwrap();
+    published(meta, &store);
+    published(store.publish(4, b"off-4", &full[1..]).unwrap(), &store);
+    let meta = store.publish_delta(5, b"off-5", 4, &[], &[key(2)]).unwrap();
+    published(meta, &store);
+    drop(store);
+    let log = std::fs::read(&path).unwrap();
+
+    let reopen = |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        SnapshotStore::open(&path).unwrap()
+    };
+    let after = [(key(9), vec![9])];
     for cut in truncations(&log) {
-        let (engine, live) = replay(cut);
-        let (_, expect) = model.iter().rfind(|(end, _)| *end <= cut.len()).unwrap();
-        assert_eq!(&live, expect, "replay of a {}-byte prefix", cut.len());
-        // The torn tail is gone: a record appended now replays intact.
-        engine.put(b"z", b"after".to_vec());
-        drop(engine);
-        let engine = FdbEngine::open(path.clone()).unwrap();
-        assert_eq!(engine.get(b"z"), Some(b"after".to_vec()));
-        assert_eq!(engine.len(), expect.len() + 1);
+        let store = reopen(cut);
+        let (_, expect) = model
+            .iter()
+            .rfind(|(end, _)| *end <= cut.len() as u64)
+            .unwrap();
+        assert_eq!(
+            &view(&store),
+            expect,
+            "reopen of a {}-byte prefix",
+            cut.len()
+        );
+        // The torn tail is gone: a record published now reopens intact.
+        let meta = store.publish(9, b"after", &after).unwrap();
+        drop(store);
+        let store = SnapshotStore::open(&path).unwrap();
+        assert_eq!(store.latest(), Some(meta));
+        assert_eq!(store.load(meta.epoch).unwrap().state, after);
     }
-    // Without a record checksum a flipped key byte reads as another key,
-    // so a flip is held only to a panic-free replay of records that each
-    // took at least their 8 header bytes.
+    // Each record takes at least its length prefix and a full record's
+    // 29-byte header, so a flip cannot make more of them than that.
     for flip in bit_flips(&log) {
-        assert!(replay(&flip).1.len() <= log.len() / 8);
+        let (epochs, ..) = view(&reopen(&flip));
+        assert!(epochs.len() <= log.len() / 33);
     }
     let _ = std::fs::remove_dir_all(dir);
 }
